@@ -588,7 +588,7 @@ let obs_diff file_a file_b json threshold =
       Format.eprintf "dpcc: %s@." msg;
       exit 2
   | Ok r -> (
-      if json then print_string (Dp_obs.Diff.to_json r)
+      if json then print_endline (Dp_util.Json.to_compact (Dp_obs.Diff.to_json r))
       else Format.printf "%a@." Dp_obs.Diff.pp r;
       match threshold with
       | Some t when Dp_obs.Diff.exceeds ~threshold:t r ->

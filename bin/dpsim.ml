@@ -41,7 +41,7 @@ let obs_sink mode reqs out =
       let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
       let oc = open_out tmp in
       ( Dp_obs.Sink.stream (fun e ->
-            output_string oc (Dp_obs.Event.to_json e);
+            output_string oc (Dp_util.Json.to_compact (Dp_obs.Event.to_json e));
             output_char oc '\n'),
         fun () ->
           close_out oc;

@@ -29,10 +29,10 @@ let shard_counts = [ 2; 4; 8 ]
 
 (* --- canonical artifacts ---
 
-   One run rendered as precise JSON (shortest round-trip floats): the
-   result header, every per-disk statistic, and the per-disk
-   observability report when the run recorded events.  Two runs that
-   should be byte-identical must produce equal strings. *)
+   One run rendered as precise JSON (exact %.17g floats): the
+   result header and every per-disk statistic.  Two runs that should
+   be byte-identical must produce equal strings.  Observability is
+   compared structurally, in the obs half of each pair check. *)
 
 let json_of_stats (s : Engine.disk_stats) =
   Json_out.Obj

@@ -2,13 +2,16 @@ module Request = Dp_trace.Request
 
 (** Trace-driven multi-disk simulation engine.
 
-    Requests are served per I/O node in FIFO arrival order (arrival times
-    are fixed by the trace — open-loop, as in the paper's setup).  For
-    every inter-request gap the active policy decides the node's power
-    trajectory (stay idle, spin down, or shift rotation speed); energy is
-    integrated over the full timeline of every node up to the global
-    makespan, so savings on one node are never hidden by activity on
-    another.
+    Requests are served per I/O node in FIFO issue order.  The replay is
+    closed-loop: a processor issues each request [think_ms] after its
+    previous request completes, so a stall on one request (a reactive
+    spin-up, queueing) delays every later request of that processor by
+    the same amount.  A trace's nominal [arrival_ms] only orders each
+    processor's stream and places the hints.  For every inter-request
+    gap the active policy decides the node's power trajectory (stay
+    idle, spin down, or shift rotation speed); energy is integrated over
+    the full timeline of every node up to the global makespan, so
+    savings on one node are never hidden by activity on another.
 
     A run can additionally carry a seeded fault injector (see
     {!Dp_faults}): spin-up failures, transient media errors, latency

@@ -3,7 +3,7 @@ module Workloads = Dp_workloads.Workloads
 module Engine = Dp_disksim.Engine
 module Generate = Dp_trace.Generate
 
-module Domain_pool = Dp_pipeline.Domain_pool
+module Domain_pool = Dp_util.Domain_pool
 
 type matrix = (App.t * (Version.t * Runner.run) list) list
 

@@ -27,7 +27,7 @@ val build_matrix :
     [obs] attaches per-run observability reports (see {!Runner.run});
     the JSON rendering then carries the histograms.  [jobs] (default 1)
     fans the (app, version) rows out over that many domains
-    ({!Dp_pipeline.Domain_pool}); results are returned in the same
+    ({!Dp_util.Domain_pool}); results are returned in the same
     deterministic order regardless of [jobs] — the matrix is
     byte-identical to a serial build.  [shards] additionally fans each
     simulation across domains {e inside} the engine (per-segment shard

@@ -1,7 +1,8 @@
 module App = Dp_workloads.App
 module Engine = Dp_disksim.Engine
+module Json = Dp_util.Json
 
-type t =
+type t = Json.t =
   | Null
   | Bool of bool
   | Int of int
@@ -10,102 +11,10 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-let escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let rec pp ppf = function
-  | Null -> Format.pp_print_string ppf "null"
-  | Bool b -> Format.pp_print_bool ppf b
-  | Int n -> Format.pp_print_int ppf n
-  | Float f ->
-      if Float.is_finite f then Format.fprintf ppf "%.6g" f
-      else Format.pp_print_string ppf "null"
-  | String s -> Format.fprintf ppf "\"%s\"" (escape s)
-  | List xs ->
-      Format.fprintf ppf "[@[<hv>%a@]]"
-        (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@ ") pp)
-        xs
-  | Obj fields ->
-      Format.fprintf ppf "{@[<hv>%a@]}"
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@ ")
-           (fun ppf (k, v) -> Format.fprintf ppf "\"%s\": %a" (escape k) pp v))
-        fields
-
-let to_string t = Format.asprintf "%a" pp t
-
-(* Precise twin of [pp]: floats render as their shortest round-trip
-   decimal instead of [%.6g], so two structurally equal values produce
-   byte-identical strings exactly when their floats are bit-identical.
-   This is what differential checkers (the chaos oracle) compare — the
-   readable [%.6g] rendering would mask low-order divergence. *)
-let float_precise f =
-  let s = Float.to_string f in
-  (* [Float.to_string 1.0] is ["1."] — not valid JSON. *)
-  if String.length s > 0 && s.[String.length s - 1] = '.' then s ^ "0" else s
-
-let rec pp_precise ppf = function
-  | Float f when Float.is_finite f -> Format.pp_print_string ppf (float_precise f)
-  | List xs ->
-      Format.fprintf ppf "[@[<hv>%a@]]"
-        (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@ ") pp_precise)
-        xs
-  | Obj fields ->
-      Format.fprintf ppf "{@[<hv>%a@]}"
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@ ")
-           (fun ppf (k, v) -> Format.fprintf ppf "\"%s\": %a" (escape k) pp_precise v))
-        fields
-  | (Null | Bool _ | Int _ | Float _ | String _) as t -> pp ppf t
-
-let to_string_precise t = Format.asprintf "%a" pp_precise t
-
-let of_histogram (h : Dp_obs.Metrics.histogram) =
-  Obj
-    [
-      ("edges", List (Array.to_list (Array.map (fun e -> Float e) h.Dp_obs.Metrics.edges)));
-      ("counts", List (Array.to_list (Array.map (fun c -> Int c) h.Dp_obs.Metrics.counts)));
-      ("count", Int h.Dp_obs.Metrics.n);
-      ("sum", Float h.Dp_obs.Metrics.sum);
-      ("max", Float h.Dp_obs.Metrics.vmax);
-    ]
-
-let of_disk_report (r : Dp_obs.Report.disk_report) =
-  Obj
-    ([
-      ("disk", Int r.Dp_obs.Report.disk);
-      ("requests", Int r.Dp_obs.Report.requests);
-      ("busy_ms", Float r.Dp_obs.Report.busy_ms);
-      ("idle_ms", Float r.Dp_obs.Report.idle_ms);
-      ("standby_ms", Float r.Dp_obs.Report.standby_ms);
-      ("transition_ms", Float r.Dp_obs.Report.transition_ms);
-      ("energy_j", Float r.Dp_obs.Report.energy_j);
-      ("hints", Int r.Dp_obs.Report.hints);
-      ("faults", Int r.Dp_obs.Report.faults);
-      ("decisions", Int r.Dp_obs.Report.decisions);
-    ]
-    @ (if r.Dp_obs.Report.repairs > 0 then [ ("repairs", Int r.Dp_obs.Report.repairs) ]
-       else [])
-    @ (if r.Dp_obs.Report.deadline_misses > 0 then
-         [ ("deadline_misses", Int r.Dp_obs.Report.deadline_misses) ]
-       else [])
-    @ [
-      ("idle_gaps", of_histogram r.Dp_obs.Report.idle_gap_ms);
-      ("response", of_histogram r.Dp_obs.Report.response_ms);
-      ("standby_residency", of_histogram r.Dp_obs.Report.standby_residency_ms);
-    ])
+let pp ppf t = Json.pp ppf t
+let to_string t = Json.to_string t
+let pp_precise ppf t = Json.pp ~floats:Json.Exact ppf t
+let to_string_precise t = Json.to_string ~floats:Json.Exact t
 
 let repair_of_result (res : Engine.result) =
   let remaps, hits, chunks, found, recon, rebuild, fo, fails, rebuilt =
@@ -169,7 +78,7 @@ let of_run (r : Runner.run) =
     match r.Runner.obs with
     | None -> []
     | Some reports ->
-        [ ("obs", List (List.map of_disk_report (Array.to_list reports))) ])
+        [ ("obs", List (List.map Dp_obs.Report.to_json (Array.to_list reports))) ])
 
 let of_matrix (matrix : Experiments.matrix) =
   List

@@ -1,7 +1,7 @@
-(** Minimal JSON rendering of experiment results (no external JSON
-    dependency), for scripting against the harness. *)
+(** JSON renderings of experiment results, for scripting against the
+    harness.  The value type and printers are {!Dp_util.Json}'s. *)
 
-type t =
+type t = Dp_util.Json.t =
   | Null
   | Bool of bool
   | Int of int
@@ -11,7 +11,8 @@ type t =
   | Obj of (string * t) list
 
 val pp : Format.formatter -> t -> unit
-(** Valid JSON: strings escaped, floats finite (NaN/inf become null). *)
+(** The pretty layout with readable ([%.6g]) floats: valid JSON,
+    strings escaped, non-finite floats as null. *)
 
 val to_string : t -> string
 
@@ -21,12 +22,9 @@ val of_matrix : Experiments.matrix -> t
     performance degradation. *)
 
 val of_run : Runner.run -> t
-(** Includes an ["obs"] field (per-disk totals and idle-gap /
-    response-time / standby-residency histograms) when the run carries
-    an observability report; the field is absent otherwise. *)
-
-val of_histogram : Dp_obs.Metrics.histogram -> t
-val of_disk_report : Dp_obs.Report.disk_report -> t
+(** Includes an ["obs"] field (one {!Dp_obs.Report.to_json} object per
+    disk) when the run carries an observability report; the field is
+    absent otherwise. *)
 
 val of_serve : Dp_serve.Serve.report -> t
 (** The served-array report: config echo (without [jobs] — the output
@@ -40,9 +38,9 @@ val of_sweep : Experiments.sweep -> t
     (with their reliability aggregates). *)
 
 val pp_precise : Format.formatter -> t -> unit
-(** Like {!pp} but floats render as their shortest round-trip decimal,
-    so byte-equal output means bit-equal floats.  The rendering for
-    differential artifacts (the chaos oracle's pair comparisons);
-    non-finite floats still become null. *)
+(** Like {!pp} but floats render exactly ([%.17g]), so byte-equal
+    output means bit-equal floats.  The rendering for differential
+    artifacts (the chaos oracle's pair comparisons); non-finite floats
+    still become null. *)
 
 val to_string_precise : t -> string

@@ -1,33 +1,36 @@
-let jfloat f = if Float.is_finite f then Printf.sprintf "%.6g" f else "null"
-
 (* Timestamps need absolute, not relative, precision: %.6g loses hundreds
    of microseconds on a minutes-long run, which reads as gaps between
-   spans in the viewer.  Nanosecond-fixed notation keeps tracks
-   contiguous at any run length. *)
-let jts f = if Float.is_finite f then Printf.sprintf "%.3f" f else "null"
-
+   spans in the viewer.  Exact floats keep tracks contiguous at any run
+   length. *)
 let us_of_ms ms = ms *. 1000.0
 
 let trace_json ?until_ms events =
+  let open Dp_util.Json in
   let clip stop = match until_ms with None -> stop | Some u -> Float.min stop u in
   let b = Buffer.create 4096 in
   let first = ref true in
-  let add_event s =
+  let add_event fields =
     if !first then first := false else Buffer.add_string b ",\n";
-    Buffer.add_string b s
+    Buffer.add_string b (to_compact ~floats:Exact (Obj fields))
   in
+  let track ph disk = [ ("ph", String ph); ("pid", Int 0); ("tid", Int disk) ] in
+  let span disk start_ms stop_ms =
+    track "X" disk
+    @ [ ("ts", Float (us_of_ms start_ms)); ("dur", Float (us_of_ms (stop_ms -. start_ms))) ]
+  in
+  let instant disk at_ms =
+    [ ("ph", String "i"); ("s", String "t"); ("pid", Int 0); ("tid", Int disk);
+      ("ts", Float (us_of_ms at_ms)) ]
+  in
+  let named cat name = [ ("cat", String cat); ("name", String name) ] in
+  let args fields = [ ("args", Obj fields) ] in
   Buffer.add_string b "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
   (* One named track per disk. *)
   let disks = List.fold_left (fun acc e -> max acc (Event.disk e + 1)) 0 events in
   for d = 0 to disks - 1 do
-    add_event
-      (Printf.sprintf
-         "{\"ph\":\"M\",\"pid\":0,\"tid\":%d,\"name\":\"thread_name\",\"args\":{\"name\":\"disk %d\"}}"
-         d d);
-    add_event
-      (Printf.sprintf
-         "{\"ph\":\"M\",\"pid\":0,\"tid\":%d,\"name\":\"thread_sort_index\",\"args\":{\"sort_index\":%d}}"
-         d d)
+    let meta name arg = add_event (track "M" d @ (("name", String name) :: args [ arg ])) in
+    meta "thread_name" ("name", String (Printf.sprintf "disk %d" d));
+    meta "thread_sort_index" ("sort_index", Int d)
   done;
   List.iter
     (fun e ->
@@ -36,62 +39,38 @@ let trace_json ?until_ms events =
           let stop = clip p.stop_ms in
           if stop > p.start_ms then
             add_event
-              (Printf.sprintf
-                 "{\"ph\":\"X\",\"pid\":0,\"tid\":%d,\"ts\":%s,\"dur\":%s,\"cat\":\"power\",\"name\":\"%s\",\"args\":{\"energy_j\":%s%s}}"
-                 p.disk
-                 (jts (us_of_ms p.start_ms))
-                 (jts (us_of_ms (stop -. p.start_ms)))
-                 (Event.track_name p.state) (jfloat p.energy_j)
-                 (match p.state with
-                 | Event.Idle rpm -> Printf.sprintf ",\"rpm\":%d" rpm
-                 | _ -> ""))
+              (span p.disk p.start_ms stop
+              @ named "power" (Event.track_name p.state)
+              @ args
+                  (("energy_j", Float p.energy_j)
+                  :: (match p.state with Event.Idle rpm -> [ ("rpm", Int rpm) ] | _ -> [])))
       | Event.Service s ->
           (* Nested under the ACTIVE span on the same track, keeping the
              request's identity (lba, size, response) inspectable. *)
           if s.stop_ms > s.start_ms then
             add_event
-              (Printf.sprintf
-                 "{\"ph\":\"X\",\"pid\":0,\"tid\":%d,\"ts\":%s,\"dur\":%s,\"cat\":\"io\",\"name\":\"request\",\"args\":{\"lba\":%d,\"bytes\":%d,\"response_ms\":%s}}"
-                 s.disk
-                 (jts (us_of_ms s.start_ms))
-                 (jts (us_of_ms (clip s.stop_ms -. s.start_ms)))
-                 s.lba s.bytes
-                 (jfloat (s.stop_ms -. s.arrival_ms)))
+              (span s.disk s.start_ms (clip s.stop_ms)
+              @ named "io" "request"
+              @ args
+                  [ ("lba", Int s.lba); ("bytes", Int s.bytes);
+                    ("response_ms", Float (s.stop_ms -. s.arrival_ms)) ])
       | Event.Hint_exec h ->
-          add_event
-            (Printf.sprintf
-               "{\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":%d,\"ts\":%s,\"cat\":\"hint\",\"name\":\"hint:%s\"}"
-               h.disk
-               (jts (us_of_ms h.at_ms))
-               h.action)
+          add_event (instant h.disk h.at_ms @ named "hint" ("hint:" ^ h.action))
       | Event.Fault f ->
           add_event
-            (Printf.sprintf
-               "{\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":%d,\"ts\":%s,\"cat\":\"fault\",\"name\":\"fault:%s\",\"args\":{\"cost_ms\":%s}}"
-               f.disk
-               (jts (us_of_ms f.at_ms))
-               f.kind (jfloat f.cost_ms))
-      | Event.Decision d ->
-          add_event
-            (Printf.sprintf
-               "{\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":%d,\"ts\":%s,\"cat\":\"decision\",\"name\":\"%s\"}"
-               d.disk
-               (jts (us_of_ms d.at_ms))
-               d.decision)
+            (instant f.disk f.at_ms @ named "fault" ("fault:" ^ f.kind)
+            @ args [ ("cost_ms", Float f.cost_ms) ])
+      | Event.Decision d -> add_event (instant d.disk d.at_ms @ named "decision" d.decision)
       | Event.Repair r ->
           add_event
-            (Printf.sprintf
-               "{\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":%d,\"ts\":%s,\"cat\":\"repair\",\"name\":\"repair:%s\",\"args\":{\"blocks\":%d,\"cost_ms\":%s}}"
-               r.disk
-               (jts (us_of_ms r.at_ms))
-               r.op r.blocks (jfloat r.cost_ms))
+            (instant r.disk r.at_ms @ named "repair" ("repair:" ^ r.op)
+            @ args [ ("blocks", Int r.blocks); ("cost_ms", Float r.cost_ms) ])
       | Event.Deadline d ->
           add_event
-            (Printf.sprintf
-               "{\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":%d,\"ts\":%s,\"cat\":\"deadline\",\"name\":\"deadline-miss\",\"args\":{\"proc\":%d,\"response_ms\":%s,\"deadline_ms\":%s}}"
-               d.disk
-               (jts (us_of_ms d.at_ms))
-               d.proc (jfloat d.response_ms) (jfloat d.deadline_ms))
+            (instant d.disk d.at_ms @ named "deadline" "deadline-miss"
+            @ args
+                [ ("proc", Int d.proc); ("response_ms", Float d.response_ms);
+                  ("deadline_ms", Float d.deadline_ms) ])
       (* Stage-cache events happen at compile time, off the simulated
          disk timeline — they have no track here. *)
       | Event.Cache _ -> ())

@@ -5,7 +5,8 @@
     (thread) per disk whose complete-events are the power-state spans
     (ACTIVE / IDLE@rpm / STANDBY / TRANSITION), with hint executions,
     fault perturbations and policy decisions as instant markers on the
-    same track.  Timestamps are microseconds, as the format requires. *)
+    same track.  Timestamps are microseconds, as the format requires,
+    and every number is an exact ([%.17g]) float. *)
 
 val trace_json : ?until_ms:float -> Event.t list -> string
 (** [until_ms] clips spans to the run's makespan (a trailing spin-down

@@ -1,6 +1,7 @@
 (* Distribution-shift statistics between two gap-histogram JSONL
-   artifacts.  The artifacts are produced by Report.jsonl, so a tiny
-   self-contained JSON reader keeps lib/obs dependency-free. *)
+   artifacts, as produced by Report.jsonl. *)
+
+module Json = Dp_util.Json
 
 type hist = {
   edges : float array;
@@ -41,180 +42,34 @@ type line_diff = {
 
 type report = { lines : line_diff list; max_ks : float; max_emd : float }
 
-(* --- a minimal JSON reader, sufficient for Report.jsonl lines --- *)
-
-type json =
-  | J_null
-  | J_bool of bool
-  | J_num of float
-  | J_str of string
-  | J_arr of json list
-  | J_obj of (string * json) list
-
 exception Bad of string
-
-let parse_json s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then s.[!pos] else '\x00' in
-  let advance () = incr pos in
-  let fail msg = raise (Bad (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let skip_ws () =
-    while !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false) do
-      advance ()
-    done
-  in
-  let expect c =
-    if peek () = c then advance () else fail (Printf.sprintf "expected %c" c)
-  in
-  let literal word v =
-    let l = String.length word in
-    if !pos + l <= n && String.sub s !pos l = word then begin
-      pos := !pos + l;
-      v
-    end
-    else fail (Printf.sprintf "expected %s" word)
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string";
-      match s.[!pos] with
-      | '"' -> advance ()
-      | '\\' ->
-          advance ();
-          (if !pos >= n then fail "unterminated escape";
-           match s.[!pos] with
-           | '"' -> Buffer.add_char b '"'
-           | '\\' -> Buffer.add_char b '\\'
-           | '/' -> Buffer.add_char b '/'
-           | 'b' -> Buffer.add_char b '\b'
-           | 'f' -> Buffer.add_char b '\012'
-           | 'n' -> Buffer.add_char b '\n'
-           | 'r' -> Buffer.add_char b '\r'
-           | 't' -> Buffer.add_char b '\t'
-           | 'u' ->
-               if !pos + 4 >= n then fail "bad \\u escape";
-               let code = int_of_string ("0x" ^ String.sub s (!pos + 1) 4) in
-               pos := !pos + 4;
-               if code < 128 then Buffer.add_char b (Char.chr code)
-               else Buffer.add_char b '?'
-           | c -> fail (Printf.sprintf "bad escape \\%c" c));
-          advance ();
-          go ()
-      | c ->
-          Buffer.add_char b c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let parse_number () =
-    let start = !pos in
-    let num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while !pos < n && num_char s.[!pos] do
-      advance ()
-    done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "bad number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = '}' then begin
-          advance ();
-          J_obj []
-        end
-        else begin
-          let rec members acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | ',' ->
-                advance ();
-                members ((k, v) :: acc)
-            | '}' ->
-                advance ();
-                J_obj (List.rev ((k, v) :: acc))
-            | _ -> fail "expected , or }"
-          in
-          members []
-        end
-    | '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = ']' then begin
-          advance ();
-          J_arr []
-        end
-        else begin
-          let rec elems acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | ',' ->
-                advance ();
-                elems (v :: acc)
-            | ']' ->
-                advance ();
-                J_arr (List.rev (v :: acc))
-            | _ -> fail "expected , or ]"
-          in
-          elems []
-        end
-    | '"' -> J_str (parse_string ())
-    | 't' -> literal "true" (J_bool true)
-    | 'f' -> literal "false" (J_bool false)
-    | 'n' -> literal "null" J_null
-    | _ -> parse_number () |> fun f -> J_num f
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
 
 (* --- field extraction --- *)
 
-let field obj name =
+let field (obj : Json.t) name =
   match obj with
-  | J_obj kvs -> (
+  | Json.Obj kvs -> (
       match List.assoc_opt name kvs with
       | Some v -> v
       | None -> raise (Bad (Printf.sprintf "missing field %S" name)))
   | _ -> raise (Bad "expected an object")
 
-let jnum = function
-  | J_num f -> f
-  | J_null -> Float.nan  (* Report.jsonl writes non-finite floats as null *)
+let jnum : Json.t -> float = function
+  | Json.Float f -> f
+  | Json.Int i -> float_of_int i
+  | Json.Null -> Float.nan  (* Report.jsonl writes non-finite floats as null *)
   | _ -> raise (Bad "expected a number")
 
-let jint j = int_of_float (jnum j)
+let jint : Json.t -> int = function Json.Int i -> i | j -> int_of_float (jnum j)
 
-let jfloats = function
-  | J_arr vs -> Array.of_list (List.map jnum vs)
-  | _ -> raise (Bad "expected an array")
-
-let jints = function
-  | J_arr vs -> Array.of_list (List.map jint vs)
+let jarray f : Json.t -> _ = function
+  | Json.List vs -> Array.of_list (List.map f vs)
   | _ -> raise (Bad "expected an array")
 
 let hist_of_json j =
   {
-    edges = jfloats (field j "edges");
-    counts = jints (field j "counts");
+    edges = jarray jnum (field j "edges");
+    counts = jarray jint (field j "counts");
     count = jint (field j "count");
     sum = jnum (field j "sum");
     vmax = jnum (field j "max");
@@ -243,10 +98,9 @@ let parse contents =
     | line :: rest ->
         if String.trim line = "" then go (lineno + 1) acc rest
         else begin
-          match side_of_json (parse_json line) with
-          | side -> go (lineno + 1) (side :: acc) rest
-          | exception Bad msg ->
-              Error (Printf.sprintf "line %d: %s" lineno msg)
+          match Result.map side_of_json (Json.of_string line) with
+          | Ok side -> go (lineno + 1) (side :: acc) rest
+          | Error msg | (exception Bad msg) -> Error (Printf.sprintf "line %d: %s" lineno msg)
         end
   in
   go 1 [] lines
@@ -343,23 +197,16 @@ let pp ppf r =
     (Format.pp_print_list pp_line) r.lines r.max_ks r.max_emd
     (List.length r.lines)
 
-let jfloat f = if Float.is_finite f then Printf.sprintf "%.6g" f else "null"
-
-let to_json r =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\"lines\":[";
-  List.iteri
-    (fun i l ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"index\":%d,\"disk\":%d,\"idle_gaps\":{\"ks\":%s,\"emd\":%s},\"response\":{\"ks\":%s,\"emd\":%s},\"standby_residency\":{\"ks\":%s,\"emd\":%s},\"d_energy_j\":%s,\"d_requests\":%d,\"d_mean_response_ms\":%s,\"d_standby_share\":%s}"
-           l.index l.disk (jfloat l.gaps.ks) (jfloat l.gaps.emd) (jfloat l.resp.ks)
-           (jfloat l.resp.emd) (jfloat l.residency.ks) (jfloat l.residency.emd)
-           (jfloat l.d_energy_j) l.d_requests (jfloat l.d_mean_response_ms)
-           (jfloat l.d_standby_share)))
-    r.lines;
-  Buffer.add_string b
-    (Printf.sprintf "],\"max_ks\":%s,\"max_emd\":%s}\n" (jfloat r.max_ks)
-       (jfloat r.max_emd));
-  Buffer.contents b
+let to_json r : Json.t =
+  let shift s = Json.Obj [ ("ks", Json.Float s.ks); ("emd", Json.Float s.emd) ] in
+  let line l =
+    Json.Obj
+      [ ("index", Json.Int l.index); ("disk", Json.Int l.disk); ("idle_gaps", shift l.gaps);
+        ("response", shift l.resp); ("standby_residency", shift l.residency);
+        ("d_energy_j", Json.Float l.d_energy_j); ("d_requests", Json.Int l.d_requests);
+        ("d_mean_response_ms", Json.Float l.d_mean_response_ms);
+        ("d_standby_share", Json.Float l.d_standby_share) ]
+  in
+  Json.Obj
+    [ ("lines", Json.List (List.map line r.lines)); ("max_ks", Json.Float r.max_ks);
+      ("max_emd", Json.Float r.max_emd) ]

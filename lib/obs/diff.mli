@@ -93,6 +93,6 @@ val pp : Format.formatter -> report -> unit
 (** The human table: one line per artifact line, sign-aware deltas
     ([+]/[-] always printed), maxima last. *)
 
-val to_json : report -> string
-(** One JSON object (trailing newline included): ["lines"] array plus
-    ["max_ks"]/["max_emd"] — what CI asserts zeros on. *)
+val to_json : report -> Dp_util.Json.t
+(** One JSON object: ["lines"] array plus ["max_ks"]/["max_emd"] — what
+    CI asserts zeros on.  [dpcc obs diff --json] prints it compact. *)

@@ -55,58 +55,40 @@ let track_name = function
   | Standby -> "STANDBY"
   | Transition -> "TRANSITION"
 
-(* Self-contained JSON rendering (the library must not depend on the
-   harness): escaped strings, non-finite floats as null. *)
-let escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let jfloat f = if Float.is_finite f then Printf.sprintf "%.6g" f else "null"
-
-let to_json = function
+let to_json e : Dp_util.Json.t =
+  let open Dp_util.Json in
+  let head kind disk = [ ("type", String kind); ("disk", Int disk) ] in
+  let instant kind disk at_ms rest = Obj (head kind disk @ (("at_ms", Float at_ms) :: rest)) in
+  match e with
   | Power { disk; state; start_ms; stop_ms; charge_ms; energy_j } ->
-      let rpm = match state with Idle r -> Printf.sprintf ",\"rpm\":%d" r | _ -> "" in
-      Printf.sprintf
-        "{\"type\":\"power\",\"disk\":%d,\"state\":\"%s\"%s,\"start_ms\":%s,\"stop_ms\":%s,\"charge_ms\":%s,\"energy_j\":%s}"
-        disk (state_name state) rpm (jfloat start_ms) (jfloat stop_ms) (jfloat charge_ms)
-        (jfloat energy_j)
+      Obj
+        (head "power" disk
+        @ (("state", String (state_name state))
+          :: (match state with Idle r -> [ ("rpm", Int r) ] | _ -> []))
+        @ [ ("start_ms", Float start_ms); ("stop_ms", Float stop_ms);
+            ("charge_ms", Float charge_ms); ("energy_j", Float energy_j) ])
   | Service { disk; proc; arrival_ms; start_ms; stop_ms; lba; bytes } ->
-      Printf.sprintf
-        "{\"type\":\"service\",\"disk\":%d,\"proc\":%d,\"arrival_ms\":%s,\"start_ms\":%s,\"stop_ms\":%s,\"response_ms\":%s,\"lba\":%d,\"bytes\":%d}"
-        disk proc (jfloat arrival_ms) (jfloat start_ms) (jfloat stop_ms)
-        (jfloat (stop_ms -. arrival_ms))
-        lba bytes
-  | Hint_exec { disk; at_ms; action } ->
-      Printf.sprintf "{\"type\":\"hint\",\"disk\":%d,\"at_ms\":%s,\"action\":\"%s\"}" disk
-        (jfloat at_ms) (escape action)
+      Obj
+        (head "service" disk
+        @ [ ("proc", Int proc); ("arrival_ms", Float arrival_ms); ("start_ms", Float start_ms);
+            ("stop_ms", Float stop_ms); ("response_ms", Float (stop_ms -. arrival_ms));
+            ("lba", Int lba); ("bytes", Int bytes) ])
+  | Hint_exec { disk; at_ms; action } -> instant "hint" disk at_ms [ ("action", String action) ]
   | Fault { disk; at_ms; kind; cost_ms } ->
-      Printf.sprintf
-        "{\"type\":\"fault\",\"disk\":%d,\"at_ms\":%s,\"kind\":\"%s\",\"cost_ms\":%s}" disk
-        (jfloat at_ms) (escape kind) (jfloat cost_ms)
+      instant "fault" disk at_ms [ ("kind", String kind); ("cost_ms", Float cost_ms) ]
   | Decision { disk; at_ms; decision } ->
-      Printf.sprintf "{\"type\":\"decision\",\"disk\":%d,\"at_ms\":%s,\"decision\":\"%s\"}" disk
-        (jfloat at_ms) (escape decision)
+      instant "decision" disk at_ms [ ("decision", String decision) ]
   | Cache { at_ms; op; key; bytes } ->
-      Printf.sprintf "{\"type\":\"cache\",\"at_ms\":%s,\"op\":\"%s\",\"key\":\"%s\",\"bytes\":%d}"
-        (jfloat at_ms) (escape op) (escape key) bytes
+      Obj
+        [ ("type", String "cache"); ("at_ms", Float at_ms); ("op", String op);
+          ("key", String key); ("bytes", Int bytes) ]
   | Repair { disk; at_ms; op; blocks; cost_ms } ->
-      Printf.sprintf
-        "{\"type\":\"repair\",\"disk\":%d,\"at_ms\":%s,\"op\":\"%s\",\"blocks\":%d,\"cost_ms\":%s}"
-        disk (jfloat at_ms) (escape op) blocks (jfloat cost_ms)
+      instant "repair" disk at_ms
+        [ ("op", String op); ("blocks", Int blocks); ("cost_ms", Float cost_ms) ]
   | Deadline { disk; proc; at_ms; response_ms; deadline_ms } ->
-      Printf.sprintf
-        "{\"type\":\"deadline\",\"disk\":%d,\"proc\":%d,\"at_ms\":%s,\"response_ms\":%s,\"deadline_ms\":%s}"
-        disk proc (jfloat at_ms) (jfloat response_ms) (jfloat deadline_ms)
+      Obj
+        (head "deadline" disk
+        @ [ ("proc", Int proc); ("at_ms", Float at_ms); ("response_ms", Float response_ms);
+            ("deadline_ms", Float deadline_ms) ])
 
-let pp ppf e = Format.pp_print_string ppf (to_json e)
+let pp ppf e = Format.pp_print_string ppf (Dp_util.Json.to_compact (to_json e))

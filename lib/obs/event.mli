@@ -78,8 +78,9 @@ val state_name : power_state -> string
 val track_name : power_state -> string
 (** Display label: "ACTIVE", "IDLE@<rpm>", "STANDBY", "TRANSITION". *)
 
-val to_json : t -> string
-(** One self-contained JSON object (no trailing newline) — the JSONL
-    wire format.  Strings are escaped; non-finite floats become null. *)
+val to_json : t -> Dp_util.Json.t
+(** One JSON object per event; {!Dp_util.Json.to_compact} of it is one
+    line of the JSONL wire format. *)
 
 val pp : Format.formatter -> t -> unit
+(** The compact rendering of {!to_json}. *)

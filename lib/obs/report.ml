@@ -134,34 +134,30 @@ let pp ppf reports =
     (Format.pp_print_list ~pp_sep:Format.pp_print_cut pp_one)
     (Array.to_list reports)
 
-let jfloat f = if Float.is_finite f then Printf.sprintf "%.6g" f else "null"
+let hist_to_json (h : Metrics.histogram) : Dp_util.Json.t =
+  let open Dp_util.Json in
+  let list f xs = List (Array.to_list (Array.map f xs)) in
+  Obj
+    [ ("edges", list (fun e -> Float e) h.Metrics.edges);
+      ("counts", list (fun c -> Int c) h.Metrics.counts);
+      ("count", Int h.Metrics.n); ("sum", Float h.Metrics.sum); ("max", Float h.Metrics.vmax) ]
 
-let hist_json (h : Metrics.histogram) =
-  let arr f xs = String.concat "," (List.map f (Array.to_list xs)) in
-  Printf.sprintf "{\"edges\":[%s],\"counts\":[%s],\"count\":%d,\"sum\":%s,\"max\":%s}"
-    (arr jfloat h.Metrics.edges)
-    (arr string_of_int h.Metrics.counts)
-    h.Metrics.n (jfloat h.Metrics.sum) (jfloat h.Metrics.vmax)
+let to_json r : Dp_util.Json.t =
+  let open Dp_util.Json in
+  Obj
+    ([ ("disk", Int r.disk); ("requests", Int r.requests); ("busy_ms", Float r.busy_ms);
+       ("idle_ms", Float r.idle_ms); ("standby_ms", Float r.standby_ms);
+       ("transition_ms", Float r.transition_ms); ("energy_j", Float r.energy_j);
+       ("hints", Int r.hints); ("faults", Int r.faults); ("decisions", Int r.decisions) ]
+    (* Repair/deadline counters appear only when nonzero: a run without
+       the persistent-failure domain keeps the exact bytes it produced
+       before the domain existed. *)
+    @ (if r.repairs > 0 || r.deadline_misses > 0 then
+         [ ("repairs", Int r.repairs); ("deadline_misses", Int r.deadline_misses) ]
+       else [])
+    @ [ ("idle_gaps", hist_to_json r.idle_gap_ms); ("response", hist_to_json r.response_ms);
+        ("standby_residency", hist_to_json r.standby_residency_ms) ])
 
 let jsonl reports =
-  let b = Buffer.create 1024 in
-  Array.iter
-    (fun r ->
-      (* Repair/deadline counters appear only when nonzero: a run
-         without the persistent-failure domain keeps the exact JSONL
-         bytes it produced before the domain existed. *)
-      let repair_fields =
-        if r.repairs > 0 || r.deadline_misses > 0 then
-          Printf.sprintf ",\"repairs\":%d,\"deadline_misses\":%d" r.repairs
-            r.deadline_misses
-        else ""
-      in
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"disk\":%d,\"requests\":%d,\"busy_ms\":%s,\"idle_ms\":%s,\"standby_ms\":%s,\"transition_ms\":%s,\"energy_j\":%s,\"hints\":%d,\"faults\":%d,\"decisions\":%d%s,\"idle_gaps\":%s,\"response\":%s,\"standby_residency\":%s}\n"
-           r.disk r.requests (jfloat r.busy_ms) (jfloat r.idle_ms) (jfloat r.standby_ms)
-           (jfloat r.transition_ms) (jfloat r.energy_j) r.hints r.faults r.decisions
-           repair_fields (hist_json r.idle_gap_ms) (hist_json r.response_ms)
-           (hist_json r.standby_residency_ms)))
-    reports;
-  Buffer.contents b
+  String.concat ""
+    (Array.to_list (Array.map (fun r -> Dp_util.Json.to_compact (to_json r) ^ "\n") reports))

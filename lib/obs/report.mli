@@ -61,6 +61,13 @@ val pp : Format.formatter -> disk_report array -> unit
 (** The [dpsim --obs gaps] report: per-disk totals and the three
     histograms. *)
 
+val to_json : disk_report -> Dp_util.Json.t
+(** One disk's totals and its three histograms ([edges], [counts],
+    [count], [sum], [max]).  [repairs] and [deadline_misses] appear
+    together, and only when either is nonzero.  The one encoding of a
+    report: the JSONL artifact and the [obs] blocks of the matrix and
+    sweep JSON both render it. *)
+
 val jsonl : disk_report array -> string
-(** One JSON object per disk per line (the gap-histogram JSONL
-    artifact). *)
+(** The gap-histogram JSONL artifact: {!to_json} of each disk in the
+    compact layout, one per line. *)

@@ -12,7 +12,7 @@
       This is the in-memory recorder reports are built from.
     - {!stream} hands every event to a callback as it happens — the
       streaming JSONL writer is [stream (fun e -> output_string oc
-      (Event.to_json e ^ "\n"))].  Stream sinks retain {e nothing}:
+      (Json.to_compact (Event.to_json e) ^ "\n"))].  Stream sinks retain {e nothing}:
       {!events} and {!length} are always empty/zero for them (see
       below).
 

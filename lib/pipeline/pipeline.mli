@@ -25,7 +25,7 @@ module Cachefs = Dp_cachefs.Cachefs
     stage build runs under a [pipeline.*] {!Dp_obs.Prof} span.
 
     Stage memo tables are protected by a per-context mutex: a context
-    may be shared by several domains ({!Domain_pool}), each looking up
+    may be shared by several domains ({!Dp_util.Domain_pool}), each looking up
     or building stages concurrently; builds are serialized, everything
     downstream (the simulations — the dominant cost) runs in
     parallel.

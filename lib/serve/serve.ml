@@ -7,7 +7,7 @@ module Disk_model = Dp_disksim.Disk_model
 module Fault_model = Dp_faults.Fault_model
 module Repair = Dp_repair.Repair
 module Oracle = Dp_oracle.Oracle
-module Domain_pool = Dp_pipeline.Domain_pool
+module Domain_pool = Dp_util.Domain_pool
 
 type selection = All | Offline | Online | Oracle_only
 

@@ -3,7 +3,7 @@
 
     One {!run} builds the tenant population and the merged trace once
     (serially — the trace is a pure function of the seed) and then fans
-    the report rows out over a {!Dp_pipeline.Domain_pool}:
+    the report rows out over a {!Dp_util.Domain_pool}:
 
     - [base]: no power management — the energy reference.
     - [offline-tpm] / [offline-drpm]: the paper's compiler-directed

@@ -119,6 +119,34 @@ let test_engine_tpm_reactive () =
   in
   check (Alcotest.float 0.5) "TPM energy by hand" expected r.Engine.energy_j
 
+let test_engine_closed_loop () =
+  (* Closed loop: the third request issues 100 ms after the second
+     completes, so the reactive spin-up stalling the second shifts the
+     third by exactly the stall. *)
+  let at arrival r = { r with Request.arrival_ms = arrival } in
+  let reqs =
+    [
+      at 10.0 (req ~think:10.0 ());
+      at 60_020.0 (req ~think:60_000.0 ~lba:(1 lsl 30) ());
+      at 60_130.0 (req ~think:100.0 ());
+    ]
+  in
+  let services policy =
+    let sink = Dp_obs.Sink.ring ~capacity:4096 () in
+    ignore (Engine.simulate ~obs:sink ~disks:1 policy reqs);
+    List.filter_map
+      (function Dp_obs.Event.Service s -> Some (s.arrival_ms, s.stop_ms) | _ -> None)
+      (Dp_obs.Sink.events sink)
+  in
+  match (services Policy.No_pm, services Policy.default_tpm) with
+  | [ _; (a2, c2); (a3, _) ], [ _; (a2', c2'); (a3', _) ] ->
+      check (Alcotest.float 0.0) "stalled request issues on time" a2 a2';
+      let stall = c2' -. c2 in
+      check Alcotest.bool "spin-up stall" true (stall >= 10_000.0);
+      check (Alcotest.float 1e-6) "next request shifted by the stall" (a3 +. stall) a3';
+      check (Alcotest.float 1e-6) "think time after completion" (c2' +. 100.0) a3'
+  | _ -> Alcotest.fail "expected three services per run"
+
 let test_engine_tpm_short_gap () =
   (* Gap below threshold: no transitions at all. *)
   let reqs = [ req ~think:10.0 (); req ~think:10_000.0 ~lba:(1 lsl 30) () ] in
@@ -690,6 +718,7 @@ let suites =
         prop_energy_conserved;
         prop_faults_terminate;
         Alcotest.test_case "spin-up retries accounted" `Quick test_spin_up_retries_accounted;
+        Alcotest.test_case "closed-loop issue" `Quick test_engine_closed_loop;
         Alcotest.test_case "media retries accounted" `Quick test_media_retries_accounted;
         Alcotest.test_case "latency spikes accounted" `Quick test_latency_spikes_accounted;
         Alcotest.test_case "stuck-RPM hinted fallback" `Quick test_stuck_rpm_hinted_fallback;

@@ -324,135 +324,12 @@ let test_json_out () =
          m = 0 || go 0))
     [ "\"app\""; "\"mini\""; "normalized_energy"; "DRPM"; "io_time_ms" ]
 
-(* A tiny JSON reader — just enough grammar for Json_out's own output,
-   so the serializer can be checked by parsing what it prints. *)
-let parse_json s =
-  let module J = Dp_harness.Json_out in
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = Alcotest.fail (Printf.sprintf "json parse: %s at %d" msg !pos) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let skip_ws () =
-    while
-      !pos < n && match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
-    do
-      incr pos
-    done
-  in
-  let expect c =
-    if !pos < n && s.[!pos] = c then incr pos else fail (Printf.sprintf "expected %c" c)
-  in
-  let literal lit v =
-    let l = String.length lit in
-    if !pos + l <= n && String.sub s !pos l = lit then begin
-      pos := !pos + l;
-      v
-    end
-    else fail lit
-  in
-  let string_lit () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string";
-      match s.[!pos] with
-      | '"' ->
-          incr pos;
-          Buffer.contents b
-      | '\\' ->
-          incr pos;
-          (match s.[!pos] with
-          | '"' -> Buffer.add_char b '"'
-          | '\\' -> Buffer.add_char b '\\'
-          | 'n' -> Buffer.add_char b '\n'
-          | 'r' -> Buffer.add_char b '\r'
-          | 't' -> Buffer.add_char b '\t'
-          | 'u' ->
-              Buffer.add_char b (Char.chr (int_of_string ("0x" ^ String.sub s (!pos + 1) 4)));
-              pos := !pos + 4
-          | c -> fail (Printf.sprintf "escape \\%c" c));
-          incr pos;
-          go ()
-      | c ->
-          Buffer.add_char b c;
-          incr pos;
-          go ()
-    in
-    go ()
-  in
-  let number () =
-    let start = !pos in
-    while
-      !pos < n
-      && match s.[!pos] with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
-    do
-      incr pos
-    done;
-    let tok = String.sub s start (!pos - start) in
-    match int_of_string_opt tok with
-    | Some i -> J.Int i
-    | None -> J.Float (float_of_string tok)
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-        incr pos;
-        skip_ws ();
-        if peek () = Some '}' then begin
-          incr pos;
-          J.Obj []
-        end
-        else
-          let rec fields acc =
-            skip_ws ();
-            let k = string_lit () in
-            skip_ws ();
-            expect ':';
-            let v = value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                incr pos;
-                fields ((k, v) :: acc)
-            | Some '}' ->
-                incr pos;
-                J.Obj (List.rev ((k, v) :: acc))
-            | _ -> fail "object"
-          in
-          fields []
-    | Some '[' ->
-        incr pos;
-        skip_ws ();
-        if peek () = Some ']' then begin
-          incr pos;
-          J.List []
-        end
-        else
-          let rec elems acc =
-            let v = value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                incr pos;
-                elems (v :: acc)
-            | Some ']' ->
-                incr pos;
-                J.List (List.rev (v :: acc))
-            | _ -> fail "array"
-          in
-          elems []
-    | Some '"' -> J.String (string_lit ())
-    | Some 'n' -> literal "null" J.Null
-    | Some 't' -> literal "true" (J.Bool true)
-    | Some 'f' -> literal "false" (J.Bool false)
-    | Some _ -> number ()
-    | None -> fail "eof"
-  in
-  let v = value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing input";
-  v
+(* The serializer is checked by parsing what it prints with the one
+   library parser. *)
+let reparse s =
+  match Dp_util.Json.of_string s with
+  | Ok v -> v
+  | Error e -> Alcotest.fail ("json parse: " ^ e)
 
 let test_json_escaping_roundtrip () =
   let module J = Dp_harness.Json_out in
@@ -465,7 +342,7 @@ let test_json_escaping_roundtrip () =
         ("empty", J.List []);
       ]
   in
-  match parse_json (J.to_string tricky) with
+  match reparse (J.to_string tricky) with
   | J.Obj [ (k, J.String v); ("nan", J.Null); ("inf", J.Null); ("empty", J.List []) ] ->
       check Alcotest.string "key unescaped" "we\"ird\nkey" k;
       check Alcotest.string "value unescaped" "tab\there, quote\", slash\\, bell\007" v
@@ -478,7 +355,7 @@ let test_json_obs_roundtrip () =
       ~versions:[ Version.Base; Version.Tpm ] ()
   in
   let json = J.to_string (J.of_matrix matrix) in
-  let parsed = parse_json json in
+  let parsed = reparse json in
   (* The printer is stable over its own parse: nothing is lost. *)
   check Alcotest.string "print/parse/print fixed point" json (J.to_string parsed);
   let field k = function
@@ -531,7 +408,7 @@ let test_json_obs_roundtrip () =
   let plain =
     Experiments.build_matrix ~apps:[ mini_app () ] ~procs:1 ~versions:[ Version.Base ] ()
   in
-  match parse_json (J.to_string (J.of_matrix plain)) with
+  match reparse (J.to_string (J.of_matrix plain)) with
   | J.List [ app ] -> (
       match field "runs" app with
       | J.List [ J.Obj fields ] ->

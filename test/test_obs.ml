@@ -151,11 +151,14 @@ let test_registry () =
 (* --- events: JSON wire format --- *)
 
 let test_event_json_escaping () =
-  let j = Event.to_json (decision 2 1.5 "a\"b\\c\nd") in
+  let j = Dp_util.Json.to_compact (Event.to_json (decision 2 1.5 "a\"b\\c\nd")) in
   check Alcotest.bool "quote escaped" true
     (contains ~needle:{|a\"b\\c\nd|} j);
   check Alcotest.bool "no raw newline" false (String.contains j '\n');
-  let j2 = Event.to_json (Event.Fault { disk = 0; at_ms = 1.0; kind = "x"; cost_ms = Float.nan }) in
+  let j2 =
+    Dp_util.Json.to_compact
+      (Event.to_json (Event.Fault { disk = 0; at_ms = 1.0; kind = "x"; cost_ms = Float.nan }))
+  in
   check Alcotest.bool "NaN becomes null" true
     (contains ~needle:"\"cost_ms\":null" j2)
 
@@ -449,7 +452,7 @@ let test_diff_shift () =
       check Alcotest.bool "signed deltas" true
         (contains ~needle:"requests +1" human);
       check Alcotest.bool "summary line" true (contains ~needle:"max KS" human);
-      let json = Diff.to_json r in
+      let json = Dp_util.Json.to_compact (Diff.to_json r) in
       check Alcotest.bool "json has max_ks" true (contains ~needle:"\"max_ks\":" json);
       check Alcotest.bool "json lines array" true (contains ~needle:"\"lines\":[{" json)
 

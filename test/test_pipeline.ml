@@ -4,7 +4,7 @@
    version at 1, 4 and 8 processors. *)
 
 module Pipeline = Dp_pipeline.Pipeline
-module Domain_pool = Dp_pipeline.Domain_pool
+module Domain_pool = Dp_util.Domain_pool
 module Version = Dp_harness.Version
 module Experiments = Dp_harness.Experiments
 module Json_out = Dp_harness.Json_out

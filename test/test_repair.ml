@@ -12,7 +12,7 @@ module Policy = Dp_disksim.Policy
 module Engine = Dp_disksim.Engine
 module Timeline = Dp_disksim.Timeline
 module Request = Dp_trace.Request
-module Domain_pool = Dp_pipeline.Domain_pool
+module Domain_pool = Dp_util.Domain_pool
 module Ir = Dp_ir.Ir
 
 let check = Alcotest.check

@@ -1,10 +1,11 @@
 (* Unit and property tests for Dp_util: rationals, integer vectors, list
-   helpers and the binary min-heap. *)
+   helpers, the binary min-heap and the JSON codec. *)
 
 module Rat = Dp_util.Rat
 module Ivec = Dp_util.Ivec
 module Listx = Dp_util.Listx
 module Minheap = Dp_util.Minheap
+module Json = Dp_util.Json
 
 let check = Alcotest.check
 let qtest ?(count = 300) name gen prop =
@@ -205,6 +206,99 @@ let test_splitmix_bool_rate_sanity () =
     true
     (!hits > 800 && !hits < 1200)
 
+(* --- Json --- *)
+
+let exact f = Json.to_string ~floats:Json.Exact (Json.Float f)
+
+let test_json_exact_floats () =
+  (* The old precise mode was %.12g: both of these printed "0.3". *)
+  check Alcotest.bool "0.1 + 0.2 differs from 0.3" true (exact (0.1 +. 0.2) <> exact 0.3);
+  check Alcotest.bool "-0 differs from 0" true (exact (-0.0) <> exact 0.0);
+  check Alcotest.string "integral floats need no patch" "1" (exact 1.0);
+  check Alcotest.string "non-finite is null" "null" (exact Float.infinity);
+  check Alcotest.string "readable stays %.6g" "0.333333"
+    (Json.to_string (Json.Float (1.0 /. 3.0)))
+
+let test_json_parse () =
+  let ok s = Result.get_ok (Json.of_string s) in
+  check Alcotest.bool "integer literal is Int" true (ok "42" = Json.Int 42);
+  check Alcotest.bool "fraction is Float" true (ok "4.5e1" = Json.Float 45.0);
+  check Alcotest.bool "-0 stays a float" true
+    (match ok "-0" with Json.Float f -> 1.0 /. f = Float.neg_infinity | _ -> false);
+  check Alcotest.bool "oversized integer is Float" true
+    (match ok "123456789012345678901234" with Json.Float _ -> true | _ -> false);
+  check Alcotest.bool "structure and whitespace" true
+    (ok " {\"a\" : [ 1 , true , null ] } "
+    = Json.Obj [ ("a", Json.List [ Json.Int 1; Json.Bool true; Json.Null ]) ]);
+  check Alcotest.bool "\\u escapes decode to UTF-8" true
+    (ok {|"\u00e9\u0001"|} = Json.String "\xc3\xa9\x01");
+  List.iter
+    (fun (input, offset) ->
+      match Json.of_string input with
+      | Ok _ -> Alcotest.fail (Printf.sprintf "%S must not parse" input)
+      | Error e ->
+          check Alcotest.bool
+            (Printf.sprintf "%S error names offset %d (%s)" input offset e)
+            true
+            (String.ends_with ~suffix:(Printf.sprintf "at offset %d" offset) e))
+    [ ("not json", 0); ("[1, 2", 5); ("{\"a\" 1}", 5); ("1 2", 2); ("\"x", 2); ("-", 0) ]
+
+let prop_json_exact_roundtrip =
+  qtest ~count:2000 "Json: exact floats parse back bit-identical"
+    QCheck2.Gen.(map Int64.float_of_bits int64)
+    (fun f ->
+      QCheck2.assume (Float.is_finite f);
+      let back =
+        match Json.of_string (Dp_harness.Json_out.to_string_precise (Json.Float f)) with
+        | Ok (Json.Float g) -> g
+        | Ok (Json.Int i) -> float_of_int i
+        | _ -> Float.nan
+      in
+      Int64.equal (Int64.bits_of_float back) (Int64.bits_of_float f))
+
+let json_gen =
+  let open QCheck2.Gen in
+  (* Keys and strings mix quotes, backslashes, control and non-ASCII
+     bytes: everything the escaper has to get right. *)
+  let str =
+    string_size ~gen:(oneof [ printable; char_range '\000' '\031'; oneofl [ '"'; '\\'; '\xc3' ] ])
+      (int_range 0 6)
+  in
+  let number =
+    oneof
+      [
+        map (fun i -> Json.Int i) int;
+        map (fun f -> Json.Float f) float;
+        map (fun f -> Json.Float f) (oneofl [ 0.0; -0.0; 1.0; 0.1; 1e21; 5e-324 ]);
+      ]
+  in
+  let leaf =
+    oneof [ pure Json.Null; map (fun b -> Json.Bool b) bool; number; map (fun s -> Json.String s) str ]
+  in
+  sized
+  @@ fix (fun self n ->
+         if n <= 0 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun xs -> Json.List xs) (list_size (int_range 0 4) (self (n / 4))));
+               (1, map (fun kv -> Json.Obj kv) (list_size (int_range 0 4) (pair str (self (n / 4)))));
+             ])
+
+let prop_json_print_parse_fixed_point =
+  qtest "Json: print -> parse -> print is a fixed point" json_gen (fun v ->
+      List.for_all
+        (fun (print : Json.t -> string) ->
+          let s = print v in
+          match Json.of_string s with Ok v' -> String.equal (print v') s | Error _ -> false)
+        [
+          Json.to_string ?floats:None;
+          Json.to_string ~floats:Json.Exact;
+          Json.to_compact ?floats:None;
+          Json.to_compact ~floats:Json.Exact;
+        ])
+
 let suites =
   [
     ( "util.rat",
@@ -240,5 +334,12 @@ let suites =
         prop_splitmix_float_unit;
         prop_splitmix_bool_edges;
         prop_splitmix_int_bound;
+      ] );
+    ( "util.json",
+      [
+        Alcotest.test_case "exact floats" `Quick test_json_exact_floats;
+        Alcotest.test_case "parse" `Quick test_json_parse;
+        prop_json_exact_roundtrip;
+        prop_json_print_parse_fixed_point;
       ] );
   ]
