@@ -272,10 +272,10 @@ let fusion_baseline () =
       (fun name ctx ->
         let g = Pipeline.graph ctx and prog = Pipeline.program ctx in
         let layout = Pipeline.layout ctx in
-        let table = Cluster.build_table layout prog g in
+        let table = Pipeline.cluster_table ctx in
         let switch order = Reuse.disk_switches table order in
         let fused = Dp_restructure.Fusion.order prog g in
-        let reuse, _ = ((Reuse.schedule layout prog g).Reuse.order, ()) in
+        let reuse = (Reuse.schedule table g).Reuse.order in
         let energy order =
           let trace = Generate.trace layout prog g (Generate.single_stream g ~order) in
           Tabulate.fmt_norm (normalized ctx Policy.default_drpm trace)
@@ -588,9 +588,10 @@ let pipeline_bench () =
      %.0f ms total@."
     (List.length versions) (1e3 *. t_first) (List.length versions) (1e3 *. t_rest);
   Format.printf
-    "stage builds: graph %d, streams %d, traces %d, hints %d; memo hits %d@."
-    st.Pipeline.graph_builds st.Pipeline.stream_builds st.Pipeline.trace_builds
-    st.Pipeline.hint_builds st.Pipeline.memo_hits;
+    "stage builds: graph %d, cluster table %d, streams %d, traces %d, hints %d; memo hits \
+     %d@."
+    st.Pipeline.graph_builds st.Pipeline.cluster_builds st.Pipeline.stream_builds
+    st.Pipeline.trace_builds st.Pipeline.hint_builds st.Pipeline.memo_hits;
   let (), t_cold =
     wall (fun () ->
         ignore (Pipeline.trace (Pipeline.of_app app) ~procs:4 Pipeline.Reuse_multi))
@@ -732,7 +733,7 @@ let micro () =
         (Staged.stage (fun () -> ignore (Concrete.build prog)));
       Test.make ~name:"reuse schedule (FFT)"
         (Staged.stage (fun () ->
-             ignore (Reuse.schedule (Pipeline.layout ctx) prog (Pipeline.graph ctx))));
+             ignore (Reuse.schedule (Pipeline.cluster_table ctx) (Pipeline.graph ctx))));
       Test.make ~name:"trace generation (FFT)"
         (Staged.stage (fun () ->
              let g = Pipeline.graph ctx in

@@ -11,7 +11,6 @@ module Ir = Dp_ir.Ir
 module Analysis = Dp_dependence.Analysis
 module Layout = Dp_layout.Layout
 module Reuse = Dp_restructure.Reuse_scheduler
-module Cluster = Dp_restructure.Cluster
 module Symbolic = Dp_restructure.Symbolic
 module Generate = Dp_trace.Generate
 module Request = Dp_trace.Request
@@ -174,9 +173,8 @@ let restructure source symbolic profile =
         Format.printf "%a@." Symbolic.pp ds
       end
       else begin
-        let g = Pipeline.graph ctx in
-        let s = Reuse.schedule layout program g in
-        let table = Cluster.build_table layout program g in
+        let g = Pipeline.graph ctx and table = Pipeline.cluster_table ctx in
+        let s = Reuse.schedule table g in
         Format.printf
           "restructured %d iterations in %d round(s), %d disk visit(s)@."
           (Array.length s.Reuse.order) s.Reuse.rounds (List.length s.Reuse.visits);

@@ -41,7 +41,7 @@ let () =
 
   (* 3. Restructure: cluster iterations disk by disk (Fig. 3).  The
      scheduler itself runs on the pipeline's shared dependence graph. *)
-  let schedule = Reuse.schedule (Pipeline.layout ctx) program (Pipeline.graph ctx) in
+  let schedule = Reuse.schedule (Pipeline.cluster_table ctx) (Pipeline.graph ctx) in
   Format.printf "restructured in %d round(s); visits:" schedule.Reuse.rounds;
   List.iter (fun (d, n) -> Format.printf " d%d:%d" d n) schedule.Reuse.visits;
   Format.printf "@.";

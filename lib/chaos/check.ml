@@ -15,6 +15,7 @@ module Prof = Dp_obs.Prof
 module Report = Dp_obs.Report
 module Json_out = Dp_harness.Json_out
 module Fsx = Dp_util.Fsx
+module Concrete = Dp_dependence.Concrete
 
 type sabotage = Energy_skew
 
@@ -236,6 +237,35 @@ let slo_invariants ~label ~add (r : Engine.result) (summary : Account.summary) =
                expected)
       end
 
+(* --- the compile-side oracle ---
+
+   The paper's legality claim for Fig. 3 and Sec 6.2, checked on the
+   streams the pipeline actually traced.  Segments are numbered
+   processor-major: segment k of processor p is part p * per_proc + k. *)
+
+let compile_violations (g : Concrete.graph) (segs : Dp_trace.Generate.segments array) =
+  let orders = Array.of_list (List.concat (Array.to_list segs)) in
+  let per_proc = if Array.length segs = 0 then 1 else max 1 (List.length segs.(0)) in
+  let n = Concrete.instance_count g in
+  let part = Array.make n (-1) in
+  Array.iteri
+    (fun i order ->
+      Array.iter (fun seq -> if seq >= 0 && seq < n then part.(seq) <- i) order)
+    orders;
+  let finding check detail = [ { check; detail } ] in
+  match Array.find_index (fun p -> p < 0) part with
+  | Some seq ->
+      finding "compile:permutation" (Printf.sprintf "instance %d is in no segment" seq)
+  | None -> (
+      match Concrete.check_parts g ~part orders with
+      | Ok () -> []
+      | Error (Concrete.Not_permutation d) -> finding "compile:permutation" ("segment " ^ d)
+      | Error (Concrete.Inverted { src; dst }) ->
+          finding "compile:legality"
+            (Printf.sprintf
+               "processor %d segment %d runs instance %d before its dependence source %d"
+               (part.(dst) / per_proc) (part.(dst) mod per_proc) dst src))
+
 (* --- the differential oracle --- *)
 
 let cache_dir_counter = Atomic.make 0
@@ -262,6 +292,16 @@ let run ?sabotage (s : Scenario.t) =
   let runs = ref 0 in
   let violations = ref [] in
   let add check detail = violations := { check; detail } :: !violations in
+  (* The streams behind [trace] are memoized: this is a lookup, not a
+     rebuild. *)
+  Prof.span "chaos.compile" (fun () ->
+      let segs, _ =
+        Pipeline.streams ~cluster:s.Scenario.cluster ctx ~procs:s.Scenario.procs
+          s.Scenario.mode
+      in
+      List.iter
+        (fun v -> add v.check v.detail)
+        (compile_violations (Pipeline.graph ctx) segs));
   let simulate ?faults ?obs ?record_timeline ?shards ?(hints = hints) policy =
     incr runs;
     Engine.simulate ~model ?obs ?record_timeline ?shards ~hints ?faults ?repair

@@ -3,7 +3,8 @@
     text vs binary trace, cold vs warm cache, a rate-0 fault window vs
     the clean engine — and check structural invariants on every run
     (energy conservation, per-state charge accounting, monotone event
-    time per disk, SLO/availability consistency). *)
+    time per disk, SLO/availability consistency), plus the compile-side
+    legality of the streams the scenario's trace was generated from. *)
 
 type sabotage = Energy_skew
 (** Test-only invariant breakers, injected from the CLI so the
@@ -22,9 +23,19 @@ type violation = { check : string; detail : string }
 
 type outcome = { violations : violation list; runs : int; requests : int }
 
+val compile_violations :
+  Dp_dependence.Concrete.graph -> Dp_trace.Generate.segments array -> violation list
+(** The compile-side oracle over a mode's streams ({!Dp_pipeline.Pipeline.streams}):
+    [compile:permutation] unless the segments together list every
+    instance exactly once, else [compile:legality] unless every segment
+    runs each dependence between two of its own instances source first
+    ({!Dp_dependence.Concrete.check_parts}).  At most one finding. *)
+
 val run : ?sabotage:sabotage -> Scenario.t -> outcome
 (** Execute every pair and every invariant for one scenario.  [runs]
-    counts engine executions, [requests] the scenario's trace length. *)
+    counts engine executions, [requests] the scenario's trace length.
+    The compile oracle runs on the base context after its trace is
+    built, so it costs memo hits only: no stage builds, no engine runs. *)
 
 val run_trace : Scenario.t -> Dp_trace.Request.t list
 (** The scenario's access trace (for the reproducer directory). *)

@@ -114,26 +114,67 @@ let build (prog : Ir.program) =
 let instance_count g = Array.length g.instances
 let edge_count g = Array.fold_left (fun acc p -> acc + Array.length p) 0 g.preds
 
-let is_legal_order g order =
+let nest_positions (prog : Ir.program) g =
+  let pos = Hashtbl.create 16 in
+  List.iteri (fun k (n : Ir.nest) -> Hashtbl.replace pos n.nest_id k) prog.nests;
+  Array.map
+    (fun inst ->
+      match Hashtbl.find_opt pos inst.nest_id with
+      | Some k -> k
+      | None ->
+          invalid_arg
+            (Printf.sprintf "Concrete.nest_positions: unknown nest id %d" inst.nest_id))
+    g.instances
+
+type order_error = Not_permutation of string | Inverted of { src : int; dst : int }
+
+exception Bad_order of order_error
+
+let check_parts g ~part orders =
   let n = Array.length g.instances in
-  if Array.length order <> n then false
-  else begin
-    let position = Array.make n (-1) in
-    let ok = ref true in
+  if Array.length part <> n then
+    invalid_arg "Concrete.check_parts: part map does not match the graph";
+  let not_permutation fmt =
+    Printf.ksprintf (fun s -> raise_notrace (Bad_order (Not_permutation s))) fmt
+  in
+  let position = Array.make n (-1) in
+  match
     Array.iteri
-      (fun pos seq ->
-        if seq < 0 || seq >= n || position.(seq) >= 0 then ok := false
-        else position.(seq) <- pos)
-      order;
-    !ok
-    && Array.for_all (fun p -> p >= 0) position
-    &&
-    let legal = ref true in
+      (fun p order ->
+        Array.iteri
+          (fun pos seq ->
+            if seq < 0 || seq >= n then
+              not_permutation "order %d lists %d, outside [0, %d)" p seq n;
+            if part.(seq) <> p then
+              not_permutation "order %d lists instance %d of part %d" p seq part.(seq);
+            if position.(seq) >= 0 then
+              not_permutation "order %d lists instance %d twice" p seq;
+            position.(seq) <- pos)
+          order)
+      orders;
+    Array.iteri
+      (fun seq p ->
+        if p >= 0 && position.(seq) < 0 then
+          not_permutation "instance %d of part %d is in no order" seq p)
+      part;
+    (* Every member is listed once, so [position] is its rank within its
+       part's order; only edges inside one part constrain it. *)
     Array.iteri
       (fun dst ps ->
-        Array.iter (fun src -> if position.(src) >= position.(dst) then legal := false) ps)
-      g.preds;
-    !legal
-  end
+        Array.iter
+          (fun src ->
+            if part.(src) >= 0 && part.(src) = part.(dst) && position.(src) > position.(dst)
+            then raise_notrace (Bad_order (Inverted { src; dst })))
+          ps)
+      g.preds
+  with
+  | () -> Ok ()
+  | exception Bad_order e -> Error e
+
+let is_legal_order ?(member = fun _ -> true) g order =
+  let part =
+    Array.init (Array.length g.instances) (fun seq -> if member seq then 0 else -1)
+  in
+  Result.is_ok (check_parts g ~part [| order |])
 
 let original_order g = Array.init (Array.length g.instances) Fun.id

@@ -28,10 +28,36 @@ val build : Ir.program -> graph
 val instance_count : graph -> int
 val edge_count : graph -> int
 
-val is_legal_order : graph -> int array -> bool
-(** [is_legal_order g order] checks that [order] (a permutation of
-    [0 .. n-1] listing [seq] ids in their new execution order) schedules
-    every instance after all of its dependence predecessors.  Also
-    verifies that [order] is a permutation. *)
+val nest_positions : Ir.program -> graph -> int array
+(** [nest_positions prog g] maps each [seq] to the position of its nest
+    in [prog.nests]: the array index that resolves an instance's nest in
+    O(1).
+    @raise Invalid_argument if an instance names a nest [prog] lacks. *)
+
+(** {1 Legality of restructured orders} *)
+
+type order_error =
+  | Not_permutation of string
+      (** an entry out of range, outside its order's part or listed
+          twice, or a member left out *)
+  | Inverted of { src : int; dst : int }
+      (** a dependence [src -> dst] inside one part runs [dst] first *)
+
+val check_parts : graph -> part:int array -> int array array -> (unit, order_error) result
+(** [check_parts g ~part orders] checks a partitioned restructuring, the
+    shape the reuse scheduler's [schedule_parts] produces.
+    [part.(seq)] is the part of instance [seq], or [-1] when it belongs
+    to none; [orders.(p)] must list every instance of part [p] exactly
+    once and nothing else, and run every dependence whose two endpoints
+    lie in part [p] source first — legality on the sub-graph the part
+    induces.  Edges between parts are ignored: ordering them is the
+    caller's business.  The first violation found is reported.  O(n + E).
+    @raise Invalid_argument if [part] does not have one entry per
+    instance. *)
+
+val is_legal_order : ?member:(int -> bool) -> graph -> int array -> bool
+(** The one-part case of {!check_parts}: [order] is a permutation of
+    the instances [member] selects (default: all of them) and schedules
+    every member after its member dependence predecessors. *)
 
 val original_order : graph -> int array

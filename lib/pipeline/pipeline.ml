@@ -38,6 +38,7 @@ type key = { k_procs : int; k_mode : mode; k_cluster : Cluster.policy }
 
 type stats = {
   graph_builds : int;
+  cluster_builds : int;
   stream_builds : int;
   trace_builds : int;
   hint_builds : int;
@@ -61,6 +62,7 @@ type t = {
   (* A ref cell (not a mutable field) so [derive] can share the built
      graph between contexts that differ only in layout. *)
   graph_cell : Concrete.graph option ref;
+  cluster_tbl : (Cluster.policy, Cluster.table) Hashtbl.t;
   streams_tbl : (key, Generate.segments array * int option) Hashtbl.t;
   trace_tbl : (key, Request.t list) Hashtbl.t;
   (* Filled alongside trace_tbl (from a build or a disk hit) so the
@@ -68,6 +70,7 @@ type t = {
   rounds_tbl : (key, int option) Hashtbl.t;
   hint_tbl : (key * Oracle.space, Hint.t list) Hashtbl.t;
   mutable graph_builds : int;
+  mutable cluster_builds : int;
   mutable stream_builds : int;
   mutable trace_builds : int;
   mutable hint_builds : int;
@@ -85,6 +88,7 @@ let stats t =
       in
       {
         graph_builds = t.graph_builds;
+        cluster_builds = t.cluster_builds;
         stream_builds = t.stream_builds;
         trace_builds = t.trace_builds;
         hint_builds = t.hint_builds;
@@ -123,11 +127,13 @@ let make ?cache ~app ~layout ~origin () =
     cache;
     lock = Mutex.create ();
     graph_cell = ref None;
+    cluster_tbl = Hashtbl.create 4;
     streams_tbl = Hashtbl.create 8;
     trace_tbl = Hashtbl.create 8;
     rounds_tbl = Hashtbl.create 8;
     hint_tbl = Hashtbl.create 8;
     graph_builds = 0;
+    cluster_builds = 0;
     stream_builds = 0;
     trace_builds = 0;
     hint_builds = 0;
@@ -192,6 +198,22 @@ let graph t =
           t.graph_builds <- t.graph_builds + 1;
           g)
 
+let cluster_table ?(cluster = Cluster.First_ref) t =
+  let g = graph t in
+  Mutex.protect t.lock (fun () ->
+      match Hashtbl.find_opt t.cluster_tbl cluster with
+      | Some table ->
+          t.memo_hits <- t.memo_hits + 1;
+          table
+      | None ->
+          let table =
+            Prof.span "pipeline.cluster-table" (fun () ->
+                Cluster.build_table ~policy:cluster t.layout (program t) g)
+          in
+          Hashtbl.add t.cluster_tbl cluster table;
+          t.cluster_builds <- t.cluster_builds + 1;
+          table)
+
 let key ?(cluster = Cluster.First_ref) ~procs mode =
   { k_procs = procs; k_mode = mode; k_cluster = cluster }
 
@@ -205,63 +227,55 @@ let check_streams_args ~procs mode =
    matrix version (formerly duplicated between bin/dpcc.ml and
    lib/harness/runner.ml, with dpcc unable to produce the
    conventional-partition restructured streams at procs > 1). *)
-let build_streams t g ~cluster ~procs mode =
+let original_streams t g ~procs =
+  if procs = 1 then Generate.single_stream g ~order:(Concrete.original_order g)
+  else
+    (* Unmodified code, conventionally parallelized, fork-join nests. *)
+    Generate.original_segments (program t) g (Parallelize.conventional (program t) g ~procs)
+
+(* The restructured modes partition the instances and schedule every
+   part in one scheduler pass.  [per_proc] parts per processor, part
+   [p * per_proc + k] being processor [p]'s segment [k]:
+   - T-*-s at one processor: the whole program, one part;
+   - T-*-s at several: the single-CPU algorithm applied to each
+     processor's share of the conventionally parallelized code, one part
+     per (processor, nest) — the fork-join barriers between nests
+     remain, so disk reuse is exploited within each nest only;
+   - T-*-m: global restructuring, one part per processor's data-space
+     share spanning all nests, no synchronization between them
+     (Fig. 6(b)). *)
+let reuse_streams t g table ~procs mode =
   let prog = program t in
-  match (mode, procs) with
-  | Original, 1 ->
-      (Generate.single_stream g ~order:(Concrete.original_order g), None)
-  | Original, _ ->
-      (* Unmodified code, conventionally parallelized, fork-join nests. *)
-      (Generate.original_segments prog g (Parallelize.conventional prog g ~procs), None)
-  | Reuse_single, 1 ->
-      let s = Reuse.schedule ~policy:cluster t.layout prog g in
-      (Generate.single_stream g ~order:s.Reuse.order, Some s.Reuse.rounds)
-  | Reuse_multi, 1 -> assert false (* rejected by check_streams_args *)
-  | (Reuse_single | Reuse_multi), _ ->
-      let rounds = ref 0 in
-      let disks = t.layout.Layout.disk_count in
-      (* Each processor begins its disk tour on a different disk so the
-         tours do not contend for the same I/O node. *)
-      let reuse p ~member =
-        let s =
-          Reuse.schedule_subset ~policy:cluster t.layout prog g
-            ~start_disk:(p * disks / procs)
-            ~member
-        in
-        rounds := max !rounds s.Reuse.rounds;
-        s.Reuse.order
-      in
-      let segs =
-        if mode = Reuse_multi then begin
-          (* Global restructuring: the data-space assignment spans all
-             nests, no synchronization between them (Fig. 6(b)). *)
-          let assignment = Parallelize.layout_aware t.layout prog g ~procs in
-          Generate.reordered_segments assignment ~order_of_proc:(fun p ->
-              reuse p ~member:(fun seq -> assignment.Parallelize.owner.(seq) = p))
-        end
-        else begin
-          (* The single-CPU algorithm applied to each processor's share
-             of the conventionally parallelized code: the fork-join
-             barriers between nests remain, so disk reuse is exploited
-             within each nest only. *)
-          let assignment = Parallelize.conventional prog g ~procs in
-          let nest_ids =
-            List.map (fun (n : Ir.nest) -> n.Ir.nest_id) prog.Ir.nests
-          in
-          Array.init procs (fun p ->
-              List.map
-                (fun nest_id ->
-                  reuse p ~member:(fun seq ->
-                      assignment.Parallelize.owner.(seq) = p
-                      && g.Concrete.instances.(seq).Concrete.nest_id = nest_id))
-                nest_ids)
-        end
-      in
-      (segs, Some !rounds)
+  let per_proc, part =
+    match mode with
+    | Reuse_multi ->
+        (1, (Parallelize.layout_aware t.layout prog g ~procs).Parallelize.owner)
+    | _ when procs = 1 -> (1, Array.make (Concrete.instance_count g) 0)
+    | _ ->
+        ( List.length prog.Ir.nests,
+          Parallelize.nest_parts prog g (Parallelize.conventional prog g ~procs) )
+  in
+  (* Each processor begins its disk tour on a different disk so the
+     tours do not contend for the same I/O node. *)
+  let disks = t.layout.Layout.disk_count in
+  let start_disks = Array.init (procs * per_proc) (fun i -> i / per_proc * disks / procs) in
+  let s = Reuse.schedule_parts table g ~part ~start_disks in
+  ( Array.init procs (fun p ->
+        List.init per_proc (fun k -> s.((p * per_proc) + k).Reuse.order)),
+    Some (Array.fold_left (fun acc (s : Reuse.schedule) -> max acc s.Reuse.rounds) 0 s) )
 
 let streams ?cluster t ~procs mode =
   check_streams_args ~procs mode;
   let g = graph t in
+  (* The cluster table is a stage of its own: force it here, before
+     taking the lock, as [graph] is — locks never nest. *)
+  let build =
+    match mode with
+    | Original -> fun () -> (original_streams t g ~procs, None)
+    | Reuse_single | Reuse_multi ->
+        let table = cluster_table ?cluster t in
+        fun () -> reuse_streams t g table ~procs mode
+  in
   let k = key ?cluster ~procs mode in
   Mutex.protect t.lock (fun () ->
       match Hashtbl.find_opt t.streams_tbl k with
@@ -269,10 +283,7 @@ let streams ?cluster t ~procs mode =
           t.memo_hits <- t.memo_hits + 1;
           v
       | None ->
-          let v =
-            Prof.span "pipeline.streams" (fun () ->
-                build_streams t g ~cluster:k.k_cluster ~procs mode)
-          in
+          let v = Prof.span "pipeline.streams" build in
           Hashtbl.add t.streams_tbl k v;
           if not (Hashtbl.mem t.rounds_tbl k) then Hashtbl.add t.rounds_tbl k (snd v);
           t.stream_builds <- t.stream_builds + 1;

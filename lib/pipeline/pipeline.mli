@@ -121,11 +121,21 @@ val cache : t -> Cachefs.t option
 val graph : t -> Concrete.graph
 (** Stage 1: the concrete iteration-instance dependence graph. *)
 
+val cluster_table : ?cluster:Cluster.policy -> t -> Cluster.table
+(** Stage 1b: the clustering key of every instance under a policy
+    ({!Cluster.build_table}), built once per (context, policy) and
+    shared by both restructured modes at every processor count. *)
+
 val streams :
   ?cluster:Cluster.policy -> t -> procs:int -> mode -> Generate.segments array * int option
 (** Stage 2: per-processor execution streams for a mode, plus the
     scheduler round count for the restructured modes ([None] for
-    {!Original}).
+    {!Original}).  A restructured mode partitions the instances — one
+    part per processor and nest for {!Reuse_single} at several
+    processors, one per processor for {!Reuse_multi}, one part at one
+    processor — and schedules every part in one
+    {!Dp_restructure.Reuse_scheduler.schedule_parts} pass over the
+    memoized {!cluster_table}; the round count is the largest part's.
     @raise Invalid_argument for {!Reuse_multi} with [procs = 1] (the
     layout-aware scheme needs several processors) or [procs < 1]. *)
 
@@ -177,6 +187,7 @@ val simulate :
 
 type stats = {
   graph_builds : int;
+  cluster_builds : int;  (** {!cluster_table} builds: one per policy used *)
   stream_builds : int;
   trace_builds : int;
   hint_builds : int;

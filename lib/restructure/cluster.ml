@@ -11,19 +11,6 @@ let policy_name = function
 
 let all_policies = [ First_ref; Min_disk; Majority ]
 
-let nest_by_id (prog : Ir.program) id =
-  match List.find_opt (fun (n : Ir.nest) -> n.nest_id = id) prog.nests with
-  | Some n -> n
-  | None -> invalid_arg (Printf.sprintf "Cluster: unknown nest id %d" id)
-
-let disks_of_instance layout prog (inst : Concrete.instance) =
-  let n = nest_by_id prog inst.nest_id in
-  let accesses = Ir.element_accesses n inst.iter in
-  let disks =
-    List.map (fun ((r : Ir.array_ref), coords) -> Layout.disk_of_element layout r.array coords) accesses
-  in
-  Dp_util.Listx.uniq ( = ) disks
-
 let key_of_disks policy all_disks =
   match all_disks with
   | [] -> -1
@@ -40,34 +27,20 @@ let key_of_disks policy all_disks =
           | Some (d, _) -> d
           | None -> first))
 
-type table = { key : int array; touched : int array array }
+type table = { key : int array; disks : int }
 
-let build_table ?(policy = First_ref) layout prog (g : Concrete.graph) =
-  let n = Concrete.instance_count g in
-  let key = Array.make n (-1) in
-  let touched = Array.make n [||] in
-  (* Group instances by nest to avoid re-resolving the nest per instance. *)
-  let nest_cache = Hashtbl.create 8 in
-  let nest_of id =
-    match Hashtbl.find_opt nest_cache id with
-    | Some n -> n
-    | None ->
-        let n = nest_by_id prog id in
-        Hashtbl.add nest_cache id n;
-        n
+let build_table ?(policy = First_ref) layout (prog : Ir.program) (g : Concrete.graph) =
+  let nests = Array.of_list prog.Ir.nests in
+  let pos = Concrete.nest_positions prog g in
+  (* Majority voting looks at every access, so keep duplicates. *)
+  let key =
+    Array.map
+      (fun (inst : Concrete.instance) ->
+        Ir.element_accesses nests.(pos.(inst.seq)) inst.iter
+        |> List.map (fun ((r : Ir.array_ref), coords) ->
+               Layout.disk_of_element layout r.array coords)
+        |> key_of_disks policy)
+      g.instances
   in
-  Array.iter
-    (fun (inst : Concrete.instance) ->
-      let nest = nest_of inst.nest_id in
-      let accesses = Ir.element_accesses nest inst.iter in
-      let all_disks =
-        List.map
-          (fun ((r : Ir.array_ref), coords) -> Layout.disk_of_element layout r.array coords)
-          accesses
-      in
-      (* Majority voting looks at every access; [touched] stores the
-         distinct nodes only. *)
-      key.(inst.seq) <- key_of_disks policy all_disks;
-      touched.(inst.seq) <- Array.of_list (Dp_util.Listx.uniq ( = ) all_disks))
-    g.instances;
-  { key; touched }
+  let disks = Array.fold_left (fun acc k -> max acc (k + 1)) layout.Layout.disk_count key in
+  { key; disks }

@@ -16,14 +16,14 @@ type policy =
 val policy_name : policy -> string
 val all_policies : policy list
 
-val disks_of_instance :
-  Layout.t -> Ir.program -> Concrete.instance -> int list
-(** Distinct I/O nodes the instance accesses, in first-touch order.
-    Compute-only iterations (no references) yield []. *)
-
 type table = {
   key : int array;  (** seq -> clustering key node (-1 for compute-only) *)
-  touched : int array array;  (** seq -> distinct nodes touched *)
+  disks : int;
+      (** nodes a disk tour visits: the layout's disk count, widened to
+          cover every key *)
 }
 
 val build_table : ?policy:policy -> Layout.t -> Ir.program -> Concrete.graph -> table
+(** One pass over the instances.  Build it once per (layout, policy)
+    and share it; the pipeline memoizes it per context
+    ([Pipeline.cluster_table]). *)

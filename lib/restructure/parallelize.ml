@@ -9,11 +9,6 @@ type assignment = { procs : int; owner : int array }
 
 let clamp_proc procs p = if p < 0 then 0 else if p >= procs then procs - 1 else p
 
-let nest_by_id (prog : Ir.program) id =
-  match List.find_opt (fun (n : Ir.nest) -> n.nest_id = id) prog.nests with
-  | Some n -> n
-  | None -> invalid_arg (Printf.sprintf "Parallelize: unknown nest id %d" id)
-
 (* Chunk of the block-partitioned loop [k] that iteration [iter] falls
    into; bounds may depend on outer indices (triangular nests). *)
 let chunk_of_iteration (n : Ir.nest) k ~procs iter =
@@ -26,20 +21,24 @@ let chunk_of_iteration (n : Ir.nest) k ~procs iter =
 
 let conventional (prog : Ir.program) (g : Concrete.graph) ~procs =
   if procs < 1 then invalid_arg "Parallelize.conventional: procs must be >= 1";
-  let parallel_loop = Hashtbl.create 8 in
-  List.iter
-    (fun (n : Ir.nest) ->
-      Hashtbl.add parallel_loop n.nest_id (Analysis.outermost_parallel_loop n))
-    prog.nests;
-  let owner = Array.make (Concrete.instance_count g) 0 in
-  Array.iter
-    (fun (inst : Concrete.instance) ->
-      let n = nest_by_id prog inst.nest_id in
-      match Hashtbl.find parallel_loop inst.nest_id with
-      | Some k -> owner.(inst.seq) <- chunk_of_iteration n k ~procs inst.iter
-      | None -> owner.(inst.seq) <- 0)
-    g.instances;
+  let nests = Array.of_list prog.nests in
+  let parallel_loop = Array.map Analysis.outermost_parallel_loop nests in
+  let pos = Concrete.nest_positions prog g in
+  let owner =
+    Array.map
+      (fun (inst : Concrete.instance) ->
+        let k = pos.(inst.seq) in
+        match parallel_loop.(k) with
+        | Some loop -> chunk_of_iteration nests.(k) loop ~procs inst.iter
+        | None -> 0)
+      g.instances
+  in
   { procs; owner }
+
+let nest_parts (prog : Ir.program) g a =
+  let nests = List.length prog.nests in
+  let pos = Concrete.nest_positions prog g in
+  Array.mapi (fun seq p -> (p * nests) + pos.(seq)) a.owner
 
 type distribution = Row_block | Col_block
 
@@ -113,15 +112,8 @@ let layout_aware ?anchor layout (prog : Ir.program) (g : Concrete.graph) ~procs 
   let disks = layout.Layout.disk_count in
   let fallback = conventional prog g ~procs in
   let owner = Array.make (Concrete.instance_count g) 0 in
-  let nest_cache = Hashtbl.create 8 in
-  let nest_of id =
-    match Hashtbl.find_opt nest_cache id with
-    | Some n -> n
-    | None ->
-        let n = nest_by_id prog id in
-        Hashtbl.add nest_cache id n;
-        n
-  in
+  let nests = Array.of_list prog.nests in
+  let pos = Concrete.nest_positions prog g in
   (* Plurality vote over the processors whose disk shares hold the
      iteration's accesses; anchor-array accesses count double (they
      define the affinity class).  Ties rotate over the tied processors so
@@ -129,7 +121,7 @@ let layout_aware ?anchor layout (prog : Ir.program) (g : Concrete.graph) ~procs 
   let tie_break = ref 0 in
   Array.iter
     (fun (inst : Concrete.instance) ->
-      let n = nest_of inst.nest_id in
+      let n = nests.(pos.(inst.seq)) in
       let accesses = Ir.element_accesses n inst.iter in
       if accesses = [] then owner.(inst.seq) <- fallback.owner.(inst.seq)
       else begin

@@ -28,6 +28,12 @@ type assignment = {
 
 val conventional : Ir.program -> Concrete.graph -> procs:int -> assignment
 
+val nest_parts : Ir.program -> Concrete.graph -> assignment -> int array
+(** The fork-join buckets of an assignment, in one pass: instance [seq]
+    of the [k]-th nest of [prog.nests] owned by processor [p] is in part
+    [p * nests + k].  A processor's parts are contiguous and in program
+    nest order, one per barrier-separated segment. *)
+
 type distribution = Row_block | Col_block
 
 val pp_distribution : Format.formatter -> distribution -> unit

@@ -88,23 +88,20 @@ let single_stream _g ~order = [| [ order ] |]
 
 let original_segments (prog : Ir.program) (g : Concrete.graph)
     (a : Parallelize.assignment) =
-  let n = Concrete.instance_count g in
-  let nest_ids = List.map (fun (nest : Ir.nest) -> nest.Ir.nest_id) prog.Ir.nests in
+  let nests = List.length prog.Ir.nests in
+  let part = Parallelize.nest_parts prog g a in
+  (* A counting sort: each bucket lists its instances in original order. *)
+  let size = Array.make (a.Parallelize.procs * nests) 0 in
+  Array.iter (fun p -> size.(p) <- size.(p) + 1) part;
+  let bucket = Array.map (fun k -> Array.make k 0) size in
+  Array.fill size 0 (Array.length size) 0;
+  Array.iteri
+    (fun seq p ->
+      bucket.(p).(size.(p)) <- seq;
+      size.(p) <- size.(p) + 1)
+    part;
   Array.init a.Parallelize.procs (fun proc ->
-      List.map
-        (fun nest_id ->
-          let buf = ref [] in
-          for seq = n - 1 downto 0 do
-            if
-              a.Parallelize.owner.(seq) = proc
-              && g.Concrete.instances.(seq).Concrete.nest_id = nest_id
-            then buf := seq :: !buf
-          done;
-          Array.of_list !buf)
-        nest_ids)
-
-let reordered_segments (a : Parallelize.assignment) ~order_of_proc =
-  Array.init a.Parallelize.procs (fun proc -> [ order_of_proc proc ])
+      Array.to_list (Array.sub bucket (proc * nests) nests))
 
 type summary = {
   requests : int;

@@ -38,13 +38,8 @@ val single_stream : Concrete.graph -> order:int array -> segments array
 val original_segments :
   Ir.program -> Concrete.graph -> Parallelize.assignment -> segments array
 (** Per-processor streams in original execution order, one segment per
-    nest (fork-join barriers between nests), under the given
-    assignment. *)
-
-val reordered_segments :
-  Parallelize.assignment -> order_of_proc:(int -> int array) -> segments array
-(** Per-processor single-segment streams from a per-processor order
-    (e.g. a per-processor disk-reuse schedule). *)
+    nest (fork-join barriers between nests), under the given assignment:
+    the {!Parallelize.nest_parts} buckets, filled in one pass. *)
 
 (** {1 Summary} *)
 

@@ -136,6 +136,47 @@ let test_sabotage_fires () =
        (fun (v : Check.violation) -> contains ~needle:"energy-conservation" v.Check.check)
        o.Check.violations)
 
+(* The compile oracle on a dependence chain (instance k writes the
+   element instance k+1 reads): the pipeline's restructured stream is
+   clean, and hand-broken copies of it are caught under their names. *)
+let test_compile_oracle () =
+  let module Ir = Dp_ir.Ir in
+  let module A = Dp_affine.Affine in
+  let module Pipeline = Dp_pipeline.Pipeline in
+  let i = A.var "i" in
+  let prog =
+    Ir.program
+      [ Ir.array_decl ~elem_size:64 "u" [ 8 ] ]
+      [
+        Ir.nest 0
+          [ Ir.loop "i" (A.const 1) (A.const 7) ]
+          [ Ir.stmt 0 [ Ir.read "u" [ A.sub i (A.const 1) ]; Ir.write "u" [ i ] ] ];
+      ]
+  in
+  let ctx = Pipeline.create prog in
+  let g = Pipeline.graph ctx in
+  let segs, _ = Pipeline.streams ctx ~procs:1 Pipeline.Reuse_single in
+  let names segs =
+    List.map (fun (v : Check.violation) -> v.Check.check) (Check.compile_violations g segs)
+  in
+  check Alcotest.(list string) "restructured stream is clean" [] (names segs);
+  let order = List.hd segs.(0) in
+  check Alcotest.(array int) "a chain has one legal order" (Array.init 7 Fun.id) order;
+  let broken f =
+    let o = Array.copy order in
+    f o;
+    [| [ o ] |]
+  in
+  check Alcotest.(list string) "a swapped dependence is illegal" [ "compile:legality" ]
+    (names (broken (fun o -> o.(2) <- 3; o.(3) <- 2)));
+  check Alcotest.(list string) "a duplicated instance is not a permutation"
+    [ "compile:permutation" ]
+    (names (broken (fun o -> o.(6) <- 0)));
+  check Alcotest.(list string) "a split into segments keeps per-segment legality" []
+    (names [| [ Array.sub order 0 3; Array.sub order 3 4 ] |]);
+  check Alcotest.(list string) "a dropped instance is not covered" [ "compile:permutation" ]
+    (names [| [ Array.sub order 0 6 ] |])
+
 let test_shrink_minimizes () =
   let s = Scenario.generate 21L in
   let small, stats = Shrink.minimize ~sabotage:Check.Energy_skew s in
@@ -221,6 +262,7 @@ let suites =
         Alcotest.test_case "spec errors echo value" `Quick test_spec_errors_echo_value;
         Alcotest.test_case "oracle green on real engine" `Slow test_oracle_green;
         Alcotest.test_case "sabotage fires" `Quick test_sabotage_fires;
+        Alcotest.test_case "compile oracle" `Quick test_compile_oracle;
         Alcotest.test_case "shrink minimizes" `Slow test_shrink_minimizes;
         Alcotest.test_case "shrink is a no-op when green" `Slow test_shrink_green_is_noop;
         Alcotest.test_case "reproducer round-trip" `Quick test_repro_roundtrip;

@@ -124,13 +124,28 @@ let test_memo_sharing () =
   List.iter (fun v -> ignore (Dp_harness.Runner.run ctx ~procs:4 v)) versions;
   let st = Pipeline.stats ctx in
   check Alcotest.int "graph built once for 9 rows" 1 st.Pipeline.graph_builds;
+  (* Both restructured modes share one cluster table per policy. *)
+  check Alcotest.int "cluster table built once for 9 rows" 1 st.Pipeline.cluster_builds;
   (* Three execution-order families -> three stream/trace builds. *)
   check Alcotest.int "one streams build per mode" 3 st.Pipeline.stream_builds;
   check Alcotest.int "one trace build per mode" 3 st.Pipeline.trace_builds;
   (* Only the proactive-TPM rows carry hints: (single, Tpm) and
      (multi, Tpm). *)
   check Alcotest.int "hint streams built per (mode, space)" 2 st.Pipeline.hint_builds;
-  check Alcotest.bool "repeat lookups hit the memo" true (st.Pipeline.memo_hits > 0)
+  check Alcotest.bool "repeat lookups hit the memo" true (st.Pipeline.memo_hits > 0);
+  (* A second clustering policy is a second table, shared by its modes. *)
+  List.iter
+    (fun mode ->
+      ignore (Pipeline.streams ~cluster:Dp_restructure.Cluster.Min_disk ctx ~procs:4 mode))
+    [ Pipeline.Reuse_single; Pipeline.Reuse_multi ];
+  let st = Pipeline.stats ctx in
+  check Alcotest.int "one cluster table per policy" 2 st.Pipeline.cluster_builds;
+  check Alcotest.int "two more streams builds" 5 st.Pipeline.stream_builds;
+  (* The unmodified code never clusters. *)
+  let plain = Pipeline.load transpose in
+  ignore (Pipeline.streams plain ~procs:4 Pipeline.Original);
+  check Alcotest.int "no cluster table for the original order" 0
+    (Pipeline.stats plain).Pipeline.cluster_builds
 
 let test_memo_same_result () =
   let ctx = Pipeline.load transpose in
@@ -192,6 +207,7 @@ let test_disk_cache_warm () =
   let st2 = Pipeline.stats ctx2 in
   check Alcotest.bool "warm context hits the disk" true (st2.Pipeline.disk_hits > 0);
   check Alcotest.int "no graph build on the warm path" 0 st2.Pipeline.graph_builds;
+  check Alcotest.int "no cluster table on the warm path" 0 st2.Pipeline.cluster_builds;
   check Alcotest.int "no streams build on the warm path" 0 st2.Pipeline.stream_builds;
   check Alcotest.int "no trace build on the warm path" 0 st2.Pipeline.trace_builds;
   check Alcotest.int "no hint build on the warm path" 0 st2.Pipeline.hint_builds;

@@ -11,6 +11,7 @@ module Cluster = Dp_restructure.Cluster
 module Reuse = Dp_restructure.Reuse_scheduler
 module Symbolic = Dp_restructure.Symbolic
 module Parallelize = Dp_restructure.Parallelize
+module Pipeline = Dp_pipeline.Pipeline
 module Iset = Dp_polyhedra.Iset
 
 let check = Alcotest.check
@@ -63,7 +64,7 @@ let fig4_layout =
 let test_fig4_walkthrough () =
   let g = Concrete.build fig4_program in
   check Alcotest.int "13 instances" 13 (Concrete.instance_count g);
-  let s = Reuse.schedule fig4_layout fig4_program g in
+  let s = Reuse.schedule (Cluster.build_table fig4_layout fig4_program g) g in
   (* Expected: round 1 visits d0 {1,3}, d1 {2,6,10}, d2 {4,5,9},
      d3 {8,11,13}; round 2 visits d0 {7,12}.  seq = label - 1. *)
   check
@@ -96,10 +97,10 @@ let free_layout =
 
 let test_perfect_reuse () =
   let g = Concrete.build free_program in
-  let s = Reuse.schedule free_layout free_program g in
+  let table = Cluster.build_table free_layout free_program g in
+  let s = Reuse.schedule table g in
   check Alcotest.int "one round" 1 s.Reuse.rounds;
   check Alcotest.int "four visits" 4 (List.length s.Reuse.visits);
-  let table = Cluster.build_table free_layout free_program g in
   check Alcotest.int "three switches for four disks" 3
     (Reuse.disk_switches table s.Reuse.order);
   (* Original row-major order alternates disks every row. *)
@@ -108,22 +109,29 @@ let test_perfect_reuse () =
 
 let test_start_disk_rotation () =
   let g = Concrete.build free_program in
-  let s = Reuse.schedule ~start_disk:2 free_layout free_program g in
+  let s = Reuse.schedule ~start_disk:2 (Cluster.build_table free_layout free_program g) g in
   (match s.Reuse.visits with
   | (first, _) :: _ -> check Alcotest.int "tour starts at disk 2" 2 first
   | [] -> Alcotest.fail "no visits");
   check Alcotest.bool "still legal" true (Concrete.is_legal_order g s.Reuse.order)
 
-let test_schedule_subset () =
+let test_subset_part () =
   let g = Concrete.build free_program in
+  let table = Cluster.build_table free_layout free_program g in
   let member seq = seq mod 2 = 0 in
-  let s = Reuse.schedule_subset free_layout free_program g ~member in
+  (* Odd instances sit in no part: they are left unscheduled. *)
+  let part =
+    Array.init (Concrete.instance_count g) (fun seq -> if member seq then 0 else -1)
+  in
+  let s = (Reuse.schedule_parts table g ~part ~start_disks:[| 0 |]).(0) in
   check Alcotest.int "half the instances" 32 (Array.length s.Reuse.order);
   check Alcotest.bool "only members" true (Array.for_all member s.Reuse.order);
   let sorted = Array.copy s.Reuse.order in
   Array.sort compare sorted;
   check Alcotest.bool "each member once" true
-    (Array.to_list sorted = List.init 32 (fun k -> 2 * k))
+    (Array.to_list sorted = List.init 32 (fun k -> 2 * k));
+  check Alcotest.bool "legal on the members" true
+    (Concrete.is_legal_order ~member g s.Reuse.order)
 
 (* ------------------------------------------------------------------ *)
 (* Clustering policies. *)
@@ -155,7 +163,7 @@ let test_cluster_policies () =
   check Alcotest.int "min-disk key" 0 t_min.Cluster.key.(3);
   (* w is referenced twice, so majority picks w's disk. *)
   check Alcotest.int "majority key" 0 t_maj.Cluster.key.(3);
-  check Alcotest.(list int) "touched" [ 3; 0 ] (Array.to_list t_first.Cluster.touched.(3))
+  check Alcotest.int "the tour covers the layout's disks" 4 t_first.Cluster.disks
 
 (* ------------------------------------------------------------------ *)
 (* Symbolic restructuring (Fig. 2 reproduction). *)
@@ -542,20 +550,33 @@ let test_layout_opt_validation () =
   | _ -> Alcotest.fail "missing initial striping must be rejected"
 
 let test_workload_schedules_legal () =
-  (* The full pipeline on two real applications: restructured orders are
-     legal permutations. *)
+  (* The full pipeline on the six Table-2 applications: the one-CPU
+     restructured order is a legal permutation, and at four processors
+     every segment of both restructured modes is legal on the sub-graph
+     it induces while all segments together cover each instance once —
+     the compile-side chaos oracle, run on the real workloads. *)
   List.iter
-    (fun name ->
-      let app = Option.get (Dp_workloads.Workloads.by_name name) in
-      let layout =
-        Layout.make ~default:app.Dp_workloads.App.striping
-          ~overrides:app.Dp_workloads.App.overrides app.Dp_workloads.App.program
-      in
-      let g = Concrete.build app.Dp_workloads.App.program in
-      let s = Reuse.schedule layout app.Dp_workloads.App.program g in
+    (fun (app : Dp_workloads.App.t) ->
+      let name = app.Dp_workloads.App.name in
+      let ctx = Pipeline.of_app app in
+      let g = Pipeline.graph ctx in
+      let s = Reuse.schedule (Pipeline.cluster_table ctx) g in
       check Alcotest.bool (name ^ " schedule legal") true
-        (Concrete.is_legal_order g s.Reuse.order))
-    [ "FFT"; "Cholesky" ]
+        (Concrete.is_legal_order g s.Reuse.order);
+      List.iter
+        (fun mode ->
+          let segs, _ = Pipeline.streams ctx ~procs:4 mode in
+          check
+            Alcotest.(list string)
+            (Printf.sprintf "%s %s streams at 4 CPUs" name (Pipeline.mode_name mode))
+            []
+            (List.map
+               (fun (v : Dp_chaos.Check.violation) -> v.check ^ ": " ^ v.detail)
+               (Dp_chaos.Check.compile_violations g segs)))
+        [ Pipeline.Reuse_single; Pipeline.Reuse_multi ];
+      check Alcotest.int (name ^ ": one cluster table for both modes") 1
+        (Pipeline.stats ctx).Pipeline.cluster_builds)
+    (Dp_workloads.Workloads.all ())
 
 (* --- scheduler fuzzing on random programs and layouts --- *)
 
@@ -631,7 +652,7 @@ let prop_schedule_fuzz =
          | Ok () ->
              let layout = Layout.make ~overrides:stripings prog in
              let g = Concrete.build prog in
-             let s = Reuse.schedule layout prog g in
+             let s = Reuse.schedule (Cluster.build_table layout prog g) g in
              Concrete.is_legal_order g s.Reuse.order
              && s.Reuse.rounds >= 1
              && Dp_util.Listx.sum_by snd s.Reuse.visits
@@ -648,16 +669,53 @@ let prop_subset_fuzz =
              let layout = Layout.make ~overrides:stripings prog in
              let g = Concrete.build prog in
              let a = Parallelize.layout_aware layout prog g ~procs:2 in
+             let part = a.Parallelize.owner in
              let orders =
-               List.map
-                 (fun p ->
-                   (Reuse.schedule_subset layout prog g ~member:(fun seq ->
-                        a.Parallelize.owner.(seq) = p))
-                     .Reuse.order)
-                 [ 0; 1 ]
+               Array.map
+                 (fun (s : Reuse.schedule) -> s.Reuse.order)
+                 (Reuse.schedule_parts (Cluster.build_table layout prog g) g ~part
+                    ~start_disks:[| 0; 2 |])
              in
-             let all = List.concat_map Array.to_list orders |> List.sort compare in
-             all = List.init (Concrete.instance_count g) Fun.id))
+             let all =
+               Array.to_list orders |> List.concat_map Array.to_list |> List.sort compare
+             in
+             all = List.init (Concrete.instance_count g) Fun.id
+             && Concrete.check_parts g ~part orders = Ok ()))
+
+(* Parts are independent: one call over k parts gives each part exactly
+   the schedule a one-part call on that part alone gives, start disk
+   included.  Instances drawn into part -1 are left out of both. *)
+let prop_parts_independent =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:60 ~name:"Reuse: parts schedule as if alone"
+       QCheck2.Gen.(triple random_program_gen (int_range 1 4) (int_bound 1_000_000))
+       (fun ((prog, stripings), k, seed) ->
+         match Ir.validate prog with
+         | Error _ -> QCheck2.assume_fail ()
+         | Ok () ->
+             let layout = Layout.make ~overrides:stripings prog in
+             let g = Concrete.build prog in
+             let table = Cluster.build_table layout prog g in
+             let rng = Random.State.make [| seed |] in
+             let part =
+               Array.init (Concrete.instance_count g) (fun _ ->
+                   Random.State.int rng (k + 1) - 1)
+             in
+             let start_disks = Array.init k (fun _ -> Random.State.int rng 4) in
+             let together = Reuse.schedule_parts table g ~part ~start_disks in
+             Array.length together = k
+             && Array.for_all Fun.id
+                  (Array.mapi
+                     (fun p (s : Reuse.schedule) ->
+                       let alone =
+                         (Reuse.schedule_parts table g
+                            ~part:(Array.map (fun q -> if q = p then 0 else -1) part)
+                            ~start_disks:[| start_disks.(p) |]).(0)
+                       in
+                       s.Reuse.order = alone.Reuse.order
+                       && s.Reuse.rounds = alone.Reuse.rounds
+                       && s.Reuse.visits = alone.Reuse.visits)
+                     together)))
 
 let suites =
   [
@@ -666,10 +724,11 @@ let suites =
         Alcotest.test_case "figure 4 walkthrough" `Quick test_fig4_walkthrough;
         Alcotest.test_case "perfect reuse" `Quick test_perfect_reuse;
         Alcotest.test_case "start-disk rotation" `Quick test_start_disk_rotation;
-        Alcotest.test_case "subset scheduling" `Quick test_schedule_subset;
+        Alcotest.test_case "subset scheduling" `Quick test_subset_part;
         Alcotest.test_case "workload schedules legal" `Slow test_workload_schedules_legal;
         prop_schedule_fuzz;
         prop_subset_fuzz;
+        prop_parts_independent;
       ] );
     ("restructure.cluster", [ Alcotest.test_case "policies" `Quick test_cluster_policies ]);
     ( "restructure.symbolic",

@@ -311,7 +311,9 @@ let test_idle_stats_restructuring_helps () =
   let base = trace (Concrete.original_order g) in
   let reuse =
     trace
-      (Dp_restructure.Reuse_scheduler.schedule layout' app.Dp_workloads.App.program g)
+      (Dp_restructure.Reuse_scheduler.schedule
+         (Dp_restructure.Cluster.build_table layout' app.Dp_workloads.App.program g)
+         g)
         .Dp_restructure.Reuse_scheduler.order
   in
   let exploitable reqs =

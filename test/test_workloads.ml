@@ -163,7 +163,9 @@ let test_pipeline_deterministic () =
     in
     let g = Concrete.build app.App.program in
     let order =
-      (Dp_restructure.Reuse_scheduler.schedule layout app.App.program g)
+      (Dp_restructure.Reuse_scheduler.schedule
+         (Dp_restructure.Cluster.build_table layout app.App.program g)
+         g)
         .Dp_restructure.Reuse_scheduler.order
     in
     let reqs =
