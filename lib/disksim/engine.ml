@@ -7,6 +7,7 @@ module Sink = Dp_obs.Sink
 module Obs_event = Dp_obs.Event
 module Online = Dp_online.Online
 module Domain_pool = Dp_util.Domain_pool
+module Minheap = Dp_util.Minheap
 
 type disk_stats = {
   disk : int;
@@ -1029,8 +1030,8 @@ let wear_fraction model stats =
    reconstruction route a request to its mirror).  Two groups share no
    mutable state — disjoint processors, clocks, disk states, injector
    and repair slots — so groups run on separate domains and the result
-   is the serial result bit for bit.  Both lists ascend so a group's
-   internal scan order matches the serial engine's index-order scans. *)
+   is the serial result bit for bit.  Both lists ascend, the order the
+   serial engine visits processors and disks in. *)
 type shard_group = { g_procs : int list; g_disks : int list }
 
 let shard_groups ~n_proc ~disks ~mirror queues_seg =
@@ -1059,8 +1060,8 @@ let shard_groups ~n_proc ~disks ~mirror queues_seg =
   | None -> ());
   let groups : (int, int list * int list) Hashtbl.t = Hashtbl.create 16 in
   (* Descending passes cons up ascending member lists; processors with
-     no requests this segment never win the issue scan and are left out
-     of every group, as are the disk-only components they would leave
+     no requests this segment never issue and are left out of every
+     group, as are the disk-only components they would leave
      behind. *)
   for p = n_proc - 1 downto 0 do
     if queues_seg.(p) <> [] then begin
@@ -1093,7 +1094,11 @@ let simulate ?(model = Disk_model.ultrastar_36z15) ?(record_timeline = false)
   List.iter
     (fun (r : Request.t) ->
       if r.disk < 0 || r.disk >= disks then
-        invalid_arg (Printf.sprintf "Engine.simulate: request on disk %d of %d" r.disk disks))
+        invalid_arg (Printf.sprintf "Engine.simulate: request on disk %d of %d" r.disk disks);
+      if not (Float.is_finite r.arrival_ms && Float.is_finite r.think_ms) then
+        invalid_arg
+          (Printf.sprintf "Engine.simulate: non-finite time (arrival_ms %g, think_ms %g)"
+             r.arrival_ms r.think_ms))
     reqs;
   List.iter
     (fun (h : Hint.t) ->
@@ -1163,17 +1168,18 @@ let simulate ?(model = Disk_model.ultrastar_36z15) ?(record_timeline = false)
     (List.rev (List.stable_sort Hint.compare_at hints));
   let last_completion = Array.make disks 0.0 in
   let clocks = Array.make (max n_proc 1) 0.0 in
+  (* [due.(p)]: the instant processor [p] issues its next request. *)
+  let due = Array.make (max n_proc 1) 0.0 in
   let sink_on = Sink.enabled obs in
   (* One group's issue loop over a segment.  The group touches only its
-     own slots of [pending]/[clocks]/[last_completion] and its own disk
-     states, so concurrent groups never share a mutable cell.  With
-     [batch] set, the events of each issue step are buffered and tagged
-     with the step's (issue time, processor): the serial engine executes
-     steps in exactly (issue time, processor) order — per processor the
-     issue times are non-decreasing, and among processors tied at the
-     same instant the scan's strict [<] picks the lowest index first —
-     so a stable sort of all groups' batches on that key replays the
-     serial emission order bit for bit. *)
+     own slots of [pending]/[clocks]/[due]/[last_completion] and its own
+     disk states, so concurrent groups never share a mutable cell.  The
+     group's processors wait in a heap ordered by (issue time,
+     processor); a processor's key changes only when it issues, so each
+     step is one pop and at most one push.  With [batch] set, the events
+     of each issue step are buffered and tagged with that same key: a
+     stable sort of all groups' batches on it replays the serial
+     emission order bit for bit. *)
   let run_group ~batch pending { g_procs; g_disks } =
     let batches = ref [] in
     let cur = ref [] in
@@ -1181,24 +1187,19 @@ let simulate ?(model = Disk_model.ultrastar_36z15) ?(record_timeline = false)
       let buffer = Sink.stream (fun e -> cur := e :: !cur) in
       List.iter (fun d -> states.(d).sink <- buffer) g_disks
     end;
-    let next_issue p =
+    let ready = Minheap.create ~capacity:(List.length g_procs) ~cmp:(Minheap.by_key due) () in
+    let enqueue p =
       match pending.(p) with
-      | [] -> infinity
-      | r :: _ -> clocks.(p) +. r.Request.think_ms
+      | [] -> ()
+      | r :: _ ->
+          due.(p) <- clocks.(p) +. r.Request.think_ms;
+          Minheap.add ready p
     in
+    List.iter enqueue g_procs;
     let rec step () =
-      (* Pick the processor with the earliest next issue time. *)
-      let best = ref (-1) and best_t = ref infinity in
-      List.iter
-        (fun p ->
-          let t = next_issue p in
-          if t < !best_t then begin
-            best := p;
-            best_t := t
-          end)
-        g_procs;
-      if !best >= 0 then begin
-        let p = !best in
+      if not (Minheap.is_empty ready) then begin
+        let p = Minheap.pop_min ready in
+        let issue = due.(p) in
         match pending.(p) with
         | [] -> assert false
         | r :: rest ->
@@ -1216,7 +1217,7 @@ let simulate ?(model = Disk_model.ultrastar_36z15) ?(record_timeline = false)
                   (fun d ->
                     let st = states.(d) in
                     if Repair.is_failed rx.rc st.id then
-                      advance_rebuild model rx st ~until:!best_t)
+                      advance_rebuild model rx st ~until:issue)
                   g_disks
             | None -> ());
             let target =
@@ -1233,21 +1234,22 @@ let simulate ?(model = Disk_model.ultrastar_36z15) ?(record_timeline = false)
                stuck-RPM fallback recursion cannot double-spend the
                budget); the policy then sees the shrunken remainder. *)
             (match rctx with
-            | Some rx when !best_t > st.now -> scrub_gap model rx st ~until:!best_t
+            | Some rx when issue > st.now -> scrub_gap model rx st ~until:issue
             | _ -> ());
             let response =
-              handle_request model policy ctrl fctx rctx st r ~issue:!best_t ~hinted
+              handle_request model policy ctrl fctx rctx st r ~issue ~hinted
                 ~recon:(target <> r.Request.disk)
             in
             ignore response;
-            clocks.(p) <- !best_t +. response;
+            clocks.(p) <- issue +. response;
+            enqueue p;
             last_completion.(target) <- st.now;
             (match rctx with
             | Some rx when Repair.should_fail rx.rc ~disk:target ->
                 fail_disk model rx states.(target)
             | _ -> ());
             if batch then begin
-              batches := (!best_t, p, List.rev !cur) :: !batches;
+              batches := (issue, p, List.rev !cur) :: !batches;
               cur := []
             end;
             step ()

@@ -80,9 +80,15 @@ val simulate :
   Request.t list ->
   result
 (** Simulate a trace on [disks] I/O nodes under a policy.  Requests whose
-    [disk] is outside [0, disks) raise [Invalid_argument].  The request
-    list need not be sorted.  [record_timeline] (default false) keeps the
-    per-disk power-state segments for {!Timeline.render}.
+    [disk] is outside [0, disks), or whose [arrival_ms] or [think_ms] is
+    not finite, raise [Invalid_argument].  The request list need not be
+    sorted.  [record_timeline] (default false) keeps the per-disk
+    power-state segments for {!Timeline.render}.
+
+    Requests issue in (issue time, processor) order: the processor due
+    earliest issues next, and among processors due at the same instant
+    the lowest index goes first.  The waiting processors sit in a heap
+    on that key, so picking the next request costs O(log procs).
 
     [shards] (default 1) caps how many domains the engine may fan the
     run across.  Each segment is split into the connected components of

@@ -3,6 +3,7 @@ module Engine = Dp_disksim.Engine
 module Timeline = Dp_disksim.Timeline
 module Request = Dp_trace.Request
 module Hint = Dp_trace.Hint
+module Minheap = Dp_util.Minheap
 
 type space = Tpm_space | Drpm_space | Full_space
 
@@ -255,7 +256,11 @@ let nominalize ?(model = Disk_model.ultrastar_36z15) ~disks reqs =
     (fun (r : Request.t) ->
       if r.Request.disk < 0 || r.Request.disk >= disks then
         invalid_arg
-          (Printf.sprintf "Oracle.nominalize: request on disk %d of %d" r.Request.disk disks))
+          (Printf.sprintf "Oracle.nominalize: request on disk %d of %d" r.Request.disk disks);
+      if not (Float.is_finite r.Request.arrival_ms && Float.is_finite r.Request.think_ms) then
+        invalid_arg
+          (Printf.sprintf "Oracle.nominalize: non-finite time (arrival_ms %g, think_ms %g)"
+             r.Request.arrival_ms r.Request.think_ms))
     reqs;
   let reqs = List.sort Request.compare_arrival reqs in
   let n_proc = 1 + List.fold_left (fun acc (r : Request.t) -> max acc r.Request.proc) (-1) reqs in
@@ -270,46 +275,45 @@ let nominalize ?(model = Disk_model.ultrastar_36z15) ~disks reqs =
   let disk_now = Array.make disks 0.0 in
   let last_end = Array.make disks (-1) in
   let clocks = Array.make (max n_proc 1) 0.0 in
+  (* The engine's issue order: a heap of processors keyed on (next
+     issue instant, processor). *)
+  let due = Array.make (max n_proc 1) 0.0 in
+  let ready = Minheap.create ~capacity:(max n_proc 1) ~cmp:(Minheap.by_key due) () in
   let out = ref [] in
   for seg = 0 to n_seg - 1 do
     let pending = Array.copy queues.(seg) in
-    let next_issue p =
+    let enqueue p =
       match pending.(p) with
-      | [] -> infinity
-      | r :: _ -> clocks.(p) +. r.Request.think_ms
+      | [] -> ()
+      | r :: _ ->
+          due.(p) <- clocks.(p) +. r.Request.think_ms;
+          Minheap.add ready p
     in
-    let rec step () =
-      let best = ref (-1) and best_t = ref infinity in
-      for p = 0 to max n_proc 1 - 1 do
-        let t = next_issue p in
-        if t < !best_t then begin
-          best := p;
-          best_t := t
-        end
-      done;
-      if !best >= 0 then begin
-        let p = !best in
-        match pending.(p) with
-        | [] -> assert false
-        | r :: rest ->
-            pending.(p) <- rest;
-            let d = r.Request.disk in
-            let seek_distance =
-              if last_end.(d) < 0 then max_int else r.Request.lba - last_end.(d)
-            in
-            last_end.(d) <- r.Request.lba + r.Request.size;
-            let start = Float.max !best_t disk_now.(d) in
-            let service =
-              Disk_model.service_ms ~seek_distance model ~rpm:model.Disk_model.rpm_max
-                ~bytes:r.Request.size
-            in
-            disk_now.(d) <- start +. service;
-            clocks.(p) <- disk_now.(d);
-            out := { r with Request.arrival_ms = !best_t } :: !out;
-            step ()
-      end
-    in
-    step ();
+    for p = 0 to n_proc - 1 do
+      enqueue p
+    done;
+    while not (Minheap.is_empty ready) do
+      let p = Minheap.pop_min ready in
+      match pending.(p) with
+      | [] -> assert false
+      | r :: rest ->
+          pending.(p) <- rest;
+          let issue = due.(p) in
+          let d = r.Request.disk in
+          let seek_distance =
+            if last_end.(d) < 0 then max_int else r.Request.lba - last_end.(d)
+          in
+          last_end.(d) <- r.Request.lba + r.Request.size;
+          let start = Float.max issue disk_now.(d) in
+          let service =
+            Disk_model.service_ms ~seek_distance model ~rpm:model.Disk_model.rpm_max
+              ~bytes:r.Request.size
+          in
+          disk_now.(d) <- start +. service;
+          clocks.(p) <- disk_now.(d);
+          out := { r with Request.arrival_ms = issue } :: !out;
+          enqueue p
+    done;
     let latest = Array.fold_left Float.max 0.0 clocks in
     Array.fill clocks 0 (Array.length clocks) latest
   done;

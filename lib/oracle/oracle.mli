@@ -129,7 +129,11 @@ val nominalize :
 (** Fill [Request.arrival_ms] with the full-speed reference timeline:
     the closed-loop no-PM schedule (per-processor think chains,
     fork-join segment barriers, FIFO disks with the engine's seek
-    rule).  Returns the requests in issue order. *)
+    rule).  Returns the requests in the engine's (issue time,
+    processor) issue order; each arrival is the instant
+    {!Engine.simulate} under [No_pm] issues that request.  A request
+    outside [0, disks) or with a non-finite [arrival_ms] or [think_ms]
+    raises [Invalid_argument]. *)
 
 val pp_plan : Format.formatter -> plan -> unit
 val pp_bound : Format.formatter -> bound -> unit

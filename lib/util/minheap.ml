@@ -1,6 +1,12 @@
-type t = { mutable data : int array; mutable len : int }
+type t = { mutable data : int array; mutable len : int; cmp : int -> int -> int }
 
-let create ?(capacity = 16) () = { data = Array.make (max capacity 1) 0; len = 0 }
+let create ?(capacity = 16) ?(cmp = Int.compare) () =
+  { data = Array.make (max capacity 1) 0; len = 0; cmp }
+
+let by_key (keys : float array) a b =
+  let ka = keys.(a) and kb = keys.(b) in
+  if ka < kb then -1 else if ka > kb then 1 else Int.compare a b
+
 let is_empty h = h.len = 0
 let size h = h.len
 
@@ -12,7 +18,7 @@ let swap h i j =
 let rec sift_up h i =
   if i > 0 then begin
     let parent = (i - 1) / 2 in
-    if h.data.(i) < h.data.(parent) then begin
+    if h.cmp h.data.(i) h.data.(parent) < 0 then begin
       swap h i parent;
       sift_up h parent
     end
@@ -21,8 +27,8 @@ let rec sift_up h i =
 let rec sift_down h i =
   let l = (2 * i) + 1 and r = (2 * i) + 2 in
   let smallest = ref i in
-  if l < h.len && h.data.(l) < h.data.(!smallest) then smallest := l;
-  if r < h.len && h.data.(r) < h.data.(!smallest) then smallest := r;
+  if l < h.len && h.cmp h.data.(l) h.data.(!smallest) < 0 then smallest := l;
+  if r < h.len && h.cmp h.data.(r) h.data.(!smallest) < 0 then smallest := r;
   if !smallest <> i then begin
     swap h i !smallest;
     sift_down h !smallest

@@ -52,7 +52,19 @@ let test_dpsim_malformed_trace () =
       check Alcotest.bool
         (Printf.sprintf "names file:line (got %S)" err)
         true
-        (contains ~needle:(path ^ ":2:") err && contains ~needle:"size" err))
+        (contains ~needle:(path ^ ":2:") err && contains ~needle:"size" err));
+  (* A non-finite time parses as a float but must not reach the engine,
+     which would never issue that request. *)
+  with_trace_file
+    "1.0 2.0 0 0 0 1024 R 0 0\n1.0 nan 0 0 0 1024 R 0 0\n1.0 2.0 0 0 0 1024 R 0 0\n"
+    (fun path ->
+      let code, _, err = run [ dpsim; "--per-disk"; path ] in
+      check Alcotest.int "non-finite think: exit code" 2 code;
+      check Alcotest.bool "non-finite think: one-line diagnostic" true (one_line err);
+      check Alcotest.bool
+        (Printf.sprintf "non-finite think: names file:line and field (got %S)" err)
+        true
+        (contains ~needle:(path ^ ":2:") err && contains ~needle:"think_ms" err))
 
 let test_dpsim_unknown_flag () =
   let code, _, err = run [ dpsim; "--no-such-flag" ] in

@@ -202,9 +202,48 @@ let test_engine_validation () =
   (match Engine.simulate ~disks:0 Policy.No_pm [] with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "disks=0 must be rejected");
-  match Engine.simulate ~disks:1 Policy.No_pm [ req ~disk:3 ~think:1.0 () ] with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "out-of-range disk must be rejected"
+  (* A non-finite time would never come up in issue order: the request
+     must be refused, not silently dropped. *)
+  List.iter
+    (fun (name, r) ->
+      match Engine.simulate ~disks:1 Policy.No_pm [ req ~think:1.0 (); r ] with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "%s must be rejected" name)
+    [
+      ("out-of-range disk", req ~disk:3 ~think:1.0 ());
+      ("nan think", req ~think:Float.nan ());
+      ("infinite think", req ~think:Float.infinity ());
+      ("nan arrival", { (req ~think:1.0 ()) with Request.arrival_ms = Float.nan });
+    ]
+
+(* The issue order shared by the serial loop and the shard merge: among
+   processors due at the same instant the lower index issues first. *)
+let test_engine_issue_ties () =
+  let tied ~disks =
+    List.init 64 (fun i ->
+        let p = 63 - i in
+        req ~proc:p ~disk:(p mod disks) ~think:0.0 ())
+  in
+  let record ?shards ~disks () =
+    let sink = Dp_obs.Sink.ring ~capacity:65_536 () in
+    ignore (Engine.simulate ~obs:sink ?shards ~disks Policy.No_pm (tied ~disks));
+    Dp_obs.Sink.events sink
+  in
+  let service_procs es =
+    List.filter_map (function Dp_obs.Event.Service { proc; _ } -> Some proc | _ -> None) es
+  in
+  let in_order = List.init 64 Fun.id in
+  check Alcotest.(list int) "one disk: processor order" in_order
+    (service_procs (record ~disks:1 ()));
+  let serial = record ~disks:8 () in
+  check Alcotest.(list int) "eight disks: processor order" in_order (service_procs serial);
+  List.iter
+    (fun shards ->
+      check Alcotest.bool
+        (Printf.sprintf "eight disks: shards %d = serial" shards)
+        true
+        (record ~shards ~disks:8 () = serial))
+    [ 2; 4; 8 ]
 
 (* Random traces: physical sanity invariants under every policy. *)
 let trace_gen =
@@ -690,6 +729,7 @@ let suites =
         Alcotest.test_case "DRPM downshift" `Quick test_engine_drpm_downshift;
         Alcotest.test_case "DRPM proactive" `Quick test_engine_drpm_proactive;
         Alcotest.test_case "validation" `Quick test_engine_validation;
+        Alcotest.test_case "issue ties by processor" `Quick test_engine_issue_ties;
         energy_bounds Policy.No_pm;
         energy_bounds Policy.default_tpm;
         energy_bounds Policy.default_drpm;

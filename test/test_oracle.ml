@@ -265,6 +265,60 @@ let prop_nominalize_idempotent =
            -. (Engine.simulate ~disks:3 Policy.No_pm once).Engine.energy_j)
          < 1e-6)
 
+(* Several processors over several segments, think times drawn from a
+   small set (ties at the same instant are common) and some zero. *)
+let multi_proc_gen =
+  QCheck2.Gen.(
+    list_size (int_range 1 40)
+      (map4
+         (fun think proc seg disk ->
+           {
+             (req ~proc ~disk ~think:(float_of_int (think * 250)) ~lba:(disk * 7919 * 4096) ())
+             with
+             Request.seg = seg;
+           })
+         (int_range 0 8) (int_range 0 4) (int_range 0 2) (int_range 0 2)))
+
+let prop_nominalize_matches_engine =
+  qtest ~count:200 "Oracle.nominalize: arrivals are the No-PM engine's issue instants"
+    multi_proc_gen (fun reqs ->
+      let disks = 3 in
+      let issued = Hashtbl.create 8 in
+      let sink =
+        Dp_obs.Sink.stream (function
+          | Dp_obs.Event.Service { proc; arrival_ms; _ } ->
+              Hashtbl.replace issued proc
+                (arrival_ms :: Option.value ~default:[] (Hashtbl.find_opt issued proc))
+          | _ -> ())
+      in
+      ignore (Engine.simulate ~obs:sink ~disks Policy.No_pm reqs);
+      let nominal = Oracle.nominalize ~disks reqs in
+      List.for_all
+        (fun p ->
+          let mine =
+            List.filter_map
+              (fun (r : Request.t) ->
+                if r.Request.proc = p then Some r.Request.arrival_ms else None)
+              nominal
+          in
+          let engine = List.rev (Option.value ~default:[] (Hashtbl.find_opt issued p)) in
+          List.length mine = List.length engine
+          && List.for_all2 (fun a b -> Float.abs (a -. b) <= 1e-6) mine engine)
+        (List.sort_uniq Int.compare (List.map (fun (r : Request.t) -> r.Request.proc) reqs)))
+
+let test_nominalize_validation () =
+  List.iter
+    (fun (name, r) ->
+      match Oracle.nominalize ~disks:1 [ req ~think:1.0 (); r ] with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "%s must be rejected" name)
+    [
+      ("out-of-range disk", req ~disk:3 ~think:1.0 ());
+      ("nan think", req ~think:Float.nan ());
+      ("infinite think", req ~think:Float.infinity ());
+      ("nan arrival", { (req ~think:1.0 ()) with Request.arrival_ms = Float.nan });
+    ]
+
 let test_hint_validation () =
   let reqs = [ req ~think:10.0 () ] in
   let bad = [ { Hint.at_ms = 0.0; disk = 7; action = Hint.Spin_down } ] in
@@ -298,5 +352,7 @@ let suites =
         Alcotest.test_case "hint validation" `Quick test_hint_validation;
         prop_hinted_never_stalls;
         prop_nominalize_idempotent;
+        prop_nominalize_matches_engine;
+        Alcotest.test_case "nominalize validation" `Quick test_nominalize_validation;
       ] );
   ]

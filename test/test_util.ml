@@ -146,6 +146,19 @@ let prop_minheap_sorts =
       let out = List.init (List.length l) (fun _ -> Minheap.pop_min h) in
       out = List.sort compare l)
 
+let prop_minheap_by_key =
+  qtest "Minheap.by_key: drains by (key, element)"
+    QCheck2.Gen.(list_size (int_range 0 100) (int_range 0 5))
+    (fun ks ->
+      let keys = Array.of_list (List.map float_of_int ks) in
+      let h = Minheap.create ~cmp:(Minheap.by_key keys) () in
+      Array.iteri (fun i _ -> Minheap.add h i) keys;
+      let out = List.init (Array.length keys) (fun _ -> Minheap.pop_min h) in
+      out
+      = List.sort
+          (fun a b -> compare (keys.(a), a) (keys.(b), b))
+          (List.init (Array.length keys) Fun.id))
+
 (* --- Splitmix --- *)
 
 module Splitmix = Dp_util.Splitmix
@@ -325,7 +338,11 @@ let suites =
         prop_take_drop;
       ] );
     ( "util.minheap",
-      [ Alcotest.test_case "basic" `Quick test_minheap_basic; prop_minheap_sorts ] );
+      [
+        Alcotest.test_case "basic" `Quick test_minheap_basic;
+        prop_minheap_sorts;
+        prop_minheap_by_key;
+      ] );
     ( "util.splitmix",
       [
         Alcotest.test_case "deterministic" `Quick test_splitmix_deterministic;
