@@ -588,10 +588,11 @@ let pipeline_bench () =
      %.0f ms total@."
     (List.length versions) (1e3 *. t_first) (List.length versions) (1e3 *. t_rest);
   Format.printf
-    "stage builds: graph %d, cluster table %d, streams %d, traces %d, hints %d; memo hits \
-     %d@."
+    "stage builds: graph %d, cluster table %d, streams %d, traces %d, hints %d, summaries \
+     %d, references %d; memo hits %d@."
     st.Pipeline.graph_builds st.Pipeline.cluster_builds st.Pipeline.stream_builds
-    st.Pipeline.trace_builds st.Pipeline.hint_builds st.Pipeline.memo_hits;
+    st.Pipeline.trace_builds st.Pipeline.hint_builds st.Pipeline.summary_builds
+    st.Pipeline.reference_builds st.Pipeline.memo_hits;
   let (), t_cold =
     wall (fun () ->
         ignore (Pipeline.trace (Pipeline.of_app app) ~procs:4 Pipeline.Reuse_multi))

@@ -1104,7 +1104,12 @@ let simulate ?(model = Disk_model.ultrastar_36z15) ?(record_timeline = false)
     (fun (h : Hint.t) ->
       if h.Hint.disk < 0 || h.Hint.disk >= disks then
         invalid_arg
-          (Printf.sprintf "Engine.simulate: hint on disk %d of %d" h.Hint.disk disks))
+          (Printf.sprintf "Engine.simulate: hint on disk %d of %d" h.Hint.disk disks);
+      let lead_ms = match h.Hint.action with Hint.Pre_spin_up l -> l | _ -> 0.0 in
+      if not (Float.is_finite h.Hint.at_ms && Float.is_finite lead_ms) then
+        invalid_arg
+          (Printf.sprintf "Engine.simulate: non-finite hint time (at_ms %g, lead_ms %g)"
+             h.Hint.at_ms lead_ms))
     hints;
   let hinted = hints <> [] in
   let fctx =
@@ -1146,7 +1151,7 @@ let simulate ?(model = Disk_model.ultrastar_36z15) ?(record_timeline = false)
              ~disks)
     | _ -> None
   in
-  let reqs = List.sort Request.compare_arrival reqs in
+  let reqs = Request.sort_arrival reqs in
   let n_proc =
     1 + List.fold_left (fun acc (r : Request.t) -> max acc r.proc) (-1) reqs
   in

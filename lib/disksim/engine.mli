@@ -81,9 +81,14 @@ val simulate :
   result
 (** Simulate a trace on [disks] I/O nodes under a policy.  Requests whose
     [disk] is outside [0, disks), or whose [arrival_ms] or [think_ms] is
-    not finite, raise [Invalid_argument].  The request list need not be
-    sorted.  [record_timeline] (default false) keeps the per-disk
-    power-state segments for {!Timeline.render}.
+    not finite, raise [Invalid_argument]; so do hints on a disk outside
+    that range or with a non-finite time or pre-spin-up lead.  The
+    request list may come in any order: it is put in
+    {!Request.compare_arrival} order by {!Request.sort_arrival}, so a
+    list already in that order — every generated or decoded trace — is
+    checked in one pass and not re-sorted.  [record_timeline] (default
+    false) keeps the per-disk power-state segments for
+    {!Timeline.render}.
 
     Requests issue in (issue time, processor) order: the processor due
     earliest issues next, and among processors due at the same instant

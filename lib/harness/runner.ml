@@ -22,10 +22,9 @@ let run ctx ?faults ?retry ?(obs = false) ?shards ~procs version =
   | Some space ->
       (* Offline-optimal bound on the unmodified code: same trace as the
          corresponding reactive row, energy replaced by the oracle DP.
-         The oracle DP never runs the engine, so there is nothing to
-         observe — [obs] is ignored for these rows. *)
-      let trace = Pipeline.trace ctx ~procs Pipeline.Original in
-      let bound = Oracle.lower_bound ~space ~disks:(Pipeline.disks ctx) trace in
+         The oracle rows share one no-PM reference run of that trace,
+         which is not observed — [obs] is ignored for these rows. *)
+      let bound = Oracle.bound ~space (Pipeline.reference ctx ~procs Pipeline.Original) in
       let result =
         {
           bound.Oracle.base with
@@ -37,7 +36,7 @@ let run ctx ?faults ?retry ?(obs = false) ?shards ~procs version =
         version;
         procs;
         result;
-        summary = Generate.summarize trace;
+        summary = Pipeline.summary ctx ~procs Pipeline.Original;
         scheduler_rounds = None;
         obs = None;
       }
@@ -67,7 +66,14 @@ let run ctx ?faults ?retry ?(obs = false) ?shards ~procs version =
           Some (Dp_obs.Report.of_events ~disks:(Pipeline.disks ctx) (Dp_obs.Sink.events sink))
         else None
       in
-      { version; procs; result; summary = Generate.summarize trace; scheduler_rounds; obs }
+      {
+        version;
+        procs;
+        result;
+        summary = Pipeline.summary ctx ~procs mode;
+        scheduler_rounds;
+        obs;
+      }
 
 (* Reliability aggregates over the disks of one run — the wear/retry
    columns of the fault figures. *)

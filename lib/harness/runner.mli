@@ -49,7 +49,11 @@ val run :
     omniscient gap planner.  For the [Oracle_*] rows: generate the
     unmodified-code trace and replace the energy of its no-PM reference
     run with the offline-optimal bound ({!Dp_oracle.Oracle}); the
-    [result]'s per-disk stats remain those of the reference run.
+    [result]'s per-disk stats remain those of the reference run.  The
+    [summary] of every row and the oracle rows' reference run are
+    pipeline stages ({!Dp_pipeline.Pipeline.summary},
+    {!Dp_pipeline.Pipeline.reference}), so rows replaying the same
+    trace share them.
 
     [faults]/[retry] seed the engine's deterministic fault injector (see
     {!Dp_disksim.Engine.simulate}).  The oracle rows stay fault-free:
@@ -65,8 +69,8 @@ val run :
     distills the recorded events into the run's per-disk
     {!Dp_obs.Report.disk_report}s (idle-gap / response-time /
     standby-residency histograms).  The engine's numeric results are
-    unaffected.  Oracle rows never run the engine, so their [obs] is
-    [None] regardless.
+    unaffected.  Oracle rows run no engine of their own (their reference
+    run is shared and unobserved), so their [obs] is [None] regardless.
     @raise Invalid_argument for a [T_*_m] version with [procs = 1] (the
     layout-aware scheme is only meaningful with several processors). *)
 

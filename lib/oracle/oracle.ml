@@ -48,74 +48,97 @@ let ramp_cost model ~rpm =
   in
   go model.Disk_model.rpm_max (0.0, 0.0)
 
-(* The candidate trajectories for one gap.  The disk enters at full
-   speed and, unless the gap is terminal, must be back at full speed
-   when the gap ends; a candidate is admissible when its transitions fit
-   inside the gap.  This is the (tiny) per-gap dynamic program: the
-   state space is {standby} ∪ RPM levels, and with both endpoints
-   pinned the optimal trajectory is a single excursion, so enumerating
-   the excursion depths solves the DP exactly. *)
-let candidates space model (g : gap) =
-  let m = model in
-  let idle_full = (Stay_idle, j_of ~watts:(Disk_model.idle_power_w m ~rpm:m.Disk_model.rpm_max) ~ms:g.len_ms) in
-  let spin_cycle =
-    let sd_ms = ms_of_s m.Disk_model.spin_down_s in
-    let su_ms = ms_of_s m.Disk_model.spin_up_s in
-    if g.terminal then
-      if g.len_ms >= sd_ms then
-        [
-          ( Spin_cycle,
-            m.Disk_model.spin_down_j
-            +. j_of ~watts:m.Disk_model.power_standby_w ~ms:(g.len_ms -. sd_ms) );
-        ]
-      else []
-    else if g.len_ms >= sd_ms +. su_ms then
-      [
-        ( Spin_cycle,
-          m.Disk_model.spin_down_j +. m.Disk_model.spin_up_j
-          +. j_of ~watts:m.Disk_model.power_standby_w
-               ~ms:(g.len_ms -. sd_ms -. su_ms) );
-      ]
-    else []
-  in
-  let dips =
-    List.filter_map
-      (fun rpm ->
-        if rpm >= m.Disk_model.rpm_max then None
-        else begin
-          let ramp_ms, ramp_j = ramp_cost m ~rpm in
-          let round_trip = if g.terminal then ramp_ms else 2.0 *. ramp_ms in
-          if g.len_ms < round_trip then None
+(* The per-model constants of the gap DP, computed once per planning
+   call ([schedule], [bound], [hints_of_trace]) instead of once per gap:
+   the full-speed idle power, the lowest idle power of the ladder, and
+   for every level below full speed its ramp cost and idle power. *)
+type dip = { rpm : int; ramp_ms : float; ramp_j : float; idle_w : float }
+
+type costs = {
+  model : Disk_model.t;
+  idle_full_w : float;
+  min_idle_w : float;
+  dips : dip list;
+}
+
+let costs model =
+  let levels = Disk_model.rpm_levels model in
+  {
+    model;
+    idle_full_w = Disk_model.idle_power_w model ~rpm:model.Disk_model.rpm_max;
+    min_idle_w =
+      List.fold_left
+        (fun acc rpm -> Float.min acc (Disk_model.idle_power_w model ~rpm))
+        infinity levels;
+    dips =
+      List.filter_map
+        (fun rpm ->
+          if rpm >= model.Disk_model.rpm_max then None
           else
-            Some
-              ( Rpm_dip rpm,
-                (if g.terminal then ramp_j else 2.0 *. ramp_j)
-                +. j_of ~watts:(Disk_model.idle_power_w m ~rpm)
-                     ~ms:(g.len_ms -. round_trip) )
-        end)
-      (Disk_model.rpm_levels m)
+            let ramp_ms, ramp_j = ramp_cost model ~rpm in
+            Some { rpm; ramp_ms; ramp_j; idle_w = Disk_model.idle_power_w model ~rpm })
+        levels;
+  }
+
+(* The cheapest candidate trajectory for one gap.  The disk enters at
+   full speed and, unless the gap is terminal, must be back at full
+   speed when the gap ends; a candidate is admissible when its
+   transitions fit inside the gap.  This is the (tiny) per-gap dynamic
+   program: the state space is {standby} ∪ RPM levels, and with both
+   endpoints pinned the optimal trajectory is a single excursion, so
+   enumerating the excursion depths solves the DP exactly.  Candidates
+   are offered in a fixed order (idle, spin cycle, dips by rising RPM)
+   and a later one wins only when strictly cheaper. *)
+let best_in c space (g : gap) =
+  let m = c.model in
+  let pick ((_, be) as best) a e = if e < be then (a, e) else best in
+  let idle_j = j_of ~watts:c.idle_full_w ~ms:g.len_ms in
+  let best = pick (Stay_idle, infinity) Stay_idle idle_j in
+  let best =
+    match space with
+    | Drpm_space -> best
+    | Tpm_space | Full_space ->
+        let sd_ms = ms_of_s m.Disk_model.spin_down_s in
+        let su_ms = ms_of_s m.Disk_model.spin_up_s in
+        if g.terminal then
+          if g.len_ms >= sd_ms then
+            pick best Spin_cycle
+              (m.Disk_model.spin_down_j
+              +. j_of ~watts:m.Disk_model.power_standby_w ~ms:(g.len_ms -. sd_ms))
+          else best
+        else if g.len_ms >= sd_ms +. su_ms then
+          pick best Spin_cycle
+            (m.Disk_model.spin_down_j +. m.Disk_model.spin_up_j
+            +. j_of ~watts:m.Disk_model.power_standby_w ~ms:(g.len_ms -. sd_ms -. su_ms))
+        else best
   in
-  idle_full
-  ::
-  (match space with
-  | Tpm_space -> spin_cycle
-  | Drpm_space -> dips
-  | Full_space -> spin_cycle @ dips)
+  match space with
+  | Tpm_space -> best
+  | Drpm_space | Full_space ->
+      List.fold_left
+        (fun best d ->
+          let round_trip = if g.terminal then d.ramp_ms else 2.0 *. d.ramp_ms in
+          if g.len_ms < round_trip then best
+          else
+            pick best (Rpm_dip d.rpm)
+              ((if g.terminal then d.ramp_j else 2.0 *. d.ramp_j)
+              +. j_of ~watts:d.idle_w ~ms:(g.len_ms -. round_trip)))
+        best c.dips
 
-let best_gap ?(model = Disk_model.ultrastar_36z15) space g =
-  List.fold_left
-    (fun (ba, be) (a, e) -> if e < be then (a, e) else (ba, be))
-    (Stay_idle, infinity) (candidates space model g)
+let best_gap ?(model = Disk_model.ultrastar_36z15) space g = best_in (costs model) space g
 
-let schedule ?(model = Disk_model.ultrastar_36z15) space gaps =
+let schedule_in c space gaps =
   let steps =
     List.map
       (fun g ->
-        let action, energy_j = best_gap ~model space g in
+        let action, energy_j = best_in c space g in
         { gap = g; action; energy_j })
       gaps
   in
   { steps; energy_j = List.fold_left (fun acc (s : step) -> acc +. s.energy_j) 0.0 steps }
+
+let schedule ?(model = Disk_model.ultrastar_36z15) space gaps =
+  schedule_in (costs model) space gaps
 
 let gaps_of_timeline (t : Timeline.t) ~makespan_ms =
   Array.map
@@ -151,13 +174,15 @@ let gaps_of_timeline (t : Timeline.t) ~makespan_ms =
    [Tpm_space] disks serve at full speed (TPM has no other); with DRPM
    transitions available the oracle may serve at whichever level costs
    the least energy — reduced speed stretches the service but can still
-   win, which is exactly the serve-at-reduced-RPM leg of the DP. *)
+   win, which is exactly the serve-at-reduced-RPM leg of the DP.
+   [reqs] must already be in arrival order. *)
 let busy_floor_j space model ~disks reqs =
   let levels =
     match space with
     | Tpm_space -> [ model.Disk_model.rpm_max ]
     | Drpm_space | Full_space -> Disk_model.rpm_levels model
   in
+  let active = List.map (fun rpm -> (rpm, Disk_model.active_power_w model ~rpm)) levels in
   let last_end = Array.make disks (-1) in
   List.fold_left
     (fun acc (r : Request.t) ->
@@ -168,16 +193,15 @@ let busy_floor_j space model ~disks reqs =
       last_end.(r.Request.disk) <- r.Request.lba + r.Request.size;
       let cheapest =
         List.fold_left
-          (fun best rpm ->
+          (fun best (rpm, watts) ->
             let ms =
               Disk_model.service_ms ~seek_distance model ~rpm ~bytes:r.Request.size
             in
-            Float.min best (j_of ~watts:(Disk_model.active_power_w model ~rpm) ~ms))
-          infinity levels
+            Float.min best (j_of ~watts ~ms))
+          infinity active
       in
       acc +. cheapest)
-    0.0
-    (List.sort Request.compare_arrival reqs)
+    0.0 reqs
 
 type bound = {
   space : space;
@@ -203,37 +227,48 @@ type bound = {
      power times the gap — ramp-free, hence immune to boundary effects.
    - [Full_space] takes the min: every engine policy belongs to one of
      the two families. *)
-let gap_floor_j space model (g : gap) =
-  let idle_floor =
-    let w =
-      List.fold_left
-        (fun acc rpm -> Float.min acc (Disk_model.idle_power_w model ~rpm))
-        infinity (Disk_model.rpm_levels model)
-    in
-    j_of ~watts:w ~ms:g.len_ms
-  in
-  let tpm_floor () = snd (best_gap ~model Tpm_space g) in
+let gap_floor_j space c (g : gap) =
+  let idle_floor = j_of ~watts:c.min_idle_w ~ms:g.len_ms in
+  let tpm_floor () = snd (best_in c Tpm_space g) in
   match space with
   | Tpm_space -> tpm_floor ()
   | Drpm_space -> idle_floor
   | Full_space -> Float.min (tpm_floor ()) idle_floor
 
-let lower_bound ?(model = Disk_model.ultrastar_36z15) ?(space = Full_space) ~disks reqs =
-  let base = Engine.simulate ~model ~record_timeline:true ~disks Dp_disksim.Policy.No_pm reqs in
+type reference = {
+  model : Disk_model.t;
+  disks : int;
+  requests : Request.t list;
+  base : Engine.result;
+  gaps : gap list array;
+}
+
+let reference ?(model = Disk_model.ultrastar_36z15) ~disks reqs =
+  let requests = Request.sort_arrival reqs in
+  let base =
+    Engine.simulate ~model ~record_timeline:true ~disks Dp_disksim.Policy.No_pm requests
+  in
   let timeline =
     match base.Engine.timeline with
     | Some t -> t
     | None -> assert false
   in
   let gaps = gaps_of_timeline timeline ~makespan_ms:base.Engine.makespan_ms in
-  let per_disk = Array.map (fun gs -> schedule ~model space gs) gaps in
+  { model; disks; requests; base; gaps }
+
+let bound ~space (r : reference) =
+  let c = costs r.model in
+  let per_disk = Array.map (fun gs -> schedule_in c space gs) r.gaps in
   let gap_j =
     Array.fold_left
-      (fun acc gs -> List.fold_left (fun a g -> a +. gap_floor_j space model g) acc gs)
-      0.0 gaps
+      (fun acc gs -> List.fold_left (fun a g -> a +. gap_floor_j space c g) acc gs)
+      0.0 r.gaps
   in
-  let busy_j = busy_floor_j space model ~disks reqs in
-  { space; energy_j = busy_j +. gap_j; busy_j; gap_j; per_disk; base }
+  let busy_j = busy_floor_j space r.model ~disks:r.disks r.requests in
+  { space; energy_j = busy_j +. gap_j; busy_j; gap_j; per_disk; base = r.base }
+
+let lower_bound ?model ?(space = Full_space) ~disks reqs =
+  bound ~space (reference ?model ~disks reqs)
 
 let lower_bound_energy_j ?model ?space ~disks reqs =
   (lower_bound ?model ?space ~disks reqs).energy_j
@@ -262,7 +297,7 @@ let nominalize ?(model = Disk_model.ultrastar_36z15) ~disks reqs =
           (Printf.sprintf "Oracle.nominalize: non-finite time (arrival_ms %g, think_ms %g)"
              r.Request.arrival_ms r.Request.think_ms))
     reqs;
-  let reqs = List.sort Request.compare_arrival reqs in
+  let reqs = Request.sort_arrival reqs in
   let n_proc = 1 + List.fold_left (fun acc (r : Request.t) -> max acc r.Request.proc) (-1) reqs in
   let n_seg = 1 + List.fold_left (fun acc (r : Request.t) -> max acc r.Request.seg) 0 reqs in
   let queues : Request.t list array array =
@@ -329,7 +364,8 @@ let nominalize ?(model = Disk_model.ultrastar_36z15) ~disks reqs =
    also how the engine routes them to gaps. *)
 let hints_of_trace ?(model = Disk_model.ultrastar_36z15) ?(space = Full_space) ~disks reqs
     =
-  let reqs = List.sort Request.compare_arrival reqs in
+  let reqs = Request.sort_arrival reqs in
+  let c = costs model in
   let completion = Array.make disks 0.0 in
   let last_end = Array.make disks (-1) in
   let su_ms = ms_of_s model.Disk_model.spin_up_s in
@@ -338,7 +374,7 @@ let hints_of_trace ?(model = Disk_model.ultrastar_36z15) ?(space = Full_space) ~
     let g = { start_ms; len_ms; terminal } in
     (match space with
     | Tpm_space | Full_space -> (
-        match best_gap ~model Tpm_space g with
+        match best_in c Tpm_space g with
         | Spin_cycle, _ ->
             hints := { Hint.at_ms = start_ms; disk; action = Hint.Spin_down } :: !hints;
             if not terminal then
@@ -353,7 +389,7 @@ let hints_of_trace ?(model = Disk_model.ultrastar_36z15) ?(space = Full_space) ~
     | Drpm_space -> ());
     match space with
     | Drpm_space | Full_space -> (
-        match best_gap ~model Drpm_space g with
+        match best_in c Drpm_space g with
         | Rpm_dip rpm, _ ->
             hints := { Hint.at_ms = start_ms; disk; action = Hint.Set_rpm rpm } :: !hints
         | _ -> ())

@@ -89,13 +89,39 @@ type bound = {
       (** the no-PM reference run whose timeline defines the gaps *)
 }
 
+(** The bound is computed in two steps.  {!reference} is the part that
+    depends only on the trace: one no-PM run of the engine with its
+    timeline recorded, and the idle gaps of that timeline.  {!bound}
+    then plans the gaps and floors the service for one transition
+    space.  The three spaces share one reference, so a matrix with
+    several oracle rows over the same trace replays the trace once. *)
+
+type reference = private {
+  model : Disk_model.t;
+  disks : int;
+  requests : Request.t list;  (** the trace in {!Request.compare_arrival} order *)
+  base : Engine.result;  (** the no-PM run, timeline recorded *)
+  gaps : gap list array;  (** per-disk idle gaps of [base] ({!gaps_of_timeline}) *)
+}
+
+val reference : ?model:Disk_model.t -> disks:int -> Request.t list -> reference
+(** Simulate the trace once without power management to fix its
+    busy/idle structure.  The requests may come in any order; a list
+    already in arrival order is used as is, not re-sorted
+    ({!Request.sort_arrival}).  Requests the engine rejects raise
+    [Invalid_argument], as in {!Engine.simulate}. *)
+
+val bound : space:space -> reference -> bound
+(** Bound every policy of [space] from below on the reference's trace:
+    optimal gap plans plus the cheapest admissible service energy.  The
+    [space] selects the [Oracle-TPM] / [Oracle-DRPM] rows of the
+    experiments matrix.  The reference is only read, so one serves any
+    number of calls. *)
+
 val lower_bound :
   ?model:Disk_model.t -> ?space:space -> disks:int -> Request.t list -> bound
-(** Simulate the trace once without power management to fix the busy/idle
-    structure, then bound every policy from below: optimal gap plans plus
-    the cheapest admissible service energy.  [space] (default
-    [Full_space]) restricts the transitions the oracle may use, giving
-    the [Oracle-TPM] / [Oracle-DRPM] rows of the experiments matrix. *)
+(** [bound ~space (reference ?model ~disks reqs)], [space] defaulting to
+    [Full_space]. *)
 
 val lower_bound_energy_j :
   ?model:Disk_model.t -> ?space:space -> disks:int -> Request.t list -> float
@@ -122,7 +148,9 @@ val hints_of_trace :
     The gap prediction reads [Request.arrival_ms], so the trace must
     carry nominal arrivals — generator traces do; pass hand-built
     traces through {!nominalize} first (and feed the nominalized trace
-    to the engine too, since hint routing matches on the same field). *)
+    to the engine too, since hint routing matches on the same field).
+    The requests may come in any order; a list already in arrival
+    order is not re-sorted ({!Request.sort_arrival}). *)
 
 val nominalize :
   ?model:Disk_model.t -> disks:int -> Request.t list -> Request.t list
@@ -131,9 +159,11 @@ val nominalize :
     fork-join segment barriers, FIFO disks with the engine's seek
     rule).  Returns the requests in the engine's (issue time,
     processor) issue order; each arrival is the instant
-    {!Engine.simulate} under [No_pm] issues that request.  A request
-    outside [0, disks) or with a non-finite [arrival_ms] or [think_ms]
-    raises [Invalid_argument]. *)
+    {!Engine.simulate} under [No_pm] issues that request.  The input
+    may come in any order and is put in arrival order by
+    {!Request.sort_arrival}, as the engine does.  A request outside
+    [0, disks) or with a non-finite [arrival_ms] or [think_ms] raises
+    [Invalid_argument]. *)
 
 val pp_plan : Format.formatter -> plan -> unit
 val pp_bound : Format.formatter -> bound -> unit

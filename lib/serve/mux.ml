@@ -29,4 +29,4 @@ let merge ~rng ~jitter_ms tenants =
           t.Tenant.stream)
       tenants
   in
-  List.stable_sort Request.compare_arrival shifted
+  Request.sort_arrival shifted

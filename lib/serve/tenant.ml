@@ -18,7 +18,7 @@ let app_names = [| "AST"; "FFT"; "Cholesky"; "Visuo"; "SCF 3.0"; "RSense 2.0" |]
    sort can never reorder a tenant's requests), think chained to the
    arrival deltas. *)
 let normalize ~disks reqs =
-  let reqs = List.stable_sort Request.compare_arrival reqs in
+  let reqs = Request.sort_arrival reqs in
   let base = match reqs with [] -> 0.0 | r :: _ -> r.Request.arrival_ms in
   let prev = ref neg_infinity in
   List.map
@@ -45,7 +45,7 @@ let rec take n = function
 let app_stream ?cache ~disks name =
   let ctx = Pipeline.load ?cache ("app:" ^ name) in
   let trace = Pipeline.trace ctx ~procs:1 Pipeline.Original in
-  normalize ~disks (take app_window (List.stable_sort Request.compare_arrival trace))
+  normalize ~disks (take app_window (Request.sort_arrival trace))
 
 let population ?cache ~rng ~tenants ~disks () =
   if tenants < 1 then invalid_arg "Tenant.population: tenants must be >= 1";

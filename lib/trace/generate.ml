@@ -82,7 +82,7 @@ let trace ?(cost = Cost_model.default) layout (prog : Ir.program) (g : Concrete.
     Array.fill clocks 0 n_proc latest;
     Array.fill think 0 n_proc 0.0
   done;
-  List.sort Request.compare_arrival !requests
+  Request.sort_arrival !requests
 
 let single_stream _g ~order = [| [ order ] |]
 

@@ -22,7 +22,8 @@ let parse_line_res line =
   let ( let* ) = Result.bind in
   let num name s =
     match float_of_string_opt s with
-    | Some f -> Ok f
+    | Some f when Float.is_finite f -> Ok f
+    | Some _ -> Error (Printf.sprintf "bad hint %s %S (expected a finite number)" name s)
     | None -> Error (Printf.sprintf "bad hint %s %S (expected a number)" name s)
   in
   let int name s =

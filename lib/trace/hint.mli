@@ -45,4 +45,6 @@ val parse_line : string -> t
 (** @raise Failure on a malformed hint line. *)
 
 val parse_line_res : string -> (t, string) result
-(** Parse one hint line; the error names the offending field. *)
+(** Parse one hint line; the error names the offending field.  The time
+    and the pre-spin-up lead must be finite numbers: a [nan] time would
+    sort before every other hint and stall the disk's hint stream. *)

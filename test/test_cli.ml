@@ -64,7 +64,34 @@ let test_dpsim_malformed_trace () =
       check Alcotest.bool
         (Printf.sprintf "non-finite think: names file:line and field (got %S)" err)
         true
-        (contains ~needle:(path ^ ":2:") err && contains ~needle:"think_ms" err))
+        (contains ~needle:(path ^ ":2:") err && contains ~needle:"think_ms" err));
+  (* Likewise a non-finite hint time or lead: a [nan] time sorts first
+     and the engine would silently drop every later hint on the disk. *)
+  let requests =
+    "0.000 1.000 0 0 0 1024 R 0 0\n100.000 20000.000 0 4096 4096 1024 R 0 0\n\
+     40200.000 40000.000 0 8192 8192 1024 R 0 0\n"
+  in
+  List.iter
+    (fun (hints, line, field) ->
+      with_trace_file (requests ^ hints) (fun path ->
+          let code, _, err = run [ dpsim; path; "--policy"; "tpm"; "--proactive" ] in
+          check Alcotest.int ("non-finite hint " ^ field ^ ": exit code") 2 code;
+          check Alcotest.bool ("non-finite hint " ^ field ^ ": one-line diagnostic") true
+            (one_line err);
+          check Alcotest.bool
+            (Printf.sprintf "non-finite hint %s: names file:line and field (got %S)" field
+               err)
+            true
+            (contains ~needle:(Printf.sprintf "%s:%d:" path line) err
+            && contains ~needle:("hint " ^ field) err
+            && contains ~needle:"finite" err)))
+    [
+      ( "H nan 0 D\nH 15000.000 0 U 10900.000\n\
+         H 20200.000 0 D\nH 29300.000 0 U 10900.000\n",
+        4,
+        "time" );
+      ("H 10.000 0 D\nH 15000.000 0 U inf\n", 5, "lead");
+    ]
 
 let test_dpsim_unknown_flag () =
   let code, _, err = run [ dpsim; "--no-such-flag" ] in

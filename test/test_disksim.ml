@@ -214,7 +214,26 @@ let test_engine_validation () =
       ("nan think", req ~think:Float.nan ());
       ("infinite think", req ~think:Float.infinity ());
       ("nan arrival", { (req ~think:1.0 ()) with Request.arrival_ms = Float.nan });
-    ]
+    ];
+  (* A non-finite hint time would sort before every other hint and stall
+     the disk's hint stream; a non-finite lead has no instant to act at. *)
+  List.iter
+    (fun (name, h) ->
+      match
+        Engine.simulate ~hints:[ h ] ~disks:1 (Policy.tpm ~proactive:true ())
+          [ req ~think:1.0 (); req ~think:20_000.0 () ]
+      with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "%s must be rejected" name)
+    (let open Dp_trace.Hint in
+     List.map
+       (fun (name, at_ms, action) -> (name, { at_ms; disk = 0; action }))
+       [
+         ("nan hint time", Float.nan, Spin_down);
+         ("infinite hint time", Float.infinity, Set_rpm 3000);
+         ("nan lead", 10.0, Pre_spin_up Float.nan);
+         ("infinite lead", 10.0, Pre_spin_up Float.neg_infinity);
+       ])
 
 (* The issue order shared by the serial loop and the shard merge: among
    processors due at the same instant the lower index issues first. *)

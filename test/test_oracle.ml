@@ -306,6 +306,33 @@ let prop_nominalize_matches_engine =
           && List.for_all2 (fun a b -> Float.abs (a -. b) <= 1e-6) mine engine)
         (List.sort_uniq Int.compare (List.map (fun (r : Request.t) -> r.Request.proc) reqs)))
 
+(* The reference/bound split: one reference serves all three spaces,
+   each equal field for field — floats bit for bit — to a standalone
+   [lower_bound] on the same (shuffled, so unsorted) trace. *)
+let bits = Int64.bits_of_float
+
+let same_bound (a : Oracle.bound) (b : Oracle.bound) =
+  a.Oracle.space = b.Oracle.space
+  && bits a.Oracle.energy_j = bits b.Oracle.energy_j
+  && bits a.Oracle.busy_j = bits b.Oracle.busy_j
+  && bits a.Oracle.gap_j = bits b.Oracle.gap_j
+  && a.Oracle.per_disk = b.Oracle.per_disk
+  && a.Oracle.base = b.Oracle.base
+
+let prop_reference_shared =
+  qtest ~count:100 "Oracle: one reference serves every space"
+    QCheck2.Gen.(multi_proc_gen >>= shuffle_l)
+    (fun reqs ->
+      let disks = 3 in
+      let r = Oracle.reference ~disks reqs in
+      let sorted = Request.sort_arrival reqs in
+      List.for_all
+        (fun space ->
+          same_bound (Oracle.bound ~space r) (Oracle.lower_bound ~space ~disks reqs))
+        [ Oracle.Tpm_space; Oracle.Drpm_space; Oracle.Full_space ]
+      (* An ordered trace is taken as is, not copied by a re-sort. *)
+      && (Oracle.reference ~disks sorted).Oracle.requests == sorted)
+
 let test_nominalize_validation () =
   List.iter
     (fun (name, r) ->
@@ -343,6 +370,7 @@ let suites =
         Alcotest.test_case "tight on a known trace" `Quick test_bound_on_known_trace;
         prop_sandwich;
         prop_space_ordering;
+        prop_reference_shared;
       ] );
     ( "oracle.hints",
       [

@@ -145,7 +145,34 @@ let test_memo_sharing () =
   let plain = Pipeline.load transpose in
   ignore (Pipeline.streams plain ~procs:4 Pipeline.Original);
   check Alcotest.int "no cluster table for the original order" 0
-    (Pipeline.stats plain).Pipeline.cluster_builds
+    (Pipeline.stats plain).Pipeline.cluster_builds;
+  (* The in-memory stages a trace feeds: the nine rows replay three
+     traces, so three summaries, and the two oracle rows share one
+     no-PM reference run — however many domains run the rows, as
+     [Experiments.build_matrix] fans them out. *)
+  let matrix ~jobs ctx versions =
+    ignore (Domain_pool.map ~jobs (fun v -> Dp_harness.Runner.run ctx ~procs:4 v) versions)
+  in
+  let builds ctx =
+    let st = Pipeline.stats ctx in
+    (st.Pipeline.summary_builds, st.Pipeline.reference_builds)
+  in
+  let pair = Alcotest.(pair int int) in
+  List.iter
+    (fun jobs ->
+      let shared = Pipeline.load transpose in
+      matrix ~jobs shared versions;
+      check pair
+        (Printf.sprintf "jobs %d: 3 summaries, 1 reference for 9 rows" jobs)
+        (3, 1) (builds shared);
+      matrix ~jobs shared versions;
+      check pair (Printf.sprintf "jobs %d: a second matrix builds none" jobs) (3, 1)
+        (builds shared);
+      let no_oracle = Pipeline.load transpose in
+      matrix ~jobs no_oracle Version.multi_cpu;
+      check pair (Printf.sprintf "jobs %d: no oracle rows, no reference" jobs) (3, 0)
+        (builds no_oracle))
+    [ 1; 4 ]
 
 let test_memo_same_result () =
   let ctx = Pipeline.load transpose in

@@ -142,7 +142,64 @@ let test_hint_malformed () =
       "H 1.0 0 U" (* missing lead *);
       "H 1.0 0 S notanint";
       "H 1.0" (* truncated *);
+      "H nan 0 D" (* non-finite time *);
+      "H inf 0 S 3000";
+      "H 1.0 0 U nan" (* non-finite lead *);
+      "H 1.0 0 U -inf";
     ]
+
+(* --- arrival order --- *)
+
+(* The comparator [compare_arrival] replaced: polymorphic [compare] on
+   a (proc, address) tuple to break arrival ties. *)
+let tuple_compare (a : Request.t) (b : Request.t) =
+  match Float.compare a.arrival_ms b.arrival_ms with
+  | 0 -> compare (a.proc, a.address) (b.proc, b.address)
+  | c -> c
+
+(* Heavy ties: three arrival instants, three processors, three
+   addresses.  [lba] numbers the requests, so a sort that reorders
+   equal keys shows in the result. *)
+let tied_trace =
+  let open QCheck in
+  map
+    (List.mapi (fun i (t, proc, address) : Request.t ->
+         {
+           arrival_ms = float_of_int t;
+           think_ms = 0.0;
+           seg = 0;
+           address;
+           lba = i;
+           size = 512;
+           mode = Ir.Read;
+           proc;
+           disk = 0;
+         }))
+    (list_of_size (Gen.int_range 0 60)
+       (triple (int_range 0 2) (int_range 0 2) (int_range (-1) 1)))
+
+let test_sort_arrival_stable =
+  QCheck.Test.make ~count:300 ~name:"sort_arrival = stable sort by the tuple comparator"
+    tied_trace (fun reqs ->
+      Request.sort_arrival reqs = List.stable_sort tuple_compare reqs)
+
+let test_sort_arrival_in_order =
+  QCheck.Test.make ~count:300 ~name:"sort_arrival returns an ordered list itself" tied_trace
+    (fun reqs ->
+      let sorted = List.stable_sort tuple_compare reqs in
+      Request.sort_arrival sorted == sorted)
+
+let test_compare_arrival_sign =
+  QCheck.Test.make ~count:100
+    ~name:"compare_arrival agrees in sign with the tuple comparator" tied_trace (fun reqs ->
+      List.for_all
+        (fun a ->
+          List.for_all
+            (fun b ->
+              Int.compare (Request.compare_arrival a b) 0
+              = Int.compare (tuple_compare a b) 0)
+            reqs)
+        reqs)
 
 (* --- fault windows riding in the trace file, and result-returning loads --- *)
 
@@ -662,6 +719,9 @@ let suites =
         Alcotest.test_case "idle stats" `Quick test_idle_stats;
         Alcotest.test_case "restructuring lengthens gaps" `Slow
           test_idle_stats_restructuring_helps;
+        QCheck_alcotest.to_alcotest test_sort_arrival_stable;
+        QCheck_alcotest.to_alcotest test_sort_arrival_in_order;
+        QCheck_alcotest.to_alcotest test_compare_arrival_sign;
       ] );
     ( "trace.bin",
       [
