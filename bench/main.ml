@@ -603,7 +603,7 @@ let pipeline_bench () =
   (* Domain-parallel matrix: same rows, jobs=1 vs jobs=4; the JSON must
      be byte-identical (the determinism contract CI enforces).  The
      speedup only materializes with real cores — on a single-core host
-     extra domains just add GC pressure, so only the mismatch is fatal. *)
+     the pool runs inline — so only the mismatch is fatal. *)
   let apps = List.filter_map Workloads.by_name [ "AST"; "RSense 2.0" ] in
   let build jobs =
     Experiments.build_matrix ~apps ~jobs ~procs:4 ~versions:Version.multi_cpu ()
@@ -691,7 +691,7 @@ let serve_bench () =
     let r = f () in
     (r, Unix.gettimeofday () -. t0)
   in
-  let jobs = min 4 (Domain.recommended_domain_count ()) in
+  let jobs = 4 in
   let rows =
     List.map
       (fun tenants ->

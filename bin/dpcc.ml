@@ -823,15 +823,17 @@ let jobs_arg =
     value & opt int 1
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
-          "Run matrix rows on N domains in parallel; results are deterministic — output \
-           is byte-identical to --jobs 1")
+          "Run matrix rows in parallel on up to N domains, never more than the host's \
+           recommended domain count; results are deterministic — output is \
+           byte-identical to --jobs 1")
 
 let shards_arg =
   Arg.(
     value & opt int 1
     & info [ "shards" ] ~docv:"N"
         ~doc:
-          "Fan each simulation across up to N domains: every trace segment splits into \
+          "Fan each simulation across up to N domains, never more than the host's \
+           recommended domain count: every trace segment splits into \
            the connected components of its processor-disk interaction graph and the \
            components run in parallel, rejoining at the segment barrier.  Results are \
            byte-identical to --shards 1.  Composes with --jobs (rows x intra-run \

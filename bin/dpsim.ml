@@ -262,7 +262,8 @@ let () =
       value & opt int 1
       & info [ "shards" ] ~docv:"N"
           ~doc:
-            "Fan the run across up to N domains (per-segment connected components of the \
+            "Fan the run across up to N domains, never more than the host's recommended \
+             domain count (per-segment connected components of the \
              processor-disk interaction graph, rejoining at each segment barrier); \
              results are byte-identical to --shards 1.  Refuses --live.")
   in

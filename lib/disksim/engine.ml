@@ -140,9 +140,9 @@ let obs_state = function
 (* Every joule the simulation accounts lands in exactly one segment (the
    conservation invariant the tests check); lump charges with no
    duration are recorded as zero-length segments.  [charge] is the
-   milliseconds credited to the state's statistic — usually
-   [stop -. start] but clipped for a spin-down truncated by the next
-   arrival — so a sink can reproduce the per-state stats exactly. *)
+   span's duration exactly as the state's statistic adds it ([stop -.
+   start] may round differently), so a sink can reproduce the per-state
+   stats bit for bit. *)
 let record_span st ~start ~stop ~charge ~energy state =
   if st.record && (stop > start || energy <> 0.0) then
     st.segs <- { Timeline.start_ms = start; stop_ms = stop; state; energy_j = energy } :: st.segs;
@@ -205,12 +205,15 @@ let charge_busy model st ~rpm ~degraded ms =
 
 (* --- fault-aware primitive transitions --- *)
 
-let spin_down model st ~clip =
+(* A spin-down always runs to completion, and an arrival that lands
+   inside it waits, so the whole spin-down is charged however little of
+   the gap was left. *)
+let spin_down model st =
   let sd_ms = ms_of_s model.Disk_model.spin_down_s in
-  st.transition <- st.transition +. Float.min sd_ms clip;
+  st.transition <- st.transition +. sd_ms;
   st.energy <- st.energy +. model.Disk_model.spin_down_j;
   st.downs <- st.downs + 1;
-  record_span st ~start:st.now ~stop:(st.now +. sd_ms) ~charge:(Float.min sd_ms clip)
+  record_span st ~start:st.now ~stop:(st.now +. sd_ms) ~charge:sd_ms
     ~energy:model.Disk_model.spin_down_j Timeline.Transition;
   st.now <- st.now +. sd_ms
 
@@ -375,7 +378,7 @@ let gap_tpm model (cfg : Policy.tpm_config) st ~until =
     else begin
       spend_idle model st threshold;
       decision st "tpm:threshold-spin-down";
-      spin_down model st ~clip:(until -. st.now);
+      spin_down model st;
       (* If the next arrival lands inside the spin-down, st.now already
          passed [until]; the standby span is empty. *)
       if until > st.now then spend_standby model st (until -. st.now);
@@ -401,7 +404,7 @@ let gap_tpm_proactive model (cfg : Policy.tpm_config) fctx st ~until ~terminal =
     if gap <= threshold then spend_idle model st gap
     else begin
       decision st "tpm:planned-spin-down";
-      spin_down model st ~clip:sd_ms;
+      spin_down model st;
       if terminal then begin
         (* No next request: stay in standby to the end of the window. *)
         if until > st.now then spend_standby model st (until -. st.now)
@@ -470,7 +473,7 @@ let gap_tpm_hinted model fctx st ~until ~terminal ~spin_down:do_spin_down ~lead 
     end
     else begin
       decision st "tpm:hint-spin-down";
-      spin_down model st ~clip:sd_ms;
+      spin_down model st;
       if terminal then spend_standby model st (until -. st.now)
       else begin
         let start_up =
@@ -636,7 +639,7 @@ let gap_adaptive model ctrl fctx st ~until ~terminal =
         else begin
           spend_idle model st threshold_ms;
           decision st "online:spin-down";
-          spin_down model st ~clip:(until -. st.now);
+          spin_down model st;
           if until > st.now then spend_standby model st (until -. st.now);
           not terminal
         end
@@ -1286,16 +1289,9 @@ let simulate ?(model = Disk_model.ultrastar_36z15) ?(record_timeline = false)
     | [] -> ()
     | [ g ] -> ignore (run_group ~batch:false pending g)
     | gs ->
-        (* Never oversubscribe the machine: extra domains on a saturated
-           core buy no parallelism but still pay the runtime's
-           stop-the-world coordination on every minor collection, a cost
-           that grows with the trace.  Clamped to one domain the pool
-           runs the groups sequentially in input order — same results,
-           and each group still scans only its own processors. *)
-        let jobs =
-          min (min shards (List.length gs)) (Domain.recommended_domain_count ())
+        let per_group =
+          Domain_pool.map ~jobs:shards (run_group ~batch:sink_on pending) gs
         in
-        let per_group = Domain_pool.map ~jobs (run_group ~batch:sink_on pending) gs in
         if sink_on then
           List.concat per_group
           |> List.stable_sort (fun (t1, p1, _) (t2, p2, _) ->

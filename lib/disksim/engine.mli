@@ -96,11 +96,13 @@ val simulate :
     on that key, so picking the next request costs O(log procs).
 
     [shards] (default 1) caps how many domains the engine may fan the
-    run across.  Each segment is split into the connected components of
-    its processor–disk interaction graph (requests as edges, closed
-    under mirror pairing when the repair domain is armed); components
-    share no mutable state, run in parallel, and rejoin at the
-    segment's fork-join barrier — the epoch boundary.  The result is
+    run across; {!Dp_util.Domain_pool} never runs more than the
+    hardware's recommended domain count.  Each segment is split into
+    the connected components of its processor–disk interaction graph
+    (requests as edges, closed under mirror pairing when the repair
+    domain is armed); components share no mutable state, run in
+    parallel, and rejoin at the segment's fork-join barrier — the epoch
+    boundary.  The result is
     {e byte-identical} to [shards = 1] for every shard count: per-disk
     stats, timelines and repair digests are reproduced exactly, and
     observability events are re-merged into the serial emission order

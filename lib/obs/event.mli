@@ -21,11 +21,10 @@ type t =
       start_ms : float;
       stop_ms : float;  (** wall-clock span on the disk's timeline *)
       charge_ms : float;
-          (** milliseconds charged to the state's statistic.  Equals
-              [stop_ms -. start_ms] except for a spin-down clipped by
-              the end of its gap (the engine charges only the clipped
-              share) and zero-length lump charges; summing [charge_ms]
-              per state reproduces the engine's per-disk stats exactly. *)
+          (** milliseconds charged to the state's statistic: the
+              span's duration (0 for a zero-length lump charge), as the
+              exact value the engine adds, so summing [charge_ms] per
+              state reproduces the engine's per-disk stats exactly. *)
       energy_j : float;  (** energy charged to this span *)
     }
   | Service of {

@@ -42,7 +42,9 @@ let map ?(retries = 2) ~jobs f xs =
     | Ok v -> out.(i) <- Some v
     | Error e -> errs.(i) <- Some e
   in
-  let jobs = min jobs n in
+  (* The clamp: a domain beyond the cores buys no parallelism, yet every
+     minor collection must still stop it with the others. *)
+  let jobs = min (min jobs n) (Domain.recommended_domain_count ()) in
   if jobs <= 1 then
     for i = 0 to n - 1 do
       run i
@@ -70,5 +72,3 @@ let map ?(retries = 2) ~jobs f xs =
   match first 0 with
   | Some (exn, bt) -> Printexc.raise_with_backtrace exn bt
   | None -> Array.to_list (Array.map Option.get out)
-
-let default_jobs () = min 8 (max 1 (Domain.recommended_domain_count () - 1))

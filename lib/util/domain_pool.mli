@@ -15,8 +15,14 @@
     path ([jobs = 1]) has the same complete-all-then-raise semantics, so
     it stays the byte-identical baseline.
 
-    [jobs = 1] (and singleton/empty inputs) run inline on the calling
-    domain — no domain is spawned. *)
+    {b The clamp}: a call runs
+    [min jobs (List.length xs) (Domain.recommended_domain_count ())]
+    domains, spawned for the call and joined before it returns.  A
+    domain beyond the hardware's cores buys no parallelism, yet every
+    minor collection must still stop it with the others, so no caller
+    needs to clamp [jobs] itself.  When that count is 1 — [jobs = 1], a
+    singleton or empty input, or a one-core host — the tasks run inline
+    on the calling domain and no domain is spawned. *)
 
 exception Transient of exn
 (** Wrap an exception in [Transient] to ask the pool to retry the task
@@ -25,9 +31,9 @@ exception Transient of exn
     re-raises. *)
 
 val map : ?retries:int -> jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** [map ~jobs f xs] applies [f] to every element of [xs] on a pool of
-    [min jobs (length xs)] domains (the calling domain counts as one)
-    and returns the results in input order.
+(** [map ~jobs f xs] applies [f] to every element of [xs] on up to
+    [jobs] domains, never more than the clamp above allows (the calling
+    domain counts as one), and returns the results in input order.
 
     Tasks are claimed from a shared atomic counter, so an imbalanced
     workload still keeps every domain busy.  A task raising
@@ -37,7 +43,3 @@ val map : ?retries:int -> jobs:int -> ('a -> 'b) -> 'a list -> 'b list
     before the first input-order failure is re-raised — see the
     supervision contract above.
     @raise Invalid_argument if [jobs < 1] or [retries < 0]. *)
-
-val default_jobs : unit -> int
-(** A conservative pool size for experiment fan-out:
-    [max 1 (recommended_domain_count () - 1)], capped at 8. *)

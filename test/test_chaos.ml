@@ -112,7 +112,9 @@ let test_spec_errors_echo_value () =
 let test_oracle_green () =
   (* A handful of tokens spanning the knob space: the paired
      configurations must agree and every invariant must hold on the
-     real engine. *)
+     real engine.  0x6358cb18bbd76731 is scenario 207 of seed 2, a
+     reactive-TPM run whose arrivals land inside spin-downs: it pins
+     found-bug ledger #4 (conservation:base). *)
   List.iter
     (fun token ->
       let s = Scenario.generate token in
@@ -125,7 +127,7 @@ let test_oracle_green () =
         (List.length o.Check.violations);
       check Alcotest.bool "multiple engine runs" true (o.Check.runs >= 8);
       check Alcotest.bool "non-empty trace" true (o.Check.requests > 0))
-    [ 1L; 5L; 12L; 1234L ]
+    [ 1L; 5L; 12L; 1234L; 0x6358cb18bbd76731L ]
 
 let test_sabotage_fires () =
   let s = Scenario.generate 21L in

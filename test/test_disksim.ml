@@ -147,6 +147,20 @@ let test_engine_closed_loop () =
       check (Alcotest.float 1e-6) "think time after completion" (c2' +. 100.0) a3'
   | _ -> Alcotest.fail "expected three services per run"
 
+let test_engine_tpm_mid_spin_down () =
+  (* The second request arrives 800 ms into the spin-down that starts
+     15.2 s into the gap.  The spin-down still runs its full 1.5 s, so
+     the whole of it is charged and the state times cover the timeline. *)
+  let reqs = [ req ~think:10.0 (); req ~think:16_000.0 ~lba:(1 lsl 30) () ] in
+  let r = Engine.simulate ~record_timeline:true ~disks:1 Policy.default_tpm reqs in
+  let d = r.Engine.per_disk.(0) in
+  check Alcotest.int "one spin down" 1 d.Engine.spin_downs;
+  check (Alcotest.float 1e-6) "full spin-down and spin-up charged" (1_500.0 +. 10_900.0)
+    d.Engine.transition_ms;
+  check
+    Alcotest.(result unit string)
+    "conservation" (Ok ()) (Engine.check_conservation r)
+
 let test_engine_tpm_short_gap () =
   (* Gap below threshold: no transitions at all. *)
   let reqs = [ req ~think:10.0 (); req ~think:10_000.0 ~lba:(1 lsl 30) () ] in
@@ -743,6 +757,7 @@ let suites =
         Alcotest.test_case "base two requests" `Quick test_engine_base_two_requests;
         Alcotest.test_case "queueing" `Quick test_engine_queueing;
         Alcotest.test_case "TPM reactive" `Quick test_engine_tpm_reactive;
+        Alcotest.test_case "TPM arrival mid-spin-down" `Quick test_engine_tpm_mid_spin_down;
         Alcotest.test_case "TPM short gap" `Quick test_engine_tpm_short_gap;
         Alcotest.test_case "TPM proactive" `Quick test_engine_tpm_proactive;
         Alcotest.test_case "DRPM downshift" `Quick test_engine_drpm_downshift;

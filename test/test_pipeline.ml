@@ -39,8 +39,27 @@ let test_pool_edges () =
   check Alcotest.bool "jobs < 1 rejected" true
     (match Domain_pool.map ~jobs:0 Fun.id [ 1 ] with
     | _ -> false
-    | exception Invalid_argument _ -> true);
-  check Alcotest.bool "default_jobs >= 1" true (Domain_pool.default_jobs () >= 1)
+    | exception Invalid_argument _ -> true)
+
+(* The clamp: asked for 64 domains, the pool runs no more than the
+   hardware recommends.  Each task sleeps so that every spawned domain
+   gets to claim one. *)
+let test_pool_clamp () =
+  let xs = List.init 64 Fun.id in
+  let results =
+    Domain_pool.map ~jobs:64
+      (fun x ->
+        Unix.sleepf 0.001;
+        (x, (Domain.self () :> int)))
+      xs
+  in
+  check Alcotest.(list int) "input order" xs (List.map fst results);
+  let domains = List.sort_uniq Int.compare (List.map snd results) in
+  check Alcotest.bool
+    (Printf.sprintf "%d domains ran, at most %d recommended" (List.length domains)
+       (Domain.recommended_domain_count ()))
+    true
+    (List.length domains <= Domain.recommended_domain_count ())
 
 exception Boom of int
 
@@ -392,6 +411,7 @@ let suites =
       [
         Alcotest.test_case "pool preserves order" `Quick test_pool_order;
         Alcotest.test_case "pool edge cases" `Quick test_pool_edges;
+        Alcotest.test_case "pool clamps to the hardware" `Quick test_pool_clamp;
         Alcotest.test_case "pool first error wins" `Quick test_pool_first_error_wins;
         test_pool_multi_failure;
         Alcotest.test_case "pool transient retry" `Quick test_pool_transient_retry;
