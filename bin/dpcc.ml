@@ -18,6 +18,7 @@ module Hint = Dp_trace.Hint
 module Bin = Dp_trace.Bin
 module Engine = Dp_disksim.Engine
 module Policy = Dp_disksim.Policy
+module Timeline = Dp_disksim.Timeline
 module Fault_model = Dp_faults.Fault_model
 module Repair = Dp_repair.Repair
 module Oracle = Dp_oracle.Oracle
@@ -264,9 +265,10 @@ let simulate source procs restructured mode_name policy_name per_disk timeline f
       | None ->
           let policy = policy_of_string policy_name in
           let faults = faults_of_spec faults_spec in
+          let recorder = if timeline then Some (Timeline.recorder ~disks ()) else None in
           let r =
-            Pipeline.simulate ?faults ~record_timeline:timeline ~shards ctx ~procs ~policy
-              mode
+            Pipeline.simulate ?faults ?obs:(Option.map fst recorder) ~shards ctx ~procs
+              ~policy mode
           in
           (match faults with
           | Some f -> Format.printf "%a@." Fault_model.pp f
@@ -280,11 +282,11 @@ let simulate source procs restructured mode_name policy_name per_disk timeline f
             Array.iter
               (fun d -> Format.printf "%a@." Engine.pp_disk_stats d)
               r.Engine.per_disk;
-          (match r.Engine.timeline with
-          | Some t ->
+          (match recorder with
+          | Some (_, finish) ->
               print_string
-                (Dp_disksim.Timeline.render ~model:Dp_disksim.Disk_model.ultrastar_36z15
-                   ~until_ms:r.Engine.makespan_ms t)
+                (Timeline.render ~model:Dp_disksim.Disk_model.ultrastar_36z15
+                   ~until_ms:r.Engine.makespan_ms (finish ()))
           | None -> ());
           (* Also report against the no-PM baseline on the same trace. *)
           if policy <> Policy.No_pm then begin

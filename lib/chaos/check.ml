@@ -4,6 +4,7 @@ module Bin = Dp_trace.Bin
 module Engine = Dp_disksim.Engine
 module Disk_model = Dp_disksim.Disk_model
 module Policy = Dp_disksim.Policy
+module Timeline = Dp_disksim.Timeline
 module Repair = Dp_repair.Repair
 module Fault_model = Dp_faults.Fault_model
 module Pipeline = Dp_pipeline.Pipeline
@@ -302,9 +303,9 @@ let run ?sabotage (s : Scenario.t) =
       List.iter
         (fun v -> add v.check v.detail)
         (compile_violations (Pipeline.graph ctx) segs));
-  let simulate ?faults ?obs ?record_timeline ?shards ?(hints = hints) policy =
+  let simulate ?faults ?obs ?shards ?(hints = hints) policy =
     incr runs;
-    Engine.simulate ~model ?obs ?record_timeline ?shards ~hints ?faults ?repair
+    Engine.simulate ~model ?obs ?shards ~hints ?faults ?repair
       ?deadline_ms:s.Scenario.deadline_ms ~disks policy trace
   in
   (* One observed run: a stream sink collecting every event (in the
@@ -324,13 +325,22 @@ let run ?sabotage (s : Scenario.t) =
           acc := e :: !acc;
           match account with Some (snk, _) -> Sink.emit snk e | None -> ())
     in
-    let r = simulate ?faults ?shards ~obs:sink ~record_timeline:timeline policy in
+    let r = simulate ?faults ?shards ~obs:sink policy in
     let events = List.rev !acc in
     if invariants then begin
       (* Without a timeline the conservation check still folds the
          per-disk energies; the segment-contiguity half needs the
-         recorded timeline and runs on the base leg only. *)
-      (match Engine.check_conservation r with
+         timeline of the collected spans and runs on the base leg
+         only. *)
+      let timeline =
+        if timeline then begin
+          let recorder, finish = Timeline.recorder ~disks () in
+          List.iter (Sink.emit recorder) events;
+          Some (finish ())
+        end
+        else None
+      in
+      (match Engine.check_conservation ?timeline r with
       | Ok () -> ()
       | Error detail -> add (Printf.sprintf "conservation:%s" label) detail);
       obs_invariants ?sabotage ~label ~add r events;

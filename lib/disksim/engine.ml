@@ -44,7 +44,6 @@ type result = {
   energy_j : float;
   io_time_ms : float;
   makespan_ms : float;
-  timeline : Timeline.t option;
 }
 
 (* The fault machinery of one run: the seeded injector deciding *when*
@@ -79,15 +78,13 @@ type disk_state = {
   mutable win_nominal : float;
   mutable last_end : int;  (* address right after the previous request; -1 initially *)
   mutable hints : Hint.t list;  (* pending compiler directives, by nominal time *)
-  record : bool;
-  mutable segs : Timeline.segment list;  (* reversed *)
   mutable sink : Sink.t;
       (* observability recorder; Sink.null by default.  Mutable because
          a sharded segment temporarily points the disks of a parallel
          group at a per-group buffering sink (see [simulate]). *)
 }
 
-let make_state ?(record = false) ?(sink = Sink.null) model id =
+let make_state ?(sink = Sink.null) model id =
   {
     id;
     now = 0.0;
@@ -112,8 +109,6 @@ let make_state ?(record = false) ?(sink = Sink.null) model id =
     win_nominal = 0.0;
     last_end = -1;
     hints = [];
-    record;
-    segs = [];
     sink;
   }
 
@@ -131,32 +126,34 @@ type repair_run = {
 let ms_of_s s = s *. 1000.0
 let energy_j_of ~watts ~ms = watts *. ms /. 1000.0
 
-let obs_state = function
-  | Timeline.Busy -> Obs_event.Active
-  | Timeline.Idle rpm -> Obs_event.Idle rpm
-  | Timeline.Standby -> Obs_event.Standby
-  | Timeline.Transition -> Obs_event.Transition
-
-(* Every joule the simulation accounts lands in exactly one segment (the
-   conservation invariant the tests check); lump charges with no
-   duration are recorded as zero-length segments.  [charge] is the
-   span's duration exactly as the state's statistic adds it ([stop -.
-   start] may round differently), so a sink can reproduce the per-state
-   stats bit for bit. *)
-let record_span st ~start ~stop ~charge ~energy state =
-  if st.record && (stop > start || energy <> 0.0) then
-    st.segs <- { Timeline.start_ms = start; stop_ms = stop; state; energy_j = energy } :: st.segs;
+(* The one charge path: every millisecond and joule the simulation
+   accounts goes through here.  From the same [ms] it adds to the
+   state's statistic, the energy total and the disk's clock, and emits
+   the [Power] span, so the spans are the disk's whole timeline (the
+   conservation invariant the tests check).  A lump charge with no
+   duration (a speed change overlapped with servicing) is a zero-length
+   span.  [charge_ms] is [ms] exactly as the statistic adds it ([stop_ms
+   -. start_ms] may round differently), so a sink can reproduce the
+   per-state stats bit for bit. *)
+let charge st state ~ms ~energy =
+  (match state with
+  | Obs_event.Active -> st.busy <- st.busy +. ms
+  | Obs_event.Idle _ -> st.idle <- st.idle +. ms
+  | Obs_event.Standby -> st.standby <- st.standby +. ms
+  | Obs_event.Transition -> st.transition <- st.transition +. ms);
+  st.energy <- st.energy +. energy;
   if Sink.enabled st.sink then
     Sink.emit st.sink
       (Obs_event.Power
          {
            disk = st.id;
-           state = obs_state state;
-           start_ms = start;
-           stop_ms = stop;
-           charge_ms = charge;
+           state;
+           start_ms = st.now;
+           stop_ms = st.now +. ms;
+           charge_ms = ms;
            energy_j = energy;
-         })
+         });
+  st.now <- st.now +. ms
 
 let decision st d =
   if Sink.enabled st.sink then
@@ -171,37 +168,26 @@ let repair_event st ~at ~op ~blocks ~cost =
     Sink.emit st.sink
       (Obs_event.Repair { disk = st.id; at_ms = at; op; blocks; cost_ms = cost })
 
-let spend_idle model st ms =
-  if ms > 0.0 then begin
-    let e = energy_j_of ~watts:(Disk_model.idle_power_w model ~rpm:st.rpm) ~ms in
-    st.idle <- st.idle +. ms;
-    st.energy <- st.energy +. e;
-    record_span st ~start:st.now ~stop:(st.now +. ms) ~charge:ms ~energy:e
-      (Timeline.Idle st.rpm);
-    st.now <- st.now +. ms
-  end
+(* Idle at the current speed for [ms], unconditionally: a zero-length
+   backoff is still a span. *)
+let charge_idle model st ms =
+  charge st (Obs_event.Idle st.rpm) ~ms
+    ~energy:(energy_j_of ~watts:(Disk_model.idle_power_w model ~rpm:st.rpm) ~ms)
+
+let spend_idle model st ms = if ms > 0.0 then charge_idle model st ms
 
 let spend_standby model st ms =
-  if ms > 0.0 then begin
-    let e = energy_j_of ~watts:model.Disk_model.power_standby_w ~ms in
-    st.standby <- st.standby +. ms;
-    st.energy <- st.energy +. e;
-    record_span st ~start:st.now ~stop:(st.now +. ms) ~charge:ms ~energy:e Timeline.Standby;
-    st.now <- st.now +. ms
-  end
+  if ms > 0.0 then
+    charge st Obs_event.Standby ~ms
+      ~energy:(energy_j_of ~watts:model.Disk_model.power_standby_w ~ms)
 
-(* Busy charge at an explicit speed, outside [serve]'s local closure:
-   scrub reads, rebuild writes and mirror failover reads all run at the
-   owning disk's current speed and land at its timeline frontier. *)
+(* Active at [rpm] for [ms]: a service and its re-reads run at the
+   serving speed; scrub reads, rebuild writes and mirror failover reads
+   at the owning disk's current speed. *)
 let charge_busy model st ~rpm ~degraded ms =
-  if ms > 0.0 then begin
-    let e = energy_j_of ~watts:(Disk_model.active_power_w model ~rpm) ~ms in
-    st.busy <- st.busy +. ms;
-    st.energy <- st.energy +. e;
-    if degraded then st.degraded <- st.degraded +. ms;
-    record_span st ~start:st.now ~stop:(st.now +. ms) ~charge:ms ~energy:e Timeline.Busy;
-    st.now <- st.now +. ms
-  end
+  if degraded then st.degraded <- st.degraded +. ms;
+  charge st Obs_event.Active ~ms
+    ~energy:(energy_j_of ~watts:(Disk_model.active_power_w model ~rpm) ~ms)
 
 (* --- fault-aware primitive transitions --- *)
 
@@ -209,13 +195,14 @@ let charge_busy model st ~rpm ~degraded ms =
    inside it waits, so the whole spin-down is charged however little of
    the gap was left. *)
 let spin_down model st =
-  let sd_ms = ms_of_s model.Disk_model.spin_down_s in
-  st.transition <- st.transition +. sd_ms;
-  st.energy <- st.energy +. model.Disk_model.spin_down_j;
   st.downs <- st.downs + 1;
-  record_span st ~start:st.now ~stop:(st.now +. sd_ms) ~charge:sd_ms
-    ~energy:model.Disk_model.spin_down_j Timeline.Transition;
-  st.now <- st.now +. sd_ms
+  charge st Obs_event.Transition ~ms:(ms_of_s model.Disk_model.spin_down_s)
+    ~energy:model.Disk_model.spin_down_j
+
+(* One full spin-up, in time and energy. *)
+let charge_spin_up model st =
+  charge st Obs_event.Transition ~ms:(ms_of_s model.Disk_model.spin_up_s)
+    ~energy:model.Disk_model.spin_up_j
 
 (* Bring the platters back to speed.  Under injected spin-up faults the
    motor needs [failures] extra attempts, each costing a full spin-up in
@@ -230,21 +217,14 @@ let spin_up model fctx st =
         Injector.spin_up_failures inj ~disk:st.id
           ~max_failures:(retry.Policy.max_attempts - 1)
   in
-  let attempt () =
-    st.transition <- st.transition +. su_ms;
-    st.energy <- st.energy +. model.Disk_model.spin_up_j;
-    record_span st ~start:st.now ~stop:(st.now +. su_ms) ~charge:su_ms
-      ~energy:model.Disk_model.spin_up_j Timeline.Transition;
-    st.now <- st.now +. su_ms
-  in
   for _ = 1 to failures do
     let at = st.now in
-    attempt ();
+    charge_spin_up model st;
     st.su_retries <- st.su_retries + 1;
     st.degraded <- st.degraded +. su_ms;
     fault_event st ~at ~kind:"spin-up-retry" ~cost:su_ms
   done;
-  attempt ();
+  charge_spin_up model st;
   st.ups <- st.ups + 1
 
 (* Consult-and-maybe-trigger: a stuck-RPM fault pins the speed for a
@@ -336,11 +316,7 @@ let fail_disk model rx st =
   let su_ms = ms_of_s model.Disk_model.spin_up_s in
   repair_event st ~at:st.now ~op:"disk-failed" ~blocks:0 ~cost:su_ms;
   decision st "repair:hot-spare-activate";
-  st.transition <- st.transition +. su_ms;
-  st.energy <- st.energy +. model.Disk_model.spin_up_j;
-  record_span st ~start:st.now ~stop:(st.now +. su_ms) ~charge:su_ms
-    ~energy:model.Disk_model.spin_up_j Timeline.Transition;
-  st.now <- st.now +. su_ms;
+  charge_spin_up model st;
   st.ups <- st.ups + 1;
   st.rpm <- model.Disk_model.rpm_max;
   st.last_end <- -1
@@ -491,27 +467,38 @@ let gap_tpm_hinted model fctx st ~until ~terminal ~spin_down:do_spin_down ~lead 
 
 (* DRPM: step the speed down one level per [downshift_idle_ms] of
    continuous idleness (plus the transition itself), then idle at the
-   reached speed. *)
-let drpm_shift model st ~rpm_to =
-  let ms = ms_of_s (Disk_model.drpm_level_transition_s model) in
-  let e = Disk_model.drpm_transition_j model ~rpm_from:st.rpm ~rpm_to in
-  st.transition <- st.transition +. ms;
-  st.energy <- st.energy +. e;
-  record_span st ~start:st.now ~stop:(st.now +. ms) ~charge:ms ~energy:e Timeline.Transition;
-  st.now <- st.now +. ms;
+   reached speed.  An [overlapped] shift runs under a service, so only
+   its energy is charged. *)
+let drpm_shift ?(overlapped = false) model st ~rpm_to =
+  let ms = if overlapped then 0.0 else ms_of_s (Disk_model.drpm_level_transition_s model) in
+  charge st Obs_event.Transition ~ms
+    ~energy:(Disk_model.drpm_transition_j model ~rpm_from:st.rpm ~rpm_to);
   st.rpm <- rpm_to;
   st.shifts <- st.shifts + 1
 
 (* A speed change that a stuck-RPM fault may refuse; [true] when the
    shift happened. *)
-let try_drpm_shift model fctx st ~rpm_to =
+let try_drpm_shift ?overlapped model fctx st ~rpm_to =
   if shift_refused fctx st then begin
     fault_event st ~at:st.now ~kind:"stuck-rpm" ~cost:0.0;
     false
   end
   else begin
-    drpm_shift model st ~rpm_to;
+    drpm_shift ?overlapped model st ~rpm_to;
     true
+  end
+
+(* After a request served below full speed, ramp back one level: the
+   transition overlaps servicing (the low-overhead dynamic-RPM design
+   of Gurumurthi et al.), so only its energy is charged — unless a
+   stuck-RPM fault refuses the shift. *)
+let recover_one_level model fctx st =
+  if st.rpm < model.Disk_model.rpm_max then begin
+    let rpm_to = st.rpm + model.Disk_model.rpm_step in
+    if
+      try_drpm_shift ~overlapped:true model fctx st ~rpm_to
+      && rpm_to = model.Disk_model.rpm_max
+    then st.ups <- st.ups + 1
   end
 
 let drpm_floor model (cfg : Policy.drpm_config) =
@@ -676,14 +663,6 @@ let serve model fctx rctx st ~proc ~arrival ~lba ~bytes ~rpm ~recon =
      to the arrival for gaps, so any remainder here is spin-up overhang
      (st.now > arrival) or zero. *)
   if start > st.now then spend_idle model st (start -. st.now);
-  let spend_busy ~degraded ms =
-    let e = energy_j_of ~watts:(Disk_model.active_power_w model ~rpm) ~ms in
-    st.busy <- st.busy +. ms;
-    st.energy <- st.energy +. e;
-    if degraded then st.degraded <- st.degraded +. ms;
-    record_span st ~start:st.now ~stop:(st.now +. ms) ~charge:ms ~energy:e Timeline.Busy;
-    st.now <- st.now +. ms
-  in
   (* Servo recalibration: an injected latency spike stalls the head
      (at active power) before the transfer begins. *)
   (match fctx with
@@ -693,12 +672,12 @@ let serve model fctx rctx st ~proc ~arrival ~lba ~bytes ~rpm ~recon =
       if spike > 0.0 then begin
         st.spikes <- st.spikes + 1;
         fault_event st ~at:st.now ~kind:"latency-spike" ~cost:spike;
-        spend_busy ~degraded:true spike
+        charge_busy model st ~rpm ~degraded:true spike
       end);
   let service = Disk_model.service_ms ~seek_distance model ~rpm ~bytes in
   st.last_end <- lba + bytes;
   let stuck_slow = serving_degraded fctx st && rpm < model.Disk_model.rpm_max in
-  spend_busy ~degraded:stuck_slow service;
+  charge_busy model st ~rpm ~degraded:stuck_slow service;
   (* Persistent media decay: one seed-driven draw per service may grow a
      new bad sector somewhere on the surface; the first foreground touch
      of a bad block pays the remap (extra seek + spare write), later
@@ -723,10 +702,10 @@ let serve model fctx rctx st ~proc ~arrival ~lba ~bytes ~rpm ~recon =
           *. Disk_model.remap_ms model ~rpm ~block_bytes:cfg.Repair.block_bytes
         in
         repair_event st ~at:st.now ~op:"remap" ~blocks:touch.Repair.remapped ~cost:ms;
-        spend_busy ~degraded:true ms
+        charge_busy model st ~rpm ~degraded:true ms
       end;
       if touch.Repair.penalty_hits > 0 then
-        spend_busy ~degraded:true
+        charge_busy model st ~rpm ~degraded:true
           (float_of_int touch.Repair.penalty_hits *. model.Disk_model.remap_penalty_ms);
       if recon then begin
         (* Degraded read: routed here because the home disk failed; the
@@ -735,7 +714,7 @@ let serve model fctx rctx st ~proc ~arrival ~lba ~bytes ~rpm ~recon =
         repair_event st ~at:st.now ~op:"reconstruct"
           ~blocks:((bytes + cfg.Repair.block_bytes - 1) / cfg.Repair.block_bytes)
           ~cost:model.Disk_model.remap_penalty_ms;
-        spend_busy ~degraded:true model.Disk_model.remap_penalty_ms
+        charge_busy model st ~rpm ~degraded:true model.Disk_model.remap_penalty_ms
       end);
   (* Transient media errors: re-service (no seek — the head is already
      there) after a bounded exponential backoff per retry.  Under a
@@ -766,18 +745,8 @@ let serve model fctx rctx st ~proc ~arrival ~lba ~bytes ~rpm ~recon =
           fault_event st ~at:st.now ~kind:"media-retry" ~cost:(backoff +. reread);
           (* The platters keep spinning while the controller backs off:
              idle power at the current speed. *)
-          let e = energy_j_of ~watts:(Disk_model.idle_power_w model ~rpm:st.rpm) ~ms:backoff in
-          st.idle <- st.idle +. backoff;
-          st.energy <- st.energy +. e;
-          record_span st ~start:st.now ~stop:(st.now +. backoff) ~charge:backoff ~energy:e
-            (Timeline.Idle st.rpm);
-          st.now <- st.now +. backoff;
-          let ms = reread in
-          let e = energy_j_of ~watts:(Disk_model.active_power_w model ~rpm) ~ms in
-          st.busy <- st.busy +. ms;
-          st.energy <- st.energy +. e;
-          record_span st ~start:st.now ~stop:(st.now +. ms) ~charge:ms ~energy:e Timeline.Busy;
-          st.now <- st.now +. ms
+          charge_idle model st backoff;
+          charge_busy model st ~rpm ~degraded:false reread
         done
         with Exit -> ())
       end);
@@ -799,6 +768,9 @@ let serve model fctx rctx st ~proc ~arrival ~lba ~bytes ~rpm ~recon =
            lba;
            bytes;
          });
+  (* A miss is stamped on this disk's clock, where a failed-over request
+     abandoned its retries: the mirror's read time would stamp it past
+     later misses on this disk. *)
   (match rctx with
   | Some { deadline_ms = Some d; _ } when response > d ->
       if Sink.enabled st.sink then
@@ -807,7 +779,7 @@ let serve model fctx rctx st ~proc ~arrival ~lba ~bytes ~rpm ~recon =
              {
                disk = st.id;
                proc;
-               at_ms = st.now +. !extra;
+               at_ms = st.now;
                response_ms = response;
                deadline_ms = d;
              })
@@ -886,22 +858,9 @@ let rec handle_request model policy ctrl fctx rctx st (r : Request.t) ~issue ~hi
         serve model fctx rctx st ~proc:r.Request.proc ~arrival:issue ~lba:r.lba ~bytes:r.size
           ~rpm:st.rpm ~recon
       in
-      (* After a dip the request was served slow; recover one level per
-         request with the transition overlapping servicing, as in the
-         reactive DRPM path. *)
-      (if st.rpm < model.Disk_model.rpm_max then begin
-         if shift_refused fctx st then fault_event st ~at:st.now ~kind:"stuck-rpm" ~cost:0.0
-         else begin
-           let rpm_to = st.rpm + model.Disk_model.rpm_step in
-           let e = Disk_model.drpm_transition_j model ~rpm_from:st.rpm ~rpm_to in
-           st.energy <- st.energy +. e;
-           record_span st ~start:st.now ~stop:st.now ~charge:0.0 ~energy:e
-             Timeline.Transition;
-           st.rpm <- rpm_to;
-           st.shifts <- st.shifts + 1;
-           if rpm_to = model.Disk_model.rpm_max then st.ups <- st.ups + 1
-         end
-       end);
+      (* After a dip the request was served slow, as in the reactive
+         DRPM path. *)
+      recover_one_level model fctx st;
       response
   | Policy.Drpm cfg when cfg.Policy.proactive && hinted && serving_degraded fctx st ->
       (* The compiler's directive assumed a disk that obeys speed
@@ -937,23 +896,8 @@ let rec handle_request model policy ctrl fctx rctx st (r : Request.t) ~issue ~hi
         serve model fctx rctx st ~proc:r.Request.proc ~arrival:issue ~lba:r.lba ~bytes:r.size
           ~rpm:st.rpm ~recon
       in
-      (* Ramp back toward full speed one level per serviced request: RPM
-         transitions overlap servicing (the low-overhead dynamic-RPM
-         design of Gurumurthi et al.), so only the energy is charged —
-         unless a stuck-RPM fault refuses the shift. *)
-      (if st.rpm < model.Disk_model.rpm_max then begin
-         if shift_refused fctx st then fault_event st ~at:st.now ~kind:"stuck-rpm" ~cost:0.0
-         else begin
-           let rpm_to = st.rpm + model.Disk_model.rpm_step in
-           let e = Disk_model.drpm_transition_j model ~rpm_from:st.rpm ~rpm_to in
-           st.energy <- st.energy +. e;
-           record_span st ~start:st.now ~stop:st.now ~charge:0.0 ~energy:e
-             Timeline.Transition;
-           st.rpm <- rpm_to;
-           st.shifts <- st.shifts + 1;
-           if rpm_to = model.Disk_model.rpm_max then st.ups <- st.ups + 1
-         end
-       end);
+      (* Ramp back toward full speed one level per serviced request. *)
+      recover_one_level model fctx st;
       drpm_window model cfg fctx st ~response ~nominal;
       response
 
@@ -1088,8 +1032,8 @@ let shard_groups ~n_proc ~disks ~mirror queues_seg =
    Segment barriers synchronize all processors.  Disks are FIFO in issue
    order; their power trajectory over each inter-arrival gap is decided
    by the policy. *)
-let simulate ?(model = Disk_model.ultrastar_36z15) ?(record_timeline = false)
-    ?(obs = Sink.null) ?(hints = []) ?faults ?(retry = Policy.default_retry) ?repair
+let simulate ?(model = Disk_model.ultrastar_36z15) ?(obs = Sink.null) ?(hints = []) ?faults
+    ?(retry = Policy.default_retry) ?repair
     ?deadline_ms ?(shards = 1) ~disks policy reqs =
   Dp_obs.Prof.span "disksim.simulate" @@ fun () ->
   if disks < 1 then invalid_arg "Engine.simulate: disks must be >= 1";
@@ -1167,7 +1111,7 @@ let simulate ?(model = Disk_model.ultrastar_36z15) ?(record_timeline = false)
   Array.iter
     (fun per_proc -> Array.iteri (fun p q -> per_proc.(p) <- List.rev q) per_proc)
     queues;
-  let states = Array.init disks (make_state ~record:record_timeline ~sink:obs model) in
+  let states = Array.init disks (make_state ~sink:obs model) in
   (match rctx with Some rx -> rx.peers <- states | None -> ());
   List.iter
     (fun (h : Hint.t) ->
@@ -1329,9 +1273,6 @@ let simulate ?(model = Disk_model.ultrastar_36z15) ?(record_timeline = false)
     io_time_ms =
       Array.fold_left (fun acc (s : disk_stats) -> acc +. s.response_ms_total) 0.0 per_disk;
     makespan_ms = makespan;
-    timeline =
-      (if record_timeline then Some (Array.map (fun st -> List.rev st.segs) states)
-       else None);
   }
 
 let pp_disk_stats ppf s =
@@ -1408,7 +1349,7 @@ let pp_result ppf r =
 
 let accounted_ms s = s.busy_ms +. s.idle_ms +. s.standby_ms +. s.transition_ms
 
-let check_conservation ?(eps = 1e-6) r =
+let check_conservation ?(eps = 1e-6) ?timeline r =
   let errors = ref [] in
   let err fmt = Format.kasprintf (fun s -> errors := s :: !errors) fmt in
   let close a b = Float.abs (a -. b) <= eps *. Float.max 1.0 (Float.abs b) in
@@ -1416,9 +1357,9 @@ let check_conservation ?(eps = 1e-6) r =
   let folded = Array.fold_left (fun acc (s : disk_stats) -> acc +. s.energy_j) 0.0 r.per_disk in
   if not (close folded r.energy_j) then
     err "per-disk energies sum to %.9f J, result says %.9f J" folded r.energy_j;
-  (match r.timeline with
+  (match timeline with
   | None -> ()
-  | Some t ->
+  | Some (t : Timeline.t) ->
       Array.iter
         (fun (s : disk_stats) ->
           let d = s.disk in

@@ -62,12 +62,10 @@ type result = {
   io_time_ms : float;  (** sum of request response times, the paper's
                            "disk I/O time" performance metric *)
   makespan_ms : float;
-  timeline : Timeline.t option;  (** present when requested *)
 }
 
 val simulate :
   ?model:Disk_model.t ->
-  ?record_timeline:bool ->
   ?obs:Dp_obs.Sink.t ->
   ?hints:Dp_trace.Hint.t list ->
   ?faults:Dp_faults.Fault_model.t ->
@@ -86,9 +84,7 @@ val simulate :
     request list may come in any order: it is put in
     {!Request.compare_arrival} order by {!Request.sort_arrival}, so a
     list already in that order — every generated or decoded trace — is
-    checked in one pass and not re-sorted.  [record_timeline] (default
-    false) keeps the per-disk power-state segments for
-    {!Timeline.render}.
+    checked in one pass and not re-sorted.
 
     Requests issue in (issue time, processor) order: the processor due
     earliest issues next, and among processors due at the same instant
@@ -104,20 +100,28 @@ val simulate :
     parallel, and rejoin at the segment's fork-join barrier — the epoch
     boundary.  The result is
     {e byte-identical} to [shards = 1] for every shard count: per-disk
-    stats, timelines and repair digests are reproduced exactly, and
-    observability events are re-merged into the serial emission order
+    stats and repair digests are reproduced exactly, and observability
+    events, the Power spans included, are re-merged into the serial
+    emission order
     (each parallel step's events are tagged with its issue instant and
     processor, the key the serial scheduler executes in).  A trace
     whose segments form a single component — every processor touching
-    every disk — simply runs serially whatever [shards] says.
+    every disk — simply runs serially whatever [shards] says, and so
+    does a run with the repair domain armed and a live [obs] sink (a
+    {!Timeline.recorder} included): a failed slot's rebuild events
+    belong to whichever step first covers them, which the merge key
+    cannot attribute across groups.
 
     [obs] (default {!Dp_obs.Sink.null}) receives typed observability
-    events as the run unfolds: every power-state span (with the exact
-    milliseconds charged to the per-state statistic, so summing spans
-    reproduces {!disk_stats} bit for bit), every request service, every
-    consumed compiler hint, every injected-fault perturbation and every
-    policy decision.  With the null sink no event is ever constructed —
-    the hot loop stays allocation-free and the results are byte-identical
+    events as the run unfolds: every power-state span, every request
+    service, every consumed compiler hint, every injected-fault
+    perturbation and every policy decision.  The sink is the run's only
+    record: the engine keeps no timeline, and each charge it makes to a
+    disk is exactly one [Power] span carrying the milliseconds added to
+    the per-state statistic, so summing spans reproduces {!disk_stats}
+    bit for bit and a {!Timeline.recorder} sees each disk's whole
+    timeline.  With the null sink no event is ever constructed — the
+    hot loop stays allocation-free and the results are byte-identical
     to a run without the parameter.
 
     [hints] is the compiler's directive stream (see {!Dp_trace.Hint}).
@@ -147,7 +151,10 @@ val simulate :
     [deadline_ms] serves every request under a deadline: a media-error
     retry storm that has blown it is abandoned and the read fails over
     to the disk's mirror, and responses past the deadline are reported
-    as {!Dp_obs.Event.Deadline} misses. *)
+    as {!Dp_obs.Event.Deadline} misses.  A miss is stamped on its disk's
+    clock when the request completes there, or, for a failover, when
+    the disk abandoned its retries; its response and its [Service]
+    span include the mirror's read. *)
 
 val wear_fraction : Disk_model.t -> disk_stats -> float
 (** Start-stop wear consumed by a run: [spin_downs] over the drive's
@@ -170,13 +177,15 @@ val pp_reliability : ?model:Disk_model.t -> Format.formatter -> result -> unit
 
 val accounted_ms : disk_stats -> float
 (** [busy_ms + idle_ms + standby_ms + transition_ms] — the four power
-    states partition a disk's timeline, so with a recorded timeline
+    states partition a disk's timeline, so over a recorded timeline
     this equals the sum of its segment spans. *)
 
-val check_conservation : ?eps:float -> result -> (unit, string) Stdlib.result
+val check_conservation :
+  ?eps:float -> ?timeline:Timeline.t -> result -> (unit, string) Stdlib.result
 (** Verify the conservation identities of a result: per-disk energies
-    fold to the array total, and — when the run recorded a timeline —
-    each disk's segment energies sum to its [energy_j], its segment
-    spans sum to {!accounted_ms}, and its segments are chronological and
-    gap-free.  [eps] (default [1e-6]) is the relative tolerance.
-    [Error] carries every violated identity, semicolon-separated. *)
+    fold to the array total, and — given the run's [timeline] (from a
+    {!Timeline.recorder}) — each disk's segment energies sum to its
+    [energy_j], its segment spans sum to {!accounted_ms}, and its
+    segments are chronological and gap-free.  [eps] (default [1e-6]) is
+    the relative tolerance.  [Error] carries every violated identity,
+    semicolon-separated. *)

@@ -1,12 +1,33 @@
-type state = Busy | Idle of int | Standby | Transition
-type segment = { start_ms : float; stop_ms : float; state : state; energy_j : float }
+module Event = Dp_obs.Event
+module Sink = Dp_obs.Sink
+
+type segment = {
+  start_ms : float;
+  stop_ms : float;
+  state : Event.power_state;
+  energy_j : float;
+}
 type t = segment list array
 
+(* A span with neither duration nor energy covers nothing, so it is not
+   a segment; a zero-length lump charge carries energy and is one. *)
+let recorder ~disks () =
+  if disks < 1 then invalid_arg "Timeline.recorder: disks must be >= 1";
+  let segs = Array.make disks [] in
+  let sink =
+    Sink.stream (function
+      | Event.Power { disk; state; start_ms; stop_ms; energy_j; _ }
+        when stop_ms > start_ms || energy_j <> 0.0 ->
+          segs.(disk) <- { start_ms; stop_ms; state; energy_j } :: segs.(disk)
+      | _ -> ())
+  in
+  (sink, fun () -> Array.map List.rev segs)
+
 let char_of_state model = function
-  | Busy -> '#'
-  | Transition -> '~'
-  | Standby -> '_'
-  | Idle rpm ->
+  | Event.Active -> '#'
+  | Event.Transition -> '~'
+  | Event.Standby -> '_'
+  | Event.Idle rpm ->
       let level =
         (rpm - model.Disk_model.rpm_min) / model.Disk_model.rpm_step
       in
@@ -58,17 +79,12 @@ let render ?(width = 96) ~model ~until_ms t =
   end
 
 let matches_state query actual =
-  match (query, actual) with Idle -1, Idle _ -> true | a, b -> a = b
+  match (query, actual) with Event.Idle -1, Event.Idle _ -> true | a, b -> a = b
 
 let state_time_ms t ~disk state =
   List.fold_left
     (fun acc (s : segment) ->
       if matches_state state s.state then acc +. (s.stop_ms -. s.start_ms) else acc)
-    0.0 t.(disk)
-
-let state_energy_j t ~disk state =
-  List.fold_left
-    (fun acc (s : segment) -> if matches_state state s.state then acc +. s.energy_j else acc)
     0.0 t.(disk)
 
 let total_energy_j t ~disk =

@@ -1,32 +1,38 @@
-(** Per-disk power-state timelines recorded during simulation, with an
-    ASCII Gantt renderer — makes the clustering visible: under the
-    restructured schedule each disk's busy segments coalesce and the
-    others' idle/standby runs stretch. *)
+(** Per-disk power-state timelines, a view over the engine's
+    {!Dp_obs.Event.Power} spans, with an ASCII Gantt renderer — makes
+    the clustering visible: under the restructured schedule each disk's
+    busy segments coalesce and the others' idle/standby runs stretch.
 
-type state =
-  | Busy
-  | Idle of int  (** powered-up idle at an RPM *)
-  | Standby
-  | Transition
+    The engine keeps no timeline of its own.  Every charge it makes is
+    one [Power] span on the run's sink, so a {!recorder} passed as
+    [Engine.simulate ~obs] sees each disk's whole timeline. *)
 
 type segment = {
   start_ms : float;
   stop_ms : float;
-  state : state;
+  state : Dp_obs.Event.power_state;
   energy_j : float;
-      (** energy charged to this span.  The engine records every joule
-          it accounts against exactly one segment, so per-disk segment
-          energies sum to the per-disk energy total — the conservation
-          invariant the fault-injection tests lean on.  Lump charges
-          with no duration (a speed change overlapped with servicing)
-          appear as zero-length segments. *)
+      (** energy charged to this span.  The engine charges every joule
+          it accounts to exactly one span, so per-disk segment energies
+          sum to the per-disk energy total — the conservation invariant
+          the fault-injection tests lean on.  Lump charges with no
+          duration (a speed change overlapped with servicing) appear as
+          zero-length segments. *)
 }
 
 type t = segment list array
 (** One (chronologically ordered) segment list per disk. *)
 
-val char_of_state : Disk_model.t -> state -> char
-(** ['#'] busy, ['~'] transition, ['_'] standby, and for idle a digit:
+val recorder : disks:int -> unit -> Dp_obs.Sink.t * (unit -> t)
+(** The sink to pass as [Engine.simulate ~obs] and the finisher that
+    returns what it recorded.  Each [Power] span becomes one segment,
+    except a span with neither duration nor energy.  To record a
+    timeline alongside other sinks, emit the events into the recorder
+    from a stream sink.
+    @raise Invalid_argument when [disks < 1]. *)
+
+val char_of_state : Disk_model.t -> Dp_obs.Event.power_state -> char
+(** ['#'] active, ['~'] transition, ['_'] standby, and for idle a digit:
     the RPM level index (['4'] = full speed for the Ultrastar's five
     levels, ['0'] = slowest). *)
 
@@ -35,13 +41,10 @@ val render : ?width:int -> model:Disk_model.t -> until_ms:float -> t -> string
     [0, until_ms] span (default 96).  Each cell shows the state occupying
     the largest share of its time slot. *)
 
-val state_time_ms : t -> disk:int -> state -> float
+val state_time_ms : t -> disk:int -> Dp_obs.Event.power_state -> float
 (** Total time a disk spent in a state (idle states match on any RPM
     when queried with [Idle (-1)]). *)
 
-val state_energy_j : t -> disk:int -> state -> float
-(** Total energy charged to a state, with the same RPM wildcard. *)
-
 val total_energy_j : t -> disk:int -> float
 (** Sum of all segment energies of a disk; equals the disk's
-    [energy_j] statistic when the timeline was recorded. *)
+    [energy_j] statistic for a timeline recorded over the whole run. *)

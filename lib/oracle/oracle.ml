@@ -1,9 +1,8 @@
 module Disk_model = Dp_disksim.Disk_model
 module Engine = Dp_disksim.Engine
-module Timeline = Dp_disksim.Timeline
 module Request = Dp_trace.Request
 module Hint = Dp_trace.Hint
-module Minheap = Dp_util.Minheap
+module Event = Dp_obs.Event
 
 type space = Tpm_space | Drpm_space | Full_space
 
@@ -140,33 +139,6 @@ let schedule_in c space gaps =
 let schedule ?(model = Disk_model.ultrastar_36z15) space gaps =
   schedule_in (costs model) space gaps
 
-let gaps_of_timeline (t : Timeline.t) ~makespan_ms =
-  Array.map
-    (fun segs ->
-      let eps = 1e-6 in
-      let gaps = ref [] and cursor = ref 0.0 in
-      List.iter
-        (fun (s : Timeline.segment) ->
-          match s.Timeline.state with
-          | Timeline.Busy ->
-              if s.Timeline.start_ms > !cursor +. eps then
-                gaps :=
-                  {
-                    start_ms = !cursor;
-                    len_ms = s.Timeline.start_ms -. !cursor;
-                    terminal = false;
-                  }
-                  :: !gaps;
-              cursor := Float.max !cursor s.Timeline.stop_ms
-          | _ -> ())
-        segs;
-      if makespan_ms > !cursor +. eps then
-        gaps :=
-          { start_ms = !cursor; len_ms = makespan_ms -. !cursor; terminal = true }
-          :: !gaps;
-      List.rev !gaps)
-    t
-
 (* --- the servicing floor --- *)
 
 (* Cheapest admissible service energy per request, walking each disk's
@@ -243,17 +215,39 @@ type reference = {
   gaps : gap list array;
 }
 
+(* The gaps are the complement of each disk's [Active] spans within
+   [0, makespan], folded from the spans as the No-PM run emits them; the
+   last gap of a disk is terminal. *)
 let reference ?(model = Disk_model.ultrastar_36z15) ~disks reqs =
   let requests = Request.sort_arrival reqs in
-  let base =
-    Engine.simulate ~model ~record_timeline:true ~disks Dp_disksim.Policy.No_pm requests
+  let eps = 1e-6 in
+  let gaps = Array.make disks [] and cursor = Array.make disks 0.0 in
+  let obs =
+    Dp_obs.Sink.stream (function
+      | Event.Power { disk; state = Event.Active; start_ms; stop_ms; _ } ->
+          if start_ms > cursor.(disk) +. eps then
+            gaps.(disk) <-
+              {
+                start_ms = cursor.(disk);
+                len_ms = start_ms -. cursor.(disk);
+                terminal = false;
+              }
+              :: gaps.(disk);
+          cursor.(disk) <- Float.max cursor.(disk) stop_ms
+      | _ -> ())
   in
-  let timeline =
-    match base.Engine.timeline with
-    | Some t -> t
-    | None -> assert false
+  let base = Engine.simulate ~model ~obs ~disks Dp_disksim.Policy.No_pm requests in
+  let makespan_ms = base.Engine.makespan_ms in
+  let gaps =
+    Array.mapi
+      (fun d gs ->
+        let c = cursor.(d) in
+        List.rev
+          (if makespan_ms > c +. eps then
+             { start_ms = c; len_ms = makespan_ms -. c; terminal = true } :: gs
+           else gs))
+      gaps
   in
-  let gaps = gaps_of_timeline timeline ~makespan_ms:base.Engine.makespan_ms in
   { model; disks; requests; base; gaps }
 
 let bound ~space (r : reference) =
@@ -270,89 +264,9 @@ let bound ~space (r : reference) =
 let lower_bound ?model ?(space = Full_space) ~disks reqs =
   bound ~space (reference ?model ~disks reqs)
 
-let lower_bound_energy_j ?model ?space ~disks reqs =
-  (lower_bound ?model ?space ~disks reqs).energy_j
-
 let standby_floor_j ?(model = Disk_model.ultrastar_36z15) (r : Engine.result) =
   float_of_int (Array.length r.Engine.per_disk)
   *. j_of ~watts:model.Disk_model.power_standby_w ~ms:r.Engine.makespan_ms
-
-(* --- nominal arrivals --- *)
-
-(* Rebuild the full-speed reference timeline the closed-loop engine
-   would realize under [No_pm]: per-processor chains issue [think_ms]
-   after the previous completion, fork-join barriers separate segments,
-   disks serve FIFO with the engine's seek rule.  Traces from the
-   generator already carry these arrivals; hand-built traces (tests,
-   external tools) usually carry zeros, which would hide every gap from
-   the hint emitter and defeat the engine's nominal-time hint routing. *)
-let nominalize ?(model = Disk_model.ultrastar_36z15) ~disks reqs =
-  List.iter
-    (fun (r : Request.t) ->
-      if r.Request.disk < 0 || r.Request.disk >= disks then
-        invalid_arg
-          (Printf.sprintf "Oracle.nominalize: request on disk %d of %d" r.Request.disk disks);
-      if not (Float.is_finite r.Request.arrival_ms && Float.is_finite r.Request.think_ms) then
-        invalid_arg
-          (Printf.sprintf "Oracle.nominalize: non-finite time (arrival_ms %g, think_ms %g)"
-             r.Request.arrival_ms r.Request.think_ms))
-    reqs;
-  let reqs = Request.sort_arrival reqs in
-  let n_proc = 1 + List.fold_left (fun acc (r : Request.t) -> max acc r.Request.proc) (-1) reqs in
-  let n_seg = 1 + List.fold_left (fun acc (r : Request.t) -> max acc r.Request.seg) 0 reqs in
-  let queues : Request.t list array array =
-    Array.init n_seg (fun _ -> Array.make (max n_proc 1) [])
-  in
-  List.iter
-    (fun (r : Request.t) -> queues.(r.Request.seg).(r.Request.proc) <- r :: queues.(r.Request.seg).(r.Request.proc))
-    reqs;
-  Array.iter (fun per_proc -> Array.iteri (fun p q -> per_proc.(p) <- List.rev q) per_proc) queues;
-  let disk_now = Array.make disks 0.0 in
-  let last_end = Array.make disks (-1) in
-  let clocks = Array.make (max n_proc 1) 0.0 in
-  (* The engine's issue order: a heap of processors keyed on (next
-     issue instant, processor). *)
-  let due = Array.make (max n_proc 1) 0.0 in
-  let ready = Minheap.create ~capacity:(max n_proc 1) ~cmp:(Minheap.by_key due) () in
-  let out = ref [] in
-  for seg = 0 to n_seg - 1 do
-    let pending = Array.copy queues.(seg) in
-    let enqueue p =
-      match pending.(p) with
-      | [] -> ()
-      | r :: _ ->
-          due.(p) <- clocks.(p) +. r.Request.think_ms;
-          Minheap.add ready p
-    in
-    for p = 0 to n_proc - 1 do
-      enqueue p
-    done;
-    while not (Minheap.is_empty ready) do
-      let p = Minheap.pop_min ready in
-      match pending.(p) with
-      | [] -> assert false
-      | r :: rest ->
-          pending.(p) <- rest;
-          let issue = due.(p) in
-          let d = r.Request.disk in
-          let seek_distance =
-            if last_end.(d) < 0 then max_int else r.Request.lba - last_end.(d)
-          in
-          last_end.(d) <- r.Request.lba + r.Request.size;
-          let start = Float.max issue disk_now.(d) in
-          let service =
-            Disk_model.service_ms ~seek_distance model ~rpm:model.Disk_model.rpm_max
-              ~bytes:r.Request.size
-          in
-          disk_now.(d) <- start +. service;
-          clocks.(p) <- disk_now.(d);
-          out := { r with Request.arrival_ms = issue } :: !out;
-          enqueue p
-    done;
-    let latest = Array.fold_left Float.max 0.0 clocks in
-    Array.fill clocks 0 (Array.length clocks) latest
-  done;
-  List.rev !out
 
 (* --- compiler-directed hints --- *)
 

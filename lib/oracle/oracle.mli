@@ -1,6 +1,5 @@
 module Disk_model = Dp_disksim.Disk_model
 module Engine = Dp_disksim.Engine
-module Timeline = Dp_disksim.Timeline
 module Request = Dp_trace.Request
 module Hint = Dp_trace.Hint
 
@@ -59,11 +58,6 @@ val best_gap : ?model:Disk_model.t -> space -> gap -> action * float
 val schedule : ?model:Disk_model.t -> space -> gap list -> plan
 (** [Oracle.schedule]: the optimal per-gap plan for one disk. *)
 
-val gaps_of_timeline : Timeline.t -> makespan_ms:float -> gap list array
-(** Per-disk idle gaps: the complement of the busy spans within
-    [0, makespan]; the last gap of a disk is terminal when it runs to the
-    makespan. *)
-
 (** {1 The energy lower bound} *)
 
 type bound = {
@@ -86,12 +80,12 @@ type bound = {
           compiler-directed policy can actually run, with real ramp and
           spin costs; their energy upper-bounds [gap_j] *)
   base : Engine.result;
-      (** the no-PM reference run whose timeline defines the gaps *)
+      (** the no-PM reference run whose [Active] spans define the gaps *)
 }
 
 (** The bound is computed in two steps.  {!reference} is the part that
-    depends only on the trace: one no-PM run of the engine with its
-    timeline recorded, and the idle gaps of that timeline.  {!bound}
+    depends only on the trace: one no-PM run of the engine and the idle
+    gaps between its [Active] spans.  {!bound}
     then plans the gaps and floors the service for one transition
     space.  The three spaces share one reference, so a matrix with
     several oracle rows over the same trace replays the trace once. *)
@@ -100,13 +94,18 @@ type reference = private {
   model : Disk_model.t;
   disks : int;
   requests : Request.t list;  (** the trace in {!Request.compare_arrival} order *)
-  base : Engine.result;  (** the no-PM run, timeline recorded *)
-  gaps : gap list array;  (** per-disk idle gaps of [base] ({!gaps_of_timeline}) *)
+  base : Engine.result;  (** the no-PM run *)
+  gaps : gap list array;
+      (** per-disk idle gaps of [base]: the complement of its [Active]
+          spans within [0, makespan]; a disk's last gap is terminal when
+          it runs to the makespan *)
 }
 
 val reference : ?model:Disk_model.t -> disks:int -> Request.t list -> reference
 (** Simulate the trace once without power management to fix its
-    busy/idle structure.  The requests may come in any order; a list
+    busy/idle structure.  A stream sink folds the gaps from the run's
+    {!Dp_obs.Event.Power} [Active] spans as the engine emits them, so
+    no timeline is kept.  The requests may come in any order; a list
     already in arrival order is used as is, not re-sorted
     ({!Request.sort_arrival}).  Requests the engine rejects raise
     [Invalid_argument], as in {!Engine.simulate}. *)
@@ -123,13 +122,10 @@ val lower_bound :
 (** [bound ~space (reference ?model ~disks reqs)], [space] defaulting to
     [Full_space]. *)
 
-val lower_bound_energy_j :
-  ?model:Disk_model.t -> ?space:space -> disks:int -> Request.t list -> float
-
 val standby_floor_j : ?model:Disk_model.t -> Engine.result -> float
 (** The analytic floor no schedule can beat: every disk draws at least
     standby power over the whole makespan.  Sandwiches the oracle:
-    [standby_floor_j base <= lower_bound_energy_j reqs <= simulate p reqs]. *)
+    [standby_floor_j base <= (lower_bound reqs).energy_j <= simulate p reqs]. *)
 
 (** {1 Compiler-directed hints}
 
@@ -146,24 +142,14 @@ val hints_of_trace :
     hints drive (default [Full_space]: emit for both; the engine's
     policy consumes the kind it understands and ignores the other).
     The gap prediction reads [Request.arrival_ms], so the trace must
-    carry nominal arrivals — generator traces do; pass hand-built
-    traces through {!nominalize} first (and feed the nominalized trace
-    to the engine too, since hint routing matches on the same field).
-    The requests may come in any order; a list already in arrival
-    order is not re-sorted ({!Request.sort_arrival}). *)
-
-val nominalize :
-  ?model:Disk_model.t -> disks:int -> Request.t list -> Request.t list
-(** Fill [Request.arrival_ms] with the full-speed reference timeline:
-    the closed-loop no-PM schedule (per-processor think chains,
-    fork-join segment barriers, FIFO disks with the engine's seek
-    rule).  Returns the requests in the engine's (issue time,
-    processor) issue order; each arrival is the instant
-    {!Engine.simulate} under [No_pm] issues that request.  The input
-    may come in any order and is put in arrival order by
-    {!Request.sort_arrival}, as the engine does.  A request outside
-    [0, disks) or with a non-finite [arrival_ms] or [think_ms] raises
-    [Invalid_argument]. *)
+    carry nominal arrivals: the instants the engine issues each request
+    under [No_pm], which generator traces carry.  A hand-built trace
+    usually carries zeros, which hide every gap; stamp it with the
+    [arrival_ms] of the [Service] events of a [No_pm] run first, and
+    feed the stamped trace to the engine too, since hint routing
+    matches on the same field.  The requests may come in any order; a
+    list already in arrival order is not re-sorted
+    ({!Request.sort_arrival}). *)
 
 val pp_plan : Format.formatter -> plan -> unit
 val pp_bound : Format.formatter -> bound -> unit

@@ -182,7 +182,6 @@ val simulate :
   ?faults:Dp_faults.Fault_model.t ->
   ?retry:Policy.retry_config ->
   ?obs:Dp_obs.Sink.t ->
-  ?record_timeline:bool ->
   ?shards:int ->
   t ->
   procs:int ->
@@ -190,9 +189,11 @@ val simulate :
   mode ->
   Engine.result
 (** Stage 5: trace-driven simulation of the mode under a policy, with
-    the policy's hint stream ({!hints_for}) attached.  Simulation
-    results are not memoized — faults, sinks and timelines make runs
-    observationally distinct; the expensive upstream stages are.
+    the policy's hint stream ({!hints_for}) attached.  [obs] receives
+    the run's events; pass a {!Dp_disksim.Timeline.recorder} to chart
+    it.  Simulation results are not memoized — faults and sinks make
+    runs observationally distinct; the expensive upstream stages
+    are.
     [shards] fans the engine's per-segment shard groups across that
     many domains ({!Engine.simulate}); the result stays byte-identical
     to a serial run. *)

@@ -114,7 +114,10 @@ let test_oracle_green () =
      configurations must agree and every invariant must hold on the
      real engine.  0x6358cb18bbd76731 is scenario 207 of seed 2, a
      reactive-TPM run whose arrivals land inside spin-downs: it pins
-     found-bug ledger #4 (conservation:base). *)
+     found-bug ledger #4 (conservation:base).  0x7ddb65a2ce7e7a33 is
+     scenario 449 of seed 12, whose failed-over deadline misses were
+     stamped past a later miss on the same disk: it pins found-bug
+     ledger #5 (monotone-time on the deadline events). *)
   List.iter
     (fun token ->
       let s = Scenario.generate token in
@@ -127,7 +130,7 @@ let test_oracle_green () =
         (List.length o.Check.violations);
       check Alcotest.bool "multiple engine runs" true (o.Check.runs >= 8);
       check Alcotest.bool "non-empty trace" true (o.Check.requests > 0))
-    [ 1L; 5L; 12L; 1234L; 0x6358cb18bbd76731L ]
+    [ 1L; 5L; 12L; 1234L; 0x6358cb18bbd76731L; 0x7ddb65a2ce7e7a33L ]
 
 let test_sabotage_fires () =
   let s = Scenario.generate 21L in

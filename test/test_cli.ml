@@ -825,6 +825,10 @@ let test_dpcc_simulate_shards_identity () =
   in
   let code1, out1, _ = simulate [] in
   check Alcotest.int "serial exits 0" 0 code1;
+  (* Pin the serial output itself, chart and per-disk stats, not only
+     its agreement across shard counts. *)
+  check Alcotest.string "serial output pinned" "2e8a60e1e5cc535e6e03f5cefffe6e95"
+    (Digest.to_hex (Digest.string out1));
   List.iter
     (fun n ->
       let code, out, _ = simulate [ "--shards"; n ] in

@@ -3,6 +3,7 @@
 module Disk_model = Dp_disksim.Disk_model
 module Policy = Dp_disksim.Policy
 module Engine = Dp_disksim.Engine
+module Timeline = Dp_disksim.Timeline
 module Request = Dp_trace.Request
 module Ir = Dp_ir.Ir
 
@@ -11,6 +12,12 @@ let qtest ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
 
 let m = Disk_model.ultrastar_36z15
+
+(* A run and the timeline a recorder saw of it. *)
+let simulate_tl ?hints ?faults ?shards ~disks policy reqs =
+  let obs, finish = Timeline.recorder ~disks () in
+  let r = Engine.simulate ~obs ?hints ?faults ?shards ~disks policy reqs in
+  (r, finish ())
 
 (* --- model --- *)
 
@@ -152,14 +159,14 @@ let test_engine_tpm_mid_spin_down () =
      15.2 s into the gap.  The spin-down still runs its full 1.5 s, so
      the whole of it is charged and the state times cover the timeline. *)
   let reqs = [ req ~think:10.0 (); req ~think:16_000.0 ~lba:(1 lsl 30) () ] in
-  let r = Engine.simulate ~record_timeline:true ~disks:1 Policy.default_tpm reqs in
+  let r, timeline = simulate_tl ~disks:1 Policy.default_tpm reqs in
   let d = r.Engine.per_disk.(0) in
   check Alcotest.int "one spin down" 1 d.Engine.spin_downs;
   check (Alcotest.float 1e-6) "full spin-down and spin-up charged" (1_500.0 +. 10_900.0)
     d.Engine.transition_ms;
   check
     Alcotest.(result unit string)
-    "conservation" (Ok ()) (Engine.check_conservation r)
+    "conservation" (Ok ()) (Engine.check_conservation ~timeline r)
 
 let test_engine_tpm_short_gap () =
   (* Gap below threshold: no transitions at all. *)
@@ -351,12 +358,11 @@ let test_engine_segments_barrier () =
 
 (* --- timeline recording --- *)
 
-module Timeline = Dp_disksim.Timeline
+module Obs_event = Dp_obs.Event
 
 let test_timeline_recording () =
   let reqs = [ req ~think:10.0 (); req ~think:60_000.0 ~lba:(1 lsl 30) () ] in
-  let r = Engine.simulate ~record_timeline:true ~disks:1 Policy.default_tpm reqs in
-  let t = Option.get r.Engine.timeline in
+  let r, t = simulate_tl ~disks:1 Policy.default_tpm reqs in
   (* Segments are chronological and contiguous-ish, covering the stats. *)
   let segs = t.(0) in
   check Alcotest.bool "nonempty" true (segs <> []);
@@ -370,19 +376,15 @@ let test_timeline_recording () =
   check Alcotest.bool "chronological" true ordered;
   let d = r.Engine.per_disk.(0) in
   check (Alcotest.float 1.0) "busy matches stats" d.Engine.busy_ms
-    (Timeline.state_time_ms t ~disk:0 Timeline.Busy);
+    (Timeline.state_time_ms t ~disk:0 Obs_event.Active);
   check (Alcotest.float 1.0) "standby matches stats" d.Engine.standby_ms
-    (Timeline.state_time_ms t ~disk:0 Timeline.Standby);
+    (Timeline.state_time_ms t ~disk:0 Obs_event.Standby);
   check (Alcotest.float 1.0) "idle matches stats" d.Engine.idle_ms
-    (Timeline.state_time_ms t ~disk:0 (Timeline.Idle (-1)));
+    (Timeline.state_time_ms t ~disk:0 (Obs_event.Idle (-1)));
   (* The renderer produces one row plus the legend. *)
   let chart = Timeline.render ~width:40 ~model:m ~until_ms:r.Engine.makespan_ms t in
   check Alcotest.int "two lines" 2
     (List.length (String.split_on_char '\n' (String.trim chart)))
-
-let test_timeline_absent_by_default () =
-  let r = Engine.simulate ~disks:1 Policy.No_pm [ req ~think:1.0 () ] in
-  check Alcotest.bool "no timeline" true (r.Engine.timeline = None)
 
 (* --- fault injection and degraded-mode accounting --- *)
 
@@ -411,8 +413,7 @@ let prop_rate_zero_identity =
       let faults = Fault_model.make ~seed ~rate:0.0 () in
       List.for_all
         (fun policy ->
-          Engine.simulate ~record_timeline:true ~disks:3 policy reqs
-          = Engine.simulate ~record_timeline:true ~faults ~disks:3 policy reqs)
+          simulate_tl ~disks:3 policy reqs = simulate_tl ~faults ~disks:3 policy reqs)
         all_policies)
 
 let prop_fault_determinism =
@@ -440,8 +441,7 @@ let prop_timeline_contiguous =
       let faults = Fault_model.make ~seed ~rate () in
       List.for_all
         (fun policy ->
-          let r = Engine.simulate ~record_timeline:true ~faults ~disks:3 policy reqs in
-          let t = Option.get r.Engine.timeline in
+          let _, t = simulate_tl ~faults ~disks:3 policy reqs in
           Array.for_all contiguous t)
         all_policies)
 
@@ -451,8 +451,7 @@ let prop_energy_conserved =
       let faults = Fault_model.make ~seed ~rate () in
       List.for_all
         (fun policy ->
-          let r = Engine.simulate ~record_timeline:true ~faults ~disks:3 policy reqs in
-          let t = Option.get r.Engine.timeline in
+          let r, t = simulate_tl ~faults ~disks:3 policy reqs in
           Array.for_all
             (fun (d : Engine.disk_stats) ->
               let tl = Timeline.total_energy_j t ~disk:d.Engine.disk in
@@ -546,13 +545,12 @@ let test_rate_zero_with_hints () =
   List.iter
     (fun policy ->
       check Alcotest.bool (Policy.name policy ^ " hinted rate-0 identical") true
-        (Engine.simulate ~record_timeline:true ~hints ~disks:1 policy reqs
-        = Engine.simulate ~record_timeline:true ~hints ~faults ~disks:1 policy reqs))
+        (simulate_tl ~hints ~disks:1 policy reqs
+        = simulate_tl ~hints ~faults ~disks:1 policy reqs))
     [ Policy.tpm ~proactive:true (); Policy.drpm ~proactive:true () ]
 
 (* --- observability: the event stream is exact --- *)
 
-module Obs_event = Dp_obs.Event
 module Sink = Dp_obs.Sink
 
 let prop_events_reproduce_stats =
@@ -641,14 +639,18 @@ let disjoint_trace =
     [ 0; 1; 2; 3 ]
 
 let test_shards_identity () =
+  (* Without a sink the groups run unbuffered; with the recorder their
+     events are re-merged into the serial order. *)
+  let run ?shards policy =
+    ( Engine.simulate ?shards ~disks:8 policy disjoint_trace,
+      simulate_tl ?shards ~disks:8 policy disjoint_trace )
+  in
   List.iter
     (fun policy ->
-      let serial = Engine.simulate ~record_timeline:true ~disks:8 policy disjoint_trace in
+      let serial = run policy in
       List.iter
         (fun shards ->
-          let sharded =
-            Engine.simulate ~record_timeline:true ~shards ~disks:8 policy disjoint_trace
-          in
+          let sharded = run ~shards policy in
           check Alcotest.bool
             (Printf.sprintf "%s --shards %d = serial" (Policy.name policy) shards)
             true (serial = sharded))
@@ -656,9 +658,9 @@ let test_shards_identity () =
     all_policies
 
 let test_shards_identity_faulted () =
-  (* Transient faults, media decay (arming the repair domain, which
-     collapses observed runs to one group but must stay identical), and
-     a deadline with failover — across every shard count. *)
+  (* Transient faults, media decay and a deadline with failover, across
+     every shard count.  Each case arms the repair domain, which keeps a
+     run with a live sink in one group, so the runs here have none. *)
   let cases =
     [
       (Some (Fault_model.make ~seed:7 ~rate:0.05 ()), None);
@@ -670,14 +672,13 @@ let test_shards_identity_faulted () =
   List.iter
     (fun (faults, deadline_ms) ->
       let serial =
-        Engine.simulate ~record_timeline:true ?faults ?deadline_ms ~disks:8
-          Policy.default_tpm disjoint_trace
+        Engine.simulate ?faults ?deadline_ms ~disks:8 Policy.default_tpm disjoint_trace
       in
       List.iter
         (fun shards ->
           let sharded =
-            Engine.simulate ~record_timeline:true ?faults ?deadline_ms ~shards ~disks:8
-              Policy.default_tpm disjoint_trace
+            Engine.simulate ?faults ?deadline_ms ~shards ~disks:8 Policy.default_tpm
+              disjoint_trace
           in
           check Alcotest.bool
             (Printf.sprintf "faulted --shards %d = serial" shards)
@@ -713,7 +714,9 @@ let test_shards_validation () =
   | _ -> Alcotest.fail "shards=0 must be rejected"
 
 (* Random multi-component traces (proc p owns disk p) under random
-   fault seeds: sharded and serial runs stay structurally equal. *)
+   fault seeds: sharded and serial runs stay structurally equal.  The
+   faults arm the repair domain, so the runs have no sink, which would
+   keep them in one group. *)
 let sharded_gen =
   QCheck2.Gen.(
     triple
@@ -732,14 +735,9 @@ let prop_shards_identity =
       let faults = Fault_model.make ~seed ~rate () in
       List.for_all
         (fun policy ->
-          let serial =
-            Engine.simulate ~record_timeline:true ~faults ~disks:3 policy reqs
-          in
+          let serial = Engine.simulate ~faults ~disks:3 policy reqs in
           List.for_all
-            (fun shards ->
-              serial
-              = Engine.simulate ~record_timeline:true ~faults ~shards ~disks:3 policy
-                  reqs)
+            (fun shards -> serial = Engine.simulate ~faults ~shards ~disks:3 policy reqs)
             [ 2; 8 ])
         all_policies)
 
@@ -782,7 +780,6 @@ let suites =
     ( "disksim.timeline",
       [
         Alcotest.test_case "recording" `Quick test_timeline_recording;
-        Alcotest.test_case "absent by default" `Quick test_timeline_absent_by_default;
       ] );
     ( "disksim.faults",
       [

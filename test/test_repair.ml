@@ -22,6 +22,16 @@ let qtest ?(count = 100) name gen prop =
 
 let m = Disk_model.ultrastar_36z15
 
+(* A run and the timeline a recorder saw of it. *)
+let simulate_tl ?faults ?retry ?repair ?deadline_ms ~disks policy reqs =
+  let obs, finish = Timeline.recorder ~disks () in
+  let r = Engine.simulate ~obs ?faults ?retry ?repair ?deadline_ms ~disks policy reqs in
+  (r, finish ())
+
+let conserved r timeline =
+  check Alcotest.(result unit string) "conservation" (Ok ())
+    (Engine.check_conservation ~timeline r)
+
 let req ?(proc = 0) ?(seg = 0) ?(disk = 0) ?(lba = 0) ~think () =
   {
     Request.arrival_ms = 0.0 (* reference only *);
@@ -261,24 +271,12 @@ let test_engine_scrub_in_gaps () =
   let repair =
     Repair.config ~surface_blocks:4096 ~scrub_budget_ms:60.0 ~scrub_chunk_blocks:512 ()
   in
-  let r =
-    Engine.simulate ~record_timeline:true ~faults ~repair ~disks:1 Policy.No_pm reqs
-  in
+  let r, timeline = simulate_tl ~faults ~repair ~disks:1 Policy.No_pm reqs in
   let d = r.Engine.per_disk.(0) in
   check Alcotest.bool "scrub chunks read" true (d.Engine.scrub_chunks > 0);
   check Alcotest.int "all served" 6 d.Engine.requests;
   (* Conservation and contiguity hold on the scrubbed timeline. *)
-  let t = Option.get r.Engine.timeline in
-  let segs = t.(0) in
-  let rec contiguous = function
-    | (a : Timeline.segment) :: (b :: _ as rest) ->
-        Float.abs (b.Timeline.start_ms -. a.Timeline.stop_ms) <= 1e-6 && contiguous rest
-    | _ -> true
-  in
-  check Alcotest.bool "timeline contiguous" true (contiguous segs);
-  check Alcotest.bool "energy conserved" true
-    (Float.abs (Timeline.total_energy_j t ~disk:0 -. d.Engine.energy_j)
-    <= 1e-6 *. Float.max 1.0 d.Engine.energy_j);
+  conserved r timeline;
   (* Scrub keeps the foreground schedule: arrivals are never delayed, so
      io time matches a run without scrubbing. *)
   let no_scrub =
@@ -294,34 +292,50 @@ let test_engine_deadline_failover () =
   let reqs = List.init 4 (fun _ -> req ~disk:0 ~think:50.0 ()) in
   let faults = Fault_model.make ~classes:[ Fault_model.Media_error ] ~seed:5 ~rate:1.0 () in
   let retry = Policy.retry ~max_attempts:5 ~backoff_base_ms:20.0 () in
-  let r =
-    Engine.simulate ~record_timeline:true ~faults ~retry ~deadline_ms:10.0 ~disks:2
-      Policy.No_pm reqs
+  let r, timeline =
+    simulate_tl ~faults ~retry ~deadline_ms:10.0 ~disks:2 Policy.No_pm reqs
   in
   let d0 = r.Engine.per_disk.(0) and d1 = r.Engine.per_disk.(1) in
   check Alcotest.int "every request fails over" 4 d0.Engine.failovers;
   check Alcotest.int "origin still owns the services" 4 d0.Engine.requests;
   check Alcotest.bool "mirror did real work" true (d1.Engine.busy_ms > 0.0);
   check Alcotest.bool "terminates" true (Float.is_finite r.Engine.makespan_ms);
-  let t = Option.get r.Engine.timeline in
-  let rec contiguous = function
-    | (a : Timeline.segment) :: (b :: _ as rest) ->
-        Float.abs (b.Timeline.start_ms -. a.Timeline.stop_ms) <= 1e-6 && contiguous rest
-    | _ -> true
+  conserved r timeline
+
+let test_engine_deadline_stamps_monotone () =
+  (* Found-bug ledger #5: a failed-over miss was stamped at the mirror's
+     read completion, past a later request's miss on the origin disk.
+     Misses are stamped on their disk's clock, so each disk's deadline
+     times never go back. *)
+  let reqs =
+    List.concat_map
+      (fun proc -> List.init 3 (fun _ -> req ~proc ~disk:0 ~think:50.0 ()))
+      [ 0; 1 ]
   in
-  Array.iteri
-    (fun i segs ->
-      check Alcotest.bool (Printf.sprintf "disk %d timeline contiguous" i) true
-        (contiguous segs))
-    t;
-  Array.iter
-    (fun (d : Engine.disk_stats) ->
+  let faults = Fault_model.make ~classes:[ Fault_model.Media_error ] ~seed:2 ~rate:0.5 () in
+  let retry = Policy.retry ~max_attempts:5 ~backoff_base_ms:20.0 () in
+  let misses = ref [] in
+  let obs =
+    Dp_obs.Sink.stream (function
+      | Dp_obs.Event.Deadline { disk; at_ms; _ } -> misses := (disk, at_ms) :: !misses
+      | _ -> ())
+  in
+  let r =
+    Engine.simulate ~obs ~faults ~retry ~deadline_ms:10.0 ~disks:2 Policy.No_pm reqs
+  in
+  check Alcotest.bool "some request failed over" true
+    (r.Engine.per_disk.(0).Engine.failovers > 0);
+  check Alcotest.bool "some deadline missed" true (!misses <> []);
+  List.iter
+    (fun disk ->
+      let times =
+        List.rev (List.filter_map (fun (d, t) -> if d = disk then Some t else None) !misses)
+      in
       check Alcotest.bool
-        (Printf.sprintf "disk %d energy conserved" d.Engine.disk)
+        (Printf.sprintf "disk %d deadline stamps nondecreasing" disk)
         true
-        (Float.abs (Timeline.total_energy_j t ~disk:d.Engine.disk -. d.Engine.energy_j)
-        <= 1e-6 *. Float.max 1.0 d.Engine.energy_j))
-    r.Engine.per_disk
+        (List.sort Float.compare times = times))
+    [ 0; 1 ]
 
 let test_engine_degraded_rebuild_restored () =
   (* A tiny surface and threshold: disk 0 retires after two defects, its
@@ -337,9 +351,7 @@ let test_engine_degraded_rebuild_restored () =
     Repair.config ~surface_blocks:4 ~fail_threshold:2 ~rebuild_blocks:8
       ~rebuild_chunk_blocks:4 ()
   in
-  let r =
-    Engine.simulate ~record_timeline:true ~faults ~repair ~disks:2 Policy.No_pm reqs
-  in
+  let r, timeline = simulate_tl ~faults ~repair ~disks:2 Policy.No_pm reqs in
   let d0 = r.Engine.per_disk.(0) and d1 = r.Engine.per_disk.(1) in
   check Alcotest.bool "disk 0 retired" true (d0.Engine.disk_failures >= 1);
   check Alcotest.bool "a full rebuild completed" true (d0.Engine.rebuilds_completed >= 1);
@@ -349,21 +361,7 @@ let test_engine_degraded_rebuild_restored () =
   check Alcotest.bool "mirror served degraded reads" true (d1.Engine.reconstructions >= 1);
   check Alcotest.int "every request served" 12 (d0.Engine.requests + d1.Engine.requests);
   check Alcotest.bool "disk 0 resumed service after the rebuild" true (d0.Engine.requests > 0);
-  let t = Option.get r.Engine.timeline in
-  let rec contiguous = function
-    | (a : Timeline.segment) :: (b :: _ as rest) ->
-        Float.abs (b.Timeline.start_ms -. a.Timeline.stop_ms) <= 1e-6 && contiguous rest
-    | _ -> true
-  in
-  Array.iter (fun segs -> check Alcotest.bool "contiguous" true (contiguous segs)) t;
-  Array.iter
-    (fun (d : Engine.disk_stats) ->
-      check Alcotest.bool
-        (Printf.sprintf "disk %d energy conserved through the cycle" d.Engine.disk)
-        true
-        (Float.abs (Timeline.total_energy_j t ~disk:d.Engine.disk -. d.Engine.energy_j)
-        <= 1e-6 *. Float.max 1.0 d.Engine.energy_j))
-    r.Engine.per_disk
+  conserved r timeline
 
 (* --- cross-domain determinism (satellite S3) --- *)
 
@@ -430,6 +428,8 @@ let suites =
         Alcotest.test_case "exact remap accounting" `Quick test_engine_remap_accounting;
         Alcotest.test_case "scrub in idle gaps" `Quick test_engine_scrub_in_gaps;
         Alcotest.test_case "deadline failover" `Quick test_engine_deadline_failover;
+        Alcotest.test_case "deadline stamps monotone per disk" `Quick
+          test_engine_deadline_stamps_monotone;
         Alcotest.test_case "degraded, rebuild, restored" `Quick
           test_engine_degraded_rebuild_restored;
       ] );
