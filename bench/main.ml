@@ -796,7 +796,7 @@ let repair_bench () =
   section "Repair domain — decay + scrub overhead";
   let module Serve = Dp_serve.Serve in
   let module Fault_model = Dp_faults.Fault_model in
-  let module Repair = Dp_repair.Repair in
+  let module Knobs = Dp_disksim.Knobs in
   let wall f =
     let t0 = Unix.gettimeofday () in
     let r = f () in
@@ -817,19 +817,18 @@ let repair_bench () =
       Printf.sprintf "%.0f" (float_of_int events /. t);
     ]
   in
-  let decay rate =
-    Fault_model.make ~seed:11 ~rate ~classes:[ Fault_model.Media_decay ] ()
+  (* Decay arms the default 500 ms deadline ({!Serve.config}). *)
+  let decay ?scrub_ms rate =
+    let faults = Fault_model.make ~seed:11 ~rate ~classes:[ Fault_model.Media_decay ] () in
+    Result.get_ok (Knobs.make ~faults ?scrub_ms ())
   in
   let rows =
     [
       row "clean" (fun () -> Serve.config ~jobs:1 ~tenants:20 ~seed:42 ());
       row "decay 0.05" (fun () ->
-          Serve.config ~jobs:1 ~tenants:20 ~seed:42 ~faults:(decay 0.05)
-            ~deadline_ms:500.0 ());
+          Serve.config ~jobs:1 ~tenants:20 ~seed:42 ~knobs:(decay 0.05) ());
       row "decay 0.05 + scrub 40ms" (fun () ->
-          Serve.config ~jobs:1 ~tenants:20 ~seed:42 ~faults:(decay 0.05)
-            ~repair:(Repair.config ~scrub_budget_ms:40.0 ())
-            ~deadline_ms:500.0 ());
+          Serve.config ~jobs:1 ~tenants:20 ~seed:42 ~knobs:(decay ~scrub_ms:40.0 0.05) ());
     ]
   in
   Tabulate.render ppf

@@ -20,7 +20,6 @@ module Engine = Dp_disksim.Engine
 module Policy = Dp_disksim.Policy
 module Timeline = Dp_disksim.Timeline
 module Fault_model = Dp_faults.Fault_model
-module Repair = Dp_repair.Repair
 module Oracle = Dp_oracle.Oracle
 module Pipeline = Dp_pipeline.Pipeline
 module Cachefs = Dp_cachefs.Cachefs
@@ -228,18 +227,12 @@ let trace source output procs restructured mode_name gaps with_hints faults_spec
       profile_stats profile ctx;
       finish_cache cache)
 
-let policy_of_string = function
-  | "none" | "base" -> Policy.No_pm
-  | "tpm" -> Policy.default_tpm
-  | "tpm-proactive" -> Policy.tpm ~proactive:true ()
-  | "drpm" -> Policy.default_drpm
-  | "drpm-proactive" -> Policy.drpm ~proactive:true ()
-  | "online" -> Policy.default_adaptive
-  | p ->
-      fail
-        "unknown policy %s (none | tpm | tpm-proactive | drpm | drpm-proactive | online | \
-         oracle-tpm | oracle-drpm)"
-        p
+let policy_of_string name =
+  match Policy.of_name name with
+  | Some p -> p
+  | None ->
+      fail "unknown policy %s (%s | oracle-tpm | oracle-drpm)" name
+        (String.concat " | " Policy.names)
 
 (* --- simulate --- *)
 
@@ -265,9 +258,10 @@ let simulate source procs restructured mode_name policy_name per_disk timeline f
       | None ->
           let policy = policy_of_string policy_name in
           let faults = faults_of_spec faults_spec in
+          let knobs = { Dp_disksim.Knobs.none with faults } in
           let recorder = if timeline then Some (Timeline.recorder ~disks ()) else None in
           let r =
-            Pipeline.simulate ?faults ?obs:(Option.map fst recorder) ~shards ctx ~procs
+            Pipeline.simulate ~knobs ?obs:(Option.map fst recorder) ~shards ctx ~procs
               ~policy mode
           in
           (match faults with
@@ -291,7 +285,7 @@ let simulate source procs restructured mode_name policy_name per_disk timeline f
           (* Also report against the no-PM baseline on the same trace. *)
           if policy <> Policy.No_pm then begin
             let base =
-              Pipeline.simulate ?faults ~shards ctx ~procs ~policy:Policy.No_pm mode
+              Pipeline.simulate ~knobs ~shards ctx ~procs ~policy:Policy.No_pm mode
             in
             Format.printf "normalized energy vs no-PM on this trace: %.3f@."
               (r.Engine.energy_j /. base.Engine.energy_j)
@@ -342,10 +336,16 @@ let fault_sweep source procs jobs shards seed rates classes json_path obs_jsonl 
         match classes with
         | None -> None
         | Some s -> (
-            match Dp_faults.Fault_model.of_spec (Printf.sprintf "0:0:%s" s) with
-            | Ok f -> Some f.Dp_faults.Fault_model.classes
+            match Fault_model.of_spec (Printf.sprintf "0:0:%s" s) with
+            | Ok f -> Some f.Fault_model.classes
             | Error msg -> fail "--classes: %s" msg)
       in
+      Option.iter
+        (List.iter (fun r ->
+             match Fault_model.check_rate r with
+             | Ok () -> ()
+             | Error msg -> fail "--rates: %s" msg))
+        rates;
       let versions =
         if procs = 1 then Dp_harness.Version.single_cpu else Dp_harness.Version.multi_cpu
       in
@@ -390,7 +390,8 @@ let serve tenants seed disks jitter_ms policy_name jobs shards faults_spec decay
       check_shards shards;
       if tenants < 1 then fail "--tenants must be at least 1 (got %d)" tenants;
       if disks < 1 then fail "--disks must be at least 1 (got %d)" disks;
-      if jitter_ms < 0.0 then fail "--jitter-ms must be non-negative (got %g)" jitter_ms;
+      if not (jitter_ms >= 0.0) then
+        fail "--jitter-ms must be non-negative (got %g)" jitter_ms;
       let selection =
         match Dp_serve.Serve.selection_of_name policy_name with
         | Some s -> s
@@ -413,38 +414,15 @@ let serve tenants seed disks jitter_ms policy_name jobs shards faults_spec decay
             | Ok f -> Some f
             | Error msg -> fail "--decay: %s" msg)
       in
-      if scrub_ms < 0.0 then fail "--scrub-ms must be non-negative (got %g)" scrub_ms;
-      (match spare with
-      | Some n when n < 1 -> fail "--spare must be at least 1 block (got %d)" n
-      | _ -> ());
-      (match deadline with
-      | Some d when d <= 0.0 -> fail "--deadline must be positive (got %g)" d
-      | _ -> ());
-      let repair =
-        if scrub_ms > 0.0 then Some (Repair.config ~scrub_budget_ms:scrub_ms ())
-        else None
-      in
-      (* Decay without an explicit deadline serves under the default SLO,
-         so `dpcc serve --decay SEED:RATE` reports availability next to
-         energy out of the box. *)
-      let deadline_ms =
-        match deadline with
-        | Some d -> Some d
-        | None ->
-            if
-              match faults with
-              | Some f ->
-                  f.Fault_model.rate > 0.0
-                  && List.mem Fault_model.Media_decay f.Fault_model.classes
-              | None -> false
-            then Some 500.0
-            else None
+      let knobs =
+        match Dp_disksim.Knobs.make ?faults ~scrub_ms ?spare ?deadline_ms:deadline () with
+        | Ok k -> k
+        | Error msg -> fail "%s" msg
       in
       let cache = open_cache ~no_cache ~dir:cache_dir () in
       let cfg =
-        Dp_serve.Serve.config ~disks ~jitter_ms ~jobs ~shards ~selection ?faults ?repair
-          ?deadline_ms ?spare_blocks:spare ~obs:(obs_jsonl <> None) ~live ~tenants ~seed
-          ()
+        Dp_serve.Serve.config ~disks ~jitter_ms ~jobs ~shards ~selection ~knobs
+          ~obs:(obs_jsonl <> None) ~live ~tenants ~seed ()
       in
       let report = Dp_serve.Serve.run ?cache cfg in
       (* Rows render their live frames into their own buffers during the
@@ -930,9 +908,9 @@ let simulate_cmd =
       value & opt string "none"
       & info [ "policy" ] ~docv:"P"
           ~doc:
-            "none | tpm | tpm-proactive | drpm | drpm-proactive | oracle-tpm | oracle-drpm \
-             (proactive policies execute compiler hints; oracle-* print the offline-optimal \
-             bound instead of simulating)")
+            "none | tpm | tpm-proactive | drpm | drpm-proactive | online | oracle-tpm | \
+             oracle-drpm (proactive policies execute compiler hints; oracle-* print the \
+             offline-optimal bound instead of simulating)")
   in
   let per_disk = Arg.(value & flag & info [ "per-disk" ] ~doc:"Print per-disk statistics") in
   let timeline =
@@ -990,7 +968,7 @@ let fault_sweep_cmd =
       & opt (some string) None
       & info [ "classes" ] ~docv:"CLASSES"
           ~doc:
-            "Fault classes: letters from smlr (s spin-up, m media, l latency spike, \
+            "Fault classes: letters from smlrd (s spin-up, m media, l latency spike, \
              r stuck RPM, d media decay) or all")
   in
   let json =

@@ -15,8 +15,8 @@ module Bin = Dp_trace.Bin
 module Engine = Dp_disksim.Engine
 module Policy = Dp_disksim.Policy
 module Disk_model = Dp_disksim.Disk_model
+module Knobs = Dp_disksim.Knobs
 module Fault_model = Dp_faults.Fault_model
-module Repair = Dp_repair.Repair
 module Oracle = Dp_oracle.Oracle
 
 open Cmdliner
@@ -79,6 +79,7 @@ let run trace_file out disks policy_name threshold proactive window downshift fa
     | Ok parsed -> parsed
     | Error e -> usage_error "%s" (Request.load_error_to_string e)
   in
+  if disks < 1 then usage_error "--disks must be at least 1 (got %d)" disks;
   if shards < 1 then usage_error "--shards must be at least 1 (got %d)" shards;
   if live && shards > 1 then
     usage_error
@@ -93,20 +94,15 @@ let run trace_file out disks policy_name threshold proactive window downshift fa
         | Ok f -> Some f
         | Error msg -> usage_error "--faults: %s" msg)
   in
-  if scrub_ms < 0.0 then usage_error "--scrub-ms must be non-negative (got %g)" scrub_ms;
-  (match spare with
-  | Some n when n < 1 -> usage_error "--spare must be at least 1 block (got %d)" n
-  | _ -> ());
-  (match deadline with
-  | Some d when d <= 0.0 -> usage_error "--deadline must be positive (got %g)" d
-  | _ -> ());
-  let repair =
-    if scrub_ms > 0.0 then Some (Repair.config ~scrub_budget_ms:scrub_ms ()) else None
+  let knobs =
+    match Knobs.make ?faults ~scrub_ms ?spare ?deadline_ms:deadline () with
+    | Ok k -> k
+    | Error msg -> usage_error "%s" msg
   in
-  let model =
-    match spare with
-    | None -> Disk_model.ultrastar_36z15
-    | Some n -> { Disk_model.ultrastar_36z15 with Disk_model.spare_blocks = n }
+  (* The policy constructors refuse out-of-range tunables; build once
+     per flag so the diagnostic names the flag that set the value. *)
+  let tunable flag build =
+    try build () with Invalid_argument msg -> usage_error "%s: %s" flag msg
   in
   try
     match Oracle.space_of_name policy_name with
@@ -125,9 +121,13 @@ let run trace_file out disks policy_name threshold proactive window downshift fa
         let policy =
           match policy_name with
           | "none" | "base" -> Policy.No_pm
-          | "tpm" -> Policy.tpm ?idle_threshold_s:threshold ~proactive ()
+          | "tpm" ->
+              tunable "--tpm-threshold" (fun () ->
+                  Policy.tpm ?idle_threshold_s:threshold ~proactive ())
           | "drpm" ->
-              Policy.drpm ?window_size:window ?downshift_idle_ms:downshift ~proactive ()
+              ignore (tunable "--drpm-window" (fun () -> Policy.drpm ?window_size:window ()));
+              tunable "--drpm-downshift-ms" (fun () ->
+                  Policy.drpm ?window_size:window ?downshift_idle_ms:downshift ~proactive ())
           | "online" -> Policy.default_adaptive
           | p -> usage_error "unknown policy %s" p
         in
@@ -149,8 +149,7 @@ let run trace_file out disks policy_name threshold proactive window downshift fa
           end
         in
         let r =
-          Engine.simulate ~model ~obs:sink ~hints ?faults ?repair ?deadline_ms:deadline
-            ~shards ~disks policy reqs
+          Engine.simulate ~obs:sink ~hints ~knobs ~shards ~disks policy reqs
         in
         live_finish ();
         close_stream ();

@@ -2,10 +2,8 @@ module Request = Dp_trace.Request
 module Hint = Dp_trace.Hint
 module Bin = Dp_trace.Bin
 module Engine = Dp_disksim.Engine
-module Disk_model = Dp_disksim.Disk_model
 module Policy = Dp_disksim.Policy
 module Timeline = Dp_disksim.Timeline
-module Repair = Dp_repair.Repair
 module Fault_model = Dp_faults.Fault_model
 module Pipeline = Dp_pipeline.Pipeline
 module Cachefs = Dp_cachefs.Cachefs
@@ -32,9 +30,10 @@ let shard_counts = [ 2; 4; 8 ]
 (* --- canonical artifacts ---
 
    One run rendered as precise JSON (exact %.17g floats): the
-   result header and every per-disk statistic.  Two runs that should
-   be byte-identical must produce equal strings.  Observability is
-   compared structurally, in the obs half of each pair check. *)
+   result header and every per-disk statistic.  Pairs compare the
+   results' marshalled bytes, which are as bit-exact and far cheaper;
+   the JSON is rendered only to describe a divergence.  Observability
+   is compared structurally, in the obs half of each pair check. *)
 
 let json_of_stats (s : Engine.disk_stats) =
   Json_out.Obj
@@ -96,13 +95,23 @@ let first_divergence a b =
          (context b))
   end
 
+let marshalled (r : Engine.result) = Marshal.to_string r [ Marshal.No_sharing ]
+
+let result_divergence a b =
+  if String.equal (marshalled a) (marshalled b) then None
+  else
+    Some
+      (Option.value
+         (first_divergence (artifact a) (artifact b))
+         ~default:"results differ in bits their rendering hides")
+
 (* The observability half of a pair comparison: the event streams must
    match structurally (the engine re-merges shard groups back into
    serial order, so equal runs mean equal streams).  The JSONL report
    is only rendered when they differ — byte-identity diagnostics
    without paying the rendering on every green pair. *)
 let compare_observed ~add label (base_r, base_events) (r, events) =
-  match first_divergence (artifact base_r) (artifact r) with
+  match result_divergence base_r r with
   | Some d -> add (Printf.sprintf "pair:%s" label) d
   | None ->
       if base_events <> events then begin
@@ -271,25 +280,32 @@ let compile_violations (g : Concrete.graph) (segs : Dp_trace.Generate.segments a
 
 let cache_dir_counter = Atomic.make 0
 
-let run ?sabotage (s : Scenario.t) =
-  Prof.span "chaos.check" @@ fun () ->
+(* What the oracle and its direct baseline both run: the scenario's
+   context, disk count, trace, policy with its hints, knobs, and the
+   rows of the --jobs pair (the adaptive row always included) with
+   their hint streams, prebuilt so the pool maps over pure engine
+   runs. *)
+let prepare (s : Scenario.t) =
   let ctx = Scenario.context s in
-  let disks = Pipeline.disks ctx in
   let trace = Pipeline.trace ~cluster:s.Scenario.cluster ctx ~procs:s.Scenario.procs s.Scenario.mode in
-  let policy = Scenario.policy s in
-  let hints =
+  let hints_for policy =
     Pipeline.hints_for ~cluster:s.Scenario.cluster ctx ~procs:s.Scenario.procs ~policy
       s.Scenario.mode
   in
-  let repair =
-    if s.Scenario.scrub_ms > 0.0 then Some (Repair.config ~scrub_budget_ms:s.Scenario.scrub_ms ())
-    else None
+  let policy = Scenario.policy s in
+  let hints = hints_for policy in
+  let jobs_rows () =
+    List.map
+      (fun key ->
+        let p = Option.get (Policy.of_name key) in
+        (key, p, hints_for p))
+      (List.sort_uniq compare [ "none"; s.Scenario.policy; "online" ])
   in
-  let model =
-    match s.Scenario.spare with
-    | None -> Disk_model.ultrastar_36z15
-    | Some n -> { Disk_model.ultrastar_36z15 with Disk_model.spare_blocks = n }
-  in
+  (ctx, Pipeline.disks ctx, trace, policy, hints, Scenario.knobs s, jobs_rows)
+
+let run ?sabotage (s : Scenario.t) =
+  Prof.span "chaos.check" @@ fun () ->
+  let ctx, disks, trace, policy, hints, knobs, jobs_rows = prepare s in
   let runs = ref 0 in
   let violations = ref [] in
   let add check detail = violations := { check; detail } :: !violations in
@@ -303,15 +319,14 @@ let run ?sabotage (s : Scenario.t) =
       List.iter
         (fun v -> add v.check v.detail)
         (compile_violations (Pipeline.graph ctx) segs));
-  let simulate ?faults ?obs ?shards ?(hints = hints) policy =
+  let simulate ?(knobs = knobs) ?obs ?shards ?(hints = hints) policy =
     incr runs;
-    Engine.simulate ~model ?obs ?shards ~hints ?faults ?repair
-      ?deadline_ms:s.Scenario.deadline_ms ~disks policy trace
+    Engine.simulate ?obs ?shards ~hints ~knobs ~disks policy trace
   in
   (* One observed run: a stream sink collecting every event (in the
      engine's re-merged serial order), optionally fanned into the SLO
      recorder. *)
-  let observed ?faults ?shards ?(invariants = true) ?(timeline = false) label =
+  let observed ?knobs ?shards ?(invariants = true) ?(timeline = false) label =
     Prof.span "chaos.observed" @@ fun () ->
     let acc = ref [] in
     let account =
@@ -325,7 +340,7 @@ let run ?sabotage (s : Scenario.t) =
           acc := e :: !acc;
           match account with Some (snk, _) -> Sink.emit snk e | None -> ())
     in
-    let r = simulate ?faults ?shards ~obs:sink policy in
+    let r = simulate ?knobs ?shards ~obs:sink policy in
     let events = List.rev !acc in
     if invariants then begin
       (* Without a timeline the conservation check still folds the
@@ -350,13 +365,13 @@ let run ?sabotage (s : Scenario.t) =
     end;
     (r, events)
   in
-  let base = observed ?faults:s.Scenario.faults ~timeline:true "base" in
+  let base = observed ~timeline:true "base" in
   (* Pair: serial vs sharded {2, 4, 8}.  Invariants run on every
      variant too — a shard-only conservation break should be caught
      even if the artifacts happen to agree. *)
   List.iter
     (fun k ->
-      let v = observed ?faults:s.Scenario.faults ~shards:k (Printf.sprintf "shards-%d" k) in
+      let v = observed ~shards:k (Printf.sprintf "shards-%d" k) in
       compare_observed ~add (Printf.sprintf "shards-%d" k) base v)
     shard_counts;
   (* Pair: a rate-0 fault window vs the clean engine. *)
@@ -364,8 +379,8 @@ let run ?sabotage (s : Scenario.t) =
   | None -> ()
   | Some f ->
       let zero = { f with Fault_model.rate = 0.0 } in
-      let z = observed ~faults:zero ~invariants:false "rate0" in
-      let c = observed ~invariants:false "clean" in
+      let z = observed ~knobs:{ knobs with faults = Some zero } ~invariants:false "rate0" in
+      let c = observed ~knobs:{ knobs with faults = None } ~invariants:false "clean" in
       compare_observed ~add "rate0-clean" c z);
   (* Pair: text vs binary trace round-trip (both directions of the
      codec over the quantized trace, hints and fault window). *)
@@ -426,23 +441,10 @@ let run ?sabotage (s : Scenario.t) =
             in
             fetch "cold";
             fetch "warm"));
-  (* Pair: --jobs 1 vs N over the scenario's policy rows (the adaptive
-     row always included).  Hint streams are prebuilt so the pool maps
-     over pure engine runs. *)
+  (* Pair: --jobs 1 vs N over the scenario's policy rows. *)
   Prof.span "chaos.pair.jobs" (fun () ->
-    let rows = List.sort_uniq compare [ "none"; s.Scenario.policy; "online" ] in
-    let prepared =
-      List.map
-        (fun key ->
-          let p = Option.get (Scenario.policy_of_key key) in
-          let h =
-            Pipeline.hints_for ~cluster:s.Scenario.cluster ctx ~procs:s.Scenario.procs
-              ~policy:p s.Scenario.mode
-          in
-          (key, p, h))
-        rows
-    in
-    let run_row (_, p, h) = artifact (simulate ~hints:h ?faults:s.Scenario.faults p) in
+    let prepared = jobs_rows () in
+    let run_row (_, p, h) = simulate ~hints:h p in
     (* [runs] is bumped inside the pool: count the parallel leg outside
        to keep the counter race-free. *)
     let serial = Prof.span "chaos.pair.jobs.serial" (fun () -> List.map run_row prepared) in
@@ -450,17 +452,13 @@ let run ?sabotage (s : Scenario.t) =
     let parallel =
       Prof.span "chaos.pair.jobs.pool" @@ fun () ->
       Dp_util.Domain_pool.map ~jobs:4
-        (fun (_, p, h) ->
-          Engine.simulate ~model ~hints:h ?faults:s.Scenario.faults ?repair
-            ?deadline_ms:s.Scenario.deadline_ms ~disks p trace
-          |> artifact)
+        (fun (_, p, h) -> Engine.simulate ~hints:h ~knobs ~disks p trace)
         prepared
     in
     runs := n_before + List.length prepared;
-    List.iteri
-      (fun i ((key, _, _), (a, b)) ->
-        ignore i;
-        match first_divergence a b with
+    List.iter
+      (fun ((key, _, _), (a, b)) ->
+        match result_divergence a b with
         | None -> ()
         | Some d -> add (Printf.sprintf "pair:jobs-%s" key) d)
       (List.combine prepared (List.combine serial parallel)));
@@ -474,35 +472,17 @@ let run_trace (s : Scenario.t) =
    running the same paired configurations directly, with no invariant
    checking, no artifacts and no observability. *)
 let run_direct (s : Scenario.t) =
-  let ctx = Scenario.context s in
-  let disks = Pipeline.disks ctx in
-  let trace = Pipeline.trace ~cluster:s.Scenario.cluster ctx ~procs:s.Scenario.procs s.Scenario.mode in
-  let policy = Scenario.policy s in
-  let hints =
-    Pipeline.hints_for ~cluster:s.Scenario.cluster ctx ~procs:s.Scenario.procs ~policy
-      s.Scenario.mode
+  let _, disks, trace, policy, hints, knobs, jobs_rows = prepare s in
+  let go ?(knobs = knobs) ?shards p h =
+    ignore (Engine.simulate ?shards ~hints:h ~knobs ~disks p trace)
   in
-  let repair =
-    if s.Scenario.scrub_ms > 0.0 then Some (Repair.config ~scrub_budget_ms:s.Scenario.scrub_ms ())
-    else None
-  in
-  let model =
-    match s.Scenario.spare with
-    | None -> Disk_model.ultrastar_36z15
-    | Some n -> { Disk_model.ultrastar_36z15 with Disk_model.spare_blocks = n }
-  in
-  let go ?faults ?shards p h =
-    ignore
-      (Engine.simulate ~model ?shards ~hints:h ?faults ?repair
-         ?deadline_ms:s.Scenario.deadline_ms ~disks p trace)
-  in
-  go ?faults:s.Scenario.faults policy hints;
-  List.iter (fun k -> go ?faults:s.Scenario.faults ~shards:k policy hints) shard_counts;
+  go policy hints;
+  List.iter (fun k -> go ~shards:k policy hints) shard_counts;
   (match s.Scenario.faults with
   | None -> ()
   | Some f ->
-      go ~faults:{ f with Fault_model.rate = 0.0 } policy hints;
-      go policy hints);
+      go ~knobs:{ knobs with faults = Some { f with Fault_model.rate = 0.0 } } policy hints;
+      go ~knobs:{ knobs with faults = None } policy hints);
   (* The oracle's cache pair re-derives the trace twice through a
      persistent store; the baseline pays the same pipeline cost. *)
   begin
@@ -528,21 +508,9 @@ let run_direct (s : Scenario.t) =
   (* The jobs pair really does run its second leg on a domain pool —
      the baseline prices that in too, or the gate would charge domain
      spawn-up to the oracle. *)
-  let prepared =
-    List.map
-      (fun key ->
-        let p = Option.get (Scenario.policy_of_key key) in
-        let h =
-          Pipeline.hints_for ~cluster:s.Scenario.cluster ctx ~procs:s.Scenario.procs ~policy:p
-            s.Scenario.mode
-        in
-        (p, h))
-      (List.sort_uniq compare [ "none"; s.Scenario.policy; "online" ])
-  in
-  List.iter (fun (p, h) -> go ?faults:s.Scenario.faults p h) prepared;
+  let prepared = jobs_rows () in
+  List.iter (fun (_, p, h) -> go p h) prepared;
   ignore
     (Dp_util.Domain_pool.map ~jobs:4
-       (fun (p, h) ->
-         Engine.simulate ~model ~hints:h ?faults:s.Scenario.faults ?repair
-           ?deadline_ms:s.Scenario.deadline_ms ~disks p trace)
+       (fun (_, p, h) -> Engine.simulate ~hints:h ~knobs ~disks p trace)
        prepared)

@@ -23,6 +23,12 @@ type violation = { check : string; detail : string }
 
 type outcome = { violations : violation list; runs : int; requests : int }
 
+val result_divergence :
+  Dp_disksim.Engine.result -> Dp_disksim.Engine.result -> string option
+(** The pair comparator: [None] when the two results are bit for bit
+    equal (their marshalled bytes match, so [0.0] and [-0.0] differ),
+    else where their precise JSON renderings first diverge. *)
+
 val compile_violations :
   Dp_dependence.Concrete.graph -> Dp_trace.Generate.segments array -> violation list
 (** The compile-side oracle over a mode's streams ({!Dp_pipeline.Pipeline.streams}):

@@ -4,6 +4,7 @@ module Striping = Dp_layout.Striping
 module Cluster = Dp_restructure.Cluster
 module Pipeline = Dp_pipeline.Pipeline
 module Policy = Dp_disksim.Policy
+module Knobs = Dp_disksim.Knobs
 module Fault_model = Dp_faults.Fault_model
 module Splitmix = Dp_util.Splitmix
 
@@ -21,21 +22,16 @@ type t = {
   deadline_ms : float option;
 }
 
-let policy_keys = [ "none"; "tpm"; "tpm-proactive"; "drpm"; "drpm-proactive"; "online" ]
-
-let policy_of_key = function
-  | "none" -> Some Policy.No_pm
-  | "tpm" -> Some Policy.default_tpm
-  | "tpm-proactive" -> Some (Policy.tpm ~proactive:true ())
-  | "drpm" -> Some Policy.default_drpm
-  | "drpm-proactive" -> Some (Policy.drpm ~proactive:true ())
-  | "online" -> Some Policy.default_adaptive
-  | _ -> None
-
 let policy t =
-  match policy_of_key t.policy with
+  match Policy.of_name t.policy with
   | Some p -> p
   | None -> invalid_arg (Printf.sprintf "Scenario.policy: unknown key %S" t.policy)
+
+let make_knobs t =
+  Knobs.make ?faults:t.faults ~scrub_ms:t.scrub_ms ?spare:t.spare ?deadline_ms:t.deadline_ms ()
+
+let knobs t =
+  match make_knobs t with Ok k -> k | Error msg -> invalid_arg ("Scenario.knobs: " ^ msg)
 
 let token_string t =
   match t.token with Some tok -> Printf.sprintf "%016Lx" tok | None -> "-"
@@ -115,7 +111,7 @@ let generate token =
     else pick knob_rng [ Pipeline.Original; Pipeline.Reuse_single; Pipeline.Reuse_multi ]
   in
   let cluster = pick knob_rng Cluster.all_policies in
-  let policy = pick knob_rng policy_keys in
+  let policy = pick knob_rng Policy.names in
   let scrub_ms = pick knob_rng [ 0.0; 0.0; 25.0 ] in
   let spare = pick knob_rng [ None; None; Some 32 ] in
   let deadline_ms = pick knob_rng [ None; None; Some 400.0 ] in
@@ -231,41 +227,31 @@ let of_spec ~program ~stripes spec =
   in
   let* policy_s = field "policy" in
   let* policy =
-    if List.mem policy_s policy_keys then Ok policy_s
+    if List.mem policy_s Policy.names then Ok policy_s
     else
       Error
         (Printf.sprintf "bad policy %S (expected %s)" policy_s
-           (String.concat " | " policy_keys))
+           (String.concat " | " Policy.names))
   in
-  let* scrub_s = field "scrub-ms" in
-  let* scrub_ms =
-    match float_of_string_opt scrub_s with
-    | Some v when v >= 0.0 -> Ok v
-    | _ -> Error (Printf.sprintf "bad scrub-ms %S (expected a non-negative float)" scrub_s)
+  (* Parse errors are the spec's own; range checks are the knobs'. *)
+  let number key conv v =
+    match conv v with
+    | Some x -> Ok x
+    | None -> Error (Printf.sprintf "bad %s %S (expected a number)" key v)
   in
-  let* spare_s = field "spare" in
-  let* spare =
-    if spare_s = "-" then Ok None
-    else
-      match int_of_string_opt spare_s with
-      | Some n when n >= 1 -> Ok (Some n)
-      | _ -> Error (Printf.sprintf "bad spare %S (expected a positive integer or -)" spare_s)
+  let optional key conv =
+    let* v = field key in
+    if v = "-" then Ok None else Result.map Option.some (number key conv v)
   in
-  let* deadline_s = field "deadline-ms" in
-  let* deadline_ms =
-    if deadline_s = "-" then Ok None
-    else
-      match float_of_string_opt deadline_s with
-      | Some v when v > 0.0 -> Ok (Some v)
-      | _ ->
-          Error (Printf.sprintf "bad deadline-ms %S (expected a positive float or -)" deadline_s)
-  in
+  let* scrub_ms = Result.bind (field "scrub-ms") (number "scrub-ms" float_of_string_opt) in
+  let* spare = optional "spare" int_of_string_opt in
+  let* deadline_ms = optional "deadline-ms" float_of_string_opt in
   let* () =
     if mode = Pipeline.Reuse_multi && procs = 1 then
       Error "mode multi needs procs > 1 (the layout-aware scheme tours disk shares)"
     else Ok ()
   in
-  Ok
+  let t =
     {
       token;
       program;
@@ -279,6 +265,8 @@ let of_spec ~program ~stripes spec =
       spare;
       deadline_ms;
     }
+  in
+  Result.map (fun _ -> t) (make_knobs t)
 
 (* --- shape accounting (what the shrinker minimizes) --- *)
 

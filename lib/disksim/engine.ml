@@ -1,6 +1,5 @@
 module Request = Dp_trace.Request
 module Hint = Dp_trace.Hint
-module Fault_model = Dp_faults.Fault_model
 module Injector = Dp_faults.Injector
 module Repair = Dp_repair.Repair
 module Sink = Dp_obs.Sink
@@ -1032,12 +1031,13 @@ let shard_groups ~n_proc ~disks ~mirror queues_seg =
    Segment barriers synchronize all processors.  Disks are FIFO in issue
    order; their power trajectory over each inter-arrival gap is decided
    by the policy. *)
-let simulate ?(model = Disk_model.ultrastar_36z15) ?(obs = Sink.null) ?(hints = []) ?faults
-    ?(retry = Policy.default_retry) ?repair
-    ?deadline_ms ?(shards = 1) ~disks policy reqs =
+let simulate ?(model = Disk_model.ultrastar_36z15) ?(obs = Sink.null) ?(hints = [])
+    ?(knobs = Knobs.none) ?(shards = 1) ~disks policy reqs =
   Dp_obs.Prof.span "disksim.simulate" @@ fun () ->
   if disks < 1 then invalid_arg "Engine.simulate: disks must be >= 1";
   if shards < 1 then invalid_arg "Engine.simulate: shards must be >= 1";
+  (match Knobs.check knobs with Ok _ -> () | Error msg -> invalid_arg ("Engine.simulate: " ^ msg));
+  let model = Knobs.model knobs model in
   List.iter
     (fun (r : Request.t) ->
       if r.disk < 0 || r.disk >= disks then
@@ -1060,25 +1060,15 @@ let simulate ?(model = Disk_model.ultrastar_36z15) ?(obs = Sink.null) ?(hints = 
     hints;
   let hinted = hints <> [] in
   let fctx =
-    match faults with
-    | None -> None
-    | Some cfg -> Some { inj = Injector.make cfg ~disks; retry }
-  in
-  (* The repair domain is armed by an explicit [?repair] config, by a
-     fault spec whose classes include media decay, or by a deadline —
-     with [Repair.default] (scrub off) in the implicit cases, so a
-     rate-0 decay run stays byte-identical to a clean one. *)
-  let decay_armed =
-    match faults with
-    | Some f -> List.mem Fault_model.Media_decay f.Fault_model.classes
-    | None -> false
+    Option.map
+      (fun cfg -> { inj = Injector.make cfg ~disks; retry = knobs.Knobs.retry })
+      knobs.Knobs.faults
   in
   let rctx =
-    match repair with
-    | Some cfg -> Some { rc = Repair.make cfg ~disks; deadline_ms; peers = [||] }
-    | None when decay_armed || deadline_ms <> None ->
-        Some { rc = Repair.make Repair.default ~disks; deadline_ms; peers = [||] }
-    | None -> None
+    Option.map
+      (fun cfg ->
+        { rc = Repair.make cfg ~disks; deadline_ms = knobs.Knobs.deadline_ms; peers = [||] })
+      (Knobs.armed_repair knobs)
   in
   let ctrl =
     match policy with

@@ -68,10 +68,7 @@ val simulate :
   ?model:Disk_model.t ->
   ?obs:Dp_obs.Sink.t ->
   ?hints:Dp_trace.Hint.t list ->
-  ?faults:Dp_faults.Fault_model.t ->
-  ?retry:Policy.retry_config ->
-  ?repair:Dp_repair.Repair.config ->
-  ?deadline_ms:float ->
+  ?knobs:Knobs.t ->
   ?shards:int ->
   disks:int ->
   Policy.t ->
@@ -134,27 +131,10 @@ val simulate :
     an empty stream, proactive policies keep their omniscient built-in
     planning; reactive policies ignore hints entirely.
 
-    [faults] (default none) seeds a deterministic fault injector: the
-    same configuration reproduces the same perturbed run bit for bit,
-    and a configuration with rate [0.0] reproduces the fault-free run
-    byte for byte.  [retry] (default {!Policy.default_retry}) bounds
-    how persistently faulted operations are re-attempted.
-
-    [repair] configures the persistent-failure domain (see
-    {!Dp_repair.Repair}): grown bad sectors remapped to a per-disk spare
-    pool, an idle-window scrubber, whole-disk failure past a defect
-    threshold with mirror reconstruction and hot-spare rebuild.  It is
-    armed implicitly (with {!Dp_repair.Repair.default} — scrub off) when
-    [faults] enables the media-decay class or when [deadline_ms] is set;
-    a rate-0 decay run stays byte-identical to a clean one.
-
-    [deadline_ms] serves every request under a deadline: a media-error
-    retry storm that has blown it is abandoned and the read fails over
-    to the disk's mirror, and responses past the deadline are reported
-    as {!Dp_obs.Event.Deadline} misses.  A miss is stamped on its disk's
-    clock when the request completes there, or, for a failover, when
-    the disk abandoned its retries; its response and its [Service]
-    span include the mirror's read. *)
+    [knobs] (default {!Knobs.none}) are the run's fault window, repair
+    domain (armed per {!Knobs.armed_repair}), spare override (applied to
+    [model]) and deadline; knobs {!Knobs.check} refuses raise
+    [Invalid_argument]. *)
 
 val wear_fraction : Disk_model.t -> disk_stats -> float
 (** Start-stop wear consumed by a run: [spin_downs] over the drive's

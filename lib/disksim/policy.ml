@@ -14,18 +14,38 @@ type t =
   | Drpm of drpm_config
   | Adaptive of Dp_online.Online.config
 
+(* NaN fails the comparison. *)
+let non_negative who field v =
+  if not (v >= 0.0) then
+    invalid_arg (Printf.sprintf "Policy.%s: %s must be >= 0 (got %g)" who field v)
+
 let tpm ?(idle_threshold_s = Disk_model.ultrastar_36z15.Disk_model.tpm_breakeven_s)
     ?(proactive = false) () =
+  non_negative "tpm" "idle_threshold_s" idle_threshold_s;
   Tpm { idle_threshold_s; proactive }
 
 let drpm ?(window_size = 100) ?(downshift_idle_ms = 1_000.0) ?(tolerance = 1.15)
     ?(proactive = false) ?min_rpm () =
+  if window_size < 1 then
+    invalid_arg (Printf.sprintf "Policy.drpm: window_size must be >= 1 (got %d)" window_size);
+  non_negative "drpm" "downshift_idle_ms" downshift_idle_ms;
   Drpm { window_size; downshift_idle_ms; tolerance; proactive; min_rpm }
 
 let adaptive ?(config = Dp_online.Online.default) () = Adaptive config
 let default_tpm = tpm ()
 let default_drpm = drpm ()
 let default_adaptive = adaptive ()
+
+let names = [ "none"; "tpm"; "tpm-proactive"; "drpm"; "drpm-proactive"; "online" ]
+
+let of_name = function
+  | "none" | "base" -> Some No_pm
+  | "tpm" -> Some default_tpm
+  | "tpm-proactive" -> Some (tpm ~proactive:true ())
+  | "drpm" -> Some default_drpm
+  | "drpm-proactive" -> Some (drpm ~proactive:true ())
+  | "online" -> Some default_adaptive
+  | _ -> None
 
 let name = function
   | No_pm -> "none"

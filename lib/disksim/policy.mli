@@ -49,8 +49,12 @@ type t =
 val default_tpm : t
 val default_drpm : t
 val default_adaptive : t
+
 val tpm : ?idle_threshold_s:float -> ?proactive:bool -> unit -> t
+(** @raise Invalid_argument on a negative or NaN [idle_threshold_s]. *)
+
 val adaptive : ?config:Dp_online.Online.config -> unit -> t
+
 val drpm :
   ?window_size:int ->
   ?downshift_idle_ms:float ->
@@ -59,6 +63,19 @@ val drpm :
   ?min_rpm:int ->
   unit ->
   t
+(** @raise Invalid_argument on a [window_size] below 1 or a negative or
+    NaN [downshift_idle_ms]. *)
+
+val names : string list
+(** The policy names {!of_name} accepts, in this order:
+    [none | tpm | tpm-proactive | drpm | drpm-proactive | online].  The
+    chaos harness draws a scenario's policy by index into this list, so
+    reordering it changes every chaos scenario. *)
+
+val of_name : string -> t option
+(** The default-tuned policy of a {!names} member; ["base"] is an alias
+    of ["none"]. *)
+
 val name : t -> string
 
 val describe : t -> string

@@ -24,9 +24,15 @@ type t = {
   stuck_window_ms : float;
 }
 
+(* NaN fails both comparisons. *)
+let check_rate rate =
+  if rate >= 0.0 && rate <= 1.0 then Ok ()
+  else Error (Printf.sprintf "bad fault rate %g (expected within [0, 1])" rate)
+
 let make ?(classes = all_classes) ?(spike_ms = 120.0) ?(stuck_window_ms = 30_000.0) ~seed
     ~rate () =
-  { seed; rate = Float.min 1.0 (Float.max 0.0 rate); classes; spike_ms; stuck_window_ms }
+  (match check_rate rate with Ok () -> () | Error msg -> invalid_arg ("Fault_model.make: " ^ msg));
+  { seed; rate; classes; spike_ms; stuck_window_ms }
 
 let classes_of_string s =
   if s = "all" || s = "" then Ok all_classes
@@ -60,13 +66,9 @@ let of_spec spec =
       | Some seed -> begin
           match float_of_string_opt rate with
           | None -> Error (Printf.sprintf "bad fault rate %S (expected a float)" rate)
-          | Some r when r < 0.0 || r > 1.0 ->
-              Error (Printf.sprintf "bad fault rate %S (expected within [0, 1])" rate)
-          | Some rate -> begin
-              match classes_of_string classes with
-              | Ok classes -> Ok (make ~classes ~seed ~rate ())
-              | Error _ as e -> e
-            end
+          | Some rate ->
+              Result.bind (check_rate rate) (fun () ->
+                  Result.map (fun classes -> make ~classes ~seed ~rate ()) (classes_of_string classes))
         end
     end
   | _ -> Error (Printf.sprintf "bad fault spec %S (expected seed:rate:classes)" spec)

@@ -41,15 +41,20 @@ val make :
   rate:float ->
   unit ->
   t
-(** Defaults: all classes, 120 ms spikes, 30 s stuck windows.  A negative
-    [rate] or one above 1 is clamped into [0, 1]. *)
+(** Defaults: all classes, 120 ms spikes, 30 s stuck windows.
+    @raise Invalid_argument when {!check_rate} rejects [rate]. *)
+
+val check_rate : float -> (unit, string) result
+(** The one fault-rate rule: a rate must lie within [\[0, 1\]], so NaN
+    is refused.  The error echoes the value. *)
 
 val of_spec : string -> (t, string) result
 (** Parse a [seed:rate:classes] CLI spec, e.g. ["42:0.01:all"] or
     ["7:0.05:sm"].  Classes are a subset of the letters [s] (spin-up),
     [m] (media), [l] (latency spike), [r] (stuck RPM), [d] (media
-    decay), or the word [all].  A duplicated class letter or a negative
-    seed is rejected; the error names the offending field. *)
+    decay), or the word [all].  A duplicated class letter, a negative
+    seed or a rate {!check_rate} refuses is rejected; the error names
+    the offending field. *)
 
 val to_spec : t -> string
 (** Round-trips through {!of_spec} (spike/window lengths keep their

@@ -19,7 +19,7 @@ let rec chunks size = function
       let chunk, rest = take size [] xs in
       chunk :: chunks size rest
 
-let build_matrix ?apps ?cache ?faults ?retry ?obs ?(jobs = 1) ?shards ~procs ~versions () =
+let build_matrix ?apps ?cache ?knobs ?obs ?(jobs = 1) ?shards ~procs ~versions () =
   let apps = match apps with Some a -> a | None -> Workloads.all () in
   (* One shared context per app: rows fan out over the domain pool and
      meet again in the context's stage memo tables, so the dependence
@@ -30,7 +30,7 @@ let build_matrix ?apps ?cache ?faults ?retry ?obs ?(jobs = 1) ?shards ~procs ~ve
   in
   let runs =
     Domain_pool.map ~jobs
-      (fun (ctx, v) -> (v, Runner.run ctx ?faults ?retry ?obs ?shards ~procs v))
+      (fun (ctx, v) -> (v, Runner.run ctx ?knobs ?obs ?shards ~procs v))
       cells
   in
   List.map2
@@ -150,43 +150,6 @@ let fig_energy matrix ppf =
     versions;
   Format.fprintf ppf "@]"
 
-(* Reliability columns: what the energy figures hide.  Start-stop wear
-   is charged against the drive's rated budget even in a fault-free run
-   (every spin-down ages the spindle); retries, spikes and degraded time
-   appear once a fault window is active. *)
-let fig_reliability ?faults matrix ppf =
-  let versions = versions_of matrix in
-  let header =
-    [ "App"; "Version"; "Downs"; "Wear"; "SuRetry"; "MediaRetry"; "Spikes"; "Degraded(ms)" ]
-  in
-  let rows =
-    List.concat_map
-      (fun ((app : App.t), runs) ->
-        List.map
-          (fun v ->
-            let rel = Runner.reliability (List.assoc v runs) in
-            [
-              app.App.name;
-              Version.name v;
-              string_of_int rel.Runner.spin_downs;
-              Tabulate.fmt_pct rel.Runner.wear;
-              string_of_int rel.Runner.spin_up_retries;
-              string_of_int rel.Runner.media_retries;
-              string_of_int rel.Runner.latency_spikes;
-              Printf.sprintf "%.1f" rel.Runner.degraded_ms;
-            ])
-          versions)
-      matrix
-  in
-  Format.fprintf ppf
-    "@[<v>Reliability: start-stop wear (of the %d-cycle budget) and fault-recovery effort%a@,"
-    Dp_disksim.Disk_model.ultrastar_36z15.Dp_disksim.Disk_model.rated_start_stop_cycles
-    (Format.pp_print_option (fun ppf f ->
-         Format.fprintf ppf " (%a)" Dp_faults.Fault_model.pp f))
-    faults;
-  Tabulate.render ppf ~header ~rows;
-  Format.fprintf ppf "@]"
-
 (* Fault sweep: the same app and versions re-simulated across a fault
    rate ramp, every point re-seeded identically — how gracefully each
    policy's energy savings and response times degrade as the array gets
@@ -206,7 +169,8 @@ let fault_sweep ?(seed = 42) ?(rates = [ 0.0; 0.001; 0.01; 0.05; 0.1 ]) ?cache ?
     Domain_pool.map ~jobs
       (fun (rate, v) ->
         let faults = Dp_faults.Fault_model.make ?classes ~seed ~rate () in
-        (v, Runner.run ctx ~faults ?obs ?shards ~procs v))
+        let knobs = { Dp_disksim.Knobs.none with faults = Some faults } in
+        (v, Runner.run ctx ~knobs ?obs ?shards ~procs v))
       cells
   in
   let points =

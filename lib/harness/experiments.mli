@@ -9,8 +9,7 @@ type matrix = (App.t * (Version.t * Runner.run) list) list
 val build_matrix :
   ?apps:App.t list ->
   ?cache:Dp_cachefs.Cachefs.t ->
-  ?faults:Dp_faults.Fault_model.t ->
-  ?retry:Dp_disksim.Policy.retry_config ->
+  ?knobs:Dp_disksim.Knobs.t ->
   ?obs:bool ->
   ?jobs:int ->
   ?shards:int ->
@@ -21,9 +20,8 @@ val build_matrix :
 (** Runs the full pipeline for every (app, version) pair.  Defaults to
     the six Table-2 applications.  [cache] backs every per-app context
     with a persistent stage store ({!Runner.context}) so a warm
-    invocation skips straight to the simulations.  [faults]/[retry]
-    perturb every simulated run with the same deterministic injector
-    configuration (oracle rows stay fault-free — see {!Runner.run}).
+    invocation skips straight to the simulations.  [knobs] apply to
+    every simulated run (oracle rows ignore them — see {!Runner.run}).
     [obs] attaches per-run observability reports (see {!Runner.run});
     the JSON rendering then carries the histograms.  [jobs] (default 1)
     fans the (app, version) rows out over that many domains
@@ -52,12 +50,6 @@ val fig_perf : matrix -> Format.formatter -> unit
 (** Performance degradation (increase in disk I/O time) per app and
     version (Figs. 10a / 10b). *)
 
-val fig_reliability : ?faults:Dp_faults.Fault_model.t -> matrix -> Format.formatter -> unit
-(** Wear/retry/degraded-time columns per (app, version): spin-down count
-    against the rated start-stop budget, fault-recovery effort, and time
-    attributable to injected faults.  [faults] only labels the header —
-    pass the configuration the matrix was built with. *)
-
 (** {1 Fault sweeps} *)
 
 type sweep_point = { rate : float; runs : (Version.t * Runner.run) list }
@@ -78,10 +70,11 @@ val fault_sweep :
   versions:Version.t list ->
   App.t ->
   sweep
-(** Defaults: seed 42, rates [0, 0.001, 0.01, 0.05, 0.1], all fault
-    classes.  [cache], [obs], [jobs] and [shards] as in
-    {!build_matrix} — the (rate, version) points fan out over the
-    domain pool with deterministic ordering. *)
+(** Defaults: seed 42, rates [0, 0.001, 0.01, 0.05, 0.1] (each must pass
+    {!Dp_faults.Fault_model.check_rate}), all fault classes.  [cache],
+    [obs], [jobs] and [shards] as in {!build_matrix} — the (rate,
+    version) points fan out over the domain pool with deterministic
+    ordering. *)
 
 val fig_sweep : sweep -> Format.formatter -> unit
 (** Energy and degraded time per version at each rate of the ramp. *)

@@ -1,5 +1,6 @@
 module App = Dp_workloads.App
 module Engine = Dp_disksim.Engine
+module Knobs = Dp_disksim.Knobs
 module Json = Dp_util.Json
 
 type t = Json.t =
@@ -180,6 +181,7 @@ let of_serve_summary ~kinds (s : Dp_serve.Account.summary) =
 
 let of_serve (r : Dp_serve.Serve.report) =
   let cfg = r.Dp_serve.Serve.config in
+  let k = cfg.Dp_serve.Serve.knobs in
   Obj
     ([
       ("tenants", Int cfg.Dp_serve.Serve.tenants);
@@ -191,20 +193,15 @@ let of_serve (r : Dp_serve.Serve.report) =
      ]
     (* Reliability config extras only when armed: a clean (or rate-0,
        no-deadline) serve JSON stays byte-identical to main. *)
-    @ (match cfg.Dp_serve.Serve.faults with
+    @ (match k.Knobs.faults with
       | Some f when f.Dp_faults.Fault_model.rate > 0.0 ->
           [ ("faults", String (Dp_faults.Fault_model.to_spec f)) ]
       | _ -> [])
-    @ (match cfg.Dp_serve.Serve.deadline_ms with
-      | Some d -> [ ("deadline_ms", Float d) ]
+    @ (match k.Knobs.deadline_ms with Some d -> [ ("deadline_ms", Float d) ] | None -> [])
+    @ (match k.Knobs.repair with
+      | Some rc -> [ ("scrub_budget_ms", Float rc.Dp_repair.Repair.scrub_budget_ms) ]
       | None -> [])
-    @ (match cfg.Dp_serve.Serve.repair with
-      | Some rc ->
-          [ ("scrub_budget_ms", Float rc.Dp_repair.Repair.scrub_budget_ms) ]
-      | None -> [])
-    @ (match cfg.Dp_serve.Serve.spare_blocks with
-      | Some n -> [ ("spare_blocks", Int n) ]
-      | None -> [])
+    @ (match k.Knobs.spare with Some n -> [ ("spare_blocks", Int n) ] | None -> [])
     @ [
       ( "rows",
         List

@@ -17,7 +17,7 @@ type run = {
   obs : Dp_obs.Report.disk_report array option;
 }
 
-let run ctx ?faults ?retry ?(obs = false) ?shards ~procs version =
+let run ctx ?knobs ?(obs = false) ?shards ~procs version =
   match Version.oracle_space version with
   | Some space ->
       (* Offline-optimal bound on the unmodified code: same trace as the
@@ -58,7 +58,7 @@ let run ctx ?faults ?retry ?(obs = false) ?shards ~procs version =
         else Dp_obs.Sink.null
       in
       let result =
-        Engine.simulate ~obs:sink ~hints ?faults ?retry ?shards
+        Engine.simulate ~obs:sink ~hints ?knobs ?shards
           ~disks:(Pipeline.disks ctx) policy trace
       in
       let obs =

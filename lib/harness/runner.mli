@@ -35,8 +35,7 @@ type run = {
 
 val run :
   ctx ->
-  ?faults:Dp_faults.Fault_model.t ->
-  ?retry:Dp_disksim.Policy.retry_config ->
+  ?knobs:Dp_disksim.Knobs.t ->
   ?obs:bool ->
   ?shards:int ->
   procs:int ->
@@ -55,10 +54,9 @@ val run :
     {!Dp_pipeline.Pipeline.reference}), so rows replaying the same
     trace share them.
 
-    [faults]/[retry] seed the engine's deterministic fault injector (see
-    {!Dp_disksim.Engine.simulate}).  The oracle rows stay fault-free:
-    they are an idealized offline bound, so perturbing them would
-    conflate the bound with injector noise.
+    [knobs] are the engine's reliability knobs ({!Dp_disksim.Knobs}).
+    The oracle rows ignore them: they are an idealized offline bound,
+    so perturbing them would conflate the bound with injector noise.
 
     [shards] caps the engine's intra-run domain fan-out (per-segment
     shard groups, byte-identical to serial — see

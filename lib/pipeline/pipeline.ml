@@ -510,9 +510,9 @@ let hints_for ?cluster t ~procs ~policy mode =
   | None -> []
   | Some space -> hints ?cluster t ~procs ~space mode
 
-let simulate ?cluster ?faults ?retry ?obs ?shards t ~procs ~policy mode =
+let simulate ?cluster ?knobs ?obs ?shards t ~procs ~policy mode =
   let reqs = trace ?cluster t ~procs mode in
   let hints = hints_for ?cluster t ~procs ~policy mode in
   Prof.span "pipeline.simulate" (fun () ->
-      Engine.simulate ?obs ?faults ?retry ?shards ~hints ~disks:(disks t)
+      Engine.simulate ?obs ?knobs ?shards ~hints ~disks:(disks t)
         policy reqs)

@@ -179,8 +179,7 @@ val hints_for :
 
 val simulate :
   ?cluster:Cluster.policy ->
-  ?faults:Dp_faults.Fault_model.t ->
-  ?retry:Policy.retry_config ->
+  ?knobs:Dp_disksim.Knobs.t ->
   ?obs:Dp_obs.Sink.t ->
   ?shards:int ->
   t ->
@@ -189,9 +188,10 @@ val simulate :
   mode ->
   Engine.result
 (** Stage 5: trace-driven simulation of the mode under a policy, with
-    the policy's hint stream ({!hints_for}) attached.  [obs] receives
+    the policy's hint stream ({!hints_for}) attached and the run's
+    reliability [knobs] ({!Dp_disksim.Knobs}).  [obs] receives
     the run's events; pass a {!Dp_disksim.Timeline.recorder} to chart
-    it.  Simulation results are not memoized — faults and sinks make
+    it.  Simulation results are not memoized — knobs and sinks make
     runs observationally distinct; the expensive upstream stages
     are.
     [shards] fans the engine's per-segment shard groups across that

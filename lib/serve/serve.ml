@@ -3,7 +3,7 @@ module Request = Dp_trace.Request
 module Hint = Dp_trace.Hint
 module Engine = Dp_disksim.Engine
 module Policy = Dp_disksim.Policy
-module Disk_model = Dp_disksim.Disk_model
+module Knobs = Dp_disksim.Knobs
 module Fault_model = Dp_faults.Fault_model
 module Repair = Dp_repair.Repair
 module Oracle = Dp_oracle.Oracle
@@ -32,51 +32,31 @@ type config = {
   jobs : int;
   shards : int;
   selection : selection;
-  faults : Fault_model.t option;
-  repair : Repair.config option;
-  deadline_ms : float option;
-  spare_blocks : int option;
+  knobs : Knobs.t;
   obs : bool;
   live : bool;
 }
 
 let config ?(disks = 8) ?(jitter_ms = 30_000.0) ?(jobs = 1) ?(shards = 1) ?(selection = All)
-    ?faults ?repair ?deadline_ms ?spare_blocks ?(obs = false) ?(live = false) ~tenants
-    ~seed () =
+    ?(knobs = Knobs.none) ?(obs = false) ?(live = false) ~tenants ~seed () =
   if tenants < 1 then invalid_arg "Serve.config: tenants must be >= 1";
   if disks < 1 then invalid_arg "Serve.config: disks must be >= 1";
   if jobs < 1 then invalid_arg "Serve.config: jobs must be >= 1";
   if shards < 1 then invalid_arg "Serve.config: shards must be >= 1";
-  if jitter_ms < 0.0 then invalid_arg "Serve.config: jitter_ms must be >= 0";
-  (match deadline_ms with
-  | Some d when d <= 0.0 -> invalid_arg "Serve.config: deadline_ms must be > 0"
-  | _ -> ());
-  (match spare_blocks with
-  | Some n when n < 1 -> invalid_arg "Serve.config: spare_blocks must be >= 1"
-  | _ -> ());
-  {
-    tenants;
-    seed;
-    disks;
-    jitter_ms;
-    jobs;
-    shards;
-    selection;
-    faults;
-    repair;
-    deadline_ms;
-    spare_blocks;
-    obs;
-    live;
-  }
-
-(* The reliability extras show up in output only when something is
-   actually armed, so a clean (or rate-0, scrub-off, no-deadline) serve
-   stays byte-identical to what it printed before the failure domain
-   existed. *)
-let armed cfg =
-  (match cfg.faults with Some f -> f.Fault_model.rate > 0.0 | None -> false)
-  || cfg.repair <> None || cfg.deadline_ms <> None || cfg.spare_blocks <> None
+  if not (jitter_ms >= 0.0) then invalid_arg "Serve.config: jitter_ms must be >= 0";
+  (match Knobs.check knobs with Ok _ -> () | Error msg -> invalid_arg ("Serve.config: " ^ msg));
+  (* Decay without a deadline serves under a 500 ms SLO, so a decay run
+     reports availability next to energy. *)
+  let knobs =
+    match knobs.Knobs.faults with
+    | Some f
+      when knobs.Knobs.deadline_ms = None
+           && f.Fault_model.rate > 0.0
+           && List.mem Fault_model.Media_decay f.Fault_model.classes ->
+        { knobs with Knobs.deadline_ms = Some 500.0 }
+    | _ -> knobs
+  in
+  { tenants; seed; disks; jitter_ms; jobs; shards; selection; knobs; obs; live }
 
 type row = {
   label : string;
@@ -144,7 +124,7 @@ let run ?cache cfg =
           match hint_space with None -> [] | Some space -> offline_hints space
         in
         let acct_sink, finish =
-          Account.recorder ?deadline_ms:cfg.deadline_ms ~tenants:cfg.tenants
+          Account.recorder ?deadline_ms:cfg.knobs.Knobs.deadline_ms ~tenants:cfg.tenants
             ~disks:cfg.disks ()
         in
         (* Observability riders compose with the accounting sink at the
@@ -175,14 +155,9 @@ let run ?cache cfg =
                   (match report_finish with Some (feed, _) -> feed e | None -> ());
                   match live_finish with Some (feed, _) -> feed e | None -> ())
         in
-        let model =
-          match cfg.spare_blocks with
-          | None -> Disk_model.ultrastar_36z15
-          | Some n -> { Disk_model.ultrastar_36z15 with Disk_model.spare_blocks = n }
-        in
         let res =
-          Engine.simulate ~model ~obs:sink ~hints ?faults:cfg.faults ?repair:cfg.repair
-            ?deadline_ms:cfg.deadline_ms ~shards:cfg.shards ~disks:cfg.disks policy merged
+          Engine.simulate ~obs:sink ~hints ~knobs:cfg.knobs ~shards:cfg.shards ~disks:cfg.disks
+            policy merged
         in
         {
           label;
@@ -246,19 +221,20 @@ let pp_report ppf t =
     t.config.tenants oltp
     (t.config.tenants - oltp)
     t.config.seed t.config.disks t.requests t.config.jitter_ms;
-  if armed t.config then begin
+  let k = t.config.knobs in
+  if Knobs.armed k then begin
     Format.fprintf ppf "@,reliability:";
-    (match t.config.faults with
+    (match k.Knobs.faults with
     | Some f when f.Fault_model.rate > 0.0 ->
         Format.fprintf ppf " faults %s" (Fault_model.to_spec f)
     | _ -> ());
-    (match t.config.deadline_ms with
+    (match k.Knobs.deadline_ms with
     | Some d -> Format.fprintf ppf " deadline %.0f ms" d
     | None -> ());
-    (match t.config.repair with
+    (match k.Knobs.repair with
     | Some r -> Format.fprintf ppf " scrub %.0f ms/gap" r.Repair.scrub_budget_ms
     | None -> ());
-    (match t.config.spare_blocks with
+    (match k.Knobs.spare with
     | Some n -> Format.fprintf ppf " spare %d blocks" n
     | None -> ())
   end;

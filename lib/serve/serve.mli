@@ -49,14 +49,10 @@ type config = {
           shard groups, byte-identical to serial — see
           {!Dp_disksim.Engine.simulate}) *)
   selection : selection;
-  faults : Dp_faults.Fault_model.t option;
-      (** seeded fault injection for the simulated rows (the oracle
-          bound stays fault-free — it is an analytic floor) *)
-  repair : Dp_repair.Repair.config option;
-      (** persistent-failure domain override (scrub budget etc.); decay
-          faults arm {!Dp_repair.Repair.default} implicitly *)
-  deadline_ms : float option;  (** per-request SLO deadline *)
-  spare_blocks : int option;  (** per-disk spare-pool override *)
+  knobs : Dp_disksim.Knobs.t;
+      (** reliability knobs of the simulated rows (the oracle bound
+          stays fault-free — it is an analytic floor); a deadline arms
+          per-request SLO accounting *)
   obs : bool;
       (** build a per-disk {!Dp_obs.Report} for every simulated row
           (incrementally — nothing is retained beyond the report) *)
@@ -73,19 +69,19 @@ val config :
   ?jobs:int ->
   ?shards:int ->
   ?selection:selection ->
-  ?faults:Dp_faults.Fault_model.t ->
-  ?repair:Dp_repair.Repair.config ->
-  ?deadline_ms:float ->
-  ?spare_blocks:int ->
+  ?knobs:Dp_disksim.Knobs.t ->
   ?obs:bool ->
   ?live:bool ->
   tenants:int ->
   seed:int ->
   unit ->
   config
-(** @raise Invalid_argument when [tenants < 1], [disks < 1], [jobs < 1],
-    [shards < 1], [jitter_ms < 0], [deadline_ms <= 0] or
-    [spare_blocks < 1]. *)
+(** [knobs] defaults to {!Dp_disksim.Knobs.none}.  Media decay at a
+    rate above 0 with no deadline serves under a 500 ms SLO deadline, so
+    a decay run reports availability next to energy.
+    @raise Invalid_argument when [tenants < 1], [disks < 1], [jobs < 1],
+    [shards < 1], [jitter_ms] is negative or NaN, or
+    {!Dp_disksim.Knobs.check} refuses [knobs]. *)
 
 type row = {
   label : string;  (** [base] | [offline-tpm] | [offline-drpm] | [online] | [oracle] *)

@@ -98,6 +98,7 @@ let test_spec_errors_echo_value () =
       ("policy", "bogus-policy");
       ("procs", "zero");
       ("scrub-ms", "-3");
+      ("spare", "0");
       ("deadline-ms", "nope");
       ("token", "xyz");
       (* the fault-spec parser echoes the offending field *)
@@ -131,6 +132,33 @@ let test_oracle_green () =
       check Alcotest.bool "multiple engine runs" true (o.Check.runs >= 8);
       check Alcotest.bool "non-empty trace" true (o.Check.requests > 0))
     [ 1L; 5L; 12L; 1234L; 0x6358cb18bbd76731L; 0x7ddb65a2ce7e7a33L ]
+
+(* The pair comparator sees every bit: a one-ulp energy drift and a
+   sign-flipped zero both diverge, while an equal rerun does not. *)
+let test_result_divergence () =
+  let module Engine = Dp_disksim.Engine in
+  let s = Scenario.generate 5L in
+  let ctx = Scenario.context s in
+  let run () =
+    Engine.simulate ~disks:(Dp_pipeline.Pipeline.disks ctx) (Scenario.policy s)
+      (Check.run_trace s)
+  in
+  let r = run () in
+  let with_disk0 f =
+    { r with Engine.per_disk = Array.mapi (fun i d -> if i = 0 then f d else d) r.Engine.per_disk }
+  in
+  let diverges name b expected =
+    check Alcotest.bool name expected (Option.is_some (Check.result_divergence r b))
+  in
+  diverges "an equal rerun agrees" (run ()) false;
+  diverges "one ulp of disk-0 energy diverges"
+    (with_disk0 (fun d -> { d with Engine.energy_j = Float.succ d.Engine.energy_j }))
+    true;
+  check (Alcotest.float 0.0) "disk 0 has no degraded time" 0.0
+    r.Engine.per_disk.(0).Engine.degraded_ms;
+  diverges "-0.0 against 0.0 diverges"
+    (with_disk0 (fun d -> { d with Engine.degraded_ms = -0.0 }))
+    true
 
 let test_sabotage_fires () =
   let s = Scenario.generate 21L in
@@ -266,6 +294,7 @@ let suites =
         Alcotest.test_case "spec round-trip" `Quick test_spec_roundtrip;
         Alcotest.test_case "spec errors echo value" `Quick test_spec_errors_echo_value;
         Alcotest.test_case "oracle green on real engine" `Slow test_oracle_green;
+        Alcotest.test_case "pair comparator is bit-exact" `Quick test_result_divergence;
         Alcotest.test_case "sabotage fires" `Quick test_sabotage_fires;
         Alcotest.test_case "compile oracle" `Quick test_compile_oracle;
         Alcotest.test_case "shrink minimizes" `Slow test_shrink_minimizes;

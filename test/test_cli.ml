@@ -887,32 +887,77 @@ let test_dpcc_cache_warm_bin_identity () =
 (* --- fault/knob diagnostics echo the offending value (exit 2) --- *)
 
 let test_cli_fault_spec_echoes_value () =
-  (* An out-of-range rate: the diagnostic must carry the offending
-     substring, in both binaries. *)
-  let code, _, err = run [ dpcc; "simulate"; "app:AST"; "--faults"; "5:1.5:all" ] in
-  check Alcotest.int "dpcc exit code" 2 code;
-  check Alcotest.bool
-    (Printf.sprintf "dpcc echoes the rate (got %S)" err)
-    true
-    (contains ~needle:"1.5" err && contains ~needle:"--faults" err);
-  with_trace_file "1.0 2.0 0 0 0 1024 R 0 0\n" (fun path ->
-      let code, _, err = run [ dpsim; path; "--faults"; "5:1.5:all" ] in
-      check Alcotest.int "dpsim exit code" 2 code;
-      check Alcotest.bool
-        (Printf.sprintf "dpsim echoes the rate (got %S)" err)
-        true
-        (contains ~needle:"1.5" err));
-  let code, _, err = run [ dpcc; "simulate"; "app:AST"; "--faults"; "5:0.1:q" ] in
-  check Alcotest.int "unknown class exit code" 2 code;
-  check Alcotest.bool
-    (Printf.sprintf "echoes the class letter (got %S)" err)
-    true (contains ~needle:"q" err);
-  let code, _, err = run [ dpcc; "serve"; "--tenants"; "1"; "--spare"; "0" ] in
-  check Alcotest.int "--spare 0 exit code" 2 code;
-  check Alcotest.bool
-    (Printf.sprintf "echoes the value (got %S)" err)
-    true
-    (contains ~needle:"(got 0)" err && contains ~needle:"--spare" err)
+  (* Every bad value exits 2 with a one-line diagnostic that names the
+     flag and echoes the value; a flag both binaries take is checked in
+     both. *)
+  with_trace_file "1.0 2.0 0 0 0 1024 R 0 0\n" @@ fun path ->
+  let serve = [ dpcc; "serve"; "--tenants"; "1"; "--no-cache" ] in
+  let sim = [ dpsim; path ] in
+  let both args needles = [ (sim @ args, needles); (serve @ args, needles) ] in
+  List.iter
+    (fun (argv, needles) ->
+      let code, _, err = run argv in
+      let cmd = String.concat " " (List.map Filename.basename argv) in
+      check Alcotest.int (cmd ^ ": exit code") 2 code;
+      check Alcotest.bool (cmd ^ ": one-line diagnostic") true (one_line err);
+      List.iter
+        (fun needle ->
+          check Alcotest.bool
+            (Printf.sprintf "%s: names %S (got %S)" cmd needle err)
+            true (contains ~needle err))
+        needles)
+    (List.concat
+       [
+         both [ "--faults"; "5:1.5:all" ] [ "--faults"; "1.5" ];
+         both [ "--faults"; "5:nan:all" ] [ "--faults"; "nan" ];
+         both [ "--spare"; "0" ] [ "--spare"; "(got 0)" ];
+         both [ "--deadline"; "nan" ] [ "--deadline"; "nan" ];
+         both [ "--scrub-ms"; "nan" ] [ "--scrub-ms"; "nan" ];
+         both [ "--disks"; "0" ] [ "--disks"; "(got 0)" ];
+         [
+           ([ dpcc; "simulate"; "app:AST"; "--faults"; "5:1.5:all" ], [ "--faults"; "1.5" ]);
+           ([ dpcc; "simulate"; "app:AST"; "--faults"; "5:0.1:q" ], [ "--faults"; "q" ]);
+           (sim @ [ "--policy"; "tpm"; "--tpm-threshold"; "nan" ], [ "--tpm-threshold"; "nan" ]);
+           (sim @ [ "--policy"; "tpm"; "--tpm-threshold=-5" ], [ "--tpm-threshold"; "-5" ]);
+           (sim @ [ "--policy"; "drpm"; "--drpm-window"; "0" ], [ "--drpm-window"; "(got 0)" ]);
+           ( sim @ [ "--policy"; "drpm"; "--drpm-downshift-ms"; "nan" ],
+             [ "--drpm-downshift-ms"; "nan" ] );
+           (serve @ [ "--jitter-ms"; "nan" ], [ "--jitter-ms"; "nan" ]);
+           ( [ dpcc; "fault-sweep"; "app:AST"; "--rates"; "0,1.5"; "--no-cache" ],
+             [ "--rates"; "1.5" ] );
+         ];
+       ])
+
+(* dpsim's repair, deadline and spare paths on one FFT trace, pinned
+   byte for byte (stdout without its trace-path line). *)
+let test_dpsim_knobs_pinned () =
+  with_temp_files 1 @@ function
+  | [ trace ] ->
+      let code, _, _ =
+        run [ dpcc; "trace"; "app:FFT"; "-p"; "4"; "--restructure"; "--no-cache"; "-o"; trace ]
+      in
+      check Alcotest.int "trace exits 0" 0 code;
+      List.iter
+        (fun (args, md5) ->
+          let code, out, _ = run ((dpsim :: trace :: args) @ [ "--per-disk" ]) in
+          check Alcotest.int (String.concat " " args ^ ": exit code") 0 code;
+          let body =
+            List.filter
+              (fun l -> not (String.starts_with ~prefix:"trace:" l))
+              (String.split_on_char '\n' out)
+          in
+          check Alcotest.string (String.concat " " args) md5
+            (Digest.to_hex (Digest.string (String.concat "\n" body))))
+        [
+          ( [ "--policy"; "drpm"; "--faults"; "3:0.5:mlrd"; "--deadline"; "15"; "--scrub-ms";
+              "40"; "--spare"; "64" ],
+            "0575de70799abc40c7564e6e622f1390" );
+          ([ "--policy"; "tpm"; "--faults"; "11:0.3:d" ], "e6fea02732decd4a40323813b0db2fb0");
+          ( [ "--policy"; "online"; "--faults"; "9:0.4:all"; "--deadline"; "30"; "--scrub-ms";
+              "20" ],
+            "c59752503c576dc954d142561e87716d" );
+        ]
+  | _ -> assert false
 
 (* --- binary-trace truncation points (satellite: framing diagnostics) ---
 
@@ -1129,6 +1174,7 @@ let suites =
           test_dpcc_cache_warm_bin_identity;
         Alcotest.test_case "fault/knob diagnostics echo values" `Quick
           test_cli_fault_spec_echoes_value;
+        Alcotest.test_case "dpsim reliability knobs pinned" `Slow test_dpsim_knobs_pinned;
         Alcotest.test_case "binary truncation points" `Slow test_bin_truncation_points;
         Alcotest.test_case "dpcc chaos green soak" `Slow test_dpcc_chaos_green;
         Alcotest.test_case "dpcc chaos bad flags" `Quick test_dpcc_chaos_bad_flags;

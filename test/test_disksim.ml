@@ -3,6 +3,7 @@
 module Disk_model = Dp_disksim.Disk_model
 module Policy = Dp_disksim.Policy
 module Engine = Dp_disksim.Engine
+module Knobs = Dp_disksim.Knobs
 module Timeline = Dp_disksim.Timeline
 module Request = Dp_trace.Request
 module Ir = Dp_ir.Ir
@@ -16,8 +17,10 @@ let m = Disk_model.ultrastar_36z15
 (* A run and the timeline a recorder saw of it. *)
 let simulate_tl ?hints ?faults ?shards ~disks policy reqs =
   let obs, finish = Timeline.recorder ~disks () in
-  let r = Engine.simulate ~obs ?hints ?faults ?shards ~disks policy reqs in
+  let r = Engine.simulate ~obs ?hints ~knobs:{ Knobs.none with faults } ?shards ~disks policy reqs in
   (r, finish ())
+
+let faulty ?(retry = Policy.default_retry) faults = { Knobs.none with faults = Some faults; retry }
 
 (* --- model --- *)
 
@@ -333,7 +336,41 @@ let prop_proactive_drpm_never_slower =
 let test_policy_names () =
   check Alcotest.string "none" "none" (Policy.name Policy.No_pm);
   check Alcotest.string "tpm" "TPM" (Policy.name Policy.default_tpm);
-  check Alcotest.string "drpm" "DRPM" (Policy.name Policy.default_drpm)
+  check Alcotest.string "drpm" "DRPM" (Policy.name Policy.default_drpm);
+  (* Chaos draws by index into this list: its order is part of every
+     golden soak count. *)
+  check
+    Alcotest.(list string)
+    "names in chaos draw order"
+    [ "none"; "tpm"; "tpm-proactive"; "drpm"; "drpm-proactive"; "online" ]
+    Policy.names;
+  check
+    Alcotest.(list string)
+    "of_name describes each name's default"
+    [
+      "none (always at full speed)";
+      Policy.describe Policy.default_tpm;
+      Policy.describe (Policy.tpm ~proactive:true ());
+      Policy.describe Policy.default_drpm;
+      Policy.describe (Policy.drpm ~proactive:true ());
+      Policy.describe Policy.default_adaptive;
+    ]
+    (List.map (fun n -> Policy.describe (Option.get (Policy.of_name n))) Policy.names);
+  check Alcotest.bool "unknown name" true (Policy.of_name "oracle-tpm" = None)
+
+let test_policy_tunables_rejected () =
+  List.iter
+    (fun (name, f) ->
+      match f () with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "%s must be rejected" name)
+    [
+      ("tpm nan threshold", fun () -> Policy.tpm ~idle_threshold_s:Float.nan ());
+      ("tpm negative threshold", fun () -> Policy.tpm ~idle_threshold_s:(-5.0) ());
+      ("drpm window 0", fun () -> Policy.drpm ~window_size:0 ());
+      ("drpm nan downshift", fun () -> Policy.drpm ~downshift_idle_ms:Float.nan ());
+      ("drpm negative downshift", fun () -> Policy.drpm ~downshift_idle_ms:(-1.0) ());
+    ]
 
 let test_drpm_two_speed_floor () =
   (* With a 9000 floor, a long gap never reaches the bottom levels. *)
@@ -421,8 +458,8 @@ let prop_fault_determinism =
       let faults = Fault_model.make ~seed ~rate () in
       List.for_all
         (fun policy ->
-          Engine.simulate ~faults ~disks:3 policy reqs
-          = Engine.simulate ~faults ~disks:3 policy reqs)
+          Engine.simulate ~knobs:(faulty faults) ~disks:3 policy reqs
+          = Engine.simulate ~knobs:(faulty faults) ~disks:3 policy reqs)
         all_policies)
 
 let contiguous segs =
@@ -468,7 +505,7 @@ let prop_faults_terminate =
       let faults = Fault_model.make ~seed:1 ~rate:1.0 () in
       List.for_all
         (fun policy ->
-          let r = Engine.simulate ~faults ~disks:3 policy reqs in
+          let r = Engine.simulate ~knobs:(faulty faults) ~disks:3 policy reqs in
           let served =
             Array.fold_left (fun acc d -> acc + d.Engine.requests) 0 r.Engine.per_disk
           in
@@ -482,7 +519,7 @@ let test_spin_up_retries_accounted () =
   let faults = Fault_model.make ~classes:[ Fault_model.Spin_up_failure ] ~seed:1 ~rate:1.0 () in
   let retry = Policy.retry ~max_attempts:3 () in
   let clean = Engine.simulate ~disks:1 Policy.default_tpm reqs in
-  let r = Engine.simulate ~faults ~retry ~disks:1 Policy.default_tpm reqs in
+  let r = Engine.simulate ~knobs:(faulty ~retry faults) ~disks:1 Policy.default_tpm reqs in
   let d = r.Engine.per_disk.(0) in
   check Alcotest.int "two failed attempts" 2 d.Engine.spin_up_retries;
   check (Alcotest.float 1e-6) "degraded = failed attempts" (2.0 *. 10_900.0) d.Engine.degraded_ms;
@@ -497,7 +534,7 @@ let test_media_retries_accounted () =
   let faults = Fault_model.make ~classes:[ Fault_model.Media_error ] ~seed:1 ~rate:1.0 () in
   let retry = Policy.retry ~max_attempts:2 ~backoff_base_ms:5.0 () in
   let clean = Engine.simulate ~disks:1 Policy.No_pm reqs in
-  let r = Engine.simulate ~faults ~retry ~disks:1 Policy.No_pm reqs in
+  let r = Engine.simulate ~knobs:(faulty ~retry faults) ~disks:1 Policy.No_pm reqs in
   let d = r.Engine.per_disk.(0) in
   check Alcotest.int "one retry per request" 2 d.Engine.media_retries;
   let reread = Disk_model.service_ms ~seek_distance:0 m ~rpm:15000 ~bytes:(64 * 1024) in
@@ -511,7 +548,7 @@ let test_latency_spikes_accounted () =
   let faults =
     Fault_model.make ~classes:[ Fault_model.Latency_spike ] ~spike_ms:50.0 ~seed:1 ~rate:1.0 ()
   in
-  let r = Engine.simulate ~faults ~disks:1 Policy.No_pm reqs in
+  let r = Engine.simulate ~knobs:(faulty faults) ~disks:1 Policy.No_pm reqs in
   let d = r.Engine.per_disk.(0) in
   check Alcotest.int "every request spikes" 2 d.Engine.latency_spikes;
   check (Alcotest.float 1e-6) "degraded = spikes" 100.0 d.Engine.degraded_ms
@@ -528,7 +565,7 @@ let test_stuck_rpm_hinted_fallback () =
   in
   let policy = Policy.drpm ~proactive:true () in
   let clean = Engine.simulate ~hints ~disks:1 policy reqs in
-  let r = Engine.simulate ~hints ~faults ~disks:1 policy reqs in
+  let r = Engine.simulate ~hints ~knobs:(faulty faults) ~disks:1 policy reqs in
   let d = r.Engine.per_disk.(0) in
   check Alcotest.int "both served despite refused shifts" 2 d.Engine.requests;
   check Alcotest.bool "terminates" true (Float.is_finite r.Engine.makespan_ms);
@@ -564,7 +601,7 @@ let prop_events_reproduce_stats =
       List.for_all
         (fun policy ->
           let sink = Sink.ring ~capacity:(1 lsl 20) () in
-          let r = Engine.simulate ~obs:sink ~faults ~disks:3 policy reqs in
+          let r = Engine.simulate ~obs:sink ~knobs:(faulty faults) ~disks:3 policy reqs in
           let events = Sink.events sink in
           Sink.dropped sink = 0
           && Array.for_all
@@ -672,12 +709,12 @@ let test_shards_identity_faulted () =
   List.iter
     (fun (faults, deadline_ms) ->
       let serial =
-        Engine.simulate ?faults ?deadline_ms ~disks:8 Policy.default_tpm disjoint_trace
+        Engine.simulate ~knobs:{ Knobs.none with faults; deadline_ms } ~disks:8 Policy.default_tpm disjoint_trace
       in
       List.iter
         (fun shards ->
           let sharded =
-            Engine.simulate ?faults ?deadline_ms ~shards ~disks:8 Policy.default_tpm
+            Engine.simulate ~knobs:{ Knobs.none with faults; deadline_ms } ~shards ~disks:8 Policy.default_tpm
               disjoint_trace
           in
           check Alcotest.bool
@@ -735,9 +772,9 @@ let prop_shards_identity =
       let faults = Fault_model.make ~seed ~rate () in
       List.for_all
         (fun policy ->
-          let serial = Engine.simulate ~faults ~disks:3 policy reqs in
+          let serial = Engine.simulate ~knobs:(faulty faults) ~disks:3 policy reqs in
           List.for_all
-            (fun shards -> serial = Engine.simulate ~faults ~shards ~disks:3 policy reqs)
+            (fun shards -> serial = Engine.simulate ~knobs:(faulty faults) ~shards ~disks:3 policy reqs)
             [ 2; 8 ])
         all_policies)
 
@@ -774,6 +811,7 @@ let suites =
     ( "disksim.policies",
       [
         Alcotest.test_case "names" `Quick test_policy_names;
+        Alcotest.test_case "tunables rejected" `Quick test_policy_tunables_rejected;
         Alcotest.test_case "two-speed floor" `Quick test_drpm_two_speed_floor;
         Alcotest.test_case "segment barrier" `Quick test_engine_segments_barrier;
       ] );

@@ -53,11 +53,26 @@ let test_classes () =
         && List.length f.Fault_model.classes = 5)
   | Error e -> Alcotest.fail e
 
-let test_rate_clamped () =
-  let f = Fault_model.make ~seed:1 ~rate:7.0 () in
-  check (Alcotest.float 0.0) "clamped to 1" 1.0 f.Fault_model.rate;
-  let f = Fault_model.make ~seed:1 ~rate:(-3.0) () in
-  check (Alcotest.float 0.0) "clamped to 0" 0.0 f.Fault_model.rate
+let test_rate_rejected () =
+  (* One rule: [make] raises what [of_spec] returns, NaN included. *)
+  List.iter
+    (fun (rate, text) ->
+      let msg =
+        match Fault_model.of_spec ("1:" ^ text ^ ":all") with
+        | Ok _ -> Alcotest.failf "rate %s accepted by of_spec" text
+        | Error msg -> msg
+      in
+      check Alcotest.bool (Printf.sprintf "of_spec echoes %s (got %S)" text msg) true
+        (contains ~needle:text msg);
+      check Alcotest.bool
+        (Printf.sprintf "make rejects %s with the same message" text)
+        true
+        (try
+           ignore (Fault_model.make ~seed:1 ~rate ());
+           false
+         with Invalid_argument m -> contains ~needle:msg m))
+    [ (7.0, "7"); (-3.0, "-3"); (Float.nan, "nan") ];
+  check (Alcotest.float 0.0) "1 is a rate" 1.0 (Fault_model.make ~seed:1 ~rate:1.0 ()).Fault_model.rate
 
 let drain inj ~disks ~n =
   List.init (disks * n) (fun i ->
@@ -182,7 +197,7 @@ let suites =
         Alcotest.test_case "spec roundtrip" `Quick test_spec_roundtrip;
         Alcotest.test_case "spec errors" `Quick test_spec_errors;
         Alcotest.test_case "classes" `Quick test_classes;
-        Alcotest.test_case "rate clamped" `Quick test_rate_clamped;
+        Alcotest.test_case "rate rejected" `Quick test_rate_rejected;
       ] );
     ( "faults.injector",
       [

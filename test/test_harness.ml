@@ -201,6 +201,7 @@ let test_headline_orderings () =
 (* --- fault injection through the harness --- *)
 
 module Fault_model = Dp_faults.Fault_model
+module Knobs = Dp_disksim.Knobs
 
 let mentions out frags =
   List.iter
@@ -217,8 +218,8 @@ let test_rate_zero_matrix_unchanged () =
   let apps = [ mini_app () ] in
   let versions = [ Version.Base; Version.Tpm; Version.T_drpm_s ] @ Version.oracle in
   let clean = Experiments.build_matrix ~apps ~procs:1 ~versions () in
-  let faults = Fault_model.make ~seed:42 ~rate:0.0 () in
-  let armed = Experiments.build_matrix ~apps ~procs:1 ~faults ~versions () in
+  let knobs = { Knobs.none with faults = Some (Fault_model.make ~seed:42 ~rate:0.0 ()) } in
+  let armed = Experiments.build_matrix ~apps ~procs:1 ~knobs ~versions () in
   List.iter2
     (fun (_, clean_runs) (_, armed_runs) ->
       List.iter2
@@ -236,8 +237,8 @@ let test_rate_zero_matrix_unchanged () =
 
 let test_reliability_aggregate () =
   let ctx = Runner.context (mini_app ()) in
-  let faults = Fault_model.make ~seed:11 ~rate:0.2 () in
-  let r = Runner.run ctx ~faults ~procs:1 Version.Tpm in
+  let knobs = { Knobs.none with faults = Some (Fault_model.make ~seed:11 ~rate:0.2 ()) } in
+  let r = Runner.run ctx ~knobs ~procs:1 Version.Tpm in
   let rel = Runner.reliability r in
   check Alcotest.bool "wear in [0,1]" true
     (rel.Runner.wear >= 0.0 && rel.Runner.wear <= 1.0);
@@ -279,22 +280,11 @@ let test_fault_sweep_deterministic () =
   | [] -> Alcotest.fail "sweep has no points"
 
 let test_fault_renderers () =
-  let apps = [ mini_app () ] in
-  let faults = Fault_model.make ~seed:3 ~rate:0.1 () in
-  let matrix =
-    Experiments.build_matrix ~apps ~procs:1 ~faults
-      ~versions:[ Version.Base; Version.Tpm ] ()
-  in
-  let buf = Buffer.create 256 in
-  let ppf = Format.formatter_of_buffer buf in
-  Experiments.fig_reliability ~faults matrix ppf;
-  Format.pp_print_flush ppf ();
-  mentions (Buffer.contents buf) [ "Wear"; "Degraded"; "mini"; "faults seed 3" ];
   let sweep =
     Experiments.fault_sweep ~seed:3 ~rates:[ 0.0; 0.1 ] ~procs:1
       ~versions:[ Version.Base; Version.Tpm ] (mini_app ())
   in
-  Buffer.clear buf;
+  let buf = Buffer.create 256 in
   let ppf = Format.formatter_of_buffer buf in
   Experiments.fig_sweep sweep ppf;
   Format.pp_print_flush ppf ();

@@ -534,7 +534,9 @@ let test_live_matches_report =
             Sink.emit ring e;
             Live.feed live e)
       in
-      ignore (Engine.simulate ~obs:sink ?faults ~disks:2 Policy.default_tpm reqs);
+      ignore
+        (Engine.simulate ~obs:sink ~knobs:{ Dp_disksim.Knobs.none with faults } ~disks:2
+           Policy.default_tpm reqs);
       let reports = Report.of_events ~disks:2 (Sink.events ring) in
       Array.for_all
         (fun (r : Report.disk_report) ->

@@ -391,7 +391,9 @@ let sweep_json ~jobs ~seed ~rate app =
 let matrix_json ~jobs ~faults app =
   Json_out.to_string
     (Json_out.of_matrix
-       (Experiments.build_matrix ~apps:[ app ] ~faults ~jobs ~procs:4
+       (Experiments.build_matrix ~apps:[ app ]
+          ~knobs:{ Dp_disksim.Knobs.none with faults = Some faults }
+          ~jobs ~procs:4
           ~versions:(Version.multi_cpu @ Version.oracle) ()))
 
 let test_jobs_deterministic =

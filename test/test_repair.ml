@@ -10,6 +10,7 @@ module Injector = Dp_faults.Injector
 module Disk_model = Dp_disksim.Disk_model
 module Policy = Dp_disksim.Policy
 module Engine = Dp_disksim.Engine
+module Knobs = Dp_disksim.Knobs
 module Timeline = Dp_disksim.Timeline
 module Request = Dp_trace.Request
 module Domain_pool = Dp_util.Domain_pool
@@ -22,10 +23,14 @@ let qtest ?(count = 100) name gen prop =
 
 let m = Disk_model.ultrastar_36z15
 
+let knobs ?faults ?(retry = Policy.default_retry) ?repair ?deadline_ms () =
+  { Knobs.none with faults; retry; repair; deadline_ms }
+
 (* A run and the timeline a recorder saw of it. *)
 let simulate_tl ?faults ?retry ?repair ?deadline_ms ~disks policy reqs =
   let obs, finish = Timeline.recorder ~disks () in
-  let r = Engine.simulate ~obs ?faults ?retry ?repair ?deadline_ms ~disks policy reqs in
+  let knobs = knobs ?faults ?retry ?repair ?deadline_ms () in
+  let r = Engine.simulate ~obs ~knobs ~disks policy reqs in
   (r, finish ())
 
 let conserved r timeline =
@@ -243,7 +248,7 @@ let test_engine_remap_accounting () =
   let faults = Fault_model.make ~classes:[ Fault_model.Media_decay ] ~seed:3 ~rate:1.0 () in
   let repair = Repair.config ~surface_blocks:1 () in
   let clean = Engine.simulate ~disks:1 Policy.No_pm reqs in
-  let r = Engine.simulate ~faults ~repair ~disks:1 Policy.No_pm reqs in
+  let r = Engine.simulate ~knobs:(knobs ~faults ~repair ()) ~disks:1 Policy.No_pm reqs in
   let d = r.Engine.per_disk.(0) in
   check Alcotest.int "one remap" 1 d.Engine.remaps;
   check Alcotest.int "two detours" 2 d.Engine.remap_penalty_hits;
@@ -280,8 +285,9 @@ let test_engine_scrub_in_gaps () =
   (* Scrub keeps the foreground schedule: arrivals are never delayed, so
      io time matches a run without scrubbing. *)
   let no_scrub =
-    Engine.simulate ~faults ~repair:(Repair.config ~surface_blocks:4096 ()) ~disks:1
-      Policy.No_pm reqs
+    Engine.simulate
+      ~knobs:(knobs ~faults ~repair:(Repair.config ~surface_blocks:4096 ()) ())
+      ~disks:1 Policy.No_pm reqs
   in
   check (Alcotest.float 1e-6) "scrub never delays the foreground"
     no_scrub.Engine.io_time_ms r.Engine.io_time_ms
@@ -321,7 +327,8 @@ let test_engine_deadline_stamps_monotone () =
       | _ -> ())
   in
   let r =
-    Engine.simulate ~obs ~faults ~retry ~deadline_ms:10.0 ~disks:2 Policy.No_pm reqs
+    Engine.simulate ~obs ~knobs:(knobs ~faults ~retry ~deadline_ms:10.0 ()) ~disks:2
+      Policy.No_pm reqs
   in
   check Alcotest.bool "some request failed over" true
     (r.Engine.per_disk.(0).Engine.failovers > 0);
@@ -363,6 +370,63 @@ let test_engine_degraded_rebuild_restored () =
   check Alcotest.bool "disk 0 resumed service after the rebuild" true (d0.Engine.requests > 0);
   conserved r timeline
 
+(* One validator for flags and records, one arming rule, one spare
+   override. *)
+let test_knobs_rules () =
+  let contains ~needle hay =
+    let nl = String.length needle and hl = String.length hay in
+    let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+    go 0
+  in
+  let decay = Fault_model.make ~classes:[ Fault_model.Media_decay ] ~seed:1 ~rate:0.0 () in
+  check Alcotest.bool "no flags, no knobs" true (Knobs.make () = Ok Knobs.none);
+  (match Knobs.make ~scrub_ms:40.0 () with
+  | Ok { Knobs.repair = Some r; _ } ->
+      check (Alcotest.float 0.0) "scrub budget" 40.0 r.Repair.scrub_budget_ms
+  | _ -> Alcotest.fail "a positive scrub budget builds a repair config");
+  List.iter
+    (fun (name, result, needles) ->
+      match result with
+      | Ok _ -> Alcotest.failf "%s accepted" name
+      | Error msg ->
+          List.iter
+            (fun needle ->
+              check Alcotest.bool (Printf.sprintf "%s names %S (got %S)" name needle msg) true
+                (contains ~needle msg))
+            needles)
+    [
+      ("scrub nan", Knobs.make ~scrub_ms:Float.nan (), [ "--scrub-ms"; "nan" ]);
+      ("scrub negative", Knobs.make ~scrub_ms:(-1.0) (), [ "--scrub-ms"; "-1" ]);
+      ("spare 0", Knobs.make ~spare:0 (), [ "--spare"; "0" ]);
+      ("deadline 0", Knobs.make ~deadline_ms:0.0 (), [ "--deadline"; "0" ]);
+      ("deadline inf", Knobs.make ~deadline_ms:Float.infinity (), [ "--deadline"; "inf" ]);
+      ( "record with a nan rate",
+        Knobs.check { Knobs.none with faults = Some { decay with Fault_model.rate = Float.nan } },
+        [ "--faults"; "nan" ] );
+      ( "record with a nan scrub budget",
+        Knobs.check
+          {
+            Knobs.none with
+            repair = Some { Repair.default with Repair.scrub_budget_ms = Float.nan };
+          },
+        [ "--scrub-ms"; "nan" ] );
+    ];
+  let explicit = Repair.config ~surface_blocks:8 () in
+  List.iter
+    (fun (name, k, expected) ->
+      check Alcotest.bool name true (Knobs.armed_repair k = expected))
+    [
+      ("clean knobs arm nothing", Knobs.none, None);
+      ("decay arms the default", { Knobs.none with faults = Some decay }, Some Repair.default);
+      ("a deadline arms the default", knobs ~deadline_ms:5.0 (), Some Repair.default);
+      ( "an explicit config wins",
+        knobs ~faults:decay ~repair:explicit (),
+        Some explicit );
+    ];
+  check Alcotest.int "spare override" 7
+    (Knobs.model { Knobs.none with spare = Some 7 } m).Disk_model.spare_blocks;
+  check Alcotest.bool "no override, same drive" true (Knobs.model Knobs.none m == m)
+
 (* --- cross-domain determinism (satellite S3) --- *)
 
 let decay_spec_gen =
@@ -402,7 +466,9 @@ let prop_simulate_domain_independent =
       let run copy =
         let faults = Fault_model.make ~seed:(seed + copy) ~rate () in
         let repair = Repair.config ~surface_blocks:64 ~fail_threshold:8 () in
-        Engine.simulate ~faults ~repair ~deadline_ms:1000.0 ~disks:3 Policy.default_tpm reqs
+        Engine.simulate
+          ~knobs:(knobs ~faults ~repair ~deadline_ms:1000.0 ())
+          ~disks:3 Policy.default_tpm reqs
       in
       let copies = [ 0; 1; 2; 3 ] in
       Domain_pool.map ~jobs:1 run copies = Domain_pool.map ~jobs:8 run copies)
@@ -432,6 +498,7 @@ let suites =
           test_engine_deadline_stamps_monotone;
         Alcotest.test_case "degraded, rebuild, restored" `Quick
           test_engine_degraded_rebuild_restored;
+        Alcotest.test_case "knobs: one validator, one arming rule" `Quick test_knobs_rules;
       ] );
     ( "repair.domains",
       [ prop_decay_maps_domain_independent; prop_simulate_domain_independent ] );

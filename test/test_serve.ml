@@ -149,14 +149,20 @@ let test_online_saves_energy () =
 (* --- the persistent-failure domain through the serve report --- *)
 
 module Fault_model = Dp_faults.Fault_model
+module Knobs = Dp_disksim.Knobs
 
-let decay_faults ~seed ~rate =
-  Fault_model.make ~classes:[ Fault_model.Media_decay ] ~seed ~rate ()
+let decay_knobs ~seed ~rate =
+  {
+    Knobs.none with
+    faults = Some (Fault_model.make ~classes:[ Fault_model.Media_decay ] ~seed ~rate ());
+  }
 
-let run_decay ?(rate = 0.3) ?repair ~jobs () =
+(* No explicit deadline: decay at a positive rate arms the 500 ms SLO
+   in [Serve.config]. *)
+let run_decay ?(rate = 0.3) ~jobs () =
   Serve.run
     (Serve.config ~disks:4 ~jobs ~selection:Serve.Online ~tenants:4 ~seed:42
-       ~faults:(decay_faults ~seed:11 ~rate) ?repair ~deadline_ms:500.0 ())
+       ~knobs:(decay_knobs ~seed:11 ~rate) ())
 
 let test_serve_decay_reports_slo () =
   let r = run_decay ~jobs:1 () in
@@ -199,7 +205,7 @@ let test_serve_decay_rate_zero_identity () =
   let armed =
     Serve.run
       (Serve.config ~disks:4 ~jobs:1 ~selection:Serve.Online ~tenants:4 ~seed:42
-         ~faults:(decay_faults ~seed:11 ~rate:0.0) ())
+         ~knobs:(decay_knobs ~seed:11 ~rate:0.0) ())
   in
   List.iter2
     (fun (a : Serve.row) (b : Serve.row) ->
@@ -212,9 +218,10 @@ let test_serve_decay_rate_zero_identity () =
 
 let test_serve_reliability_config_validation () =
   let rejects name f = check Alcotest.bool name true (try ignore (f ()); false with Invalid_argument _ -> true) in
-  rejects "deadline <= 0" (fun () ->
-      Serve.config ~deadline_ms:0.0 ~tenants:1 ~seed:1 ());
-  rejects "spare < 1" (fun () -> Serve.config ~spare_blocks:0 ~tenants:1 ~seed:1 ());
+  let knobs k () = Serve.config ~knobs:k ~tenants:1 ~seed:1 () in
+  rejects "deadline <= 0" (knobs { Knobs.none with deadline_ms = Some 0.0 });
+  rejects "deadline nan" (knobs { Knobs.none with deadline_ms = Some Float.nan });
+  rejects "spare < 1" (knobs { Knobs.none with spare = Some 0 });
   rejects "recorder deadline <= 0" (fun () ->
       Account.recorder ~deadline_ms:(-1.0) ~tenants:1 ~disks:1 ())
 
@@ -231,6 +238,7 @@ let test_config_validation () =
   rejects "jobs < 1" (fun () -> Serve.config ~jobs:0 ~tenants:1 ~seed:1 ());
   rejects "disks < 1" (fun () -> Serve.config ~disks:0 ~tenants:1 ~seed:1 ());
   rejects "negative jitter" (fun () -> Serve.config ~jitter_ms:(-1.0) ~tenants:1 ~seed:1 ());
+  rejects "nan jitter" (fun () -> Serve.config ~jitter_ms:Float.nan ~tenants:1 ~seed:1 ());
   rejects "negative jitter at merge" (fun () ->
       Mux.merge ~rng:(Splitmix.create 1) ~jitter_ms:(-1.0) [])
 
