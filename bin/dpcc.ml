@@ -499,22 +499,6 @@ let cache_stat dir_opt json =
                   ("dir", J.String dir);
                   ("entries", J.Int u.Cachefs.entries);
                   ("bytes", J.Int u.Cachefs.bytes);
-                  ( "formats",
-                    J.Obj
-                      [
-                        ( "trace_bin",
-                          J.Obj
-                            [
-                              ("entries", J.Int u.Cachefs.trace_entries);
-                              ("bytes", J.Int u.Cachefs.trace_bytes);
-                            ] );
-                        ( "marshal",
-                          J.Obj
-                            [
-                              ("entries", J.Int (u.Cachefs.entries - u.Cachefs.trace_entries));
-                              ("bytes", J.Int (u.Cachefs.bytes - u.Cachefs.trace_bytes));
-                            ] );
-                      ] );
                   ("quarantined", J.Int u.Cachefs.quarantined);
                   ("temp", J.Int u.Cachefs.temp);
                   ("last_run", last_run);
@@ -524,12 +508,6 @@ let cache_stat dir_opt json =
       else begin
         Format.printf "cache directory: %s@." dir;
         Format.printf "entries: %d (%s)@." u.Cachefs.entries (human_bytes u.Cachefs.bytes);
-        if u.Cachefs.entries > 0 then
-          Format.printf "  binary traces: %d (%s), marshal: %d (%s)@."
-            u.Cachefs.trace_entries
-            (human_bytes u.Cachefs.trace_bytes)
-            (u.Cachefs.entries - u.Cachefs.trace_entries)
-            (human_bytes (u.Cachefs.bytes - u.Cachefs.trace_bytes));
         Format.printf "quarantined: %d, leftover temp files: %d@." u.Cachefs.quarantined
           u.Cachefs.temp;
         match counters with

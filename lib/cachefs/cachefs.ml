@@ -172,18 +172,35 @@ let quarantine path =
   try Sys.rename path (path ^ ".corrupt")
   with Sys_error _ -> ( try Sys.remove path with Sys_error _ -> ())
 
-let get t ~key =
+(* Read and verify an entry apart from [get], so the raw file bytes are
+   unreachable by the time the payload is decoded.  [get] takes the
+   payload's length before decoding for the same reason: the payload
+   can die as soon as the decoder is done reading it.  Either copy kept
+   alive across the decode raises a warm report's peak RSS. *)
+let read_payload path =
+  match parse_frame (Fsx.read_file path) with
+  | payload -> Some payload
+  | exception (Corrupt _ | Sys_error _ | End_of_file) -> None
+
+let get t ~key ~decode =
   let path = entry_path t key in
   if not (Sys.file_exists path) then begin
     record t `Miss ~key ~bytes:0;
     None
   end
   else
-    match parse_frame (Fsx.read_file path) with
-    | payload ->
-        record t `Hit ~key ~bytes:(String.length payload);
-        Some payload
-    | exception (Corrupt _ | Sys_error _ | End_of_file) ->
+    let decoded =
+      match read_payload path with
+      | None -> None
+      | Some payload ->
+          let bytes = String.length payload in
+          Option.map (fun v -> (v, bytes)) (decode payload)
+    in
+    match decoded with
+    | Some (v, bytes) ->
+        record t `Hit ~key ~bytes;
+        Some v
+    | None ->
         quarantine path;
         record t `Corrupt ~key ~bytes:0;
         None
@@ -243,10 +260,6 @@ let put_result t ~key payload =
 
 let put t ~key payload = match put_result t ~key payload with Ok () | Error _ -> ()
 
-let report_undecodable t ~key =
-  quarantine (entry_path t key);
-  record t `Corrupt ~key ~bytes:0
-
 let counters t =
   { hits = t.hits; misses = t.misses; corrupt = t.corrupt; write_failures = t.write_failures }
 
@@ -282,42 +295,7 @@ let load_run_counters ~dir =
 
 (* --- static maintenance --- *)
 
-type usage = {
-  entries : int;
-  bytes : int;
-  trace_entries : int;
-  trace_bytes : int;
-  quarantined : int;
-  temp : int;
-}
-
-(* [Dp_trace.Bin.magic], mirrored here so the generic store does not
-   depend on the trace layer.  Guarded by a test on both sides. *)
-let trace_magic = "DPTB"
-
-(* Does the entry's *payload* start with the binary-trace magic?  Reads
-   only the first bytes of the file: the frame header is two short
-   text lines ("dpowercache <version>\n<payload-length>\n"), so the
-   payload start is within the first few dozen bytes. *)
-let entry_payload_is_trace path =
-  match open_in_bin path with
-  | exception Sys_error _ -> false
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          match really_input_string ic (min 64 (in_channel_length ic)) with
-          | exception (End_of_file | Sys_error _) -> false
-          | head -> (
-              match String.index_opt head '\n' with
-              | None -> false
-              | Some e1 -> (
-                  match String.index_from_opt head (e1 + 1) '\n' with
-                  | None -> false
-                  | Some e2 ->
-                      let start = e2 + 1 in
-                      String.length head >= start + String.length trace_magic
-                      && String.sub head start (String.length trace_magic) = trace_magic)))
+type usage = { entries : int; bytes : int; quarantined : int; temp : int }
 
 let is_entry name =
   String.length name > 10
@@ -341,26 +319,17 @@ let scan dir = match Sys.readdir dir with exception Sys_error _ -> [||] | names 
 let usage ~dir =
   Array.fold_left
     (fun acc name ->
-      let size () =
-        match (Unix.stat (Filename.concat dir name)).Unix.st_size with
-        | n -> n
-        | exception Unix.Unix_error _ -> 0
-      in
       if is_temp name then { acc with temp = acc.temp + 1 }
       else if is_quarantined name then { acc with quarantined = acc.quarantined + 1 }
-      else if is_entry name then begin
-        let sz = size () in
-        let acc = { acc with entries = acc.entries + 1; bytes = acc.bytes + sz } in
-        if entry_payload_is_trace (Filename.concat dir name) then
-          {
-            acc with
-            trace_entries = acc.trace_entries + 1;
-            trace_bytes = acc.trace_bytes + sz;
-          }
-        else acc
-      end
+      else if is_entry name then
+        let size =
+          match (Unix.stat (Filename.concat dir name)).Unix.st_size with
+          | n -> n
+          | exception Unix.Unix_error _ -> 0
+        in
+        { acc with entries = acc.entries + 1; bytes = acc.bytes + size }
       else acc)
-    { entries = 0; bytes = 0; trace_entries = 0; trace_bytes = 0; quarantined = 0; temp = 0 }
+    { entries = 0; bytes = 0; quarantined = 0; temp = 0 }
     (scan dir)
 
 let clear ~dir =

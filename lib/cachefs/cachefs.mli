@@ -16,7 +16,7 @@
     {b Failure contract}: no operation raises.  A missing entry is a
     miss; a short, bit-flipped, version-skewed or otherwise undecodable
     entry is {e quarantined} (renamed to [*.corrupt], never read again)
-    and reported as a miss; a write that cannot complete (lock timeout,
+    and counted as corrupt; a write that cannot complete (lock timeout,
     [ENOSPC], permissions) is dropped.  Callers always fall back to
     recomputing in memory — the cache can only ever cost a rebuild,
     never correctness.  Every outcome increments a counter and, when a
@@ -53,13 +53,16 @@ val key : parts:string list -> string
 
 (** {1 Entries} *)
 
-val get : t -> key:string -> string option
-(** The verified payload of an entry, or [None] for a miss.  Any
-    integrity failure — unreadable file, truncation, checksum mismatch,
-    header version skew — quarantines the entry and returns [None].
-    Reads take no lock: writers only ever publish whole files by atomic
-    rename, so a reader sees the old entry or the new one, never a
-    mixture. *)
+val get : t -> key:string -> decode:(string -> 'a option) -> 'a option
+(** The decoded payload of an entry, or [None] for a miss.  The entry is
+    read and verified first; [decode] (which must not raise) then sees
+    the verified payload, and only a payload it accepts counts as a hit.
+    Any integrity failure — unreadable file, truncation, checksum
+    mismatch, header version skew — and any payload [decode] refuses
+    (a format drift the key did not capture) quarantines the entry,
+    counts it as corrupt and returns [None].  Reads take no lock:
+    writers only ever publish whole files by atomic rename, so a reader
+    sees the old entry or the new one, never a mixture. *)
 
 (** Why a write was dropped, when the cause is worth naming:
     [Lock_timeout] means another writer held the store's advisory lock
@@ -89,18 +92,12 @@ val put_result : t -> key:string -> string -> (unit, error) result
     failures remain [Ok ()]: they are counted and reported through the
     [Cache] event as before. *)
 
-val report_undecodable : t -> key:string -> unit
-(** Quarantine an entry whose {e payload} the caller failed to decode
-    even though the framing verified (e.g. a [Marshal] decode error
-    after a code change without a {!format_version} bump).  Counts as a
-    corrupt eviction. *)
-
 (** {1 Accounting} *)
 
 type counters = {
   hits : int;
   misses : int;
-  corrupt : int;  (** entries quarantined after failing verification *)
+  corrupt : int;  (** entries quarantined after failing verification or decoding *)
   write_failures : int;  (** puts dropped (lock timeout, I/O error) *)
 }
 
@@ -120,19 +117,13 @@ val load_run_counters : dir:string -> counters option
 type usage = {
   entries : int;
   bytes : int;  (** total size of live entries *)
-  trace_entries : int;
-      (** entries whose payload is a binary trace frame (sniffed by the
-          {!Dp_trace.Bin.magic} leading bytes) — the rest are Marshal
-          blobs *)
-  trace_bytes : int;  (** total size of the binary-trace entries *)
   quarantined : int;  (** [*.corrupt] files awaiting inspection *)
   temp : int;  (** leftover [*.tmp*] files (crashed writers) *)
 }
 
 val usage : dir:string -> usage
-(** Scan a store directory.  All zero when the directory is missing.
-    The per-format split reads only each entry's first bytes, so the
-    scan stays cheap however large the store. *)
+(** Scan a store directory: names and sizes only, no entry is opened.
+    All zero when the directory is missing. *)
 
 val clear : dir:string -> int
 (** Remove every entry, quarantined file, temporary file and stats

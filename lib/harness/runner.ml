@@ -42,25 +42,17 @@ let run ctx ?knobs ?(obs = false) ?shards ~procs version =
       }
   | None ->
       let mode = Version.mode version in
-      let scheduler_rounds = Pipeline.rounds ctx ~procs mode in
-      let trace = Pipeline.trace ctx ~procs mode in
-      let policy = Version.policy version in
-      let hints =
-        if Version.restructured version then Pipeline.hints_for ctx ~procs ~policy mode
-        else []
-      in
       let sink =
         if obs then
           (* Room for every span/service/decision of the run: the engine
              emits a handful of events per request plus per-gap decisions,
              so scale with the trace. *)
-          Dp_obs.Sink.ring ~capacity:(max 4096 (64 * (List.length trace + 64))) ()
+          let requests = List.length (Pipeline.trace ctx ~procs mode) in
+          Dp_obs.Sink.ring ~capacity:(max 4096 (64 * (requests + 64))) ()
         else Dp_obs.Sink.null
       in
-      let result =
-        Engine.simulate ~obs:sink ~hints ?knobs ?shards
-          ~disks:(Pipeline.disks ctx) policy trace
-      in
+      let policy = Version.policy version in
+      let result = Pipeline.simulate ~obs:sink ?knobs ?shards ctx ~procs ~policy mode in
       let obs =
         if obs then
           Some (Dp_obs.Report.of_events ~disks:(Pipeline.disks ctx) (Dp_obs.Sink.events sink))
@@ -71,7 +63,7 @@ let run ctx ?knobs ?(obs = false) ?shards ~procs version =
         procs;
         result;
         summary = Pipeline.summary ctx ~procs mode;
-        scheduler_rounds;
+        scheduler_rounds = Pipeline.rounds ctx ~procs mode;
         obs;
       }
 

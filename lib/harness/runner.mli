@@ -41,11 +41,11 @@ val run :
   procs:int ->
   Version.t ->
   run
-(** For the paper's versions: restructure per the version, generate the
-    trace, and simulate — the proactive (restructured) versions carry a
-    compiler hint stream ({!Dp_trace.Hint}) emitted from the
-    restructured trace, which the engine executes in place of its
-    omniscient gap planner.  For the [Oracle_*] rows: generate the
+(** For the paper's versions: {!Dp_pipeline.Pipeline.simulate} of the
+    version's mode under its policy — the proactive (restructured)
+    versions carry a compiler hint stream ({!Dp_trace.Hint}) emitted
+    from the restructured trace, which the engine executes in place of
+    its omniscient gap planner.  For the [Oracle_*] rows: generate the
     unmodified-code trace and replace the energy of its no-PM reference
     run with the offline-optimal bound ({!Dp_oracle.Oracle}); the
     [result]'s per-disk stats remain those of the reference run.  The

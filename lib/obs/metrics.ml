@@ -52,13 +52,6 @@ let quantile h q =
     if !k < Array.length h.edges then h.edges.(!k) else h.vmax
   end
 
-let merge_into ~dst src =
-  if dst.edges <> src.edges then invalid_arg "Metrics.merge_into: mismatched edges";
-  Array.iteri (fun k c -> dst.counts.(k) <- dst.counts.(k) + c) src.counts;
-  dst.sum <- dst.sum +. src.sum;
-  dst.n <- dst.n + src.n;
-  if src.vmax > dst.vmax then dst.vmax <- src.vmax
-
 let pp_histogram ppf h =
   Format.fprintf ppf "@[<v>%s: %d observation(s), mean %.2f, max %.2f@," h.h_name h.n (mean h)
     h.vmax;
@@ -73,67 +66,4 @@ let pp_histogram ppf h =
           (100.0 *. float_of_int count /. float_of_int h.n)
       end)
     h.counts;
-  Format.fprintf ppf "@]"
-
-type counter = { c_name : string; mutable count : int }
-type gauge = { g_name : string; mutable value : float }
-
-type metric = Counter of counter | Gauge of gauge | Hist of histogram
-type registry = (string, metric) Hashtbl.t
-
-let registry () : registry = Hashtbl.create 16
-
-let counter reg name =
-  match Hashtbl.find_opt reg name with
-  | Some (Counter c) -> c
-  | Some _ -> invalid_arg (Printf.sprintf "Metrics.counter: %s is another metric kind" name)
-  | None ->
-      let c = { c_name = name; count = 0 } in
-      Hashtbl.add reg name (Counter c);
-      c
-
-let incr ?(by = 1) c = c.count <- c.count + by
-
-let gauge reg name =
-  match Hashtbl.find_opt reg name with
-  | Some (Gauge g) -> g
-  | Some _ -> invalid_arg (Printf.sprintf "Metrics.gauge: %s is another metric kind" name)
-  | None ->
-      let g = { g_name = name; value = 0.0 } in
-      Hashtbl.add reg name (Gauge g);
-      g
-
-let set g v = g.value <- v
-
-let hist ?edges reg name =
-  match Hashtbl.find_opt reg name with
-  | Some (Hist h) -> h
-  | Some _ -> invalid_arg (Printf.sprintf "Metrics.hist: %s is another metric kind" name)
-  | None ->
-      let h = histogram ?edges name in
-      Hashtbl.add reg name (Hist h);
-      h
-
-let sorted_by name xs = List.sort (fun a b -> compare (name a) (name b)) xs
-
-let counters reg =
-  sorted_by
-    (fun c -> c.c_name)
-    (Hashtbl.fold (fun _ m acc -> match m with Counter c -> c :: acc | _ -> acc) reg [])
-
-let gauges reg =
-  sorted_by
-    (fun g -> g.g_name)
-    (Hashtbl.fold (fun _ m acc -> match m with Gauge g -> g :: acc | _ -> acc) reg [])
-
-let histograms reg =
-  sorted_by
-    (fun h -> h.h_name)
-    (Hashtbl.fold (fun _ m acc -> match m with Hist h -> h :: acc | _ -> acc) reg [])
-
-let pp ppf reg =
-  Format.fprintf ppf "@[<v>";
-  List.iter (fun c -> Format.fprintf ppf "%s: %d@," c.c_name c.count) (counters reg);
-  List.iter (fun g -> Format.fprintf ppf "%s: %g@," g.g_name g.value) (gauges reg);
-  List.iter (fun h -> Format.fprintf ppf "%a@," pp_histogram h) (histograms reg);
   Format.fprintf ppf "@]"

@@ -1,7 +1,4 @@
-(** A small metrics registry: counters, gauges, and histograms with
-    fixed log-spaced buckets.
-
-    Histograms are the workhorse — the per-disk idle-gap,
+(** Histograms with fixed log-spaced buckets: the per-disk idle-gap,
     response-time and standby-residency distributions are all
     instances.  Buckets are fixed at construction (no rebinning), so
     [observe] is O(#buckets) worst case and allocation-free. *)
@@ -35,31 +32,5 @@ val quantile : histogram -> float -> float
     bucket-resolution approximation; [vmax] for the overflow bucket.
     0 when empty. *)
 
-val merge_into : dst:histogram -> histogram -> unit
-(** Accumulate [src] counts into [dst]; the edge arrays must be equal. *)
-
 val pp_histogram : Format.formatter -> histogram -> unit
 (** One line per non-empty bucket: range, count, share. *)
-
-type counter = { c_name : string; mutable count : int }
-type gauge = { g_name : string; mutable value : float }
-
-type registry
-(** A name-keyed collection of the three metric kinds.  Lookups create
-    on first use, so instrumentation sites need no setup order. *)
-
-val registry : unit -> registry
-val counter : registry -> string -> counter
-val incr : ?by:int -> counter -> unit
-val gauge : registry -> string -> gauge
-val set : gauge -> float -> unit
-val hist : ?edges:float array -> registry -> string -> histogram
-(** @raise Invalid_argument when the name is already registered as a
-    different metric kind. *)
-
-val counters : registry -> counter list
-val gauges : registry -> gauge list
-val histograms : registry -> histogram list
-(** Sorted by name. *)
-
-val pp : Format.formatter -> registry -> unit

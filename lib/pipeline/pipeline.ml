@@ -50,6 +50,25 @@ type stats = {
   corrupt_evictions : int;
 }
 
+(* One rule builds every stage: a stage is a memo table, a build count
+   and the Prof span its builds run under.  A persisted stage also names
+   its store entry per key and the codec of its values. *)
+type ('k, 'v) stage = {
+  span : string;
+  tbl : ('k, 'v) Hashtbl.t;
+  mutable builds : int;
+  persist : ('k, 'v) codec option;
+}
+
+(* Every persisted value is a binary trace frame ({!Dp_trace.Bin}):
+   the store hands [decode] a checksum-verified payload and counts a hit
+   only when it decodes. *)
+and ('k, 'v) codec = {
+  entry : 'k -> string;
+  encode : 'v -> string;
+  decode : string -> 'v option;
+}
+
 type t = {
   app : App.t;
   layout : Layout.t;
@@ -61,26 +80,18 @@ type t = {
   digest : string;
   cache : Cachefs.t option;
   lock : Mutex.t;
-  (* A ref cell (not a mutable field) so [derive] can share the built
-     graph between contexts that differ only in layout. *)
-  graph_cell : Concrete.graph option ref;
-  cluster_tbl : (Cluster.policy, Cluster.table) Hashtbl.t;
-  streams_tbl : (key, Generate.segments array * int option) Hashtbl.t;
-  trace_tbl : (key, Request.t list) Hashtbl.t;
-  (* Filled alongside trace_tbl (from a build or a disk hit) so the
-     round count is available without rebuilding the streams stage. *)
-  rounds_tbl : (key, int option) Hashtbl.t;
-  hint_tbl : (key * Oracle.space, Hint.t list) Hashtbl.t;
-  (* In-memory only: both are cheap to rebuild from a (cached) trace. *)
-  summary_tbl : (key, Generate.summary) Hashtbl.t;
-  reference_tbl : (key, Oracle.reference) Hashtbl.t;
-  mutable graph_builds : int;
-  mutable cluster_builds : int;
-  mutable stream_builds : int;
-  mutable trace_builds : int;
-  mutable hint_builds : int;
-  mutable summary_builds : int;
-  mutable reference_builds : int;
+  (* [derive] shares this stage's table: the graph depends on the
+     program alone. *)
+  graph : (unit, Concrete.graph) stage;
+  clusters : (Cluster.policy, Cluster.table) stage;
+  streams : (key, Generate.segments array * int option) stage;
+  (* The trace with the scheduler round count, so a warm run answers
+     [rounds] without rebuilding the streams stage. *)
+  traces : (key, Request.t list * int option) stage;
+  hints : (key * Oracle.space, Hint.t list) stage;
+  (* In memory only: both are cheap to rebuild from a (cached) trace. *)
+  summaries : (key, Generate.summary) stage;
+  references : (key, Oracle.reference) stage;
   mutable memo_hits : int;
 }
 
@@ -94,13 +105,13 @@ let stats t =
             (k.Cachefs.hits, k.Cachefs.misses, k.Cachefs.corrupt)
       in
       {
-        graph_builds = t.graph_builds;
-        cluster_builds = t.cluster_builds;
-        stream_builds = t.stream_builds;
-        trace_builds = t.trace_builds;
-        hint_builds = t.hint_builds;
-        summary_builds = t.summary_builds;
-        reference_builds = t.reference_builds;
+        graph_builds = t.graph.builds;
+        cluster_builds = t.clusters.builds;
+        stream_builds = t.streams.builds;
+        trace_builds = t.traces.builds;
+        hint_builds = t.hints.builds;
+        summary_builds = t.summaries.builds;
+        reference_builds = t.references.builds;
         memo_hits = t.memo_hits;
         disk_hits;
         disk_misses;
@@ -125,31 +136,65 @@ let synth_app ~origin ~layout program =
     paper_io_time_ms = 0.0;
   }
 
+(* --- the persistent stage cache ---
+
+   Only the trace and hint stages spill to disk: they subsume their
+   upstream stages, so a warm run never touches the dependence graph or
+   the reuse scheduler at all.  Both spill as binary trace frames
+   ({!Dp_trace.Bin}) inside a Cachefs frame (versioned header +
+   checksum trailer): a trace entry carries the round count in its
+   header, a hint entry is a hints-only frame.  The codec's raw-float
+   fallback keeps unquantized engine-bound timestamps bit-exact, so a
+   warm run is byte-identical to a cold one.  The codec version is part
+   of every key: a format bump makes old entries miss cleanly instead
+   of misdecoding.  All disk traffic happens under the context mutex,
+   so the store needs no locking of its own beyond its writer lock. *)
+
+let entry_key digest (k : key) stage extra =
+  Cachefs.key
+    ~parts:
+      ([ digest; stage; mode_name k.k_mode; string_of_int k.k_procs;
+         Cluster.policy_name k.k_cluster ]
+      @ extra
+      @ [ "bin"; string_of_int Bin.format_version ])
+
+let of_frame f payload = match Bin.decode payload with Ok v -> Some (f v) | Error _ -> None
+let stage ?persist span = { span; tbl = Hashtbl.create 8; builds = 0; persist }
+
 let make ?cache ~app ~layout ~origin () =
+  let digest =
+    Digest.to_hex
+      (Digest.string (Marshal.to_string (app.App.program, layout) [ Marshal.No_sharing ]))
+  in
   {
     app;
     layout;
     origin;
-    digest =
-      Digest.to_hex
-        (Digest.string (Marshal.to_string (app.App.program, layout) [ Marshal.No_sharing ]));
+    digest;
     cache;
     lock = Mutex.create ();
-    graph_cell = ref None;
-    cluster_tbl = Hashtbl.create 4;
-    streams_tbl = Hashtbl.create 8;
-    trace_tbl = Hashtbl.create 8;
-    rounds_tbl = Hashtbl.create 8;
-    hint_tbl = Hashtbl.create 8;
-    summary_tbl = Hashtbl.create 8;
-    reference_tbl = Hashtbl.create 8;
-    graph_builds = 0;
-    cluster_builds = 0;
-    stream_builds = 0;
-    trace_builds = 0;
-    hint_builds = 0;
-    summary_builds = 0;
-    reference_builds = 0;
+    graph = stage "pipeline.graph";
+    clusters = stage "pipeline.cluster-table";
+    streams = stage "pipeline.streams";
+    traces =
+      stage "pipeline.trace"
+        ~persist:
+          {
+            entry = (fun k -> entry_key digest k "trace" []);
+            encode = (fun (reqs, rounds) -> Bin.encode ?rounds reqs);
+            decode = of_frame (fun (reqs, _, _, rounds) -> (reqs, rounds));
+          };
+    hints =
+      stage "pipeline.hints"
+        ~persist:
+          {
+            entry =
+              (fun (k, space) -> entry_key digest k "hints" [ Oracle.space_name space ]);
+            encode = (fun hints -> Bin.encode ~hints []);
+            decode = of_frame (fun (_, hints, _, _) -> hints);
+          };
+    summaries = stage "pipeline.summary";
+    references = stage "pipeline.reference";
     memo_hits = 0;
   }
 
@@ -183,7 +228,7 @@ let load ?cache source =
 
 let derive ~layout t =
   let d = make ?cache:t.cache ~app:t.app ~layout ~origin:t.origin () in
-  { d with graph_cell = t.graph_cell; lock = t.lock }
+  { d with graph = { t.graph with builds = 0 }; lock = t.lock }
 
 let program t = t.app.App.program
 let layout t = t.layout
@@ -193,48 +238,61 @@ let app t = t.app
 let digest t = t.digest
 let cache t = t.cache
 
-(* --- stages --- *)
+(* --- stages ---
 
-(* Each stage takes the lock only around its own table: builds are
-   serialized per context, and stages acquire their inputs (upstream
-   stages) before locking, so locks never nest. *)
+   [memo] is the one rule every stage follows: look in the table, then
+   in the store if the stage persists; on a miss, force the stage's
+   inputs (its upstream stages) before taking the lock, and build under
+   it.  Builds are serialized per context and locks never nest: a
+   domain that missed may find another's build in the table once it
+   holds the lock, and then builds nothing. *)
 
-let graph t =
-  Mutex.protect t.lock (fun () ->
-      match !(t.graph_cell) with
-      | Some g ->
-          t.memo_hits <- t.memo_hits + 1;
-          g
-      | None ->
-          let g = Prof.span "pipeline.graph" (fun () -> Concrete.build (program t)) in
-          t.graph_cell := Some g;
-          t.graph_builds <- t.graph_builds + 1;
-          g)
+let memo t s k ~inputs build =
+  let hit () =
+    match Hashtbl.find_opt s.tbl k with
+    | Some v ->
+        t.memo_hits <- t.memo_hits + 1;
+        Some v
+    | None -> None
+  in
+  let fetch () =
+    match (hit (), s.persist, t.cache) with
+    | None, Some p, Some c ->
+        let v = Cachefs.get c ~key:(p.entry k) ~decode:p.decode in
+        Option.iter (Hashtbl.add s.tbl k) v;
+        v
+    | v, _, _ -> v
+  in
+  match Mutex.protect t.lock fetch with
+  | Some v -> v
+  | None ->
+      let x = inputs () in
+      Mutex.protect t.lock (fun () ->
+          match hit () with
+          | Some v -> v
+          | None ->
+              let v = Prof.span s.span (fun () -> build x) in
+              Hashtbl.add s.tbl k v;
+              s.builds <- s.builds + 1;
+              (* Write-through is advisory: a dropped write costs a
+                 rebuild on some future run, never this one. *)
+              (match (s.persist, t.cache) with
+              | Some p, Some c -> Cachefs.put c ~key:(p.entry k) (p.encode v)
+              | _ -> ());
+              v)
+
+let graph t = memo t t.graph () ~inputs:Fun.id (fun () -> Concrete.build (program t))
 
 let cluster_table ?(cluster = Cluster.First_ref) t =
-  let g = graph t in
-  Mutex.protect t.lock (fun () ->
-      match Hashtbl.find_opt t.cluster_tbl cluster with
-      | Some table ->
-          t.memo_hits <- t.memo_hits + 1;
-          table
-      | None ->
-          let table =
-            Prof.span "pipeline.cluster-table" (fun () ->
-                Cluster.build_table ~policy:cluster t.layout (program t) g)
-          in
-          Hashtbl.add t.cluster_tbl cluster table;
-          t.cluster_builds <- t.cluster_builds + 1;
-          table)
+  memo t t.clusters cluster ~inputs:(fun () -> graph t) (fun g ->
+      Cluster.build_table ~policy:cluster t.layout (program t) g)
 
 let key ?(cluster = Cluster.First_ref) ~procs mode =
-  { k_procs = procs; k_mode = mode; k_cluster = cluster }
-
-let check_streams_args ~procs mode =
   if procs < 1 then
-    invalid_arg (Printf.sprintf "Pipeline.streams: procs must be >= 1 (got %d)" procs);
+    invalid_arg (Printf.sprintf "Pipeline: procs must be >= 1 (got %d)" procs);
   if mode = Reuse_multi && procs = 1 then
-    invalid_arg "Pipeline.streams: the layout-aware mode needs several processors"
+    invalid_arg "Pipeline: the layout-aware mode needs several processors";
+  { k_procs = procs; k_mode = mode; k_cluster = cluster }
 
 (* The one definition of the per-processor execution streams of every
    matrix version (formerly duplicated between bin/dpcc.ml and
@@ -278,223 +336,38 @@ let reuse_streams t g table ~procs mode =
     Some (Array.fold_left (fun acc (s : Reuse.schedule) -> max acc s.Reuse.rounds) 0 s) )
 
 let streams ?cluster t ~procs mode =
-  check_streams_args ~procs mode;
-  let g = graph t in
-  (* The cluster table is a stage of its own: force it here, before
-     taking the lock, as [graph] is — locks never nest. *)
-  let build =
-    match mode with
-    | Original -> fun () -> (original_streams t g ~procs, None)
-    | Reuse_single | Reuse_multi ->
-        let table = cluster_table ?cluster t in
-        fun () -> reuse_streams t g table ~procs mode
-  in
-  let k = key ?cluster ~procs mode in
-  Mutex.protect t.lock (fun () ->
-      match Hashtbl.find_opt t.streams_tbl k with
-      | Some v ->
-          t.memo_hits <- t.memo_hits + 1;
-          v
-      | None ->
-          let v = Prof.span "pipeline.streams" build in
-          Hashtbl.add t.streams_tbl k v;
-          if not (Hashtbl.mem t.rounds_tbl k) then Hashtbl.add t.rounds_tbl k (snd v);
-          t.stream_builds <- t.stream_builds + 1;
-          v)
-
-(* --- the persistent stage cache ---
-
-   Only the trace and hint stages spill to disk: they subsume their
-   upstream stages, so a warm run never touches the dependence graph or
-   the reuse scheduler at all.  Trace payloads are binary trace frames
-   ({!Dp_trace.Bin}), hint payloads Marshal blobs; both ride inside a
-   Cachefs frame (versioned header + checksum trailer).  A decode
-   failure after the frame verified means a format drift — the entry is
-   quarantined and recomputed.  All disk traffic happens under the
-   context mutex: stage lookups are already serialized, so the cache
-   needs no locking of its own beyond its writer lock. *)
-
-let stage_key t (k : key) stage extra =
-  Cachefs.key
-    ~parts:
-      ([ t.digest; stage; mode_name k.k_mode; string_of_int k.k_procs;
-         Cluster.policy_name k.k_cluster ]
-      @ extra)
-
-let cache_fetch : type a. t -> key:string -> a option =
- fun t ~key ->
-  match t.cache with
-  | None -> None
-  | Some c -> (
-      match Cachefs.get c ~key with
-      | None -> None
-      | Some payload -> (
-          match (Marshal.from_string payload 0 : a) with
-          | v -> Some v
-          | exception (Failure _ | Invalid_argument _) ->
-              Cachefs.report_undecodable c ~key;
-              None))
-
-(* Write-through is advisory: a dropped write (named lock timeout or
-   plain I/O failure) costs a recompute on some future run, never this
-   one — the in-memory memo already holds the value. *)
-let cache_store t ~key v =
-  match t.cache with
-  | None -> ()
-  | Some c -> (
-      match Cachefs.put_result c ~key (Marshal.to_string v []) with
-      | Ok () | Error (Cachefs.Lock_timeout _) -> ())
-
-(* The trace stage spills as a binary trace frame (see {!Dp_trace.Bin})
-   rather than a Marshal blob: the payload is then self-describing —
-   [dpcc cache stat] can tell traces from the other entries by magic —
-   and an order of magnitude smaller.  The codec's raw-float fallback
-   keeps unquantized engine-bound timestamps bit-exact, so a warm run
-   is byte-identical to a cold one.  The codec version is part of the
-   key: a format bump makes old entries miss cleanly instead of
-   misdecoding. *)
-
-let trace_stage_key t k =
-  stage_key t k "trace" [ "bin"; string_of_int Bin.format_version ]
-
-let trace_cache_fetch t ~key =
-  match t.cache with
-  | None -> None
-  | Some c -> (
-      match Cachefs.get c ~key with
-      | None -> None
-      | Some payload -> (
-          match Bin.decode payload with
-          | Ok (reqs, _, _, rounds) -> Some (reqs, rounds)
-          | Error _ ->
-              Cachefs.report_undecodable c ~key;
-              None))
-
-let trace_cache_store t ~key (reqs, rounds) =
-  match t.cache with
-  | None -> ()
-  | Some c -> (
-      match Cachefs.put_result c ~key (Bin.encode ?rounds reqs) with
-      | Ok () | Error (Cachefs.Lock_timeout _) -> ())
-
-(* The trace entry carries the scheduler round count too, so a warm
-   run can answer [rounds] without rebuilding the streams stage. *)
-let trace_lookup t k =
-  match Hashtbl.find_opt t.trace_tbl k with
-  | Some reqs ->
-      t.memo_hits <- t.memo_hits + 1;
-      Some (reqs, try Hashtbl.find t.rounds_tbl k with Not_found -> None)
-  | None -> (
-      match trace_cache_fetch t ~key:(trace_stage_key t k) with
-      | Some ((reqs, rounds) as v) ->
-          Hashtbl.add t.trace_tbl k reqs;
-          Hashtbl.replace t.rounds_tbl k rounds;
-          Some v
-      | None -> None)
-
-let trace ?cluster t ~procs mode =
-  check_streams_args ~procs mode;
-  let k = key ?cluster ~procs mode in
-  match Mutex.protect t.lock (fun () -> trace_lookup t k) with
-  | Some (reqs, _) -> reqs
-  | None ->
-      let segs, rounds = streams ?cluster t ~procs mode in
+  memo t t.streams (key ?cluster ~procs mode)
+    ~inputs:(fun () ->
       let g = graph t in
-      Mutex.protect t.lock (fun () ->
-          (* Another domain may have built or fetched it meanwhile. *)
-          match Hashtbl.find_opt t.trace_tbl k with
-          | Some v ->
-              t.memo_hits <- t.memo_hits + 1;
-              v
-          | None ->
-              let v =
-                Prof.span "pipeline.trace" (fun () ->
-                    Generate.trace t.layout (program t) g segs)
-              in
-              Hashtbl.add t.trace_tbl k v;
-              Hashtbl.replace t.rounds_tbl k rounds;
-              t.trace_builds <- t.trace_builds + 1;
-              trace_cache_store t ~key:(trace_stage_key t k) (v, rounds);
-              v)
+      (g, if mode = Original then None else Some (cluster_table ?cluster t)))
+    (fun (g, table) ->
+      match table with
+      | None -> (original_streams t g ~procs, None)
+      | Some table -> reuse_streams t g table ~procs mode)
 
-let rounds ?cluster t ~procs mode =
-  check_streams_args ~procs mode;
-  let k = key ?cluster ~procs mode in
-  match Mutex.protect t.lock (fun () -> trace_lookup t k) with
-  | Some (_, rounds) -> rounds
-  | None -> snd (streams ?cluster t ~procs mode)
+let traced ?cluster t ~procs mode =
+  memo t t.traces (key ?cluster ~procs mode)
+    ~inputs:(fun () ->
+      let s = streams ?cluster t ~procs mode in
+      (s, graph t))
+    (fun ((segs, rounds), g) -> (Generate.trace t.layout (program t) g segs, rounds))
+
+let trace ?cluster t ~procs mode = fst (traced ?cluster t ~procs mode)
+let rounds ?cluster t ~procs mode = snd (traced ?cluster t ~procs mode)
 
 let hints ?cluster t ~procs ~space mode =
-  check_streams_args ~procs mode;
-  let k = key ?cluster ~procs mode in
-  let hk = (k, space) in
-  let dk = stage_key t k "hints" [ Oracle.space_name space ] in
-  let lookup () =
-    match Hashtbl.find_opt t.hint_tbl hk with
-    | Some v ->
-        t.memo_hits <- t.memo_hits + 1;
-        Some v
-    | None -> (
-        match (cache_fetch t ~key:dk : Hint.t list option) with
-        | Some v ->
-            Hashtbl.add t.hint_tbl hk v;
-            Some v
-        | None -> None)
-  in
-  match Mutex.protect t.lock lookup with
-  | Some v -> v
-  | None ->
-      let reqs = trace ?cluster t ~procs mode in
-      Mutex.protect t.lock (fun () ->
-          match Hashtbl.find_opt t.hint_tbl hk with
-          | Some v ->
-              t.memo_hits <- t.memo_hits + 1;
-              v
-          | None ->
-              let v =
-                Prof.span "pipeline.hints" (fun () ->
-                    Oracle.hints_of_trace ~space ~disks:(disks t) reqs)
-              in
-              Hashtbl.add t.hint_tbl hk v;
-              t.hint_builds <- t.hint_builds + 1;
-              cache_store t ~key:dk v;
-              v)
+  memo t t.hints (key ?cluster ~procs mode, space)
+    ~inputs:(fun () -> trace ?cluster t ~procs mode)
+    (Oracle.hints_of_trace ~space ~disks:(disks t))
 
-(* The stages a trace feeds in memory: looked up first, so a memo hit
-   never touches the trace stage; on a miss the trace is forced before
-   the lock is taken, and the build runs under the lock, so each is
-   built once per context however many rows ask for it. *)
-let of_trace t ~procs mode tbl ~span ~built f =
-  check_streams_args ~procs mode;
-  let k = key ~procs mode in
-  let hit () =
-    match Hashtbl.find_opt tbl k with
-    | Some v ->
-        t.memo_hits <- t.memo_hits + 1;
-        Some v
-    | None -> None
-  in
-  match Mutex.protect t.lock hit with
-  | Some v -> v
-  | None ->
-      let reqs = trace t ~procs mode in
-      Mutex.protect t.lock (fun () ->
-          match hit () with
-          | Some v -> v
-          | None ->
-              let v = Prof.span span (fun () -> f reqs) in
-              Hashtbl.add tbl k v;
-              built ();
-              v)
-
+(* The stages a trace feeds in memory, under the default clustering
+   policy. *)
 let summary t ~procs mode =
-  of_trace t ~procs mode t.summary_tbl ~span:"pipeline.summary"
-    ~built:(fun () -> t.summary_builds <- t.summary_builds + 1)
+  memo t t.summaries (key ~procs mode) ~inputs:(fun () -> trace t ~procs mode)
     Generate.summarize
 
 let reference t ~procs mode =
-  of_trace t ~procs mode t.reference_tbl ~span:"pipeline.reference"
-    ~built:(fun () -> t.reference_builds <- t.reference_builds + 1)
+  memo t t.references (key ~procs mode) ~inputs:(fun () -> trace t ~procs mode)
     (Oracle.reference ~disks:(disks t))
 
 (* Compiler hints for the proactive policies: the hint emitter replays

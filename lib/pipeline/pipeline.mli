@@ -21,22 +21,29 @@ module Cachefs = Dp_cachefs.Cachefs
     step keyed by the knobs that actually change its output (processor
     count, restructuring {!mode}, clustering policy), so the dependence
     graph and the Base trace are computed once and shared across every
-    version of the evaluation matrix instead of rebuilt per row.  Every
-    stage build runs under a [pipeline.*] {!Dp_obs.Prof} span.
+    version of the evaluation matrix instead of rebuilt per row.
 
-    Stage memo tables are protected by a per-context mutex: a context
-    may be shared by several domains ({!Dp_util.Domain_pool}), each looking up
-    or building stages concurrently; builds are serialized, everything
-    downstream (the simulations — the dominant cost) runs in
-    parallel.
+    Every stage follows one rule: look the key up in the stage's memo
+    table, then in the persistent store if the stage persists; on a
+    miss, force the upstream stages, then build under a [pipeline.*]
+    {!Dp_obs.Prof} span and count the build.  The memo tables are
+    protected by a per-context mutex, taken around each lookup and each
+    build but never while upstream stages are forced, so locks never
+    nest: a context may be shared by several domains
+    ({!Dp_util.Domain_pool}), builds are serialized, and everything
+    downstream (the simulations — the dominant cost) runs in parallel.
 
     A context may additionally be backed by a persistent {!Cachefs}
     store: the trace and hint stages then consult the store before
     building (keyed by the context {!digest}, so results are shared
-    across processes and invocations) and write through after.  The
-    store's failure contract keeps the pipeline oblivious — any disk
-    problem is just a miss.  The {!summary} and {!reference} stages
-    are never persisted: they are rebuilt in memory from the trace. *)
+    across processes and invocations) and write through after.  Both
+    persist as binary trace frames ({!Dp_trace.Bin}, its format version
+    part of the key): a trace with its scheduler round count in the
+    header, a hint stream as a hints-only frame.  The store's failure
+    contract keeps the pipeline oblivious — any disk problem, including
+    a frame that verifies but does not decode, is a rebuild, never a
+    hit.  The other stages are never persisted: they are rebuilt in
+    memory (from the trace, for {!summary} and {!reference}). *)
 
 type t
 
@@ -140,11 +147,15 @@ val streams :
     @raise Invalid_argument for {!Reuse_multi} with [procs = 1] (the
     layout-aware scheme needs several processors) or [procs < 1]. *)
 
-val rounds : ?cluster:Cluster.policy -> t -> procs:int -> mode -> int option
-(** The round count of {!streams} alone. *)
-
 val trace : ?cluster:Cluster.policy -> t -> procs:int -> mode -> Request.t list
-(** Stage 3: the timed I/O request trace of the mode's streams. *)
+(** Stage 3: the timed I/O request trace of the mode's streams.  The
+    stage stores the trace together with the round count of
+    {!streams}. *)
+
+val rounds : ?cluster:Cluster.policy -> t -> procs:int -> mode -> int option
+(** The round count of {!streams}, read from the {!trace} stage: a warm
+    context answers it from the cached trace without scheduling, and a
+    cold one builds the trace if no caller has yet. *)
 
 val summary : t -> procs:int -> mode -> Generate.summary
 (** Stage 3a: {!Generate.summarize} of the mode's trace under the

@@ -26,6 +26,9 @@ let with_store f =
   | Error msg -> Alcotest.failf "open_store %s: %s" dir msg
   | Ok store -> f dir store
 
+(* Every payload decodes: the store's own framing is under test. *)
+let get store ~key = Cachefs.get store ~key ~decode:Option.some
+
 let entry_file dir =
   Array.to_list (Sys.readdir dir)
   |> List.find_opt (fun n ->
@@ -49,11 +52,11 @@ let no_residue dir =
 let test_roundtrip () =
   with_store @@ fun dir store ->
   let key = Cachefs.key ~parts:[ "digest"; "trace"; "original"; "1" ] in
-  check Alcotest.(option string) "empty store misses" None (Cachefs.get store ~key);
+  check Alcotest.(option string) "empty store misses" None (get store ~key);
   (* Binary-safe payload: newlines, NULs, high bytes. *)
   let payload = "line1\nline2\x00\xff\n" in
   Cachefs.put store ~key payload;
-  check Alcotest.(option string) "roundtrip" (Some payload) (Cachefs.get store ~key);
+  check Alcotest.(option string) "roundtrip" (Some payload) (get store ~key);
   let k = Cachefs.counters store in
   check Alcotest.int "one hit" 1 k.Cachefs.hits;
   check Alcotest.int "one miss" 1 k.Cachefs.misses;
@@ -70,7 +73,7 @@ let test_persistence () =
   | Error msg -> Alcotest.fail msg
   | Ok store2 ->
       check Alcotest.(option string) "entry survives reopen" (Some "payload")
-        (Cachefs.get store2 ~key);
+        (get store2 ~key);
       check Alcotest.int "hit counted on new handle" 1 (Cachefs.counters store2).Cachefs.hits
 
 let test_distinct_keys () =
@@ -79,8 +82,8 @@ let test_distinct_keys () =
   if String.equal k1 k2 then Alcotest.fail "part boundaries must affect the key";
   Cachefs.put store ~key:k1 "one";
   Cachefs.put store ~key:k2 "two";
-  check Alcotest.(option string) "k1" (Some "one") (Cachefs.get store ~key:k1);
-  check Alcotest.(option string) "k2" (Some "two") (Cachefs.get store ~key:k2)
+  check Alcotest.(option string) "k1" (Some "one") (get store ~key:k1);
+  check Alcotest.(option string) "k2" (Some "two") (get store ~key:k2)
 
 (* The tentpole property: whatever a fault does to the entry's bytes,
    [get] never crashes and never returns wrong data — it quarantines and
@@ -136,7 +139,7 @@ let corruption_prop seed =
   Cachefs.put store ~key payload;
   let path = entry_file dir in
   let kind = mutate_entry rng path in
-  (match Cachefs.get store ~key with
+  (match get store ~key with
   | None -> ()
   | Some got ->
       (* A mutation may leave the entry intact only if the bytes still
@@ -144,7 +147,7 @@ let corruption_prop seed =
          cannot produce a valid frame with different content). *)
       if not (String.equal got payload) then
         QCheck2.Test.fail_reportf "%s returned wrong payload" kind);
-  (match Cachefs.get store ~key with
+  (match get store ~key with
   | Some got when not (String.equal got payload) ->
       QCheck2.Test.fail_reportf "%s: second read returned wrong payload" kind
   | _ -> ());
@@ -159,7 +162,7 @@ let corruption_prop seed =
   end;
   (* Recovery: a rewrite publishes a fresh verified entry. *)
   Cachefs.put store ~key payload;
-  (match Cachefs.get store ~key with
+  (match get store ~key with
   | Some got when String.equal got payload -> ()
   | _ -> QCheck2.Test.fail_reportf "%s: store did not recover after rewrite" kind);
   no_residue dir;
@@ -177,19 +180,22 @@ let test_version_skew_counts () =
     (Printf.sprintf "dpowercache %d%s" (Cachefs.format_version + 1)
        (String.sub data nl (String.length data - nl)));
   close_out oc;
-  check Alcotest.(option string) "skewed entry misses" None (Cachefs.get store ~key);
+  check Alcotest.(option string) "skewed entry misses" None (get store ~key);
   check Alcotest.int "counted as corrupt" 1 (Cachefs.counters store).Cachefs.corrupt;
   check Alcotest.bool "quarantined" true (Sys.file_exists (path ^ ".corrupt"))
 
-let test_report_undecodable () =
+let test_undecodable_payload () =
   with_store @@ fun dir store ->
   let key = Cachefs.key ~parts:[ "undecodable" ] in
   Cachefs.put store ~key "frame verifies, payload does not decode";
   let path = entry_file dir in
-  Cachefs.report_undecodable store ~key;
+  check Alcotest.(option string) "refused payload misses" None
+    (Cachefs.get store ~key ~decode:(fun _ -> None));
   check Alcotest.bool "quarantined" true (Sys.file_exists (path ^ ".corrupt"));
-  check Alcotest.(option string) "entry gone" None (Cachefs.get store ~key);
-  check Alcotest.int "one corrupt eviction" 1 (Cachefs.counters store).Cachefs.corrupt;
+  check Alcotest.(option string) "entry gone" None (get store ~key);
+  let k = Cachefs.counters store in
+  check Alcotest.int "one corrupt eviction" 1 k.Cachefs.corrupt;
+  check Alcotest.int "no hit" 0 k.Cachefs.hits;
   no_residue dir
 
 let test_open_store_failure () =
@@ -295,7 +301,7 @@ let test_lock_timeout () =
                          | _ -> false)
                        !events);
                   check Alcotest.bool "entry was not written" true
-                    (Cachefs.get store ~key:"contended" = None))
+                    (get store ~key:"contended" = None))
 
 let suites =
   [
@@ -307,7 +313,7 @@ let suites =
         qtest ~count:200 "corruption never crashes, never lies" QCheck2.Gen.nat
           corruption_prop;
         Alcotest.test_case "version skew quarantines" `Quick test_version_skew_counts;
-        Alcotest.test_case "undecodable payload quarantines" `Quick test_report_undecodable;
+        Alcotest.test_case "undecodable payload quarantines" `Quick test_undecodable_payload;
         Alcotest.test_case "unusable directory is an Error" `Quick test_open_store_failure;
         Alcotest.test_case "default dir from environment" `Quick test_default_dir_env;
         Alcotest.test_case "usage and clear" `Quick test_usage_and_clear;

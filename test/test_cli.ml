@@ -836,12 +836,11 @@ let test_dpcc_simulate_shards_identity () =
       check Alcotest.string (Printf.sprintf "--shards %s byte-identical" n) out1 out)
     [ "1"; "4" ]
 
-(* --- cache stat: per-format breakdown --- *)
+(* --- cache stat: every cached stage is one format --- *)
 
 let test_dpcc_cache_stat_formats () =
   let dir = fresh_cache_dir () in
-  (* A proactive simulate stores the trace (binary frame) and its hint
-     stream (Marshal blob). *)
+  (* A proactive simulate stores the trace and its hint stream. *)
   let code, _, _ =
     run
       [
@@ -849,24 +848,36 @@ let test_dpcc_cache_stat_formats () =
       ]
   in
   check Alcotest.int "simulate exits 0" 0 code;
+  (* Both payloads are binary trace frames: past the two header lines
+     of the store's frame, each starts with the codec's magic. *)
+  let entries =
+    List.filter
+      (fun n -> Filename.check_suffix n ".bin")
+      (Array.to_list (Sys.readdir dir))
+  in
+  check Alcotest.int "trace and hints stored" 2 (List.length entries);
+  List.iter
+    (fun name ->
+      let data = slurp (Filename.concat dir name) in
+      let payload = String.index_from data (String.index data '\n' + 1) '\n' + 1 in
+      check Alcotest.string (name ^ " holds a binary trace frame") Dp_trace.Bin.magic
+        (String.sub data payload (String.length Dp_trace.Bin.magic)))
+    entries;
   let code, out, _ = run [ dpcc; "cache"; "stat"; "--cache-dir"; dir ] in
   check Alcotest.int "stat exits 0" 0 code;
   check Alcotest.bool
-    (Printf.sprintf "breakdown names binary traces (got %S)" out)
+    (Printf.sprintf "counts both entries in human units (got %S)" out)
     true
-    (contains ~needle:"binary traces: 1" out);
-  check Alcotest.bool "breakdown names marshal entries" true
-    (contains ~needle:"marshal: 1" out);
-  check Alcotest.bool "sizes in human units" true
-    (contains ~needle:" B)" out || contains ~needle:" KB)" out
-   || contains ~needle:" MB)" out);
+    (contains ~needle:"entries: 2 (" out
+    && (contains ~needle:" B)" out || contains ~needle:" KB)" out
+       || contains ~needle:" MB)" out));
+  check Alcotest.bool "no per-format split" false
+    (contains ~needle:"binary traces" out || contains ~needle:"marshal" out);
   let code, out, _ = run [ dpcc; "cache"; "stat"; "--json"; "--cache-dir"; dir ] in
   check Alcotest.int "stat --json exits 0" 0 code;
-  List.iter
-    (fun needle ->
-      check Alcotest.bool (Printf.sprintf "json has %s" needle) true
-        (contains ~needle out))
-    [ "\"formats\""; "\"trace_bin\""; "\"marshal\"" ];
+  check Alcotest.bool "json counts both entries" true (contains ~needle:"\"entries\": 2" out);
+  check Alcotest.bool "json has no per-format block" false
+    (contains ~needle:"\"formats\"" out);
   let code, _, _ = run [ dpcc; "cache"; "clear"; "--cache-dir"; dir ] in
   check Alcotest.int "clear exits 0" 0 code
 

@@ -122,31 +122,7 @@ let test_histogram_observe () =
   check (Alcotest.float 1e-9) "mean" (5060.5 /. 5.0) (Metrics.mean h);
   (* Quantiles resolve to bucket upper edges (vmax for overflow). *)
   check (Alcotest.float 1e-9) "median" 10.0 (Metrics.quantile h 0.5);
-  check (Alcotest.float 1e-9) "q=1" 5000.0 (Metrics.quantile h 1.0);
-  let h2 = Metrics.histogram ~edges:[| 1.0; 10.0; 100.0 |] "t2" in
-  Metrics.observe h2 5.0;
-  Metrics.merge_into ~dst:h2 h;
-  check Alcotest.int "merged n" 6 h2.Metrics.n;
-  check Alcotest.(list int) "merged counts" [ 1; 3; 1; 1 ] (Array.to_list h2.Metrics.counts)
-
-let test_registry () =
-  let r = Metrics.registry () in
-  let c = Metrics.counter r "events" in
-  Metrics.incr c;
-  Metrics.incr ~by:4 c;
-  check Alcotest.int "counted" 5 c.Metrics.count;
-  check Alcotest.bool "create-on-first-use returns same" true
-    (Metrics.counter r "events" == c);
-  let g = Metrics.gauge r "depth" in
-  Metrics.set g 3.5;
-  check (Alcotest.float 0.0) "gauge set" 3.5 g.Metrics.value;
-  ignore (Metrics.hist r "gaps");
-  check Alcotest.int "one of each" 1 (List.length (Metrics.counters r));
-  check Alcotest.int "one gauge" 1 (List.length (Metrics.gauges r));
-  check Alcotest.int "one hist" 1 (List.length (Metrics.histograms r));
-  match Metrics.gauge r "events" with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "kind clash must be rejected"
+  check (Alcotest.float 1e-9) "q=1" 5000.0 (Metrics.quantile h 1.0)
 
 (* --- events: JSON wire format --- *)
 
@@ -670,7 +646,6 @@ let suites =
       [
         Alcotest.test_case "log edges" `Quick test_log_edges;
         Alcotest.test_case "observe" `Quick test_histogram_observe;
-        Alcotest.test_case "registry" `Quick test_registry;
       ] );
     ( "obs.event",
       [

@@ -296,6 +296,32 @@ let test_disk_cache_corruption_recovery () =
   check Alcotest.int "no rebuild after recovery" 0 st3.Pipeline.trace_builds;
   check Alcotest.bool "identical trace after recovery" true (t1 = t3)
 
+(* A frame that verifies but does not decode is corrupt, not a hit: the
+   entry is quarantined and the stage rebuilt. *)
+let test_disk_cache_undecodable () =
+  let dir = fresh_cache_dir () in
+  let _, t1, h1 = drive (Pipeline.load ~cache:(store dir) transpose) in
+  let garbage = store dir in
+  let entries =
+    List.filter (fun n -> Filename.check_suffix n ".bin") (Array.to_list (Sys.readdir dir))
+  in
+  check Alcotest.int "trace and hints stored" 2 (List.length entries);
+  List.iter
+    (fun name ->
+      (* entry-<key>.bin *)
+      let key = Filename.chop_suffix (String.sub name 6 (String.length name - 6)) ".bin" in
+      Cachefs.put garbage ~key "frame verifies, payload does not decode")
+    entries;
+  let ctx2 = Pipeline.load ~cache:(store dir) transpose in
+  let _, t2, h2 = drive ctx2 in
+  let st2 = Pipeline.stats ctx2 in
+  check Alcotest.int "both entries evicted" 2 st2.Pipeline.corrupt_evictions;
+  check Alcotest.int "no disk hit" 0 st2.Pipeline.disk_hits;
+  check Alcotest.int "trace rebuilt" 1 st2.Pipeline.trace_builds;
+  check Alcotest.int "hints rebuilt" 1 st2.Pipeline.hint_builds;
+  check Alcotest.bool "identical trace" true (t1 = t2);
+  check Alcotest.bool "identical hints" true (h1 = h2)
+
 let test_no_cache_matches_cached () =
   let dir = fresh_cache_dir () in
   let cached = Pipeline.load ~cache:(store dir) transpose in
@@ -423,6 +449,8 @@ let suites =
         Alcotest.test_case "disk cache: warm context" `Quick test_disk_cache_warm;
         Alcotest.test_case "disk cache: corruption recovery" `Quick
           test_disk_cache_corruption_recovery;
+        Alcotest.test_case "disk cache: undecodable entries" `Quick
+          test_disk_cache_undecodable;
         Alcotest.test_case "disk cache: --no-cache path identical" `Quick
           test_no_cache_matches_cached;
         Alcotest.test_case "digest stability" `Quick test_digest_stability;
