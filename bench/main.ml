@@ -489,7 +489,8 @@ let breakdown () =
 (* ------------------------------------------------------------------ *)
 (* Observability overhead: the engine takes a sink on every run, so the
    disabled (null) path must cost nothing.  Compares the default run,
-   an explicit null sink, and a live ring sink; the null-vs-default
+   an explicit null sink, a sink that collects every event and the live
+   aggregator; the null-vs-default
    delta is the number CI gates on (<2%), and the minor-words delta
    shows the null path adds no per-event allocation. *)
 
@@ -522,8 +523,8 @@ let obs_overhead () =
   run () (* warm up *);
   let t_default = time_best (fun () -> run ()) in
   let t_null = time_best (fun () -> run ~obs:Dp_obs.Sink.null ()) in
-  let ring () = Dp_obs.Sink.ring ~capacity:(1 lsl 20) () in
-  let t_ring = time_best (fun () -> run ~obs:(ring ()) ()) in
+  let collect () = fst (Dp_obs.Sink.collect ()) in
+  let t_collect = time_best (fun () -> run ~obs:(collect ()) ()) in
   let live () =
     let lv = Dp_obs.Live.create ~disks () in
     Dp_obs.Sink.stream (fun e -> Dp_obs.Live.feed lv e)
@@ -531,7 +532,7 @@ let obs_overhead () =
   let t_live = time_best (fun () -> run ~obs:(live ()) ()) in
   let a_default = alloc_words (fun () -> run ()) in
   let a_null = alloc_words (fun () -> run ~obs:Dp_obs.Sink.null ()) in
-  let a_ring = alloc_words (fun () -> run ~obs:(ring ()) ()) in
+  let a_collect = alloc_words (fun () -> run ~obs:(collect ()) ()) in
   let a_live = alloc_words (fun () -> run ~obs:(live ()) ()) in
   Tabulate.render ppf
     ~header:[ "sink"; "time (ms/run)"; "minor words/run" ]
@@ -541,15 +542,15 @@ let obs_overhead () =
           Printf.sprintf "%.0f" a_default ];
         [ "explicit null"; Printf.sprintf "%.2f" (1e3 *. t_null);
           Printf.sprintf "%.0f" a_null ];
-        [ "ring (1M events)"; Printf.sprintf "%.2f" (1e3 *. t_ring);
-          Printf.sprintf "%.0f" a_ring ];
+        [ "collect (every event)"; Printf.sprintf "%.2f" (1e3 *. t_collect);
+          Printf.sprintf "%.0f" a_collect ];
         [ "live aggregator"; Printf.sprintf "%.2f" (1e3 *. t_live);
           Printf.sprintf "%.0f" a_live ];
       ];
   let overhead = Float.max 0.0 ((t_null -. t_default) /. t_default) in
-  Format.printf "ring sink costs %+.1f%% and %.0f extra minor words@."
-    (100. *. (t_ring -. t_default) /. t_default)
-    (a_ring -. a_default);
+  Format.printf "collect sink costs %+.1f%% and %.0f extra minor words@."
+    (100. *. (t_collect -. t_default) /. t_default)
+    (a_collect -. a_default);
   Format.printf "live aggregator costs %+.1f%% and %.0f extra minor words@."
     (100. *. (t_live -. t_default) /. t_default)
     (a_live -. a_default);

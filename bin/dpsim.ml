@@ -11,6 +11,7 @@
    simulating. *)
 
 module Request = Dp_trace.Request
+module Hint = Dp_trace.Hint
 module Bin = Dp_trace.Bin
 module Engine = Dp_disksim.Engine
 module Policy = Dp_disksim.Policy
@@ -26,13 +27,30 @@ open Cmdliner
    cmdliner's own CLI errors. *)
 let usage_error fmt = Format.kasprintf (fun s -> Format.eprintf "dpsim: %s@." s; exit 2) fmt
 
-(* Observability modes: what to do with the engine's event stream. *)
-let obs_sink mode reqs out =
+(* Observability modes: a recorder for the engine's event stream, and
+   what to make of it once the run's report is printed. *)
+let obs_recorder mode out disks =
   match mode with
   | None -> (Dp_obs.Sink.null, fun _ -> ())
-  | Some "gaps" | Some "trace" ->
-      (* In-memory recorder, distilled after the run. *)
-      (Dp_obs.Sink.ring ~capacity:(max 4096 (64 * (List.length reqs + 64))) (), fun _ -> ())
+  | Some "gaps" ->
+      let sink, finish = Dp_obs.Report.recorder ~disks in
+      ( sink,
+        fun _ ->
+          let reports = finish () in
+          Format.printf "%a@." Dp_obs.Report.pp reports;
+          match out with
+          | None -> ()
+          | Some path ->
+              Dp_util.Fsx.atomic_write path (Dp_obs.Report.jsonl reports);
+              Format.printf "observability: gap histograms written to %s@." path )
+  | Some "trace" ->
+      let sink, events = Dp_obs.Sink.collect () in
+      ( sink,
+        fun r ->
+          let path = Option.value out ~default:"obs-trace.json" in
+          Dp_obs.Chrome.write ~until_ms:r.Engine.makespan_ms path (events ());
+          Format.printf "observability: Chrome trace written to %s (load in about:tracing)@."
+            path )
   | Some "events" ->
       (* Streamed to a temp file and renamed into place on close, so an
          interrupted run never leaves a half-written event log under the
@@ -43,31 +61,11 @@ let obs_sink mode reqs out =
       ( Dp_obs.Sink.stream (fun e ->
             output_string oc (Dp_util.Json.to_compact (Dp_obs.Event.to_json e));
             output_char oc '\n'),
-        fun () ->
+        fun _ ->
           close_out oc;
           Sys.rename tmp path;
           Format.printf "observability: event log written to %s@." path )
   | Some m -> usage_error "unknown --obs mode %s (expected gaps | trace | events)" m
-
-let obs_finish mode sink out disks (r : Engine.result) =
-  (match Dp_obs.Sink.dropped sink with
-  | 0 -> ()
-  | n -> Format.eprintf "dpsim: observability ring dropped %d event(s)@." n);
-  match mode with
-  | Some "gaps" ->
-      let reports = Dp_obs.Report.of_events ~disks (Dp_obs.Sink.events sink) in
-      Format.printf "%a@." Dp_obs.Report.pp reports;
-      (match out with
-      | None -> ()
-      | Some path ->
-          Dp_util.Fsx.atomic_write path (Dp_obs.Report.jsonl reports);
-          Format.printf "observability: gap histograms written to %s@." path)
-  | Some "trace" ->
-      let path = Option.value out ~default:"obs-trace.json" in
-      Dp_obs.Chrome.write ~until_ms:r.Engine.makespan_ms path (Dp_obs.Sink.events sink);
-      Format.printf "observability: Chrome trace written to %s (load in about:tracing)@."
-        path
-  | _ -> ()
 
 let run trace_file out disks policy_name threshold proactive window downshift faults_spec
     scrub_ms spare deadline shards per_disk obs_mode live =
@@ -80,6 +78,14 @@ let run trace_file out disks policy_name threshold proactive window downshift fa
     | Error e -> usage_error "%s" (Request.load_error_to_string e)
   in
   if disks < 1 then usage_error "--disks must be at least 1 (got %d)" disks;
+  let top_disk =
+    List.fold_left (fun m (h : Hint.t) -> max m h.Hint.disk)
+      (List.fold_left (fun m (r : Request.t) -> max m r.Request.disk) (-1) reqs)
+      hints
+  in
+  if top_disk >= disks then
+    usage_error "%s touches disk %d: --disks %d is too few (pass --disks %d or more)"
+      trace_file top_disk disks (top_disk + 1);
   if shards < 1 then usage_error "--shards must be at least 1 (got %d)" shards;
   if live && shards > 1 then
     usage_error
@@ -131,28 +137,20 @@ let run trace_file out disks policy_name threshold proactive window downshift fa
           | "online" -> Policy.default_adaptive
           | p -> usage_error "unknown policy %s" p
         in
-        let base_sink, close_stream = obs_sink obs_mode reqs out in
-        (* The live console composes with any --obs sink at the callback
-           level: one stream wrapper forwards each event to both. *)
-        let sink, live_finish =
-          if not live then (base_sink, fun () -> ())
-          else begin
-            let lv = Dp_obs.Live.create ~disks () in
+        let obs_sink, obs_finish = obs_recorder obs_mode out disks in
+        let live_sink, live_finish =
+          if not live then (Dp_obs.Sink.null, fun () -> ())
+          else
             let mode =
               if Unix.isatty Unix.stdout then Dp_obs.Tty.Ansi else Dp_obs.Tty.Plain
             in
-            let feed, finish = Dp_obs.Tty.driver ~mode ~out:print_string lv in
-            ( Dp_obs.Sink.stream (fun e ->
-                  Dp_obs.Sink.emit base_sink e;
-                  feed e),
-              finish )
-          end
+            Dp_obs.Tty.driver ~mode ~out:print_string (Dp_obs.Live.create ~disks ())
         in
         let r =
-          Engine.simulate ~obs:sink ~hints ~knobs ~shards ~disks policy reqs
+          Engine.simulate ~obs:(Dp_obs.Sink.tee [ obs_sink; live_sink ]) ~hints ~knobs ~shards
+            ~disks policy reqs
         in
         live_finish ();
-        close_stream ();
         Format.printf "trace: %s (%d requests, %d hints)@." trace_file (List.length reqs)
           (List.length hints);
         Format.printf "model: %s@." Disk_model.ultrastar_36z15.Disk_model.name;
@@ -168,7 +166,7 @@ let run trace_file out disks policy_name threshold proactive window downshift fa
         Format.printf "%a@." (fun ppf r -> Engine.pp_reliability ppf r) r;
         if per_disk then
           Array.iter (fun d -> Format.printf "%a@." Engine.pp_disk_stats d) r.Engine.per_disk;
-        obs_finish obs_mode base_sink out disks r
+        obs_finish r
   with
   | Sys_error msg | Failure msg ->
       Format.eprintf "dpsim: %s@." msg;

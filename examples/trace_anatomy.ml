@@ -33,7 +33,11 @@ let () =
   (* Round-trip the restructured trace through the text format. *)
   let path = Filename.temp_file "dpower_ast" ".trace" in
   Request.save path reuse_trace;
-  let reloaded = Request.load path in
+  let reloaded =
+    match Request.load_result path with
+    | Ok (reqs, _, _) -> reqs
+    | Error e -> failwith (Request.load_error_to_string e)
+  in
   Sys.remove path;
   assert (List.length reloaded = List.length reuse_trace);
   Format.printf "trace of %d requests round-tripped through %s format@."

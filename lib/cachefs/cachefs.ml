@@ -1,6 +1,4 @@
 module Fsx = Dp_util.Fsx
-module Sink = Dp_obs.Sink
-module Event = Dp_obs.Event
 
 let format_version = 1
 let magic = "dpowercache"
@@ -9,7 +7,6 @@ type counters = { hits : int; misses : int; corrupt : int; write_failures : int 
 
 type t = {
   dir : string;
-  sink : Sink.t;
   lock_timeout_ms : int;
   mutable hits : int;
   mutable misses : int;
@@ -31,7 +28,7 @@ let default_dir () =
           | Some home -> Filename.concat (Filename.concat home ".cache") "dpower"
           | None -> Filename.concat (Filename.get_temp_dir_name ()) "dpower"))
 
-let open_store ?(sink = Sink.null) ?(lock_timeout_ms = 2000) ~dir () =
+let open_store ?(lock_timeout_ms = 2000) ~dir () =
   match
     Fsx.mkdirs dir;
     (* Probe writability now so every later failure is just a dropped
@@ -42,7 +39,7 @@ let open_store ?(sink = Sink.null) ?(lock_timeout_ms = 2000) ~dir () =
     Sys.remove probe
   with
   | () ->
-      Ok { dir; sink; lock_timeout_ms; hits = 0; misses = 0; corrupt = 0; write_failures = 0 }
+      Ok { dir; lock_timeout_ms; hits = 0; misses = 0; corrupt = 0; write_failures = 0 }
   | exception Unix.Unix_error (e, _, _) ->
       Error (Printf.sprintf "cache dir %s: %s" dir (Unix.error_message e))
   | exception Sys_error msg -> Error msg
@@ -51,23 +48,6 @@ let key ~parts =
   Digest.to_hex (Digest.string (String.concat "\x00" (string_of_int format_version :: parts)))
 
 let entry_path t key = Filename.concat t.dir ("entry-" ^ key ^ ".bin")
-
-let record t op ~key ~bytes =
-  (match op with
-  | `Hit -> t.hits <- t.hits + 1
-  | `Miss -> t.misses <- t.misses + 1
-  | `Corrupt -> t.corrupt <- t.corrupt + 1
-  | `Write_failure -> t.write_failures <- t.write_failures + 1);
-  if Sink.enabled t.sink then
-    let name =
-      match op with
-      | `Hit -> "hit"
-      | `Miss -> "miss"
-      | `Corrupt -> "corrupt"
-      | `Write_failure -> "write-failure"
-    in
-    Sink.emit t.sink
-      (Event.Cache { at_ms = Unix.gettimeofday () *. 1000.; op = name; key; bytes })
 
 (* --- advisory lock ---
 
@@ -173,10 +153,8 @@ let quarantine path =
   with Sys_error _ -> ( try Sys.remove path with Sys_error _ -> ())
 
 (* Read and verify an entry apart from [get], so the raw file bytes are
-   unreachable by the time the payload is decoded.  [get] takes the
-   payload's length before decoding for the same reason: the payload
-   can die as soon as the decoder is done reading it.  Either copy kept
-   alive across the decode raises a warm report's peak RSS. *)
+   unreachable by the time the payload is decoded; keeping them alive
+   across the decode raises a warm report's peak RSS. *)
 let read_payload path =
   match parse_frame (Fsx.read_file path) with
   | payload -> Some payload
@@ -185,24 +163,17 @@ let read_payload path =
 let get t ~key ~decode =
   let path = entry_path t key in
   if not (Sys.file_exists path) then begin
-    record t `Miss ~key ~bytes:0;
+    t.misses <- t.misses + 1;
     None
   end
   else
-    let decoded =
-      match read_payload path with
-      | None -> None
-      | Some payload ->
-          let bytes = String.length payload in
-          Option.map (fun v -> (v, bytes)) (decode payload)
-    in
-    match decoded with
-    | Some (v, bytes) ->
-        record t `Hit ~key ~bytes;
-        Some v
+    match Option.bind (read_payload path) decode with
+    | Some _ as v ->
+        t.hits <- t.hits + 1;
+        v
     | None ->
         quarantine path;
-        record t `Corrupt ~key ~bytes:0;
+        t.corrupt <- t.corrupt + 1;
         None
 
 type error = Lock_timeout of { lock_path : string; holder_age_s : float option }
@@ -226,28 +197,11 @@ let holder_age_s t =
   | st -> Some (Float.max 0.0 (Unix.gettimeofday () -. st.Unix.st_mtime))
   | exception Unix.Unix_error _ -> None
 
-let record_lock_timeout t ~key err =
-  t.write_failures <- t.write_failures + 1;
-  ignore key;
-  (* A lock timeout is contention, not a store defect: surface it on
-     the fault track (disk -1: no disk owns a store-level event) so a
-     soak run shows the contention alongside the injected faults. *)
-  if Sink.enabled t.sink then
-    Sink.emit t.sink
-      (Event.Fault
-         {
-           disk = -1;
-           at_ms = Unix.gettimeofday () *. 1000.;
-           kind = "cache-lock-timeout: " ^ error_to_string err;
-           cost_ms = float_of_int t.lock_timeout_ms;
-         })
-
 let put_result t ~key payload =
   match acquire_lock t with
   | None ->
-      let err = Lock_timeout { lock_path = lock_path t; holder_age_s = holder_age_s t } in
-      record_lock_timeout t ~key err;
-      Error err
+      t.write_failures <- t.write_failures + 1;
+      Error (Lock_timeout { lock_path = lock_path t; holder_age_s = holder_age_s t })
   | Some fd ->
       Fun.protect
         ~finally:(fun () -> release_lock t fd)
@@ -255,7 +209,7 @@ let put_result t ~key payload =
           match Fsx.atomic_write ~fsync:true (entry_path t key) (frame payload) with
           | () -> Ok ()
           | exception (Sys_error _ | Unix.Unix_error _) ->
-              record t `Write_failure ~key ~bytes:(String.length payload);
+              t.write_failures <- t.write_failures + 1;
               Ok ())
 
 let put t ~key payload = match put_result t ~key payload with Ok () | Error _ -> ()

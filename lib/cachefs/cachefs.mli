@@ -19,8 +19,7 @@
     and counted as corrupt; a write that cannot complete (lock timeout,
     [ENOSPC], permissions) is dropped.  Callers always fall back to
     recomputing in memory — the cache can only ever cost a rebuild,
-    never correctness.  Every outcome increments a counter and, when a
-    sink is attached, emits an {!Dp_obs.Event.Cache} event. *)
+    never correctness.  Every outcome increments a counter. *)
 
 type t
 (** An open store rooted at one directory. *)
@@ -36,12 +35,10 @@ val default_dir : unit -> string
     if set, else [$XDG_CACHE_HOME/dpower], else [$HOME/.cache/dpower],
     else a [dpower] directory under the system temp dir. *)
 
-val open_store :
-  ?sink:Dp_obs.Sink.t -> ?lock_timeout_ms:int -> dir:string -> unit -> (t, string) result
-(** Open (creating if needed) a store at [dir].  [sink] (default
-    {!Dp_obs.Sink.null}) receives a {!Dp_obs.Event.Cache} event per
-    operation; [lock_timeout_ms] (default 2000) bounds how long a
-    writer waits for the advisory lock before dropping its write.
+val open_store : ?lock_timeout_ms:int -> dir:string -> unit -> (t, string) result
+(** Open (creating if needed) a store at [dir].  [lock_timeout_ms]
+    (default 2000) bounds how long a writer waits for the advisory lock
+    before dropping its write.
     [Error] only when the directory cannot be created or is not
     writable — callers should degrade to running uncached. *)
 
@@ -83,14 +80,11 @@ val put : t -> key:string -> string -> unit
 
 val put_result : t -> key:string -> string -> (unit, error) result
 (** {!put} that names a dropped write's cause.  [Error (Lock_timeout _)]
-    carries the lock path and the holder's age; the store is untouched
-    and the caller simply keeps its in-memory copy (the pipeline
-    degrades to recomputing on the next run).  A lock timeout also
-    reaches the store's sink as an {!Dp_obs.Event.Fault} line (kind
-    [cache-lock-timeout], disk [-1]) so contention shows up in the
-    fault track, not silently as a generic write failure.  Plain I/O
-    failures remain [Ok ()]: they are counted and reported through the
-    [Cache] event as before. *)
+    carries the lock path and the holder's age; the store is untouched,
+    the timeout is counted as a dropped write ([write_failures]), and
+    the caller simply keeps its in-memory copy (the pipeline degrades to
+    recomputing on the next run).  Plain I/O failures are counted the
+    same way and remain [Ok ()]. *)
 
 (** {1 Accounting} *)
 

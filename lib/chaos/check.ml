@@ -145,29 +145,23 @@ let obs_invariants ?sabotage ~label ~add (r : Engine.result) events =
     | Event.Hint_exec _ -> 2
     | Event.Fault _ -> 3
     | Event.Decision _ -> 4
-    | Event.Cache _ -> 5
-    | Event.Repair _ -> 6
-    | Event.Deadline _ -> 7
+    | Event.Repair _ -> 5
+    | Event.Deadline _ -> 6
   in
-  let last_t = Array.make_matrix n 8 Float.neg_infinity in
+  let last_t = Array.make_matrix n 7 Float.neg_infinity in
   List.iter
     (fun ev ->
-      (match ev with
-      | Event.Cache _ -> ()
-      | _ ->
-          let d = Event.disk ev in
-          if d >= 0 && d < n then begin
-            let tm = Event.time_ms ev in
-            let c = category ev in
-            if tm +. 1e-6 < last_t.(d).(c) then
-              add
-                (Printf.sprintf "monotone-time:%s" label)
-                (Printf.sprintf "disk %d: category-%d event at %.6f ms after one at %.6f ms"
-                   d c tm last_t.(d).(c));
-            if tm > last_t.(d).(c) then last_t.(d).(c) <- tm
-          end);
+      let d = Event.disk ev in
+      let tm = Event.time_ms ev in
+      let c = category ev in
+      if tm +. 1e-6 < last_t.(d).(c) then
+        add
+          (Printf.sprintf "monotone-time:%s" label)
+          (Printf.sprintf "disk %d: category-%d event at %.6f ms after one at %.6f ms" d c tm
+             last_t.(d).(c));
+      if tm > last_t.(d).(c) then last_t.(d).(c) <- tm;
       match ev with
-      | Event.Power { disk; state; charge_ms; energy_j; _ } when disk >= 0 && disk < n ->
+      | Event.Power { disk; state; charge_ms; energy_j; _ } ->
           e_sum.(disk) <- e_sum.(disk) +. energy_j;
           let slot =
             match state with
@@ -323,38 +317,29 @@ let run ?sabotage (s : Scenario.t) =
     incr runs;
     Engine.simulate ?obs ?shards ~hints ~knobs ~disks policy trace
   in
-  (* One observed run: a stream sink collecting every event (in the
-     engine's re-merged serial order), optionally fanned into the SLO
-     recorder. *)
+  (* One observed run: every event collected (in the engine's re-merged
+     serial order), with the SLO accounting and, on the base leg, the
+     timeline recorder teed in. *)
   let observed ?knobs ?shards ?(invariants = true) ?(timeline = false) label =
     Prof.span "chaos.observed" @@ fun () ->
-    let acc = ref [] in
+    let collector, collected = Sink.collect () in
     let account =
       match s.Scenario.deadline_ms with
       | Some d when invariants ->
           Some (Account.recorder ~deadline_ms:d ~tenants:(max 1 s.Scenario.procs) ~disks ())
       | _ -> None
     in
-    let sink =
-      Sink.stream (fun e ->
-          acc := e :: !acc;
-          match account with Some (snk, _) -> Sink.emit snk e | None -> ())
+    (* Without a timeline the conservation check still folds the
+       per-disk energies; the segment-contiguity half needs the
+       timeline and runs on the base leg only. *)
+    let recorder = if invariants && timeline then Some (Timeline.recorder ~disks ()) else None in
+    let rider r = Option.fold ~none:Sink.null ~some:fst r in
+    let r =
+      simulate ?knobs ?shards ~obs:(Sink.tee [ collector; rider account; rider recorder ]) policy
     in
-    let r = simulate ?knobs ?shards ~obs:sink policy in
-    let events = List.rev !acc in
+    let events = collected () in
     if invariants then begin
-      (* Without a timeline the conservation check still folds the
-         per-disk energies; the segment-contiguity half needs the
-         timeline of the collected spans and runs on the base leg
-         only. *)
-      let timeline =
-        if timeline then begin
-          let recorder, finish = Timeline.recorder ~disks () in
-          List.iter (Sink.emit recorder) events;
-          Some (finish ())
-        end
-        else None
-      in
+      let timeline = Option.map (fun (_, finish) -> finish ()) recorder in
       (match Engine.check_conservation ?timeline r with
       | Ok () -> ()
       | Error detail -> add (Printf.sprintf "conservation:%s" label) detail);

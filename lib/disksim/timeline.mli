@@ -27,8 +27,7 @@ val recorder : disks:int -> unit -> Dp_obs.Sink.t * (unit -> t)
 (** The sink to pass as [Engine.simulate ~obs] and the finisher that
     returns what it recorded.  Each [Power] span becomes one segment,
     except a span with neither duration nor energy.  To record a
-    timeline alongside other sinks, emit the events into the recorder
-    from a stream sink.
+    timeline alongside other recorders, {!Dp_obs.Sink.tee} them.
     @raise Invalid_argument when [disks < 1]. *)
 
 val char_of_state : Disk_model.t -> Dp_obs.Event.power_state -> char

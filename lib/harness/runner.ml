@@ -42,29 +42,21 @@ let run ctx ?knobs ?(obs = false) ?shards ~procs version =
       }
   | None ->
       let mode = Version.mode version in
-      let sink =
+      let sink, report =
         if obs then
-          (* Room for every span/service/decision of the run: the engine
-             emits a handful of events per request plus per-gap decisions,
-             so scale with the trace. *)
-          let requests = List.length (Pipeline.trace ctx ~procs mode) in
-          Dp_obs.Sink.ring ~capacity:(max 4096 (64 * (requests + 64))) ()
-        else Dp_obs.Sink.null
+          let sink, finish = Dp_obs.Report.recorder ~disks:(Pipeline.disks ctx) in
+          (sink, fun () -> Some (finish ()))
+        else (Dp_obs.Sink.null, fun () -> None)
       in
       let policy = Version.policy version in
       let result = Pipeline.simulate ~obs:sink ?knobs ?shards ctx ~procs ~policy mode in
-      let obs =
-        if obs then
-          Some (Dp_obs.Report.of_events ~disks:(Pipeline.disks ctx) (Dp_obs.Sink.events sink))
-        else None
-      in
       {
         version;
         procs;
         result;
         summary = Pipeline.summary ctx ~procs mode;
         scheduler_rounds = Pipeline.rounds ctx ~procs mode;
-        obs;
+        obs = report ();
       }
 
 (* Reliability aggregates over the disks of one run — the wear/retry

@@ -63,9 +63,9 @@ val run :
     {!Dp_disksim.Engine.simulate}); it composes with the harness's
     [jobs] row-level fan-out.  The oracle rows ignore it.
 
-    [obs] (default false) attaches a ring sink sized to the trace and
-    distills the recorded events into the run's per-disk
-    {!Dp_obs.Report.disk_report}s (idle-gap / response-time /
+    [obs] (default false) streams the run into a
+    {!Dp_obs.Report.recorder}, which folds every event into the run's
+    per-disk {!Dp_obs.Report.disk_report}s (idle-gap / response-time /
     standby-residency histograms).  The engine's numeric results are
     unaffected.  Oracle rows run no engine of their own (their reference
     run is shared and unobserved), so their [obs] is [None] regardless.

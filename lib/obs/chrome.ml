@@ -70,10 +70,7 @@ let trace_json ?until_ms events =
             (instant d.disk d.at_ms @ named "deadline" "deadline-miss"
             @ args
                 [ ("proc", Int d.proc); ("response_ms", Float d.response_ms);
-                  ("deadline_ms", Float d.deadline_ms) ])
-      (* Stage-cache events happen at compile time, off the simulated
-         disk timeline — they have no track here. *)
-      | Event.Cache _ -> ())
+                  ("deadline_ms", Float d.deadline_ms) ]))
     events;
   Buffer.add_string b "\n]}\n";
   Buffer.contents b

@@ -21,7 +21,6 @@ type t =
   | Hint_exec of { disk : int; at_ms : float; action : string }
   | Fault of { disk : int; at_ms : float; kind : string; cost_ms : float }
   | Decision of { disk : int; at_ms : float; decision : string }
-  | Cache of { at_ms : float; op : string; key : string; bytes : int }
   | Repair of { disk : int; at_ms : float; op : string; blocks : int; cost_ms : float }
   | Deadline of {
       disk : int;
@@ -35,12 +34,11 @@ let disk = function
   | Power { disk; _ } | Service { disk; _ } | Hint_exec { disk; _ } | Fault { disk; _ }
   | Decision { disk; _ } | Repair { disk; _ } | Deadline { disk; _ } ->
       disk
-  | Cache _ -> -1
 
 let time_ms = function
   | Power { start_ms; _ } | Service { start_ms; _ } -> start_ms
-  | Hint_exec { at_ms; _ } | Fault { at_ms; _ } | Decision { at_ms; _ } | Cache { at_ms; _ }
-  | Repair { at_ms; _ } | Deadline { at_ms; _ } ->
+  | Hint_exec { at_ms; _ } | Fault { at_ms; _ } | Decision { at_ms; _ } | Repair { at_ms; _ }
+  | Deadline { at_ms; _ } ->
       at_ms
 
 let state_name = function
@@ -78,10 +76,6 @@ let to_json e : Dp_util.Json.t =
       instant "fault" disk at_ms [ ("kind", String kind); ("cost_ms", Float cost_ms) ]
   | Decision { disk; at_ms; decision } ->
       instant "decision" disk at_ms [ ("decision", String decision) ]
-  | Cache { at_ms; op; key; bytes } ->
-      Obj
-        [ ("type", String "cache"); ("at_ms", Float at_ms); ("op", String op);
-          ("key", String key); ("bytes", Int bytes) ]
   | Repair { disk; at_ms; op; blocks; cost_ms } ->
       instant "repair" disk at_ms
         [ ("op", String op); ("blocks", Int blocks); ("cost_ms", Float cost_ms) ]

@@ -2,8 +2,9 @@
 
     Everything the simulator can report about a run flows through this
     one variant: power-state spans (the timeline), request service
-    spans, compiler-hint executions, injected-fault perturbations, and
-    policy decisions.  Events are cheap immutable records; whether any
+    spans, compiler-hint executions, injected-fault perturbations,
+    repair actions, deadline misses and policy decisions, each on one
+    disk.  Events are cheap immutable records; whether any
     are constructed at all is the {!Sink}'s business — the engine guards
     every emission on {!Sink.enabled}, so a run with the null sink
     allocates nothing here. *)
@@ -44,11 +45,6 @@ type t =
       (** an injected perturbation and the time it cost *)
   | Decision of { disk : int; at_ms : float; decision : string }
       (** a policy choice (spin down, plan a dip, window upshift, ...) *)
-  | Cache of { at_ms : float; op : string; key : string; bytes : int }
-      (** a persistent stage-cache operation ([op] is one of ["hit"],
-          ["miss"], ["corrupt"], ["write-failure"]).  [at_ms] is wall
-          clock, not simulation time; [bytes] the payload size (0 when
-          unknown). *)
   | Repair of { disk : int; at_ms : float; op : string; blocks : int; cost_ms : float }
       (** a persistent-failure recovery action ([op] is one of
           ["remap"], ["scrub"], ["scrub-pass"], ["reconstruct"],
@@ -66,7 +62,8 @@ type t =
           tenant under {!Dp_serve} multiplexing) *)
 
 val disk : t -> int
-(** The event's disk; [-1] for events not bound to one ({!Cache}). *)
+(** The event's disk.  Every event belongs to one disk of the run, in
+    [0, disks). *)
 
 val time_ms : t -> float
 (** The event's primary timestamp (span start for spans). *)

@@ -202,8 +202,6 @@ let feed t ev =
   | Event.Decision dc ->
       check_disk t "feed" dc.disk;
       bump_now t dc.at_ms
-  (* Stage-cache events are process-level (wall clock, disk -1). *)
-  | Event.Cache _ -> ()
 
 let sink t = Sink.stream (feed t)
 let disks t = t.d

@@ -17,7 +17,8 @@
       sparkline the TTY renderer draws.
 
     Every update is O(1) (amortized over epochs for power spans) and
-    allocation-free, so a live console costs what a ring sink costs.
+    allocation-free, so a live console's memory does not grow with the
+    run.
     When no console is attached the engine keeps its null sink and pays
     nothing — the aggregator mirrors the null-sink contract by simply
     not existing on the hot path.

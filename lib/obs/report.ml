@@ -40,8 +40,8 @@ let fresh disk =
     deadline_misses = 0;
   }
 
-let builder ~disks =
-  if disks < 1 then invalid_arg "Report.of_events: disks must be >= 1";
+let recorder ~disks =
+  if disks < 1 then invalid_arg "Report.recorder: disks must be >= 1";
   let reports = Array.init disks fresh in
   (* Per-disk open runs: start of the current non-active stretch and of
      the current standby stretch (nan = none), plus the last span end. *)
@@ -62,7 +62,7 @@ let builder ~disks =
     match e with
       | Event.Power p ->
           let d = p.disk in
-          if d < 0 || d >= disks then invalid_arg "Report.of_events: event disk out of range";
+          if d < 0 || d >= disks then invalid_arg "Report.recorder: event disk out of range";
           let r = reports.(d) in
           r.energy_j <- r.energy_j +. p.energy_j;
           (match p.state with
@@ -89,16 +89,11 @@ let builder ~disks =
           r.requests <- r.requests + 1;
           Metrics.observe r.response_ms (s.stop_ms -. s.arrival_ms)
       | Event.Hint_exec h -> reports.(h.disk).hints <- reports.(h.disk).hints + 1
-      (* Store-level fault lines (cache lock timeouts) carry disk -1:
-         they belong to no disk's report. *)
-      | Event.Fault f when f.disk < 0 || f.disk >= disks -> ()
       | Event.Fault f -> reports.(f.disk).faults <- reports.(f.disk).faults + 1
       | Event.Decision d -> reports.(d.disk).decisions <- reports.(d.disk).decisions + 1
       | Event.Repair r -> reports.(r.disk).repairs <- reports.(r.disk).repairs + 1
       | Event.Deadline d ->
           reports.(d.disk).deadline_misses <- reports.(d.disk).deadline_misses + 1
-      (* Stage-cache events are process-level, not per-disk. *)
-      | Event.Cache _ -> ()
   in
   let finish () =
     (* The trailing window never ends in a service: close open runs at
@@ -110,11 +105,11 @@ let builder ~disks =
       reports;
     reports
   in
-  (feed, finish)
+  (Sink.stream feed, finish)
 
 let of_events ~disks events =
-  let feed, finish = builder ~disks in
-  List.iter feed events;
+  let sink, finish = recorder ~disks in
+  List.iter (Sink.emit sink) events;
   finish ()
 
 let pp_one ppf r =

@@ -1,7 +1,8 @@
 (** Per-disk analytics derived from a recorded event stream — the
     paper's idle-time-distribution analysis as a first-class report.
 
-    Built from {!Sink.events} of a ring sink after a simulation:
+    Folded from a run's event stream as it happens ({!recorder}), or
+    from a list of events afterwards ({!of_events}):
 
     - {b idle gaps}: contiguous non-servicing stretches (idle + standby
       + transition time between two services) — the quantity every
@@ -40,22 +41,16 @@ val gap_edges : float array
 val response_edges : float array
 (** The response-time edges (0.1 ms .. 10⁵ ms, two per decade). *)
 
-val of_events : disks:int -> Event.t list -> disk_report array
-(** Events must be per-disk chronological (as emitted by the engine).
-    Process-level events that belong to no disk — [Cache] lines, and
-    [Fault] lines with disk [-1] (a store's lock-timeout report) — are
-    skipped rather than counted against any disk. *)
+val recorder : disks:int -> Sink.t * (unit -> disk_report array)
+(** A sink to pass as the run's [obs] and a finisher that closes the
+    trailing idle/standby runs and returns the reports.  Events must be
+    per-disk chronological (as emitted by the engine), and each must
+    name a disk in [0, disks) ([Invalid_argument] otherwise).  Call the
+    finisher once, after the run.  The recorder folds every event and
+    keeps none, so a report covers the whole run at any length. *)
 
-val builder : disks:int -> (Event.t -> unit) * (unit -> disk_report array)
-(** The incremental form of {!of_events}: a feed function to call on
-    every event (in emission order) and a finisher that closes the
-    trailing idle/standby runs and returns the reports.  Feeding after
-    the finisher has run is undefined; call the finisher once.
-    [of_events ~disks es] is [let feed, fin = builder ~disks in
-    List.iter feed es; fin ()].  This is what lets a {!Sink.Stream}
-    consumer (the served-array rows, the live console) produce the
-    same gap-histogram artifact a ring sink would, without retaining
-    the events. *)
+val of_events : disks:int -> Event.t list -> disk_report array
+(** {!recorder} fed from a list: the report of recorded events. *)
 
 val pp : Format.formatter -> disk_report array -> unit
 (** The [dpsim --obs gaps] report: per-disk totals and the three

@@ -1,46 +1,16 @@
-type ring = {
-  buf : Event.t array;
-  mutable len : int;  (* events held, <= capacity *)
-  mutable next : int;  (* write cursor *)
-  mutable dropped : int;
-}
+type t = Null | Stream of (Event.t -> unit)
 
-type kind = Null | Ring | Stream
+let null = Null
+let stream f = Stream f
+let enabled = function Null -> false | Stream _ -> true
+let emit t e = match t with Null -> () | Stream f -> f e
 
-type t = K_null | K_ring of ring | K_stream of (Event.t -> unit)
+let tee sinks =
+  match List.filter enabled sinks with
+  | [] -> Null
+  | [ s ] -> s
+  | live -> Stream (fun e -> List.iter (fun s -> emit s e) live)
 
-let null = K_null
-
-(* A throwaway event to initialize the circular buffer. *)
-let dummy =
-  Event.Power
-    { disk = 0; state = Event.Standby; start_ms = 0.0; stop_ms = 0.0; charge_ms = 0.0; energy_j = 0.0 }
-
-let ring ?(capacity = 65536) () =
-  if capacity < 1 then invalid_arg "Sink.ring: capacity must be >= 1";
-  K_ring { buf = Array.make capacity dummy; len = 0; next = 0; dropped = 0 }
-
-let stream f = K_stream f
-
-let kind = function K_null -> Null | K_ring _ -> Ring | K_stream _ -> Stream
-let enabled = function K_null -> false | K_ring _ | K_stream _ -> true
-
-let emit t e =
-  match t with
-  | K_null -> ()
-  | K_stream f -> f e
-  | K_ring r ->
-      let cap = Array.length r.buf in
-      r.buf.(r.next) <- e;
-      r.next <- (r.next + 1) mod cap;
-      if r.len < cap then r.len <- r.len + 1 else r.dropped <- r.dropped + 1
-
-let events = function
-  | K_null | K_stream _ -> []
-  | K_ring r ->
-      let cap = Array.length r.buf in
-      let first = if r.len < cap then 0 else r.next in
-      List.init r.len (fun i -> r.buf.((first + i) mod cap))
-
-let length = function K_null | K_stream _ -> 0 | K_ring r -> r.len
-let dropped = function K_null | K_stream _ -> 0 | K_ring r -> r.dropped
+let collect () =
+  let acc = ref [] in
+  (Stream (fun e -> acc := e :: !acc), fun () -> List.rev !acc)

@@ -2,40 +2,29 @@
 
     The sink contract:
 
-    - {!null} is the default everywhere.  [enabled null = false], and
-      every producer must guard event {e construction} (not just
-      emission) on {!enabled} — with the null sink installed the
-      engine's hot loop allocates nothing for observability (the
-      [obs-overhead] bench section enforces this).
-    - {!ring} keeps the last [capacity] events in a fixed circular
-      buffer; older events are overwritten and counted in {!dropped}.
-      This is the in-memory recorder reports are built from.
-    - {!stream} hands every event to a callback as it happens — the
+    - A sink is one of two kinds.  {!null} is the default everywhere:
+      [enabled null = false], and every producer must guard event
+      {e construction} (not just emission) on {!enabled}, so with the
+      null sink installed the engine's hot loop allocates nothing for
+      observability (the [obs-overhead] bench section enforces this).
+      {!stream} hands every event to a callback as it happens — the
       streaming JSONL writer is [stream (fun e -> output_string oc
-      (Json.to_compact (Event.to_json e) ^ "\n"))].  Stream sinks retain {e nothing}:
-      {!events} and {!length} are always empty/zero for them (see
-      below).
+      (Json.to_compact (Event.to_json e) ^ "\n"))].
+    - Every consumer of a run is a {e recorder}: a sink to pass as the
+      run's [obs] plus a finisher that closes the fold and returns its
+      result, called once after the run.  {!collect},
+      {!Report.recorder}, {!Tty.driver}, [Timeline.recorder] and
+      [Account.recorder] all have this shape.
+    - {!tee} composes recorders: one run feeds every consumer, in list
+      order, without a hand-written fan-out.
 
     Sinks are single-threaded, like the simulator. *)
 
 type t
 
-(** What a sink does with the events it is handed — use {!kind} to
-    detect a non-recording sink instead of misreading {!events}'s
-    empty list as "no events happened". *)
-type kind =
-  | Null  (** discards everything; producers skip construction *)
-  | Ring  (** records the last [capacity] events *)
-  | Stream  (** hands events to a callback, retains nothing *)
-
 val null : t
 
-val ring : ?capacity:int -> unit -> t
-(** A bounded circular recorder (default capacity 65536 events). *)
-
 val stream : (Event.t -> unit) -> t
-
-val kind : t -> kind
 
 val enabled : t -> bool
 (** [false] only for {!null}.  Producers must not construct an event
@@ -44,16 +33,13 @@ val enabled : t -> bool
 val emit : t -> Event.t -> unit
 (** No-op on {!null}. *)
 
-val events : t -> Event.t list
-(** Recorded events, oldest first.  {b Only {!Ring} sinks record}: the
-    result is always [[]] for {!Null} {e and} {!Stream} sinks — an
-    empty list from a stream sink does not mean nothing was emitted.
-    Check {!kind} before interpreting it. *)
+val tee : t list -> t
+(** One sink that hands each event to every enabled member, in list
+    order.  Null members are dropped: a tee of no live member is
+    {!null} (so producers still skip construction), and a tee of one
+    live member is that member itself. *)
 
-val length : t -> int
-(** Events currently held.  Like {!events}, this is about {e
-    retention}: 0 for {!Null} and for {!Stream} sinks regardless of
-    how many events passed through the callback. *)
-
-val dropped : t -> int
-(** Events overwritten because the ring was full. *)
+val collect : unit -> t * (unit -> Event.t list)
+(** A recorder that keeps every event: the finisher returns them,
+    oldest first.  Memory grows with the run; the streaming consumers
+    ({!Report.recorder}, the JSONL writer) keep none. *)

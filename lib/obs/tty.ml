@@ -62,4 +62,4 @@ let driver ?(mode = Plain) ~out live =
     end
   in
   let finish () = out (frame ~mode live) in
-  (feed, finish)
+  (Sink.stream feed, finish)

@@ -23,12 +23,10 @@ val frame : mode:mode -> Live.t -> string
     counters, and the power-state sparkline track ({!Live.track_chars}
     bytes: ['A'] active, ['i'] idle, ['.'] standby, ['~'] transition). *)
 
-val driver :
-  ?mode:mode -> out:(string -> unit) -> Live.t -> (Event.t -> unit) * (unit -> unit)
-(** [driver ?mode ~out live] returns [(feed, finish)].  [feed] folds an
-    event into [live] and hands [out] one frame each time
+val driver : ?mode:mode -> out:(string -> unit) -> Live.t -> Sink.t * (unit -> unit)
+(** [driver ?mode ~out live] is a recorder: its sink folds each event
+    into [live] and hands [out] one frame each time
     {!Live.epochs_completed} advances (a single frame however many
-    epochs the event skipped); [finish] emits one final frame for the
-    trailing partial epoch.  Compose [feed] with
-    other consumers inside a single {!Sink.stream} callback.  [mode]
-    defaults to {!Plain}. *)
+    epochs the event skipped); the finisher emits one final frame for
+    the trailing partial epoch.  {!Sink.tee} it with the run's other
+    recorders.  [mode] defaults to {!Plain}. *)

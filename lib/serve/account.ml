@@ -111,8 +111,8 @@ let recorder ?deadline_ms ~tenants ~disks () =
                   abandoned.(proc) <- abandoned.(proc) + 1
             | None -> ());
             sample_add responses.(proc) resp
-        | Event.Hint_exec _ | Event.Fault _ | Event.Decision _ | Event.Cache _
-        | Event.Repair _ | Event.Deadline _ ->
+        | Event.Hint_exec _ | Event.Fault _ | Event.Decision _ | Event.Repair _
+        | Event.Deadline _ ->
             ())
   in
   let finish () =

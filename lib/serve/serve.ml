@@ -127,34 +127,21 @@ let run ?cache cfg =
           Account.recorder ?deadline_ms:cfg.knobs.Knobs.deadline_ms ~tenants:cfg.tenants
             ~disks:cfg.disks ()
         in
-        (* Observability riders compose with the accounting sink at the
-           callback level — one stream wrapper forwards each event to
-           every consumer.  The report builder and the live renderer are
-           both keyed on simulated time and buffered per row, so rows
-           stay independent and the fan-out stays deterministic. *)
-        let report_finish =
-          if not cfg.obs then None
-          else Some (Dp_obs.Report.builder ~disks:cfg.disks)
-        in
+        (* Observability riders are recorders teed in with the
+           accounting sink.  The report and the live renderer are both
+           keyed on simulated time and buffered per row, so rows stay
+           independent and the fan-out stays deterministic. *)
+        let report = if cfg.obs then Some (Dp_obs.Report.recorder ~disks:cfg.disks) else None in
         let frame_buf = Buffer.create (if cfg.live then 4096 else 0) in
-        let live_finish =
+        let live =
           if not cfg.live then None
-          else begin
-            let lv = Dp_obs.Live.create ~disks:cfg.disks () in
+          else
             Some
-              (Dp_obs.Tty.driver ~mode:Dp_obs.Tty.Plain
-                 ~out:(Buffer.add_string frame_buf) lv)
-          end
+              (Dp_obs.Tty.driver ~mode:Dp_obs.Tty.Plain ~out:(Buffer.add_string frame_buf)
+                 (Dp_obs.Live.create ~disks:cfg.disks ()))
         in
-        let sink =
-          match (report_finish, live_finish) with
-          | None, None -> acct_sink
-          | _ ->
-              Dp_obs.Sink.stream (fun e ->
-                  Dp_obs.Sink.emit acct_sink e;
-                  (match report_finish with Some (feed, _) -> feed e | None -> ());
-                  match live_finish with Some (feed, _) -> feed e | None -> ())
-        in
+        let rider r = Option.fold ~none:Dp_obs.Sink.null ~some:fst r in
+        let sink = Dp_obs.Sink.tee [ acct_sink; rider report; rider live ] in
         let res =
           Engine.simulate ~obs:sink ~hints ~knobs:cfg.knobs ~shards:cfg.shards ~disks:cfg.disks
             policy merged
@@ -165,13 +152,13 @@ let run ?cache cfg =
           energy_j = res.Engine.energy_j;
           makespan_ms = res.Engine.makespan_ms;
           summary = Some (finish ());
-          obs = Option.map (fun (_, fin) -> fin ()) report_finish;
+          obs = Option.map (fun (_, fin) -> fin ()) report;
           frames =
             Option.map
               (fun (_, fin) ->
                 fin ();
                 Buffer.contents frame_buf)
-              live_finish;
+              live;
         }
     | Bound ->
         let b = Oracle.lower_bound ~space:Oracle.Full_space ~disks:cfg.disks merged in

@@ -50,8 +50,3 @@ let parse_line_res line =
       Error
         (Printf.sprintf "malformed hint %S (expected H t disk D | H t disk U lead | H t disk S rpm)"
            line)
-
-let parse_line line =
-  match parse_line_res line with
-  | Ok h -> h
-  | Error msg -> failwith ("Hint.parse_line: " ^ msg)

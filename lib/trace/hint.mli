@@ -41,9 +41,6 @@ val pp : Format.formatter -> t -> unit
 val is_hint_line : string -> bool
 (** Recognize a (trimmed) trace-file hint line by its [H ] prefix. *)
 
-val parse_line : string -> t
-(** @raise Failure on a malformed hint line. *)
-
 val parse_line_res : string -> (t, string) result
 (** Parse one hint line; the error names the offending field.  The time
     and the pre-spin-up lead must be finite numbers: a [nan] time would

@@ -101,11 +101,6 @@ let parse_line_res line =
             lba size mode proc disk; got %d)"
            line (List.length fields))
 
-let parse_line line =
-  match parse_line_res line with
-  | Ok r -> r
-  | Error msg -> failwith ("Request.load: " ^ msg)
-
 (* Shared classifying parser over numbered lines; first error wins. *)
 let of_numbered_lines lines =
   let ( let* ) = Result.bind in
@@ -155,23 +150,3 @@ let load_result path =
   | Ok _ as ok -> ok
   | Error (line, msg) -> Error { file = path; line; msg }
   | exception Sys_error msg -> Error { file = path; line = 0; msg }
-
-let fail_of_error e = failwith (load_error_to_string e)
-
-let load_full path =
-  match load_result path with Ok parsed -> parsed | Error e -> fail_of_error e
-
-let load_with_hints path =
-  let reqs, hints, _ = load_full path in
-  (reqs, hints)
-
-let load path = fst (load_with_hints path)
-
-let of_lines_full lines =
-  match of_lines_res lines with Ok parsed -> parsed | Error msg -> failwith msg
-
-let of_lines_with_hints lines =
-  let reqs, hints, _ = of_lines_full lines in
-  (reqs, hints)
-
-let of_lines lines = fst (of_lines_with_hints lines)

@@ -65,32 +65,12 @@ val load_result :
     line number and offending field; an unreadable file reports the
     system error at line 0. *)
 
-val load : string -> t list
-(** Requests only; hint and fault lines are parsed (and validated) but
-    dropped.  @raise Failure on a malformed line, request or hint. *)
-
-val load_with_hints : string -> t list * Hint.t list
-(** Requests and the hint stream, both in file order.
-    @raise Failure on a malformed line. *)
-
-val load_full : string -> t list * Hint.t list * Dp_faults.Fault_model.t option
-(** Raising twin of {!load_result}.  @raise Failure on a malformed
-    line, with the [file:line: message] rendering. *)
-
 val to_channel : ?hints:Hint.t list -> ?faults:Dp_faults.Fault_model.t -> out_channel -> t list -> unit
-val of_lines : string list -> t list
-val of_lines_with_hints : string list -> t list * Hint.t list
 
 val of_lines_res :
   string list -> (t list * Hint.t list * Dp_faults.Fault_model.t option, string) result
 (** In-memory twin of {!load_result}; the error carries the (1-based)
     line number and offending field, without a file name. *)
-
-val of_lines_full : string list -> t list * Hint.t list * Dp_faults.Fault_model.t option
-(** @raise Failure on a malformed line. *)
-
-val parse_line : string -> t
-(** @raise Failure on a malformed request line. *)
 
 val parse_line_res : string -> (t, string) result
 (** Parse one request line; the error names the offending field. *)

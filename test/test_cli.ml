@@ -193,6 +193,59 @@ let test_dpsim_obs_bad_mode () =
       check Alcotest.int "exit code" 2 code;
       check Alcotest.bool "names the mode" true (contains ~needle:"nope" err))
 
+(* The streamed event log: published under its name by rename (no
+   temp file left beside it), one parseable JSON object per line, and
+   one service line per request of the trace. *)
+let test_dpsim_obs_events () =
+  let trace =
+    "1.0 2.0 0 0 0 65536 R 0 0\n1.0 2.0 0 0 0 65536 R 1 1\n\
+     70000.0 60000.0 0 0 1073741824 65536 R 0 0\n70000.0 60000.0 0 0 1073741824 65536 W 1 1\n"
+  in
+  with_trace_file trace (fun path ->
+      let dir = Filename.temp_dir "dpower-cli-events" "" in
+      let out_path = Filename.concat dir "events.jsonl" in
+      Fun.protect
+        ~finally:(fun () ->
+          Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
+          Unix.rmdir dir)
+        (fun () ->
+          let code, out, err =
+            run
+              [ dpsim; path; out_path; "--disks"; "2"; "--policy"; "drpm"; "--proactive";
+                "--obs"; "events" ]
+          in
+          check Alcotest.int (Printf.sprintf "exit code (stderr %S)" err) 0 code;
+          check Alcotest.bool "announces the artifact" true
+            (contains ~needle:"event log written" out);
+          check Alcotest.(list string) "only the artifact, no temp file" [ "events.jsonl" ]
+            (Array.to_list (Sys.readdir dir));
+          let lines =
+            List.filter (fun l -> l <> "") (String.split_on_char '\n' (slurp out_path))
+          in
+          List.iter
+            (fun l ->
+              match Dp_util.Json.of_string l with
+              | Ok _ -> ()
+              | Error e -> Alcotest.failf "line %S does not parse: %s" l e)
+            lines;
+          check Alcotest.int "one service line per request" 4
+            (List.length (List.filter (contains ~needle:"\"type\":\"service\"") lines))))
+
+(* A trace that names a disk past --disks is a bad flag value, refused
+   before any run (the oracle's reference run included). *)
+let test_dpsim_too_few_disks () =
+  with_trace_file "1.0 2.0 0 0 0 65536 R 0 0\n1.0 2.0 0 0 0 65536 R 1 1\n" (fun path ->
+      List.iter
+        (fun policy ->
+          let code, _, err = run [ dpsim; path; "--disks"; "1"; "--policy"; policy ] in
+          check Alcotest.int (policy ^ ": exit code") 2 code;
+          check Alcotest.bool (policy ^ ": one-line diagnostic") true (one_line err);
+          check Alcotest.bool
+            (Printf.sprintf "%s: names --disks and the disk (got %S)" policy err)
+            true
+            (contains ~needle:"--disks" err && contains ~needle:"disk 1" err))
+        [ "tpm"; "oracle" ])
+
 let test_dpsim_obs_oracle_rejected () =
   with_trace_file "1.0 2.0 0 0 0 65536 R 0 0\n" (fun path ->
       let code, _, err = run [ dpsim; path; "--policy"; "oracle"; "--obs"; "gaps" ] in
@@ -1191,5 +1244,7 @@ let suites =
         Alcotest.test_case "dpcc chaos bad flags" `Quick test_dpcc_chaos_bad_flags;
         Alcotest.test_case "dpcc chaos sabotage shrink replay" `Slow
           test_dpcc_chaos_sabotage_shrink_replay;
+        Alcotest.test_case "dpsim --obs events" `Quick test_dpsim_obs_events;
+        Alcotest.test_case "dpsim --disks too few" `Quick test_dpsim_too_few_disks;
       ] );
   ]

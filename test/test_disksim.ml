@@ -142,11 +142,11 @@ let test_engine_closed_loop () =
     ]
   in
   let services policy =
-    let sink = Dp_obs.Sink.ring ~capacity:4096 () in
+    let sink, events = Dp_obs.Sink.collect () in
     ignore (Engine.simulate ~obs:sink ~disks:1 policy reqs);
     List.filter_map
       (function Dp_obs.Event.Service s -> Some (s.arrival_ms, s.stop_ms) | _ -> None)
-      (Dp_obs.Sink.events sink)
+      (events ())
   in
   match (services Policy.No_pm, services Policy.default_tpm) with
   | [ _; (a2, c2); (a3, _) ], [ _; (a2', c2'); (a3', _) ] ->
@@ -268,9 +268,9 @@ let test_engine_issue_ties () =
         req ~proc:p ~disk:(p mod disks) ~think:0.0 ())
   in
   let record ?shards ~disks () =
-    let sink = Dp_obs.Sink.ring ~capacity:65_536 () in
+    let sink, events = Dp_obs.Sink.collect () in
     ignore (Engine.simulate ~obs:sink ?shards ~disks Policy.No_pm (tied ~disks));
-    Dp_obs.Sink.events sink
+    events ()
   in
   let service_procs es =
     List.filter_map (function Dp_obs.Event.Service { proc; _ } -> Some proc | _ -> None) es
@@ -600,11 +600,10 @@ let prop_events_reproduce_stats =
       let faults = Fault_model.make ~seed ~rate () in
       List.for_all
         (fun policy ->
-          let sink = Sink.ring ~capacity:(1 lsl 20) () in
+          let sink, collected = Sink.collect () in
           let r = Engine.simulate ~obs:sink ~knobs:(faulty faults) ~disks:3 policy reqs in
-          let events = Sink.events sink in
-          Sink.dropped sink = 0
-          && Array.for_all
+          let events = collected () in
+          Array.for_all
                (fun (d : Engine.disk_stats) ->
                  let busy = ref 0.0 and idle = ref 0.0 and standby = ref 0.0 in
                  let trans = ref 0.0 and energy = ref 0.0 and served = ref 0 in
@@ -727,12 +726,12 @@ let test_shards_obs_order () =
   (* The re-merged event stream must replay the serial emission order
      exactly — same events, same order, not just the same multiset. *)
   let record shards =
-    let sink = Dp_obs.Sink.ring ~capacity:65_536 () in
+    let sink, events = Dp_obs.Sink.collect () in
     let r =
       Engine.simulate ~obs:sink ?shards ~disks:8 (Policy.tpm ~proactive:true ())
         disjoint_trace
     in
-    (r, Dp_obs.Sink.events sink)
+    (r, events ())
   in
   let r1, e1 = record None in
   check Alcotest.bool "events recorded" true (e1 <> []);

@@ -407,6 +407,37 @@ let test_json_obs_roundtrip () =
       | _ -> Alcotest.fail "expected one run")
   | _ -> Alcotest.fail "expected one app"
 
+(* The report [Runner.run ~obs:true] attaches folds every event of the
+   run, however long: each disk's totals equal the engine's own stats
+   exactly.  A full-size application under a fault rate that multiplies
+   the events per request. *)
+let test_obs_report_sees_every_event () =
+  let ctx = Runner.context (Option.get (Dp_workloads.Workloads.by_name "FFT")) in
+  let knobs = { Knobs.none with faults = Some (Fault_model.make ~seed:3 ~rate:0.3 ()) } in
+  List.iter
+    (fun v ->
+      let r = Runner.run ctx ~knobs ~obs:true ~procs:1 v in
+      let reports = Option.get r.Runner.obs in
+      let stats = r.Runner.result.Dp_disksim.Engine.per_disk in
+      check Alcotest.int (Version.name v ^ ": one report per disk") (Array.length stats)
+        (Array.length reports);
+      Array.iter2
+        (fun (s : Dp_disksim.Engine.disk_stats) (o : Dp_obs.Report.disk_report) ->
+          let label what = Printf.sprintf "%s disk %d %s" (Version.name v) s.disk what in
+          check Alcotest.int (label "requests") s.requests o.requests;
+          List.iter
+            (fun (what, engine, report) ->
+              check (Alcotest.float 0.0) (label what) engine report)
+            [
+              ("energy", s.energy_j, o.energy_j);
+              ("busy", s.busy_ms, o.busy_ms);
+              ("idle", s.idle_ms, o.idle_ms);
+              ("standby", s.standby_ms, o.standby_ms);
+              ("transition", s.transition_ms, o.transition_ms);
+            ])
+        stats reports)
+    [ Version.Tpm; Version.Drpm ]
+
 let suites =
   [
     ( "harness",
@@ -425,5 +456,7 @@ let suites =
         Alcotest.test_case "fault sweep deterministic" `Quick test_fault_sweep_deterministic;
         Alcotest.test_case "fault renderers" `Quick test_fault_renderers;
         Alcotest.test_case "headline orderings" `Slow test_headline_orderings;
+        Alcotest.test_case "obs report sees every event" `Quick
+          test_obs_report_sees_every_event;
       ] );
   ]

@@ -50,35 +50,26 @@ let req ?(proc = 0) ?(disk = 0) ?(lba = 0) ~think () =
 
 let test_null_sink () =
   check Alcotest.bool "disabled" false (Sink.enabled Sink.null);
-  Sink.emit Sink.null (decision 0 0.0 "x");
-  check Alcotest.int "no events" 0 (List.length (Sink.events Sink.null));
-  check Alcotest.int "no length" 0 (Sink.length Sink.null);
-  check Alcotest.int "no drops" 0 (Sink.dropped Sink.null)
+  Sink.emit Sink.null (decision 0 0.0 "x")
 
-let test_ring_sink () =
-  let s = Sink.ring ~capacity:4 () in
+let test_tee_sink () =
+  check Alcotest.bool "empty tee is disabled" false (Sink.enabled (Sink.tee []));
+  check Alcotest.bool "all-null tee is disabled" false
+    (Sink.enabled (Sink.tee [ Sink.null; Sink.null ]));
+  let one = Sink.stream ignore in
+  check Alcotest.bool "one live member is returned itself" true
+    (Sink.tee [ Sink.null; one; Sink.null ] == one);
+  let seen = ref [] in
+  let member name = Sink.stream (fun e -> seen := (name, Event.time_ms e) :: !seen) in
+  let s = Sink.tee [ member "a"; Sink.null; member "b"; member "c" ] in
   check Alcotest.bool "enabled" true (Sink.enabled s);
-  for i = 1 to 3 do
-    Sink.emit s (decision 0 (float_of_int i) "d")
-  done;
-  check Alcotest.int "holds three" 3 (Sink.length s);
-  check Alcotest.int "nothing dropped" 0 (Sink.dropped s);
+  Sink.emit s (decision 0 1.0 "x");
+  Sink.emit s (decision 0 2.0 "y");
   check
-    Alcotest.(list (float 0.0))
-    "oldest first" [ 1.0; 2.0; 3.0 ]
-    (List.map Event.time_ms (Sink.events s));
-  for i = 4 to 7 do
-    Sink.emit s (decision 0 (float_of_int i) "d")
-  done;
-  check Alcotest.int "capped at capacity" 4 (Sink.length s);
-  check Alcotest.int "three dropped" 3 (Sink.dropped s);
-  check
-    Alcotest.(list (float 0.0))
-    "window slid" [ 4.0; 5.0; 6.0; 7.0 ]
-    (List.map Event.time_ms (Sink.events s));
-  match Sink.ring ~capacity:0 () with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "capacity 0 must be rejected"
+    Alcotest.(list (pair string (float 0.0)))
+    "every member sees every event, in list order"
+    [ ("a", 1.0); ("b", 1.0); ("c", 1.0); ("a", 2.0); ("b", 2.0); ("c", 2.0) ]
+    (List.rev !seen)
 
 let test_stream_sink () =
   let seen = ref [] in
@@ -86,19 +77,19 @@ let test_stream_sink () =
   check Alcotest.bool "enabled" true (Sink.enabled s);
   Sink.emit s (decision 0 1.0 "a");
   Sink.emit s (decision 0 2.0 "b");
-  check Alcotest.(list (float 0.0)) "callback saw both" [ 2.0; 1.0 ] !seen;
-  check Alcotest.int "retains nothing" 0 (List.length (Sink.events s))
+  check Alcotest.(list (float 0.0)) "callback saw both" [ 2.0; 1.0 ] !seen
 
-let test_sink_kind () =
-  (* events/length report retention, not traffic: kind is how a caller
-     tells "nothing recorded" from "nothing emitted". *)
-  check Alcotest.bool "null" true (Sink.kind Sink.null = Sink.Null);
-  check Alcotest.bool "ring" true (Sink.kind (Sink.ring ~capacity:4 ()) = Sink.Ring);
-  let s = Sink.stream ignore in
-  check Alcotest.bool "stream" true (Sink.kind s = Sink.Stream);
-  Sink.emit s (decision 0 1.0 "x");
-  check Alcotest.int "stream retains nothing after traffic" 0 (Sink.length s);
-  check Alcotest.bool "still enabled" true (Sink.enabled s)
+let test_collect_sink () =
+  let s, events = Sink.collect () in
+  check Alcotest.bool "enabled" true (Sink.enabled s);
+  check Alcotest.int "empty before traffic" 0 (List.length (events ()));
+  for i = 1 to 5 do
+    Sink.emit s (decision 0 (float_of_int i) "d")
+  done;
+  check
+    Alcotest.(list (float 0.0))
+    "every event, oldest first" [ 1.0; 2.0; 3.0; 4.0; 5.0 ]
+    (List.map Event.time_ms (events ()))
 
 (* --- metrics --- *)
 
@@ -218,7 +209,8 @@ let test_report_percentile_edges () =
     [ 0.01; 0.5; 0.99; 1.0 ]
 
 let test_report_builder_incremental () =
-  (* builder is of_events, one event at a time. *)
+  (* of_events is the recorder fed from a list; the recorder folds the
+     run one event at a time. *)
   let events =
     [
       power Event.Active ~energy:0.1 0.0 10.0;
@@ -228,8 +220,8 @@ let test_report_builder_incremental () =
       Event.Hint_exec { disk = 0; at_ms = 1000.0; action = "spin-down" };
     ]
   in
-  let feed, finish = Report.builder ~disks:1 in
-  List.iter feed events;
+  let sink, finish = Report.recorder ~disks:1 in
+  List.iter (Sink.emit sink) events;
   let inc = (finish ()).(0) in
   let batch = (Report.of_events ~disks:1 events).(0) in
   check Alcotest.int "requests agree" batch.Report.requests inc.Report.requests;
@@ -340,10 +332,10 @@ let test_tty_driver () =
   let t = Live.create ~epoch_ms:100.0 ~disks:1 () in
   let frames = ref 0 in
   let buf = Buffer.create 256 in
-  let feed, finish =
+  let sink, finish =
     Tty.driver ~out:(fun s -> incr frames; Buffer.add_string buf s) t
   in
-  List.iter feed live_story;
+  List.iter (Sink.emit sink) live_story;
   (* 15 epochs elapse, but epoch crossings cluster inside single spans:
      each crossing event yields exactly one frame. *)
   let mid = !frames in
@@ -504,16 +496,12 @@ let test_live_matches_report =
               ())
       in
       let live = Live.create ~disks:2 () in
-      let ring = Sink.ring ~capacity:65536 () in
-      let sink =
-        Sink.stream (fun e ->
-            Sink.emit ring e;
-            Live.feed live e)
-      in
+      let report, finish = Report.recorder ~disks:2 in
       ignore
-        (Engine.simulate ~obs:sink ~knobs:{ Dp_disksim.Knobs.none with faults } ~disks:2
-           Policy.default_tpm reqs);
-      let reports = Report.of_events ~disks:2 (Sink.events ring) in
+        (Engine.simulate
+           ~obs:(Sink.tee [ report; Live.sink live ])
+           ~knobs:{ Dp_disksim.Knobs.none with faults } ~disks:2 Policy.default_tpm reqs);
+      let reports = finish () in
       Array.for_all
         (fun (r : Report.disk_report) ->
           let d = r.Report.disk in
@@ -532,9 +520,9 @@ let test_live_matches_report =
 (* --- engine integration and the Chrome exporter --- *)
 
 let sim_events policy reqs =
-  let sink = Sink.ring ~capacity:65536 () in
+  let sink, events = Sink.collect () in
   let r = Engine.simulate ~obs:sink ~disks:2 policy reqs in
-  (r, Sink.events sink)
+  (r, events ())
 
 let test_engine_emits () =
   let reqs =
@@ -638,9 +626,9 @@ let suites =
     ( "obs.sink",
       [
         Alcotest.test_case "null" `Quick test_null_sink;
-        Alcotest.test_case "ring" `Quick test_ring_sink;
+        Alcotest.test_case "tee" `Quick test_tee_sink;
         Alcotest.test_case "stream" `Quick test_stream_sink;
-        Alcotest.test_case "kind" `Quick test_sink_kind;
+        Alcotest.test_case "collect" `Quick test_collect_sink;
       ] );
     ( "obs.metrics",
       [

@@ -69,7 +69,12 @@ let test_trace_roundtrip () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Request.save path reqs;
-      let back = Request.load path in
+      let back =
+        match Request.load_result path with
+        | Ok (back, [], None) -> back
+        | Ok _ -> Alcotest.fail "a requests-only file loaded hints or faults"
+        | Error e -> Alcotest.fail (Request.load_error_to_string e)
+      in
       check Alcotest.int "same count" (List.length reqs) (List.length back);
       List.iter2
         (fun (a : Request.t) (b : Request.t) ->
@@ -83,12 +88,12 @@ let test_trace_roundtrip () =
         reqs back)
 
 let test_trace_malformed () =
-  (match Request.of_lines [ "# comment"; "" ] with
-  | [] -> ()
+  (match Request.of_lines_res [ "# comment"; "" ] with
+  | Ok ([], [], None) -> ()
   | _ -> Alcotest.fail "comments and blanks ignored");
-  match Request.of_lines [ "1.0 2.0 0 nonsense" ] with
-  | exception Failure _ -> ()
-  | _ -> Alcotest.fail "expected Failure on malformed line"
+  match Request.of_lines_res [ "1.0 2.0 0 nonsense" ] with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "expected an Error on a malformed line"
 
 (* --- the hint stream riding in the trace file --- *)
 
@@ -108,7 +113,12 @@ let test_hint_roundtrip () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Request.save ~hints:some_hints path reqs;
-      let back_reqs, back_hints = Request.load_with_hints path in
+      let back_reqs, back_hints =
+        match Request.load_result path with
+        | Ok (reqs, hints, None) -> (reqs, hints)
+        | Ok (_, _, Some _) -> Alcotest.fail "no fault line was saved"
+        | Error e -> Alcotest.fail (Request.load_error_to_string e)
+      in
       check Alcotest.int "requests preserved" (List.length reqs) (List.length back_reqs);
       check Alcotest.int "hints preserved" (List.length some_hints) (List.length back_hints);
       List.iter2
@@ -122,20 +132,18 @@ let test_hint_roundtrip () =
           | Hint.Set_rpm ra, Hint.Set_rpm rb -> check Alcotest.int "rpm" ra rb
           | _ -> Alcotest.fail "hint action changed across the roundtrip")
         (List.sort Hint.compare_at some_hints)
-        back_hints;
-      (* Plain [load] validates but drops the hint lines. *)
-      check Alcotest.int "load drops hints" (List.length reqs)
-        (List.length (Request.load path)))
+        back_hints)
 
 let test_hint_malformed () =
-  (match Request.of_lines_with_hints [ "H 1.0 0 D" ] with
-  | [], [ h ] -> check Alcotest.bool "spin-down parsed" true (h.Hint.action = Hint.Spin_down)
+  (match Request.of_lines_res [ "H 1.0 0 D" ] with
+  | Ok ([], [ h ], None) ->
+      check Alcotest.bool "spin-down parsed" true (h.Hint.action = Hint.Spin_down)
   | _ -> Alcotest.fail "expected one hint");
   List.iter
     (fun line ->
-      match Request.of_lines_with_hints [ line ] with
-      | exception Failure _ -> ()
-      | _ -> Alcotest.fail (Printf.sprintf "expected Failure on %S" line))
+      match Request.of_lines_res [ line ] with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail (Printf.sprintf "expected an Error on %S" line))
     [
       "H nonsense";
       "H 1.0 0 Z" (* unknown action *);
@@ -218,17 +226,18 @@ let test_fault_line_roundtrip () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Request.save ~hints:some_hints ~faults path reqs;
-      let back_reqs, back_hints, back_faults = Request.load_full path in
+      let back_reqs, back_hints, back_faults =
+        match Request.load_result path with
+        | Ok parsed -> parsed
+        | Error e -> Alcotest.fail (Request.load_error_to_string e)
+      in
       check Alcotest.int "requests preserved" (List.length reqs) (List.length back_reqs);
       check Alcotest.int "hints preserved" (List.length some_hints) (List.length back_hints);
       (match back_faults with
       | Some f ->
           check Alcotest.string "fault spec preserved" (Fault_model.to_spec faults)
             (Fault_model.to_spec f)
-      | None -> Alcotest.fail "fault line dropped across the roundtrip");
-      (* Plain [load] validates but drops the fault line too. *)
-      check Alcotest.int "load drops faults" (List.length reqs)
-        (List.length (Request.load path)))
+      | None -> Alcotest.fail "fault line dropped across the roundtrip"))
 
 let test_load_result_line_numbers () =
   (* The first malformed line wins and is reported with its number and field. *)
