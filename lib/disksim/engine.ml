@@ -51,30 +51,38 @@ type result = {
 type fault_ctx = { inj : Injector.t; retry : Policy.retry_config }
 
 
-(* Mutable per-disk simulation state. *)
-type disk_state = {
-  id : int;
+(* The float accumulators of one disk.  A record of floats only is
+   stored flat, so updating a field writes the float in place; as fields
+   of [disk_state], which also holds ints, lists and a sink, every update
+   would allocate a boxed float. *)
+type floats = {
   mutable now : float;  (* time up to which the timeline is accounted *)
-  mutable rpm : int;  (* current rotation speed (DRPM); rpm_max otherwise *)
-  mutable reqs : int;
   mutable energy : float;
   mutable busy : float;
   mutable idle : float;
   mutable standby : float;
   mutable transition : float;
+  mutable degraded : float;  (* ms attributable to injected faults *)
+  mutable resp_total : float;
+  mutable resp_max : float;
+  (* DRPM window accounting *)
+  mutable win_resp : float;
+  mutable win_nominal : float;
+}
+
+(* Mutable per-disk simulation state. *)
+type disk_state = {
+  id : int;
+  f : floats;
+  mutable rpm : int;  (* current rotation speed (DRPM); rpm_max otherwise *)
+  mutable reqs : int;
   mutable downs : int;
   mutable ups : int;
   mutable shifts : int;
   mutable su_retries : int;  (* failed spin-up attempts (fault-injected) *)
   mutable m_retries : int;  (* media-error request re-services *)
   mutable spikes : int;  (* servo recalibration stalls *)
-  mutable degraded : float;  (* ms attributable to injected faults *)
-  mutable resp_total : float;
-  mutable resp_max : float;
-  (* DRPM window accounting *)
-  mutable win_count : int;
-  mutable win_resp : float;
-  mutable win_nominal : float;
+  mutable win_count : int;  (* requests in the current DRPM window *)
   mutable last_end : int;  (* address right after the previous request; -1 initially *)
   mutable hints : Hint.t list;  (* pending compiler directives, by nominal time *)
   mutable sink : Sink.t;
@@ -86,26 +94,29 @@ type disk_state = {
 let make_state ?(sink = Sink.null) model id =
   {
     id;
-    now = 0.0;
+    f =
+      {
+        now = 0.0;
+        energy = 0.0;
+        busy = 0.0;
+        idle = 0.0;
+        standby = 0.0;
+        transition = 0.0;
+        degraded = 0.0;
+        resp_total = 0.0;
+        resp_max = 0.0;
+        win_resp = 0.0;
+        win_nominal = 0.0;
+      };
     rpm = model.Disk_model.rpm_max;
     reqs = 0;
-    energy = 0.0;
-    busy = 0.0;
-    idle = 0.0;
-    standby = 0.0;
-    transition = 0.0;
     downs = 0;
     ups = 0;
     shifts = 0;
     su_retries = 0;
     m_retries = 0;
     spikes = 0;
-    degraded = 0.0;
-    resp_total = 0.0;
-    resp_max = 0.0;
     win_count = 0;
-    win_resp = 0.0;
-    win_nominal = 0.0;
     last_end = -1;
     hints = [];
     sink;
@@ -136,27 +147,27 @@ let energy_j_of ~watts ~ms = watts *. ms /. 1000.0
    per-state stats bit for bit. *)
 let charge st state ~ms ~energy =
   (match state with
-  | Obs_event.Active -> st.busy <- st.busy +. ms
-  | Obs_event.Idle _ -> st.idle <- st.idle +. ms
-  | Obs_event.Standby -> st.standby <- st.standby +. ms
-  | Obs_event.Transition -> st.transition <- st.transition +. ms);
-  st.energy <- st.energy +. energy;
+  | Obs_event.Active -> st.f.busy <- st.f.busy +. ms
+  | Obs_event.Idle _ -> st.f.idle <- st.f.idle +. ms
+  | Obs_event.Standby -> st.f.standby <- st.f.standby +. ms
+  | Obs_event.Transition -> st.f.transition <- st.f.transition +. ms);
+  st.f.energy <- st.f.energy +. energy;
   if Sink.enabled st.sink then
     Sink.emit st.sink
       (Obs_event.Power
          {
            disk = st.id;
            state;
-           start_ms = st.now;
-           stop_ms = st.now +. ms;
+           start_ms = st.f.now;
+           stop_ms = st.f.now +. ms;
            charge_ms = ms;
            energy_j = energy;
          });
-  st.now <- st.now +. ms
+  st.f.now <- st.f.now +. ms
 
 let decision st d =
   if Sink.enabled st.sink then
-    Sink.emit st.sink (Obs_event.Decision { disk = st.id; at_ms = st.now; decision = d })
+    Sink.emit st.sink (Obs_event.Decision { disk = st.id; at_ms = st.f.now; decision = d })
 
 let fault_event st ~at ~kind ~cost =
   if Sink.enabled st.sink then
@@ -184,7 +195,7 @@ let spend_standby model st ms =
    serving speed; scrub reads, rebuild writes and mirror failover reads
    at the owning disk's current speed. *)
 let charge_busy model st ~rpm ~degraded ms =
-  if degraded then st.degraded <- st.degraded +. ms;
+  if degraded then st.f.degraded <- st.f.degraded +. ms;
   charge st Obs_event.Active ~ms
     ~energy:(energy_j_of ~watts:(Disk_model.active_power_w model ~rpm) ~ms)
 
@@ -217,10 +228,10 @@ let spin_up model fctx st =
           ~max_failures:(retry.Policy.max_attempts - 1)
   in
   for _ = 1 to failures do
-    let at = st.now in
+    let at = st.f.now in
     charge_spin_up model st;
     st.su_retries <- st.su_retries + 1;
-    st.degraded <- st.degraded +. su_ms;
+    st.f.degraded <- st.f.degraded +. su_ms;
     fault_event st ~at ~kind:"spin-up-retry" ~cost:su_ms
   done;
   charge_spin_up model st;
@@ -231,12 +242,12 @@ let spin_up model fctx st =
 let shift_refused fctx st =
   match fctx with
   | None -> false
-  | Some { inj; _ } -> Injector.rpm_locked inj ~disk:st.id ~now_ms:st.now
+  | Some { inj; _ } -> Injector.rpm_locked inj ~disk:st.id ~now_ms:st.f.now
 
 let serving_degraded fctx st =
   match fctx with
   | None -> false
-  | Some { inj; _ } -> Injector.is_locked inj ~disk:st.id ~now_ms:st.now
+  | Some { inj; _ } -> Injector.is_locked inj ~disk:st.id ~now_ms:st.f.now
 
 (* --- persistent-failure machinery (scrub / failover / rebuild) --- *)
 
@@ -263,12 +274,12 @@ let scrub_gap model rx st ~until =
         +. float_of_int found
            *. Disk_model.remap_ms model ~rpm:st.rpm ~block_bytes:cfg.Repair.block_bytes
       in
-      if !spent +. cost <= budget && st.now +. cost <= until then begin
+      if !spent +. cost <= budget && st.f.now +. cost <= until then begin
         let _found, pass_done = Repair.scrub_commit rx.rc ~disk:st.id ~spare:model.Disk_model.spare_blocks in
-        repair_event st ~at:st.now ~op:"scrub" ~blocks:chunk ~cost;
+        repair_event st ~at:st.f.now ~op:"scrub" ~blocks:chunk ~cost;
         charge_busy model st ~rpm:st.rpm ~degraded:false cost;
         if pass_done then
-          repair_event st ~at:st.now ~op:"scrub-pass" ~blocks:cfg.Repair.surface_blocks
+          repair_event st ~at:st.f.now ~op:"scrub-pass" ~blocks:cfg.Repair.surface_blocks
             ~cost:0.0;
         spent := !spent +. cost
       end
@@ -293,13 +304,13 @@ let advance_rebuild model rx st ~until =
   let continue_ = ref true in
   while !continue_ && Repair.is_failed rx.rc st.id do
     let slice = rebuild_slice_ms model rx st in
-    if st.now +. slice <= until then begin
-      repair_event st ~at:st.now ~op:"rebuild" ~blocks:cfg.Repair.rebuild_chunk_blocks
+    if st.f.now +. slice <= until then begin
+      repair_event st ~at:st.f.now ~op:"rebuild" ~blocks:cfg.Repair.rebuild_chunk_blocks
         ~cost:slice;
       charge_busy model st ~rpm:st.rpm ~degraded:true slice;
       if Repair.rebuild_step rx.rc ~disk:st.id ~blocks:cfg.Repair.rebuild_chunk_blocks
       then begin
-        repair_event st ~at:st.now ~op:"rebuild-complete" ~blocks:cfg.Repair.rebuild_blocks
+        repair_event st ~at:st.f.now ~op:"rebuild-complete" ~blocks:cfg.Repair.rebuild_blocks
           ~cost:0.0;
         decision st "repair:rebuild-complete"
       end
@@ -313,7 +324,7 @@ let advance_rebuild model rx st ~until =
 let fail_disk model rx st =
   Repair.mark_failed rx.rc ~disk:st.id;
   let su_ms = ms_of_s model.Disk_model.spin_up_s in
-  repair_event st ~at:st.now ~op:"disk-failed" ~blocks:0 ~cost:su_ms;
+  repair_event st ~at:st.f.now ~op:"disk-failed" ~blocks:0 ~cost:su_ms;
   decision st "repair:hot-spare-activate";
   charge_spin_up model st;
   st.ups <- st.ups + 1;
@@ -329,20 +340,21 @@ let failover_read model rx origin ~bytes =
   | Some m when not (Repair.is_failed rx.rc m) ->
       let peer = rx.peers.(m) in
       let ms = Disk_model.service_ms ~seek_distance:max_int model ~rpm:peer.rpm ~bytes in
-      repair_event origin ~at:origin.now ~op:"failover" ~blocks:0 ~cost:ms;
+      repair_event origin ~at:origin.f.now ~op:"failover" ~blocks:0 ~cost:ms;
       charge_busy model peer ~rpm:peer.rpm ~degraded:true ms;
       Repair.note_failover rx.rc ~disk:origin.id;
       Some ms
   | _ -> None
 
-(* --- gap handling: advance the state from st.now to [until] --- *)
+(* --- gap handling: advance the state from st.f.now to [until] --- *)
 
-let gap_no_pm model st ~until = if until > st.now then spend_idle model st (until -. st.now)
+let gap_no_pm model st ~until =
+  if until > st.f.now then spend_idle model st (until -. st.f.now)
 
 (* TPM: idle up to the threshold, then spin down (13 J / 1.5 s), stay in
    standby.  Returns [true] when the disk ends the gap spun down. *)
 let gap_tpm model (cfg : Policy.tpm_config) st ~until =
-  let gap = until -. st.now in
+  let gap = until -. st.f.now in
   if gap <= 0.0 then false
   else begin
     let threshold = ms_of_s cfg.Policy.idle_threshold_s in
@@ -354,9 +366,9 @@ let gap_tpm model (cfg : Policy.tpm_config) st ~until =
       spend_idle model st threshold;
       decision st "tpm:threshold-spin-down";
       spin_down model st;
-      (* If the next arrival lands inside the spin-down, st.now already
+      (* If the next arrival lands inside the spin-down, st.f.now already
          passed [until]; the standby span is empty. *)
-      if until > st.now then spend_standby model st (until -. st.now);
+      if until > st.f.now then spend_standby model st (until -. st.f.now);
       true
     end
   end
@@ -368,7 +380,7 @@ let gap_tpm model (cfg : Policy.tpm_config) st ~until =
    injected spin-up failure can still push the completion past the
    arrival, which the service path absorbs as a (bounded) stall. *)
 let gap_tpm_proactive model (cfg : Policy.tpm_config) fctx st ~until ~terminal =
-  let gap = until -. st.now in
+  let gap = until -. st.f.now in
   if gap <= 0.0 then ()
   else begin
     let sd_ms = ms_of_s model.Disk_model.spin_down_s in
@@ -382,10 +394,10 @@ let gap_tpm_proactive model (cfg : Policy.tpm_config) fctx st ~until ~terminal =
       spin_down model st;
       if terminal then begin
         (* No next request: stay in standby to the end of the window. *)
-        if until > st.now then spend_standby model st (until -. st.now)
+        if until > st.f.now then spend_standby model st (until -. st.f.now)
       end
       else begin
-        spend_standby model st (until -. su_ms -. st.now);
+        spend_standby model st (until -. su_ms -. st.f.now);
         spin_up model fctx st
       end
     end
@@ -433,7 +445,7 @@ let hint_target_rpm hs =
    reactive and stalls — hiding the latency is exactly what the
    [Pre_spin_up] hint exists for. *)
 let gap_tpm_hinted model fctx st ~until ~terminal ~spin_down:do_spin_down ~lead =
-  let gap = until -. st.now in
+  let gap = until -. st.f.now in
   if gap <= 0.0 then ()
   else begin
     let sd_ms = ms_of_s model.Disk_model.spin_down_s in
@@ -449,17 +461,17 @@ let gap_tpm_hinted model fctx st ~until ~terminal ~spin_down:do_spin_down ~lead 
     else begin
       decision st "tpm:hint-spin-down";
       spin_down model st;
-      if terminal then spend_standby model st (until -. st.now)
+      if terminal then spend_standby model st (until -. st.f.now)
       else begin
         let start_up =
           match lead with
           | None -> until (* no pre-activation directive: reactive stall *)
-          | Some l -> Float.max st.now (until -. l)
+          | Some l -> Float.max st.f.now (until -. l)
         in
-        spend_standby model st (start_up -. st.now);
+        spend_standby model st (start_up -. st.f.now);
         spin_up model fctx st;
         (* A generous lead brings the platters up early: idle at speed. *)
-        if until > st.now then spend_idle model st (until -. st.now)
+        if until > st.f.now then spend_idle model st (until -. st.f.now)
       end
     end
   end
@@ -479,7 +491,7 @@ let drpm_shift ?(overlapped = false) model st ~rpm_to =
    shift happened. *)
 let try_drpm_shift ?overlapped model fctx st ~rpm_to =
   if shift_refused fctx st then begin
-    fault_event st ~at:st.now ~kind:"stuck-rpm" ~cost:0.0;
+    fault_event st ~at:st.f.now ~kind:"stuck-rpm" ~cost:0.0;
     false
   end
   else begin
@@ -510,7 +522,7 @@ let gap_drpm model (cfg : Policy.drpm_config) fctx st ~until =
   let first = ref true in
   let floor_rpm = drpm_floor model cfg in
   while !continue do
-    let remaining = until -. st.now in
+    let remaining = until -. st.f.now in
     let next_rpm = st.rpm - model.Disk_model.rpm_step in
     (* Hysteresis against thrash: the first downshift of a gap waits
        twice the per-level idle threshold. *)
@@ -523,7 +535,7 @@ let gap_drpm model (cfg : Policy.drpm_config) fctx st ~until =
     then begin
       if shift_refused fctx st then begin
         (* Stuck: pinned at the current level; idle out the gap. *)
-        fault_event st ~at:st.now ~kind:"stuck-rpm" ~cost:0.0;
+        fault_event st ~at:st.f.now ~kind:"stuck-rpm" ~cost:0.0;
         continue := false
       end
       else begin
@@ -535,7 +547,7 @@ let gap_drpm model (cfg : Policy.drpm_config) fctx st ~until =
     end
     else continue := false
   done;
-  if until > st.now then spend_idle model st (until -. st.now)
+  if until > st.f.now then spend_idle model st (until -. st.f.now)
 
 (* Compiler-directed DRPM (proactive): the gap's speed trajectory is
    planned — drop straight to the deepest level whose down-and-up round
@@ -548,7 +560,7 @@ let gap_drpm model (cfg : Policy.drpm_config) fctx st ~until =
    reached level: the disk idles there and serves degraded — slow, never
    stalled. *)
 let gap_drpm_proactive ?target_rpm model (cfg : Policy.drpm_config) fctx st ~until ~terminal =
-  let gap = until -. st.now in
+  let gap = until -. st.f.now in
   if gap <= 0.0 then ()
   else begin
     let step_ms = ms_of_s (Disk_model.drpm_level_transition_s model) in
@@ -578,7 +590,7 @@ let gap_drpm_proactive ?target_rpm model (cfg : Policy.drpm_config) fctx st ~unt
       down ();
       if terminal then begin
         (* No next request: stay low to the end of the window. *)
-        if until > st.now then spend_idle model st (until -. st.now)
+        if until > st.f.now then spend_idle model st (until -. st.f.now)
       end
       else begin
         (* ...idle at the reached floor, then ramp up to finish at
@@ -586,7 +598,7 @@ let gap_drpm_proactive ?target_rpm model (cfg : Policy.drpm_config) fctx st ~unt
         let ramp_up =
           float_of_int ((top - st.rpm) / model.Disk_model.rpm_step) *. step_ms
         in
-        if until -. ramp_up > st.now then spend_idle model st (until -. ramp_up -. st.now);
+        if until -. ramp_up > st.f.now then spend_idle model st (until -. ramp_up -. st.f.now);
         let rec up () =
           if st.rpm < top && try_drpm_shift model fctx st ~rpm_to:(st.rpm + model.Disk_model.rpm_step)
           then up ()
@@ -595,8 +607,8 @@ let gap_drpm_proactive ?target_rpm model (cfg : Policy.drpm_config) fctx st ~unt
         (* A refused up-shift leaves the disk below speed and behind
            plan: idle out the remainder at the pinned level (the next
            request is then served degraded). *)
-        if until -. st.now > 1e-9 then spend_idle model st (until -. st.now)
-        else st.now <- Float.max st.now until
+        if until -. st.f.now > 1e-9 then spend_idle model st (until -. st.f.now)
+        else st.f.now <- Float.max st.f.now until
       end
     end
   end
@@ -610,7 +622,7 @@ let gap_drpm_proactive ?target_rpm model (cfg : Policy.drpm_config) fctx st ~unt
    DRPM recovery path).  Returns [true] when the disk ends the gap spun
    down and needs a reactive spin-up. *)
 let gap_adaptive model ctrl fctx st ~until ~terminal =
-  let gap = until -. st.now in
+  let gap = until -. st.f.now in
   if gap <= 0.0 then false
   else
     match Online.decide ctrl ~disk:st.id with
@@ -626,7 +638,7 @@ let gap_adaptive model ctrl fctx st ~until ~terminal =
           spend_idle model st threshold_ms;
           decision st "online:spin-down";
           spin_down model st;
-          if until > st.now then spend_standby model st (until -. st.now);
+          if until > st.f.now then spend_standby model st (until -. st.f.now);
           not terminal
         end
     | Online.Dip (target_rpm, threshold_ms) ->
@@ -643,12 +655,12 @@ let gap_adaptive model ctrl fctx st ~until ~terminal =
             let next = st.rpm - model.Disk_model.rpm_step in
             if
               next >= floor_rpm
-              && until -. st.now >= step_ms
+              && until -. st.f.now >= step_ms
               && try_drpm_shift model fctx st ~rpm_to:next
             then down ()
           in
           down ();
-          if until > st.now then spend_idle model st (until -. st.now)
+          if until > st.f.now then spend_idle model st (until -. st.f.now)
         end;
         false
 
@@ -656,12 +668,12 @@ let gap_adaptive model ctrl fctx st ~until ~terminal =
 
 let serve model fctx rctx st ~proc ~arrival ~lba ~bytes ~rpm ~recon =
   let seek_distance = if st.last_end < 0 then max_int else lba - st.last_end in
-  let start = Float.max arrival st.now in
-  (* The disk is idle between st.now and a later start only when it was
-     left ready before the arrival; gap handlers already advanced st.now
+  let start = Float.max arrival st.f.now in
+  (* The disk is idle between st.f.now and a later start only when it was
+     left ready before the arrival; gap handlers already advanced st.f.now
      to the arrival for gaps, so any remainder here is spin-up overhang
-     (st.now > arrival) or zero. *)
-  if start > st.now then spend_idle model st (start -. st.now);
+     (st.f.now > arrival) or zero. *)
+  if start > st.f.now then spend_idle model st (start -. st.f.now);
   (* Servo recalibration: an injected latency spike stalls the head
      (at active power) before the transfer begins. *)
   (match fctx with
@@ -670,7 +682,7 @@ let serve model fctx rctx st ~proc ~arrival ~lba ~bytes ~rpm ~recon =
       let spike = Injector.latency_spike_ms inj ~disk:st.id in
       if spike > 0.0 then begin
         st.spikes <- st.spikes + 1;
-        fault_event st ~at:st.now ~kind:"latency-spike" ~cost:spike;
+        fault_event st ~at:st.f.now ~kind:"latency-spike" ~cost:spike;
         charge_busy model st ~rpm ~degraded:true spike
       end);
   let service = Disk_model.service_ms ~seek_distance model ~rpm ~bytes in
@@ -700,7 +712,7 @@ let serve model fctx rctx st ~proc ~arrival ~lba ~bytes ~rpm ~recon =
           float_of_int touch.Repair.remapped
           *. Disk_model.remap_ms model ~rpm ~block_bytes:cfg.Repair.block_bytes
         in
-        repair_event st ~at:st.now ~op:"remap" ~blocks:touch.Repair.remapped ~cost:ms;
+        repair_event st ~at:st.f.now ~op:"remap" ~blocks:touch.Repair.remapped ~cost:ms;
         charge_busy model st ~rpm ~degraded:true ms
       end;
       if touch.Repair.penalty_hits > 0 then
@@ -710,7 +722,7 @@ let serve model fctx rctx st ~proc ~arrival ~lba ~bytes ~rpm ~recon =
         (* Degraded read: routed here because the home disk failed; the
            mirrored copy costs an extra head detour. *)
         Repair.note_reconstruction rx.rc ~disk:st.id;
-        repair_event st ~at:st.now ~op:"reconstruct"
+        repair_event st ~at:st.f.now ~op:"reconstruct"
           ~blocks:((bytes + cfg.Repair.block_bytes - 1) / cfg.Repair.block_bytes)
           ~cost:model.Disk_model.remap_penalty_ms;
         charge_busy model st ~rpm ~degraded:true model.Disk_model.remap_penalty_ms
@@ -731,7 +743,7 @@ let serve model fctx rctx st ~proc ~arrival ~lba ~bytes ~rpm ~recon =
         (try
         for attempt = 1 to retries do
           (match rctx with
-          | Some ({ deadline_ms = Some d; _ } as rx) when st.now -. arrival > d -> (
+          | Some ({ deadline_ms = Some d; _ } as rx) when st.f.now -. arrival > d -> (
               match failover_read model rx st ~bytes with
               | Some ms ->
                   extra := ms;
@@ -740,8 +752,8 @@ let serve model fctx rctx st ~proc ~arrival ~lba ~bytes ~rpm ~recon =
           | _ -> ());
           let backoff = Policy.backoff_ms retry ~attempt in
           st.m_retries <- st.m_retries + 1;
-          st.degraded <- st.degraded +. backoff +. reread;
-          fault_event st ~at:st.now ~kind:"media-retry" ~cost:(backoff +. reread);
+          st.f.degraded <- st.f.degraded +. backoff +. reread;
+          fault_event st ~at:st.f.now ~kind:"media-retry" ~cost:(backoff +. reread);
           (* The platters keep spinning while the controller backs off:
              idle power at the current speed. *)
           charge_idle model st backoff;
@@ -751,10 +763,10 @@ let serve model fctx rctx st ~proc ~arrival ~lba ~bytes ~rpm ~recon =
       end);
   (* [extra] is 0.0 on every non-failover path, so [x +. 0.0] keeps the
      response and completion stamps bit-identical to the clean engine. *)
-  let response = st.now -. arrival +. !extra in
+  let response = st.f.now -. arrival +. !extra in
   st.reqs <- st.reqs + 1;
-  st.resp_total <- st.resp_total +. response;
-  if response > st.resp_max then st.resp_max <- response;
+  st.f.resp_total <- st.f.resp_total +. response;
+  if response > st.f.resp_max then st.f.resp_max <- response;
   if Sink.enabled st.sink then
     Sink.emit st.sink
       (Obs_event.Service
@@ -763,7 +775,7 @@ let serve model fctx rctx st ~proc ~arrival ~lba ~bytes ~rpm ~recon =
            proc;
            arrival_ms = arrival;
            start_ms = start;
-           stop_ms = st.now +. !extra;
+           stop_ms = st.f.now +. !extra;
            lba;
            bytes;
          });
@@ -778,7 +790,7 @@ let serve model fctx rctx st ~proc ~arrival ~lba ~bytes ~rpm ~recon =
              {
                disk = st.id;
                proc;
-               at_ms = st.now;
+               at_ms = st.f.now;
                response_ms = response;
                deadline_ms = d;
              })
@@ -790,11 +802,11 @@ let serve model fctx rctx st ~proc ~arrival ~lba ~bytes ~rpm ~recon =
    shift up one level on degradation beyond the tolerance. *)
 let drpm_window model (cfg : Policy.drpm_config) fctx st ~response ~nominal =
   st.win_count <- st.win_count + 1;
-  st.win_resp <- st.win_resp +. response;
-  st.win_nominal <- st.win_nominal +. nominal;
+  st.f.win_resp <- st.f.win_resp +. response;
+  st.f.win_nominal <- st.f.win_nominal +. nominal;
   if st.win_count >= cfg.Policy.window_size then begin
-    let avg = st.win_resp /. float_of_int st.win_count in
-    let nominal = st.win_nominal /. float_of_int st.win_count in
+    let avg = st.f.win_resp /. float_of_int st.win_count in
+    let nominal = st.f.win_nominal /. float_of_int st.win_count in
     (* On degradation beyond the tolerance the controller orders the
        disk back to full speed (Gurumurthi et al.) — unless a stuck-RPM
        fault refuses the command. *)
@@ -804,8 +816,8 @@ let drpm_window model (cfg : Policy.drpm_config) fctx st ~response ~nominal =
         st.ups <- st.ups + 1
     end;
     st.win_count <- 0;
-    st.win_resp <- 0.0;
-    st.win_nominal <- 0.0
+    st.f.win_resp <- 0.0;
+    st.f.win_nominal <- 0.0
   end
 
 (* Serve request [r] issued at [issue] (closed-loop actual time).
@@ -816,26 +828,26 @@ let drpm_window model (cfg : Policy.drpm_config) fctx st ~response ~nominal =
 let rec handle_request model policy ctrl fctx rctx st (r : Request.t) ~issue ~hinted ~recon =
   match policy with
   | Policy.No_pm ->
-      if issue > st.now then gap_no_pm model st ~until:issue;
+      if issue > st.f.now then gap_no_pm model st ~until:issue;
       serve model fctx rctx st ~proc:r.Request.proc ~arrival:issue ~lba:r.lba ~bytes:r.size
         ~rpm:model.Disk_model.rpm_max ~recon
   | Policy.Tpm cfg when cfg.Policy.proactive ->
       if hinted then begin
         let hs = take_hints st ~upto:r.Request.arrival_ms in
-        if issue > st.now then
+        if issue > st.f.now then
           gap_tpm_hinted model fctx st ~until:issue ~terminal:false
             ~spin_down:(hint_spin_down hs) ~lead:(hint_lead hs)
       end
-      else if issue > st.now then
+      else if issue > st.f.now then
         gap_tpm_proactive model cfg fctx st ~until:issue ~terminal:false;
       serve model fctx rctx st ~proc:r.Request.proc ~arrival:issue ~lba:r.lba ~bytes:r.size
         ~rpm:model.Disk_model.rpm_max ~recon
   | Policy.Tpm cfg ->
-      let spun_down = if issue > st.now then gap_tpm model cfg st ~until:issue else false in
+      let spun_down = if issue > st.f.now then gap_tpm model cfg st ~until:issue else false in
       if spun_down then begin
         (* Reactive spin-up: starts at the arrival (or at the end of an
            in-flight spin-down), delays the service. *)
-        st.now <- Float.max st.now issue;
+        st.f.now <- Float.max st.f.now issue;
         spin_up model fctx st
       end;
       serve model fctx rctx st ~proc:r.Request.proc ~arrival:issue ~lba:r.lba ~bytes:r.size
@@ -843,11 +855,11 @@ let rec handle_request model policy ctrl fctx rctx st (r : Request.t) ~issue ~hi
   | Policy.Adaptive _ ->
       let ctrl = match ctrl with Some c -> c | None -> assert false in
       let spun_down =
-        if issue > st.now then gap_adaptive model ctrl fctx st ~until:issue ~terminal:false
+        if issue > st.f.now then gap_adaptive model ctrl fctx st ~until:issue ~terminal:false
         else false
       in
       if spun_down then begin
-        st.now <- Float.max st.now issue;
+        st.f.now <- Float.max st.f.now issue;
         spin_up model fctx st
       end;
       (* Feed the controller the arrival it just witnessed; the decision
@@ -871,17 +883,17 @@ let rec handle_request model policy ctrl fctx rctx st (r : Request.t) ~issue ~hi
   | Policy.Drpm cfg ->
       (if cfg.Policy.proactive && hinted then begin
          let hs = take_hints st ~upto:r.Request.arrival_ms in
-         if issue > st.now then begin
+         if issue > st.f.now then begin
            match hint_target_rpm hs with
            | Some rpm ->
                gap_drpm_proactive ~target_rpm:rpm model cfg fctx st ~until:issue
                  ~terminal:false
            | None ->
                (* No directive: the compiler planned no dip for this gap. *)
-               spend_idle model st (issue -. st.now)
+               spend_idle model st (issue -. st.f.now)
          end
        end
-       else if issue > st.now then begin
+       else if issue > st.f.now then begin
          if cfg.Policy.proactive then
            gap_drpm_proactive model cfg fctx st ~until:issue ~terminal:false
          else gap_drpm model cfg fctx st ~until:issue
@@ -903,7 +915,7 @@ let rec handle_request model policy ctrl fctx rctx st (r : Request.t) ~issue ~hi
 (* Trailing window: account the timeline from the last completion to the
    global makespan, with no arrival to terminate the gap. *)
 let handle_trailing model policy ctrl fctx st ~until ~hinted =
-  if until > st.now then begin
+  if until > st.f.now then begin
     match policy with
     | Policy.No_pm -> gap_no_pm model st ~until
     | Policy.Adaptive _ ->
@@ -922,13 +934,13 @@ let handle_trailing model policy ctrl fctx st ~until ~hinted =
           match hint_target_rpm hs with
           | Some rpm ->
               gap_drpm_proactive ~target_rpm:rpm model cfg fctx st ~until ~terminal:true
-          | None -> spend_idle model st (until -. st.now)
+          | None -> spend_idle model st (until -. st.f.now)
         end
         else gap_drpm_proactive model cfg fctx st ~until ~terminal:true
     | Policy.Drpm cfg -> gap_drpm model cfg fctx st ~until
   end;
   (* A TPM spin-down may overshoot [until]; clamp for reporting. *)
-  if st.now > until then st.now <- until
+  if st.f.now > until then st.f.now <- until
 
 let stats_of_state rctx st ~last_completion =
   let c =
@@ -939,18 +951,18 @@ let stats_of_state rctx st ~last_completion =
   {
     disk = st.id;
     requests = st.reqs;
-    energy_j = st.energy;
-    busy_ms = st.busy;
-    idle_ms = st.idle;
-    standby_ms = st.standby;
-    transition_ms = st.transition;
+    energy_j = st.f.energy;
+    busy_ms = st.f.busy;
+    idle_ms = st.f.idle;
+    standby_ms = st.f.standby;
+    transition_ms = st.f.transition;
     spin_downs = st.downs;
     spin_ups = st.ups;
     speed_changes = st.shifts;
     spin_up_retries = st.su_retries;
     media_retries = st.m_retries;
     latency_spikes = st.spikes;
-    degraded_ms = st.degraded;
+    degraded_ms = st.f.degraded;
     remaps = c.Repair.remaps;
     remap_penalty_hits = c.Repair.penalty_hits;
     scrub_chunks = c.Repair.scrub_chunks;
@@ -960,8 +972,8 @@ let stats_of_state rctx st ~last_completion =
     failovers = c.Repair.failovers;
     disk_failures = c.Repair.failures;
     rebuilds_completed = c.Repair.rebuilds;
-    response_ms_total = st.resp_total;
-    response_ms_max = st.resp_max;
+    response_ms_total = st.f.resp_total;
+    response_ms_max = st.f.resp_max;
     last_completion_ms = last_completion;
   }
 
@@ -980,7 +992,7 @@ let wear_fraction model stats =
    serial engine visits processors and disks in. *)
 type shard_group = { g_procs : int list; g_disks : int list }
 
-let shard_groups ~n_proc ~disks ~mirror queues_seg =
+let shard_groups ~n_proc ~disks ~mirror ~queue ~cursor ~stop =
   let n = n_proc + disks in
   let parent = Array.init n Fun.id in
   let rec find i =
@@ -995,9 +1007,11 @@ let shard_groups ~n_proc ~disks ~mirror queues_seg =
     let ra = find a and rb = find b in
     if ra < rb then parent.(rb) <- ra else if rb < ra then parent.(ra) <- rb
   in
-  Array.iteri
-    (fun p q -> List.iter (fun (r : Request.t) -> union p (n_proc + r.Request.disk)) q)
-    queues_seg;
+  for p = 0 to n_proc - 1 do
+    for i = cursor.(p) to stop.(p) - 1 do
+      union p (n_proc + queue.(i).Request.disk)
+    done
+  done;
   (match mirror with
   | Some mirror_of ->
       for d = 0 to disks - 1 do
@@ -1010,7 +1024,7 @@ let shard_groups ~n_proc ~disks ~mirror queues_seg =
      group, as are the disk-only components they would leave
      behind. *)
   for p = n_proc - 1 downto 0 do
-    if queues_seg.(p) <> [] then begin
+    if cursor.(p) < stop.(p) then begin
       let r = find p in
       let ps, ds = try Hashtbl.find groups r with Not_found -> ([], []) in
       Hashtbl.replace groups r (p :: ps, ds)
@@ -1038,15 +1052,24 @@ let simulate ?(model = Disk_model.ultrastar_36z15) ?(obs = Sink.null) ?(hints = 
   if shards < 1 then invalid_arg "Engine.simulate: shards must be >= 1";
   (match Knobs.check knobs with Ok _ -> () | Error msg -> invalid_arg ("Engine.simulate: " ^ msg));
   let model = Knobs.model knobs model in
+  (* One pass validates the trace and sizes the run. *)
+  let n_proc = ref 0 and n_seg = ref 1 in
   List.iter
     (fun (r : Request.t) ->
       if r.disk < 0 || r.disk >= disks then
         invalid_arg (Printf.sprintf "Engine.simulate: request on disk %d of %d" r.disk disks);
+      if r.proc < 0 then
+        invalid_arg (Printf.sprintf "Engine.simulate: request with negative proc %d" r.proc);
+      if r.seg < 0 then
+        invalid_arg (Printf.sprintf "Engine.simulate: request with negative seg %d" r.seg);
       if not (Float.is_finite r.arrival_ms && Float.is_finite r.think_ms) then
         invalid_arg
           (Printf.sprintf "Engine.simulate: non-finite time (arrival_ms %g, think_ms %g)"
-             r.arrival_ms r.think_ms))
+             r.arrival_ms r.think_ms);
+      n_proc := Int.max !n_proc (r.proc + 1);
+      n_seg := Int.max !n_seg (r.seg + 1))
     reqs;
+  let n_proc = !n_proc and n_seg = !n_seg in
   List.iter
     (fun (h : Hint.t) ->
       if h.Hint.disk < 0 || h.Hint.disk >= disks then
@@ -1089,18 +1112,28 @@ let simulate ?(model = Disk_model.ultrastar_36z15) ?(obs = Sink.null) ?(hints = 
     | _ -> None
   in
   let reqs = Request.sort_arrival reqs in
-  let n_proc =
-    1 + List.fold_left (fun acc (r : Request.t) -> max acc r.proc) (-1) reqs
-  in
-  let n_seg = 1 + List.fold_left (fun acc (r : Request.t) -> max acc r.seg) 0 reqs in
-  (* Per (segment, proc) queues, preserving per-proc issue order. *)
-  let queues : Request.t list array array =
-    Array.init n_seg (fun _ -> Array.make (max n_proc 1) [])
-  in
-  List.iter (fun (r : Request.t) -> queues.(r.seg).(r.proc) <- r :: queues.(r.seg).(r.proc)) reqs;
-  Array.iter
-    (fun per_proc -> Array.iteri (fun p q -> per_proc.(p) <- List.rev q) per_proc)
-    queues;
+  (* The per (segment, processor) queues, each in arrival order: one
+     stable counting sort of the trace on (segment, processor) puts
+     queue [k = seg * n_proc + p] in [queue.(first.(k))] up to
+     [queue.(first.(k + 1) - 1)]. *)
+  let n_queues = n_seg * n_proc in
+  let first = Array.make (n_queues + 1) 0 in
+  List.iter
+    (fun (r : Request.t) ->
+      let k = (r.seg * n_proc) + r.proc + 1 in
+      first.(k) <- first.(k) + 1)
+    reqs;
+  for k = 1 to n_queues do
+    first.(k) <- first.(k) + first.(k - 1)
+  done;
+  let queue = match reqs with [] -> [||] | r :: _ -> Array.make first.(n_queues) r in
+  let next = Array.sub first 0 n_queues in
+  List.iter
+    (fun (r : Request.t) ->
+      let k = (r.seg * n_proc) + r.proc in
+      queue.(next.(k)) <- r;
+      next.(k) <- next.(k) + 1)
+    reqs;
   let states = Array.init disks (make_state ~sink:obs model) in
   (match rctx with Some rx -> rx.peers <- states | None -> ());
   List.iter
@@ -1112,9 +1145,12 @@ let simulate ?(model = Disk_model.ultrastar_36z15) ?(obs = Sink.null) ?(hints = 
   let clocks = Array.make (max n_proc 1) 0.0 in
   (* [due.(p)]: the instant processor [p] issues its next request. *)
   let due = Array.make (max n_proc 1) 0.0 in
+  (* This segment's queue of processor [p]: [queue.(cursor.(p))] up to
+     [queue.(stop.(p) - 1)]. *)
+  let cursor = Array.make n_proc 0 and stop = Array.make n_proc 0 in
   let sink_on = Sink.enabled obs in
   (* One group's issue loop over a segment.  The group touches only its
-     own slots of [pending]/[clocks]/[due]/[last_completion] and its own
+     own slots of [cursor]/[clocks]/[due]/[last_completion] and its own
      disk states, so concurrent groups never share a mutable cell.  The
      group's processors wait in a heap ordered by (issue time,
      processor); a processor's key changes only when it issues, so each
@@ -1122,7 +1158,7 @@ let simulate ?(model = Disk_model.ultrastar_36z15) ?(obs = Sink.null) ?(hints = 
      of each issue step are buffered and tagged with that same key: a
      stable sort of all groups' batches on it replays the serial
      emission order bit for bit. *)
-  let run_group ~batch pending { g_procs; g_disks } =
+  let run_group ~batch { g_procs; g_disks } =
     let batches = ref [] in
     let cur = ref [] in
     if batch then begin
@@ -1131,70 +1167,67 @@ let simulate ?(model = Disk_model.ultrastar_36z15) ?(obs = Sink.null) ?(hints = 
     end;
     let ready = Minheap.create ~capacity:(List.length g_procs) ~cmp:(Minheap.by_key due) () in
     let enqueue p =
-      match pending.(p) with
-      | [] -> ()
-      | r :: _ ->
-          due.(p) <- clocks.(p) +. r.Request.think_ms;
-          Minheap.add ready p
+      if cursor.(p) < stop.(p) then begin
+        due.(p) <- clocks.(p) +. queue.(cursor.(p)).Request.think_ms;
+        Minheap.add ready p
+      end
     in
     List.iter enqueue g_procs;
     let rec step () =
       if not (Minheap.is_empty ready) then begin
         let p = Minheap.pop_min ready in
         let issue = due.(p) in
-        match pending.(p) with
-        | [] -> assert false
-        | r :: rest ->
-            pending.(p) <- rest;
-            (* Degraded mode: rebuild streams advance on failed slots up
-               to the issue instant, and the request is routed to the
-               mirror while its home slot is down.  Only this group's
-               slots: a foreign failed slot is advanced by its own
-               group's clock, and the rebuild stream's whole-slice
-               greedy advance reaches the same state through any
-               refinement of intermediate instants. *)
-            (match rctx with
-            | Some rx ->
-                List.iter
-                  (fun d ->
-                    let st = states.(d) in
-                    if Repair.is_failed rx.rc st.id then
-                      advance_rebuild model rx st ~until:issue)
-                  g_disks
-            | None -> ());
-            let target =
-              match rctx with
-              | Some rx when Repair.is_failed rx.rc r.Request.disk -> (
-                  match Repair.mirror_of rx.rc r.Request.disk with
-                  | Some m when not (Repair.is_failed rx.rc m) -> m
-                  | _ -> r.Request.disk)
-              | _ -> r.Request.disk
-            in
-            let st = states.(target) in
-            (* Scrub runs first, out of the same idle window the policy
-               is about to manage (and outside [handle_request], so the
-               stuck-RPM fallback recursion cannot double-spend the
-               budget); the policy then sees the shrunken remainder. *)
-            (match rctx with
-            | Some rx when issue > st.now -> scrub_gap model rx st ~until:issue
-            | _ -> ());
-            let response =
-              handle_request model policy ctrl fctx rctx st r ~issue ~hinted
-                ~recon:(target <> r.Request.disk)
-            in
-            ignore response;
-            clocks.(p) <- issue +. response;
-            enqueue p;
-            last_completion.(target) <- st.now;
-            (match rctx with
-            | Some rx when Repair.should_fail rx.rc ~disk:target ->
-                fail_disk model rx states.(target)
-            | _ -> ());
-            if batch then begin
-              batches := (issue, p, List.rev !cur) :: !batches;
-              cur := []
-            end;
-            step ()
+        let r = queue.(cursor.(p)) in
+        cursor.(p) <- cursor.(p) + 1;
+        (* Degraded mode: rebuild streams advance on failed slots up
+           to the issue instant, and the request is routed to the
+           mirror while its home slot is down.  Only this group's
+           slots: a foreign failed slot is advanced by its own
+           group's clock, and the rebuild stream's whole-slice
+           greedy advance reaches the same state through any
+           refinement of intermediate instants. *)
+        (match rctx with
+        | Some rx ->
+            List.iter
+              (fun d ->
+                let st = states.(d) in
+                if Repair.is_failed rx.rc st.id then
+                  advance_rebuild model rx st ~until:issue)
+              g_disks
+        | None -> ());
+        let target =
+          match rctx with
+          | Some rx when Repair.is_failed rx.rc r.Request.disk -> (
+              match Repair.mirror_of rx.rc r.Request.disk with
+              | Some m when not (Repair.is_failed rx.rc m) -> m
+              | _ -> r.Request.disk)
+          | _ -> r.Request.disk
+        in
+        let st = states.(target) in
+        (* Scrub runs first, out of the same idle window the policy
+           is about to manage (and outside [handle_request], so the
+           stuck-RPM fallback recursion cannot double-spend the
+           budget); the policy then sees the shrunken remainder. *)
+        (match rctx with
+        | Some rx when issue > st.f.now -> scrub_gap model rx st ~until:issue
+        | _ -> ());
+        let response =
+          handle_request model policy ctrl fctx rctx st r ~issue ~hinted
+            ~recon:(target <> r.Request.disk)
+        in
+        ignore response;
+        clocks.(p) <- issue +. response;
+        enqueue p;
+        last_completion.(target) <- st.f.now;
+        (match rctx with
+        | Some rx when Repair.should_fail rx.rc ~disk:target ->
+            fail_disk model rx states.(target)
+        | _ -> ());
+        if batch then begin
+          batches := (issue, p, List.rev !cur) :: !batches;
+          cur := []
+        end;
+        step ()
       end
     in
     step ();
@@ -1208,7 +1241,8 @@ let simulate ?(model = Disk_model.ultrastar_36z15) ?(obs = Sink.null) ?(hints = 
     match rctx with Some rx -> Some (fun d -> Repair.mirror_of rx.rc d) | None -> None
   in
   for seg = 0 to n_seg - 1 do
-    let pending = Array.copy queues.(seg) in
+    Array.blit first (seg * n_proc) cursor 0 n_proc;
+    Array.blit first ((seg * n_proc) + 1) stop 0 n_proc;
     let groups =
       (* Repair-armed runs with a live sink stay one group: a failed
          slot's rebuild slices are emitted from whichever step's clock
@@ -1217,14 +1251,14 @@ let simulate ?(model = Disk_model.ultrastar_36z15) ?(obs = Sink.null) ?(hints = 
          makes the split safe, and without repair there is nothing to
          attribute. *)
       if shards <= 1 || (sink_on && Option.is_some rctx) then [ all_group ]
-      else shard_groups ~n_proc ~disks ~mirror:mirror_edges pending
+      else shard_groups ~n_proc ~disks ~mirror:mirror_edges ~queue ~cursor ~stop
     in
     (match groups with
     | [] -> ()
-    | [ g ] -> ignore (run_group ~batch:false pending g)
+    | [ g ] -> ignore (run_group ~batch:false g)
     | gs ->
         let per_group =
-          Domain_pool.map ~jobs:shards (run_group ~batch:sink_on pending) gs
+          Domain_pool.map ~jobs:shards (run_group ~batch:sink_on) gs
         in
         if sink_on then
           List.concat per_group
@@ -1247,7 +1281,7 @@ let simulate ?(model = Disk_model.ultrastar_36z15) ?(obs = Sink.null) ?(hints = 
             advance_rebuild model rx st ~until:makespan;
             if Repair.is_failed rx.rc st.id then gap_no_pm model st ~until:makespan
           end
-          else if makespan > st.now then scrub_gap model rx st ~until:makespan
+          else if makespan > st.f.now then scrub_gap model rx st ~until:makespan
       | None -> ());
       handle_trailing model policy ctrl fctx st ~until:makespan ~hinted)
     states;

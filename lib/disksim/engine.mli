@@ -75,13 +75,21 @@ val simulate :
   Request.t list ->
   result
 (** Simulate a trace on [disks] I/O nodes under a policy.  Requests whose
-    [disk] is outside [0, disks), or whose [arrival_ms] or [think_ms] is
-    not finite, raise [Invalid_argument]; so do hints on a disk outside
-    that range or with a non-finite time or pre-spin-up lead.  The
-    request list may come in any order: it is put in
-    {!Request.compare_arrival} order by {!Request.sort_arrival}, so a
-    list already in that order — every generated or decoded trace — is
-    checked in one pass and not re-sorted.
+    [disk] is outside [0, disks), whose [proc] or [seg] is negative, or
+    whose [arrival_ms] or [think_ms] is not finite, raise
+    [Invalid_argument] naming the field; so do hints on a disk outside
+    that range or with a non-finite time or pre-spin-up lead.  One pass
+    over the requests validates them and sizes the run.  The request
+    list may come in any order: it is put in {!Request.compare_arrival}
+    order by {!Request.sort_arrival}, so a list already in that order —
+    every generated or decoded trace — is checked in one pass and not
+    re-sorted.
+
+    Each processor's queue of a segment is an index range of one array:
+    a stable counting sort of the sorted trace on (segment, processor)
+    lays the queues out back to back, each in arrival order, and a
+    cursor per processor walks its range.  Segment ids may skip values:
+    a segment no request names is an empty barrier, a no-op.
 
     Requests issue in (issue time, processor) order: the processor due
     earliest issues next, and among processors due at the same instant

@@ -49,7 +49,14 @@ let run ctx ?knobs ?(obs = false) ?shards ~procs version =
         else (Dp_obs.Sink.null, fun () -> None)
       in
       let policy = Version.policy version in
-      let result = Pipeline.simulate ~obs:sink ?knobs ?shards ctx ~procs ~policy mode in
+      let result =
+        (* A clean, unobserved Base row is the no-PM run of the unmodified
+           trace that the reference already makes, so a report replays
+           each trace under No-PM once. *)
+        if version = Version.Base && knobs = None && not obs then
+          (Pipeline.reference ctx ~procs Pipeline.Original).Oracle.base
+        else Pipeline.simulate ~obs:sink ?knobs ?shards ctx ~procs ~policy mode
+      in
       {
         version;
         procs;

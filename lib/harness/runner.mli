@@ -52,7 +52,11 @@ val run :
     [summary] of every row and the oracle rows' reference run are
     pipeline stages ({!Dp_pipeline.Pipeline.summary},
     {!Dp_pipeline.Pipeline.reference}), so rows replaying the same
-    trace share them.
+    trace share them.  A Base row with no [knobs] and no [obs] is that
+    reference run too: its [result] is the reference's No-PM run of the
+    unmodified-code trace, the run it would otherwise repeat, so a
+    clean matrix replays each such trace under No-PM once.  A Base row
+    with [knobs] or [obs] makes its own engine run.
 
     [knobs] are the engine's reliability knobs ({!Dp_disksim.Knobs}).
     The oracle rows ignore them: they are an idealized offline bound,
@@ -67,8 +71,9 @@ val run :
     {!Dp_obs.Report.recorder}, which folds every event into the run's
     per-disk {!Dp_obs.Report.disk_report}s (idle-gap / response-time /
     standby-residency histograms).  The engine's numeric results are
-    unaffected.  Oracle rows run no engine of their own (their reference
-    run is shared and unobserved), so their [obs] is [None] regardless.
+    unaffected, and the observed Base row makes its own run.  Oracle
+    rows run no engine of their own (their reference run is shared and
+    unobserved), so their [obs] is [None] regardless.
     @raise Invalid_argument for a [T_*_m] version with [procs = 1] (the
     layout-aware scheme is only meaningful with several processors). *)
 

@@ -168,7 +168,8 @@ val reference : t -> procs:int -> mode -> Oracle.reference
 (** Stage 3b: the oracle's no-PM reference run of the mode's trace
     ({!Oracle.reference} on the context's disks), built once per
     (procs, mode) and shared by the [Oracle-*] rows, each of which only
-    adds its {!Oracle.bound}.  In memory only, like {!summary}. *)
+    adds its {!Oracle.bound}, and by a clean Base row, whose result is
+    the reference's run.  In memory only, like {!summary}. *)
 
 val hints :
   ?cluster:Cluster.policy ->
@@ -218,7 +219,9 @@ type stats = {
   trace_builds : int;
   hint_builds : int;
   summary_builds : int;  (** {!summary} builds: one per trace summarized *)
-  reference_builds : int;  (** {!reference} builds: one per trace bounded *)
+  reference_builds : int;
+      (** {!reference} builds: one per trace bounded or replayed by a
+          clean Base row *)
   memo_hits : int;  (** stage lookups answered from the memo tables *)
   disk_hits : int;  (** stage lookups answered from the persistent cache *)
   disk_misses : int;  (** persistent-cache probes that fell through to a build *)

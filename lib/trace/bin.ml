@@ -100,12 +100,21 @@ type ctx = {
 
 type slot = { mutable front : ctx; mutable back : ctx } (* MRU order *)
 
-type predictors = {
-  mutable prev_hint_at : int;
-  slots : (int * int, slot) Hashtbl.t;
-}
+(* The slots are keyed by (proc, disk) with a monomorphic hash and
+   equality.  Lookups probe with one reused mutable key, so a record
+   that finds its slot allocates nothing; a new slot stores a copy. *)
+type pair = { mutable proc : int; mutable disk : int }
 
-let predictors () = { prev_hint_at = 0; slots = Hashtbl.create 64 }
+module Slots = Hashtbl.Make (struct
+  type t = pair
+
+  let equal a b = a.proc = b.proc && a.disk = b.disk
+  let hash k = ((k.proc * 65599) + k.disk) land max_int
+end)
+
+type predictors = { mutable prev_hint_at : int; probe : pair; slots : slot Slots.t }
+
+let predictors () = { prev_hint_at = 0; probe = { proc = 0; disk = 0 }; slots = Slots.create 64 }
 
 let fresh_ctx () =
   {
@@ -123,11 +132,13 @@ let fresh_ctx () =
   }
 
 let slot_of p proc disk =
-  match Hashtbl.find_opt p.slots (proc, disk) with
-  | Some s -> s
-  | None ->
+  p.probe.proc <- proc;
+  p.probe.disk <- disk;
+  match Slots.find p.slots p.probe with
+  | s -> s
+  | exception Not_found ->
       let s = { front = fresh_ctx (); back = fresh_ctx () } in
-      Hashtbl.add p.slots (proc, disk) s;
+      Slots.add p.slots { proc; disk } s;
       s
 
 let pick slot index = if index = 0 then slot.front else slot.back
@@ -141,13 +152,14 @@ let touch slot index =
 
 let predict_arr c = c.prev_arr + c.prev_arr_d
 
-let ctx_update c ~arr ~think ~address ~lba ~size ~seg ~mode =
-  (match arr with
-  | Some a ->
-      c.prev_arr_d <- a - c.prev_arr;
-      c.prev_arr <- a
-  | None -> ());
-  (match think with Some t -> c.prev_think <- t | None -> ());
+(* A context learns an arrival or think time only when it was coded as
+   thousandths (see [thousandths]); a raw-bits timestamp leaves its
+   predictor as it was. *)
+let ctx_arrival c a =
+  c.prev_arr_d <- a - c.prev_arr;
+  c.prev_arr <- a
+
+let ctx_update c ~address ~lba ~size ~seg ~mode =
   c.stride_addr <- (if c.fresh then size else address - c.last_addr);
   c.stride_lba <- (if c.fresh then size else lba - c.last_lba);
   c.last_addr <- address;
@@ -270,8 +282,9 @@ let add_request e (r : Request.t) =
      put_scaled b ~scale:addr_scale d_lba;
      put_scaled b ~scale:addr_scale (r.size - c.last_size)
    end);
-  ctx_update c ~arr ~think ~address:r.address ~lba:r.lba ~size:r.size ~seg:r.seg
-    ~mode:r.mode;
+  (match arr with Some a -> ctx_arrival c a | None -> ());
+  (match think with Some t -> c.prev_think <- t | None -> ());
+  ctx_update c ~address:r.address ~lba:r.lba ~size:r.size ~seg:r.seg ~mode:r.mode;
   touch slot index;
   end_record e b
 
@@ -408,14 +421,14 @@ let get_byte c what =
   c.cpos <- c.cpos + 1;
   v
 
-let get_u c what =
-  let rec go shift acc =
-    if shift > 62 then cur_fail c "malformed %s: varint too long" what;
-    let b = get_byte c what in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b land 0x80 <> 0 then go (shift + 7) acc else acc
-  in
-  go 0 0
+(* A top-level loop, so reading a field allocates no closure. *)
+let rec get_u_from c what shift acc =
+  if shift > 62 then cur_fail c "malformed %s: varint too long" what;
+  let b = get_byte c what in
+  let acc = acc lor ((b land 0x7f) lsl shift) in
+  if b land 0x80 <> 0 then get_u_from c what (shift + 7) acc else acc
+
+let get_u c what = get_u_from c what 0 0
 
 let get_s c what = unzigzag (get_u c what)
 
@@ -435,32 +448,28 @@ let decode_request cu p ~flags : Request.t =
   let slot = slot_of p proc disk in
   let index = (flags lsr 3) land 1 in
   let c = pick slot index in
-  let arr =
-    if flags land 2 = 0 then
-      Some (predict_arr c + get_scaled cu ~scale:time_scale "request arrival")
-    else None
-  in
   let arrival_ms =
-    match arr with
-    | Some a -> float_of_int a /. 1000.0
-    | None -> get_raw_float cu "request arrival"
-  in
-  let think =
-    if flags land 4 = 0 then
-      Some (c.prev_think + get_scaled cu ~scale:time_scale "request think")
-    else None
+    if flags land 2 = 0 then begin
+      let a = predict_arr c + get_scaled cu ~scale:time_scale "request arrival" in
+      ctx_arrival c a;
+      float_of_int a /. 1000.0
+    end
+    else get_raw_float cu "request arrival"
   in
   let think_ms =
-    match think with
-    | Some t -> float_of_int t /. 1000.0
-    | None -> get_raw_float cu "request think"
+    if flags land 4 = 0 then begin
+      let t = c.prev_think + get_scaled cu ~scale:time_scale "request think" in
+      c.prev_think <- t;
+      float_of_int t /. 1000.0
+    end
+    else get_raw_float cu "request think"
   in
   let seg = c.prev_seg + get_s cu "request seg" in
   let address = c.last_addr + c.stride_addr + get_scaled cu ~scale:addr_scale "request address" in
   let lba = c.last_lba + c.stride_lba + get_scaled cu ~scale:addr_scale "request lba" in
   let size = c.last_size + get_scaled cu ~scale:addr_scale "request size" in
   let mode = if flags land 1 <> 0 then Ir.Write else Ir.Read in
-  ctx_update c ~arr ~think ~address ~lba ~size ~seg ~mode;
+  ctx_update c ~address ~lba ~size ~seg ~mode;
   touch slot index;
   { arrival_ms; think_ms; seg; address; lba; size; mode; proc; disk }
 
@@ -494,8 +503,8 @@ let decode_compact cu p ~flags : Request.t =
       disk;
     }
   in
-  ctx_update c ~arr:(Some a) ~think:(Some c.prev_think) ~address ~lba ~size ~seg:r.seg
-    ~mode:r.mode;
+  ctx_arrival c a;
+  ctx_update c ~address ~lba ~size ~seg:r.seg ~mode:r.mode;
   touch slot index;
   r
 
@@ -534,25 +543,48 @@ let decode_fault c : Fault_model.t =
   | Ok f -> f
   | Error msg -> fail c.src at "bad fault spec %S: %s" spec msg
 
-let decode_chunk c p ~on_record =
+(* Where decoded records go, one handler per kind: a collecting decoder
+   conses each request straight onto its list, with no [record] box and
+   no accumulator tuple per record. *)
+type handlers = {
+  on_req : Request.t -> unit;
+  on_hint : Hint.t -> unit;
+  on_faults : Fault_model.t -> unit;
+}
+
+(* Ids are non-negative.  A nine-byte varint, or a segment delta, can
+   decode below zero: the record is refused at its tag's offset. *)
+let check_id c ~at what v =
+  if v < 0 then fail c.src at "bad %s %d (expected a non-negative integer)" what v
+
+let decode_chunk c p h =
   let n = ref 0 in
   while c.cpos < c.len do
+    let at = c.base + c.cpos in
     let tag = get_byte c "record tag" in
     let flags = tag land 0xf in
-    let record =
-      match tag lsr 4 with
-      | k when k = kind_request -> Req (decode_request c p ~flags)
-      | k when k = kind_compact -> Req (decode_compact c p ~flags)
-      | k when k = kind_hint -> Hint (decode_hint c p ~flags)
-      | k when k = kind_fault -> Faults (decode_fault c)
-      | k -> fail c.src (c.base + c.cpos - 1) "unknown record kind %d" k
-    in
-    incr n;
-    on_record record
+    let kind = tag lsr 4 in
+    if kind = kind_request || kind = kind_compact then begin
+      let r =
+        if kind = kind_request then decode_request c p ~flags else decode_compact c p ~flags
+      in
+      check_id c ~at "proc" r.proc;
+      check_id c ~at "disk" r.disk;
+      check_id c ~at "seg" r.seg;
+      h.on_req r
+    end
+    else if kind = kind_hint then begin
+      let hint = decode_hint c p ~flags in
+      check_id c ~at "hint disk" hint.disk;
+      h.on_hint hint
+    end
+    else if kind = kind_fault then h.on_faults (decode_fault c)
+    else fail c.src at "unknown record kind %d" kind;
+    incr n
   done;
   !n
 
-let fold_src src ~init ~f =
+let fold_src src h =
   let hdr = Bytes.create 6 in
   let at = src.pos in
   let got = read_avail src hdr 0 6 in
@@ -567,8 +599,6 @@ let fold_src src ~init ~f =
   if hflags land lnot 1 <> 0 then fail src 5 "bad header flags 0x%x" hflags;
   let rounds = if hflags land 1 <> 0 then Some (read_varint_src src "header rounds") else None in
   let p = predictors () in
-  let acc = ref init in
-  let on_record r = acc := f !acc r in
   let chunk_buf = ref (Bytes.create 8192) in
   let nrecords = ref 0 in
   let lenb = Bytes.create 4 in
@@ -590,7 +620,7 @@ let fold_src src ~init ~f =
         if Digest.subbytes !chunk_buf 0 len <> Bytes.to_string digest then
           fail src marker_at "chunk checksum mismatch (%d-byte chunk)" len;
         let c = { src; buf = !chunk_buf; len; base = data_at; cpos = 0 } in
-        nrecords := !nrecords + decode_chunk c p ~on_record;
+        nrecords := !nrecords + decode_chunk c p h;
         chunks ()
     | Some 'E' ->
         let n = read_varint_src src "end-of-trace record count" in
@@ -602,7 +632,7 @@ let fold_src src ~init ~f =
     | Some c -> fail src marker_at "bad chunk marker %C (expected 'C' or 'E')" c
   in
   chunks ();
-  (!acc, rounds)
+  rounds
 
 let src_of_string ?(file = "<buffer>") s =
   let cursor = ref 0 in
@@ -614,31 +644,44 @@ let src_of_string ?(file = "<buffer>") s =
   in
   { name = file; refill; pos = 0 }
 
-let run_fold src ~init ~f =
-  match fold_src src ~init ~f with
-  | v -> Ok v
-  | exception Fail e -> Error e
+let decode_src src h = match fold_src src h with rounds -> Ok rounds | exception Fail e -> Error e
 
-let collect (reqs, hints, faults) = function
-  | Req r -> (r :: reqs, hints, faults)
-  | Hint h -> (reqs, h :: hints, faults)
-  | Faults f -> (reqs, hints, Some f)
-
-let finish ((reqs, hints, faults), rounds) =
-  (List.rev reqs, List.rev hints, faults, rounds)
-
-let decode ?file s =
-  Result.map finish (run_fold (src_of_string ?file s) ~init:([], [], None) ~f:collect)
-
-let fold_path path ~init ~f =
+let with_file path k =
   match open_in_bin path with
   | exception Sys_error msg -> Error { file = path; offset = 0; msg }
   | ic ->
       Fun.protect
         ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> run_fold { name = path; refill = input ic; pos = 0 } ~init ~f)
+        (fun () -> k { name = path; refill = input ic; pos = 0 })
 
-let load_bin path = Result.map finish (fold_path path ~init:([], [], None) ~f:collect)
+let fold_path path ~init ~f =
+  let acc = ref init in
+  let put r = acc := f !acc r in
+  let h =
+    {
+      on_req = (fun r -> put (Req r));
+      on_hint = (fun x -> put (Hint x));
+      on_faults = (fun x -> put (Faults x));
+    }
+  in
+  with_file path (fun src -> Result.map (fun rounds -> (!acc, rounds)) (decode_src src h))
+
+(* Every record into lists, in encoded order. *)
+let collect src =
+  let reqs = ref [] and hints = ref [] and faults = ref None in
+  let h =
+    {
+      on_req = (fun r -> reqs := r :: !reqs);
+      on_hint = (fun x -> hints := x :: !hints);
+      on_faults = (fun x -> faults := Some x);
+    }
+  in
+  Result.map
+    (fun rounds -> (List.rev !reqs, List.rev !hints, !faults, rounds))
+    (decode_src src h)
+
+let decode ?file s = collect (src_of_string ?file s)
+let load_bin path = with_file path collect
 
 let sniff_string s = String.length s >= 4 && String.sub s 0 4 = magic
 

@@ -112,41 +112,38 @@ type summary = {
 }
 
 let summarize ?(cost = Cost_model.default) reqs =
-  let requests = List.length reqs in
-  let bytes = List.fold_left (fun acc (r : Request.t) -> acc + r.size) 0 reqs in
-  (* Seek-aware service accounting, mirroring trace generation: track the
-     per-processor position on disk. *)
-  let pos = Hashtbl.create 8 in
-  let service (r : Request.t) =
-    let seek_distance =
-      match Hashtbl.find_opt pos r.proc with
-      | Some (d, e) when d = r.disk -> r.lba - e
-      | _ -> max_int
-    in
-    Hashtbl.replace pos r.proc (r.disk, r.lba + r.size);
-    Cost_model.service_ms ~seek_distance cost ~bytes:r.size
-  in
-  let io_ms = List.fold_left (fun acc r -> acc +. service r) 0.0 reqs in
-  Hashtbl.reset pos;
-  let makespan_ms =
-    List.fold_left
-      (fun acc (r : Request.t) -> Float.max acc (r.arrival_ms +. service r))
-      0.0 reqs
-  in
-  Hashtbl.reset pos;
-  (* Compute time is whatever of the busy timeline is not nominal I/O;
-     with one processor this is exact, with several it is the sum of
-     per-processor busy gaps.  We approximate it from arrival spacing. *)
-  let by_proc = Hashtbl.create 8 in
+  let n_proc = 1 + List.fold_left (fun acc (r : Request.t) -> Int.max acc r.proc) (-1) reqs in
+  (* Per-processor state, mirroring trace generation: the disk and end
+     address of the last request, to charge seeks only on discontiguous
+     accesses; its nominal completion; and the compute time so far,
+     approximated from the arrival spacing.  With one processor this is
+     exact, with several it is the sum of per-processor busy gaps. *)
+  let disk = Array.make n_proc (-1) and stop = Array.make n_proc 0 in
+  let last_end = Array.make n_proc 0.0 and compute = Array.make n_proc 0.0 in
+  let requests = ref 0 and bytes = ref 0 in
+  (* [io_ms] and [makespan_ms], unboxed. *)
+  let sums = [| 0.0; 0.0 |] in
   List.iter
     (fun (r : Request.t) ->
-      let prev = Option.value ~default:(0.0, 0.0) (Hashtbl.find_opt by_proc r.proc) in
-      let last_end, compute = prev in
-      let gap = Float.max 0.0 (r.arrival_ms -. last_end) in
-      Hashtbl.replace by_proc r.proc (r.arrival_ms +. service r, compute +. gap))
+      let p = r.proc in
+      let seek_distance = if disk.(p) = r.disk then r.lba - stop.(p) else max_int in
+      disk.(p) <- r.disk;
+      stop.(p) <- r.lba + r.size;
+      let service = Cost_model.service_ms ~seek_distance cost ~bytes:r.size in
+      incr requests;
+      bytes := !bytes + r.size;
+      sums.(0) <- sums.(0) +. service;
+      sums.(1) <- Float.max sums.(1) (r.arrival_ms +. service);
+      compute.(p) <- compute.(p) +. Float.max 0.0 (r.arrival_ms -. last_end.(p));
+      last_end.(p) <- r.arrival_ms +. service)
     reqs;
-  let compute_ms = Hashtbl.fold (fun _ (_, c) acc -> acc +. c) by_proc 0.0 in
-  { requests; bytes; makespan_ms; compute_ms; io_ms }
+  {
+    requests = !requests;
+    bytes = !bytes;
+    makespan_ms = sums.(1);
+    compute_ms = Array.fold_left ( +. ) 0.0 compute;
+    io_ms = sums.(0);
+  }
 
 let io_fraction s =
   let busy = s.compute_ms +. s.io_ms in

@@ -52,6 +52,13 @@ type summary = {
 }
 
 val summarize : ?cost:Cost_model.t -> Request.t list -> summary
+(** One pass over the trace in list order, with per-processor arrays
+    that a fold over the (non-negative) processor ids sizes: each
+    processor's position on disk charges seeks as trace generation
+    does, and its compute time sums the arrival gaps after its own
+    nominal completions.  [compute_ms] adds the per-processor totals in
+    processor order. *)
+
 val io_fraction : summary -> float
 (** Fraction of busy time spent in I/O: the paper reports 75-82% for its
     applications; the workloads are calibrated against this. *)

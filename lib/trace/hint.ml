@@ -31,19 +31,24 @@ let parse_line_res line =
     | Some n -> Ok n
     | None -> Error (Printf.sprintf "bad hint %s %S (expected an integer)" name s)
   in
+  let id name s =
+    match int_of_string_opt s with
+    | Some n when n >= 0 -> Ok n
+    | _ -> Error (Printf.sprintf "bad hint %s %S (expected a non-negative integer)" name s)
+  in
   match String.split_on_char ' ' (String.trim line) with
   | [ "H"; at; disk; "D" ] ->
       let* at_ms = num "time" at in
-      let* disk = int "disk" disk in
+      let* disk = id "disk" disk in
       Ok { at_ms; disk; action = Spin_down }
   | [ "H"; at; disk; "U"; lead ] ->
       let* at_ms = num "time" at in
-      let* disk = int "disk" disk in
+      let* disk = id "disk" disk in
       let* lead = num "lead" lead in
       Ok { at_ms; disk; action = Pre_spin_up lead }
   | [ "H"; at; disk; "S"; rpm ] ->
       let* at_ms = num "time" at in
-      let* disk = int "disk" disk in
+      let* disk = id "disk" disk in
       let* rpm = int "rpm" rpm in
       Ok { at_ms; disk; action = Set_rpm rpm }
   | _ ->

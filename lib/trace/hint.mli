@@ -23,7 +23,7 @@ type t = {
       (** nominal (full-speed timeline) time of the directive; hints are
           matched to inter-arrival gaps by nominal time, so closed-loop
           drift cannot misroute them *)
-  disk : int;
+  disk : int;  (** a non-negative id *)
   action : action;
 }
 
@@ -44,4 +44,5 @@ val is_hint_line : string -> bool
 val parse_line_res : string -> (t, string) result
 (** Parse one hint line; the error names the offending field.  The time
     and the pre-spin-up lead must be finite numbers: a [nan] time would
-    sort before every other hint and stall the disk's hint stream. *)
+    sort before every other hint and stall the disk's hint stream.  The
+    disk must be a non-negative integer. *)

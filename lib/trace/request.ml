@@ -77,6 +77,11 @@ let parse_line_res line =
     | Some n -> Ok n
     | None -> Error (Printf.sprintf "bad %s %S (expected an integer)" name s)
   in
+  let id name s =
+    match int_of_string_opt s with
+    | Some n when n >= 0 -> Ok n
+    | _ -> Error (Printf.sprintf "bad %s %S (expected a non-negative integer)" name s)
+  in
   match String.split_on_char ' ' (String.trim line) with
   | [ t; think; seg; addr; lba; size; mode; proc; disk ] ->
       let* mode =
@@ -87,12 +92,12 @@ let parse_line_res line =
       in
       let* arrival_ms = num "arrival_ms" t in
       let* think_ms = num "think_ms" think in
-      let* seg = int "seg" seg in
+      let* seg = id "seg" seg in
       let* address = int "address" addr in
       let* lba = int "lba" lba in
       let* size = int "size" size in
-      let* proc = int "proc" proc in
-      let* disk = int "disk" disk in
+      let* proc = id "proc" proc in
+      let* disk = id "disk" disk in
       Ok { arrival_ms; think_ms; seg; address; lba; size; mode; proc; disk }
   | fields ->
       Error

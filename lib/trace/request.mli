@@ -13,7 +13,9 @@ type t = {
       (** compute time separating this request from the completion of
           the same processor's previous request (or from the segment
           barrier) — the closed-loop inter-request gap *)
-  seg : int;  (** fork-join segment index (barriers between segments) *)
+  seg : int;
+      (** fork-join segment index (barriers between segments); like
+          [proc] and [disk], a non-negative id *)
   address : int;  (** global byte address (start block x block size) *)
   lba : int;  (** on-node byte position (per-disk seek-distance space) *)
   size : int;  (** bytes *)
@@ -73,7 +75,8 @@ val of_lines_res :
     line number and offending field, without a file name. *)
 
 val parse_line_res : string -> (t, string) result
-(** Parse one request line; the error names the offending field. *)
+(** Parse one request line; the error names the offending field.  The
+    ids [seg], [proc] and [disk] must be non-negative integers. *)
 
 val is_fault_line : string -> bool
 (** Recognize a (trimmed) trace-file fault line by its [F ] prefix. *)

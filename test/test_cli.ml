@@ -246,6 +246,27 @@ let test_dpsim_too_few_disks () =
             (contains ~needle:"--disks" err && contains ~needle:"disk 1" err))
         [ "tpm"; "oracle" ])
 
+(* A negative id is malformed input, not an internal error: each line
+   below once made dpsim exit 1 indexing a queue or a disk out of
+   bounds. *)
+let test_dpsim_negative_ids () =
+  List.iter
+    (fun (contents, line, field) ->
+      with_trace_file contents (fun path ->
+          let code, _, err = run [ dpsim; path; "--disks"; "1" ] in
+          check Alcotest.int (field ^ ": exit code") 2 code;
+          check Alcotest.bool (field ^ ": one-line diagnostic") true (one_line err);
+          check Alcotest.bool
+            (Printf.sprintf "%s: names file:line and field (got %S)" field err)
+            true
+            (contains ~needle:(Printf.sprintf "%s:%d: bad %s \"-1\"" path line field) err)))
+    [
+      ("0.000 0.000 0 0 0 4096 R -1 0\n", 1, "proc");
+      ("0.000 0.000 -1 0 0 4096 R 0 0\n", 1, "seg");
+      ("0.000 0.000 0 0 0 4096 R 0 -1\n", 1, "disk");
+      ("0.000 0.000 0 0 0 4096 R 0 0\nH 1.000 -1 D\n", 2, "hint disk");
+    ]
+
 let test_dpsim_obs_oracle_rejected () =
   with_trace_file "1.0 2.0 0 0 0 65536 R 0 0\n" (fun path ->
       let code, _, err = run [ dpsim; path; "--policy"; "oracle"; "--obs"; "gaps" ] in
@@ -1246,5 +1267,6 @@ let suites =
           test_dpcc_chaos_sabotage_shrink_replay;
         Alcotest.test_case "dpsim --obs events" `Quick test_dpsim_obs_events;
         Alcotest.test_case "dpsim --disks too few" `Quick test_dpsim_too_few_disks;
+        Alcotest.test_case "dpsim negative ids" `Quick test_dpsim_negative_ids;
       ] );
   ]

@@ -259,6 +259,20 @@ let test_engine_validation () =
          ("infinite lead", 10.0, Pre_spin_up Float.neg_infinity);
        ])
 
+(* A negative processor or segment names the field instead of indexing
+   a queue out of bounds. *)
+let test_engine_negative_ids () =
+  List.iter
+    (fun (field, r) ->
+      match Engine.simulate ~disks:1 Policy.No_pm [ req ~think:1.0 (); r ] with
+      | exception Invalid_argument msg ->
+          check Alcotest.bool
+            (Printf.sprintf "names %s (got %S)" field msg)
+            true
+            (msg = Printf.sprintf "Engine.simulate: request with negative %s -1" field)
+      | _ -> Alcotest.failf "negative %s must be rejected" field)
+    [ ("proc", req ~proc:(-1) ~think:1.0 ()); ("seg", req ~seg:(-1) ~think:1.0 ()) ]
+
 (* The issue order shared by the serial loop and the shard merge: among
    processors due at the same instant the lower index issues first. *)
 let test_engine_issue_ties () =
@@ -326,6 +340,52 @@ let prop_proactive_never_slower =
       let pro = Engine.simulate ~disks:3 (Policy.tpm ~proactive:true ()) reqs in
       pro.Engine.io_time_ms <= base.Engine.io_time_ms +. 1e-6
       && pro.Engine.energy_j <= base.Engine.energy_j +. 1e-6)
+
+(* The engine orders the trace itself: its per (segment, processor)
+   queues come from one sort, so any permutation of a trace with
+   distinct (arrival, proc, address) keys gives the same result, byte
+   for byte, sharded or not.  Segment ids need not rise with arrival
+   time and may skip values: an empty segment's barrier is a no-op, so
+   renumbering the ids densely changes nothing either. *)
+let permuted_gen =
+  QCheck2.Gen.(
+    let* procs = int_range 1 6 in
+    let* n = int_range 1 40 in
+    let* reqs =
+      flatten_l
+        (List.init n (fun i ->
+             map3
+               (fun (proc, disk) seg (think, arrival) ->
+                 {
+                   (req ~proc ~seg ~disk ~lba:(i * 7919 * 4096) ~think:(float_of_int think) ())
+                   with
+                   Request.arrival_ms = float_of_int ((arrival * 64) + i);
+                 })
+               (pair (int_range 0 (procs - 1)) (int_range 0 2))
+               (oneofl [ 0; 2; 5 ])
+               (pair (int_range 1 30_000) (int_range 0 1000))))
+    in
+    pair (return reqs) (shuffle_l reqs))
+
+let prop_permutation_invariant =
+  qtest ~count:40 "Engine: result independent of request order and segment numbering"
+    permuted_gen (fun (reqs, shuffled) ->
+      let dense =
+        List.map
+          (fun (r : Request.t) -> { r with seg = (match r.seg with 0 -> 0 | 2 -> 1 | _ -> 2) })
+          reqs
+      in
+      let bytes ~shards policy reqs =
+        Marshal.to_string (Engine.simulate ~shards ~disks:3 policy reqs) [ Marshal.No_sharing ]
+      in
+      List.for_all
+        (fun policy ->
+          List.for_all
+            (fun shards ->
+              let base = bytes ~shards policy reqs in
+              base = bytes ~shards policy shuffled && base = bytes ~shards policy dense)
+            [ 1; 4 ])
+        [ Policy.No_pm; Policy.default_tpm; Policy.default_drpm ])
 
 let prop_proactive_drpm_never_slower =
   qtest ~count:60 "Engine: proactive DRPM never inflates io time" trace_gen (fun reqs ->
@@ -797,6 +857,7 @@ let suites =
         Alcotest.test_case "DRPM downshift" `Quick test_engine_drpm_downshift;
         Alcotest.test_case "DRPM proactive" `Quick test_engine_drpm_proactive;
         Alcotest.test_case "validation" `Quick test_engine_validation;
+        Alcotest.test_case "negative proc and seg" `Quick test_engine_negative_ids;
         Alcotest.test_case "issue ties by processor" `Quick test_engine_issue_ties;
         energy_bounds Policy.No_pm;
         energy_bounds Policy.default_tpm;
@@ -806,6 +867,7 @@ let suites =
         prop_io_time_consistent;
         prop_proactive_never_slower;
         prop_proactive_drpm_never_slower;
+        prop_permutation_invariant;
       ] );
     ( "disksim.policies",
       [

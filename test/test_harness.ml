@@ -438,6 +438,47 @@ let test_obs_report_sees_every_event () =
         stats reports)
     [ Version.Tpm; Version.Drpm ]
 
+(* A clean, unobserved Base row reads the oracle's No-PM reference
+   instead of replaying the trace again, so it must be that run exactly.
+   Knobs or an obs sink give the row an engine run of its own. *)
+let test_base_row_is_no_pm_run () =
+  let module Pipeline = Dp_pipeline.Pipeline in
+  let module Engine = Dp_disksim.Engine in
+  let ctx = Runner.context (mini_app ()) in
+  let trace = Pipeline.trace ctx ~procs:4 Pipeline.Original in
+  let bytes (r : Engine.result) = Marshal.to_string r [ Marshal.No_sharing ] in
+  let direct ?knobs () =
+    bytes (Engine.simulate ?knobs ~disks:(Pipeline.disks ctx) Dp_disksim.Policy.No_pm trace)
+  in
+  let row ?knobs ?obs () = Runner.run ctx ?knobs ?obs ~procs:4 Version.Base in
+  check Alcotest.bool "clean Base row = direct No-PM run" true
+    (bytes (row ()).Runner.result = direct ());
+  let knobs = { Knobs.none with faults = Some (Fault_model.make ~seed:3 ~rate:0.3 ()) } in
+  let faulted = bytes (row ~knobs ()).Runner.result in
+  check Alcotest.bool "faulted Base row = faulted direct run" true (faulted = direct ~knobs ());
+  check Alcotest.bool "faulted Base row differs from the clean one" true (faulted <> direct ());
+  check Alcotest.bool "observed Base row carries an obs block" true
+    ((row ~obs:true ()).Runner.obs <> None)
+
+(* The full 4-processor matrix simulates six rows and replays the trace
+   of the unmodified code once, for the Base row and both oracle rows. *)
+let test_matrix_engine_runs () =
+  let module Prof = Dp_obs.Prof in
+  let app = Dp_pipeline.Pipeline.(app (load Test_pipeline.transpose)) in
+  Prof.reset ();
+  Prof.enable ();
+  Fun.protect ~finally:Prof.disable @@ fun () ->
+  ignore
+    (Experiments.build_matrix ~apps:[ app ] ~jobs:1 ~procs:4
+       ~versions:(Version.multi_cpu @ Version.oracle) ());
+  let calls name =
+    List.fold_left
+      (fun acc (e : Prof.entry) -> if e.Prof.p_name = name then acc + e.Prof.calls else acc)
+      0 (Prof.entries ())
+  in
+  check Alcotest.int "engine runs for 9 rows" 7 (calls "disksim.simulate");
+  check Alcotest.int "one reference" 1 (calls "pipeline.reference")
+
 let suites =
   [
     ( "harness",
@@ -458,5 +499,7 @@ let suites =
         Alcotest.test_case "headline orderings" `Slow test_headline_orderings;
         Alcotest.test_case "obs report sees every event" `Quick
           test_obs_report_sees_every_event;
+        Alcotest.test_case "Base row = direct No-PM run" `Quick test_base_row_is_no_pm_run;
+        Alcotest.test_case "matrix engine runs" `Quick test_matrix_engine_runs;
       ] );
   ]

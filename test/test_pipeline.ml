@@ -166,9 +166,9 @@ let test_memo_sharing () =
   check Alcotest.int "no cluster table for the original order" 0
     (Pipeline.stats plain).Pipeline.cluster_builds;
   (* The in-memory stages a trace feeds: the nine rows replay three
-     traces, so three summaries, and the two oracle rows share one
-     no-PM reference run — however many domains run the rows, as
-     [Experiments.build_matrix] fans them out. *)
+     traces, so three summaries, and the Base row and the two oracle
+     rows share one no-PM reference run — however many domains run the
+     rows, as [Experiments.build_matrix] fans them out. *)
   let matrix ~jobs ctx versions =
     ignore (Domain_pool.map ~jobs (fun v -> Dp_harness.Runner.run ctx ~procs:4 v) versions)
   in
@@ -189,8 +189,9 @@ let test_memo_sharing () =
         (builds shared);
       let no_oracle = Pipeline.load transpose in
       matrix ~jobs no_oracle Version.multi_cpu;
-      check pair (Printf.sprintf "jobs %d: no oracle rows, no reference" jobs) (3, 0)
-        (builds no_oracle))
+      check pair
+        (Printf.sprintf "jobs %d: no oracle rows, the Base row builds the reference" jobs)
+        (3, 1) (builds no_oracle))
     [ 1; 4 ]
 
 let test_memo_same_result () =

@@ -286,6 +286,28 @@ let test_load_result_reports_file_and_line () =
             (contains ~needle:(path ^ ":2:") (Request.load_error_to_string e))
       | Ok _ -> Alcotest.fail "malformed size must be rejected")
 
+(* Ids are non-negative: a negative segment, processor or disk would
+   index the engine's queues or disk states out of bounds. *)
+let test_negative_ids () =
+  List.iter
+    (fun (parse, line, field) ->
+      match parse line with
+      | Ok () -> Alcotest.failf "%S accepted" line
+      | Error msg ->
+          check Alcotest.string line
+            (Printf.sprintf "bad %s \"-1\" (expected a non-negative integer)" field)
+            msg)
+    (let req line = Result.map ignore (Request.parse_line_res line) in
+     let hint line = Result.map ignore (Hint.parse_line_res line) in
+     [
+       (req, "0.000 0.000 -1 0 0 4096 R 0 0", "seg");
+       (req, "0.000 0.000 0 0 0 4096 R -1 0", "proc");
+       (req, "0.000 0.000 0 0 0 4096 R 0 -1", "disk");
+       (hint, "H 1.000 -1 D", "hint disk");
+       (hint, "H 1.000 -1 U 10.000", "hint disk");
+       (hint, "H 1.000 -1 S 9000", "hint disk");
+     ])
+
 let test_segments_barrier () =
   (* Two processors, two segments; proc 1's first segment is empty, so
      its second-segment work must still start after proc 0's first. *)
@@ -591,6 +613,30 @@ let test_bin_corruption () =
       check Alcotest.bool "trailing msg" true
         (contains ~needle:"trailing" e.msg))
 
+(* The decoder refuses a negative id at the offset of its record: a
+   nine-byte varint can decode below zero, and [seg] is delta-coded. *)
+let test_bin_negative_ids () =
+  let r = List.hd sample_reqs in
+  (* The first record's tag follows the 6-byte header and the 5-byte
+     chunk header. *)
+  let first_record = 11 in
+  List.iter
+    (fun (field, s) ->
+      match Bin.decode s with
+      | Ok _ -> Alcotest.failf "negative %s decoded" field
+      | Error e ->
+          check Alcotest.int (field ^ ": offset of the record") first_record e.offset;
+          check Alcotest.string (field ^ ": message")
+            (Printf.sprintf "bad %s -1 (expected a non-negative integer)" field)
+            e.msg)
+    [
+      ("proc", Bin.encode [ { r with proc = -1 } ]);
+      ("disk", Bin.encode [ { r with disk = -1 } ]);
+      ("seg", Bin.encode [ { r with seg = -1 } ]);
+      ( "hint disk",
+        Bin.encode ~hints:[ { Dp_trace.Hint.at_ms = 1.0; disk = -1; action = Spin_down } ] [] );
+    ]
+
 let test_bin_error_rendering () =
   let path = tmp_file "dpower-bin-truncated.dpt" in
   Bin.save path sample_reqs;
@@ -665,6 +711,56 @@ let test_bin_fold_equals_decode =
       && Option.map Fault_model.to_spec faults' = Option.map Fault_model.to_spec wf
       && rounds' = wround && wr = reqs)
 
+(* The three-pass summary [Generate.summarize] replaced, with the
+   per-processor compute time summed in processor order. *)
+let summarize_reference ?(cost = Cost_model.default) reqs : Generate.summary =
+  let requests = List.length reqs in
+  let bytes = List.fold_left (fun acc (r : Request.t) -> acc + r.size) 0 reqs in
+  let pos = Hashtbl.create 8 in
+  let service (r : Request.t) =
+    let seek_distance =
+      match Hashtbl.find_opt pos r.proc with
+      | Some (d, e) when d = r.disk -> r.lba - e
+      | _ -> max_int
+    in
+    Hashtbl.replace pos r.proc (r.disk, r.lba + r.size);
+    Cost_model.service_ms ~seek_distance cost ~bytes:r.size
+  in
+  let io_ms = List.fold_left (fun acc r -> acc +. service r) 0.0 reqs in
+  Hashtbl.reset pos;
+  let makespan_ms =
+    List.fold_left
+      (fun acc (r : Request.t) -> Float.max acc (r.arrival_ms +. service r))
+      0.0 reqs
+  in
+  Hashtbl.reset pos;
+  let by_proc = Hashtbl.create 8 in
+  List.iter
+    (fun (r : Request.t) ->
+      let last_end, compute =
+        Option.value ~default:(0.0, 0.0) (Hashtbl.find_opt by_proc r.proc)
+      in
+      let gap = Float.max 0.0 (r.arrival_ms -. last_end) in
+      Hashtbl.replace by_proc r.proc (r.arrival_ms +. service r, compute +. gap))
+    reqs;
+  let compute_ms =
+    Hashtbl.fold (fun p (_, c) acc -> (p, c) :: acc) by_proc []
+    |> List.sort compare
+    |> List.fold_left (fun acc (_, c) -> acc +. c) 0.0
+  in
+  { requests; bytes; makespan_ms; compute_ms; io_ms }
+
+let test_summarize_one_pass =
+  QCheck.Test.make ~count:200 ~name:"summarize = the three-pass summary" arbitrary_trace
+    (fun reqs ->
+      let s = Generate.summarize reqs and r = summarize_reference reqs in
+      check Alcotest.int "requests" r.requests s.requests;
+      check Alcotest.int "bytes" r.bytes s.bytes;
+      check (Alcotest.float 0.0) "makespan_ms" r.makespan_ms s.makespan_ms;
+      check (Alcotest.float 0.0) "compute_ms" r.compute_ms s.compute_ms;
+      check (Alcotest.float 0.0) "io_ms" r.io_ms s.io_ms;
+      true)
+
 let test_bin_streaming_memory () =
   (* A 100x-scale trace folds in constant space: live heap while streaming
      stays bounded by the chunk buffer, far below the materialized list. *)
@@ -731,6 +827,8 @@ let suites =
         QCheck_alcotest.to_alcotest test_sort_arrival_stable;
         QCheck_alcotest.to_alcotest test_sort_arrival_in_order;
         QCheck_alcotest.to_alcotest test_compare_arrival_sign;
+        Alcotest.test_case "negative ids" `Quick test_negative_ids;
+        QCheck_alcotest.to_alcotest test_summarize_one_pass;
       ] );
     ( "trace.bin",
       [
@@ -743,6 +841,7 @@ let suites =
         Alcotest.test_case "binary <= 25% of text" `Quick test_bin_compression;
         Alcotest.test_case "corruption diagnostics" `Quick test_bin_corruption;
         Alcotest.test_case "file:offset error rendering" `Quick test_bin_error_rendering;
+        Alcotest.test_case "negative ids refused at their record" `Quick test_bin_negative_ids;
         QCheck_alcotest.to_alcotest test_bin_fold_equals_decode;
         Alcotest.test_case "streaming fold is constant-space" `Slow
           test_bin_streaming_memory;
