@@ -502,18 +502,27 @@ let obs_overhead () =
   let disks = Pipeline.disks ctx in
   let run ?obs () = ignore (Engine.simulate ?obs ~disks Policy.default_drpm trace) in
   (* Sys.time is CPU time: immune to wall-clock noise from a loaded CI
-     box.  Best-of-7 over 3 inner reps tames the rest. *)
-  let time_best f =
-    let best = ref infinity in
-    for _ = 1 to 7 do
-      let t0 = Sys.time () in
-      f ();
-      f ();
-      f ();
-      let dt = (Sys.time () -. t0) /. 3.0 in
-      if dt < !best then best := dt
+     box.  Best-of-7 over 3 inner reps per side tames the rest.  The
+     sides alternate rep by rep, starting with the other side each time,
+     so drift on a shared host reaches every side alike rather than one
+     block of rounds or one position. *)
+  let time_best sides =
+    let n = Array.length sides in
+    let best = Array.make n infinity in
+    let spent = Array.make n 0.0 in
+    for round = 1 to 7 do
+      Array.fill spent 0 n 0.0;
+      for rep = 1 to 3 do
+        for k = 0 to n - 1 do
+          let i = if (round + rep) mod 2 = 0 then n - 1 - k else k in
+          let t0 = Sys.time () in
+          sides.(i) ();
+          spent.(i) <- spent.(i) +. (Sys.time () -. t0)
+        done
+      done;
+      Array.iteri (fun i t -> if t /. 3.0 < best.(i) then best.(i) <- t /. 3.0) spent
     done;
-    !best
+    best
   in
   let alloc_words f =
     let w0 = Gc.minor_words () in
@@ -521,15 +530,15 @@ let obs_overhead () =
     Gc.minor_words () -. w0
   in
   run () (* warm up *);
-  let t_default = time_best (fun () -> run ()) in
-  let t_null = time_best (fun () -> run ~obs:Dp_obs.Sink.null ()) in
+  let gate = time_best [| (fun () -> run ()); (fun () -> run ~obs:Dp_obs.Sink.null ()) |] in
+  let t_default = gate.(0) and t_null = gate.(1) in
   let collect () = fst (Dp_obs.Sink.collect ()) in
-  let t_collect = time_best (fun () -> run ~obs:(collect ()) ()) in
   let live () =
     let lv = Dp_obs.Live.create ~disks () in
     Dp_obs.Sink.stream (fun e -> Dp_obs.Live.feed lv e)
   in
-  let t_live = time_best (fun () -> run ~obs:(live ()) ()) in
+  let t_collect = (time_best [| (fun () -> run ~obs:(collect ()) ()) |]).(0) in
+  let t_live = (time_best [| (fun () -> run ~obs:(live ()) ()) |]).(0) in
   let a_default = alloc_words (fun () -> run ()) in
   let a_null = alloc_words (fun () -> run ~obs:Dp_obs.Sink.null ()) in
   let a_collect = alloc_words (fun () -> run ~obs:(collect ()) ()) in

@@ -267,11 +267,7 @@ let simulate source procs restructured mode_name policy_name per_disk timeline f
           (match faults with
           | Some f -> Format.printf "%a@." Fault_model.pp f
           | None -> ());
-          Format.printf "policy %s: energy %.1f J, disk I/O time %.1f s, makespan %.1f s@."
-            r.Engine.policy r.Engine.energy_j
-            (r.Engine.io_time_ms /. 1000.)
-            (r.Engine.makespan_ms /. 1000.);
-          Format.printf "%a@." (fun ppf r -> Engine.pp_reliability ppf r) r;
+          Format.printf "%a@." Engine.pp_result r;
           if per_disk then
             Array.iter
               (fun d -> Format.printf "%a@." Engine.pp_disk_stats d)

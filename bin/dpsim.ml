@@ -159,11 +159,7 @@ let run trace_file out disks policy_name threshold proactive window downshift fa
         (match faults with
         | Some f -> Format.printf "%a@." Fault_model.pp f
         | None -> ());
-        Format.printf "policy %s: energy %.1f J, disk I/O time %.1f s, makespan %.1f s@."
-          r.Engine.policy r.Engine.energy_j
-          (r.Engine.io_time_ms /. 1000.)
-          (r.Engine.makespan_ms /. 1000.);
-        Format.printf "%a@." (fun ppf r -> Engine.pp_reliability ppf r) r;
+        Format.printf "%a@." Engine.pp_result r;
         if per_disk then
           Array.iter (fun d -> Format.printf "%a@." Engine.pp_disk_stats d) r.Engine.per_disk;
         obs_finish r

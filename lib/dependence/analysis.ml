@@ -144,10 +144,5 @@ let nest_dependences (n : Ir.nest) =
 let distance_vectors n =
   Listx.uniq Depvec.equal (List.map (fun d -> d.vector) (nest_dependences n))
 
-let parallel_loops n =
-  let vectors = distance_vectors n in
-  let depth = Ir.nest_depth n in
-  List.init depth (Depvec.loop_parallelizable vectors)
-
 let outermost_parallel_loop n =
   Depvec.outermost_parallel (distance_vectors n) ~depth:(Ir.nest_depth n)

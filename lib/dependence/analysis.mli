@@ -34,10 +34,6 @@ val nest_dependences : Ir.nest -> dep list
 val distance_vectors : Ir.nest -> Depvec.t list
 (** Just the vectors of {!nest_dependences}, deduplicated. *)
 
-val parallel_loops : Ir.nest -> bool list
-(** Per-loop parallelizability (outermost first), per the two conditions
-    of Section 6.1. *)
-
 val outermost_parallel_loop : Ir.nest -> int option
 (** 0-based depth of the outermost parallelizable loop, for coarse-grain
     parallelism. [None] when every loop carries a dependence. *)

@@ -114,13 +114,6 @@ let transition_s t ~rpm_from ~rpm_to =
     if rpm_to > rpm_from then t.spin_up_s *. delta else t.spin_down_s *. delta
   end
 
-let transition_j t ~rpm_from ~rpm_to =
-  if rpm_from = rpm_to then 0.0
-  else begin
-    let delta = float_of_int (abs (rpm_to - rpm_from)) /. float_of_int t.rpm_max in
-    if rpm_to > rpm_from then t.spin_up_j *. delta else t.spin_down_j *. delta
-  end
-
 let drpm_level_transition_s _t = 0.4
 
 let drpm_transition_j t ~rpm_from ~rpm_to =

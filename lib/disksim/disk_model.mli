@@ -81,8 +81,6 @@ val transition_s : t -> rpm_from:int -> rpm_to:int -> float
     up) or spin-down (going down) figures by the RPM distance.  Used for
     TPM's full stop/start cycles. *)
 
-val transition_j : t -> rpm_from:int -> rpm_to:int -> float
-
 val drpm_level_transition_s : t -> float
 (** Duration of a one-level dynamic speed change (0.4 s): DRPM drives are
     engineered for low-overhead transitions between adjacent RPM levels

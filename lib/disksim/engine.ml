@@ -346,63 +346,6 @@ let failover_read model rx origin ~bytes =
       Some ms
   | _ -> None
 
-(* --- gap handling: advance the state from st.f.now to [until] --- *)
-
-let gap_no_pm model st ~until =
-  if until > st.f.now then spend_idle model st (until -. st.f.now)
-
-(* TPM: idle up to the threshold, then spin down (13 J / 1.5 s), stay in
-   standby.  Returns [true] when the disk ends the gap spun down. *)
-let gap_tpm model (cfg : Policy.tpm_config) st ~until =
-  let gap = until -. st.f.now in
-  if gap <= 0.0 then false
-  else begin
-    let threshold = ms_of_s cfg.Policy.idle_threshold_s in
-    if gap <= threshold then begin
-      spend_idle model st gap;
-      false
-    end
-    else begin
-      spend_idle model st threshold;
-      decision st "tpm:threshold-spin-down";
-      spin_down model st;
-      (* If the next arrival lands inside the spin-down, st.f.now already
-         passed [until]; the standby span is empty. *)
-      if until > st.f.now then spend_standby model st (until -. st.f.now);
-      true
-    end
-  end
-
-(* Compiler-directed TPM (proactive): the schedule is known, so when the
-   predicted gap can absorb a full spin-down/spin-up cycle the disk spins
-   down immediately and the spin-up completes exactly at the next
-   arrival; otherwise the disk just idles.  No reactive stall — though an
-   injected spin-up failure can still push the completion past the
-   arrival, which the service path absorbs as a (bounded) stall. *)
-let gap_tpm_proactive model (cfg : Policy.tpm_config) fctx st ~until ~terminal =
-  let gap = until -. st.f.now in
-  if gap <= 0.0 then ()
-  else begin
-    let sd_ms = ms_of_s model.Disk_model.spin_down_s in
-    let su_ms = ms_of_s model.Disk_model.spin_up_s in
-    let threshold =
-      Float.max (ms_of_s cfg.Policy.idle_threshold_s) (sd_ms +. su_ms)
-    in
-    if gap <= threshold then spend_idle model st gap
-    else begin
-      decision st "tpm:planned-spin-down";
-      spin_down model st;
-      if terminal then begin
-        (* No next request: stay in standby to the end of the window. *)
-        if until > st.f.now then spend_standby model st (until -. st.f.now)
-      end
-      else begin
-        spend_standby model st (until -. su_ms -. st.f.now);
-        spin_up model fctx st
-      end
-    end
-  end
-
 (* --- compiler hints: consume the directives addressed to a gap --- *)
 
 (* Hints are timestamped on the nominal (full-speed) timeline and so is
@@ -425,11 +368,12 @@ let take_hints st ~upto =
 
 let hint_spin_down hs = List.exists (fun (h : Hint.t) -> h.Hint.action = Hint.Spin_down) hs
 
-let hint_lead hs =
-  List.find_map
-    (fun (h : Hint.t) ->
-      match h.Hint.action with Hint.Pre_spin_up l -> Some l | _ -> None)
-    hs
+(* The first [Pre_spin_up] lead, 0 without one: a spin-up that starts
+   at the arrival. *)
+let rec hint_lead = function
+  | { Hint.action = Hint.Pre_spin_up l; _ } :: _ -> l
+  | _ :: rest -> hint_lead rest
+  | [] -> 0.0
 
 let hint_target_rpm hs =
   List.find_map
@@ -437,42 +381,57 @@ let hint_target_rpm hs =
       match h.Hint.action with Hint.Set_rpm r -> Some r | _ -> None)
     hs
 
-(* Hint-directed TPM: the compiler ordered a spin-down for this gap, and
-   (when the gap is interior) a pre-spin-up [lead] ms before the next
-   access.  Unlike the omniscient proactive handler there is no
-   threshold heuristic: the disk trusts the directive and spins down at
-   the start of the gap.  Without a pre-spin-up directive the spin-up is
-   reactive and stalls — hiding the latency is exactly what the
-   [Pre_spin_up] hint exists for. *)
-let gap_tpm_hinted model fctx st ~until ~terminal ~spin_down:do_spin_down ~lead =
+(* --- idle-window mechanisms: advance the state from st.f.now to [until] --- *)
+
+(* Spin down after [threshold] ms of continuous idleness (13 J / 1.5 s),
+   then stay in standby: reactive TPM with its configured threshold and
+   the online [Spin] arm with its learned one.  Returns [true] when the
+   disk ends the window spun down; the next arrival then pays the
+   spin-up. *)
+let[@inline] spin_after model st ~until ~threshold ~label =
   let gap = until -. st.f.now in
-  if gap <= 0.0 then ()
+  if gap <= threshold then begin
+    spend_idle model st gap;
+    false
+  end
   else begin
-    let sd_ms = ms_of_s model.Disk_model.spin_down_s in
-    let su_ms = ms_of_s model.Disk_model.spin_up_s in
-    (* Closed-loop drift can shrink a hinted gap below what the compiler
-       saw on the nominal timeline; refuse directives that no longer
-       fit. *)
-    let feasible = if terminal then gap >= sd_ms else gap >= sd_ms +. su_ms in
-    if not (do_spin_down && feasible) then begin
-      if do_spin_down then decision st "tpm:hint-infeasible";
-      spend_idle model st gap
-    end
+    spend_idle model st threshold;
+    decision st label;
+    spin_down model st;
+    (* If the next arrival lands inside the spin-down, st.f.now already
+       passed [until]; the standby span is empty. *)
+    spend_standby model st (until -. st.f.now);
+    true
+  end
+
+(* Directed TPM, one executor for hinted and planned TPM: when [go],
+   spin down at the start of the window and, when the window is
+   interior, start the spin-up [lead] ms before the next arrival.  A
+   lead of 0 starts it at the arrival, which then stalls: hiding the
+   latency is exactly what the [Pre_spin_up] hint exists for.  There is
+   no threshold heuristic here; whoever set [go] decided.  Closed-loop
+   drift can shrink a hinted window below what the compiler saw on the
+   nominal timeline, so a directive that no longer fits is refused.  An
+   injected spin-up failure can still push the completion past the
+   arrival, which the service absorbs as a (bounded) stall. *)
+let[@inline] tpm_directed model fctx st ~until ~terminal ~go ~lead ~label =
+  let gap = until -. st.f.now in
+  let sd_ms = ms_of_s model.Disk_model.spin_down_s in
+  let su_ms = ms_of_s model.Disk_model.spin_up_s in
+  let feasible = if terminal then gap >= sd_ms else gap >= sd_ms +. su_ms in
+  if not (go && feasible) then begin
+    if go then decision st "tpm:hint-infeasible";
+    spend_idle model st gap
+  end
+  else begin
+    decision st label;
+    spin_down model st;
+    if terminal then spend_standby model st (until -. st.f.now)
     else begin
-      decision st "tpm:hint-spin-down";
-      spin_down model st;
-      if terminal then spend_standby model st (until -. st.f.now)
-      else begin
-        let start_up =
-          match lead with
-          | None -> until (* no pre-activation directive: reactive stall *)
-          | Some l -> Float.max st.f.now (until -. l)
-        in
-        spend_standby model st (start_up -. st.f.now);
-        spin_up model fctx st;
-        (* A generous lead brings the platters up early: idle at speed. *)
-        if until > st.f.now then spend_idle model st (until -. st.f.now)
-      end
+      spend_standby model st (Float.max st.f.now (until -. lead) -. st.f.now);
+      spin_up model fctx st;
+      (* A generous lead brings the platters up early: idle at speed. *)
+      if until > st.f.now then spend_idle model st (until -. st.f.now)
     end
   end
 
@@ -613,55 +572,97 @@ let gap_drpm_proactive ?target_rpm model (cfg : Policy.drpm_config) fctx st ~unt
     end
   end
 
-(* Online adaptive gap (Policy.Adaptive): execute the mechanism the
-   controller froze at the last epoch boundary.  [Spin] behaves like
-   reactive TPM with a learned threshold — the spin-up stalls the next
-   arrival, there is no schedule to hide it behind.  [Dip] ramps down
-   level by level after the learned threshold and dwells; the next
-   request is served slow and the ramp back up overlaps servicing (the
-   DRPM recovery path).  Returns [true] when the disk ends the gap spun
-   down and needs a reactive spin-up. *)
-let gap_adaptive model ctrl fctx st ~until ~terminal =
-  let gap = until -. st.f.now in
-  if gap <= 0.0 then false
+(* The online [Dip]: after the learned threshold, ramp down level by
+   level toward [target_rpm] and dwell.  The predicted gap may overshoot
+   the real one, so feasibility is re-checked per level, and the
+   stuck-RPM injector may stop the ramp early.  The next request is
+   served slow and the ramp back up overlaps servicing (the DRPM
+   recovery path). *)
+let online_dip model fctx st ~until ~target_rpm ~threshold =
+  if until -. st.f.now <= threshold then spend_idle model st (until -. st.f.now)
+  else begin
+    spend_idle model st threshold;
+    decision st "online:dip";
+    let step_ms = ms_of_s (Disk_model.drpm_level_transition_s model) in
+    let floor_rpm = max target_rpm model.Disk_model.rpm_min in
+    let rec down () =
+      let next = st.rpm - model.Disk_model.rpm_step in
+      if
+        next >= floor_rpm
+        && until -. st.f.now >= step_ms
+        && try_drpm_shift model fctx st ~rpm_to:next
+      then down ()
+    in
+    down ();
+    if until > st.f.now then spend_idle model st (until -. st.f.now)
+  end
+
+(* --- the gap rule --- *)
+
+(* Advance a disk over one idle window, from st.f.now to [until], under
+   [policy]: the one place a policy decides what a disk does between two
+   services.  The window is interior when a request arrives at [until]
+   and [terminal] after the disk's last service, up to the makespan.
+   [directed] says the run's hint stream directs this proactive policy,
+   and [hs] are the directives addressed to this window; without hints a
+   proactive policy plans the window from the known schedule.  Returns
+   [true] when the disk ends the window spun down, so that the arrival
+   must pay a reactive spin-up.
+
+   - Reactive TPM and the online [Spin] arm spin down after their
+     threshold; the spin-up then stalls the arrival.
+   - Proactive TPM executes the window's directives.  Planned, the
+     schedule implies them: spin down when the window exceeds both the
+     threshold and a full spin-down/spin-up cycle, with a lead of one
+     spin-up, so the disk is back at full speed exactly at the arrival.
+   - DRPM steps down one level per idle threshold; proactive DRPM plans
+     one dip, capped by a [Set_rpm] directive when hinted.  No directive
+     for a hinted window: the compiler planned no dip for it. *)
+let idle_window model policy ctrl fctx st hs ~directed ~until ~terminal =
+  if until <= st.f.now then false
   else
-    match Online.decide ctrl ~disk:st.id with
-    | Online.Stay ->
-        spend_idle model st gap;
+    match policy with
+    | Policy.No_pm ->
+        spend_idle model st (until -. st.f.now);
         false
-    | Online.Spin threshold_ms ->
-        if gap <= threshold_ms then begin
-          spend_idle model st gap;
-          false
-        end
+    | Policy.Tpm cfg when cfg.Policy.proactive ->
+        if directed then
+          tpm_directed model fctx st ~until ~terminal ~go:(hint_spin_down hs)
+            ~lead:(hint_lead hs) ~label:"tpm:hint-spin-down"
         else begin
-          spend_idle model st threshold_ms;
-          decision st "online:spin-down";
-          spin_down model st;
-          if until > st.f.now then spend_standby model st (until -. st.f.now);
-          not terminal
-        end
-    | Online.Dip (target_rpm, threshold_ms) ->
-        let step_ms = ms_of_s (Disk_model.drpm_level_transition_s model) in
-        let floor_rpm = max target_rpm model.Disk_model.rpm_min in
-        if gap <= threshold_ms then spend_idle model st gap
-        else begin
-          spend_idle model st threshold_ms;
-          decision st "online:dip";
-          (* Ramp down as deep as the remaining gap (and the stuck-RPM
-             injector) allows; the predicted gap may overshoot the real
-             one, so feasibility is re-checked per level. *)
-          let rec down () =
-            let next = st.rpm - model.Disk_model.rpm_step in
-            if
-              next >= floor_rpm
-              && until -. st.f.now >= step_ms
-              && try_drpm_shift model fctx st ~rpm_to:next
-            then down ()
+          let su_ms = ms_of_s model.Disk_model.spin_up_s in
+          let threshold =
+            Float.max (ms_of_s cfg.Policy.idle_threshold_s)
+              (ms_of_s model.Disk_model.spin_down_s +. su_ms)
           in
-          down ();
-          if until > st.f.now then spend_idle model st (until -. st.f.now)
+          tpm_directed model fctx st ~until ~terminal
+            ~go:(until -. st.f.now > threshold)
+            ~lead:su_ms ~label:"tpm:planned-spin-down"
         end;
+        false
+    | Policy.Tpm cfg ->
+        spin_after model st ~until
+          ~threshold:(ms_of_s cfg.Policy.idle_threshold_s)
+          ~label:"tpm:threshold-spin-down"
+    | Policy.Adaptive _ -> (
+        let ctrl = match ctrl with Some c -> c | None -> assert false in
+        match Online.decide ctrl ~disk:st.id with
+        | Online.Stay ->
+            spend_idle model st (until -. st.f.now);
+            false
+        | Online.Spin threshold -> spin_after model st ~until ~threshold ~label:"online:spin-down"
+        | Online.Dip (target_rpm, threshold) ->
+            online_dip model fctx st ~until ~target_rpm ~threshold;
+            false)
+    | Policy.Drpm cfg when cfg.Policy.proactive ->
+        (if not directed then gap_drpm_proactive model cfg fctx st ~until ~terminal
+         else
+           match hint_target_rpm hs with
+           | Some rpm -> gap_drpm_proactive ~target_rpm:rpm model cfg fctx st ~until ~terminal
+           | None -> spend_idle model st (until -. st.f.now));
+        false
+    | Policy.Drpm cfg ->
+        gap_drpm model cfg fctx st ~until;
         false
 
 (* --- servicing --- *)
@@ -670,8 +671,8 @@ let serve model fctx rctx st ~proc ~arrival ~lba ~bytes ~rpm ~recon =
   let seek_distance = if st.last_end < 0 then max_int else lba - st.last_end in
   let start = Float.max arrival st.f.now in
   (* The disk is idle between st.f.now and a later start only when it was
-     left ready before the arrival; gap handlers already advanced st.f.now
-     to the arrival for gaps, so any remainder here is spin-up overhang
+     left ready before the arrival; the gap rule already advanced
+     st.f.now to the arrival, so any remainder here is spin-up overhang
      (st.f.now > arrival) or zero. *)
   if start > st.f.now then spend_idle model st (start -. st.f.now);
   (* Servo recalibration: an injected latency spike stalls the head
@@ -820,124 +821,58 @@ let drpm_window model (cfg : Policy.drpm_config) fctx st ~response ~nominal =
     st.f.win_nominal <- 0.0
   end
 
-(* Serve request [r] issued at [issue] (closed-loop actual time).
-   [hinted] says whether the simulation carries a compiler hint stream:
-   a proactive policy with hints executes the directives, a proactive
-   policy without falls back to the omniscient gap planner.  Returns the
-   response time. *)
-let rec handle_request model policy ctrl fctx rctx st (r : Request.t) ~issue ~hinted ~recon =
-  match policy with
-  | Policy.No_pm ->
-      if issue > st.f.now then gap_no_pm model st ~until:issue;
-      serve model fctx rctx st ~proc:r.Request.proc ~arrival:issue ~lba:r.lba ~bytes:r.size
-        ~rpm:model.Disk_model.rpm_max ~recon
-  | Policy.Tpm cfg when cfg.Policy.proactive ->
-      if hinted then begin
-        let hs = take_hints st ~upto:r.Request.arrival_ms in
-        if issue > st.f.now then
-          gap_tpm_hinted model fctx st ~until:issue ~terminal:false
-            ~spin_down:(hint_spin_down hs) ~lead:(hint_lead hs)
-      end
-      else if issue > st.f.now then
-        gap_tpm_proactive model cfg fctx st ~until:issue ~terminal:false;
-      serve model fctx rctx st ~proc:r.Request.proc ~arrival:issue ~lba:r.lba ~bytes:r.size
-        ~rpm:model.Disk_model.rpm_max ~recon
-  | Policy.Tpm cfg ->
-      let spun_down = if issue > st.f.now then gap_tpm model cfg st ~until:issue else false in
-      if spun_down then begin
-        (* Reactive spin-up: starts at the arrival (or at the end of an
-           in-flight spin-down), delays the service. *)
-        st.f.now <- Float.max st.f.now issue;
-        spin_up model fctx st
-      end;
-      serve model fctx rctx st ~proc:r.Request.proc ~arrival:issue ~lba:r.lba ~bytes:r.size
-        ~rpm:model.Disk_model.rpm_max ~recon
-  | Policy.Adaptive _ ->
-      let ctrl = match ctrl with Some c -> c | None -> assert false in
-      let spun_down =
-        if issue > st.f.now then gap_adaptive model ctrl fctx st ~until:issue ~terminal:false
-        else false
-      in
-      if spun_down then begin
-        st.f.now <- Float.max st.f.now issue;
-        spin_up model fctx st
-      end;
-      (* Feed the controller the arrival it just witnessed; the decision
-         it derives (at an epoch boundary) governs *future* gaps. *)
-      Online.observe ctrl ~disk:st.id ~now_ms:issue;
-      let response =
-        serve model fctx rctx st ~proc:r.Request.proc ~arrival:issue ~lba:r.lba ~bytes:r.size
-          ~rpm:st.rpm ~recon
-      in
-      (* After a dip the request was served slow, as in the reactive
-         DRPM path. *)
-      recover_one_level model fctx st;
-      response
-  | Policy.Drpm cfg when cfg.Policy.proactive && hinted && serving_degraded fctx st ->
-      (* The compiler's directive assumed a disk that obeys speed
-         commands; a stuck-RPM window invalidates it.  Degrade to the
-         reactive twin for this request: idle or serve slow, recover
-         once the window expires — never stall. *)
-      handle_request model (Policy.reactive_fallback policy) ctrl fctx rctx st r ~issue
-        ~hinted:false ~recon
+(* Serve request [r] issued at [issue] (closed-loop actual time): take
+   the directives addressed to its window, run the window under the
+   gap rule, pay a reactive spin-up if the window left the disk spun
+   down, serve, and keep the speed bookkeeping.  [directed] says the run's
+   hint stream directs this proactive policy.  Returns the response
+   time. *)
+let handle_request model policy ctrl fctx rctx st (r : Request.t) ~issue ~directed ~recon =
+  let hs = if directed then take_hints st ~upto:r.Request.arrival_ms else [] in
+  (* The compiler's speed directive assumed a disk that obeys speed
+     commands; a stuck-RPM window invalidates it.  Degrade to the
+     reactive twin for this request, which drops the window's
+     directives: idle or serve slow, recover once the window expires —
+     never stall. *)
+  let policy =
+    match policy with
+    | Policy.Drpm cfg when cfg.Policy.proactive && directed && serving_degraded fctx st ->
+        Policy.reactive_fallback policy
+    | _ -> policy
+  in
+  if idle_window model policy ctrl fctx st hs ~directed ~until:issue ~terminal:false then begin
+    (* Reactive spin-up: starts at the arrival (or at the end of an
+       in-flight spin-down), delays the service. *)
+    st.f.now <- Float.max st.f.now issue;
+    spin_up model fctx st
+  end;
+  (* Feed the online controller the arrival it just witnessed; the
+     decision it derives (at an epoch boundary) governs future gaps. *)
+  (match ctrl with Some c -> Online.observe c ~disk:st.id ~now_ms:issue | None -> ());
+  let prev_end = st.last_end in
+  let response =
+    serve model fctx rctx st ~proc:r.Request.proc ~arrival:issue ~lba:r.lba ~bytes:r.size
+      ~rpm:st.rpm ~recon
+  in
+  (* A request served below full speed (after a DRPM or online dip)
+     ramps back one level; at full speed this is a no-op. *)
+  recover_one_level model fctx st;
+  (match policy with
   | Policy.Drpm cfg ->
-      (if cfg.Policy.proactive && hinted then begin
-         let hs = take_hints st ~upto:r.Request.arrival_ms in
-         if issue > st.f.now then begin
-           match hint_target_rpm hs with
-           | Some rpm ->
-               gap_drpm_proactive ~target_rpm:rpm model cfg fctx st ~until:issue
-                 ~terminal:false
-           | None ->
-               (* No directive: the compiler planned no dip for this gap. *)
-               spend_idle model st (issue -. st.f.now)
-         end
-       end
-       else if issue > st.f.now then begin
-         if cfg.Policy.proactive then
-           gap_drpm_proactive model cfg fctx st ~until:issue ~terminal:false
-         else gap_drpm model cfg fctx st ~until:issue
-       end);
-      let seek_distance = if st.last_end < 0 then max_int else r.lba - st.last_end in
-      let nominal =
-        Disk_model.service_ms ~seek_distance model ~rpm:model.Disk_model.rpm_max
-          ~bytes:r.size
-      in
-      let response =
-        serve model fctx rctx st ~proc:r.Request.proc ~arrival:issue ~lba:r.lba ~bytes:r.size
-          ~rpm:st.rpm ~recon
-      in
-      (* Ramp back toward full speed one level per serviced request. *)
-      recover_one_level model fctx st;
-      drpm_window model cfg fctx st ~response ~nominal;
-      response
+      let seek_distance = if prev_end < 0 then max_int else r.lba - prev_end in
+      drpm_window model cfg fctx st ~response
+        ~nominal:
+          (Disk_model.service_ms ~seek_distance model ~rpm:model.Disk_model.rpm_max
+             ~bytes:r.size)
+  | _ -> ());
+  response
 
 (* Trailing window: account the timeline from the last completion to the
    global makespan, with no arrival to terminate the gap. *)
-let handle_trailing model policy ctrl fctx st ~until ~hinted =
+let handle_trailing model policy ctrl fctx st ~until ~directed =
   if until > st.f.now then begin
-    match policy with
-    | Policy.No_pm -> gap_no_pm model st ~until
-    | Policy.Adaptive _ ->
-        let ctrl = match ctrl with Some c -> c | None -> assert false in
-        ignore (gap_adaptive model ctrl fctx st ~until ~terminal:true)
-    | Policy.Tpm cfg when cfg.Policy.proactive ->
-        if hinted then
-          let hs = take_hints st ~upto:infinity in
-          gap_tpm_hinted model fctx st ~until ~terminal:true
-            ~spin_down:(hint_spin_down hs) ~lead:None
-        else gap_tpm_proactive model cfg fctx st ~until ~terminal:true
-    | Policy.Tpm cfg -> ignore (gap_tpm model cfg st ~until)
-    | Policy.Drpm cfg when cfg.Policy.proactive ->
-        if hinted then begin
-          let hs = take_hints st ~upto:infinity in
-          match hint_target_rpm hs with
-          | Some rpm ->
-              gap_drpm_proactive ~target_rpm:rpm model cfg fctx st ~until ~terminal:true
-          | None -> spend_idle model st (until -. st.f.now)
-        end
-        else gap_drpm_proactive model cfg fctx st ~until ~terminal:true
-    | Policy.Drpm cfg -> gap_drpm model cfg fctx st ~until
+    let hs = if directed then take_hints st ~upto:infinity else [] in
+    ignore (idle_window model policy ctrl fctx st hs ~directed ~until ~terminal:true)
   end;
   (* A TPM spin-down may overshoot [until]; clamp for reporting. *)
   if st.f.now > until then st.f.now <- until
@@ -1081,7 +1016,15 @@ let simulate ?(model = Disk_model.ultrastar_36z15) ?(obs = Sink.null) ?(hints = 
           (Printf.sprintf "Engine.simulate: non-finite hint time (at_ms %g, lead_ms %g)"
              h.Hint.at_ms lead_ms))
     hints;
-  let hinted = hints <> [] in
+  (* Hints direct only a proactive policy; the others never take them. *)
+  let directed =
+    hints <> []
+    &&
+    match policy with
+    | Policy.Tpm c -> c.Policy.proactive
+    | Policy.Drpm c -> c.Policy.proactive
+    | Policy.No_pm | Policy.Adaptive _ -> false
+  in
   let fctx =
     Option.map
       (fun cfg -> { inj = Injector.make cfg ~disks; retry = knobs.Knobs.retry })
@@ -1205,17 +1148,15 @@ let simulate ?(model = Disk_model.ultrastar_36z15) ?(obs = Sink.null) ?(hints = 
         in
         let st = states.(target) in
         (* Scrub runs first, out of the same idle window the policy
-           is about to manage (and outside [handle_request], so the
-           stuck-RPM fallback recursion cannot double-spend the
-           budget); the policy then sees the shrunken remainder. *)
+           is about to manage; the policy then sees the shrunken
+           remainder. *)
         (match rctx with
         | Some rx when issue > st.f.now -> scrub_gap model rx st ~until:issue
         | _ -> ());
         let response =
-          handle_request model policy ctrl fctx rctx st r ~issue ~hinted
+          handle_request model policy ctrl fctx rctx st r ~issue ~directed
             ~recon:(target <> r.Request.disk)
         in
-        ignore response;
         clocks.(p) <- issue +. response;
         enqueue p;
         last_completion.(target) <- st.f.now;
@@ -1279,11 +1220,11 @@ let simulate ?(model = Disk_model.ultrastar_36z15) ?(obs = Sink.null) ?(hints = 
                as the makespan allows, then idles out the remainder at
                full power (no PM on a rebuilding spare). *)
             advance_rebuild model rx st ~until:makespan;
-            if Repair.is_failed rx.rc st.id then gap_no_pm model st ~until:makespan
+            if Repair.is_failed rx.rc st.id then spend_idle model st (makespan -. st.f.now)
           end
           else if makespan > st.f.now then scrub_gap model rx st ~until:makespan
       | None -> ());
-      handle_trailing model policy ctrl fctx st ~until:makespan ~hinted)
+      handle_trailing model policy ctrl fctx st ~until:makespan ~directed)
     states;
   let per_disk =
     Array.mapi
@@ -1360,10 +1301,9 @@ let pp_reliability ?(model = Disk_model.ultrastar_36z15) ppf r =
       remaps hits found chunks recon fo fails rebuilt
 
 let pp_result ppf r =
-  Format.fprintf ppf "@[<v>policy %s: energy %.1f J, io time %.1f ms, makespan %.1f ms@,%a@]"
-    r.policy r.energy_j r.io_time_ms r.makespan_ms
-    (Format.pp_print_list pp_disk_stats)
-    (Array.to_list r.per_disk)
+  Format.fprintf ppf "policy %s: energy %.1f J, disk I/O time %.1f s, makespan %.1f s@\n"
+    r.policy r.energy_j (r.io_time_ms /. 1000.) (r.makespan_ms /. 1000.);
+  pp_reliability ppf r
 
 (* --- conservation accessors ---
 

@@ -7,11 +7,13 @@ module Request = Dp_trace.Request
     previous request completes, so a stall on one request (a reactive
     spin-up, queueing) delays every later request of that processor by
     the same amount.  A trace's nominal [arrival_ms] only orders each
-    processor's stream and places the hints.  For every inter-request
-    gap the active policy decides the node's power trajectory (stay
-    idle, spin down, or shift rotation speed); energy is integrated over
-    the full timeline of every node up to the global makespan, so
-    savings on one node are never hidden by activity on another.
+    processor's stream and places the hints.  One gap rule decides a
+    node's power trajectory (stay idle, spin down, or shift rotation
+    speed) over each of its idle windows: interior when a request
+    arrives at the window's end, terminal from the node's last service
+    to the global makespan.  Energy is integrated over the full timeline
+    of every node up to that makespan, so savings on one node are never
+    hidden by activity on another.
 
     A run can additionally carry a seeded fault injector (see
     {!Dp_faults}): spin-up failures, transient media errors, latency
@@ -136,8 +138,15 @@ val simulate :
     — reactive stall); a [proactive] DRPM policy dips to each gap's
     [Set_rpm] target.  Directives that no longer fit their actual gap
     (closed-loop drift) degrade to plain idling, never to a stall.  With
-    an empty stream, proactive policies keep their omniscient built-in
-    planning; reactive policies ignore hints entirely.
+    an empty stream, proactive policies plan each window from the known
+    schedule.  Planned TPM runs the same executor as hinted TPM, on the
+    directives the schedule implies: spin down when the window exceeds
+    both the idle threshold and a full spin-down/spin-up cycle, with a
+    lead of one spin-up, so the disk is back at speed exactly at the
+    arrival.  Reactive policies ignore hints entirely.  A proactive DRPM
+    request served inside a stuck-RPM window falls back to reactive DRPM
+    for its window ({!Policy.reactive_fallback}) and drops that window's
+    directives, so the next window executes its own.
 
     [knobs] (default {!Knobs.none}) are the run's fault window, repair
     domain (armed per {!Knobs.armed_repair}), spare override (applied to
@@ -150,12 +159,16 @@ val wear_fraction : Disk_model.t -> disk_stats -> float
     policy trading energy for wear shows up here. *)
 
 val pp_result : Format.formatter -> result -> unit
+(** The summary both CLIs print after a simulation: the policy line
+    (energy, disk I/O time and makespan, in seconds) followed by
+    {!pp_reliability}. *)
+
 val pp_disk_stats : Format.formatter -> disk_stats -> unit
 
 val pp_reliability : ?model:Disk_model.t -> Format.formatter -> result -> unit
 (** The one-line wear/retry/degraded-time summary of a run: worst-disk
     {!wear_fraction} plus retry/spike counts and degraded time summed
-    across disks (the line both CLIs print after a simulation). *)
+    across disks, and a repair line when the repair domain acted. *)
 
 (** {1 Conservation accessors}
 

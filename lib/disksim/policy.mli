@@ -112,4 +112,7 @@ val backoff_ms : retry_config -> attempt:int -> float
 val reactive_fallback : t -> t
 (** The same policy with [proactive] cleared: what a compiler-directed
     controller falls back to for a gap whose directive a fault
-    invalidated (idle, or serve slow and recover reactively). *)
+    invalidated (idle, or serve slow and recover reactively).  The
+    engine applies it to a proactive DRPM request served inside a
+    stuck-RPM window; the directives addressed to that gap are consumed
+    with it, so a later gap never executes them. *)

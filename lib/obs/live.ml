@@ -8,18 +8,12 @@ type disk_live = {
   mutable state_since_ms : float;
   mutable now_ms : float;
   mutable energy_j : float;
-  mutable busy_ms : float;
-  mutable idle_ms : float;
-  mutable standby_ms : float;
-  mutable transition_ms : float;
   mutable requests : int;
-  mutable hints : int;
   mutable faults : int;
   mutable repairs : int;
   mutable deadline_misses : int;
   mutable ewma_interarrival_ms : float;
   mutable last_arrival_ms : float;
-  response_ms : Metrics.histogram;
   recent : float array;
   mutable recent_len : int;
   mutable recent_next : int;
@@ -67,20 +61,12 @@ let create ?(epoch_ms = 1000.0) ?(window = 256) ?(track = 64) ~disks () =
             state_since_ms = 0.0;
             now_ms = 0.0;
             energy_j = 0.0;
-            busy_ms = 0.0;
-            idle_ms = 0.0;
-            standby_ms = 0.0;
-            transition_ms = 0.0;
             requests = 0;
-            hints = 0;
             faults = 0;
             repairs = 0;
             deadline_misses = 0;
             ewma_interarrival_ms = 0.0;
             last_arrival_ms = Float.nan;
-            response_ms =
-              Metrics.histogram ~edges:Report.response_edges
-                (Printf.sprintf "disk %d live responses (ms)" disk);
             recent = Array.make window 0.0;
             recent_len = 0;
             recent_next = 0;
@@ -147,12 +133,6 @@ let feed t ev =
       check_disk t "feed" p.disk;
       let d = t.d.(p.disk) in
       d.energy_j <- d.energy_j +. p.energy_j;
-      let sidx = state_index p.state in
-      (match sidx with
-      | 0 -> d.busy_ms <- d.busy_ms +. p.charge_ms
-      | 1 -> d.idle_ms <- d.idle_ms +. p.charge_ms
-      | 2 -> d.standby_ms <- d.standby_ms +. p.charge_ms
-      | _ -> d.transition_ms <- d.transition_ms +. p.charge_ms);
       (* Residency clock: a span of a new state (an RPM change counts —
          IDLE@12000 and IDLE@6000 are different rows on the console)
          restarts it; contiguous spans of the same state extend it. *)
@@ -161,15 +141,13 @@ let feed t ev =
         d.state_since_ms <- p.start_ms
       end;
       if p.stop_ms > d.now_ms then d.now_ms <- p.stop_ms;
-      span_track t t.ep.(p.disk) p.start_ms p.stop_ms sidx;
+      span_track t t.ep.(p.disk) p.start_ms p.stop_ms (state_index p.state);
       bump_now t p.stop_ms
   | Event.Service s ->
       check_disk t "feed" s.disk;
       let d = t.d.(s.disk) in
       d.requests <- d.requests + 1;
-      let resp = s.stop_ms -. s.arrival_ms in
-      Metrics.observe d.response_ms resp;
-      d.recent.(d.recent_next) <- resp;
+      d.recent.(d.recent_next) <- s.stop_ms -. s.arrival_ms;
       d.recent_next <- (d.recent_next + 1) mod Array.length d.recent;
       if d.recent_len < Array.length d.recent then d.recent_len <- d.recent_len + 1;
       (* EWMA over inter-arrival times, alpha 0.2: recent enough to
@@ -185,7 +163,6 @@ let feed t ev =
       bump_now t s.stop_ms
   | Event.Hint_exec h ->
       check_disk t "feed" h.disk;
-      t.d.(h.disk).hints <- t.d.(h.disk).hints + 1;
       bump_now t h.at_ms
   | Event.Fault f ->
       check_disk t "feed" f.disk;
@@ -209,10 +186,6 @@ let now_ms t = t.g_now_ms
 let events_seen t = t.seen
 let epoch_ms t = t.e_ms
 let epochs_completed t = int_of_float (t.g_now_ms /. t.e_ms)
-
-let percentile t ~disk q =
-  check_disk t "percentile" disk;
-  Metrics.quantile t.d.(disk).response_ms q
 
 let recent_percentile t ~disk q =
   check_disk t "recent_percentile" disk;

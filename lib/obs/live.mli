@@ -7,11 +7,9 @@
     - the {b current power state} and its residency clock (how long the
       disk has been in it, in simulated time);
     - an {b EWMA arrival rate} over inter-arrival times;
-    - {b response percentiles}, both cumulative (the same log-bucket
-      histogram {!Report} builds post hoc, so end-of-run values agree
-      exactly — property-tested) and over a sliding window of the most
-      recent responses (what the console rows show);
-    - {b energy so far}, request/hint/fault/repair/deadline counters;
+    - {b response percentiles} over a sliding window of the most recent
+      responses;
+    - {b energy so far} and request/fault/repair/deadline counters;
     - a {b power-state track}: one byte per simulated-time epoch
       recording the state the disk spent most of that epoch in — the
       sparkline the TTY renderer draws.
@@ -34,18 +32,12 @@ type disk_live = {
   mutable state_since_ms : float;  (** when the current state began *)
   mutable now_ms : float;  (** the disk's own time frontier *)
   mutable energy_j : float;
-  mutable busy_ms : float;
-  mutable idle_ms : float;
-  mutable standby_ms : float;
-  mutable transition_ms : float;
   mutable requests : int;
-  mutable hints : int;
   mutable faults : int;
   mutable repairs : int;
   mutable deadline_misses : int;
   mutable ewma_interarrival_ms : float;  (** 0 until two arrivals seen *)
   mutable last_arrival_ms : float;
-  response_ms : Metrics.histogram;  (** cumulative, {!Report.response_edges} *)
   recent : float array;  (** sliding window of the last responses *)
   mutable recent_len : int;
   mutable recent_next : int;
@@ -81,11 +73,6 @@ val epoch_ms : t -> float
 val epochs_completed : t -> int
 (** Simulated-time epochs fully elapsed: [floor (now_ms / epoch_ms)].
     The TTY driver emits a frame whenever this advances. *)
-
-val percentile : t -> disk:int -> float -> float
-(** Cumulative response quantile (bucket upper edge) — identical to
-    [Metrics.quantile] on the post-hoc {!Report}'s [response_ms] at
-    end of run. *)
 
 val recent_percentile : t -> disk:int -> float -> float
 (** Exact nearest-rank percentile over the sliding window (0 when the

@@ -28,11 +28,6 @@ type hardware = {
 
 type mech = Stay | Spin of float | Dip of int * float
 
-let mech_name = function
-  | Stay -> "stay"
-  | Spin t -> Printf.sprintf "spin(%.0f ms)" t
-  | Dip (rpm, t) -> Printf.sprintf "dip(%d rpm, %.0f ms)" rpm t
-
 (* Per-disk learner: the smoothed gap estimate, the arrival that last
    updated it, and the epoch-frozen decision derived from it. *)
 type disk_state = {
@@ -112,5 +107,4 @@ let observe t ~disk ~now_ms =
   end
 
 let decide t ~disk = t.per_disk.(disk).mech
-let predicted_gap_ms t ~disk = t.per_disk.(disk).ewma_ms
 let epoch t ~disk = t.per_disk.(disk).epochs

@@ -81,13 +81,5 @@ val observe : t -> disk:int -> now_ms:float -> unit
 val decide : t -> disk:int -> mech
 (** The disk's current (epoch-frozen) decision. *)
 
-val predicted_gap_ms : t -> disk:int -> float
-(** The current smoothed inter-arrival estimate (0 before any sample) —
-    exposed for reports and tests. *)
-
 val epoch : t -> disk:int -> int
 (** How many epoch boundaries the disk has crossed. *)
-
-val mech_name : mech -> string
-(** ["stay"], ["spin(<ms>)"], ["dip(<rpm>,<ms>)"] — used by
-    observability decision events. *)

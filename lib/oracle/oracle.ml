@@ -335,20 +335,6 @@ let hints_of_trace ?(model = Disk_model.ultrastar_36z15) ?(space = Full_space) ~
     completion;
   List.sort Hint.compare_at !hints
 
-let pp_action ppf = function
-  | Stay_idle -> Format.pp_print_string ppf "idle"
-  | Spin_cycle -> Format.pp_print_string ppf "spin-cycle"
-  | Rpm_dip rpm -> Format.fprintf ppf "dip@%d" rpm
-
-let pp_plan ppf p =
-  Format.fprintf ppf "@[<v>%a@,total %.1f J@]"
-    (Format.pp_print_list (fun ppf s ->
-         Format.fprintf ppf "[%.0f..%.0f ms%s] %a: %.2f J" s.gap.start_ms
-           (s.gap.start_ms +. s.gap.len_ms)
-           (if s.gap.terminal then " terminal" else "")
-           pp_action s.action s.energy_j))
-    p.steps p.energy_j
-
 let pp_bound ppf b =
   Format.fprintf ppf
     "%s lower bound: %.1f J (busy floor %.1f J + optimal gaps %.1f J; no-PM reference \

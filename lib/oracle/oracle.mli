@@ -151,5 +151,4 @@ val hints_of_trace :
     list already in arrival order is not re-sorted
     ({!Request.sort_arrival}). *)
 
-val pp_plan : Format.formatter -> plan -> unit
 val pp_bound : Format.formatter -> bound -> unit

@@ -89,8 +89,6 @@ let scan t ~payload =
     level 0
   end
 
-let scan_union u ~payload = List.concat_map (fun s -> scan s ~payload) u
-
 (* --- pretty-printing --- *)
 
 let pp_bound ~ceil ppf b =

@@ -31,9 +31,6 @@ val scan : Iset.t -> payload:string -> code list
 (** Code scanning all points of the set.
     @raise Iset.Unbounded when some variable lacks a symbolic bound. *)
 
-val scan_union : Union.t -> payload:string -> code list
-(** One scan per disjunct, in order. *)
-
 val pp : Format.formatter -> code list -> unit
 
 val points_of_code : code list -> (string -> int) -> int array list

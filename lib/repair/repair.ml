@@ -242,10 +242,3 @@ let rebuild_step t ~disk ~blocks =
     m.c <- { m.c with rebuilds = m.c.rebuilds + 1 }
   end;
   done_
-
-let pp_config ppf c =
-  Format.fprintf ppf
-    "repair: surface %d x %d B blocks, scrub %g ms/gap (%d-block chunks), rebuild %d \
-     blocks (%d-block slices), fail threshold %d defects"
-    c.surface_blocks c.block_bytes c.scrub_budget_ms c.scrub_chunk_blocks c.rebuild_blocks
-    c.rebuild_chunk_blocks c.fail_threshold

@@ -129,5 +129,3 @@ val rebuild_step : t -> disk:int -> blocks:int -> bool
 (** Account one rebuild slice; [true] when the copy is complete and the
     slot is restored to healthy service.
     @raise Invalid_argument when the disk is not failed. *)
-
-val pp_config : Format.formatter -> config -> unit

@@ -683,8 +683,6 @@ let collect src =
 let decode ?file s = collect (src_of_string ?file s)
 let load_bin path = with_file path collect
 
-let sniff_string s = String.length s >= 4 && String.sub s 0 4 = magic
-
 let sniff path =
   match open_in_bin path with
   | exception Sys_error _ -> false

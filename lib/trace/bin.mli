@@ -107,9 +107,6 @@ val fold_path :
     folds in constant space.  Returns the fold result and the header's
     [rounds] metadata. *)
 
-val sniff_string : string -> bool
-(** Does this buffer start with {!magic}? *)
-
 val sniff : string -> bool
 (** Does this file start with {!magic}?  [false] on any read error. *)
 

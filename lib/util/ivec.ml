@@ -1,6 +1,5 @@
 type t = int array
 
-let dim = Array.length
 let zero n = Array.make n 0
 let of_list = Array.of_list
 let to_list = Array.to_list

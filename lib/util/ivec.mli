@@ -4,7 +4,6 @@
 
 type t = int array
 
-val dim : t -> int
 val zero : int -> t
 val of_list : int list -> t
 val to_list : t -> int list

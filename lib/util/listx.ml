@@ -47,8 +47,6 @@ let index_of p xs =
   in
   loop 0 xs
 
-let cartesian xs ys = List.concat_map (fun x -> List.map (fun y -> (x, y)) ys) xs
-
 let uniq eq xs =
   let rec loop seen = function
     | [] -> List.rev seen

@@ -14,6 +14,5 @@ val range : int -> int -> int list
 (** [range lo hi] is [lo; lo+1; ...; hi] (empty if [lo > hi]). *)
 
 val index_of : ('a -> bool) -> 'a list -> int option
-val cartesian : 'a list -> 'b list -> ('a * 'b) list
 val uniq : ('a -> 'a -> bool) -> 'a list -> 'a list
 (** Remove duplicates (per the given equality), keeping first occurrences. *)

@@ -15,7 +15,6 @@ let of_int n = { num = n; den = 1 }
 
 let zero = of_int 0
 let one = of_int 1
-let minus_one = of_int (-1)
 
 let num t = t.num
 let den t = t.den

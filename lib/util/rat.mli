@@ -15,7 +15,6 @@ val of_int : int -> t
 
 val zero : t
 val one : t
-val minus_one : t
 
 val num : t -> int
 val den : t -> int

@@ -251,6 +251,28 @@ let test_repro_roundtrip () =
   | Ok (_, o') ->
       check Alcotest.bool "replay reproduces the violation" true (o'.Check.violations <> [])
 
+let test_repro_replays_trace () =
+  (* A reproducer replays re-resolved emitted source, not the generated
+     IR.  The two differ in structure (the emitter writes one access per
+     statement, where a generated statement can carry several), but the
+     reproducer must replay the scenario's trace.  Each reproducer is
+     written, loaded back as [Chaos.replay] loads it, and its trace
+     compared with the scenario's. *)
+  in_fresh_dir @@ fun dir ->
+  let root = Dp_util.Splitmix.create 7 in
+  let green = { Check.violations = []; runs = 0; requests = 0 } in
+  for _ = 1 to 300 do
+    let s = Scenario.generate (Dp_util.Splitmix.next_int64 root) in
+    Repro.write ~dir s green;
+    match Repro.load ~dir with
+    | Error msg ->
+        Alcotest.failf "token %s: reproducer rejected: %s" (Scenario.token_string s) msg
+    | Ok s' ->
+        if Check.run_trace s' <> Check.run_trace s then
+          Alcotest.failf "token %s: the reproducer replays another trace"
+            (Scenario.token_string s)
+  done
+
 let test_soak_deterministic_and_green () =
   in_fresh_dir @@ fun dir ->
   let cfg = { Chaos.default_config with Chaos.seed = 42; budget = Some 4; out_dir = dir } in
@@ -300,6 +322,7 @@ let suites =
         Alcotest.test_case "shrink minimizes" `Slow test_shrink_minimizes;
         Alcotest.test_case "shrink is a no-op when green" `Slow test_shrink_green_is_noop;
         Alcotest.test_case "reproducer round-trip" `Quick test_repro_roundtrip;
+        Alcotest.test_case "reproducer replays the trace" `Quick test_repro_replays_trace;
         Alcotest.test_case "soak deterministic and green" `Slow
           test_soak_deterministic_and_green;
         Alcotest.test_case "sabotaged soak writes reproducers" `Slow

@@ -634,6 +634,37 @@ let test_stuck_rpm_hinted_fallback () =
   check Alcotest.int "no speed changes under the lock" 0 d.Engine.speed_changes;
   check Alcotest.bool "stuck run spends more" true (r.Engine.energy_j > clean.Engine.energy_j)
 
+let test_stuck_rpm_fallback_drops_directives () =
+  (* The third request is served inside a stuck-RPM window, so it falls
+     back to reactive DRPM.  Its window's Set_rpm 12000 must leave with
+     it: the 120 s window after it executes its own Set_rpm 3000, exactly
+     as if the stale directive had never been emitted.  A stale directive
+     left queued would be the first the next window pops, and the disk
+     would idle that window at 12000 rpm. *)
+  let reqs =
+    Test_oracle.nominalize ~disks:1
+      (List.map (fun think -> req ~think ()) [ 0.0; 20_000.0; 2_200.0; 120_000.0 ])
+  in
+  let hints = Dp_oracle.Oracle.hints_of_trace ~space:Dp_oracle.Oracle.Drpm_space ~disks:1 reqs in
+  check
+    Alcotest.(list string)
+    "one Set_rpm per window"
+    [ "set-rpm(3000)"; "set-rpm(12000)"; "set-rpm(3000)" ]
+    (List.map (fun (h : Hint.t) -> Hint.action_name h.Hint.action) hints);
+  let knobs =
+    faulty
+      (Fault_model.make ~classes:[ Fault_model.Stuck_rpm ] ~stuck_window_ms:21_500. ~seed:4
+         ~rate:0.5 ())
+  in
+  let policy = Policy.drpm ~proactive:true () in
+  let run hints = Engine.simulate ~hints ~knobs ~disks:1 policy reqs in
+  let without_stale =
+    List.filter (fun (h : Hint.t) -> h.Hint.action <> Hint.Set_rpm 12000) hints
+  in
+  check (Alcotest.float 0.05) "energy of the stale-free run" 866.9 (run hints).Engine.energy_j;
+  check Alcotest.bool "same run as without the stale directive" true
+    (run hints = run without_stale)
+
 let test_rate_zero_with_hints () =
   let r2 = { (req ~think:30_000.0 ~lba:(1 lsl 30) ()) with Request.arrival_ms = 30_010.0 } in
   let reqs = [ req ~think:10.0 (); r2 ] in
@@ -892,6 +923,8 @@ let suites =
         Alcotest.test_case "media retries accounted" `Quick test_media_retries_accounted;
         Alcotest.test_case "latency spikes accounted" `Quick test_latency_spikes_accounted;
         Alcotest.test_case "stuck-RPM hinted fallback" `Quick test_stuck_rpm_hinted_fallback;
+        Alcotest.test_case "stuck-RPM fallback drops its directives" `Quick
+          test_stuck_rpm_fallback_drops_directives;
         Alcotest.test_case "rate zero with hints" `Quick test_rate_zero_with_hints;
         Alcotest.test_case "wear fraction" `Quick test_wear_fraction;
         Alcotest.test_case "retry config" `Quick test_backoff_bounded;

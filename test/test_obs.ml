@@ -257,13 +257,8 @@ let test_live_fold () =
   List.iter (Live.feed t) live_story;
   let d = (Live.disks t).(0) in
   check Alcotest.bool "ends active" true (d.Live.state = Event.Active);
-  check (Alcotest.float 1e-9) "busy" 20.0 d.Live.busy_ms;
-  check (Alcotest.float 1e-9) "idle" 1000.0 d.Live.idle_ms;
-  check (Alcotest.float 1e-9) "standby" 500.0 d.Live.standby_ms;
-  check (Alcotest.float 1e-9) "transition" 30.0 d.Live.transition_ms;
   check (Alcotest.float 1e-9) "energy" (10.2 +. 0.27) d.Live.energy_j;
   check Alcotest.int "requests" 2 d.Live.requests;
-  check Alcotest.int "hints" 1 d.Live.hints;
   check Alcotest.int "faults" 1 d.Live.faults;
   check Alcotest.int "repairs" 1 d.Live.repairs;
   check (Alcotest.float 1e-9) "now" 1550.0 (Live.now_ms t);
@@ -474,9 +469,9 @@ let qtest ?(count = 30) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
 
 let test_live_matches_report =
-  (* Whatever a random faulty run emits, the Live aggregator's
-     cumulative percentiles, energy and counters at end of run equal the
-     post-hoc Report built from a ring recording of the same stream. *)
+  (* Whatever a random faulty run emits, the Live aggregator's energy
+     and counters at end of run equal those of the post-hoc Report built
+     from the same stream. *)
   qtest "Live agrees with post-hoc Report"
     QCheck2.Gen.(pair (int_range 0 9999) (int_range 0 3))
     (fun (seed, rate_idx) ->
@@ -506,15 +501,11 @@ let test_live_matches_report =
         (fun (r : Report.disk_report) ->
           let d = r.Report.disk in
           let dl = (Live.disks live).(d) in
-          List.for_all
-            (fun q ->
-              Metrics.quantile r.Report.response_ms q = Live.percentile live ~disk:d q)
-            [ 0.25; 0.5; 0.9; 0.99; 1.0 ]
-          && r.Report.requests = dl.Live.requests
+          r.Report.requests = dl.Live.requests
           && r.Report.energy_j = dl.Live.energy_j
           && r.Report.faults = dl.Live.faults
-          && r.Report.busy_ms = dl.Live.busy_ms
-          && r.Report.standby_ms = dl.Live.standby_ms)
+          && r.Report.repairs = dl.Live.repairs
+          && r.Report.deadline_misses = dl.Live.deadline_misses)
         reports)
 
 (* --- engine integration and the Chrome exporter --- *)

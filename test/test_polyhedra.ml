@@ -1,9 +1,8 @@
-(* Tests for the omega-lite integer set library: constraints, sets,
-   unions and loop code generation. *)
+(* Tests for the omega-lite integer set library: constraints, sets and
+   loop code generation. *)
 
 module Lincons = Dp_polyhedra.Lincons
 module Iset = Dp_polyhedra.Iset
-module Union = Dp_polyhedra.Union
 module Codegen = Dp_polyhedra.Codegen
 module Ir = Dp_ir.Ir
 module A = Dp_affine.Affine
@@ -198,40 +197,6 @@ let test_iset_misc () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "duplicate vars rejected"
 
-let test_union_intersect () =
-  let u =
-    Union.union (Union.of_iset (box2 0 3 0 0)) (Union.of_iset (box2 10 13 0 0))
-  in
-  let cut = Union.intersect_iset u (box2 2 11 0 0) in
-  check Alcotest.int "clipped cardinal" 4 (Union.cardinal cut);
-  check Alcotest.bool "kept point" true (Union.contains cut [| 3; 0 |]);
-  check Alcotest.bool "dropped point" false (Union.contains cut [| 0; 0 |])
-
-(* --- Union --- *)
-
-let prop_difference_semantics =
-  qtest ~count:80 "Union: u - s has membership (in u) && (not in s)"
-    QCheck2.Gen.(pair small_set_gen small_set_gen)
-    (fun (a, b) ->
-      let diff = Union.difference (Union.of_iset a) b in
-      let ok = ref true in
-      for xv = -10 to 12 do
-        for yv = -10 to 12 do
-          let p = [| xv; yv |] in
-          let expected = Iset.contains a p && not (Iset.contains b p) in
-          if Union.contains diff p <> expected then ok := false
-        done
-      done;
-      !ok)
-
-let test_union_basic () =
-  let a = box2 0 2 0 0 and b = box2 2 4 0 0 in
-  let u = Union.union (Union.of_iset a) (Union.of_iset b) in
-  check Alcotest.int "union dedup cardinal" 5 (Union.cardinal u);
-  check Alcotest.bool "not empty" false (Union.is_empty_exact u);
-  let nothing = Union.difference u (box2 (-1) 5 0 0) in
-  check Alcotest.bool "covered difference empty" true (Union.is_empty_exact nothing)
-
 (* --- Codegen --- *)
 
 let test_codegen_box () =
@@ -283,12 +248,6 @@ let suites =
         prop_enumerate_exact;
         prop_eliminate_sound;
         Alcotest.test_case "universe/rename/validation" `Quick test_iset_misc;
-      ] );
-    ( "polyhedra.union",
-      [
-        Alcotest.test_case "basic" `Quick test_union_basic;
-        Alcotest.test_case "intersect" `Quick test_union_intersect;
-        prop_difference_semantics;
       ] );
     ( "polyhedra.codegen",
       [
