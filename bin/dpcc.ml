@@ -29,11 +29,18 @@ let fail fmt = Format.kasprintf (fun s -> raise (Failure s)) fmt
 
 (* Malformed input — source programs, trace/hint/fault lines, bad flag
    values — is a usage-class failure: one-line diagnostic, exit 2, the
-   same code cmdliner uses for CLI errors. *)
-let with_errors f =
+   same code cmdliner uses for CLI errors.  [source] names the program a
+   diagnostic about its accesses points at. *)
+let with_errors ?source f =
   try f () with
   | Failure msg | Sys_error msg ->
       Format.eprintf "dpcc: %s@." msg;
+      exit 2
+  | Layout.Out_of_bounds { array; dim; coord; extent } ->
+      Format.eprintf
+        "dpcc: %s%s: subscript out of bounds: coordinate %d of dimension %d not in [0, %d)@."
+        (match source with Some s -> s ^ ": " | None -> "")
+        array coord dim extent;
       exit 2
   | Dp_lang.Parser.Error (loc, msg) | Dp_lang.Resolver.Error (loc, msg) ->
       Format.eprintf "dpcc: %a: %s@." Dp_lang.Srcloc.pp loc msg;
@@ -165,7 +172,7 @@ let show source deps profile =
 
 let restructure source symbolic profile =
   with_profile profile @@ fun () ->
-  with_errors (fun () ->
+  with_errors ~source (fun () ->
       let ctx = Pipeline.load source in
       let layout = Pipeline.layout ctx and program = Pipeline.program ctx in
       if symbolic then begin
@@ -191,7 +198,7 @@ let restructure source symbolic profile =
 let trace source output procs restructured mode_name gaps with_hints faults_spec
     format_name cache_dir no_cache profile =
   with_profile profile @@ fun () ->
-  with_errors (fun () ->
+  with_errors ~source (fun () ->
       check_procs procs;
       let format = trace_format_of_name format_name in
       if format = `Bin && output = None then
@@ -239,7 +246,7 @@ let policy_of_string name =
 let simulate source procs restructured mode_name policy_name per_disk timeline faults_spec
     shards cache_dir no_cache profile =
   with_profile profile @@ fun () ->
-  with_errors (fun () ->
+  with_errors ~source (fun () ->
       check_procs procs;
       check_shards shards;
       let cache = open_cache ~no_cache ~dir:cache_dir () in
@@ -293,7 +300,7 @@ let simulate source procs restructured mode_name policy_name per_disk timeline f
 
 let report source procs jobs shards json_path obs cache_dir no_cache profile =
   with_profile profile @@ fun () ->
-  with_errors (fun () ->
+  with_errors ~source (fun () ->
       check_jobs jobs;
       check_procs procs;
       check_shards shards;
@@ -322,7 +329,7 @@ let report source procs jobs shards json_path obs cache_dir no_cache profile =
 let fault_sweep source procs jobs shards seed rates classes json_path obs_jsonl cache_dir
     no_cache profile =
   with_profile profile @@ fun () ->
-  with_errors (fun () ->
+  with_errors ~source (fun () ->
       check_jobs jobs;
       check_procs procs;
       check_shards shards;

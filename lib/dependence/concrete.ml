@@ -1,6 +1,6 @@
 module Ir = Dp_ir.Ir
 
-type instance = { seq : int; nest_id : int; iter : Dp_util.Ivec.t }
+type instance = { seq : int; nest : int; nest_id : int; iter : Dp_util.Ivec.t }
 
 type graph = {
   instances : instance array;
@@ -12,35 +12,15 @@ type graph = {
    key is base + row-major linear index.  Subscripts may run out of the
    declared bounds (the IR does not forbid it); such accesses are hashed
    into the same space modulo the array size, which is conservative. *)
-type elem_space = {
-  base_of_array : (string, int * int array) Hashtbl.t;
-      (* name -> (base offset, dimension extents) *)
-  total : int;
-}
-
-let make_elem_space (prog : Ir.program) =
-  let base_of_array = Hashtbl.create 8 in
-  let next = ref 0 in
-  List.iter
-    (fun (a : Ir.array_decl) ->
-      Hashtbl.add base_of_array a.name (!next, Array.of_list a.dims);
-      next := !next + Ir.array_elems a)
-    prog.arrays;
-  { base_of_array; total = !next }
-
-let elem_key space array coords =
-  let base, dims = Hashtbl.find space.base_of_array array in
-  let n = Array.length dims in
+let element_key ~base ~extents (a : Ir.Compiled.access) iter =
+  let dims = extents.(a.array) in
   let lin = ref 0 in
-  List.iteri
-    (fun k c ->
-      if k < n then begin
-        let extent = dims.(k) in
-        let c = ((c mod extent) + extent) mod extent in
-        lin := (!lin * extent) + c
-      end)
-    coords;
-  base + !lin
+  for k = 0 to Array.length dims - 1 do
+    let extent = dims.(k) in
+    let c = Ir.Compiled.eval a.subscripts.(k) iter in
+    lin := (!lin * extent) + (((c mod extent) + extent) mod extent)
+  done;
+  base.(a.array) + !lin
 
 let build (prog : Ir.program) =
   Dp_obs.Prof.span "dependence.concrete-build" @@ fun () ->
@@ -49,82 +29,99 @@ let build (prog : Ir.program) =
   | Error (e :: _) ->
       invalid_arg (Format.asprintf "Concrete.build: invalid program: %a" Ir.pp_error e)
   | Error [] -> ());
-  let space = make_elem_space prog in
-  (* Pass 1: enumerate instances and count remaining writes per element,
-     so reader lists are only kept while a future write can consume them. *)
-  let instances = ref [] in
-  let count = ref 0 in
-  let writes_left = Array.make space.total 0 in
-  List.iter
-    (fun (n : Ir.nest) ->
+  let code = Ir.Compiled.compile prog in
+  let arrays = Array.of_list prog.arrays in
+  let extents = Array.map (fun (a : Ir.array_decl) -> Array.of_list a.dims) arrays in
+  let base = Array.make (Array.length arrays) 0 in
+  for k = 1 to Array.length arrays - 1 do
+    base.(k) <- base.(k - 1) + Ir.array_elems arrays.(k - 1)
+  done;
+  let total = Array.fold_left (fun acc a -> acc + Ir.array_elems a) 0 arrays in
+  (* Enumerate the instances once, in original execution order. *)
+  let rev = ref [] and count = ref 0 in
+  List.iteri
+    (fun nest (n : Ir.nest) ->
       Ir.iter_nest n (fun iter ->
-          let seq = !count in
-          incr count;
-          instances := { seq; nest_id = n.nest_id; iter } :: !instances;
-          List.iter
-            (fun ((r : Ir.array_ref), coords) ->
-              if r.mode = Ir.Write then
-                let k = elem_key space r.array coords in
-                writes_left.(k) <- writes_left.(k) + 1)
-            (Ir.element_accesses n iter)))
+          rev := { seq = !count; nest; nest_id = n.nest_id; iter } :: !rev;
+          incr count))
     prog.nests;
   let n_inst = !count in
-  let instances = Array.of_list (List.rev !instances) in
-  (* Pass 2: scan accesses in order, recording edges. *)
-  let last_writer = Array.make space.total (-1) in
-  let readers : int list array = Array.make space.total [] in
-  let pred_lists : int list array = Array.make n_inst [] in
-  let add_edge src dst =
-    if src >= 0 && src <> dst then pred_lists.(dst) <- src :: pred_lists.(dst)
+  let instances = Array.of_list (List.rev !rev) in
+  (* Pass 1: count the writes per element, so reader lists are only
+     kept while a future write can consume them. *)
+  let writes_left = Array.make total 0 in
+  Array.iter
+    (fun inst ->
+      let body = code.(inst.nest).body in
+      for i = 0 to Array.length body - 1 do
+        let accesses = body.(i).accesses in
+        for j = 0 to Array.length accesses - 1 do
+          let a = accesses.(j) in
+          if a.mode = Ir.Write then begin
+            let k = element_key ~base ~extents a inst.iter in
+            writes_left.(k) <- writes_left.(k) + 1
+          end
+        done
+      done)
+    instances;
+  (* Pass 2: scan accesses in order.  Every dependence of an instance
+     ends at it, so its sources are complete once its own accesses are
+     scanned: gather them once each ([mark]) in [srcs], then sort. *)
+  let last_writer = Array.make total (-1) in
+  let readers : int list array = Array.make total [] in
+  let mark = Array.make n_inst (-1) in
+  let srcs = ref (Array.make 8 0) and n_srcs = ref 0 in
+  let add_edge seq src =
+    if src >= 0 && src <> seq && mark.(src) <> seq then begin
+      mark.(src) <- seq;
+      if !n_srcs = Array.length !srcs then srcs := Array.append !srcs !srcs;
+      !srcs.(!n_srcs) <- src;
+      incr n_srcs
+    end
   in
-  let next_seq = ref 0 in
-  List.iter
-    (fun (n : Ir.nest) ->
-      Ir.iter_nest n (fun iter ->
-          let seq = !next_seq in
-          incr next_seq;
-          assert (Dp_util.Ivec.equal instances.(seq).iter iter);
-          List.iter
-            (fun ((r : Ir.array_ref), coords) ->
-              let k = elem_key space r.array coords in
-              match r.mode with
-              | Ir.Read ->
-                  add_edge last_writer.(k) seq;
-                  if writes_left.(k) > 0 then readers.(k) <- seq :: readers.(k)
-              | Ir.Write ->
-                  add_edge last_writer.(k) seq;
-                  List.iter (fun rd -> add_edge rd seq) readers.(k);
-                  readers.(k) <- [];
-                  last_writer.(k) <- seq;
-                  writes_left.(k) <- writes_left.(k) - 1)
-            (Ir.element_accesses n iter)))
-    prog.nests;
   let preds =
     Array.map
-      (fun l -> Array.of_list (List.sort_uniq compare l))
-      pred_lists
+      (fun inst ->
+        let seq = inst.seq and body = code.(inst.nest).body in
+        n_srcs := 0;
+        for i = 0 to Array.length body - 1 do
+          let accesses = body.(i).accesses in
+          for j = 0 to Array.length accesses - 1 do
+            let a = accesses.(j) in
+            let k = element_key ~base ~extents a inst.iter in
+            add_edge seq last_writer.(k);
+            match a.mode with
+            | Ir.Read -> if writes_left.(k) > 0 then readers.(k) <- seq :: readers.(k)
+            | Ir.Write ->
+                List.iter (add_edge seq) readers.(k);
+                readers.(k) <- [];
+                last_writer.(k) <- seq;
+                writes_left.(k) <- writes_left.(k) - 1
+          done
+        done;
+        let ps = Array.sub !srcs 0 !n_srcs in
+        Array.sort Int.compare ps;
+        ps)
+      instances
   in
-  let succ_lists : int list array = Array.make n_inst [] in
+  (* Successor lists by a counting pass: filled in increasing [dst]
+     order, so each comes out sorted. *)
+  let fill = Array.make n_inst 0 in
+  Array.iter (Array.iter (fun src -> fill.(src) <- fill.(src) + 1)) preds;
+  let succs = Array.map (fun k -> Array.make k 0) fill in
+  Array.fill fill 0 n_inst 0;
   Array.iteri
-    (fun dst ps -> Array.iter (fun src -> succ_lists.(src) <- dst :: succ_lists.(src)) ps)
+    (fun dst ps ->
+      Array.iter
+        (fun src ->
+          succs.(src).(fill.(src)) <- dst;
+          fill.(src) <- fill.(src) + 1)
+        ps)
     preds;
-  let succs = Array.map (fun l -> Array.of_list (List.sort compare l)) succ_lists in
   { instances; preds; succs }
 
 let instance_count g = Array.length g.instances
 let edge_count g = Array.fold_left (fun acc p -> acc + Array.length p) 0 g.preds
-
-let nest_positions (prog : Ir.program) g =
-  let pos = Hashtbl.create 16 in
-  List.iteri (fun k (n : Ir.nest) -> Hashtbl.replace pos n.nest_id k) prog.nests;
-  Array.map
-    (fun inst ->
-      match Hashtbl.find_opt pos inst.nest_id with
-      | Some k -> k
-      | None ->
-          invalid_arg
-            (Printf.sprintf "Concrete.nest_positions: unknown nest id %d" inst.nest_id))
-    g.instances
 
 type order_error = Not_permutation of string | Inverted of { src : int; dst : int }
 

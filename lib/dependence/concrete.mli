@@ -14,7 +14,14 @@ module Ir = Dp_ir.Ir
     order ([seq]); iterating nests in program order and iterations in
     lexicographic order recovers them. *)
 
-type instance = { seq : int; nest_id : int; iter : Dp_util.Ivec.t }
+type instance = {
+  seq : int;
+  nest : int;
+      (** position of the instance's nest in [prog.nests]: the index of
+          its {!Ir.Compiled.nest} *)
+  nest_id : int;
+  iter : Dp_util.Ivec.t;
+}
 
 type graph = {
   instances : instance array;  (** indexed by [seq] *)
@@ -23,16 +30,16 @@ type graph = {
 }
 
 val build : Ir.program -> graph
-(** @raise Invalid_argument if the program fails {!Ir.validate}. *)
+(** Enumerates the iteration space once into [instances], then makes
+    two passes over that array with the {!Ir.Compiled} form of the
+    program: one counts the writes per element, the other records the
+    edges.  Element keys are row-major indices into one space over all
+    arrays; a subscript outside its extent wraps modulo the extent,
+    which can only add edges.
+    @raise Invalid_argument if the program fails {!Ir.validate}. *)
 
 val instance_count : graph -> int
 val edge_count : graph -> int
-
-val nest_positions : Ir.program -> graph -> int array
-(** [nest_positions prog g] maps each [seq] to the position of its nest
-    in [prog.nests]: the array index that resolves an instance's nest in
-    O(1).
-    @raise Invalid_argument if an instance names a nest [prog] lacks. *)
 
 (** {1 Legality of restructured orders} *)
 

@@ -351,11 +351,12 @@ let failover_read model rx origin ~bytes =
 (* Hints are timestamped on the nominal (full-speed) timeline and so is
    every request's [arrival_ms]; matching on nominal time keeps the
    routing immune to closed-loop drift between nominal and actual
-   clocks. *)
-let take_hints st ~upto =
+   clocks.  Directives taken with [~executed:false] leave the queue
+   without a [Hint_exec] event: the caller drops them. *)
+let take_hints ~executed st ~upto =
   let rec go acc = function
     | (h : Hint.t) :: rest when h.Hint.at_ms <= upto +. 1e-9 ->
-        if Sink.enabled st.sink then
+        if executed && Sink.enabled st.sink then
           Sink.emit st.sink
             (Obs_event.Hint_exec
                { disk = st.id; at_ms = h.Hint.at_ms; action = Hint.action_name h.Hint.action });
@@ -828,18 +829,21 @@ let drpm_window model (cfg : Policy.drpm_config) fctx st ~response ~nominal =
    hint stream directs this proactive policy.  Returns the response
    time. *)
 let handle_request model policy ctrl fctx rctx st (r : Request.t) ~issue ~directed ~recon =
-  let hs = if directed then take_hints st ~upto:r.Request.arrival_ms else [] in
   (* The compiler's speed directive assumed a disk that obeys speed
      commands; a stuck-RPM window invalidates it.  Degrade to the
      reactive twin for this request, which drops the window's
      directives: idle or serve slow, recover once the window expires —
      never stall. *)
-  let policy =
+  let fallback =
     match policy with
-    | Policy.Drpm cfg when cfg.Policy.proactive && directed && serving_degraded fctx st ->
-        Policy.reactive_fallback policy
-    | _ -> policy
+    | Policy.Drpm cfg -> cfg.Policy.proactive && directed && serving_degraded fctx st
+    | _ -> false
   in
+  (* A window that closes before it opens (the disk is still busy at
+     the issue) drops its directives too; only the others are logged. *)
+  let executed = (not fallback) && issue > st.f.now in
+  let hs = if directed then take_hints ~executed st ~upto:r.Request.arrival_ms else [] in
+  let policy = if fallback then Policy.reactive_fallback policy else policy in
   if idle_window model policy ctrl fctx st hs ~directed ~until:issue ~terminal:false then begin
     (* Reactive spin-up: starts at the arrival (or at the end of an
        in-flight spin-down), delays the service. *)
@@ -871,7 +875,7 @@ let handle_request model policy ctrl fctx rctx st (r : Request.t) ~issue ~direct
    global makespan, with no arrival to terminate the gap. *)
 let handle_trailing model policy ctrl fctx st ~until ~directed =
   if until > st.f.now then begin
-    let hs = if directed then take_hints st ~upto:infinity else [] in
+    let hs = if directed then take_hints ~executed:true st ~upto:infinity else [] in
     ignore (idle_window model policy ctrl fctx st hs ~directed ~until ~terminal:true)
   end;
   (* A TPM spin-down may overshoot [until]; clamp for reporting. *)

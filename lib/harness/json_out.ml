@@ -13,9 +13,11 @@ type t = Json.t =
   | Obj of (string * t) list
 
 let pp ppf t = Json.pp ppf t
-let to_string t = Json.to_string t
+let to_string t = Dp_obs.Prof.span "harness.json" (fun () -> Json.to_string t)
 let pp_precise ppf t = Json.pp ~floats:Json.Exact ppf t
-let to_string_precise t = Json.to_string ~floats:Json.Exact t
+
+let to_string_precise t =
+  Dp_obs.Prof.span "harness.json" (fun () -> Json.to_string ~floats:Json.Exact t)
 
 let repair_of_result (res : Engine.result) =
   let remaps, hits, chunks, found, recon, rebuild, fo, fails, rebuilt =

@@ -184,6 +184,56 @@ let element_accesses n iter =
 
 let iteration_work n = Dp_util.Listx.sum_by (fun s -> s.work_cycles) n.body
 
+module Compiled = struct
+  type source_stmt = stmt
+  type source_nest = nest
+  type row = { coeffs : int array; const : int }
+  type access = { mode : access_mode; array : int; subscripts : row array }
+  type stmt = { work_cycles : int; accesses : access array }
+  type nest = { lo : row array; hi : row array; body : stmt array }
+
+  (* Coefficients over the nest's indices, outermost first; a variable
+     that is not one of them has no column to land in. *)
+  let row indices e =
+    List.iter
+      (fun v ->
+        if not (Array.mem v indices) then
+          invalid_arg (Printf.sprintf "Ir.Compiled.compile: unbound variable %s" v))
+      (Affine.vars e);
+    { coeffs = Array.map (Affine.coeff e) indices; const = Affine.constant e }
+
+  let compile prog =
+    let position = Hashtbl.create 8 in
+    List.iteri (fun k (a : array_decl) -> Hashtbl.replace position a.name k) prog.arrays;
+    let nest (n : source_nest) =
+      let indices = Array.of_list (nest_indices n) in
+      let access (r : array_ref) =
+        match Hashtbl.find_opt position r.array with
+        | Some array ->
+            let subscripts = Array.of_list (List.map (row indices) r.subscripts) in
+            { mode = r.mode; array; subscripts }
+        | None -> invalid_arg ("Ir.Compiled.compile: undeclared array " ^ r.array)
+      in
+      let stmt (s : source_stmt) =
+        { work_cycles = s.work_cycles; accesses = Array.of_list (List.map access s.refs) }
+      in
+      let loops = Array.of_list n.loops in
+      {
+        lo = Array.map (fun (l : loop) -> row indices l.lo) loops;
+        hi = Array.map (fun (l : loop) -> row indices l.hi) loops;
+        body = Array.of_list (List.map stmt n.body);
+      }
+    in
+    Array.of_list (List.map nest prog.nests)
+
+  let eval r (iter : Ivec.t) =
+    let acc = ref r.const in
+    for k = 0 to Array.length r.coeffs - 1 do
+      acc := !acc + (r.coeffs.(k) * iter.(k))
+    done;
+    !acc
+end
+
 let pp_ref ppf r =
   Format.fprintf ppf "%s%a%s" r.array
     (fun ppf subs ->

@@ -109,14 +109,59 @@ val iteration_count : nest -> int
 
 val env_of_iteration : nest -> Dp_util.Ivec.t -> string -> int
 (** Environment mapping the nest's loop indices to their values in the
-    given iteration vector.
+    given iteration vector, by name.
     @raise Not_found for a name that is not an index of this nest. *)
 
 val element_accesses : nest -> Dp_util.Ivec.t -> (array_ref * int list) list
-(** Concrete (reference, element coordinates) pairs an iteration touches. *)
+(** Concrete (reference, element coordinates) pairs an iteration touches,
+    evaluated by name through {!env_of_iteration}.  This is the
+    reference the {!Compiled} kernels are tested against; no library
+    pass calls it. *)
 
 val iteration_work : nest -> int
 (** Total [work_cycles] of one iteration of the nest body. *)
+
+(** {1 Compiled form}
+
+    The integer form every per-instance pass reads: the dependence
+    scan, the cluster table, both parallelizations, trace generation
+    and the layout cost.  Compiling resolves every name once — an array
+    to its position in [prog.arrays], a loop index to its position in
+    the iteration vector — so a pass evaluates an access with integer
+    arithmetic on the instance's vector: no lookup, no list, no copy. *)
+
+module Compiled : sig
+  type row = { coeffs : int array; const : int }
+  (** An affine expression over the owning nest's iteration vector:
+      [const + coeffs.(0) * iter.(0) + ... + coeffs.(d-1) * iter.(d-1)],
+      one coefficient per loop, outermost first. *)
+
+  type access = {
+    mode : access_mode;
+    array : int;  (** position of the array in [prog.arrays] *)
+    subscripts : row array;  (** one per array dimension *)
+  }
+
+  type stmt = {
+    work_cycles : int;
+    accesses : access array;  (** the statement's refs, in textual order *)
+  }
+
+  type nest = {
+    lo : row array;  (** inclusive lower bound of each loop, outermost first *)
+    hi : row array;  (** inclusive upper bound of each loop *)
+    body : stmt array;
+  }
+
+  val compile : program -> nest array
+  (** One compiled nest per nest of [prog.nests], in order, so an
+      instance's nest is an array index.
+      @raise Invalid_argument on a reference to an undeclared array or
+      a variable outside its nest's indices ({!validate} rejects both). *)
+
+  val eval : row -> Dp_util.Ivec.t -> int
+  (** The row's value at an iteration vector of its nest. *)
+end
 
 (** {1 Pretty-printing} *)
 

@@ -34,18 +34,41 @@ let find t name =
   | Some e -> e
   | None -> raise Not_found
 
-let linear_index entry coords =
-  let dims = entry.decl.Ir.dims in
+exception Out_of_bounds of { array : string; dim : int; coord : int; extent : int }
+
+(* The one bounds check: coordinate [c] of dimension [dim]. *)
+let coord e dim extent c =
+  if c < 0 || c >= extent then
+    raise (Out_of_bounds { array = e.decl.Ir.name; dim; coord = c; extent });
+  c
+
+let rec index_from e (a : Ir.Compiled.access) iter dim acc = function
+  | [] -> acc
+  | extent :: rest ->
+      let c = coord e dim extent (Ir.Compiled.eval a.subscripts.(dim) iter) in
+      index_from e a iter (dim + 1) ((acc * extent) + c) rest
+
+let index e a iter = index_from e a iter 0 0 e.decl.Ir.dims
+
+let linear_index e coords =
+  let dims = e.decl.Ir.dims in
   if List.length coords <> List.length dims then
     invalid_arg "Layout.linear_index: arity mismatch";
-  List.fold_left2
-    (fun acc c extent ->
-      if c < 0 || c >= extent then
-        invalid_arg
-          (Printf.sprintf "Layout.linear_index: coordinate %d out of [0, %d) in %s" c extent
-             entry.decl.Ir.name);
-      (acc * extent) + c)
-    0 coords dims
+  let _, lin =
+    List.fold_left2
+      (fun (dim, acc) c extent -> (dim + 1, (acc * extent) + coord e dim extent c))
+      (0, 0) coords dims
+  in
+  lin
+
+let locate e index =
+  let s = e.striping in
+  let unit = s.Striping.unit_bytes in
+  let file_offset = index * e.decl.Ir.elem_size in
+  ( Striping.disk_of_offset s file_offset,
+    e.base + file_offset,
+    (e.base / s.Striping.factor) + (file_offset / unit / s.Striping.factor * unit)
+    + (file_offset mod unit) )
 
 let element_file_offset t name coords =
   let e = find t name in
@@ -53,25 +76,23 @@ let element_file_offset t name coords =
 
 let element_address t name coords =
   let e = find t name in
-  e.base + (linear_index e coords * e.decl.Ir.elem_size)
+  let _, address, _ = locate e (linear_index e coords) in
+  address
 
 let disk_of_element t name coords =
   let e = find t name in
-  Striping.disk_of_offset e.striping (linear_index e coords * e.decl.Ir.elem_size)
+  let disk, _, _ = locate e (linear_index e coords) in
+  disk
 
 let request_of_element t name coords =
   let e = find t name in
-  let file_offset = linear_index e coords * e.decl.Ir.elem_size in
-  (Striping.disk_of_offset e.striping file_offset, e.base + file_offset, e.decl.Ir.elem_size)
+  let disk, address, _ = locate e (linear_index e coords) in
+  (disk, address, e.decl.Ir.elem_size)
 
 let lba_of_element t name coords =
   let e = find t name in
-  let unit = e.striping.Striping.unit_bytes in
-  let file_offset = linear_index e coords * e.decl.Ir.elem_size in
-  let stripe = file_offset / unit in
-  (e.base / e.striping.Striping.factor)
-  + (stripe / e.striping.Striping.factor * unit)
-  + (file_offset mod unit)
+  let _, _, lba = locate e (linear_index e coords) in
+  lba
 
 let elements_per_stripe t name =
   let e = find t name in

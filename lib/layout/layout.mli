@@ -12,6 +12,9 @@ type entry = { decl : Ir.array_decl; striping : Striping.t; base : int }
 
 type t = private {
   entries : entry list;
+      (** one per array of the program, in [prog.arrays] order, so the
+          [k]-th entry serves the array an {!Ir.Compiled.access} names
+          by position [k] *)
   disk_count : int;  (** number of I/O nodes (max striping factor) *)
 }
 
@@ -25,9 +28,44 @@ val make : ?default:Striping.t -> ?overrides:(string * Striping.t) list -> Ir.pr
 val find : t -> string -> entry
 (** @raise Not_found for an unknown array. *)
 
+(** {1 Locating an element}
+
+    An element is located in two steps: its row-major linear index in
+    the array ({!index} for a compiled access, {!linear_index} for
+    explicit coordinates — both check every coordinate against its
+    extent in one place), then the I/O request that index resolves to
+    ({!locate}). *)
+
+exception Out_of_bounds of { array : string; dim : int; coord : int; extent : int }
+(** Coordinate [coord] of dimension [dim] (0 = outermost) of [array]
+    lies outside [\[0, extent)].  The IR does not forbid such
+    subscripts, so a program that computes one is malformed input,
+    found where its accesses are first resolved against the layout. *)
+
+val index : entry -> Ir.Compiled.access -> Dp_util.Ivec.t -> int
+(** Row-major linear index of the element a compiled access touches at
+    an iteration vector; the access must name this entry's array.
+    @raise Out_of_bounds when a subscript leaves its extent. *)
+
 val linear_index : entry -> int list -> int
-(** Row-major element index.
-    @raise Invalid_argument on wrong arity or out-of-bounds coordinates. *)
+(** Row-major linear index of explicit coordinates.
+    @raise Invalid_argument on wrong arity.
+    @raise Out_of_bounds on a coordinate outside its extent. *)
+
+val locate : entry -> int -> int * int * int
+(** [locate e i] is [(disk, address, lba)] of linear element [i]: the
+    I/O node that serves it, its global byte address, and its byte
+    position {e on that node}.  The stripes a node stores are
+    contiguous there, so two file locations a full stripe width apart
+    are adjacent on the node; seek distances must be computed in this
+    space.  Element pages never straddle stripe units when [elem_size]
+    divides the stripe unit; otherwise the request is attributed to the
+    node holding its first byte.  The request size is
+    [e.decl.elem_size]. *)
+
+(** {1 By name}
+
+    The same, for an array named by string and explicit coordinates. *)
 
 val element_address : t -> string -> int list -> int
 (** Global byte address of an element. *)
@@ -39,16 +77,10 @@ val disk_of_element : t -> string -> int list -> int
 (** I/O node that serves accesses to this element. *)
 
 val request_of_element : t -> string -> int list -> int * int * int
-(** [(disk, global_address, size_bytes)] of the element's page request.
-    Element pages never straddle stripe units when [elem_size] divides
-    the stripe unit; otherwise the request is attributed to the node
-    holding its first byte. *)
+(** [(disk, global_address, size_bytes)] of the element's page request. *)
 
 val lba_of_element : t -> string -> int list -> int
-(** Byte position of the element {e on its I/O node}: the stripes a node
-    stores are contiguous there, so two file locations a full stripe
-    width apart are adjacent on the node.  Seek distances must be
-    computed in this space. *)
+(** Byte position of the element on its I/O node (see {!locate}). *)
 
 val elements_per_stripe : t -> string -> int
 (** How many consecutive elements share a stripe unit (>= 1). *)

@@ -40,7 +40,9 @@ type t =
       bytes : int;
     }
   | Hint_exec of { disk : int; at_ms : float; action : string }
-      (** a compiler directive consumed by the engine *)
+      (** a compiler directive the engine executes over its idle
+          window; a directive it drops (a stuck-RPM fallback, or a
+          window that closed before it opened) emits none *)
   | Fault of { disk : int; at_ms : float; kind : string; cost_ms : float }
       (** an injected perturbation and the time it cost *)
   | Decision of { disk : int; at_ms : float; decision : string }

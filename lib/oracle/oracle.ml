@@ -251,6 +251,7 @@ let reference ?(model = Disk_model.ultrastar_36z15) ~disks reqs =
   { model; disks; requests; base; gaps }
 
 let bound ~space (r : reference) =
+  Dp_obs.Prof.span "oracle.bound" @@ fun () ->
   let c = costs r.model in
   let per_disk = Array.map (fun gs -> schedule_in c space gs) r.gaps in
   let gap_j =

@@ -51,8 +51,9 @@ type stats = {
 }
 
 (* One rule builds every stage: a stage is a memo table, a build count
-   and the Prof span its builds run under.  A persisted stage also names
-   its store entry per key and the codec of its values. *)
+   and the Prof span its builds run under ([span ^ ".fetch"] times a
+   read from the store, decoding included).  A persisted stage also
+   names its store entry per key and the codec of its values. *)
 type ('k, 'v) stage = {
   span : string;
   tbl : ('k, 'v) Hashtbl.t;
@@ -258,7 +259,10 @@ let memo t s k ~inputs build =
   let fetch () =
     match (hit (), s.persist, t.cache) with
     | None, Some p, Some c ->
-        let v = Cachefs.get c ~key:(p.entry k) ~decode:p.decode in
+        let v =
+          Prof.span (s.span ^ ".fetch") (fun () ->
+              Cachefs.get c ~key:(p.entry k) ~decode:p.decode)
+        in
         Option.iter (Hashtbl.add s.tbl k) v;
         v
     | v, _, _ -> v

@@ -41,13 +41,6 @@ let is_trivially_false = function
       Affine.is_const expr
       && ((Affine.constant expr mod modulus) + modulus) mod modulus <> 0
 
-let negate = function
-  | Ge e -> [ Ge Affine.(sub (const (-1)) e) ]
-  | Eq e -> [ Ge (Affine.sub e (Affine.const 1)); Ge Affine.(sub (const (-1)) e) ]
-  | Stride { expr; modulus } ->
-      List.init (modulus - 1) (fun i ->
-          Stride { expr = Affine.sub expr (Affine.const (i + 1)); modulus })
-
 let pp ppf = function
   | Ge e -> Format.fprintf ppf "%a >= 0" Affine.pp e
   | Eq e -> Format.fprintf ppf "%a = 0" Affine.pp e

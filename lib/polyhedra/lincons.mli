@@ -28,10 +28,4 @@ val is_trivially_true : t -> bool
 
 val is_trivially_false : t -> bool
 
-val negate : t -> t list
-(** Disjuncts whose union is the complement: [not (e >= 0)] is
-    [-e - 1 >= 0]; [not (e = 0)] is [e - 1 >= 0] or [-e - 1 >= 0];
-    [not (e = 0 mod m)] is the [m - 1] residue classes [e - r = 0 mod m],
-    [1 <= r < m]. *)
-
 val pp : Format.formatter -> t -> unit

@@ -9,43 +9,43 @@ type result = {
   baseline_cost : float;
 }
 
-let nest_table (prog : Ir.program) =
-  let tbl = Hashtbl.create 8 in
-  List.iter (fun (n : Ir.nest) -> Hashtbl.add tbl n.Ir.nest_id n) prog.Ir.nests;
-  tbl
-
-(* Sampled instances: an even stride through the execution, so every
-   nest contributes proportionally. *)
-let sample_instances (g : Concrete.graph) sample =
-  let n = Concrete.instance_count g in
-  if n <= sample then Array.to_list g.Concrete.instances
-  else begin
-    let stride = n / sample in
-    List.init sample (fun k -> g.Concrete.instances.(k * stride))
-  end
-
 let cost ?(sample = 20_000) (prog : Ir.program) (g : Concrete.graph) ~stripings =
+  if sample < 1 then invalid_arg "Layout_opt.cost: sample must be >= 1";
   let layout = Layout.make ~overrides:stripings prog in
   let disks = layout.Layout.disk_count in
-  let nests = nest_table prog in
-  let load = Array.make disks 0 in
+  let code = Ir.Compiled.compile prog in
+  let entries = Array.of_list layout.Layout.entries in
+  let load = Array.make disks 0 and touched = Array.make disks false in
   let distinct_total = ref 0 and instances = ref 0 in
-  List.iter
-    (fun (inst : Concrete.instance) ->
-      let nest = Hashtbl.find nests inst.Concrete.nest_id in
-      let accesses = Ir.element_accesses nest inst.Concrete.iter in
-      if accesses <> [] then begin
-        incr instances;
-        let touched = Array.make disks false in
-        List.iter
-          (fun ((r : Ir.array_ref), coords) ->
-            let d = Layout.disk_of_element layout r.Ir.array coords in
+  (* Sampled instances: an even stride through the execution, so every
+     nest contributes proportionally. *)
+  let n = Concrete.instance_count g in
+  let count, stride = if n <= sample then (n, 1) else (sample, n / sample) in
+  for k = 0 to count - 1 do
+    let inst = g.Concrete.instances.(k * stride) in
+    let accesses = ref 0 in
+    Array.iter
+      (fun (s : Ir.Compiled.stmt) ->
+        Array.iter
+          (fun (a : Ir.Compiled.access) ->
+            let e = entries.(a.array) in
+            let d, _, _ = Layout.locate e (Layout.index e a inst.Concrete.iter) in
             load.(d) <- load.(d) + 1;
-            touched.(d) <- true)
-          accesses;
-        Array.iter (fun t -> if t then incr distinct_total) touched
-      end)
-    (sample_instances g sample);
+            touched.(d) <- true;
+            incr accesses)
+          s.accesses)
+      code.(inst.Concrete.nest).body;
+    if !accesses > 0 then begin
+      incr instances;
+      Array.iteri
+        (fun d t ->
+          if t then begin
+            incr distinct_total;
+            touched.(d) <- false
+          end)
+        touched
+    end
+  done;
   if !instances = 0 then 0.0
   else begin
     let avg_distinct = float_of_int !distinct_total /. float_of_int !instances in

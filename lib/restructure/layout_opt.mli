@@ -35,7 +35,8 @@ val cost :
   float
 (** The objective on its own (useful for reporting).  [sample] caps the
     number of iteration instances inspected (default 20,000, evenly
-    strided). *)
+    strided).
+    @raise Invalid_argument if [sample < 1]. *)
 
 val optimize :
   ?rows_options:int list ->

@@ -11,34 +11,31 @@ let clamp_proc procs p = if p < 0 then 0 else if p >= procs then procs - 1 else 
 
 (* Chunk of the block-partitioned loop [k] that iteration [iter] falls
    into; bounds may depend on outer indices (triangular nests). *)
-let chunk_of_iteration (n : Ir.nest) k ~procs iter =
-  let env = Ir.env_of_iteration n iter in
-  let l = List.nth n.loops k in
-  let lo = Affine.eval env l.Ir.lo and hi = Affine.eval env l.Ir.hi in
+let chunk_of_iteration (n : Ir.Compiled.nest) k ~procs iter =
+  let lo = Ir.Compiled.eval n.lo.(k) iter and hi = Ir.Compiled.eval n.hi.(k) iter in
   let total = hi - lo + 1 in
   if total <= 0 then 0
   else clamp_proc procs ((iter.(k) - lo) * procs / total)
 
 let conventional (prog : Ir.program) (g : Concrete.graph) ~procs =
   if procs < 1 then invalid_arg "Parallelize.conventional: procs must be >= 1";
-  let nests = Array.of_list prog.nests in
-  let parallel_loop = Array.map Analysis.outermost_parallel_loop nests in
-  let pos = Concrete.nest_positions prog g in
+  let code = Ir.Compiled.compile prog in
+  let parallel_loop =
+    Array.of_list (List.map Analysis.outermost_parallel_loop prog.nests)
+  in
   let owner =
     Array.map
       (fun (inst : Concrete.instance) ->
-        let k = pos.(inst.seq) in
-        match parallel_loop.(k) with
-        | Some loop -> chunk_of_iteration nests.(k) loop ~procs inst.iter
+        match parallel_loop.(inst.nest) with
+        | Some loop -> chunk_of_iteration code.(inst.nest) loop ~procs inst.iter
         | None -> 0)
       g.instances
   in
   { procs; owner }
 
-let nest_parts (prog : Ir.program) g a =
+let nest_parts (prog : Ir.program) (g : Concrete.graph) a =
   let nests = List.length prog.nests in
-  let pos = Concrete.nest_positions prog g in
-  Array.mapi (fun seq p -> (p * nests) + pos.(seq)) a.owner
+  Array.mapi (fun seq p -> (p * nests) + g.instances.(seq).Concrete.nest) a.owner
 
 type distribution = Row_block | Col_block
 
@@ -107,39 +104,53 @@ let proc_of_disk ~disks ~procs d = clamp_proc procs (d * procs / disks)
 let layout_aware ?anchor layout (prog : Ir.program) (g : Concrete.graph) ~procs =
   if procs < 1 then invalid_arg "Parallelize.layout_aware: procs must be >= 1";
   let anchor = match anchor with Some a -> a | None -> default_anchor prog in
-  if Ir.find_array prog anchor = None then
-    invalid_arg (Printf.sprintf "Parallelize.layout_aware: unknown anchor array %s" anchor);
+  let anchor =
+    match List.find_index (fun (a : Ir.array_decl) -> a.name = anchor) prog.arrays with
+    | Some k -> k
+    | None ->
+        invalid_arg (Printf.sprintf "Parallelize.layout_aware: unknown anchor array %s" anchor)
+  in
   let disks = layout.Layout.disk_count in
   let fallback = conventional prog g ~procs in
-  let owner = Array.make (Concrete.instance_count g) 0 in
-  let nests = Array.of_list prog.nests in
-  let pos = Concrete.nest_positions prog g in
+  let code = Ir.Compiled.compile prog in
+  let entries = Array.of_list layout.Layout.entries in
   (* Plurality vote over the processors whose disk shares hold the
      iteration's accesses; anchor-array accesses count double (they
      define the affinity class).  Ties rotate over the tied processors so
      a tile spanning several shares does not starve any processor. *)
   let tie_break = ref 0 in
-  Array.iter
-    (fun (inst : Concrete.instance) ->
-      let n = nests.(pos.(inst.seq)) in
-      let accesses = Ir.element_accesses n inst.iter in
-      if accesses = [] then owner.(inst.seq) <- fallback.owner.(inst.seq)
-      else begin
-        let votes = Array.make procs 0 in
-        List.iter
-          (fun ((r : Ir.array_ref), coords) ->
-            let p = proc_of_disk ~disks ~procs (Layout.disk_of_element layout r.array coords) in
-            votes.(p) <- votes.(p) + (if r.array = anchor then 2 else 1))
-          accesses;
-        let best = Array.fold_left max 0 votes in
-        let tied = ref [] in
-        Array.iteri (fun p v -> if v = best then tied := p :: !tied) votes;
-        let tied = List.rev !tied in
-        let p = List.nth tied (!tie_break mod List.length tied) in
-        incr tie_break;
-        owner.(inst.seq) <- p
-      end)
-    g.instances;
+  let votes = Array.make procs 0 in
+  let owner =
+    Array.map
+      (fun (inst : Concrete.instance) ->
+        Array.fill votes 0 procs 0;
+        let touched = ref false in
+        Array.iter
+          (fun (s : Ir.Compiled.stmt) ->
+            Array.iter
+              (fun (a : Ir.Compiled.access) ->
+                let e = entries.(a.array) in
+                let disk, _, _ = Layout.locate e (Layout.index e a inst.iter) in
+                let p = proc_of_disk ~disks ~procs disk in
+                votes.(p) <- votes.(p) + if a.array = anchor then 2 else 1;
+                touched := true)
+              s.accesses)
+          code.(inst.nest).body;
+        if not !touched then fallback.owner.(inst.seq)
+        else begin
+          let best = Array.fold_left max 0 votes in
+          let tied = Array.fold_left (fun n v -> if v = best then n + 1 else n) 0 votes in
+          (* The [!tie_break mod tied]-th tied processor, in id order. *)
+          let rank = ref (!tie_break mod tied) and p = ref 0 in
+          while votes.(!p) <> best || !rank > 0 do
+            if votes.(!p) = best then decr rank;
+            incr p
+          done;
+          incr tie_break;
+          !p
+        end)
+      g.instances
+  in
   { procs; owner }
 
 let proc_counts a =

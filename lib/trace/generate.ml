@@ -6,75 +6,112 @@ module Parallelize = Dp_restructure.Parallelize
 type stream = int array
 type segments = stream list
 
-let nest_table (prog : Ir.program) =
-  let tbl = Hashtbl.create 8 in
-  List.iter (fun (n : Ir.nest) -> Hashtbl.add tbl n.nest_id n) prog.Ir.nests;
-  tbl
+(* The trace in arrival order, from every processor's run of requests,
+   latest first.  Each run is in {!Request.compare_arrival} order, and
+   requests of two processors never tie (the processor breaks it), so
+   taking the greatest head each time builds the trace back to front. *)
+let merge = function
+  | [| run |] -> List.rev run
+  | runs ->
+      let out = ref [] in
+      let rec go () =
+        let best = ref (-1) and at = ref neg_infinity in
+        for p = 0 to Array.length runs - 1 do
+          match runs.(p) with
+          | (r : Request.t) :: _ when !best < 0 || Float.compare r.arrival_ms !at >= 0 ->
+              best := p;
+              at := r.arrival_ms
+          | _ -> ()
+        done;
+        if !best >= 0 then
+          match runs.(!best) with
+          | r :: rest ->
+              out := r :: !out;
+              runs.(!best) <- rest;
+              go ()
+          | [] -> assert false
+      in
+      go ();
+      !out
 
 let trace ?(cost = Cost_model.default) layout (prog : Ir.program) (g : Concrete.graph)
     per_proc =
   Dp_obs.Prof.span "trace.generate" @@ fun () ->
   let n_proc = Array.length per_proc in
   if n_proc = 0 then invalid_arg "Generate.trace: no processors";
-  let n_segments = List.length per_proc.(0) in
+  let per_proc = Array.map Array.of_list per_proc in
+  let n_segments = Array.length per_proc.(0) in
   Array.iter
     (fun segs ->
-      if List.length segs <> n_segments then
+      if Array.length segs <> n_segments then
         invalid_arg "Generate.trace: processors disagree on segment count")
     per_proc;
-  let nests = nest_table prog in
-  let requests = ref [] in
+  let code = Ir.Compiled.compile prog in
+  let entries = Array.of_list layout.Layout.entries in
+  let compute_ms =
+    Array.map
+      (fun (n : Ir.Compiled.nest) ->
+        Array.map
+          (fun (s : Ir.Compiled.stmt) -> Cost_model.compute_ms cost ~cycles:s.work_cycles)
+          n.body)
+      code
+  in
+  (* Per processor: its requests so far, latest first; whether each
+     arrived strictly after the one before; and its clock. *)
+  let runs = Array.make n_proc [] in
+  let strict = Array.make n_proc true in
   let clocks = Array.make n_proc 0.0 in
   (* Compute time accumulated since the same processor's last request
      (or segment start): the closed-loop think time. *)
   let think = Array.make n_proc 0.0 in
-  let seg_index = ref 0 in
-  (* Per-processor stream position on disk: (disk, end address) of the
-     last request, to charge seeks only on discontiguous accesses. *)
-  let last_pos = Array.make n_proc (-1, -1) in
-  let run_instance proc seq =
+  (* Per-processor stream position on disk: the disk and end address of
+     the last request, to charge seeks only on discontiguous accesses. *)
+  let last_disk = Array.make n_proc (-1) and last_end = Array.make n_proc 0 in
+  let run_instance proc seg seq =
     let inst = g.Concrete.instances.(seq) in
-    let nest = Hashtbl.find nests inst.Concrete.nest_id in
-    List.iter
-      (fun (s : Ir.stmt) ->
-        let compute = Cost_model.compute_ms cost ~cycles:s.work_cycles in
-        clocks.(proc) <- clocks.(proc) +. compute;
-        think.(proc) <- think.(proc) +. compute;
-        let env = Ir.env_of_iteration nest inst.Concrete.iter in
-        List.iter
-          (fun (r : Ir.array_ref) ->
-            let coords = List.map (Dp_affine.Affine.eval env) r.subscripts in
-            let disk, address, size = Layout.request_of_element layout r.array coords in
-            let lba = Layout.lba_of_element layout r.array coords in
-            let seek_distance =
-              match last_pos.(proc) with
-              | d, e when d = disk && e >= 0 -> lba - e
-              | _ -> max_int
-            in
-            last_pos.(proc) <- (disk, lba + size);
-            requests :=
-              {
-                Request.arrival_ms = clocks.(proc);
-                think_ms = think.(proc);
-                seg = !seg_index;
-                address;
-                lba;
-                size;
-                mode = r.mode;
-                proc;
-                disk;
-              }
-              :: !requests;
-            think.(proc) <- 0.0;
-            clocks.(proc) <- clocks.(proc) +. Cost_model.service_ms ~seek_distance cost ~bytes:size)
-          s.refs)
-      nest.Ir.body
+    let iter = inst.Concrete.iter in
+    let compute = compute_ms.(inst.Concrete.nest) in
+    let body = code.(inst.Concrete.nest).body in
+    for k = 0 to Array.length body - 1 do
+      clocks.(proc) <- clocks.(proc) +. compute.(k);
+      think.(proc) <- think.(proc) +. compute.(k);
+      let accesses = body.(k).accesses in
+      for i = 0 to Array.length accesses - 1 do
+        let a = accesses.(i) in
+        let e = entries.(a.array) in
+        let disk, address, lba = Layout.locate e (Layout.index e a iter) in
+        let size = e.Layout.decl.Ir.elem_size in
+        let seek_distance =
+          if last_disk.(proc) = disk then lba - last_end.(proc) else max_int
+        in
+        last_disk.(proc) <- disk;
+        last_end.(proc) <- lba + size;
+        (match runs.(proc) with
+        | (prev : Request.t) :: _ when Float.compare prev.arrival_ms clocks.(proc) >= 0 ->
+            strict.(proc) <- false
+        | _ -> ());
+        runs.(proc) <-
+          {
+            Request.arrival_ms = clocks.(proc);
+            think_ms = think.(proc);
+            seg;
+            address;
+            lba;
+            size;
+            mode = a.mode;
+            proc;
+            disk;
+          }
+          :: runs.(proc);
+        think.(proc) <- 0.0;
+        clocks.(proc) <-
+          clocks.(proc) +. Cost_model.service_ms ~seek_distance cost ~bytes:size
+      done
+    done
   in
   for seg = 0 to n_segments - 1 do
-    seg_index := seg;
     for proc = 0 to n_proc - 1 do
-      let stream = List.nth per_proc.(proc) seg in
-      Array.iter (run_instance proc) stream
+      Array.iter (run_instance proc seg) per_proc.(proc).(seg)
     done;
     (* Fork-join barrier: every processor resumes at the latest clock,
        and pending think time does not carry across the barrier. *)
@@ -82,7 +119,14 @@ let trace ?(cost = Cost_model.default) layout (prog : Ir.program) (g : Concrete.
     Array.fill clocks 0 n_proc latest;
     Array.fill think 0 n_proc 0.0
   done;
-  Request.sort_arrival !requests
+  (* A processor's clock never runs back, so its run is in arrival order
+     unless two of its requests tie (a cost model with a zero-cost
+     step).  Such a run is put in the order a stable sort of the whole
+     trace, latest generated first, gives it. *)
+  Array.iteri
+    (fun p run -> if not strict.(p) then runs.(p) <- List.rev (Request.sort_arrival run))
+    runs;
+  merge runs
 
 let single_stream _g ~order = [| [ order ] |]
 

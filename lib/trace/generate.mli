@@ -27,8 +27,20 @@ val trace :
   segments array ->
   Request.t list
 (** [trace layout prog g per_proc] with [per_proc.(p)] the segments of
-    processor [p].  The result is sorted by arrival time.
-    @raise Invalid_argument if the processors' segment counts differ. *)
+    processor [p].  Each access is evaluated on the {!Ir.Compiled} form
+    of [prog] and resolved by {!Layout.index} and {!Layout.locate}; an
+    instance's nest is found by position.
+
+    The result is in {!Request.compare_arrival} order: each processor's
+    clock never runs back, so its requests form a run already in
+    arrival order, and the runs are merged.  With one processor there
+    is no merge and no sort.  Only requests of one processor that tie
+    on arrival (possible under a cost model with zero-cost steps) are
+    sorted, within that processor, into the order a stable sort of the
+    whole trace, latest generated first, gives them.
+    @raise Invalid_argument if the processors' segment counts differ.
+    @raise Layout.Out_of_bounds when a subscript leaves its array's
+    extent. *)
 
 (** {1 Stream builders} *)
 

@@ -6,4 +6,4 @@ let () =
    @ Test_repair.suites @ Test_disksim.suites @ Test_oracle.suites @ Test_cache.suites @ Test_cachefs.suites
    @ Test_workloads.suites
    @ Test_harness.suites @ Test_obs.suites @ Test_pipeline.suites @ Test_serve.suites
-   @ Test_chaos.suites @ Test_cli.suites)
+   @ Test_chaos.suites @ Test_kernel.suites @ Test_cli.suites)

@@ -347,6 +347,43 @@ let test_dpcc_bad_procs () =
       check Alcotest.bool (sub ^ " one-line diagnostic") true (one_line err))
     [ "trace"; "simulate"; "report"; "fault-sweep" ]
 
+(* A subscript that leaves its array's extent is malformed input: the
+   first pass that resolves the program's accesses against the layout
+   names the array, the coordinate and the extent, after the file. *)
+let test_dpcc_out_of_bounds () =
+  let path = Filename.temp_file "dpower-oob" ".dpl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let oc = open_out path in
+      output_string oc
+        "array u[4][4] elem 4K file \"u.dat\";\n\
+         nest {\n\
+        \  for i = 0 .. 4 {\n\
+        \    for j = 0 .. 3 {\n\
+        \      read u[i][j] work 1000;\n\
+        \    }\n\
+        \  }\n\
+         }\n";
+      close_out oc;
+      List.iter
+        (fun argv ->
+          let what = String.concat " " argv in
+          let code, _, err = run ((dpcc :: argv) @ [ path ]) in
+          check Alcotest.int (what ^ " exit code") 2 code;
+          check Alcotest.bool (what ^ " one-line diagnostic") true (one_line err);
+          check Alcotest.bool
+            (Printf.sprintf "%s names file, array, coordinate and extent (got %S)" what err)
+            true
+            (contains ~needle:(path ^ ": u: ") err
+            && contains ~needle:"coordinate 4 of dimension 0 not in [0, 4)" err))
+        [
+          [ "report"; "--no-cache" ];
+          [ "trace"; "--no-cache" ];
+          [ "trace"; "--restructure"; "--no-cache" ];
+          [ "simulate"; "--procs"; "4"; "--no-cache" ];
+        ])
+
 (* --- the served-array command --- *)
 
 let test_dpcc_serve_json_deterministic () =
@@ -1218,6 +1255,7 @@ let suites =
         Alcotest.test_case "dpcc unknown --mode" `Quick test_dpcc_mode_unknown;
         Alcotest.test_case "dpcc --jobs 0" `Quick test_dpcc_bad_jobs;
         Alcotest.test_case "dpcc --procs 0" `Quick test_dpcc_bad_procs;
+        Alcotest.test_case "dpcc out-of-bounds subscript" `Quick test_dpcc_out_of_bounds;
         Alcotest.test_case "dpcc serve --json deterministic" `Quick
           test_dpcc_serve_json_deterministic;
         Alcotest.test_case "dpcc serve human table" `Quick test_dpcc_serve_human_table;

@@ -663,7 +663,35 @@ let test_stuck_rpm_fallback_drops_directives () =
   in
   check (Alcotest.float 0.05) "energy of the stale-free run" 866.9 (run hints).Engine.energy_j;
   check Alcotest.bool "same run as without the stale directive" true
-    (run hints = run without_stale)
+    (run hints = run without_stale);
+  (* The event log names only the directives that ran: the dropped
+     Set_rpm 12000 leaves no Hint_exec behind. *)
+  let executed hints =
+    let sink, collected = Dp_obs.Sink.collect () in
+    ignore (Engine.simulate ~obs:sink ~hints ~knobs ~disks:1 policy reqs);
+    List.filter_map
+      (function Dp_obs.Event.Hint_exec { action; _ } -> Some action | _ -> None)
+      (collected ())
+  in
+  check
+    Alcotest.(list string)
+    "Hint_exec events" [ "set-rpm(3000)"; "set-rpm(3000)" ] (executed hints);
+  check Alcotest.(list string) "as without the stale directive" (executed without_stale)
+    (executed hints)
+
+let test_empty_window_logs_no_hint () =
+  (* Processor 1 issues while processor 0's request still holds the
+     disk, so the window its directive addresses closes before it
+     opens: the directive is dropped, and the event log must not name
+     it. *)
+  let reqs = [ req ~think:0.0 (); req ~proc:1 ~lba:(1 lsl 30) ~think:1.0 () ] in
+  let hints = [ { Hint.at_ms = 0.0; disk = 0; action = Hint.Set_rpm 3000 } ] in
+  let sink, collected = Dp_obs.Sink.collect () in
+  let r = Engine.simulate ~obs:sink ~hints ~disks:1 (Policy.drpm ~proactive:true ()) reqs in
+  check Alcotest.int "no speed change" 0 r.Engine.per_disk.(0).Engine.speed_changes;
+  check Alcotest.int "no Hint_exec" 0
+    (List.length
+       (List.filter (function Dp_obs.Event.Hint_exec _ -> true | _ -> false) (collected ())))
 
 let test_rate_zero_with_hints () =
   let r2 = { (req ~think:30_000.0 ~lba:(1 lsl 30) ()) with Request.arrival_ms = 30_010.0 } in
@@ -938,5 +966,9 @@ let suites =
         Alcotest.test_case "validation" `Quick test_shards_validation;
         prop_shards_identity;
       ] );
-    ("disksim.obs", [ prop_events_reproduce_stats ]);
+    ( "disksim.obs",
+      [
+        prop_events_reproduce_stats;
+        Alcotest.test_case "empty window logs no hint" `Quick test_empty_window_logs_no_hint;
+      ] );
   ]

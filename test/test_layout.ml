@@ -93,7 +93,13 @@ let test_layout_errors () =
   Alcotest.check_raises "unknown array" Not_found (fun () ->
       ignore (Layout.find layout "zz"));
   expect_invalid (fun () -> Layout.make ~overrides:[ ("zz", stripe_row) ] program);
-  expect_invalid (fun () -> Layout.disk_of_element layout "u" [ 9; 0 ])
+  expect_invalid (fun () -> Layout.disk_of_element layout "u" [ 9 ]);
+  Alcotest.check_raises "out of bounds"
+    (Layout.Out_of_bounds { array = "u"; dim = 0; coord = 9; extent = 4 })
+    (fun () -> ignore (Layout.disk_of_element layout "u" [ 9; 0 ]));
+  Alcotest.check_raises "out of bounds, inner dimension"
+    (Layout.Out_of_bounds { array = "u"; dim = 1; coord = -1; extent = 8 })
+    (fun () -> ignore (Layout.lba_of_element layout "u" [ 1; -1 ]))
 
 let prop_disk_in_range =
   qtest "Layout: disk always within factor"

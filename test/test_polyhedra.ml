@@ -35,30 +35,6 @@ let test_lincons_trivial () =
   check Alcotest.bool "x >= 0 not trivial" false
     (Lincons.is_trivially_true (Lincons.ge x))
 
-(* Negation covers exactly the complement. *)
-let cons_gen =
-  QCheck2.Gen.(
-    oneof
-      [
-        map2 (fun a b -> Lincons.ge (A.of_terms ~const:b [ ("x", a) ])) (int_range (-3) 3)
-          (int_range (-10) 10);
-        map2
-          (fun a b -> Lincons.eq (A.of_terms [ ("x", a) ]) (c b))
-          (int_range (-3) 3) (int_range (-10) 10);
-        map2
-          (fun m r -> Lincons.stride (A.sub x (c r)) (m + 1))
-          (int_range 1 5) (int_range 0 4);
-      ])
-
-let prop_negate_complement =
-  qtest "Lincons: v satisfies c xor some negation disjunct"
-    QCheck2.Gen.(pair cons_gen (int_range (-30) 30))
-    (fun (cstr, v) ->
-      let env = function "x" -> v | _ -> raise Not_found in
-      let in_c = Lincons.eval env cstr in
-      let in_neg = List.exists (Lincons.eval env) (Lincons.negate cstr) in
-      in_c <> in_neg)
-
 (* --- Iset --- *)
 
 let box2 xlo xhi ylo yhi =
@@ -234,7 +210,6 @@ let suites =
       [
         Alcotest.test_case "eval" `Quick test_lincons_eval;
         Alcotest.test_case "trivial" `Quick test_lincons_trivial;
-        prop_negate_complement;
       ] );
     ( "polyhedra.iset",
       [
