@@ -87,9 +87,9 @@ let check_procs procs = if procs < 1 then fail "--procs must be at least 1 (got 
 let check_shards shards =
   if shards < 1 then fail "--shards must be at least 1 (got %d)" shards
 
-(* Trace output format: the human text format or the streaming binary
-   codec.  Binary output quantizes timestamps to the text format's
-   3-decimal precision first, so text <-> bin conversion round-trips
+(* Trace output format: the human text format or the binary codec.
+   Binary output quantizes timestamps to the text format's 3-decimal
+   precision first, so text <-> bin conversion round-trips
    byte-identically. *)
 let trace_format_of_name = function
   | "text" -> `Text
@@ -873,7 +873,7 @@ let trace_cmd =
       & info [ "format" ] ~docv:"text|bin"
           ~doc:
             "Trace file format: text (the human line format) or bin (the chunked, \
-             checksummed binary codec — a fraction of the size, streamable; needs -o).  \
+             checksummed binary codec — a fraction of the size; needs -o).  \
              Both carry the same requests, hints and fault window; dpsim auto-detects \
              either.")
   in

@@ -69,9 +69,9 @@ let obs_recorder mode out disks =
 
 let run trace_file out disks policy_name threshold proactive window downshift faults_spec
     scrub_ms spare deadline shards per_disk obs_mode live =
-  (* Format-sniffing loader: binary traces (by magic) stream through the
-     chunked reader, anything else parses as text.  Binary framing
-     errors carry the byte offset in the line field. *)
+  (* Format-sniffing loader: the file is read once; binary traces (by
+     magic) decode, anything else parses as text.  Binary framing errors
+     carry the byte offset in the line field. *)
   let reqs, hints, trace_faults =
     match Bin.load_result trace_file with
     | Ok parsed -> parsed

@@ -34,7 +34,7 @@ let () =
   let path = Filename.temp_file "dpower_ast" ".trace" in
   Request.save path reuse_trace;
   let reloaded =
-    match Request.load_result path with
+    match Dp_trace.Bin.load_result path with
     | Ok (reqs, _, _) -> reqs
     | Error e -> failwith (Request.load_error_to_string e)
   in

@@ -176,43 +176,15 @@ let get t ~key ~decode =
         t.corrupt <- t.corrupt + 1;
         None
 
-type error = Lock_timeout of { lock_path : string; holder_age_s : float option }
-
-let error_to_string = function
-  | Lock_timeout { lock_path; holder_age_s } ->
-      Printf.sprintf "cache lock timeout: %s%s" lock_path
-        (match holder_age_s with
-        | Some age -> Printf.sprintf " (held for %.1f s)" age
-        | None -> " (holder gone)")
-
-let pp_error ppf e = Format.pp_print_string ppf (error_to_string e)
-
-(* How long the current holder has owned the lock: the lock file's age.
-   The holder (re)creates the file when it acquires, and unlinks it on
-   release, so mtime marks the start of the current ownership.  [None]
-   when the file vanished between the timeout and the stat — the holder
-   released just too late. *)
-let holder_age_s t =
-  match Unix.stat (lock_path t) with
-  | st -> Some (Float.max 0.0 (Unix.gettimeofday () -. st.Unix.st_mtime))
-  | exception Unix.Unix_error _ -> None
-
-let put_result t ~key payload =
+let put t ~key payload =
   match acquire_lock t with
-  | None ->
-      t.write_failures <- t.write_failures + 1;
-      Error (Lock_timeout { lock_path = lock_path t; holder_age_s = holder_age_s t })
+  | None -> t.write_failures <- t.write_failures + 1
   | Some fd ->
       Fun.protect
         ~finally:(fun () -> release_lock t fd)
         (fun () ->
-          match Fsx.atomic_write ~fsync:true (entry_path t key) (frame payload) with
-          | () -> Ok ()
-          | exception (Sys_error _ | Unix.Unix_error _) ->
-              t.write_failures <- t.write_failures + 1;
-              Ok ())
-
-let put t ~key payload = match put_result t ~key payload with Ok () | Error _ -> ()
+          try Fsx.atomic_write ~fsync:true (entry_path t key) (frame payload)
+          with Sys_error _ | Unix.Unix_error _ -> t.write_failures <- t.write_failures + 1)
 
 let counters t =
   { hits = t.hits; misses = t.misses; corrupt = t.corrupt; write_failures = t.write_failures }

@@ -61,30 +61,11 @@ val get : t -> key:string -> decode:(string -> 'a option) -> 'a option
     writers only ever publish whole files by atomic rename, so a reader
     sees the old entry or the new one, never a mixture. *)
 
-(** Why a write was dropped, when the cause is worth naming:
-    [Lock_timeout] means another writer held the store's advisory lock
-    past [lock_timeout_ms].  [lock_path] is the contended file;
-    [holder_age_s] is how long the current holder has owned it (from
-    the lock file's mtime; [None] when the holder released between the
-    timeout and the probe). *)
-type error = Lock_timeout of { lock_path : string; holder_age_s : float option }
-
-val error_to_string : error -> string
-val pp_error : Format.formatter -> error -> unit
-
 val put : t -> key:string -> string -> unit
 (** Publish a payload under [key], replacing any previous entry.
     Best-effort: on lock timeout or any I/O failure the write is
     dropped (counted in [write_failures]) and the store is left exactly
     as it was. *)
-
-val put_result : t -> key:string -> string -> (unit, error) result
-(** {!put} that names a dropped write's cause.  [Error (Lock_timeout _)]
-    carries the lock path and the holder's age; the store is untouched,
-    the timeout is counted as a dropped write ([write_failures]), and
-    the caller simply keeps its in-memory copy (the pipeline degrades to
-    recomputing on the next run).  Plain I/O failures are counted the
-    same way and remain [Ok ()]. *)
 
 (** {1 Accounting} *)
 

@@ -5,15 +5,13 @@ let magic = "DPTB"
 let format_version = 1
 let default_chunk_bytes = 65536
 
-(* Chunks larger than this are rejected as framing corruption rather than
-   allocated: a flipped length byte must not turn into a 2 GB read. *)
+(* A chunk length beyond this (a thousand default chunks) is framing
+   corruption, reported as a bad length rather than as a truncation. *)
 let max_chunk_bytes = 1 lsl 26
 
-type record = Req of Request.t | Hint of Hint.t | Faults of Fault_model.t
 type error = { file : string; offset : int; msg : string }
 
-let pp_error ppf e = Format.fprintf ppf "%s:%d: %s" e.file e.offset e.msg
-let error_to_string e = Format.asprintf "%a" pp_error e
+let error_to_string e = Printf.sprintf "%s:%d: %s" e.file e.offset e.msg
 
 let to_load_error (e : error) : Request.load_error =
   { file = e.file; line = e.offset; msg = e.msg }
@@ -171,8 +169,10 @@ let ctx_update c ~address ~lba ~size ~seg ~mode =
 
 (* {1 Encoding} *)
 
+(* Records accumulate in [chunk]; a full chunk is framed into [out], the
+   whole encoding. *)
 type enc = {
-  out : string -> unit;
+  out : Buffer.t;
   chunk : Buffer.t;
   chunk_bytes : int;
   mutable nrecords : int;
@@ -183,17 +183,14 @@ let flush_chunk e =
   if Buffer.length e.chunk > 0 then begin
     let payload = Buffer.contents e.chunk in
     Buffer.clear e.chunk;
-    let hdr = Buffer.create 8 in
-    Buffer.add_char hdr 'C';
-    Buffer.add_int32_le hdr (Int32.of_int (String.length payload));
-    e.out (Buffer.contents hdr);
-    e.out payload;
-    e.out (Digest.string payload)
+    Buffer.add_char e.out 'C';
+    Buffer.add_int32_le e.out (Int32.of_int (String.length payload));
+    Buffer.add_string e.out payload;
+    Buffer.add_string e.out (Digest.string payload)
   end
 
-let end_record e b =
+let end_record e =
   e.nrecords <- e.nrecords + 1;
-  ignore b;
   if Buffer.length e.chunk >= e.chunk_bytes then flush_chunk e
 
 let add_raw_float b x = Buffer.add_int64_le b (Int64.bits_of_float x)
@@ -286,7 +283,7 @@ let add_request e (r : Request.t) =
   (match think with Some t -> c.prev_think <- t | None -> ());
   ctx_update c ~address:r.address ~lba:r.lba ~size:r.size ~seg:r.seg ~mode:r.mode;
   touch slot index;
-  end_record e b
+  end_record e
 
 let add_hint e (h : Hint.t) =
   let b = e.chunk in
@@ -316,7 +313,7 @@ let add_hint e (h : Hint.t) =
   | Some l, _ -> add_raw_float b l
   | None, _ -> ());
   (match rpm with Some r -> put_u b r | None -> ());
-  end_record e b
+  end_record e
 
 let add_fault e (f : Fault_model.t) =
   let b = e.chunk in
@@ -324,106 +321,55 @@ let add_fault e (f : Fault_model.t) =
   Buffer.add_char b (Char.chr (kind_fault lsl 4));
   put_u b (String.length spec);
   Buffer.add_string b spec;
-  end_record e b
+  end_record e
 
-let write ~out ?(chunk_bytes = default_chunk_bytes) ?rounds ?(hints = []) ?faults reqs =
+let encode ?(chunk_bytes = default_chunk_bytes) ?rounds ?(hints = []) ?faults reqs =
   if chunk_bytes < 1 then invalid_arg "Trace.Bin: chunk_bytes must be >= 1";
-  let e = { out; chunk = Buffer.create (chunk_bytes + 256); chunk_bytes; nrecords = 0; p = predictors () } in
-  let hdr = Buffer.create 16 in
-  Buffer.add_string hdr magic;
-  Buffer.add_char hdr (Char.chr format_version);
+  let out = Buffer.create 4096 in
+  Buffer.add_string out magic;
+  Buffer.add_char out (Char.chr format_version);
   (match rounds with
-  | None -> Buffer.add_char hdr '\000'
+  | None -> Buffer.add_char out '\000'
   | Some n ->
       if n < 0 then invalid_arg "Trace.Bin: rounds must be >= 0";
-      Buffer.add_char hdr '\001';
-      put_u hdr n);
-  out (Buffer.contents hdr);
+      Buffer.add_char out '\001';
+      put_u out n);
+  let chunk = Buffer.create (chunk_bytes + 256) in
+  let e = { out; chunk; chunk_bytes; nrecords = 0; p = predictors () } in
   List.iter (add_request e) reqs;
   List.iter (add_hint e) hints;
   Option.iter (add_fault e) faults;
   flush_chunk e;
-  let trailer = Buffer.create 8 in
-  Buffer.add_char trailer 'E';
-  put_u trailer e.nrecords;
-  out (Buffer.contents trailer)
+  Buffer.add_char out 'E';
+  put_u out e.nrecords;
+  Buffer.contents out
 
-let encode ?chunk_bytes ?rounds ?hints ?faults reqs =
-  let buf = Buffer.create 4096 in
-  write ~out:(Buffer.add_string buf) ?chunk_bytes ?rounds ?hints ?faults reqs;
-  Buffer.contents buf
-
-let save ?chunk_bytes ?hints ?faults path reqs =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> write ~out:(output_string oc) ?chunk_bytes ?hints ?faults reqs)
+let save ?hints ?faults path reqs =
+  let s = encode ?hints ?faults reqs in
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
 
 (* {1 Decoding} *)
 
 exception Fail of error
 
-type src = {
-  name : string;
-  refill : bytes -> int -> int -> int; (* like [input]; 0 means EOF *)
-  mutable pos : int; (* absolute byte offset consumed so far *)
-}
+(* The one cursor over an encoded trace.  [lim] bounds it: the end of the
+   current chunk's payload inside a chunk, the end of the input between
+   chunks.  [pos] is a byte offset into the input, so it is also the
+   offset a diagnostic reports. *)
+type cur = { s : string; file : string; mutable pos : int; mutable lim : int }
 
-let fail src offset fmt =
-  Printf.ksprintf (fun msg -> raise (Fail { file = src.name; offset; msg })) fmt
-
-(* Reads [len] bytes or reports how far it got (EOF mid-structure is the
-   caller's truncation diagnostic, not an exception here). *)
-let read_avail src buf off len =
-  let got = ref 0 in
-  let eof = ref false in
-  while (not !eof) && !got < len do
-    let n = src.refill buf (off + !got) (len - !got) in
-    if n = 0 then eof := true else got := !got + n
-  done;
-  src.pos <- src.pos + !got;
-  !got
-
-let read_exact src buf off len what =
-  let at = src.pos in
-  let got = read_avail src buf off len in
-  if got < len then
-    fail src at "truncated trace: %s needs %d bytes, found %d" what len got
-
-let read_byte_opt src =
-  let b = Bytes.create 1 in
-  if read_avail src b 0 1 = 0 then None else Some (Bytes.get b 0)
-
-let read_byte src what =
-  match read_byte_opt src with
-  | Some c -> Char.code c
-  | None -> fail src src.pos "truncated trace: missing %s" what
-
-let read_varint_src src what =
-  let at = src.pos in
-  let rec go shift acc =
-    if shift > 62 then fail src at "malformed %s: varint too long" what;
-    let c = read_byte src what in
-    let acc = acc lor ((c land 0x7f) lsl shift) in
-    if c land 0x80 <> 0 then go (shift + 7) acc else acc
-  in
-  go 0 0
-
-(* Cursor over one chunk payload; [base] is the chunk's absolute offset so
-   record diagnostics carry file positions. *)
-type cur = { src : src; buf : bytes; len : int; base : int; mutable cpos : int }
-
-let cur_fail c fmt = fail c.src (c.base + c.cpos) fmt
+let fail c offset fmt =
+  Printf.ksprintf (fun msg -> raise (Fail { file = c.file; offset; msg })) fmt
 
 let get_byte c what =
-  if c.cpos >= c.len then cur_fail c "truncated record: %s runs past chunk end" what;
-  let v = Char.code (Bytes.get c.buf c.cpos) in
-  c.cpos <- c.cpos + 1;
+  if c.pos >= c.lim then fail c c.pos "truncated record: %s runs past chunk end" what;
+  let v = Char.code c.s.[c.pos] in
+  c.pos <- c.pos + 1;
   v
 
 (* A top-level loop, so reading a field allocates no closure. *)
 let rec get_u_from c what shift acc =
-  if shift > 62 then cur_fail c "malformed %s: varint too long" what;
+  if shift > 62 then fail c c.pos "malformed %s: varint too long" what;
   let b = get_byte c what in
   let acc = acc lor ((b land 0x7f) lsl shift) in
   if b land 0x80 <> 0 then get_u_from c what (shift + 7) acc else acc
@@ -437,9 +383,9 @@ let get_scaled c ~scale what =
   if u land 1 = 1 then unzigzag (u lsr 1) * scale else unzigzag (u lsr 1)
 
 let get_raw_float c what =
-  if c.cpos + 8 > c.len then cur_fail c "truncated record: %s runs past chunk end" what;
-  let v = Int64.float_of_bits (Bytes.get_int64_le c.buf c.cpos) in
-  c.cpos <- c.cpos + 8;
+  if c.pos + 8 > c.lim then fail c c.pos "truncated record: %s runs past chunk end" what;
+  let v = Int64.float_of_bits (String.get_int64_le c.s c.pos) in
+  c.pos <- c.pos + 8;
   v
 
 let decode_request cu p ~flags : Request.t =
@@ -528,39 +474,32 @@ let decode_hint c p ~flags : Hint.t =
         in
         Hint.Pre_spin_up lead
     | 2 -> Hint.Set_rpm (get_u c "hint rpm")
-    | _ -> cur_fail c "bad hint action %d" (flags land 3)
+    | _ -> fail c c.pos "bad hint action %d" (flags land 3)
   in
   { at_ms; disk; action }
 
 let decode_fault c : Fault_model.t =
   let len = get_u c "fault spec length" in
-  if len < 0 || c.cpos + len > c.len then
-    cur_fail c "truncated record: fault spec runs past chunk end";
-  let spec = Bytes.sub_string c.buf c.cpos len in
-  let at = c.base + c.cpos in
-  c.cpos <- c.cpos + len;
+  if len < 0 || len > c.lim - c.pos then
+    fail c c.pos "truncated record: fault spec runs past chunk end";
+  let at = c.pos in
+  let spec = String.sub c.s at len in
+  c.pos <- at + len;
   match Fault_model.of_spec spec with
   | Ok f -> f
-  | Error msg -> fail c.src at "bad fault spec %S: %s" spec msg
-
-(* Where decoded records go, one handler per kind: a collecting decoder
-   conses each request straight onto its list, with no [record] box and
-   no accumulator tuple per record. *)
-type handlers = {
-  on_req : Request.t -> unit;
-  on_hint : Hint.t -> unit;
-  on_faults : Fault_model.t -> unit;
-}
+  | Error msg -> fail c at "bad fault spec %S: %s" spec msg
 
 (* Ids are non-negative.  A nine-byte varint, or a segment delta, can
    decode below zero: the record is refused at its tag's offset. *)
 let check_id c ~at what v =
-  if v < 0 then fail c.src at "bad %s %d (expected a non-negative integer)" what v
+  if v < 0 then fail c at "bad %s %d (expected a non-negative integer)" what v
 
-let decode_chunk c p h =
+(* Decodes the records of the chunk the cursor is bounded by, newest
+   first onto [reqs] and [hints]; returns how many there were. *)
+let decode_chunk c p reqs hints faults =
   let n = ref 0 in
-  while c.cpos < c.len do
-    let at = c.base + c.cpos in
+  while c.pos < c.lim do
+    let at = c.pos in
     let tag = get_byte c "record tag" in
     let flags = tag land 0xf in
     let kind = tag lsr 4 in
@@ -571,133 +510,106 @@ let decode_chunk c p h =
       check_id c ~at "proc" r.proc;
       check_id c ~at "disk" r.disk;
       check_id c ~at "seg" r.seg;
-      h.on_req r
+      reqs := r :: !reqs
     end
     else if kind = kind_hint then begin
       let hint = decode_hint c p ~flags in
       check_id c ~at "hint disk" hint.disk;
-      h.on_hint hint
+      hints := hint :: !hints
     end
-    else if kind = kind_fault then h.on_faults (decode_fault c)
-    else fail c.src at "unknown record kind %d" kind;
+    else if kind = kind_fault then faults := Some (decode_fault c)
+    else fail c at "unknown record kind %d" kind;
     incr n
   done;
   !n
 
-let fold_src src h =
-  let hdr = Bytes.create 6 in
-  let at = src.pos in
-  let got = read_avail src hdr 0 6 in
-  if got < 4 || Bytes.sub_string hdr 0 4 <> magic then
-    fail src at "bad magic: not a binary trace (expected %S header)" magic;
-  if got < 6 then fail src at "truncated trace: header needs 6 bytes, found %d" got;
-  let version = Char.code (Bytes.get hdr 4) in
+(* Framing fields between chunks, where the cursor is bounded by the end
+   of the input. *)
+let need c n what =
+  let got = c.lim - c.pos in
+  if got < n then fail c c.pos "truncated trace: %s needs %d bytes, found %d" what n got
+
+(* A header or trailer varint: too long is reported at its start, cut
+   short at the end of the input. *)
+let read_varint c what =
+  let at = c.pos in
+  let rec go shift acc =
+    if shift > 62 then fail c at "malformed %s: varint too long" what;
+    if c.pos >= c.lim then fail c c.pos "truncated trace: missing %s" what;
+    let b = Char.code c.s.[c.pos] in
+    c.pos <- c.pos + 1;
+    let acc = acc lor ((b land 0x7f) lsl shift) in
+    if b land 0x80 <> 0 then go (shift + 7) acc else acc
+  in
+  go 0 0
+
+(* The header, leaving the cursor on the first chunk; returns [rounds]. *)
+let header c =
+  if not (String.starts_with ~prefix:magic c.s) then
+    fail c 0 "bad magic: not a binary trace (expected %S header)" magic;
+  need c 6 "header";
+  let version = Char.code c.s.[4] in
   if version <> format_version then
-    fail src 4 "unsupported binary trace version %d (this build reads version %d)" version
+    fail c 4 "unsupported binary trace version %d (this build reads version %d)" version
       format_version;
-  let hflags = Char.code (Bytes.get hdr 5) in
-  if hflags land lnot 1 <> 0 then fail src 5 "bad header flags 0x%x" hflags;
-  let rounds = if hflags land 1 <> 0 then Some (read_varint_src src "header rounds") else None in
+  let hflags = Char.code c.s.[5] in
+  if hflags land lnot 1 <> 0 then fail c 5 "bad header flags 0x%x" hflags;
+  c.pos <- 6;
+  if hflags land 1 <> 0 then Some (read_varint c "header rounds") else None
+
+let decode ?(file = "<buffer>") s =
+  let c = { s; file; pos = 0; lim = String.length s } in
   let p = predictors () in
-  let chunk_buf = ref (Bytes.create 8192) in
-  let nrecords = ref 0 in
-  let lenb = Bytes.create 4 in
-  let digest = Bytes.create 16 in
-  let rec chunks () =
-    let marker_at = src.pos in
-    match read_byte_opt src with
-    | None -> fail src marker_at "truncated trace: missing end-of-trace marker"
-    | Some 'C' ->
-        read_exact src lenb 0 4 "chunk length";
-        let len = Int32.to_int (Bytes.get_int32_le lenb 0) in
-        if len <= 0 || len > max_chunk_bytes then
-          fail src marker_at "bad chunk length %d" len;
-        if Bytes.length !chunk_buf < len then
-          chunk_buf := Bytes.create (max len (2 * Bytes.length !chunk_buf));
-        let data_at = src.pos in
-        read_exact src !chunk_buf 0 len "chunk payload";
-        read_exact src digest 0 16 "chunk checksum";
-        if Digest.subbytes !chunk_buf 0 len <> Bytes.to_string digest then
-          fail src marker_at "chunk checksum mismatch (%d-byte chunk)" len;
-        let c = { src; buf = !chunk_buf; len; base = data_at; cpos = 0 } in
-        nrecords := !nrecords + decode_chunk c p h;
-        chunks ()
-    | Some 'E' ->
-        let n = read_varint_src src "end-of-trace record count" in
-        if n <> !nrecords then
-          fail src marker_at "record count mismatch: trailer says %d, decoded %d" n !nrecords;
-        (match read_byte_opt src with
-        | None -> ()
-        | Some _ -> fail src (src.pos - 1) "trailing bytes after end-of-trace marker")
-    | Some c -> fail src marker_at "bad chunk marker %C (expected 'C' or 'E')" c
-  in
-  chunks ();
-  rounds
-
-let src_of_string ?(file = "<buffer>") s =
-  let cursor = ref 0 in
-  let refill buf off len =
-    let n = min len (String.length s - !cursor) in
-    Bytes.blit_string s !cursor buf off n;
-    cursor := !cursor + n;
-    n
-  in
-  { name = file; refill; pos = 0 }
-
-let decode_src src h = match fold_src src h with rounds -> Ok rounds | exception Fail e -> Error e
-
-let with_file path k =
-  match open_in_bin path with
-  | exception Sys_error msg -> Error { file = path; offset = 0; msg }
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> k { name = path; refill = input ic; pos = 0 })
-
-let fold_path path ~init ~f =
-  let acc = ref init in
-  let put r = acc := f !acc r in
-  let h =
-    {
-      on_req = (fun r -> put (Req r));
-      on_hint = (fun x -> put (Hint x));
-      on_faults = (fun x -> put (Faults x));
-    }
-  in
-  with_file path (fun src -> Result.map (fun rounds -> (!acc, rounds)) (decode_src src h))
-
-(* Every record into lists, in encoded order. *)
-let collect src =
   let reqs = ref [] and hints = ref [] and faults = ref None in
-  let h =
-    {
-      on_req = (fun r -> reqs := r :: !reqs);
-      on_hint = (fun x -> hints := x :: !hints);
-      on_faults = (fun x -> faults := Some x);
-    }
+  let rec chunks nrecords =
+    let marker_at = c.pos in
+    if c.pos >= c.lim then fail c marker_at "truncated trace: missing end-of-trace marker";
+    let marker = c.s.[c.pos] in
+    c.pos <- c.pos + 1;
+    match marker with
+    | 'C' ->
+        need c 4 "chunk length";
+        let len = Int32.to_int (String.get_int32_le s c.pos) in
+        if len <= 0 || len > max_chunk_bytes then fail c marker_at "bad chunk length %d" len;
+        c.pos <- c.pos + 4;
+        let data_at = c.pos in
+        need c len "chunk payload";
+        c.pos <- data_at + len;
+        need c 16 "chunk checksum";
+        if Digest.substring s data_at len <> String.sub s c.pos 16 then
+          fail c marker_at "chunk checksum mismatch (%d-byte chunk)" len;
+        (* The records, with the cursor bounded by the chunk. *)
+        c.pos <- data_at;
+        c.lim <- data_at + len;
+        let n = decode_chunk c p reqs hints faults in
+        c.pos <- c.lim + 16;
+        c.lim <- String.length s;
+        chunks (nrecords + n)
+    | 'E' ->
+        let n = read_varint c "end-of-trace record count" in
+        if n <> nrecords then
+          fail c marker_at "record count mismatch: trailer says %d, decoded %d" n nrecords;
+        if c.pos < c.lim then fail c c.pos "trailing bytes after end-of-trace marker"
+    | m -> fail c marker_at "bad chunk marker %C (expected 'C' or 'E')" m
   in
-  Result.map
-    (fun rounds -> (List.rev !reqs, List.rev !hints, !faults, rounds))
-    (decode_src src h)
-
-let decode ?file s = collect (src_of_string ?file s)
-let load_bin path = with_file path collect
+  match
+    let rounds = header c in
+    chunks 0;
+    rounds
+  with
+  | rounds -> Ok (List.rev !reqs, List.rev !hints, !faults, rounds)
+  | exception Fail e -> Error e
 
 let sniff path =
-  match open_in_bin path with
+  match In_channel.with_open_bin path (fun ic -> In_channel.really_input_string ic 4) with
+  | head -> head = Some magic
   | exception Sys_error _ -> false
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let b = Bytes.create 4 in
-          match really_input ic b 0 4 with
-          | () -> Bytes.to_string b = magic
-          | exception End_of_file -> false)
 
 let load_result path =
-  if sniff path then
-    match load_bin path with
-    | Ok (reqs, hints, faults, _rounds) -> Ok (reqs, hints, faults)
-    | Error e -> Error (to_load_error e)
-  else Request.load_result path
+  match Dp_util.Fsx.read_file path with
+  | exception Sys_error msg -> Error { Request.file = path; line = 0; msg }
+  | s when String.starts_with ~prefix:magic s -> (
+      match decode ~file:path s with
+      | Ok (reqs, hints, faults, _rounds) -> Ok (reqs, hints, faults)
+      | Error e -> Error (to_load_error e))
+  | s -> Request.of_string ~file:path s

@@ -1,4 +1,4 @@
-(** Binary trace codec: the streaming twin of the text trace format.
+(** Binary trace codec: the compact twin of the text trace format.
 
     A binary trace carries exactly what a text trace carries — requests,
     compiler hints and an optional fault window — framed for scale
@@ -24,9 +24,11 @@
     fault window round-trips through its [seed:rate:classes] spec, with
     the same default spike/window lengths as the text [F] line).
 
-    The reader is streaming: {!fold_path} decodes chunk by chunk into a
-    reused buffer and never materializes the trace, so peak memory is
-    bounded by the largest chunk regardless of trace length. *)
+    A trace is encoded into one string and decoded from one string:
+    every caller (the CLIs, [dpcc convert], the stage cache) holds the
+    whole trace in memory anyway, so a trace file is read and written
+    whole.  The decoder walks the string with one cursor and checks each
+    chunk's checksum in place, copying no chunk. *)
 
 val magic : string
 (** The 4 bytes a binary trace file starts with. *)
@@ -35,30 +37,14 @@ val format_version : int
 (** Bump whenever the chunk framing or any record's byte meaning
     changes; readers reject other versions instead of misdecoding. *)
 
-val default_chunk_bytes : int
-(** Target chunk payload size (chunks end on record boundaries, so a
-    chunk can exceed this by at most one record). *)
-
-type record =
-  | Req of Request.t
-  | Hint of Hint.t
-  | Faults of Dp_faults.Fault_model.t
-
 type error = {
   file : string;
   offset : int;  (** byte offset of the offending structure *)
   msg : string;
 }
 
-val pp_error : Format.formatter -> error -> unit
-(** Rendered as [file:offset: message]. *)
-
 val error_to_string : error -> string
-
-val to_load_error : error -> Request.load_error
-(** The {!Request.load_error} twin: the [line] field carries the byte
-    offset (text positions and binary offsets share the [file:pos:]
-    diagnostic shape). *)
+(** Rendered as [file:offset: message]. *)
 
 val quantize : Request.t -> Request.t
 (** Round [arrival_ms]/[think_ms] to the exact floats the text format's
@@ -77,48 +63,35 @@ val encode :
   Request.t list ->
   string
 (** Requests (then hints, then the fault window) as one binary trace.
+    [chunk_bytes] (default 64 KiB) is the target chunk payload size;
+    chunks end on record boundaries, so one can exceed it by a record.
     [rounds] is pipeline metadata (the reuse scheduler's round count)
     carried in the header — absent in CLI-written files. *)
 
 val save :
-  ?chunk_bytes:int ->
-  ?hints:Hint.t list ->
-  ?faults:Dp_faults.Fault_model.t ->
-  string ->
-  Request.t list ->
-  unit
-(** Streaming writer: chunks are flushed to the file as they fill. *)
+  ?hints:Hint.t list -> ?faults:Dp_faults.Fault_model.t -> string -> Request.t list -> unit
+(** Writes {!encode}'s string to a file. *)
 
 val decode :
   ?file:string ->
   string ->
   (Request.t list * Hint.t list * Dp_faults.Fault_model.t option * int option, error) result
-(** Whole-buffer decode (requests and hints in encoded order, plus the
-    fault window and header [rounds] metadata).  Any framing violation —
-    bad magic, version skew, truncated or checksum-failing chunk,
-    trailing bytes, record-count mismatch — reports the byte offset of
-    the offending structure. *)
-
-val fold_path :
-  string -> init:'a -> f:('a -> record -> 'a) -> ('a * int option, error) result
-(** Streaming fold over a binary trace file: records are decoded chunk
-    by chunk into a reused buffer and handed to [f] one at a time, so
-    peak memory is bounded by the largest chunk — a 100x-scale trace
-    folds in constant space.  Returns the fold result and the header's
-    [rounds] metadata. *)
+(** Requests and hints in encoded order, plus the fault window and the
+    header's [rounds] metadata.  Any framing violation — bad magic,
+    version skew, truncated or checksum-failing chunk, trailing bytes,
+    record-count mismatch — and any malformed record reports the byte
+    offset of the offending structure, under [file] (default
+    ["<buffer>"]). *)
 
 val sniff : string -> bool
 (** Does this file start with {!magic}?  [false] on any read error. *)
 
-val load_bin :
-  string ->
-  (Request.t list * Hint.t list * Dp_faults.Fault_model.t option * int option, error) result
-(** {!fold_path} collecting into lists. *)
-
 val load_result :
   string ->
   (Request.t list * Hint.t list * Dp_faults.Fault_model.t option, Request.load_error) result
-(** Format-sniffing loader: binary traces (by {!magic}) decode through
-    the streaming reader, anything else parses as the text format via
-    {!Request.load_result}.  Binary framing errors surface with the
-    byte offset in the [line] field (see {!to_load_error}). *)
+(** The one trace-file loader.  It reads the file once; contents that
+    start with {!magic} go to {!decode}, anything else to the text
+    parser {!Request.of_string}.  A binary diagnostic carries its byte
+    offset in the [line] field (text positions and binary offsets share
+    the [file:pos: message] shape); a file that cannot be read reports
+    the system error at position 0. *)

@@ -15,8 +15,7 @@ type t = {
 
 type load_error = { file : string; line : int; msg : string }
 
-let pp_load_error ppf e = Format.fprintf ppf "%s:%d: %s" e.file e.line e.msg
-let load_error_to_string e = Format.asprintf "%a" pp_load_error e
+let load_error_to_string e = Printf.sprintf "%s:%d: %s" e.file e.line e.msg
 
 let compare_arrival a b =
   match Float.compare a.arrival_ms b.arrival_ms with
@@ -106,52 +105,24 @@ let parse_line_res line =
             lba size mode proc disk; got %d)"
            line (List.length fields))
 
-(* Shared classifying parser over numbered lines; first error wins. *)
-let of_numbered_lines lines =
-  let ( let* ) = Result.bind in
-  let* reqs, hints, faults =
-    List.fold_left
-      (fun acc (n, line) ->
-        let* reqs, hints, faults = acc in
+(* One classifying pass over the lines; the first malformed one wins. *)
+let of_string ~file s =
+  let rec go n reqs hints faults = function
+    | [] -> Ok (List.rev reqs, List.rev hints, faults)
+    | line :: rest -> (
         let line = String.trim line in
-        if line = "" || line.[0] = '#' then acc
+        if line = "" || line.[0] = '#' then go (n + 1) reqs hints faults rest
         else if Hint.is_hint_line line then
           match Hint.parse_line_res line with
-          | Ok h -> Ok (reqs, h :: hints, faults)
-          | Error msg -> Error (n, msg)
+          | Ok h -> go (n + 1) reqs (h :: hints) faults rest
+          | Error msg -> Error { file; line = n; msg }
         else if is_fault_line line then
           match Fault_model.of_spec (String.sub line 2 (String.length line - 2)) with
-          | Ok f -> Ok (reqs, hints, Some f)
-          | Error msg -> Error (n, msg)
+          | Ok f -> go (n + 1) reqs hints (Some f) rest
+          | Error msg -> Error { file; line = n; msg }
         else
           match parse_line_res line with
-          | Ok r -> Ok (r :: reqs, hints, faults)
-          | Error msg -> Error (n, msg))
-      (Ok ([], [], None))
-      lines
+          | Ok r -> go (n + 1) (r :: reqs) hints faults rest
+          | Error msg -> Error { file; line = n; msg })
   in
-  Ok (List.rev reqs, List.rev hints, faults)
-
-let number lines = List.mapi (fun i line -> (i + 1, line)) lines
-
-let of_lines_res lines =
-  match of_numbered_lines (number lines) with
-  | Ok _ as ok -> ok
-  | Error (n, msg) -> Error (Printf.sprintf "line %d: %s" n msg)
-
-let load_result path =
-  match
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let rec loop acc =
-          match input_line ic with
-          | line -> loop (line :: acc)
-          | exception End_of_file -> List.rev acc
-        in
-        of_numbered_lines (number (loop [])))
-  with
-  | Ok _ as ok -> ok
-  | Error (line, msg) -> Error { file = path; line; msg }
-  | exception Sys_error msg -> Error { file = path; line = 0; msg }
+  go 1 [] [] None (String.split_on_char '\n' s)

@@ -48,35 +48,27 @@ val pp : Format.formatter -> t -> unit
 
 type load_error = {
   file : string;
-  line : int;  (** 1-based; [0] when the file could not be opened *)
+  line : int;  (** 1-based; [0] when the file could not be read *)
   msg : string;  (** names the offending field and its value *)
 }
 
-val pp_load_error : Format.formatter -> load_error -> unit
-(** Rendered as [file:line: message] — the shape editors jump on. *)
-
 val load_error_to_string : load_error -> string
+(** Rendered as [file:line: message] — the shape editors jump on. *)
 
 val save : ?hints:Hint.t list -> ?faults:Dp_faults.Fault_model.t -> string -> t list -> unit
 
-val load_result :
-  string -> (t list * Hint.t list * Dp_faults.Fault_model.t option, load_error) result
-(** Load a trace file without raising: requests and hints in file order,
-    plus the fault window if the file carries an [F] line.  The first
-    malformed line stops the parse and is reported with its file name,
-    line number and offending field; an unreadable file reports the
-    system error at line 0. *)
-
 val to_channel : ?hints:Hint.t list -> ?faults:Dp_faults.Fault_model.t -> out_channel -> t list -> unit
 
-val of_lines_res :
-  string list -> (t list * Hint.t list * Dp_faults.Fault_model.t option, string) result
-(** In-memory twin of {!load_result}; the error carries the (1-based)
-    line number and offending field, without a file name. *)
+val of_string :
+  file:string ->
+  string ->
+  (t list * Hint.t list * Dp_faults.Fault_model.t option, load_error) result
+(** Parse the contents of a text trace: requests and hints in file
+    order, plus the fault window if the text carries an [F] line.  The
+    first malformed line stops the parse and is reported with [file],
+    its 1-based line number and the offending field.
+    {!Bin.load_result} reads a trace file and hands a text one here. *)
 
 val parse_line_res : string -> (t, string) result
 (** Parse one request line; the error names the offending field.  The
     ids [seg], [proc] and [disk] must be non-negative integers. *)
-
-val is_fault_line : string -> bool
-(** Recognize a (trimmed) trace-file fault line by its [F ] prefix. *)

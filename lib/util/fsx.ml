@@ -44,11 +44,7 @@ let atomic_out ?(fsync = false) path write =
 let atomic_write ?fsync path data =
   atomic_out ?fsync path (fun oc -> output_string oc data)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let rec remove_tree path =
   match Unix.lstat path with

@@ -28,7 +28,8 @@ val atomic_out : ?fsync:bool -> string -> (out_channel -> unit) -> unit
     normally. *)
 
 val read_file : string -> string
-(** The whole (binary) file contents.  @raise Sys_error. *)
+(** The whole (binary) file contents, read to end of file.  @raise
+    Sys_error, also when [path] names a directory. *)
 
 val remove_tree : string -> unit
 (** Recursively delete a file or directory tree, best-effort: entries

@@ -1128,6 +1128,27 @@ let test_bin_truncation_points () =
         [ (hdr, "chunk length"); (trl, "end-of-trace") ]
   | _ -> assert false
 
+(* A directory in place of a trace file is unreadable input: both tools
+   exit 2 naming the path, with the system error at position 0. *)
+let test_trace_path_is_directory () =
+  let dir = Filename.temp_dir "dpower" ".dir" in
+  let out = dir ^ ".out" in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Sys.remove out with Sys_error _ -> ());
+      Sys.rmdir dir)
+    (fun () ->
+      List.iter
+        (fun (tool, argv) ->
+          let code, _, err = run argv in
+          check Alcotest.int (tool ^ ": exit code") 2 code;
+          check Alcotest.bool (tool ^ ": one-line diagnostic") true (one_line err);
+          check Alcotest.bool
+            (Printf.sprintf "%s: names the path (got %S)" tool err)
+            true
+            (contains ~needle:(dir ^ ":0: Is a directory") err))
+        [ ("dpsim", [ dpsim; dir ]); ("dpcc convert", [ dpcc; "convert"; dir; out ]) ])
+
 (* --- the chaos soak --- *)
 
 let chaos_dir_counter = ref 0
@@ -1306,5 +1327,6 @@ let suites =
         Alcotest.test_case "dpsim --obs events" `Quick test_dpsim_obs_events;
         Alcotest.test_case "dpsim --disks too few" `Quick test_dpsim_too_few_disks;
         Alcotest.test_case "dpsim negative ids" `Quick test_dpsim_negative_ids;
+        Alcotest.test_case "trace path is a directory" `Quick test_trace_path_is_directory;
       ] );
   ]

@@ -10,6 +10,7 @@ module Request = Dp_trace.Request
 module Cost_model = Dp_trace.Cost_model
 module Generate = Dp_trace.Generate
 module Parallelize = Dp_restructure.Parallelize
+module Bin = Dp_trace.Bin
 
 let check = Alcotest.check
 let c = A.const
@@ -70,7 +71,7 @@ let test_trace_roundtrip () =
     (fun () ->
       Request.save path reqs;
       let back =
-        match Request.load_result path with
+        match Bin.load_result path with
         | Ok (back, [], None) -> back
         | Ok _ -> Alcotest.fail "a requests-only file loaded hints or faults"
         | Error e -> Alcotest.fail (Request.load_error_to_string e)
@@ -88,10 +89,10 @@ let test_trace_roundtrip () =
         reqs back)
 
 let test_trace_malformed () =
-  (match Request.of_lines_res [ "# comment"; "" ] with
+  (match Request.of_string ~file:"t" "# comment\n\n" with
   | Ok ([], [], None) -> ()
   | _ -> Alcotest.fail "comments and blanks ignored");
-  match Request.of_lines_res [ "1.0 2.0 0 nonsense" ] with
+  match Request.of_string ~file:"t" "1.0 2.0 0 nonsense" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected an Error on a malformed line"
 
@@ -114,7 +115,7 @@ let test_hint_roundtrip () =
     (fun () ->
       Request.save ~hints:some_hints path reqs;
       let back_reqs, back_hints =
-        match Request.load_result path with
+        match Bin.load_result path with
         | Ok (reqs, hints, None) -> (reqs, hints)
         | Ok (_, _, Some _) -> Alcotest.fail "no fault line was saved"
         | Error e -> Alcotest.fail (Request.load_error_to_string e)
@@ -135,13 +136,13 @@ let test_hint_roundtrip () =
         back_hints)
 
 let test_hint_malformed () =
-  (match Request.of_lines_res [ "H 1.0 0 D" ] with
+  (match Request.of_string ~file:"t" "H 1.0 0 D" with
   | Ok ([], [ h ], None) ->
       check Alcotest.bool "spin-down parsed" true (h.Hint.action = Hint.Spin_down)
   | _ -> Alcotest.fail "expected one hint");
   List.iter
     (fun line ->
-      match Request.of_lines_res [ line ] with
+      match Request.of_string ~file:"t" line with
       | Error _ -> ()
       | Ok _ -> Alcotest.fail (Printf.sprintf "expected an Error on %S" line))
     [
@@ -227,7 +228,7 @@ let test_fault_line_roundtrip () =
     (fun () ->
       Request.save ~hints:some_hints ~faults path reqs;
       let back_reqs, back_hints, back_faults =
-        match Request.load_result path with
+        match Bin.load_result path with
         | Ok parsed -> parsed
         | Error e -> Alcotest.fail (Request.load_error_to_string e)
       in
@@ -242,27 +243,26 @@ let test_fault_line_roundtrip () =
 let test_load_result_line_numbers () =
   (* The first malformed line wins and is reported with its number and field. *)
   let good = "1.0 2.0 0 0 0 1024 R 0 0" in
-  (match Request.of_lines_res [ good; "# fine"; "1.0 2.0 0 0 0 1024 X 0 0" ] with
-  | Error msg ->
-      check Alcotest.bool
-        (Printf.sprintf "line number in %S" msg)
-        true
-        (contains ~needle:"line 3" msg && contains ~needle:"mode" msg)
+  let parse lines = Request.of_string ~file:"t" (String.concat "\n" lines) in
+  (match parse [ good; "# fine"; "1.0 2.0 0 0 0 1024 X 0 0" ] with
+  | Error e ->
+      check Alcotest.int "bad mode on line 3" 3 e.line;
+      check Alcotest.bool (Printf.sprintf "field named in %S" e.msg) true
+        (contains ~needle:"mode" e.msg)
   | Ok _ -> Alcotest.fail "bad mode letter must be rejected");
-  (match Request.of_lines_res [ good; "F 1:nope:all" ] with
-  | Error msg ->
-      check Alcotest.bool
-        (Printf.sprintf "fault line error in %S" msg)
-        true
-        (contains ~needle:"line 2" msg && contains ~needle:"rate" msg)
+  (match parse [ good; "F 1:nope:all" ] with
+  | Error e ->
+      check Alcotest.int "bad fault line on line 2" 2 e.line;
+      check Alcotest.bool (Printf.sprintf "field named in %S" e.msg) true
+        (contains ~needle:"rate" e.msg)
   | Ok _ -> Alcotest.fail "bad fault line must be rejected");
-  match Request.of_lines_res [ good ] with
+  match parse [ good; "" ] with
   | Ok ([ _ ], [], None) -> ()
   | Ok _ -> Alcotest.fail "one request expected"
-  | Error msg -> Alcotest.fail msg
+  | Error e -> Alcotest.fail (Request.load_error_to_string e)
 
 let test_load_result_missing_file () =
-  match Request.load_result "/nonexistent/dpower.trace" with
+  match Bin.load_result "/nonexistent/dpower.trace" with
   | Error { file; line = 0; msg = _ } ->
       check Alcotest.string "file recorded" "/nonexistent/dpower.trace" file
   | Error e -> Alcotest.failf "expected line 0, got %s" (Request.load_error_to_string e)
@@ -276,7 +276,7 @@ let test_load_result_reports_file_and_line () =
       let oc = open_out path in
       output_string oc "# header\n1.0 2.0 0 0 0 notanint R 0 0\n";
       close_out oc;
-      match Request.load_result path with
+      match Bin.load_result path with
       | Error e ->
           check Alcotest.string "file" path e.Request.file;
           check Alcotest.int "line" 2 e.Request.line;
@@ -412,8 +412,6 @@ let test_idle_stats_restructuring_helps () =
 
 (* {1 Binary codec} *)
 
-module Bin = Dp_trace.Bin
-
 let tmp_file name = Filename.concat (Filename.get_temp_dir_name ()) name
 
 let sample_reqs : Request.t list =
@@ -465,12 +463,13 @@ let sample_faults = Result.get_ok (Fault_model.of_spec "42:0.25:md")
 
 let bits f = Int64.bits_of_float f
 
+let same_bits (a : Request.t) (b : Request.t) =
+  a = b && bits a.arrival_ms = bits b.arrival_ms && bits a.think_ms = bits b.think_ms
+
 let check_reqs_equal what expected got =
   check Alcotest.int (what ^ ": count") (List.length expected) (List.length got);
   List.iter2
-    (fun (a : Request.t) (b : Request.t) ->
-      check Alcotest.bool (what ^ ": request") true
-        (a = b && bits a.arrival_ms = bits b.arrival_ms && bits a.think_ms = bits b.think_ms))
+    (fun a b -> check Alcotest.bool (what ^ ": request") true (same_bits a b))
     expected got
 
 let test_bin_roundtrip () =
@@ -493,20 +492,21 @@ let test_bin_file_roundtrip () =
   let path = tmp_file "dpower-bin-roundtrip.dpt" in
   Bin.save ~hints:sample_hints ~faults:sample_faults path sample_reqs;
   check Alcotest.bool "sniff" true (Bin.sniff path);
-  (match Bin.load_bin path with
-  | Error e -> Alcotest.failf "load_bin: %s" (Bin.error_to_string e)
+  let read p = In_channel.with_open_bin p In_channel.input_all in
+  (match Bin.decode (read path) with
+  | Error e -> Alcotest.failf "decode: %s" (Bin.error_to_string e)
   | Ok (reqs, hints, faults, rounds) ->
       check_reqs_equal "file" sample_reqs reqs;
       check Alcotest.bool "file hints" true (hints = sample_hints);
       check Alcotest.bool "file faults" true (faults <> None);
       check Alcotest.(option int) "file rounds" None rounds);
-  (* The sniffing loader agrees with the text loader on a text file. *)
+  (* The sniffing loader agrees with the text parser on a text file. *)
   let text = tmp_file "dpower-bin-roundtrip.trace" in
   Request.save ~hints:sample_hints ~faults:sample_faults text sample_reqs;
   check Alcotest.bool "text not sniffed" false (Bin.sniff text);
-  let via_text = Result.get_ok (Request.load_result text) in
+  let via_text = Result.get_ok (Request.of_string ~file:text (read text)) in
   let via_auto = Result.get_ok (Bin.load_result text) in
-  check Alcotest.bool "auto = text loader" true (via_text = via_auto);
+  check Alcotest.bool "auto = text parser" true (via_text = via_auto);
   let rb, hb, fb = Result.get_ok (Bin.load_result path) in
   check_reqs_equal "auto bin" sample_reqs rb;
   check Alcotest.bool "auto bin hints" true (hb = sample_hints);
@@ -521,7 +521,7 @@ let test_bin_text_identity () =
   let reqs = single_trace () in
   let text1 = tmp_file "dpower-bin-text1.trace" in
   Request.save ~hints:sample_hints ~faults:sample_faults text1 reqs;
-  let r1, h1, f1 = Result.get_ok (Request.load_result text1) in
+  let r1, h1, f1 = Result.get_ok (Bin.load_result text1) in
   let bin = Bin.encode ~hints:h1 ?faults:f1 r1 in
   let r2, h2, f2, _ = Result.get_ok (Bin.decode bin) in
   let text2 = tmp_file "dpower-bin-text2.trace" in
@@ -637,6 +637,68 @@ let test_bin_negative_ids () =
         Bin.encode ~hints:[ { Dp_trace.Hint.at_ms = 1.0; disk = -1; action = Spin_down } ] [] );
     ]
 
+(* The [(offset, length)] of every chunk payload of a well-formed trace. *)
+let chunk_payloads s =
+  let pos = ref 6 in
+  if Char.code s.[5] land 1 <> 0 then begin
+    while Char.code s.[!pos] land 0x80 <> 0 do incr pos done;
+    incr pos
+  end;
+  let rec go acc =
+    if s.[!pos] = 'E' then List.rev acc
+    else begin
+      let len = Int32.to_int (String.get_int32_le s (!pos + 1)) in
+      let data = !pos + 5 in
+      pos := data + len + 16;
+      go ((data, len) :: acc)
+    end
+  in
+  go []
+
+(* Every framing and record diagnostic, pinned: the decoder's verdict
+   ([offset msg], or [ok]) on each strict prefix of a small multi-chunk
+   trace with rounds, hints and a fault window, on each single-byte xor
+   of it, and on each single-byte xor of a chunk payload whose checksum
+   is re-sealed, so the record decoders see the damage.  The digests were
+   recorded from the earlier streaming decoder: any moved offset or
+   reworded message fails here. *)
+let test_bin_diagnostics_pinned () =
+  let s =
+    Bin.encode ~chunk_bytes:48 ~rounds:3 ~hints:sample_hints ~faults:sample_faults
+      (sample_reqs @ single_trace ())
+  in
+  let n = String.length s in
+  let render s =
+    match Bin.decode s with
+    | Ok _ -> "ok"
+    | Error e -> Printf.sprintf "%d %s" e.offset e.msg
+  in
+  let xor s i x = corrupt s i (Char.chr (Char.code s.[i] lxor x)) in
+  let masks = [ 0x01; 0x80; 0xff ] in
+  let framing =
+    List.init n (fun cut -> render (String.sub s 0 cut))
+    @ List.concat_map (fun x -> List.init n (fun i -> render (xor s i x))) masks
+  in
+  let chunks = chunk_payloads s in
+  let records =
+    List.concat_map
+      (fun (data, len) ->
+        List.concat_map
+          (fun x ->
+            List.init len (fun i ->
+                let b = Bytes.of_string (xor s (data + i) x) in
+                Bytes.blit_string (Digest.subbytes b data len) 0 b (data + len) 16;
+                render (Bytes.to_string b)))
+          masks)
+      chunks
+  in
+  let md5 l = Digest.to_hex (Digest.string (String.concat "\n" l)) in
+  check Alcotest.bool "several chunks" true (List.length chunks >= 3);
+  check Alcotest.string "framing diagnostics" "6ec7559515737b0ac8d2c485dff9238e"
+    (md5 framing);
+  check Alcotest.string "record diagnostics" "aee981cf0eace7a06884d1186887dec6"
+    (md5 records)
+
 let test_bin_error_rendering () =
   let path = tmp_file "dpower-bin-truncated.dpt" in
   Bin.save path sample_reqs;
@@ -682,34 +744,22 @@ let arbitrary_trace =
   in
   QCheck.list_of_size (Gen.int_range 0 200) req
 
-let test_bin_fold_equals_decode =
-  QCheck.Test.make ~count:60 ~name:"chunked fold = whole-buffer decode" arbitrary_trace
-    (fun reqs ->
+let test_bin_multichunk_roundtrip =
+  QCheck.Test.make ~count:60 ~name:"multi-chunk round trip is bit-exact"
+    QCheck.(pair (option (int_range 0 1_000_000)) arbitrary_trace)
+    (fun (rounds, reqs) ->
       (* Tiny chunks force many chunk boundaries mid-stream. *)
-      let s = Bin.encode ~chunk_bytes:48 ~hints:sample_hints ~faults:sample_faults reqs in
-      let whole = Result.get_ok (Bin.decode s) in
-      let path = tmp_file "dpower-bin-qcheck.dpt" in
-      Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s);
-      let folded =
-        Result.get_ok
-          (Bin.fold_path path ~init:[] ~f:(fun acc r -> r :: acc))
+      let s =
+        Bin.encode ~chunk_bytes:48 ?rounds ~hints:sample_hints ~faults:sample_faults reqs
       in
-      Sys.remove path;
-      let reqs', hints', faults', rounds' =
-        let rs, hs, f =
-          List.fold_left
-            (fun (rs, hs, f) -> function
-              | Bin.Req r -> (r :: rs, hs, f)
-              | Bin.Hint h -> (rs, h :: hs, f)
-              | Bin.Faults fm -> (rs, hs, Some fm))
-            ([], [], None) (List.rev (fst folded))
-        in
-        (List.rev rs, List.rev hs, f, snd folded)
-      in
-      let wr, wh, wf, wround = whole in
-      reqs' = wr && hints' = wh
-      && Option.map Fault_model.to_spec faults' = Option.map Fault_model.to_spec wf
-      && rounds' = wround && wr = reqs)
+      match Bin.decode s with
+      | Error e -> QCheck.Test.fail_report (Bin.error_to_string e)
+      | Ok (reqs', hints', faults', rounds') ->
+          List.equal same_bits reqs reqs'
+          && hints' = sample_hints
+          && Option.map Fault_model.to_spec faults'
+             = Some (Fault_model.to_spec sample_faults)
+          && rounds' = rounds)
 
 (* The three-pass summary [Generate.summarize] replaced, with the
    per-processor compute time summed in processor order. *)
@@ -761,48 +811,6 @@ let test_summarize_one_pass =
       check (Alcotest.float 0.0) "io_ms" r.io_ms s.io_ms;
       true)
 
-let test_bin_streaming_memory () =
-  (* A 100x-scale trace folds in constant space: live heap while streaming
-     stays bounded by the chunk buffer, far below the materialized list. *)
-  let n = 300_000 in
-  let path = tmp_file "dpower-bin-large.dpt" in
-  let write_large () =
-    let reqs =
-      List.init n (fun i : Request.t ->
-          {
-            arrival_ms = float_of_int i /. 4.0;
-            think_ms = 1.0;
-            seg = 0;
-            address = i * 1024;
-            lba = i * 1024;
-            size = 1024;
-            mode = Ir.Read;
-            proc = i land 7;
-            disk = i land 3;
-          })
-    in
-    Bin.save path reqs
-  in
-  write_large ();
-  Gc.compact ();
-  let baseline = (Gc.stat ()).live_words in
-  let peak = ref 0 in
-  let count =
-    Result.get_ok
-      (Bin.fold_path path ~init:0 ~f:(fun acc _ ->
-           if acc mod 50_000 = 0 then begin
-             let live = (Gc.stat ()).live_words - baseline in
-             if live > !peak then peak := live
-           end;
-           acc + 1))
-  in
-  Sys.remove path;
-  check Alcotest.int "all records streamed" n (fst count);
-  (* A materialized list of 300k requests is ~30 MWords; the streaming
-     reader must stay within a small constant (chunk buffer + decoder). *)
-  if !peak > 1_000_000 then
-    Alcotest.failf "streaming fold grew live heap by %d words (bound 1M)" !peak
-
 let suites =
   [
     ( "trace",
@@ -842,8 +850,7 @@ let suites =
         Alcotest.test_case "corruption diagnostics" `Quick test_bin_corruption;
         Alcotest.test_case "file:offset error rendering" `Quick test_bin_error_rendering;
         Alcotest.test_case "negative ids refused at their record" `Quick test_bin_negative_ids;
-        QCheck_alcotest.to_alcotest test_bin_fold_equals_decode;
-        Alcotest.test_case "streaming fold is constant-space" `Slow
-          test_bin_streaming_memory;
+        QCheck_alcotest.to_alcotest test_bin_multichunk_roundtrip;
+        Alcotest.test_case "diagnostics pinned" `Quick test_bin_diagnostics_pinned;
       ] );
   ]
