@@ -386,7 +386,7 @@ let fault_sweep source procs jobs shards seed rates classes json_path obs_jsonl 
 (* --- serve: the multi-tenant server-array experiment --- *)
 
 let serve tenants seed disks jitter_ms policy_name jobs shards faults_spec decay_spec
-    scrub_ms spare deadline json obs_jsonl live cache_dir no_cache profile =
+    scrub_ms spare deadline json obs_jsonl live _cache_dir _no_cache profile =
   with_profile profile @@ fun () ->
   with_errors (fun () ->
       check_jobs jobs;
@@ -422,12 +422,11 @@ let serve tenants seed disks jitter_ms policy_name jobs shards faults_spec decay
         | Ok k -> k
         | Error msg -> fail "%s" msg
       in
-      let cache = open_cache ~no_cache ~dir:cache_dir () in
       let cfg =
         Dp_serve.Serve.config ~disks ~jitter_ms ~jobs ~shards ~selection ~knobs
           ~obs:(obs_jsonl <> None) ~live ~tenants ~seed ()
       in
-      let report = Dp_serve.Serve.run ?cache cfg in
+      let report = Dp_serve.Serve.run cfg in
       (* Rows render their live frames into their own buffers during the
          fan-out; printing them here in row order keeps the byte stream
          identical across --jobs settings. *)
@@ -460,9 +459,7 @@ let serve tenants seed disks jitter_ms policy_name jobs shards faults_spec decay
           Fsx.atomic_write path
             (Dp_harness.Json_out.to_string (Dp_harness.Json_out.of_serve report) ^ "\n");
           Format.printf "%a@." Dp_serve.Serve.pp_report report
-      | None -> Format.printf "%a@." Dp_serve.Serve.pp_report report);
-      profile_cache profile cache;
-      finish_cache cache)
+      | None -> Format.printf "%a@." Dp_serve.Serve.pp_report report))
 
 (* --- cache: inspect / clear the persistent stage store --- *)
 
@@ -578,7 +575,7 @@ let emit source output =
 
 let convert input output format_name =
   with_errors (fun () ->
-      let reqs, hints, faults =
+      let reqs, hints, faults, read_as =
         match Bin.load_result input with
         | Ok v -> v
         | Error e -> fail "%s" (Request.load_error_to_string e)
@@ -586,7 +583,7 @@ let convert input output format_name =
       let format =
         match format_name with
         (* No --format: convert to the opposite of what the input is. *)
-        | None -> if Bin.sniff input then `Text else `Bin
+        | None -> ( match read_as with `Bin -> `Text | `Text -> `Bin)
         | Some name -> trace_format_of_name name
       in
       save_trace ~format ~hints ?faults output reqs;
@@ -1117,6 +1114,24 @@ let serve_cmd =
              keyed on simulated time; printed in row order before the report, so output \
              is byte-identical across --jobs)")
   in
+  (* Serve builds its app windows from the programs' first iterations
+     and no trace stage, so it has nothing to store: the two cache flags
+     every pipeline command takes are accepted and ignored. *)
+  let cache_dir =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "cache-dir" ] ~docv:"DIR"
+          ~doc:"Accepted for symmetry with the other commands; a no-op for serve, which \
+                opens no stage store")
+  in
+  let no_cache =
+    Arg.(
+      value & flag
+      & info [ "no-cache" ]
+          ~doc:"Accepted for symmetry with the other commands; a no-op for serve, which \
+                opens no stage store")
+  in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
@@ -1124,8 +1139,8 @@ let serve_cmd =
           hints, online adaptation and the oracle bound")
     Term.(
       const serve $ tenants $ seed $ disks $ jitter $ policy $ jobs_arg $ shards_arg
-      $ faults $ decay $ scrub $ spare $ deadline $ json $ obs_jsonl $ live
-      $ cache_dir_arg $ no_cache_arg $ profile_arg)
+      $ faults $ decay $ scrub $ spare $ deadline $ json $ obs_jsonl $ live $ cache_dir
+      $ no_cache $ profile_arg)
 
 let chaos_cmd =
   let seed =

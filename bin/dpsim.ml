@@ -69,12 +69,12 @@ let obs_recorder mode out disks =
 
 let run trace_file out disks policy_name threshold proactive window downshift faults_spec
     scrub_ms spare deadline shards per_disk obs_mode live =
-  (* Format-sniffing loader: the file is read once; binary traces (by
+  (* The one loader: the file is read once; binary traces (by
      magic) decode, anything else parses as text.  Binary framing errors
      carry the byte offset in the line field. *)
   let reqs, hints, trace_faults =
     match Bin.load_result trace_file with
-    | Ok parsed -> parsed
+    | Ok (reqs, hints, faults, _) -> (reqs, hints, faults)
     | Error e -> usage_error "%s" (Request.load_error_to_string e)
   in
   if disks < 1 then usage_error "--disks must be at least 1 (got %d)" disks;

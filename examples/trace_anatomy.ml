@@ -35,7 +35,7 @@ let () =
   Request.save path reuse_trace;
   let reloaded =
     match Dp_trace.Bin.load_result path with
-    | Ok (reqs, _, _) -> reqs
+    | Ok (reqs, _, _, _) -> reqs
     | Error e -> failwith (Request.load_error_to_string e)
   in
   Sys.remove path;

@@ -22,6 +22,26 @@ let element_key ~base ~extents (a : Ir.Compiled.access) iter =
   done;
   base.(a.array) + !lin
 
+(* The one numbering of the instances: nests in program order,
+   iterations in lexicographic order.  A bounded walk leaves by [Exit]
+   as soon as the instances so far make [accesses] array accesses. *)
+let instances ?(accesses = max_int) (prog : Ir.program) =
+  let rev = ref [] and count = ref 0 and made = ref 0 in
+  (try
+     List.iteri
+       (fun nest (n : Ir.nest) ->
+         let per_iter =
+           List.fold_left (fun acc (s : Ir.stmt) -> acc + List.length s.refs) 0 n.body
+         in
+         Ir.iter_nest n (fun iter ->
+             if !made >= accesses then raise_notrace Exit;
+             rev := { seq = !count; nest; nest_id = n.nest_id; iter } :: !rev;
+             incr count;
+             made := !made + per_iter))
+       prog.nests
+   with Exit -> ());
+  Array.of_list (List.rev !rev)
+
 let build (prog : Ir.program) =
   Dp_obs.Prof.span "dependence.concrete-build" @@ fun () ->
   (match Ir.validate prog with
@@ -37,16 +57,8 @@ let build (prog : Ir.program) =
     base.(k) <- base.(k - 1) + Ir.array_elems arrays.(k - 1)
   done;
   let total = Array.fold_left (fun acc a -> acc + Ir.array_elems a) 0 arrays in
-  (* Enumerate the instances once, in original execution order. *)
-  let rev = ref [] and count = ref 0 in
-  List.iteri
-    (fun nest (n : Ir.nest) ->
-      Ir.iter_nest n (fun iter ->
-          rev := { seq = !count; nest; nest_id = n.nest_id; iter } :: !rev;
-          incr count))
-    prog.nests;
-  let n_inst = !count in
-  let instances = Array.of_list (List.rev !rev) in
+  let instances = instances prog in
+  let n_inst = Array.length instances in
   (* Pass 1: count the writes per element, so reader lists are only
      kept while a future write can consume them. *)
   let writes_left = Array.make total 0 in

@@ -29,8 +29,17 @@ type graph = {
   succs : int array array;  (** inverse of [preds] *)
 }
 
+val instances : ?accesses:int -> Ir.program -> instance array
+(** The iteration instances in original execution order, indexed by
+    [seq]: the one enumeration behind {!build} and every consumer that
+    needs no dependences.  With [accesses], the walk stops as soon as
+    the instances so far make that many array accesses (each
+    statement's refs, per iteration), so it returns the shortest prefix
+    of the program that issues them, or the whole program if it issues
+    fewer.  The program must pass {!Ir.validate}. *)
+
 val build : Ir.program -> graph
-(** Enumerates the iteration space once into [instances], then makes
+(** Enumerates the iteration space once ({!instances}), then makes
     two passes over that array with the {!Ir.Compiled} form of the
     program: one counts the writes per element, the other records the
     edges.  Element keys are row-major indices into one space over all

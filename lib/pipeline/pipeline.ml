@@ -303,7 +303,7 @@ let key ?(cluster = Cluster.First_ref) ~procs mode =
    lib/harness/runner.ml, with dpcc unable to produce the
    conventional-partition restructured streams at procs > 1). *)
 let original_streams t g ~procs =
-  if procs = 1 then Generate.single_stream g ~order:(Concrete.original_order g)
+  if procs = 1 then Generate.single_stream ~order:(Concrete.original_order g)
   else
     (* Unmodified code, conventionally parallelized, fork-join nests. *)
     Generate.original_segments (program t) g (Parallelize.conventional (program t) g ~procs)
@@ -354,7 +354,8 @@ let traced ?cluster t ~procs mode =
     ~inputs:(fun () ->
       let s = streams ?cluster t ~procs mode in
       (s, graph t))
-    (fun ((segs, rounds), g) -> (Generate.trace t.layout (program t) g segs, rounds))
+    (fun ((segs, rounds), g) ->
+      (Generate.trace t.layout (program t) g.Concrete.instances segs, rounds))
 
 let trace ?cluster t ~procs mode = fst (traced ?cluster t ~procs mode)
 let rounds ?cluster t ~procs mode = snd (traced ?cluster t ~procs mode)

@@ -59,9 +59,63 @@ let sample_add s v =
   s.len <- s.len + 1
 
 let sample_sorted s =
-  let a = Array.init s.len (Array.get s.buf) in
-  Array.sort Float.compare a;
+  let a = Array.sub s.buf 0 s.len in
+  Array.stable_sort Float.compare a;
   a
+
+(* The pooled order of sorted runs: a k-way merge through a binary
+   min-heap.  Heap slot [i] holds run [run.(i)] and its next sample
+   [key.(i)]; [next.(r)] is the position after run [r]'s head.  It costs
+   O(n log k) and allocates only the output and three k-entry arrays.
+   Responses are finite, so [<] orders them as [Float.compare] does. *)
+let merge_sorted runs =
+  let k = Array.length runs in
+  let out = Array.make (Array.fold_left (fun acc r -> acc + Array.length r) 0 runs) 0.0 in
+  let run = Array.make k 0 and key = Array.make k 0.0 and next = Array.make k 1 in
+  let size = ref 0 in
+  Array.iteri
+    (fun r a ->
+      if Array.length a > 0 then begin
+        run.(!size) <- r;
+        key.(!size) <- a.(0);
+        incr size
+      end)
+    runs;
+  (* Sift slot [i]'s entry down to its place. *)
+  let sift i =
+    let n = !size and r = run.(i) and x = key.(i) in
+    let i = ref i and go = ref true in
+    while !go do
+      let l = (2 * !i) + 1 in
+      let c = if l + 1 < n && key.(l + 1) < key.(l) then l + 1 else l in
+      if c < n && key.(c) < x then begin
+        run.(!i) <- run.(c);
+        key.(!i) <- key.(c);
+        i := c
+      end
+      else go := false
+    done;
+    run.(!i) <- r;
+    key.(!i) <- x
+  in
+  for i = (!size / 2) - 1 downto 0 do
+    sift i
+  done;
+  for j = 0 to Array.length out - 1 do
+    out.(j) <- key.(0);
+    let r = run.(0) in
+    if next.(r) < Array.length runs.(r) then begin
+      key.(0) <- runs.(r).(next.(r));
+      next.(r) <- next.(r) + 1
+    end
+    else begin
+      decr size;
+      run.(0) <- run.(!size);
+      key.(0) <- key.(!size)
+    end;
+    sift 0
+  done;
+  out
 
 let abandon_factor = 4.0
 
@@ -125,9 +179,10 @@ let recorder ?deadline_ms ~tenants ~disks () =
           else unattributed := !unattributed +. e;
         pending.(d) <- 0.0)
       pending;
+    let sorted = Array.map sample_sorted responses in
     let stats =
       Array.init tenants (fun t ->
-          let sorted = sample_sorted responses.(t) in
+          let sorted = sorted.(t) in
           let n = Array.length sorted in
           {
             tenant = t;
@@ -151,19 +206,7 @@ let recorder ?deadline_ms ~tenants ~disks () =
              if s.requests > 0 then Some s.response_mean_ms else None)
            (Array.to_list stats))
     in
-    let pooled =
-      let total = Array.fold_left (fun acc s -> acc + s.len) 0 responses in
-      let a = Array.make (max total 1) 0.0 in
-      let at = ref 0 in
-      Array.iter
-        (fun s ->
-          Array.blit s.buf 0 a !at s.len;
-          at := !at + s.len)
-        responses;
-      let a = Array.sub a 0 total in
-      Array.sort Float.compare a;
-      a
-    in
+    let pooled = merge_sorted sorted in
     let pooled_n = Array.length pooled in
     {
       tenants = stats;

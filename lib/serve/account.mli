@@ -14,7 +14,12 @@
       regrouping — the engine folds per disk, attribution per tenant).
     - {b response percentiles} are exact nearest-rank over the tenant's
       recorded responses, not histogram-bucket approximations: tenant
-      streams are short enough to keep every sample.
+      streams are short enough to keep every sample.  The finisher
+      sorts each tenant's samples once ([Array.stable_sort]) and gets
+      the pooled order by merging those sorted runs through a heap of
+      run heads: O(n log k) for n responses over k tenants, and no
+      fixed cost beyond three k-entry arrays, so finishing a tiny
+      recorder stays cheap.  Every mean is summed in sorted order.
     - {b fairness} is Jain's index over per-tenant mean response times.
     - {b SLO accounting} (only under a deadline): a response past the
       deadline is a violation, one past four deadlines is counted

@@ -98,13 +98,16 @@ let specs = function
       [ Sim ("base", Policy.No_pm, None); Sim ("online", Policy.default_adaptive, None) ]
   | Oracle_only -> [ Bound ]
 
-let run ?cache cfg =
+let run cfg =
   Dp_obs.Prof.span "serve.run" @@ fun () ->
   let root = Splitmix.create cfg.seed in
   let pop_rng = Splitmix.split root in
   let mux_rng = Splitmix.split root in
-  let tenants =
-    Tenant.population ?cache ~rng:pop_rng ~tenants:cfg.tenants ~disks:cfg.disks ()
+  let tenants = Tenant.population ~rng:pop_rng ~tenants:cfg.tenants ~disks:cfg.disks () in
+  (* The kinds are all the report keeps of the population, so the tenant
+     streams can be collected once they are merged. *)
+  let kinds =
+    Array.of_list (List.map (fun (t : Tenant.t) -> Tenant.kind_name t.kind) tenants)
   in
   let merged = Mux.merge ~rng:mux_rng ~jitter_ms:cfg.jitter_ms tenants in
   (* The per-tenant shifted streams, recovered from the merged trace:
@@ -173,12 +176,7 @@ let run ?cache cfg =
         }
   in
   let rows = Domain_pool.map ~jobs:cfg.jobs run_spec (specs cfg.selection) in
-  {
-    config = cfg;
-    requests = List.length merged;
-    kinds = Array.of_list (List.map (fun (t : Tenant.t) -> Tenant.kind_name t.kind) tenants);
-    rows;
-  }
+  { config = cfg; requests = List.length merged; kinds; rows }
 
 let pp_row ppf r =
   match r.summary with

@@ -103,10 +103,12 @@ type report = {
   rows : row list;
 }
 
-val run : ?cache:Dp_cachefs.Cachefs.t -> config -> report
-(** [cache] backs the app-tenant pipeline stages (trace windows are
-    shared across runs and processes); the synthetic tenants and the
-    simulations are cheap enough to rebuild. *)
+val run : config -> report
+(** Builds the population ({!Tenant.population}), merges it
+    ({!Mux.merge}) and computes the selected rows.  It reads and writes
+    no stage store: an app window is built from its program's first
+    iterations, with no dependence graph and no whole trace, which
+    costs less than fetching a stored trace would. *)
 
 val pp_report : Format.formatter -> report -> unit
 (** The human table: one line per row (energy, makespan, pooled

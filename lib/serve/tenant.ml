@@ -1,5 +1,7 @@
 module Splitmix = Dp_util.Splitmix
 module Request = Dp_trace.Request
+module Generate = Dp_trace.Generate
+module Concrete = Dp_dependence.Concrete
 module Pipeline = Dp_pipeline.Pipeline
 
 type kind = Oltp of Oltp.params | App of string
@@ -42,12 +44,22 @@ let rec take n = function
   | _ when n <= 0 -> []
   | x :: rest -> x :: take (n - 1) rest
 
-let app_stream ?cache ~disks name =
-  let ctx = Pipeline.load ?cache ("app:" ^ name) in
-  let trace = Pipeline.trace ctx ~procs:1 Pipeline.Original in
-  normalize ~disks (take app_window (Request.sort_arrival trace))
+(* The window is the head of the 1-processor Original trace.  That
+   trace issues one request per access, in original order, each after
+   the last on one clock, so its first [app_window] requests come from
+   the shortest prefix of the iterations that makes [app_window]
+   accesses, and the rest of the program is never enumerated. *)
+let app_stream ~disks name =
+  let ctx = Pipeline.load ("app:" ^ name) in
+  let prog = Pipeline.program ctx in
+  let prefix = Concrete.instances ~accesses:app_window prog in
+  let order = Array.init (Array.length prefix) Fun.id in
+  let trace =
+    Generate.trace (Pipeline.layout ctx) prog prefix (Generate.single_stream ~order)
+  in
+  normalize ~disks (take app_window trace)
 
-let population ?cache ~rng ~tenants ~disks () =
+let population ~rng ~tenants ~disks () =
   if tenants < 1 then invalid_arg "Tenant.population: tenants must be >= 1";
   if disks < 1 then invalid_arg "Tenant.population: disks must be >= 1";
   let windows : (string, Request.t list) Hashtbl.t = Hashtbl.create 8 in
@@ -55,7 +67,7 @@ let population ?cache ~rng ~tenants ~disks () =
     match Hashtbl.find_opt windows name with
     | Some w -> w
     | None ->
-        let w = app_stream ?cache ~disks name in
+        let w = app_stream ~disks name in
         Hashtbl.add windows name w;
         w
   in

@@ -2,11 +2,10 @@
 
     A tenant is one request stream destined for the shared array: either
     a synthetic OLTP stream ({!Oltp}) or a bounded window of one of the
-    six paper applications replayed through {!Dp_pipeline.Pipeline}.
-    Streams are normalized to a common shape the multiplexer relies on:
-    [proc = 0], [seg = 0], arrivals strictly increasing from 0,
-    [think_ms] equal to the arrival delta (closed-loop), disks folded
-    into the array ([disk mod disks]). *)
+    six paper applications.  Streams are normalized ({!normalize}) to a
+    common shape the multiplexer relies on: [proc = 0], [seg = 0],
+    arrivals strictly increasing from 0, [think_ms] equal to the arrival
+    delta (closed-loop), disks folded into the array ([disk mod disks]). *)
 
 type kind =
   | Oltp of Oltp.params
@@ -27,19 +26,26 @@ val app_window : int
     array, so each app tenant replays this prefix of the 1-processor
     Original trace. *)
 
-val population :
-  ?cache:Dp_cachefs.Cachefs.t ->
-  rng:Dp_util.Splitmix.t ->
-  tenants:int ->
-  disks:int ->
-  unit ->
-  t list
+val normalize : disks:int -> Dp_trace.Request.t list -> Dp_trace.Request.t list
+(** The tenant shape above: a stable arrival sort, arrivals rebased to
+    0 with exact ties bumped 10 µs apart, think times chained to the
+    arrival deltas, [seg] and [proc] zeroed and disks folded into the
+    array. *)
+
+val population : rng:Dp_util.Splitmix.t -> tenants:int -> disks:int -> unit -> t list
 (** The deterministic population for a served-array run: every fourth
     tenant (index [3 mod 4]) replays an application window, cycling
     through the six paper workloads; the rest are OLTP tenants with
     per-tenant parameters drawn from [rng]'s children.  One child is
     split off [rng] per tenant in index order, so the population is a
-    pure function of the generator.  App windows are built once per
-    application and shared ([cache] forwards to the pipeline's
-    persistent store).
+    pure function of the generator.
+
+    An app window is built once per application and shared.  It is the
+    normalized first {!app_window} requests of the application's
+    1-processor Original trace, bit for bit, but built from the
+    program's first iterations alone: {!Dp_dependence.Concrete.instances}
+    walks them in original order only until their accesses cover the
+    window, and {!Dp_trace.Generate.trace} runs on just those.  No
+    dependence graph and no whole trace is built, and no stage store is
+    read or written.
     @raise Invalid_argument when [tenants < 1] or [disks < 1]. *)

@@ -600,16 +600,13 @@ let decode ?(file = "<buffer>") s =
   | rounds -> Ok (List.rev !reqs, List.rev !hints, !faults, rounds)
   | exception Fail e -> Error e
 
-let sniff path =
-  match In_channel.with_open_bin path (fun ic -> In_channel.really_input_string ic 4) with
-  | head -> head = Some magic
-  | exception Sys_error _ -> false
-
 let load_result path =
   match Dp_util.Fsx.read_file path with
   | exception Sys_error msg -> Error { Request.file = path; line = 0; msg }
   | s when String.starts_with ~prefix:magic s -> (
       match decode ~file:path s with
-      | Ok (reqs, hints, faults, _rounds) -> Ok (reqs, hints, faults)
+      | Ok (reqs, hints, faults, _rounds) -> Ok (reqs, hints, faults, `Bin)
       | Error e -> Error (to_load_error e))
-  | s -> Request.of_string ~file:path s
+  | s ->
+      Result.map (fun (reqs, hints, faults) -> (reqs, hints, faults, `Text))
+        (Request.of_string ~file:path s)

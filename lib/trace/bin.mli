@@ -5,7 +5,7 @@
     instead of for humans:
 
     - a 4-byte magic ({!magic}) plus a format version byte, so readers
-      can sniff the format and a version bump orphans old files instead
+      can tell the format and a version bump orphans old files instead
       of misreading them;
     - records packed into {e chunks}, each prefixed with its byte length
       and trailed by an MD5 checksum, so truncation and bit rot are
@@ -83,15 +83,16 @@ val decode :
     offset of the offending structure, under [file] (default
     ["<buffer>"]). *)
 
-val sniff : string -> bool
-(** Does this file start with {!magic}?  [false] on any read error. *)
-
 val load_result :
   string ->
-  (Request.t list * Hint.t list * Dp_faults.Fault_model.t option, Request.load_error) result
+  ( Request.t list * Hint.t list * Dp_faults.Fault_model.t option * [ `Text | `Bin ],
+    Request.load_error )
+  result
 (** The one trace-file loader.  It reads the file once; contents that
     start with {!magic} go to {!decode}, anything else to the text
-    parser {!Request.of_string}.  A binary diagnostic carries its byte
+    parser {!Request.of_string}.  The last component names the format
+    it dispatched on, so a caller never reads the file again to learn it
+    (a pipe cannot be read twice).  A binary diagnostic carries its byte
     offset in the [line] field (text positions and binary offsets share
     the [file:pos: message] shape); a file that cannot be read reports
     the system error at position 0. *)

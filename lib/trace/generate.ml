@@ -34,8 +34,8 @@ let merge = function
       go ();
       !out
 
-let trace ?(cost = Cost_model.default) layout (prog : Ir.program) (g : Concrete.graph)
-    per_proc =
+let trace ?(cost = Cost_model.default) layout (prog : Ir.program)
+    (instances : Concrete.instance array) per_proc =
   Dp_obs.Prof.span "trace.generate" @@ fun () ->
   let n_proc = Array.length per_proc in
   if n_proc = 0 then invalid_arg "Generate.trace: no processors";
@@ -68,7 +68,7 @@ let trace ?(cost = Cost_model.default) layout (prog : Ir.program) (g : Concrete.
      the last request, to charge seeks only on discontiguous accesses. *)
   let last_disk = Array.make n_proc (-1) and last_end = Array.make n_proc 0 in
   let run_instance proc seg seq =
-    let inst = g.Concrete.instances.(seq) in
+    let inst = instances.(seq) in
     let iter = inst.Concrete.iter in
     let compute = compute_ms.(inst.Concrete.nest) in
     let body = code.(inst.Concrete.nest).body in
@@ -128,7 +128,7 @@ let trace ?(cost = Cost_model.default) layout (prog : Ir.program) (g : Concrete.
     runs;
   merge runs
 
-let single_stream _g ~order = [| [ order ] |]
+let single_stream ~order = [| [ order ] |]
 
 let original_segments (prog : Ir.program) (g : Concrete.graph)
     (a : Parallelize.assignment) =

@@ -23,13 +23,15 @@ val trace :
   ?cost:Cost_model.t ->
   Layout.t ->
   Ir.program ->
-  Concrete.graph ->
+  Concrete.instance array ->
   segments array ->
   Request.t list
-(** [trace layout prog g per_proc] with [per_proc.(p)] the segments of
-    processor [p].  Each access is evaluated on the {!Ir.Compiled} form
-    of [prog] and resolved by {!Layout.index} and {!Layout.locate}; an
-    instance's nest is found by position.
+(** [trace layout prog instances per_proc] with [per_proc.(p)] the
+    segments of processor [p], whose entries index [instances] (the
+    {!Concrete.instances} of [prog], or a prefix of them: no dependence
+    graph is needed).  Each access is evaluated on the {!Ir.Compiled}
+    form of [prog] and resolved by {!Layout.index} and {!Layout.locate};
+    an instance's nest is found by position.
 
     The result is in {!Request.compare_arrival} order: each processor's
     clock never runs back, so its requests form a run already in
@@ -44,7 +46,7 @@ val trace :
 
 (** {1 Stream builders} *)
 
-val single_stream : Concrete.graph -> order:int array -> segments array
+val single_stream : order:int array -> segments array
 (** One processor, one segment: the given order. *)
 
 val original_segments :

@@ -851,6 +851,36 @@ let test_dpcc_convert_errors () =
           check Alcotest.bool "names the choices" true (contains ~needle:"text | bin" err))
   | _ -> assert false
 
+(* A pipe can be read once.  With no --format, convert takes its
+   direction from the format the loader read, so a binary trace piped
+   through /dev/stdin comes out as the text a file path gives. *)
+let test_dpcc_convert_pipe () =
+  with_temp_files 4 @@ function
+  | [ txt; bin; via_file; via_pipe ] ->
+      let oc = open_out txt in
+      output_string oc "1.000 2.000 0 0 0 65536 R 0 0\n3.500 0.500 0 65536 65536 4096 W 0 1\n";
+      close_out oc;
+      let code, _, _ = run [ dpcc; "convert"; txt; bin; "--format"; "bin" ] in
+      check Alcotest.int "text -> bin exits 0" 0 code;
+      let code, _, _ = run [ dpcc; "convert"; bin; via_file ] in
+      check Alcotest.int "bin file -> text exits 0" 0 code;
+      let err = Filename.temp_file "dpower" ".err" in
+      Fun.protect ~finally:(fun () -> Sys.remove err) @@ fun () ->
+      let code =
+        Sys.command
+          (Printf.sprintf "cat %s | %s convert /dev/stdin %s 2> %s" (Filename.quote bin)
+             (Filename.quote dpcc) (Filename.quote via_pipe) (Filename.quote err))
+      in
+      check Alcotest.int "piped convert exits 0" 0 code;
+      check Alcotest.string "piped binary converts to the text a file path gives"
+        (slurp via_file) (slurp via_pipe);
+      let summary = String.trim (slurp err) in
+      check Alcotest.bool
+        (Printf.sprintf "summary ends (text) (got %S)" summary)
+        true
+        (String.ends_with ~suffix:"(text)" summary)
+  | _ -> assert false
+
 (* Strip dpsim's first stdout line (it names the trace file, which
    differs between the text and binary copies). *)
 let drop_first_line s =
@@ -1308,6 +1338,7 @@ let suites =
         Alcotest.test_case "dpcc trace --format bin needs -o" `Quick
           test_dpcc_trace_bin_needs_output;
         Alcotest.test_case "dpcc convert errors" `Quick test_dpcc_convert_errors;
+        Alcotest.test_case "dpcc convert reads a pipe once" `Quick test_dpcc_convert_pipe;
         Alcotest.test_case "dpsim binary auto-detect" `Slow test_dpsim_bin_autodetect;
         Alcotest.test_case "dpsim truncated binary" `Slow test_dpsim_truncated_bin;
         Alcotest.test_case "bad --shards" `Quick test_cli_bad_shards;

@@ -347,7 +347,7 @@ let kernels_match token =
                 (Printf.sprintf "%s trace at %d, %s cost"
                    (Pipeline.mode_name mode) procs name)
                 reference
-                (Generate.trace ~cost layout prog g segs))
+                (Generate.trace ~cost layout prog g.instances segs))
             [ ("default", Cost_model.default); ("zero-service", zero_service) ]
         end)
       [ Pipeline.Original; Pipeline.Reuse_single; Pipeline.Reuse_multi ]

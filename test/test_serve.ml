@@ -242,6 +242,191 @@ let test_config_validation () =
   rejects "negative jitter at merge" (fun () ->
       Mux.merge ~rng:(Splitmix.create 1) ~jitter_ms:(-1.0) [])
 
+(* --- app windows from the first iterations --- *)
+
+module Pipeline = Dp_pipeline.Pipeline
+module Prof = Dp_obs.Prof
+
+let marshal v = Marshal.to_string v [ Marshal.No_sharing ]
+
+(* 24 tenants hold one app tenant per paper workload (indices 3, 7, ...,
+   23).  Each window must be, bit for bit, the normalized head of the
+   whole 1-processor Original trace: the reference below is that
+   whole-trace path. *)
+let test_app_windows_match_whole_trace () =
+  let whole =
+    List.map
+      (fun name ->
+        (name, Pipeline.trace (Pipeline.load ("app:" ^ name)) ~procs:1 Pipeline.Original))
+      [ "AST"; "FFT"; "Cholesky"; "Visuo"; "SCF 3.0"; "RSense 2.0" ]
+  in
+  List.iter
+    (fun disks ->
+      let pop = Tenant.population ~rng:(Splitmix.create 42) ~tenants:24 ~disks () in
+      let apps =
+        List.filter_map
+          (fun (t : Tenant.t) ->
+            match t.Tenant.kind with
+            | Tenant.App name -> Some (name, t.Tenant.stream)
+            | Tenant.Oltp _ -> None)
+          pop
+      in
+      check Alcotest.int "one window per workload" 6 (List.length apps);
+      List.iter
+        (fun (name, stream) ->
+          let reference =
+            Tenant.normalize ~disks
+              (List.filteri
+                 (fun i _ -> i < Tenant.app_window)
+                 (Request.sort_arrival (List.assoc name whole)))
+          in
+          check Alcotest.int
+            (Printf.sprintf "%s at %d disks: window length" name disks)
+            Tenant.app_window (List.length stream);
+          check Alcotest.bool
+            (Printf.sprintf "%s at %d disks: window = head of the whole trace" name disks)
+            true
+            (marshal reference = marshal stream))
+        apps)
+    [ 8; 3 ]
+
+let test_population_builds_no_stage () =
+  Prof.reset ();
+  Prof.enable ();
+  Fun.protect ~finally:Prof.disable @@ fun () ->
+  ignore (Tenant.population ~rng:(Splitmix.create 42) ~tenants:24 ~disks:8 ());
+  let names = List.map (fun (e : Prof.entry) -> e.Prof.p_name) (Prof.entries ()) in
+  check Alcotest.bool "the windows were generated" true (List.mem "trace.generate" names);
+  List.iter
+    (fun stage ->
+      check Alcotest.bool (stage ^ " not recorded") false (List.mem stage names))
+    [ "dependence.concrete-build"; "pipeline.graph"; "pipeline.trace" ]
+
+(* --- the finisher against the parent's sort --- *)
+
+(* [finish] sorts each tenant's samples once and merges the runs; the
+   reference heap-sorts every tenant's samples and the pooled samples
+   (in tenant order) with [Array.sort], and recomputes every field a
+   sort feeds.  The energy fields are not sorted, so it takes them from
+   the summary under test. *)
+let reference_summary ?deadline_ms samples (s : Account.summary) =
+  let sorted a =
+    let a = Array.copy a in
+    Array.sort Float.compare a;
+    a
+  in
+  let mean a =
+    let n = Array.length a in
+    if n = 0 then 0.0 else Array.fold_left ( +. ) 0.0 a /. float_of_int n
+  in
+  let top a = if a = [||] then 0.0 else a.(Array.length a - 1) in
+  let over k a =
+    match deadline_ms with
+    | None -> 0
+    | Some d -> Array.fold_left (fun n r -> if r > k *. d then n + 1 else n) 0 a
+  in
+  let stats =
+    Array.mapi
+      (fun t raw ->
+        let a = sorted raw in
+        {
+          s.Account.tenants.(t) with
+          Account.requests = Array.length a;
+          response_mean_ms = mean a;
+          response_p50_ms = Account.percentile a 0.50;
+          response_p95_ms = Account.percentile a 0.95;
+          response_p99_ms = Account.percentile a 0.99;
+          response_max_ms = top a;
+          slo_violations = over 1.0 raw;
+          abandoned = over 4.0 raw;
+        })
+      samples
+  in
+  let means =
+    Array.of_list
+      (List.filter_map
+         (fun (t : Account.tenant_stats) ->
+           if t.Account.requests > 0 then Some t.Account.response_mean_ms else None)
+         (Array.to_list stats))
+  in
+  let fairness =
+    let n = Array.length means in
+    let sum = Array.fold_left ( +. ) 0.0 means in
+    let sq = Array.fold_left (fun acc x -> acc +. (x *. x)) 0.0 means in
+    if n = 0 || sq = 0.0 then 1.0 else sum *. sum /. (float_of_int n *. sq)
+  in
+  let pooled = sorted (Array.concat (Array.to_list samples)) in
+  let n = Array.length pooled in
+  {
+    s with
+    Account.tenants = stats;
+    fairness;
+    requests = n;
+    response_mean_ms = mean pooled;
+    response_p50_ms = Account.percentile pooled 0.50;
+    response_p95_ms = Account.percentile pooled 0.95;
+    response_p99_ms = Account.percentile pooled 0.99;
+    response_max_ms = top pooled;
+    slo =
+      Option.map
+        (fun d ->
+          let total k = Array.fold_left (fun acc a -> acc + over k a) 0 samples in
+          let abandoned = total 4.0 in
+          {
+            Account.deadline_ms = d;
+            violations = total 1.0;
+            abandoned;
+            availability =
+              (if n = 0 then 1.0 else 1.0 -. (float_of_int abandoned /. float_of_int n));
+          })
+        deadline_ms;
+  }
+
+(* Tenants 1-50 (many empty), responses drawn from a few integers (so
+   ties abound) or a continuous range, deadline on or off. *)
+let finisher_gen =
+  QCheck2.Gen.(
+    let* tenants = int_range 1 50 in
+    let* deadline_ms = opt (float_range 1.0 100.0) in
+    let response = oneof [ map float_of_int (int_range 0 12); float_range 0.0 400.0 ] in
+    let* services = list_size (int_range 0 600) (pair (int_range 0 (tenants - 1)) response) in
+    return (tenants, deadline_ms, services))
+
+let prop_finisher_matches_heap_sort (tenants, deadline_ms, services) =
+  let disks = 3 in
+  let sink, finish = Account.recorder ?deadline_ms ~tenants ~disks () in
+  let samples = Array.make tenants [] in
+  List.iteri
+    (fun i (proc, response) ->
+      let arrival_ms = 0.5 *. float_of_int i in
+      let stop_ms = arrival_ms +. response in
+      Dp_obs.Sink.emit sink
+        (Dp_obs.Event.Power
+           {
+             disk = i mod disks;
+             state = Dp_obs.Event.Active;
+             start_ms = arrival_ms;
+             stop_ms;
+             charge_ms = response;
+             energy_j = response /. 100.0;
+           });
+      Dp_obs.Sink.emit sink
+        (Dp_obs.Event.Service
+           {
+             disk = i mod disks;
+             proc;
+             arrival_ms;
+             start_ms = arrival_ms;
+             stop_ms;
+             lba = i;
+             bytes = 4096;
+           });
+      samples.(proc) <- (stop_ms -. arrival_ms) :: samples.(proc))
+    services;
+  let samples = Array.map (fun l -> Array.of_list (List.rev l)) samples in
+  let s = finish () in
+  marshal s = marshal (reference_summary ?deadline_ms samples s)
+
 let suites =
   [
     ( "serve",
@@ -255,6 +440,12 @@ let suites =
         Alcotest.test_case "report: deterministic" `Quick test_report_deterministic;
         Alcotest.test_case "attribution sums to the total" `Quick test_attribution_sums;
         Alcotest.test_case "online saves energy" `Quick test_online_saves_energy;
+        Alcotest.test_case "app windows = head of the whole trace" `Quick
+          test_app_windows_match_whole_trace;
+        Alcotest.test_case "population builds no graph or trace stage" `Quick
+          test_population_builds_no_stage;
+        qtest ~count:200 "finisher = heap-sorted reference" finisher_gen
+          prop_finisher_matches_heap_sort;
       ] );
     ( "serve.reliability",
       [

@@ -36,8 +36,8 @@ let graph = Concrete.build program
 let cost = Cost_model.default (* 750 MHz: 750_000 cycles = 1 ms *)
 
 let single_trace () =
-  Generate.trace ~cost layout program graph
-    (Generate.single_stream graph ~order:(Concrete.original_order graph))
+  Generate.trace ~cost layout program graph.Concrete.instances
+    (Generate.single_stream ~order:(Concrete.original_order graph))
 
 let test_cost_model () =
   check (Alcotest.float 1e-9) "compute 750k cycles = 1ms" 1.0
@@ -72,8 +72,8 @@ let test_trace_roundtrip () =
       Request.save path reqs;
       let back =
         match Bin.load_result path with
-        | Ok (back, [], None) -> back
-        | Ok _ -> Alcotest.fail "a requests-only file loaded hints or faults"
+        | Ok (back, [], None, `Text) -> back
+        | Ok _ -> Alcotest.fail "a requests-only text file loaded hints or faults"
         | Error e -> Alcotest.fail (Request.load_error_to_string e)
       in
       check Alcotest.int "same count" (List.length reqs) (List.length back);
@@ -116,8 +116,8 @@ let test_hint_roundtrip () =
       Request.save ~hints:some_hints path reqs;
       let back_reqs, back_hints =
         match Bin.load_result path with
-        | Ok (reqs, hints, None) -> (reqs, hints)
-        | Ok (_, _, Some _) -> Alcotest.fail "no fault line was saved"
+        | Ok (reqs, hints, None, _) -> (reqs, hints)
+        | Ok (_, _, Some _, _) -> Alcotest.fail "no fault line was saved"
         | Error e -> Alcotest.fail (Request.load_error_to_string e)
       in
       check Alcotest.int "requests preserved" (List.length reqs) (List.length back_reqs);
@@ -229,7 +229,7 @@ let test_fault_line_roundtrip () =
       Request.save ~hints:some_hints ~faults path reqs;
       let back_reqs, back_hints, back_faults =
         match Bin.load_result path with
-        | Ok parsed -> parsed
+        | Ok (reqs, hints, faults, _) -> (reqs, hints, faults)
         | Error e -> Alcotest.fail (Request.load_error_to_string e)
       in
       check Alcotest.int "requests preserved" (List.length reqs) (List.length back_reqs);
@@ -314,7 +314,7 @@ let test_segments_barrier () =
   let g = graph in
   let seg0_p0 = [| 0; 1; 2; 3 |] and seg1_p1 = [| 4; 5; 6; 7 |] in
   let per_proc = [| [ seg0_p0; [||] ]; [ [||]; seg1_p1 ] |] in
-  let reqs = Generate.trace ~cost layout program g per_proc in
+  let reqs = Generate.trace ~cost layout program g.Concrete.instances per_proc in
   let p0_last =
     List.filter (fun r -> r.Request.proc = 0) reqs
     |> List.fold_left (fun acc r -> Float.max acc r.Request.arrival_ms) 0.0
@@ -394,7 +394,8 @@ let test_idle_stats_restructuring_helps () =
   in
   let g = Concrete.build app.Dp_workloads.App.program in
   let trace order =
-    Generate.trace layout' app.Dp_workloads.App.program g (Generate.single_stream g ~order)
+    Generate.trace layout' app.Dp_workloads.App.program g.Concrete.instances
+      (Generate.single_stream ~order)
   in
   let base = trace (Concrete.original_order g) in
   let reuse =
@@ -491,7 +492,6 @@ let test_bin_roundtrip () =
 let test_bin_file_roundtrip () =
   let path = tmp_file "dpower-bin-roundtrip.dpt" in
   Bin.save ~hints:sample_hints ~faults:sample_faults path sample_reqs;
-  check Alcotest.bool "sniff" true (Bin.sniff path);
   let read p = In_channel.with_open_bin p In_channel.input_all in
   (match Bin.decode (read path) with
   | Error e -> Alcotest.failf "decode: %s" (Bin.error_to_string e)
@@ -500,14 +500,16 @@ let test_bin_file_roundtrip () =
       check Alcotest.bool "file hints" true (hints = sample_hints);
       check Alcotest.bool "file faults" true (faults <> None);
       check Alcotest.(option int) "file rounds" None rounds);
-  (* The sniffing loader agrees with the text parser on a text file. *)
+  (* The loader agrees with the text parser on a text file, and names
+     the format it dispatched on. *)
   let text = tmp_file "dpower-bin-roundtrip.trace" in
   Request.save ~hints:sample_hints ~faults:sample_faults text sample_reqs;
-  check Alcotest.bool "text not sniffed" false (Bin.sniff text);
   let via_text = Result.get_ok (Request.of_string ~file:text (read text)) in
-  let via_auto = Result.get_ok (Bin.load_result text) in
-  check Alcotest.bool "auto = text parser" true (via_text = via_auto);
-  let rb, hb, fb = Result.get_ok (Bin.load_result path) in
+  let rt, ht, ft, text_as = Result.get_ok (Bin.load_result text) in
+  check Alcotest.bool "auto = text parser" true (via_text = (rt, ht, ft));
+  check Alcotest.bool "text read as text" true (text_as = `Text);
+  let rb, hb, fb, bin_as = Result.get_ok (Bin.load_result path) in
+  check Alcotest.bool "binary read as binary" true (bin_as = `Bin);
   check_reqs_equal "auto bin" sample_reqs rb;
   check Alcotest.bool "auto bin hints" true (hb = sample_hints);
   check Alcotest.bool "auto bin faults" true (fb <> None);
@@ -521,7 +523,7 @@ let test_bin_text_identity () =
   let reqs = single_trace () in
   let text1 = tmp_file "dpower-bin-text1.trace" in
   Request.save ~hints:sample_hints ~faults:sample_faults text1 reqs;
-  let r1, h1, f1 = Result.get_ok (Bin.load_result text1) in
+  let r1, h1, f1, _ = Result.get_ok (Bin.load_result text1) in
   let bin = Bin.encode ~hints:h1 ?faults:f1 r1 in
   let r2, h2, f2, _ = Result.get_ok (Bin.decode bin) in
   let text2 = tmp_file "dpower-bin-text2.trace" in
@@ -550,8 +552,8 @@ let test_bin_compression () =
       let g = Concrete.build app.program in
       let layout' = Dp_layout.Layout.make ~default:app.striping ~overrides:app.overrides app.program in
       let reqs =
-        Generate.trace layout' app.program g
-          (Generate.single_stream g ~order:(Concrete.original_order g))
+        Generate.trace layout' app.program g.Concrete.instances
+          (Generate.single_stream ~order:(Concrete.original_order g))
       in
       let text =
         Format.asprintf "%a"

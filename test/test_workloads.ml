@@ -47,8 +47,8 @@ let request_count (app : App.t) =
   let g = Concrete.build app.App.program in
   let layout = Layout.make ~default:app.App.striping ~overrides:app.App.overrides app.App.program in
   let reqs =
-    Generate.trace layout app.App.program g
-      (Generate.single_stream g ~order:(Concrete.original_order g))
+    Generate.trace layout app.App.program g.Concrete.instances
+      (Generate.single_stream ~order:(Concrete.original_order g))
   in
   List.length reqs
 
@@ -75,8 +75,8 @@ let test_io_fraction () =
         Layout.make ~default:app.App.striping ~overrides:app.App.overrides app.App.program
       in
       let reqs =
-        Generate.trace layout app.App.program g
-          (Generate.single_stream g ~order:(Concrete.original_order g))
+        Generate.trace layout app.App.program g.Concrete.instances
+          (Generate.single_stream ~order:(Concrete.original_order g))
       in
       let f = Generate.io_fraction (Generate.summarize reqs) in
       check Alcotest.bool
@@ -169,7 +169,8 @@ let test_pipeline_deterministic () =
         .Dp_restructure.Reuse_scheduler.order
     in
     let reqs =
-      Generate.trace layout app.App.program g (Generate.single_stream g ~order)
+      Generate.trace layout app.App.program g.Concrete.instances
+        (Generate.single_stream ~order)
     in
     (Dp_disksim.Engine.simulate ~disks:8 Dp_disksim.Policy.default_drpm reqs)
       .Dp_disksim.Engine.energy_j
