@@ -22,6 +22,7 @@ module Cluster = Dp_restructure.Cluster
 module Reuse = Dp_restructure.Reuse_scheduler
 module Generate = Dp_trace.Generate
 module Request = Dp_trace.Request
+module Trace = Dp_trace.Trace
 module Engine = Dp_disksim.Engine
 module Policy = Dp_disksim.Policy
 module Version = Dp_harness.Version
@@ -280,7 +281,7 @@ let fusion_baseline () =
           let trace =
             Generate.trace layout prog g.Concrete.instances (Generate.single_stream ~order)
           in
-          Tabulate.fmt_norm (normalized ctx Policy.default_drpm trace)
+          Tabulate.fmt_norm (normalized ctx Policy.default_drpm (Trace.to_list trace))
         in
         [
           name;
@@ -743,7 +744,7 @@ let micro () =
   let open Bechamel in
   let app = Option.get (Workloads.by_name "FFT") in
   let ctx = Runner.context app in
-  let trace = base_trace ctx in
+  let trace = Pipeline.columns ctx ~procs:1 Pipeline.Original in
   let prog = app.App.program in
   let tests =
     [
@@ -760,7 +761,7 @@ let micro () =
                   (Generate.single_stream ~order:(Concrete.original_order g)))));
       Test.make ~name:"simulate DRPM (FFT)"
         (Staged.stage (fun () ->
-             ignore (Engine.simulate ~disks:8 Policy.default_drpm trace)));
+             ignore (Engine.replay ~disks:8 Policy.default_drpm trace)));
       Test.make ~name:"symbolic per-disk codegen"
         (Staged.stage (fun () ->
              let free =
@@ -1015,14 +1016,16 @@ let trace_codec_bench () =
   section "Trace codec — text vs binary";
   let module Bin = Dp_trace.Bin in
   let app = Option.get (Workloads.by_name "AST") in
-  let reqs = List.map Bin.quantize (base_trace (Runner.context app)) in
-  let n = List.length reqs in
+  let trace = Bin.quantize (Pipeline.columns (Runner.context app) ~procs:1 Pipeline.Original) in
+  let n = Trace.length trace in
   let text =
     let b = Buffer.create (1 lsl 20) in
-    List.iter (fun r -> Buffer.add_string b (Format.asprintf "%a@." Request.pp r)) reqs;
+    List.iter
+      (fun r -> Buffer.add_string b (Format.asprintf "%a@." Request.pp r))
+      (Trace.to_list trace);
     Buffer.contents b
   in
-  let data = Bin.encode reqs in
+  let data = Bin.encode trace in
   let time_best f =
     let best = ref infinity in
     for _ = 1 to 5 do
@@ -1033,7 +1036,7 @@ let trace_codec_bench () =
     done;
     !best
   in
-  let t_enc = time_best (fun () -> ignore (Bin.encode reqs)) in
+  let t_enc = time_best (fun () -> ignore (Bin.encode trace)) in
   let t_dec =
     time_best (fun () ->
         match Bin.decode data with Ok _ -> () | Error _ -> assert false)

@@ -14,6 +14,7 @@ module Reuse = Dp_restructure.Reuse_scheduler
 module Symbolic = Dp_restructure.Symbolic
 module Generate = Dp_trace.Generate
 module Request = Dp_trace.Request
+module Trace = Dp_trace.Trace
 module Hint = Dp_trace.Hint
 module Bin = Dp_trace.Bin
 module Engine = Dp_disksim.Engine
@@ -96,14 +97,15 @@ let trace_format_of_name = function
   | "bin" -> `Bin
   | f -> fail "unknown --format %s (expected text | bin)" f
 
-let save_trace ~format ~hints ?faults path reqs =
+(* Both formats hold the trace at the text format's precision, in the
+   arrival order of those values ({!Bin.quantize}): rounding can tie two
+   processors' requests, and the tie breaks on the processor.  So a
+   trace converts between the formats byte-identically both ways. *)
+let save_trace ~format ~hints ?faults path trace =
+  let trace = Bin.quantize trace in
   match format with
-  | `Text -> Request.save ~hints ?faults path reqs
-  | `Bin ->
-      Bin.save
-        ~hints:(List.map Bin.quantize_hint hints)
-        ?faults path
-        (List.map Bin.quantize reqs)
+  | `Text -> Request.save ~hints ?faults path (Trace.to_list trace)
+  | `Bin -> Bin.save ~hints:(List.map Bin.quantize_hint hints) ?faults path trace
 
 (* Pass profiling (--profile): the compiler stages carry Dp_obs.Prof
    hooks; enabling the collector before the pipeline and printing the
@@ -206,25 +208,26 @@ let trace source output procs restructured mode_name gaps with_hints faults_spec
       let cache = open_cache ~no_cache ~dir:cache_dir () in
       let ctx = Pipeline.load ?cache source in
       let mode = resolve_mode ~procs ~restructured mode_name in
-      let reqs = Pipeline.trace ctx ~procs mode in
-      let hints =
-        if with_hints then Oracle.hints_of_trace ~disks:(Pipeline.disks ctx) reqs else []
-      in
+      let trace = Pipeline.columns ctx ~procs mode in
+      let hints = if with_hints then Oracle.hints ~disks:(Pipeline.disks ctx) trace else [] in
       let faults = faults_of_spec faults_spec in
       (match output with
-      | Some path -> save_trace ~format ~hints ?faults path reqs
+      | Some path -> save_trace ~format ~hints ?faults path trace
       | None when not gaps ->
-          List.iter (fun r -> Format.printf "%a@." Request.pp r) reqs;
+          let printed = Bin.quantize trace in
+          for i = 0 to Trace.length printed - 1 do
+            Format.printf "%a@." Request.pp (Trace.get printed i)
+          done;
           List.iter (fun h -> Format.printf "%a@." Hint.pp h) hints;
           Option.iter (fun f -> Format.printf "F %s@." (Fault_model.to_spec f)) faults
       | None -> ());
       if gaps then begin
-        let h = Dp_trace.Idle_stats.of_requests reqs in
+        let h = Dp_trace.Idle_stats.of_trace trace in
         Format.printf "%a" Dp_trace.Idle_stats.pp h;
         Format.printf "TPM-exploitable idle (>= 15.2 s gaps): %.0f s@."
           (Dp_trace.Idle_stats.exploitable_mass_s h ~threshold_s:15.2)
       end;
-      let s = Generate.summarize reqs in
+      let s = Generate.summarize_trace trace in
       Format.eprintf "%d requests%s, %.1f MB, makespan %.1f s, io fraction %.1f%%@."
         s.Generate.requests
         (if with_hints then Printf.sprintf ", %d power hints" (List.length hints) else "")
@@ -257,8 +260,7 @@ let simulate source procs restructured mode_name policy_name per_disk timeline f
          controllers. *)
       (match Oracle.space_of_name policy_name with
       | Some space ->
-          let reqs = Pipeline.trace ctx ~procs mode in
-          let bound = Oracle.lower_bound ~space ~disks reqs in
+          let bound = Oracle.bound ~space (Oracle.reference ~disks (Pipeline.columns ctx ~procs mode)) in
           Format.printf "%a@." Oracle.pp_bound bound;
           Format.printf "analytic standby floor: %.1f J@."
             (Oracle.standby_floor_j bound.Oracle.base)
@@ -575,7 +577,7 @@ let emit source output =
 
 let convert input output format_name =
   with_errors (fun () ->
-      let reqs, hints, faults, read_as =
+      let trace, hints, faults, read_as =
         match Bin.load_result input with
         | Ok v -> v
         | Error e -> fail "%s" (Request.load_error_to_string e)
@@ -586,8 +588,8 @@ let convert input output format_name =
         | None -> ( match read_as with `Bin -> `Text | `Text -> `Bin)
         | Some name -> trace_format_of_name name
       in
-      save_trace ~format ~hints ?faults output reqs;
-      Format.eprintf "%s: %d requests, %d hints -> %s (%s)@." input (List.length reqs)
+      save_trace ~format ~hints ?faults output trace;
+      Format.eprintf "%s: %d requests, %d hints -> %s (%s)@." input (Trace.length trace)
         (List.length hints) output
         (match format with `Bin -> "binary" | `Text -> "text"))
 

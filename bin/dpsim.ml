@@ -11,6 +11,7 @@
    simulating. *)
 
 module Request = Dp_trace.Request
+module Trace = Dp_trace.Trace
 module Hint = Dp_trace.Hint
 module Bin = Dp_trace.Bin
 module Engine = Dp_disksim.Engine
@@ -72,17 +73,13 @@ let run trace_file out disks policy_name threshold proactive window downshift fa
   (* The one loader: the file is read once; binary traces (by
      magic) decode, anything else parses as text.  Binary framing errors
      carry the byte offset in the line field. *)
-  let reqs, hints, trace_faults =
+  let trace, hints, trace_faults =
     match Bin.load_result trace_file with
-    | Ok (reqs, hints, faults, _) -> (reqs, hints, faults)
+    | Ok (trace, hints, faults, _) -> (trace, hints, faults)
     | Error e -> usage_error "%s" (Request.load_error_to_string e)
   in
   if disks < 1 then usage_error "--disks must be at least 1 (got %d)" disks;
-  let top_disk =
-    List.fold_left (fun m (h : Hint.t) -> max m h.Hint.disk)
-      (List.fold_left (fun m (r : Request.t) -> max m r.Request.disk) (-1) reqs)
-      hints
-  in
+  let top_disk = List.fold_left (fun m (h : Hint.t) -> max m h.Hint.disk) (trace.disks - 1) hints in
   if top_disk >= disks then
     usage_error "%s touches disk %d: --disks %d is too few (pass --disks %d or more)"
       trace_file top_disk disks (top_disk + 1);
@@ -117,8 +114,8 @@ let run trace_file out disks policy_name threshold proactive window downshift fa
           usage_error
             "%s needs a simulated run; the oracle policies compute an analytic bound"
             (if live then "--live" else "--obs");
-        let bound = Oracle.lower_bound ~space ~disks reqs in
-        Format.printf "trace: %s (%d requests)@." trace_file (List.length reqs);
+        let bound = Oracle.bound ~space (Oracle.reference ~disks trace) in
+        Format.printf "trace: %s (%d requests)@." trace_file (Trace.length trace);
         Format.printf "model: %s@." Disk_model.ultrastar_36z15.Disk_model.name;
         Format.printf "%a@." Oracle.pp_bound bound;
         Format.printf "analytic standby floor: %.1f J@."
@@ -147,11 +144,11 @@ let run trace_file out disks policy_name threshold proactive window downshift fa
             Dp_obs.Tty.driver ~mode ~out:print_string (Dp_obs.Live.create ~disks ())
         in
         let r =
-          Engine.simulate ~obs:(Dp_obs.Sink.tee [ obs_sink; live_sink ]) ~hints ~knobs ~shards
-            ~disks policy reqs
+          Engine.replay ~obs:(Dp_obs.Sink.tee [ obs_sink; live_sink ]) ~hints ~knobs ~shards
+            ~disks policy trace
         in
         live_finish ();
-        Format.printf "trace: %s (%d requests, %d hints)@." trace_file (List.length reqs)
+        Format.printf "trace: %s (%d requests, %d hints)@." trace_file (Trace.length trace)
           (List.length hints);
         Format.printf "model: %s@." Disk_model.ultrastar_36z15.Disk_model.name;
         if obs_mode <> None then

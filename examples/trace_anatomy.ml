@@ -11,11 +11,12 @@
 
 module App = Dp_workloads.App
 module Request = Dp_trace.Request
+module Trace = Dp_trace.Trace
 module Runner = Dp_harness.Runner
 module Pipeline = Dp_pipeline.Pipeline
 
-let print_histogram label reqs =
-  let h = Dp_trace.Idle_stats.of_requests reqs in
+let print_histogram label trace =
+  let h = Dp_trace.Idle_stats.of_trace trace in
   Format.printf "--- %s (%d gaps, %.0f s idle; %.0f s in TPM-exploitable gaps) ---@.%a@."
     label
     (Dp_trace.Idle_stats.total_gaps h)
@@ -27,21 +28,21 @@ let () =
   let app = Option.get (Dp_workloads.Workloads.by_name "AST") in
   let ctx = Runner.context app in
 
-  let base_trace = Pipeline.trace ctx ~procs:1 Pipeline.Original in
-  let reuse_trace = Pipeline.trace ctx ~procs:1 Pipeline.Reuse_single in
+  let base_trace = Pipeline.columns ctx ~procs:1 Pipeline.Original in
+  let reuse_trace = Pipeline.columns ctx ~procs:1 Pipeline.Reuse_single in
 
   (* Round-trip the restructured trace through the text format. *)
   let path = Filename.temp_file "dpower_ast" ".trace" in
-  Request.save path reuse_trace;
+  Request.save path (Trace.to_list reuse_trace);
   let reloaded =
     match Dp_trace.Bin.load_result path with
-    | Ok (reqs, _, _, _) -> reqs
+    | Ok (trace, _, _, _) -> trace
     | Error e -> failwith (Request.load_error_to_string e)
   in
   Sys.remove path;
-  assert (List.length reloaded = List.length reuse_trace);
+  assert (Trace.length reloaded = Trace.length reuse_trace);
   Format.printf "trace of %d requests round-tripped through %s format@."
-    (List.length reloaded) "the text";
+    (Trace.length reloaded) "the text";
 
   Format.printf
     "@.per-disk idle gaps (the restructured order concentrates idleness into long gaps):@.";

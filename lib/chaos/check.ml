@@ -1,4 +1,5 @@
 module Request = Dp_trace.Request
+module Trace = Dp_trace.Trace
 module Hint = Dp_trace.Hint
 module Bin = Dp_trace.Bin
 module Engine = Dp_disksim.Engine
@@ -95,7 +96,12 @@ let first_divergence a b =
          (context b))
   end
 
-let marshalled (r : Engine.result) = Marshal.to_string r [ Marshal.No_sharing ]
+let marshalled v = Marshal.to_string v [ Marshal.No_sharing ]
+
+(* Two traces equal column for column, floats bit for bit. *)
+let same_trace (a : Trace.t) (b : Trace.t) = String.equal (marshalled a) (marshalled b)
+
+let render t = String.concat "\n" (List.map (Format.asprintf "%a" Request.pp) (Trace.to_list t))
 
 let result_divergence a b =
   if String.equal (marshalled a) (marshalled b) then None
@@ -281,7 +287,9 @@ let cache_dir_counter = Atomic.make 0
    runs. *)
 let prepare (s : Scenario.t) =
   let ctx = Scenario.context s in
-  let trace = Pipeline.trace ~cluster:s.Scenario.cluster ctx ~procs:s.Scenario.procs s.Scenario.mode in
+  let trace =
+    Pipeline.columns ~cluster:s.Scenario.cluster ctx ~procs:s.Scenario.procs s.Scenario.mode
+  in
   let hints_for policy =
     Pipeline.hints_for ~cluster:s.Scenario.cluster ctx ~procs:s.Scenario.procs ~policy
       s.Scenario.mode
@@ -315,7 +323,7 @@ let run ?sabotage (s : Scenario.t) =
         (compile_violations (Pipeline.graph ctx) segs));
   let simulate ?(knobs = knobs) ?obs ?shards ?(hints = hints) policy =
     incr runs;
-    Engine.simulate ?obs ?shards ~hints ~knobs ~disks policy trace
+    Engine.replay ?obs ?shards ~hints ~knobs ~disks policy trace
   in
   (* One observed run: every event collected (in the engine's re-merged
      serial order), with the SLO accounting and, on the base leg, the
@@ -370,16 +378,15 @@ let run ?sabotage (s : Scenario.t) =
   (* Pair: text vs binary trace round-trip (both directions of the
      codec over the quantized trace, hints and fault window). *)
   Prof.span "chaos.pair.textbin" (fun () ->
-    let qs = List.map Bin.quantize trace in
+    let qs = Bin.quantize trace in
     let qh = List.map Bin.quantize_hint hints in
-    let render rs = String.concat "\n" (List.map (Format.asprintf "%a" Request.pp) rs) in
     let render_h hs = String.concat "\n" (List.map (Format.asprintf "%a" Hint.pp) hs) in
     match Bin.decode (Bin.encode ~hints:qh ?faults:s.Scenario.faults qs) with
     | Error e -> add "pair:text-bin" (Bin.error_to_string e)
     | Ok (reqs', hints', faults', _) ->
-        (* Structural equality first; the text rendering only prices in
+        (* Bitwise equality first; the text rendering only prices in
            when a divergence needs localising. *)
-        (if qs <> reqs' then
+        (if not (same_trace qs reqs') then
            match first_divergence (render qs) (render reqs') with
            | None -> add "pair:text-bin" "requests differ (equal rendering)"
            | Some d -> add "pair:text-bin" ("requests " ^ d));
@@ -411,13 +418,10 @@ let run ?sabotage (s : Scenario.t) =
             let fetch label =
               let c = Scenario.context ~cache:store s in
               let t =
-                Pipeline.trace ~cluster:s.Scenario.cluster c ~procs:s.Scenario.procs
+                Pipeline.columns ~cluster:s.Scenario.cluster c ~procs:s.Scenario.procs
                   s.Scenario.mode
               in
-              if t <> trace then begin
-                let render rs =
-                  String.concat "\n" (List.map (Format.asprintf "%a" Request.pp) rs)
-                in
+              if not (same_trace t trace) then begin
                 match first_divergence (render trace) (render t) with
                 | None ->
                     add (Printf.sprintf "pair:cache-%s" label) "traces differ (equal rendering)"
@@ -437,7 +441,7 @@ let run ?sabotage (s : Scenario.t) =
     let parallel =
       Prof.span "chaos.pair.jobs.pool" @@ fun () ->
       Dp_util.Domain_pool.map ~jobs:4
-        (fun (_, p, h) -> Engine.simulate ~hints:h ~knobs ~disks p trace)
+        (fun (_, p, h) -> Engine.replay ~hints:h ~knobs ~disks p trace)
         prepared
     in
     runs := n_before + List.length prepared;
@@ -447,11 +451,11 @@ let run ?sabotage (s : Scenario.t) =
         | None -> ()
         | Some d -> add (Printf.sprintf "pair:jobs-%s" key) d)
       (List.combine prepared (List.combine serial parallel)));
-  { violations = List.rev !violations; runs = !runs; requests = List.length trace }
+  { violations = List.rev !violations; runs = !runs; requests = Trace.length trace }
 
 let run_trace (s : Scenario.t) =
   let ctx = Scenario.context s in
-  Pipeline.trace ~cluster:s.Scenario.cluster ctx ~procs:s.Scenario.procs s.Scenario.mode
+  Pipeline.columns ~cluster:s.Scenario.cluster ctx ~procs:s.Scenario.procs s.Scenario.mode
 
 (* The cost baseline the bench section compares the oracle against:
    running the same paired configurations directly, with no invariant
@@ -459,7 +463,7 @@ let run_trace (s : Scenario.t) =
 let run_direct (s : Scenario.t) =
   let _, disks, trace, policy, hints, knobs, jobs_rows = prepare s in
   let go ?(knobs = knobs) ?shards p h =
-    ignore (Engine.simulate ?shards ~hints:h ~knobs ~disks p trace)
+    ignore (Engine.replay ?shards ~hints:h ~knobs ~disks p trace)
   in
   go policy hints;
   List.iter (fun k -> go ~shards:k policy hints) shard_counts;
@@ -486,7 +490,7 @@ let run_direct (s : Scenario.t) =
             for _ = 1 to 2 do
               let c = Scenario.context ~cache:store s in
               ignore
-                (Pipeline.trace ~cluster:s.Scenario.cluster c ~procs:s.Scenario.procs
+                (Pipeline.columns ~cluster:s.Scenario.cluster c ~procs:s.Scenario.procs
                    s.Scenario.mode)
             done)
   end;
@@ -497,5 +501,5 @@ let run_direct (s : Scenario.t) =
   List.iter (fun (_, p, h) -> go p h) prepared;
   ignore
     (Dp_util.Domain_pool.map ~jobs:4
-       (fun (_, p, h) -> Engine.simulate ~hints:h ~knobs ~disks p trace)
+       (fun (_, p, h) -> Engine.replay ~hints:h ~knobs ~disks p trace)
        prepared)

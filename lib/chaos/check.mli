@@ -43,7 +43,7 @@ val run : ?sabotage:sabotage -> Scenario.t -> outcome
     The compile oracle runs on the base context after its trace is
     built, so it costs memo hits only: no stage builds, no engine runs. *)
 
-val run_trace : Scenario.t -> Dp_trace.Request.t list
+val run_trace : Scenario.t -> Dp_trace.Trace.t
 (** The scenario's access trace (for the reproducer directory). *)
 
 val run_direct : Scenario.t -> unit

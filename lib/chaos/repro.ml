@@ -27,7 +27,8 @@ let write ?sabotage ~dir (s : Scenario.t) (o : Check.outcome) =
   Fsx.atomic_write (file program_file) (Emit.to_string ~stripes s.Scenario.program);
   Fsx.atomic_write (file spec_file) (Scenario.to_spec s);
   Fsx.atomic_out (file trace_file) (fun oc ->
-      Request.to_channel ?faults:s.Scenario.faults oc (Check.run_trace s));
+      Request.to_channel ?faults:s.Scenario.faults oc
+        (Dp_trace.Trace.to_list (Check.run_trace s)));
   let diff =
     String.concat "\n"
       (Printf.sprintf "# %s" (Scenario.describe s)

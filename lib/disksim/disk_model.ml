@@ -72,11 +72,12 @@ let check_rpm t rpm =
 
 let short_seek_bytes = 32 * 1024 * 1024
 
-let seek_ms_of_distance t distance =
+let seek_class distance =
   let d = abs distance in
-  if d = 0 then 0.0
-  else if d <= short_seek_bytes then 0.4 *. t.seek_ms
-  else t.seek_ms
+  if d = 0 then 0 else if d <= short_seek_bytes then 1 else 2
+
+let seek_ms_of_distance t distance =
+  match seek_class distance with 0 -> 0.0 | 1 -> 0.4 *. t.seek_ms | _ -> t.seek_ms
 
 let service_ms ?seek_distance t ~rpm ~bytes =
   check_rpm t rpm;

@@ -51,11 +51,15 @@ val rpm_of_level : t -> int -> int
 
 val top_level : t -> int
 
+val seek_class : int -> int
+(** The seek class of a byte distance from the previous request's end:
+    0 for a sequential access, 1 for a short hop (within 32 MB — a few
+    cylinders), 2 beyond.  A service time depends on the distance only
+    through its class. *)
+
 val seek_ms_of_distance : t -> int -> float
-(** Seek time as a function of the byte distance from the previous
-    request's end: 0 for a sequential access, 40% of the average seek
-    for a short hop (within 32 MB — a few cylinders), the full average
-    seek beyond. *)
+(** Seek time by {!seek_class}: 0 for a sequential access, 40% of the
+    average seek for a short hop, the full average seek beyond. *)
 
 val service_ms : ?seek_distance:int -> t -> rpm:int -> bytes:int -> float
 (** Service time of one request at a rotation speed: rotational latency

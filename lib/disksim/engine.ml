@@ -1,4 +1,5 @@
 module Request = Dp_trace.Request
+module Trace = Dp_trace.Trace
 module Hint = Dp_trace.Hint
 module Injector = Dp_faults.Injector
 module Repair = Dp_repair.Repair
@@ -822,13 +823,22 @@ let drpm_window model (cfg : Policy.drpm_config) fctx st ~response ~nominal =
     st.f.win_nominal <- 0.0
   end
 
-(* Serve request [r] issued at [issue] (closed-loop actual time): take
-   the directives addressed to its window, run the window under the
-   gap rule, pay a reactive spin-up if the window left the disk spun
-   down, serve, and keep the speed bookkeeping.  [directed] says the run's
-   hint stream directs this proactive policy.  Returns the response
-   time. *)
-let handle_request model policy ctrl fctx rctx st (r : Request.t) ~issue ~directed ~recon =
+(* The columns the issue loop reads, in queue order (see [replay]). *)
+type queue = {
+  q_arrival : Float.Array.t;
+  q_think : Float.Array.t;
+  q_lba : int array;
+  q_size : int array;
+  q_disk : int array;
+}
+
+(* Serve request [i] of the queue, processor [proc]'s, issued at [issue]
+   (closed-loop actual time): take the directives addressed to its
+   window, run the window under the gap rule, pay a reactive spin-up if
+   the window left the disk spun down, serve, and keep the speed
+   bookkeeping.  [directed] says the run's hint stream directs this
+   proactive policy.  Returns the response time. *)
+let handle_request model policy ctrl fctx rctx st q i ~proc ~issue ~directed ~recon =
   (* The compiler's speed directive assumed a disk that obeys speed
      commands; a stuck-RPM window invalidates it.  Degrade to the
      reactive twin for this request, which drops the window's
@@ -842,7 +852,9 @@ let handle_request model policy ctrl fctx rctx st (r : Request.t) ~issue ~direct
   (* A window that closes before it opens (the disk is still busy at
      the issue) drops its directives too; only the others are logged. *)
   let executed = (not fallback) && issue > st.f.now in
-  let hs = if directed then take_hints ~executed st ~upto:r.Request.arrival_ms else [] in
+  let hs =
+    if directed then take_hints ~executed st ~upto:(Float.Array.get q.q_arrival i) else []
+  in
   let policy = if fallback then Policy.reactive_fallback policy else policy in
   if idle_window model policy ctrl fctx st hs ~directed ~until:issue ~terminal:false then begin
     (* Reactive spin-up: starts at the arrival (or at the end of an
@@ -854,20 +866,17 @@ let handle_request model policy ctrl fctx rctx st (r : Request.t) ~issue ~direct
      decision it derives (at an epoch boundary) governs future gaps. *)
   (match ctrl with Some c -> Online.observe c ~disk:st.id ~now_ms:issue | None -> ());
   let prev_end = st.last_end in
-  let response =
-    serve model fctx rctx st ~proc:r.Request.proc ~arrival:issue ~lba:r.lba ~bytes:r.size
-      ~rpm:st.rpm ~recon
-  in
+  let lba = q.q_lba.(i) and bytes = q.q_size.(i) in
+  let response = serve model fctx rctx st ~proc ~arrival:issue ~lba ~bytes ~rpm:st.rpm ~recon in
   (* A request served below full speed (after a DRPM or online dip)
      ramps back one level; at full speed this is a no-op. *)
   recover_one_level model fctx st;
   (match policy with
   | Policy.Drpm cfg ->
-      let seek_distance = if prev_end < 0 then max_int else r.lba - prev_end in
+      let seek_distance = if prev_end < 0 then max_int else lba - prev_end in
       drpm_window model cfg fctx st ~response
         ~nominal:
-          (Disk_model.service_ms ~seek_distance model ~rpm:model.Disk_model.rpm_max
-             ~bytes:r.size)
+          (Disk_model.service_ms ~seek_distance model ~rpm:model.Disk_model.rpm_max ~bytes)
   | _ -> ());
   response
 
@@ -931,7 +940,7 @@ let wear_fraction model stats =
    serial engine visits processors and disks in. *)
 type shard_group = { g_procs : int list; g_disks : int list }
 
-let shard_groups ~n_proc ~disks ~mirror ~queue ~cursor ~stop =
+let shard_groups ~n_proc ~disks ~mirror ~q_disk ~cursor ~stop =
   let n = n_proc + disks in
   let parent = Array.init n Fun.id in
   let rec find i =
@@ -948,7 +957,7 @@ let shard_groups ~n_proc ~disks ~mirror ~queue ~cursor ~stop =
   in
   for p = 0 to n_proc - 1 do
     for i = cursor.(p) to stop.(p) - 1 do
-      union p (n_proc + queue.(i).Request.disk)
+      union p (n_proc + q_disk.(i))
     done
   done;
   (match mirror with
@@ -984,31 +993,37 @@ let shard_groups ~n_proc ~disks ~mirror ~queue ~cursor ~stop =
    Segment barriers synchronize all processors.  Disks are FIFO in issue
    order; their power trajectory over each inter-arrival gap is decided
    by the policy. *)
-let simulate ?(model = Disk_model.ultrastar_36z15) ?(obs = Sink.null) ?(hints = [])
-    ?(knobs = Knobs.none) ?(shards = 1) ~disks policy reqs =
+let replay ?(model = Disk_model.ultrastar_36z15) ?(obs = Sink.null) ?(hints = [])
+    ?(knobs = Knobs.none) ?(shards = 1) ~disks policy (t : Trace.t) =
   Dp_obs.Prof.span "disksim.simulate" @@ fun () ->
   if disks < 1 then invalid_arg "Engine.simulate: disks must be >= 1";
   if shards < 1 then invalid_arg "Engine.simulate: shards must be >= 1";
   (match Knobs.check knobs with Ok _ -> () | Error msg -> invalid_arg ("Engine.simulate: " ^ msg));
   let model = Knobs.model knobs model in
-  (* One pass validates the trace and sizes the run. *)
-  let n_proc = ref 0 and n_seg = ref 1 in
-  List.iter
-    (fun (r : Request.t) ->
-      if r.disk < 0 || r.disk >= disks then
-        invalid_arg (Printf.sprintf "Engine.simulate: request on disk %d of %d" r.disk disks);
-      if r.proc < 0 then
-        invalid_arg (Printf.sprintf "Engine.simulate: request with negative proc %d" r.proc);
-      if r.seg < 0 then
-        invalid_arg (Printf.sprintf "Engine.simulate: request with negative seg %d" r.seg);
-      if not (Float.is_finite r.arrival_ms && Float.is_finite r.think_ms) then
-        invalid_arg
-          (Printf.sprintf "Engine.simulate: non-finite time (arrival_ms %g, think_ms %g)"
-             r.arrival_ms r.think_ms);
-      n_proc := Int.max !n_proc (r.proc + 1);
-      n_seg := Int.max !n_seg (r.seg + 1))
-    reqs;
-  let n_proc = !n_proc and n_seg = !n_seg in
+  let n = Trace.length t in
+  (* The trace's recorded counts validate and size the run; only a
+     failing check looks at the requests, to name the first culprit. *)
+  let first_where bad =
+    let rec go i = if bad i then i else go (i + 1) in
+    go 0
+  in
+  if t.disks > disks then
+    invalid_arg
+      (Printf.sprintf "Engine.simulate: request on disk %d of %d"
+         t.disk.(first_where (fun i -> t.disk.(i) >= disks))
+         disks);
+  if not t.finite then begin
+    let i =
+      first_where (fun i ->
+          not
+            (Float.is_finite (Float.Array.get t.arrival i)
+            && Float.is_finite (Float.Array.get t.think i)))
+    in
+    invalid_arg
+      (Printf.sprintf "Engine.simulate: non-finite time (arrival_ms %g, think_ms %g)"
+         (Float.Array.get t.arrival i) (Float.Array.get t.think i))
+  end;
+  let n_proc = t.procs and n_seg = Int.max 1 t.segments in
   List.iter
     (fun (h : Hint.t) ->
       if h.Hint.disk < 0 || h.Hint.disk >= disks then
@@ -1058,29 +1073,51 @@ let simulate ?(model = Disk_model.ultrastar_36z15) ?(obs = Sink.null) ?(hints = 
              ~disks)
     | _ -> None
   in
-  let reqs = Request.sort_arrival reqs in
-  (* The per (segment, processor) queues, each in arrival order: one
+  (* The per (segment, processor) queues, each in arrival order: a
      stable counting sort of the trace on (segment, processor) puts
-     queue [k = seg * n_proc + p] in [queue.(first.(k))] up to
-     [queue.(first.(k + 1) - 1)]. *)
+     queue [k = seg * n_proc + p] at positions [first.(k)] up to
+     [first.(k + 1) - 1].  The issue loop reads five columns, which are
+     copied into that order once, so a processor's queue is contiguous
+     however the processors interleave in the trace; a trace already in
+     queue order (one processor, say) is read in place. *)
   let n_queues = n_seg * n_proc in
   let first = Array.make (n_queues + 1) 0 in
-  List.iter
-    (fun (r : Request.t) ->
-      let k = (r.seg * n_proc) + r.proc + 1 in
-      first.(k) <- first.(k) + 1)
-    reqs;
+  let in_place = ref true in
+  for i = 0 to n - 1 do
+    let k = (t.seg.(i) * n_proc) + t.proc.(i) + 1 in
+    if i > 0 && k < (t.seg.(i - 1) * n_proc) + t.proc.(i - 1) + 1 then in_place := false;
+    first.(k) <- first.(k) + 1
+  done;
   for k = 1 to n_queues do
     first.(k) <- first.(k) + first.(k - 1)
   done;
-  let queue = match reqs with [] -> [||] | r :: _ -> Array.make first.(n_queues) r in
-  let next = Array.sub first 0 n_queues in
-  List.iter
-    (fun (r : Request.t) ->
-      let k = (r.seg * n_proc) + r.proc in
-      queue.(next.(k)) <- r;
-      next.(k) <- next.(k) + 1)
-    reqs;
+  let q =
+    if !in_place then
+      { q_arrival = t.arrival; q_think = t.think; q_lba = t.lba; q_size = t.size; q_disk = t.disk }
+    else begin
+      let q =
+        {
+          q_arrival = Float.Array.create n;
+          q_think = Float.Array.create n;
+          q_lba = Array.make n 0;
+          q_size = Array.make n 0;
+          q_disk = Array.make n 0;
+        }
+      in
+      let next = Array.sub first 0 n_queues in
+      for i = 0 to n - 1 do
+        let k = (t.seg.(i) * n_proc) + t.proc.(i) in
+        let j = next.(k) in
+        next.(k) <- j + 1;
+        Float.Array.set q.q_arrival j (Float.Array.get t.arrival i);
+        Float.Array.set q.q_think j (Float.Array.get t.think i);
+        q.q_lba.(j) <- t.lba.(i);
+        q.q_size.(j) <- t.size.(i);
+        q.q_disk.(j) <- t.disk.(i)
+      done;
+      q
+    end
+  in
   let states = Array.init disks (make_state ~sink:obs model) in
   (match rctx with Some rx -> rx.peers <- states | None -> ());
   List.iter
@@ -1115,7 +1152,7 @@ let simulate ?(model = Disk_model.ultrastar_36z15) ?(obs = Sink.null) ?(hints = 
     let ready = Minheap.create ~capacity:(List.length g_procs) ~cmp:(Minheap.by_key due) () in
     let enqueue p =
       if cursor.(p) < stop.(p) then begin
-        due.(p) <- clocks.(p) +. queue.(cursor.(p)).Request.think_ms;
+        due.(p) <- clocks.(p) +. Float.Array.get q.q_think cursor.(p);
         Minheap.add ready p
       end
     in
@@ -1124,8 +1161,8 @@ let simulate ?(model = Disk_model.ultrastar_36z15) ?(obs = Sink.null) ?(hints = 
       if not (Minheap.is_empty ready) then begin
         let p = Minheap.pop_min ready in
         let issue = due.(p) in
-        let r = queue.(cursor.(p)) in
-        cursor.(p) <- cursor.(p) + 1;
+        let i = cursor.(p) in
+        cursor.(p) <- i + 1;
         (* Degraded mode: rebuild streams advance on failed slots up
            to the issue instant, and the request is routed to the
            mirror while its home slot is down.  Only this group's
@@ -1142,13 +1179,14 @@ let simulate ?(model = Disk_model.ultrastar_36z15) ?(obs = Sink.null) ?(hints = 
                   advance_rebuild model rx st ~until:issue)
               g_disks
         | None -> ());
+        let home = q.q_disk.(i) in
         let target =
           match rctx with
-          | Some rx when Repair.is_failed rx.rc r.Request.disk -> (
-              match Repair.mirror_of rx.rc r.Request.disk with
+          | Some rx when Repair.is_failed rx.rc home -> (
+              match Repair.mirror_of rx.rc home with
               | Some m when not (Repair.is_failed rx.rc m) -> m
-              | _ -> r.Request.disk)
-          | _ -> r.Request.disk
+              | _ -> home)
+          | _ -> home
         in
         let st = states.(target) in
         (* Scrub runs first, out of the same idle window the policy
@@ -1158,8 +1196,8 @@ let simulate ?(model = Disk_model.ultrastar_36z15) ?(obs = Sink.null) ?(hints = 
         | Some rx when issue > st.f.now -> scrub_gap model rx st ~until:issue
         | _ -> ());
         let response =
-          handle_request model policy ctrl fctx rctx st r ~issue ~directed
-            ~recon:(target <> r.Request.disk)
+          handle_request model policy ctrl fctx rctx st q i ~proc:p ~issue ~directed
+            ~recon:(target <> home)
         in
         clocks.(p) <- issue +. response;
         enqueue p;
@@ -1196,7 +1234,7 @@ let simulate ?(model = Disk_model.ultrastar_36z15) ?(obs = Sink.null) ?(hints = 
          makes the split safe, and without repair there is nothing to
          attribute. *)
       if shards <= 1 || (sink_on && Option.is_some rctx) then [ all_group ]
-      else shard_groups ~n_proc ~disks ~mirror:mirror_edges ~queue ~cursor ~stop
+      else shard_groups ~n_proc ~disks ~mirror:mirror_edges ~q_disk:q.q_disk ~cursor ~stop
     in
     (match groups with
     | [] -> ()
@@ -1243,6 +1281,10 @@ let simulate ?(model = Disk_model.ultrastar_36z15) ?(obs = Sink.null) ?(hints = 
       Array.fold_left (fun acc (s : disk_stats) -> acc +. s.response_ms_total) 0.0 per_disk;
     makespan_ms = makespan;
   }
+
+let simulate ?model ?obs ?hints ?knobs ?shards ~disks policy reqs =
+  replay ?model ?obs ?hints ?knobs ?shards ~disks policy
+    (Trace.of_list ~caller:"Engine.simulate" reqs)
 
 let pp_disk_stats ppf s =
   Format.fprintf ppf

@@ -1,4 +1,5 @@
 module Request = Dp_trace.Request
+module Trace = Dp_trace.Trace
 
 (** Trace-driven multi-disk simulation engine.
 
@@ -66,7 +67,7 @@ type result = {
   makespan_ms : float;
 }
 
-val simulate :
+val replay :
   ?model:Disk_model.t ->
   ?obs:Dp_obs.Sink.t ->
   ?hints:Dp_trace.Hint.t list ->
@@ -74,24 +75,24 @@ val simulate :
   ?shards:int ->
   disks:int ->
   Policy.t ->
-  Request.t list ->
+  Trace.t ->
   result
-(** Simulate a trace on [disks] I/O nodes under a policy.  Requests whose
-    [disk] is outside [0, disks), whose [proc] or [seg] is negative, or
-    whose [arrival_ms] or [think_ms] is not finite, raise
-    [Invalid_argument] naming the field; so do hints on a disk outside
-    that range or with a non-finite time or pre-spin-up lead.  One pass
-    over the requests validates them and sizes the run.  The request
-    list may come in any order: it is put in {!Request.compare_arrival}
-    order by {!Request.sort_arrival}, so a list already in that order —
-    every generated or decoded trace — is checked in one pass and not
-    re-sorted.
+(** Simulate a trace on [disks] I/O nodes under a policy.  The trace's
+    recorded counts ({!Trace.t}) size the run and validate it: a request
+    on a disk outside [0, disks), or an [arrival_ms] or [think_ms] that
+    is not finite, raises [Invalid_argument] naming the first such
+    request's field; so do hints on a disk outside that range or with a
+    non-finite time or pre-spin-up lead.  A trace holds no negative id.
 
-    Each processor's queue of a segment is an index range of one array:
-    a stable counting sort of the sorted trace on (segment, processor)
-    lays the queues out back to back, each in arrival order, and a
-    cursor per processor walks its range.  Segment ids may skip values:
-    a segment no request names is an empty barrier, a no-op.
+    Each processor's queue of a segment is an index range of the queue
+    columns: a stable counting sort of the trace on (segment, processor)
+    permutes the five columns the issue loop reads (arrival, think, lba,
+    size, disk) into queue order once per run, so the queues lie back to
+    back, each in arrival order, and a cursor per processor walks its
+    range.  A trace whose requests are already in queue order — one
+    processor, say — is read in place.  The run allocates no
+    per-request record.  Segment ids may skip values: a segment no
+    request names is an empty barrier, a no-op.
 
     Requests issue in (issue time, processor) order: the processor due
     earliest issues next, and among processors due at the same instant
@@ -152,6 +153,22 @@ val simulate :
     domain (armed per {!Knobs.armed_repair}), spare override (applied to
     [model]) and deadline; knobs {!Knobs.check} refuses raise
     [Invalid_argument]. *)
+
+val simulate :
+  ?model:Disk_model.t ->
+  ?obs:Dp_obs.Sink.t ->
+  ?hints:Dp_trace.Hint.t list ->
+  ?knobs:Knobs.t ->
+  ?shards:int ->
+  disks:int ->
+  Policy.t ->
+  Request.t list ->
+  result
+(** {!replay} of [Trace.of_list ~caller:"Engine.simulate" reqs]: the
+    requests may come in any order, and a negative [proc], [seg] or
+    [disk] raises [Invalid_argument] naming the field.  A list adapter
+    kept for the benchmark's traced pass until it runs the CLI's own
+    entry points. *)
 
 val wear_fraction : Disk_model.t -> disk_stats -> float
 (** Start-stop wear consumed by a run: [spin_downs] over the drive's

@@ -1,6 +1,7 @@
 module Disk_model = Dp_disksim.Disk_model
 module Engine = Dp_disksim.Engine
 module Request = Dp_trace.Request
+module Trace = Dp_trace.Trace
 module Hint = Dp_trace.Hint
 module Event = Dp_obs.Event
 
@@ -146,34 +147,47 @@ let schedule ?(model = Disk_model.ultrastar_36z15) space gaps =
    [Tpm_space] disks serve at full speed (TPM has no other); with DRPM
    transitions available the oracle may serve at whichever level costs
    the least energy — reduced speed stretches the service but can still
-   win, which is exactly the serve-at-reduced-RPM leg of the DP.
-   [reqs] must already be in arrival order. *)
-let busy_floor_j space model ~disks reqs =
+   win, which is exactly the serve-at-reduced-RPM leg of the DP.  A
+   request's price depends only on its seek class and size, so it is
+   looked up in a table filled on first use: each request adds the same
+   float, in the same order, as pricing it afresh would. *)
+let busy_floor_j space model ~disks (t : Trace.t) =
   let levels =
     match space with
     | Tpm_space -> [ model.Disk_model.rpm_max ]
     | Drpm_space | Full_space -> Disk_model.rpm_levels model
   in
   let active = List.map (fun rpm -> (rpm, Disk_model.active_power_w model ~rpm)) levels in
+  (* A distance of each seek class: sequential, a short hop, far. *)
+  let class_distance = [| 0; 1; max_int |] in
+  let prices = Array.init 3 (fun _ -> Hashtbl.create 4) in
+  let price cls size =
+    match Hashtbl.find prices.(cls) size with
+    | j -> j
+    | exception Not_found ->
+        let seek_distance = class_distance.(cls) in
+        let j =
+          List.fold_left
+            (fun best (rpm, watts) ->
+              let ms = Disk_model.service_ms ~seek_distance model ~rpm ~bytes:size in
+              Float.min best (j_of ~watts ~ms))
+            infinity active
+        in
+        Hashtbl.add prices.(cls) size j;
+        j
+  in
   let last_end = Array.make disks (-1) in
-  List.fold_left
-    (fun acc (r : Request.t) ->
-      let seek_distance =
-        if last_end.(r.Request.disk) < 0 then max_int
-        else r.Request.lba - last_end.(r.Request.disk)
-      in
-      last_end.(r.Request.disk) <- r.Request.lba + r.Request.size;
-      let cheapest =
-        List.fold_left
-          (fun best (rpm, watts) ->
-            let ms =
-              Disk_model.service_ms ~seek_distance model ~rpm ~bytes:r.Request.size
-            in
-            Float.min best (j_of ~watts ~ms))
-          infinity active
-      in
-      acc +. cheapest)
-    0.0 reqs
+  let sum = Float.Array.make 1 0.0 in
+  for i = 0 to Trace.length t - 1 do
+    let d = t.disk.(i) in
+    let cls =
+      if last_end.(d) < 0 then Disk_model.seek_class max_int
+      else Disk_model.seek_class (t.lba.(i) - last_end.(d))
+    in
+    last_end.(d) <- t.lba.(i) + t.size.(i);
+    Float.Array.set sum 0 (Float.Array.get sum 0 +. price cls t.size.(i))
+  done;
+  Float.Array.get sum 0
 
 type bound = {
   space : space;
@@ -210,7 +224,7 @@ let gap_floor_j space c (g : gap) =
 type reference = {
   model : Disk_model.t;
   disks : int;
-  requests : Request.t list;
+  requests : Trace.t;
   base : Engine.result;
   gaps : gap list array;
 }
@@ -218,8 +232,7 @@ type reference = {
 (* The gaps are the complement of each disk's [Active] spans within
    [0, makespan], folded from the spans as the No-PM run emits them; the
    last gap of a disk is terminal. *)
-let reference ?(model = Disk_model.ultrastar_36z15) ~disks reqs =
-  let requests = Request.sort_arrival reqs in
+let reference ?(model = Disk_model.ultrastar_36z15) ~disks requests =
   let eps = 1e-6 in
   let gaps = Array.make disks [] and cursor = Array.make disks 0.0 in
   let obs =
@@ -236,7 +249,7 @@ let reference ?(model = Disk_model.ultrastar_36z15) ~disks reqs =
           cursor.(disk) <- Float.max cursor.(disk) stop_ms
       | _ -> ())
   in
-  let base = Engine.simulate ~model ~obs ~disks Dp_disksim.Policy.No_pm requests in
+  let base = Engine.replay ~model ~obs ~disks Dp_disksim.Policy.No_pm requests in
   let makespan_ms = base.Engine.makespan_ms in
   let gaps =
     Array.mapi
@@ -263,7 +276,7 @@ let bound ~space (r : reference) =
   { space; energy_j = busy_j +. gap_j; busy_j; gap_j; per_disk; base = r.base }
 
 let lower_bound ?model ?(space = Full_space) ~disks reqs =
-  bound ~space (reference ?model ~disks reqs)
+  bound ~space (reference ?model ~disks (Trace.of_list reqs))
 
 let standby_floor_j ?(model = Disk_model.ultrastar_36z15) (r : Engine.result) =
   float_of_int (Array.length r.Engine.per_disk)
@@ -277,64 +290,67 @@ let standby_floor_j ?(model = Disk_model.ultrastar_36z15) (r : Engine.result) =
    [Spin_down] / [Pre_spin_up] pair; where a speed dip does, emit the
    [Set_rpm] target.  The directives carry nominal timestamps, which is
    also how the engine routes them to gaps. *)
-let hints_of_trace ?(model = Disk_model.ultrastar_36z15) ?(space = Full_space) ~disks reqs
-    =
-  let reqs = Request.sort_arrival reqs in
+let hints ?(model = Disk_model.ultrastar_36z15) ?(space = Full_space) ?(by_proc = false)
+    ~disks (t : Trace.t) =
   let c = costs model in
-  let completion = Array.make disks 0.0 in
-  let last_end = Array.make disks (-1) in
+  (* Planning state per (plan, disk): one plan, or one per processor. *)
+  let plans = if by_proc then Int.max 1 t.procs else 1 in
+  let completion = Float.Array.make (plans * disks) 0.0 in
+  let last_end = Array.make (plans * disks) (-1) in
   let su_ms = ms_of_s model.Disk_model.spin_up_s in
-  let hints = ref [] in
-  let emit_for_gap ~disk ~start_ms ~len_ms ~next_arrival ~terminal =
+  let hints = Array.make plans [] in
+  let emit_for_gap ~plan ~disk ~start_ms ~len_ms ~next_arrival ~terminal =
+    let emit h = hints.(plan) <- h :: hints.(plan) in
     let g = { start_ms; len_ms; terminal } in
     (match space with
     | Tpm_space | Full_space -> (
         match best_in c Tpm_space g with
         | Spin_cycle, _ ->
-            hints := { Hint.at_ms = start_ms; disk; action = Hint.Spin_down } :: !hints;
+            emit { Hint.at_ms = start_ms; disk; action = Hint.Spin_down };
             if not terminal then
-              hints :=
-                {
-                  Hint.at_ms = next_arrival -. su_ms;
-                  disk;
-                  action = Hint.Pre_spin_up su_ms;
-                }
-                :: !hints
+              emit
+                { Hint.at_ms = next_arrival -. su_ms; disk; action = Hint.Pre_spin_up su_ms }
         | _ -> ())
     | Drpm_space -> ());
     match space with
     | Drpm_space | Full_space -> (
         match best_in c Drpm_space g with
-        | Rpm_dip rpm, _ ->
-            hints := { Hint.at_ms = start_ms; disk; action = Hint.Set_rpm rpm } :: !hints
+        | Rpm_dip rpm, _ -> emit { Hint.at_ms = start_ms; disk; action = Hint.Set_rpm rpm }
         | _ -> ())
     | Tpm_space -> ()
   in
-  List.iter
-    (fun (r : Request.t) ->
-      let d = r.Request.disk in
-      if r.Request.arrival_ms > completion.(d) then
-        emit_for_gap ~disk:d ~start_ms:completion.(d)
-          ~len_ms:(r.Request.arrival_ms -. completion.(d))
-          ~next_arrival:r.Request.arrival_ms ~terminal:false;
-      let seek_distance =
-        if last_end.(d) < 0 then max_int else r.Request.lba - last_end.(d)
-      in
-      last_end.(d) <- r.Request.lba + r.Request.size;
-      let service =
-        Disk_model.service_ms ~seek_distance model ~rpm:model.Disk_model.rpm_max
-          ~bytes:r.Request.size
-      in
-      completion.(d) <- Float.max completion.(d) r.Request.arrival_ms +. service)
-    reqs;
-  let makespan = Array.fold_left Float.max 0.0 completion in
-  Array.iteri
-    (fun d c ->
-      if makespan > c then
-        emit_for_gap ~disk:d ~start_ms:c ~len_ms:(makespan -. c) ~next_arrival:makespan
-          ~terminal:true)
-    completion;
-  List.sort Hint.compare_at !hints
+  for i = 0 to Trace.length t - 1 do
+    let plan = if by_proc then t.proc.(i) else 0 in
+    let d = t.disk.(i) and arrival = Float.Array.get t.arrival i in
+    let k = (plan * disks) + d in
+    let done_ms = Float.Array.get completion k in
+    if arrival > done_ms then
+      emit_for_gap ~plan ~disk:d ~start_ms:done_ms ~len_ms:(arrival -. done_ms)
+        ~next_arrival:arrival ~terminal:false;
+    let seek_distance = if last_end.(k) < 0 then max_int else t.lba.(i) - last_end.(k) in
+    last_end.(k) <- t.lba.(i) + t.size.(i);
+    let service =
+      Disk_model.service_ms ~seek_distance model ~rpm:model.Disk_model.rpm_max
+        ~bytes:t.size.(i)
+    in
+    Float.Array.set completion k (Float.max done_ms arrival +. service)
+  done;
+  for plan = 0 to plans - 1 do
+    let completion = Float.Array.sub completion (plan * disks) disks in
+    let makespan = Float.Array.fold_left Float.max 0.0 completion in
+    Float.Array.iteri
+      (fun d c ->
+        if makespan > c then
+          emit_for_gap ~plan ~disk:d ~start_ms:c ~len_ms:(makespan -. c)
+            ~next_arrival:makespan ~terminal:true)
+      completion
+  done;
+  match Array.map (List.sort Hint.compare_at) hints with
+  | [| one |] -> one
+  | per_proc -> List.stable_sort Hint.compare_at (List.concat (Array.to_list per_proc))
+
+let hints_of_trace ?model ?space ~disks reqs =
+  hints ?model ?space ~disks (Trace.of_list reqs)
 
 let pp_bound ppf b =
   Format.fprintf ppf

@@ -1,6 +1,7 @@
 module Disk_model = Dp_disksim.Disk_model
 module Engine = Dp_disksim.Engine
 module Request = Dp_trace.Request
+module Trace = Dp_trace.Trace
 module Hint = Dp_trace.Hint
 
 (** Offline-optimal disk power scheduling.
@@ -10,7 +11,7 @@ module Hint = Dp_trace.Hint
     energy-optimal sequence of power states over every idle gap, and the
     resulting energy lower bound.  The bound quantifies how much energy
     the reactive TPM/DRPM policies leave on the table: every online
-    policy run through {!Engine.simulate} consumes at least this much.
+    policy run through {!Engine.replay} consumes at least this much.
 
     The optimization is a dynamic program over per-gap power-state
     trajectories built from three transition families: stay powered-up
@@ -66,7 +67,10 @@ type bound = {
   busy_j : float;
       (** servicing floor: in [Drpm_space]/[Full_space] each request is
           charged at its cheapest serving speed (energy, not time,
-          minimized); in [Tpm_space] at full speed, as TPM serves *)
+          minimized); in [Tpm_space] at full speed, as TPM serves.  A
+          request's charge depends only on its seek class
+          ({!Disk_model.seek_class}) and size, so each (class, size) is
+          priced once per bound and looked up after that *)
   gap_j : float;
       (** sum of per-gap energy floors.  In [Tpm_space] this is exactly
           the plan energy (two-mode trajectories are boundary-pinned, so
@@ -93,7 +97,7 @@ type bound = {
 type reference = private {
   model : Disk_model.t;
   disks : int;
-  requests : Request.t list;  (** the trace in {!Request.compare_arrival} order *)
+  requests : Trace.t;  (** the trace *)
   base : Engine.result;  (** the no-PM run *)
   gaps : gap list array;
       (** per-disk idle gaps of [base]: the complement of its [Active]
@@ -101,14 +105,12 @@ type reference = private {
           it runs to the makespan *)
 }
 
-val reference : ?model:Disk_model.t -> disks:int -> Request.t list -> reference
-(** Simulate the trace once without power management to fix its
+val reference : ?model:Disk_model.t -> disks:int -> Trace.t -> reference
+(** Replay the trace once without power management to fix its
     busy/idle structure.  A stream sink folds the gaps from the run's
     {!Dp_obs.Event.Power} [Active] spans as the engine emits them, so
-    no timeline is kept.  The requests may come in any order; a list
-    already in arrival order is used as is, not re-sorted
-    ({!Request.sort_arrival}).  Requests the engine rejects raise
-    [Invalid_argument], as in {!Engine.simulate}. *)
+    no timeline is kept.  A trace the engine rejects raises
+    [Invalid_argument], as in {!Engine.replay}. *)
 
 val bound : space:space -> reference -> bound
 (** Bound every policy of [space] from below on the reference's trace:
@@ -119,8 +121,9 @@ val bound : space:space -> reference -> bound
 
 val lower_bound :
   ?model:Disk_model.t -> ?space:space -> disks:int -> Request.t list -> bound
-(** [bound ~space (reference ?model ~disks reqs)], [space] defaulting to
-    [Full_space]. *)
+(** [bound ~space (reference ?model ~disks (Trace.of_list reqs))],
+    [space] defaulting to [Full_space]: a list adapter kept for the
+    benchmark's traced pass until it runs the CLI's own entry points. *)
 
 val standby_floor_j : ?model:Disk_model.t -> Engine.result -> float
 (** The analytic floor no schedule can beat: every disk draws at least
@@ -132,23 +135,31 @@ val standby_floor_j : ?model:Disk_model.t -> Engine.result -> float
     The hint emitter is the compile-time half of the pipeline: it runs
     the same per-gap planner over the {e nominal} (full-speed) timeline
     that restructuring makes statically predictable, and emits the
-    directive stream ({!Hint.t}) that {!Engine.simulate} executes —
+    directive stream ({!Hint.t}) that {!Engine.replay} executes —
     [Spin_down] / [Pre_spin_up] pairs where a spin cycle pays off,
     [Set_rpm] targets where a speed dip does. *)
 
-val hints_of_trace :
-  ?model:Disk_model.t -> ?space:space -> disks:int -> Request.t list -> Hint.t list
+val hints :
+  ?model:Disk_model.t -> ?space:space -> ?by_proc:bool -> disks:int -> Trace.t -> Hint.t list
 (** Hints sorted by nominal time.  [space] selects the mechanism the
     hints drive (default [Full_space]: emit for both; the engine's
     policy consumes the kind it understands and ignores the other).
-    The gap prediction reads [Request.arrival_ms], so the trace must
+    With [by_proc] (default [false]) each processor's requests are
+    planned as a trace of their own, as each tenant's compiler would
+    plan its stream: its own disk timelines and its own makespan; the
+    per-processor streams are then merged by a stable sort in
+    processor order.
+    The gap prediction reads the trace's arrivals, so the trace must
     carry nominal arrivals: the instants the engine issues each request
     under [No_pm], which generator traces carry.  A hand-built trace
     usually carries zeros, which hide every gap; stamp it with the
     [arrival_ms] of the [Service] events of a [No_pm] run first, and
     feed the stamped trace to the engine too, since hint routing
-    matches on the same field.  The requests may come in any order; a
-    list already in arrival order is not re-sorted
-    ({!Request.sort_arrival}). *)
+    matches on the same field. *)
+
+val hints_of_trace :
+  ?model:Disk_model.t -> ?space:space -> disks:int -> Request.t list -> Hint.t list
+(** {!hints} of [Trace.of_list reqs]: a list adapter kept for the
+    benchmark's traced pass until it runs the CLI's own entry points. *)
 
 val pp_bound : Format.formatter -> bound -> unit

@@ -10,6 +10,7 @@ module Reuse = Dp_restructure.Reuse_scheduler
 module Parallelize = Dp_restructure.Parallelize
 module Generate = Dp_trace.Generate
 module Request = Dp_trace.Request
+module Trace = Dp_trace.Trace
 module Hint = Dp_trace.Hint
 module Engine = Dp_disksim.Engine
 module Policy = Dp_disksim.Policy
@@ -88,7 +89,7 @@ type t = {
   streams : (key, Generate.segments array * int option) stage;
   (* The trace with the scheduler round count, so a warm run answers
      [rounds] without rebuilding the streams stage. *)
-  traces : (key, Request.t list * int option) stage;
+  traces : (key, Trace.t * int option) stage;
   hints : (key * Oracle.space, Hint.t list) stage;
   (* In memory only: both are cheap to rebuild from a (cached) trace. *)
   summaries : (key, Generate.summary) stage;
@@ -182,8 +183,8 @@ let make ?cache ~app ~layout ~origin () =
         ~persist:
           {
             entry = (fun k -> entry_key digest k "trace" []);
-            encode = (fun (reqs, rounds) -> Bin.encode ?rounds reqs);
-            decode = of_frame (fun (reqs, _, _, rounds) -> (reqs, rounds));
+            encode = (fun (trace, rounds) -> Bin.encode ?rounds trace);
+            decode = of_frame (fun (trace, _, _, rounds) -> (trace, rounds));
           };
     hints =
       stage "pipeline.hints"
@@ -191,7 +192,7 @@ let make ?cache ~app ~layout ~origin () =
           {
             entry =
               (fun (k, space) -> entry_key digest k "hints" [ Oracle.space_name space ]);
-            encode = (fun hints -> Bin.encode ~hints []);
+            encode = (fun hints -> Bin.encode ~hints Trace.empty);
             decode = of_frame (fun (_, hints, _, _) -> hints);
           };
     summaries = stage "pipeline.summary";
@@ -357,22 +358,23 @@ let traced ?cluster t ~procs mode =
     (fun ((segs, rounds), g) ->
       (Generate.trace t.layout (program t) g.Concrete.instances segs, rounds))
 
-let trace ?cluster t ~procs mode = fst (traced ?cluster t ~procs mode)
+let columns ?cluster t ~procs mode = fst (traced ?cluster t ~procs mode)
+let trace ?cluster t ~procs mode = Trace.to_list (columns ?cluster t ~procs mode)
 let rounds ?cluster t ~procs mode = snd (traced ?cluster t ~procs mode)
 
 let hints ?cluster t ~procs ~space mode =
   memo t t.hints (key ?cluster ~procs mode, space)
-    ~inputs:(fun () -> trace ?cluster t ~procs mode)
-    (Oracle.hints_of_trace ~space ~disks:(disks t))
+    ~inputs:(fun () -> columns ?cluster t ~procs mode)
+    (Oracle.hints ~space ~disks:(disks t))
 
 (* The stages a trace feeds in memory, under the default clustering
    policy. *)
 let summary t ~procs mode =
-  memo t t.summaries (key ~procs mode) ~inputs:(fun () -> trace t ~procs mode)
-    Generate.summarize
+  memo t t.summaries (key ~procs mode) ~inputs:(fun () -> columns t ~procs mode)
+    Generate.summarize_trace
 
 let reference t ~procs mode =
-  memo t t.references (key ~procs mode) ~inputs:(fun () -> trace t ~procs mode)
+  memo t t.references (key ~procs mode) ~inputs:(fun () -> columns t ~procs mode)
     (Oracle.reference ~disks:(disks t))
 
 (* Compiler hints for the proactive policies: the hint emitter replays
@@ -389,8 +391,7 @@ let hints_for ?cluster t ~procs ~policy mode =
   | Some space -> hints ?cluster t ~procs ~space mode
 
 let simulate ?cluster ?knobs ?obs ?shards t ~procs ~policy mode =
-  let reqs = trace ?cluster t ~procs mode in
+  let trace = columns ?cluster t ~procs mode in
   let hints = hints_for ?cluster t ~procs ~policy mode in
   Prof.span "pipeline.simulate" (fun () ->
-      Engine.simulate ?obs ?knobs ?shards ~hints ~disks:(disks t)
-        policy reqs)
+      Engine.replay ?obs ?knobs ?shards ~hints ~disks:(disks t) policy trace)

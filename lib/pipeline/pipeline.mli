@@ -6,6 +6,7 @@ module Concrete = Dp_dependence.Concrete
 module Cluster = Dp_restructure.Cluster
 module Generate = Dp_trace.Generate
 module Request = Dp_trace.Request
+module Trace = Dp_trace.Trace
 module Hint = Dp_trace.Hint
 module Engine = Dp_disksim.Engine
 module Policy = Dp_disksim.Policy
@@ -147,10 +148,16 @@ val streams :
     @raise Invalid_argument for {!Reuse_multi} with [procs = 1] (the
     layout-aware scheme needs several processors) or [procs < 1]. *)
 
+val columns : ?cluster:Cluster.policy -> t -> procs:int -> mode -> Trace.t
+(** Stage 3: the timed I/O request trace of the mode's streams, as
+    columns.  The stage stores the trace together with the round count
+    of {!streams}; a warm context decodes it from the store straight
+    into columns ({!Dp_trace.Bin.decode}). *)
+
 val trace : ?cluster:Cluster.policy -> t -> procs:int -> mode -> Request.t list
-(** Stage 3: the timed I/O request trace of the mode's streams.  The
-    stage stores the trace together with the round count of
-    {!streams}. *)
+(** {!columns} as a request list ({!Trace.to_list}): an adapter kept for
+    the benchmark's traced pass until it runs the CLI's own entry
+    points. *)
 
 val rounds : ?cluster:Cluster.policy -> t -> procs:int -> mode -> int option
 (** The round count of {!streams}, read from the {!trace} stage: a warm
@@ -158,7 +165,7 @@ val rounds : ?cluster:Cluster.policy -> t -> procs:int -> mode -> int option
     cold one builds the trace if no caller has yet. *)
 
 val summary : t -> procs:int -> mode -> Generate.summary
-(** Stage 3a: {!Generate.summarize} of the mode's trace under the
+(** Stage 3a: {!Generate.summarize_trace} of the mode's trace under the
     default clustering policy, built once per (procs, mode) and shared
     by every matrix row that replays that trace.  Kept in memory only,
     never written to the persistent store: a warm run rebuilds it from
@@ -207,7 +214,7 @@ val simulate :
     runs observationally distinct; the expensive upstream stages
     are.
     [shards] fans the engine's per-segment shard groups across that
-    many domains ({!Engine.simulate}); the result stays byte-identical
+    many domains ({!Engine.replay}); the result stays byte-identical
     to a serial run. *)
 
 (** {1 Stage accounting} *)

@@ -1,6 +1,5 @@
 module Splitmix = Dp_util.Splitmix
-module Request = Dp_trace.Request
-module Hint = Dp_trace.Hint
+module Trace = Dp_trace.Trace
 module Engine = Dp_disksim.Engine
 module Policy = Dp_disksim.Policy
 module Knobs = Dp_disksim.Knobs
@@ -109,18 +108,12 @@ let run cfg =
   let kinds =
     Array.of_list (List.map (fun (t : Tenant.t) -> Tenant.kind_name t.kind) tenants)
   in
-  let merged = Mux.merge ~rng:mux_rng ~jitter_ms:cfg.jitter_ms tenants in
-  (* The per-tenant shifted streams, recovered from the merged trace:
-     what each tenant's compiler would have planned hints on. *)
-  let by_tenant = Array.make cfg.tenants [] in
-  List.iter (fun (r : Request.t) -> by_tenant.(r.proc) <- r :: by_tenant.(r.proc)) merged;
-  Array.iteri (fun i l -> by_tenant.(i) <- List.rev l) by_tenant;
-  let offline_hints space =
-    List.stable_sort Hint.compare_at
-      (List.concat_map
-         (fun stream -> Oracle.hints_of_trace ~space ~disks:cfg.disks stream)
-         (Array.to_list by_tenant))
-  in
+  (* The merged list becomes columns at once, and only the columns are
+     read after this. *)
+  let merged = Trace.of_list (Mux.merge ~rng:mux_rng ~jitter_ms:cfg.jitter_ms tenants) in
+  (* Each tenant's hints are planned on its own shifted stream, as its
+     compiler would have planned them. *)
+  let offline_hints space = Oracle.hints ~space ~by_proc:true ~disks:cfg.disks merged in
   let run_spec = function
     | Sim (label, policy, hint_space) ->
         let hints =
@@ -146,7 +139,7 @@ let run cfg =
         let rider r = Option.fold ~none:Dp_obs.Sink.null ~some:fst r in
         let sink = Dp_obs.Sink.tee [ acct_sink; rider report; rider live ] in
         let res =
-          Engine.simulate ~obs:sink ~hints ~knobs:cfg.knobs ~shards:cfg.shards ~disks:cfg.disks
+          Engine.replay ~obs:sink ~hints ~knobs:cfg.knobs ~shards:cfg.shards ~disks:cfg.disks
             policy merged
         in
         {
@@ -164,7 +157,9 @@ let run cfg =
               live;
         }
     | Bound ->
-        let b = Oracle.lower_bound ~space:Oracle.Full_space ~disks:cfg.disks merged in
+        let b =
+          Oracle.bound ~space:Oracle.Full_space (Oracle.reference ~disks:cfg.disks merged)
+        in
         {
           label = "oracle";
           detail = "offline-optimal lower bound (full space)";
@@ -176,7 +171,7 @@ let run cfg =
         }
   in
   let rows = Domain_pool.map ~jobs:cfg.jobs run_spec (specs cfg.selection) in
-  { config = cfg; requests = List.length merged; kinds; rows }
+  { config = cfg; requests = Trace.length merged; kinds; rows }
 
 let pp_row ppf r =
   match r.summary with

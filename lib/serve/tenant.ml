@@ -39,11 +39,6 @@ let normalize ~disks reqs =
       })
     reqs
 
-let rec take n = function
-  | [] -> []
-  | _ when n <= 0 -> []
-  | x :: rest -> x :: take (n - 1) rest
-
 (* The window is the head of the 1-processor Original trace.  That
    trace issues one request per access, in original order, each after
    the last on one clock, so its first [app_window] requests come from
@@ -57,7 +52,8 @@ let app_stream ~disks name =
   let trace =
     Generate.trace (Pipeline.layout ctx) prog prefix (Generate.single_stream ~order)
   in
-  normalize ~disks (take app_window trace)
+  normalize ~disks
+    (List.init (Int.min app_window (Dp_trace.Trace.length trace)) (Dp_trace.Trace.get trace))
 
 let population ~rng ~tenants ~disks () =
   if tenants < 1 then invalid_arg "Tenant.population: tenants must be >= 1";

@@ -63,8 +63,7 @@ let thousandths x =
 
 let q3 x = float_of_string (Printf.sprintf "%.3f" x)
 
-let quantize (r : Request.t) =
-  { r with arrival_ms = q3 r.arrival_ms; think_ms = q3 r.think_ms }
+let quantize t = Trace.map_times q3 t
 
 let quantize_hint (h : Hint.t) =
   let action =
@@ -205,13 +204,13 @@ let len_scaled ~scale v =
 
 (* Encoded bytes this request would cost against context [c] (excluding
    the fields whose size does not depend on the context). *)
-let ctx_cost c (r : Request.t) ~arr ~think =
-  let d_addr = r.address - (c.last_addr + c.stride_addr) in
-  let d_lba = r.lba - (c.last_lba + c.stride_lba) in
-  let d_size = r.size - c.last_size in
+let ctx_cost c (t : Trace.t) i ~arr ~think =
+  let d_addr = t.address.(i) - (c.last_addr + c.stride_addr) in
+  let d_lba = t.lba.(i) - (c.last_lba + c.stride_lba) in
+  let d_size = t.size.(i) - c.last_size in
   let compact =
-    (match (arr, think) with Some _, Some t -> t = c.prev_think | _ -> false)
-    && r.seg = c.prev_seg && r.mode = c.prev_mode && d_size = 0
+    (match (arr, think) with Some _, Some k -> k = c.prev_think | _ -> false)
+    && t.seg.(i) = c.prev_seg && Trace.mode t i = c.prev_mode && d_size = 0
   in
   let arr_len =
     match arr with
@@ -228,30 +227,34 @@ let ctx_cost c (r : Request.t) ~arr ~think =
       (match think with
       | Some t -> len_scaled ~scale:time_scale (t - c.prev_think)
       | None -> 8)
-      + len_u (zigzag (r.seg - c.prev_seg))
+      + len_u (zigzag (t.seg.(i) - c.prev_seg))
       + len_scaled ~scale:addr_scale d_size
   in
   (arr_len + addr_len + rest_len, compact)
 
-let add_request e (r : Request.t) =
+let add_request e (t : Trace.t) i =
   let b = e.chunk in
-  let slot = slot_of e.p r.proc r.disk in
-  let arr = thousandths r.arrival_ms in
-  let think = thousandths r.think_ms in
-  let cost0 = ctx_cost slot.front r ~arr ~think in
-  let cost1 = ctx_cost slot.back r ~arr ~think in
+  let proc = t.proc.(i) and disk = t.disk.(i) in
+  let address = t.address.(i) and lba = t.lba.(i) and size = t.size.(i) in
+  let seg = t.seg.(i) and mode = Trace.mode t i in
+  let arrival_ms = Float.Array.get t.arrival i and think_ms = Float.Array.get t.think i in
+  let slot = slot_of e.p proc disk in
+  let arr = thousandths arrival_ms in
+  let think = thousandths think_ms in
+  let cost0 = ctx_cost slot.front t i ~arr ~think in
+  let cost1 = ctx_cost slot.back t i ~arr ~think in
   let index = if fst cost1 < fst cost0 then 1 else 0 in
   let c = pick slot index in
   let compact = snd (if index = 0 then cost0 else cost1) in
-  let d_addr = r.address - (c.last_addr + c.stride_addr) in
-  let d_lba = r.lba - (c.last_lba + c.stride_lba) in
+  let d_addr = address - (c.last_addr + c.stride_addr) in
+  let d_lba = lba - (c.last_lba + c.stride_lba) in
   (if compact then begin
      let a = Option.get arr in
      let zero = d_addr = 0 && d_lba = 0 in
      Buffer.add_char b
        (Char.chr ((kind_compact lsl 4) lor (if zero then 1 else 0) lor (index lsl 1)));
-     put_u b r.proc;
-     put_u b r.disk;
+     put_u b proc;
+     put_u b disk;
      put_scaled b ~scale:time_scale (a - predict_arr c);
      if not zero then begin
        put_scaled b ~scale:addr_scale d_addr;
@@ -260,28 +263,28 @@ let add_request e (r : Request.t) =
    end
    else begin
      let flags =
-       (match r.mode with Ir.Write -> 1 | Ir.Read -> 0)
+       (match mode with Ir.Write -> 1 | Ir.Read -> 0)
        lor (if arr = None then 2 else 0)
        lor (if think = None then 4 else 0)
        lor (index lsl 3)
      in
      Buffer.add_char b (Char.chr ((kind_request lsl 4) lor flags));
-     put_u b r.proc;
-     put_u b r.disk;
+     put_u b proc;
+     put_u b disk;
      (match arr with
      | Some a -> put_scaled b ~scale:time_scale (a - predict_arr c)
-     | None -> add_raw_float b r.arrival_ms);
+     | None -> add_raw_float b arrival_ms);
      (match think with
-     | Some t -> put_scaled b ~scale:time_scale (t - c.prev_think)
-     | None -> add_raw_float b r.think_ms);
-     put_s b (r.seg - c.prev_seg);
+     | Some k -> put_scaled b ~scale:time_scale (k - c.prev_think)
+     | None -> add_raw_float b think_ms);
+     put_s b (seg - c.prev_seg);
      put_scaled b ~scale:addr_scale d_addr;
      put_scaled b ~scale:addr_scale d_lba;
-     put_scaled b ~scale:addr_scale (r.size - c.last_size)
+     put_scaled b ~scale:addr_scale (size - c.last_size)
    end);
   (match arr with Some a -> ctx_arrival c a | None -> ());
-  (match think with Some t -> c.prev_think <- t | None -> ());
-  ctx_update c ~address:r.address ~lba:r.lba ~size:r.size ~seg:r.seg ~mode:r.mode;
+  (match think with Some k -> c.prev_think <- k | None -> ());
+  ctx_update c ~address ~lba ~size ~seg ~mode;
   touch slot index;
   end_record e
 
@@ -323,7 +326,7 @@ let add_fault e (f : Fault_model.t) =
   Buffer.add_string b spec;
   end_record e
 
-let encode ?(chunk_bytes = default_chunk_bytes) ?rounds ?(hints = []) ?faults reqs =
+let encode ?(chunk_bytes = default_chunk_bytes) ?rounds ?(hints = []) ?faults trace =
   if chunk_bytes < 1 then invalid_arg "Trace.Bin: chunk_bytes must be >= 1";
   let out = Buffer.create 4096 in
   Buffer.add_string out magic;
@@ -336,7 +339,9 @@ let encode ?(chunk_bytes = default_chunk_bytes) ?rounds ?(hints = []) ?faults re
       put_u out n);
   let chunk = Buffer.create (chunk_bytes + 256) in
   let e = { out; chunk; chunk_bytes; nrecords = 0; p = predictors () } in
-  List.iter (add_request e) reqs;
+  for i = 0 to Trace.length trace - 1 do
+    add_request e trace i
+  done;
   List.iter (add_hint e) hints;
   Option.iter (add_fault e) faults;
   flush_chunk e;
@@ -344,8 +349,8 @@ let encode ?(chunk_bytes = default_chunk_bytes) ?rounds ?(hints = []) ?faults re
   put_u out e.nrecords;
   Buffer.contents out
 
-let save ?hints ?faults path reqs =
-  let s = encode ?hints ?faults reqs in
+let save ?hints ?faults path trace =
+  let s = encode ?hints ?faults trace in
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
 
 (* {1 Decoding} *)
@@ -388,13 +393,26 @@ let get_raw_float c what =
   c.pos <- c.pos + 8;
   v
 
-let decode_request cu p ~flags : Request.t =
+(* Ids are non-negative.  A nine-byte varint, or a segment delta, can
+   decode below zero: the record is refused at its tag's offset. *)
+let check_id c ~at what v =
+  if v < 0 then fail c at "bad %s %d (expected a non-negative integer)" what v
+
+(* A decoded request: its ids checked at the record's offset [at], then
+   appended to the trace being built. *)
+let append_request c b ~at ~arrival ~think ~seg ~address ~lba ~size ~mode ~proc ~disk =
+  check_id c ~at "proc" proc;
+  check_id c ~at "disk" disk;
+  check_id c ~at "seg" seg;
+  Trace.Builder.add b ~arrival ~think ~seg ~address ~lba ~size ~mode ~proc ~disk
+
+let decode_request cu p b ~at ~flags =
   let proc = get_u cu "request proc" in
   let disk = get_u cu "request disk" in
   let slot = slot_of p proc disk in
   let index = (flags lsr 3) land 1 in
   let c = pick slot index in
-  let arrival_ms =
+  let arrival =
     if flags land 2 = 0 then begin
       let a = predict_arr c + get_scaled cu ~scale:time_scale "request arrival" in
       ctx_arrival c a;
@@ -402,7 +420,7 @@ let decode_request cu p ~flags : Request.t =
     end
     else get_raw_float cu "request arrival"
   in
-  let think_ms =
+  let think =
     if flags land 4 = 0 then begin
       let t = c.prev_think + get_scaled cu ~scale:time_scale "request think" in
       c.prev_think <- t;
@@ -417,42 +435,27 @@ let decode_request cu p ~flags : Request.t =
   let mode = if flags land 1 <> 0 then Ir.Write else Ir.Read in
   ctx_update c ~address ~lba ~size ~seg ~mode;
   touch slot index;
-  { arrival_ms; think_ms; seg; address; lba; size; mode; proc; disk }
+  append_request cu b ~at ~arrival ~think ~seg ~address ~lba ~size ~mode ~proc ~disk
 
-let decode_compact cu p ~flags : Request.t =
+let decode_compact cu p b ~at ~flags =
   let proc = get_u cu "request proc" in
   let disk = get_u cu "request disk" in
   let slot = slot_of p proc disk in
   let index = (flags lsr 1) land 1 in
   let c = pick slot index in
   let a = predict_arr c + get_scaled cu ~scale:time_scale "request arrival" in
-  let d_addr, d_lba =
-    if flags land 1 <> 0 then (0, 0)
-    else
-      let da = get_scaled cu ~scale:addr_scale "request address" in
-      let dl = get_scaled cu ~scale:addr_scale "request lba" in
-      (da, dl)
-  in
+  let zero = flags land 1 <> 0 in
+  let d_addr = if zero then 0 else get_scaled cu ~scale:addr_scale "request address" in
+  let d_lba = if zero then 0 else get_scaled cu ~scale:addr_scale "request lba" in
   let address = c.last_addr + c.stride_addr + d_addr in
   let lba = c.last_lba + c.stride_lba + d_lba in
-  let size = c.last_size in
-  let r : Request.t =
-    {
-      arrival_ms = float_of_int a /. 1000.0;
-      think_ms = float_of_int c.prev_think /. 1000.0;
-      seg = c.prev_seg;
-      address;
-      lba;
-      size;
-      mode = c.prev_mode;
-      proc;
-      disk;
-    }
-  in
+  let size = c.last_size and seg = c.prev_seg and mode = c.prev_mode in
+  let think = float_of_int c.prev_think /. 1000.0 in
   ctx_arrival c a;
-  ctx_update c ~address ~lba ~size ~seg:r.seg ~mode:r.mode;
+  ctx_update c ~address ~lba ~size ~seg ~mode;
   touch slot index;
-  r
+  append_request cu b ~at ~arrival:(float_of_int a /. 1000.0) ~think ~seg ~address ~lba
+    ~size ~mode ~proc ~disk
 
 let decode_hint c p ~flags : Hint.t =
   let disk = get_u c "hint disk" in
@@ -489,29 +492,18 @@ let decode_fault c : Fault_model.t =
   | Ok f -> f
   | Error msg -> fail c at "bad fault spec %S: %s" spec msg
 
-(* Ids are non-negative.  A nine-byte varint, or a segment delta, can
-   decode below zero: the record is refused at its tag's offset. *)
-let check_id c ~at what v =
-  if v < 0 then fail c at "bad %s %d (expected a non-negative integer)" what v
-
-(* Decodes the records of the chunk the cursor is bounded by, newest
-   first onto [reqs] and [hints]; returns how many there were. *)
-let decode_chunk c p reqs hints faults =
+(* Decodes the records of the chunk the cursor is bounded by: requests
+   onto the trace [b], hints newest first onto [hints]; returns how many
+   records there were. *)
+let decode_chunk c p b hints faults =
   let n = ref 0 in
   while c.pos < c.lim do
     let at = c.pos in
     let tag = get_byte c "record tag" in
     let flags = tag land 0xf in
     let kind = tag lsr 4 in
-    if kind = kind_request || kind = kind_compact then begin
-      let r =
-        if kind = kind_request then decode_request c p ~flags else decode_compact c p ~flags
-      in
-      check_id c ~at "proc" r.proc;
-      check_id c ~at "disk" r.disk;
-      check_id c ~at "seg" r.seg;
-      reqs := r :: !reqs
-    end
+    if kind = kind_request then decode_request c p b ~at ~flags
+    else if kind = kind_compact then decode_compact c p b ~at ~flags
     else if kind = kind_hint then begin
       let hint = decode_hint c p ~flags in
       check_id c ~at "hint disk" hint.disk;
@@ -557,11 +549,30 @@ let header c =
   c.pos <- 6;
   if hflags land 1 <> 0 then Some (read_varint c "header rounds") else None
 
+(* The record count of a well-framed trace, read from its trailer by
+   skipping from chunk header to chunk header; [None] when the framing
+   is off, which the decode proper then reports. *)
+let trailer_count s ~from =
+  let n = String.length s in
+  let rec go pos =
+    if pos >= n then None
+    else
+      match s.[pos] with
+      | 'C' when pos + 5 <= n ->
+          let len = Int32.to_int (String.get_int32_le s (pos + 1)) in
+          if len <= 0 || len > max_chunk_bytes then None else go (pos + 5 + len + 16)
+      | 'E' -> (
+          let c = { s; file = ""; pos = pos + 1; lim = n } in
+          match read_varint c "" with v -> Some v | exception Fail _ -> None)
+      | _ -> None
+  in
+  go from
+
 let decode ?(file = "<buffer>") s =
   let c = { s; file; pos = 0; lim = String.length s } in
   let p = predictors () in
-  let reqs = ref [] and hints = ref [] and faults = ref None in
-  let rec chunks nrecords =
+  let hints = ref [] and faults = ref None in
+  let rec chunks b nrecords =
     let marker_at = c.pos in
     if c.pos >= c.lim then fail c marker_at "truncated trace: missing end-of-trace marker";
     let marker = c.s.[c.pos] in
@@ -581,10 +592,10 @@ let decode ?(file = "<buffer>") s =
         (* The records, with the cursor bounded by the chunk. *)
         c.pos <- data_at;
         c.lim <- data_at + len;
-        let n = decode_chunk c p reqs hints faults in
+        let n = decode_chunk c p b hints faults in
         c.pos <- c.lim + 16;
         c.lim <- String.length s;
-        chunks (nrecords + n)
+        chunks b (nrecords + n)
     | 'E' ->
         let n = read_varint c "end-of-trace record count" in
         if n <> nrecords then
@@ -594,10 +605,13 @@ let decode ?(file = "<buffer>") s =
   in
   match
     let rounds = header c in
-    chunks 0;
-    rounds
+    (* Sized from the trailer, the trace is built without growing. *)
+    let capacity = Option.value ~default:1024 (trailer_count s ~from:c.pos) in
+    let b = Trace.Builder.create (Int.min capacity (String.length s)) in
+    chunks b 0;
+    (Trace.Builder.finish b, rounds)
   with
-  | rounds -> Ok (List.rev !reqs, List.rev !hints, !faults, rounds)
+  | trace, rounds -> Ok (trace, List.rev !hints, !faults, rounds)
   | exception Fail e -> Error e
 
 let load_result path =
@@ -605,8 +619,9 @@ let load_result path =
   | exception Sys_error msg -> Error { Request.file = path; line = 0; msg }
   | s when String.starts_with ~prefix:magic s -> (
       match decode ~file:path s with
-      | Ok (reqs, hints, faults, _rounds) -> Ok (reqs, hints, faults, `Bin)
+      | Ok (trace, hints, faults, _rounds) -> Ok (trace, hints, faults, `Bin)
       | Error e -> Error (to_load_error e))
   | s ->
-      Result.map (fun (reqs, hints, faults) -> (reqs, hints, faults, `Text))
+      Result.map
+        (fun (reqs, hints, faults) -> (Trace.of_list reqs, hints, faults, `Text))
         (Request.of_string ~file:path s)

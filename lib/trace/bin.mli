@@ -28,7 +28,9 @@
     every caller (the CLIs, [dpcc convert], the stage cache) holds the
     whole trace in memory anyway, so a trace file is read and written
     whole.  The decoder walks the string with one cursor and checks each
-    chunk's checksum in place, copying no chunk. *)
+    chunk's checksum in place, copying no chunk, and writes each request
+    straight into the columns of a {!Trace.t}: it builds no
+    {!Request.t} and no list of them. *)
 
 val magic : string
 (** The 4 bytes a binary trace file starts with. *)
@@ -46,11 +48,11 @@ type error = {
 val error_to_string : error -> string
 (** Rendered as [file:offset: message]. *)
 
-val quantize : Request.t -> Request.t
-(** Round [arrival_ms]/[think_ms] to the exact floats the text format's
-    [%.3f] rendering parses back — what a text round-trip of the request
-    would produce.  Quantized requests always take the codec's compact
-    timestamp path. *)
+val quantize : Trace.t -> Trace.t
+(** Round every arrival and think time to the exact float the text
+    format's [%.3f] rendering parses back — what a text round-trip of
+    the trace would produce ({!Trace.map_times}).  Quantized requests
+    always take the codec's compact timestamp path. *)
 
 val quantize_hint : Hint.t -> Hint.t
 (** Likewise for a hint's [at_ms] (and a pre-spin-up lead). *)
@@ -60,24 +62,28 @@ val encode :
   ?rounds:int ->
   ?hints:Hint.t list ->
   ?faults:Dp_faults.Fault_model.t ->
-  Request.t list ->
+  Trace.t ->
   string
-(** Requests (then hints, then the fault window) as one binary trace.
+(** The trace's requests in order (then hints, then the fault window) as
+    one binary trace.
     [chunk_bytes] (default 64 KiB) is the target chunk payload size;
     chunks end on record boundaries, so one can exceed it by a record.
     [rounds] is pipeline metadata (the reuse scheduler's round count)
     carried in the header — absent in CLI-written files. *)
 
 val save :
-  ?hints:Hint.t list -> ?faults:Dp_faults.Fault_model.t -> string -> Request.t list -> unit
+  ?hints:Hint.t list -> ?faults:Dp_faults.Fault_model.t -> string -> Trace.t -> unit
 (** Writes {!encode}'s string to a file. *)
 
 val decode :
   ?file:string ->
   string ->
-  (Request.t list * Hint.t list * Dp_faults.Fault_model.t option * int option, error) result
-(** Requests and hints in encoded order, plus the fault window and the
-    header's [rounds] metadata.  Any framing violation — bad magic,
+  (Trace.t * Hint.t list * Dp_faults.Fault_model.t option * int option, error) result
+(** The requests as a trace, hints in encoded order, the fault window and
+    the header's [rounds] metadata.  The trace is sized from the
+    trailer's record count and filled in place; requests encoded out of
+    {!Request.compare_arrival} order are sorted ({!Trace.Builder.finish}),
+    which a trace this codec wrote never needs.  Any framing violation — bad magic,
     version skew, truncated or checksum-failing chunk, trailing bytes,
     record-count mismatch — and any malformed record reports the byte
     offset of the offending structure, under [file] (default
@@ -85,12 +91,13 @@ val decode :
 
 val load_result :
   string ->
-  ( Request.t list * Hint.t list * Dp_faults.Fault_model.t option * [ `Text | `Bin ],
+  ( Trace.t * Hint.t list * Dp_faults.Fault_model.t option * [ `Text | `Bin ],
     Request.load_error )
   result
 (** The one trace-file loader.  It reads the file once; contents that
     start with {!magic} go to {!decode}, anything else to the text
-    parser {!Request.of_string}.  The last component names the format
+    parser {!Request.of_string}, whose requests become a trace
+    ({!Trace.of_list}).  The last component names the format
     it dispatched on, so a caller never reads the file again to learn it
     (a pipe cannot be read twice).  A binary diagnostic carries its byte
     offset in the [line] field (text positions and binary offsets share

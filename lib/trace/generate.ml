@@ -6,34 +6,6 @@ module Parallelize = Dp_restructure.Parallelize
 type stream = int array
 type segments = stream list
 
-(* The trace in arrival order, from every processor's run of requests,
-   latest first.  Each run is in {!Request.compare_arrival} order, and
-   requests of two processors never tie (the processor breaks it), so
-   taking the greatest head each time builds the trace back to front. *)
-let merge = function
-  | [| run |] -> List.rev run
-  | runs ->
-      let out = ref [] in
-      let rec go () =
-        let best = ref (-1) and at = ref neg_infinity in
-        for p = 0 to Array.length runs - 1 do
-          match runs.(p) with
-          | (r : Request.t) :: _ when !best < 0 || Float.compare r.arrival_ms !at >= 0 ->
-              best := p;
-              at := r.arrival_ms
-          | _ -> ()
-        done;
-        if !best >= 0 then
-          match runs.(!best) with
-          | r :: rest ->
-              out := r :: !out;
-              runs.(!best) <- rest;
-              go ()
-          | [] -> assert false
-      in
-      go ();
-      !out
-
 let trace ?(cost = Cost_model.default) layout (prog : Ir.program)
     (instances : Concrete.instance array) per_proc =
   Dp_obs.Prof.span "trace.generate" @@ fun () ->
@@ -56,10 +28,22 @@ let trace ?(cost = Cost_model.default) layout (prog : Ir.program)
           n.body)
       code
   in
-  (* Per processor: its requests so far, latest first; whether each
-     arrived strictly after the one before; and its clock. *)
-  let runs = Array.make n_proc [] in
-  let strict = Array.make n_proc true in
+  (* Per processor: its column run of requests, sized to the accesses
+     its instances make, and its clock. *)
+  let accesses_of =
+    Array.map
+      (fun (n : Ir.Compiled.nest) ->
+        Array.fold_left (fun acc (s : Ir.Compiled.stmt) -> acc + Array.length s.accesses) 0 n.body)
+      code
+  in
+  let runs =
+    Array.map
+      (fun segs ->
+        let count acc seq = acc + accesses_of.(instances.(seq).Concrete.nest) in
+        Trace.Builder.create
+          (Array.fold_left (fun acc stream -> Array.fold_left count acc stream) 0 segs))
+      per_proc
+  in
   let clocks = Array.make n_proc 0.0 in
   (* Compute time accumulated since the same processor's last request
      (or segment start): the closed-loop think time. *)
@@ -86,23 +70,8 @@ let trace ?(cost = Cost_model.default) layout (prog : Ir.program)
         in
         last_disk.(proc) <- disk;
         last_end.(proc) <- lba + size;
-        (match runs.(proc) with
-        | (prev : Request.t) :: _ when Float.compare prev.arrival_ms clocks.(proc) >= 0 ->
-            strict.(proc) <- false
-        | _ -> ());
-        runs.(proc) <-
-          {
-            Request.arrival_ms = clocks.(proc);
-            think_ms = think.(proc);
-            seg;
-            address;
-            lba;
-            size;
-            mode = a.mode;
-            proc;
-            disk;
-          }
-          :: runs.(proc);
+        Trace.Builder.add runs.(proc) ~arrival:clocks.(proc) ~think:think.(proc) ~seg ~address
+          ~lba ~size ~mode:a.mode ~proc ~disk;
         think.(proc) <- 0.0;
         clocks.(proc) <-
           clocks.(proc) +. Cost_model.service_ms ~seek_distance cost ~bytes:size
@@ -120,13 +89,11 @@ let trace ?(cost = Cost_model.default) layout (prog : Ir.program)
     Array.fill think 0 n_proc 0.0
   done;
   (* A processor's clock never runs back, so its run is in arrival order
-     unless two of its requests tie (a cost model with a zero-cost
-     step).  Such a run is put in the order a stable sort of the whole
-     trace, latest generated first, gives it. *)
-  Array.iteri
-    (fun p run -> if not strict.(p) then runs.(p) <- List.rev (Request.sort_arrival run))
-    runs;
-  merge runs
+     unless two of its requests tie (a cost model with a zero-cost step)
+     on arrival with the later one at a lower address; finishing the run
+     sorts it stably, so requests that tie on both stay in program
+     order.  The runs then merge by index. *)
+  Trace.merge (Array.map Trace.Builder.finish runs)
 
 let single_stream ~order = [| [ order ] |]
 
@@ -155,8 +122,8 @@ type summary = {
   io_ms : float;
 }
 
-let summarize ?(cost = Cost_model.default) reqs =
-  let n_proc = 1 + List.fold_left (fun acc (r : Request.t) -> Int.max acc r.proc) (-1) reqs in
+let summarize_trace ?(cost = Cost_model.default) (t : Trace.t) =
+  let n_proc = t.procs in
   (* Per-processor state, mirroring trace generation: the disk and end
      address of the last request, to charge seeks only on discontiguous
      accesses; its nominal completion; and the compute time so far,
@@ -164,30 +131,31 @@ let summarize ?(cost = Cost_model.default) reqs =
      exact, with several it is the sum of per-processor busy gaps. *)
   let disk = Array.make n_proc (-1) and stop = Array.make n_proc 0 in
   let last_end = Array.make n_proc 0.0 and compute = Array.make n_proc 0.0 in
-  let requests = ref 0 and bytes = ref 0 in
+  let bytes = ref 0 in
   (* [io_ms] and [makespan_ms], unboxed. *)
   let sums = [| 0.0; 0.0 |] in
-  List.iter
-    (fun (r : Request.t) ->
-      let p = r.proc in
-      let seek_distance = if disk.(p) = r.disk then r.lba - stop.(p) else max_int in
-      disk.(p) <- r.disk;
-      stop.(p) <- r.lba + r.size;
-      let service = Cost_model.service_ms ~seek_distance cost ~bytes:r.size in
-      incr requests;
-      bytes := !bytes + r.size;
-      sums.(0) <- sums.(0) +. service;
-      sums.(1) <- Float.max sums.(1) (r.arrival_ms +. service);
-      compute.(p) <- compute.(p) +. Float.max 0.0 (r.arrival_ms -. last_end.(p));
-      last_end.(p) <- r.arrival_ms +. service)
-    reqs;
+  for i = 0 to Trace.length t - 1 do
+    let p = t.proc.(i) and d = t.disk.(i) and lba = t.lba.(i) and size = t.size.(i) in
+    let arrival = Float.Array.get t.arrival i in
+    let seek_distance = if disk.(p) = d then lba - stop.(p) else max_int in
+    disk.(p) <- d;
+    stop.(p) <- lba + size;
+    let service = Cost_model.service_ms ~seek_distance cost ~bytes:size in
+    bytes := !bytes + size;
+    sums.(0) <- sums.(0) +. service;
+    sums.(1) <- Float.max sums.(1) (arrival +. service);
+    compute.(p) <- compute.(p) +. Float.max 0.0 (arrival -. last_end.(p));
+    last_end.(p) <- arrival +. service
+  done;
   {
-    requests = !requests;
+    requests = Trace.length t;
     bytes = !bytes;
     makespan_ms = sums.(1);
     compute_ms = Array.fold_left ( +. ) 0.0 compute;
     io_ms = sums.(0);
   }
+
+let summarize ?cost reqs = summarize_trace ?cost (Trace.of_list reqs)
 
 let io_fraction s =
   let busy = s.compute_ms +. s.io_ms in

@@ -25,7 +25,7 @@ val trace :
   Ir.program ->
   Concrete.instance array ->
   segments array ->
-  Request.t list
+  Trace.t
 (** [trace layout prog instances per_proc] with [per_proc.(p)] the
     segments of processor [p], whose entries index [instances] (the
     {!Concrete.instances} of [prog], or a prefix of them: no dependence
@@ -33,13 +33,14 @@ val trace :
     form of [prog] and resolved by {!Layout.index} and {!Layout.locate};
     an instance's nest is found by position.
 
-    The result is in {!Request.compare_arrival} order: each processor's
-    clock never runs back, so its requests form a run already in
-    arrival order, and the runs are merged.  With one processor there
-    is no merge and no sort.  Only requests of one processor that tie
-    on arrival (possible under a cost model with zero-cost steps) are
-    sorted, within that processor, into the order a stable sort of the
-    whole trace, latest generated first, gives them.
+    Each processor writes one column run ({!Trace.Builder}), and the
+    runs merge by index into a trace in {!Request.compare_arrival}
+    order ({!Trace.merge}): each processor's clock never runs back, so
+    its run is already in arrival order.  With one processor there is
+    no merge and no sort.  Requests of one processor that tie on
+    arrival (possible under a cost model with zero-cost steps) are
+    sorted stably within that processor, by address: so a statement's
+    read and write of one element stay in program order.
     @raise Invalid_argument if the processors' segment counts differ.
     @raise Layout.Out_of_bounds when a subscript leaves its array's
     extent. *)
@@ -65,13 +66,16 @@ type summary = {
   io_ms : float;  (** total nominal I/O time across processors *)
 }
 
+val summarize_trace : ?cost:Cost_model.t -> Trace.t -> summary
+(** One pass over the trace's columns in order, with per-processor
+    arrays of the trace's processor count: each processor's position on
+    disk charges seeks as trace generation does, and its compute time
+    sums the arrival gaps after its own nominal completions.
+    [compute_ms] adds the per-processor totals in processor order. *)
+
 val summarize : ?cost:Cost_model.t -> Request.t list -> summary
-(** One pass over the trace in list order, with per-processor arrays
-    that a fold over the (non-negative) processor ids sizes: each
-    processor's position on disk charges seeks as trace generation
-    does, and its compute time sums the arrival gaps after its own
-    nominal completions.  [compute_ms] adds the per-processor totals in
-    processor order. *)
+(** [summarize_trace] of {!Trace.of_list}: a list adapter kept for the
+    benchmark's traced pass until it runs the CLI's own entry points. *)
 
 val io_fraction : summary -> float
 (** Fraction of busy time spent in I/O: the paper reports 75-82% for its

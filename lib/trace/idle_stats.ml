@@ -6,32 +6,30 @@ type histogram = {
 
 let default_edges = [| 1.0; 4.0; 15.2; 31.6; 120.0 |]
 
-let of_requests ?(edges = default_edges) ?(cost = Cost_model.default) reqs =
+let of_trace ?(edges = default_edges) ?(cost = Cost_model.default) (t : Trace.t) =
   let n = Array.length edges + 1 in
   let counts = Array.make n 0 and mass_s = Array.make n 0.0 in
-  let last = Hashtbl.create 8 in
-  let pos = Hashtbl.create 8 in
-  List.iter
-    (fun (r : Request.t) ->
-      let seek_distance =
-        match Hashtbl.find_opt pos r.Request.disk with
-        | Some e -> r.Request.lba - e
-        | None -> max_int
-      in
-      Hashtbl.replace pos r.Request.disk (r.Request.lba + r.Request.size);
-      let completion =
-        r.Request.arrival_ms +. Cost_model.service_ms ~seek_distance cost ~bytes:r.Request.size
-      in
-      (match Hashtbl.find_opt last r.Request.disk with
-      | Some prev_end when r.Request.arrival_ms > prev_end ->
-          let gap = (r.Request.arrival_ms -. prev_end) /. 1000.0 in
-          let b = ref 0 in
-          while !b < Array.length edges && gap >= edges.(!b) do incr b done;
-          counts.(!b) <- counts.(!b) + 1;
-          mass_s.(!b) <- mass_s.(!b) +. gap
-      | _ -> ());
-      Hashtbl.replace last r.Request.disk completion)
-    reqs;
+  (* Per disk: whether it served yet, the end address of its last
+     request, and that request's nominal completion. *)
+  let seen = Array.make t.disks false in
+  let pos = Array.make t.disks 0 and last = Float.Array.make t.disks 0.0 in
+  for i = 0 to Trace.length t - 1 do
+    let d = t.disk.(i) and arrival = Float.Array.get t.arrival i in
+    let seek_distance = if seen.(d) then t.lba.(i) - pos.(d) else max_int in
+    pos.(d) <- t.lba.(i) + t.size.(i);
+    let completion =
+      arrival +. Cost_model.service_ms ~seek_distance cost ~bytes:t.size.(i)
+    in
+    (if seen.(d) && arrival > Float.Array.get last d then begin
+       let gap = (arrival -. Float.Array.get last d) /. 1000.0 in
+       let b = ref 0 in
+       while !b < Array.length edges && gap >= edges.(!b) do incr b done;
+       counts.(!b) <- counts.(!b) + 1;
+       mass_s.(!b) <- mass_s.(!b) +. gap
+     end);
+    seen.(d) <- true;
+    Float.Array.set last d completion
+  done;
   { edges; counts; mass_s }
 
 let total_gaps h = Array.fold_left ( + ) 0 h.counts

@@ -17,8 +17,9 @@ val default_edges : float array
 (** 1 s, 4 s, 15.2 s (the TPM break-even), 31.6 s (the proactive TPM
     round trip), 120 s. *)
 
-val of_requests :
-  ?edges:float array -> ?cost:Cost_model.t -> Request.t list -> histogram
+val of_trace : ?edges:float array -> ?cost:Cost_model.t -> Trace.t -> histogram
+(** One pass over the trace's columns in arrival order, with per-disk
+    state sized by the trace's disk count. *)
 
 val total_gaps : histogram -> int
 val total_mass_s : histogram -> float

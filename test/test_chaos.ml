@@ -140,7 +140,7 @@ let test_result_divergence () =
   let s = Scenario.generate 5L in
   let ctx = Scenario.context s in
   let run () =
-    Engine.simulate ~disks:(Dp_pipeline.Pipeline.disks ctx) (Scenario.policy s)
+    Engine.replay ~disks:(Dp_pipeline.Pipeline.disks ctx) (Scenario.policy s)
       (Check.run_trace s)
   in
   let r = run () in

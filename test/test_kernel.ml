@@ -224,7 +224,8 @@ let cost_reference prog (g : Concrete.graph) ~stripings =
   end
 
 (* One request per access, each processor on its own clock, then a
-   stable sort of the whole list in reverse generation order. *)
+   stable sort of the whole list in generation order: requests that tie
+   on arrival, processor and address stay in program order. *)
 let trace_reference ~cost layout prog (g : Concrete.graph) per_proc =
   let n_proc = Array.length per_proc in
   let requests = ref [] in
@@ -277,7 +278,7 @@ let trace_reference ~cost layout prog (g : Concrete.graph) per_proc =
     Array.fill clocks 0 n_proc latest;
     Array.fill think 0 n_proc 0.0
   done;
-  List.stable_sort Request.compare_arrival !requests
+  List.stable_sort Request.compare_arrival (List.rev !requests)
 
 (* --- the property --- *)
 
@@ -347,7 +348,7 @@ let kernels_match token =
                 (Printf.sprintf "%s trace at %d, %s cost"
                    (Pipeline.mode_name mode) procs name)
                 reference
-                (Generate.trace ~cost layout prog g.instances segs))
+                (Dp_trace.Trace.to_list (Generate.trace ~cost layout prog g.instances segs)))
             [ ("default", Cost_model.default); ("zero-service", zero_service) ]
         end)
       [ Pipeline.Original; Pipeline.Reuse_single; Pipeline.Reuse_multi ]

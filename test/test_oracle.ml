@@ -317,14 +317,14 @@ let prop_reference_shared =
     QCheck2.Gen.(multi_proc_gen >>= shuffle_l)
     (fun reqs ->
       let disks = 3 in
-      let r = Oracle.reference ~disks reqs in
-      let sorted = Request.sort_arrival reqs in
+      let trace = Dp_trace.Trace.of_list reqs in
+      let r = Oracle.reference ~disks trace in
       List.for_all
         (fun space ->
           same_bound (Oracle.bound ~space r) (Oracle.lower_bound ~space ~disks reqs))
         [ Oracle.Tpm_space; Oracle.Drpm_space; Oracle.Full_space ]
-      (* An ordered trace is taken as is, not copied by a re-sort. *)
-      && (Oracle.reference ~disks sorted).Oracle.requests == sorted)
+      (* The reference keeps the trace it was given, not a copy. *)
+      && r.Oracle.requests == trace)
 
 let test_hint_validation () =
   let reqs = [ req ~think:10.0 () ] in

@@ -196,8 +196,8 @@ let test_memo_sharing () =
 
 let test_memo_same_result () =
   let ctx = Pipeline.load transpose in
-  let t1 = Pipeline.trace ctx ~procs:4 Pipeline.Reuse_multi in
-  let t2 = Pipeline.trace ctx ~procs:4 Pipeline.Reuse_multi in
+  let t1 = Pipeline.columns ctx ~procs:4 Pipeline.Reuse_multi in
+  let t2 = Pipeline.columns ctx ~procs:4 Pipeline.Reuse_multi in
   check Alcotest.bool "memoized stage returns the same trace" true (t1 == t2)
 
 let test_derive_shares_graph () =
@@ -240,6 +240,47 @@ let drive ctx =
     Pipeline.hints ctx ~procs:4 ~space:Dp_oracle.Oracle.Tpm_space Pipeline.Reuse_multi
   in
   (rounds, trace, hints)
+
+(* The column encoder writes the record encoder's bytes: the md5 of the
+   encoding of each of FFT's and Cholesky's three traces at four
+   processors, recorded when a trace was a request list.  And a warm
+   context's trace, decoded from the store, is the cold context's
+   generated trace column for column. *)
+let test_columns_encode_as_records () =
+  let marshal t = Marshal.to_string t [ Marshal.No_sharing ] in
+  let modes = [ Pipeline.Original; Pipeline.Reuse_single; Pipeline.Reuse_multi ] in
+  List.iter
+    (fun (app, md5s) ->
+      let dir = fresh_cache_dir () in
+      let cold = Pipeline.load ~cache:(store dir) ("app:" ^ app) in
+      let warm = Pipeline.load ~cache:(store dir) ("app:" ^ app) in
+      List.iter2
+        (fun mode md5 ->
+          let what = Printf.sprintf "%s %s" app (Pipeline.mode_name mode) in
+          let t = Pipeline.columns cold ~procs:4 mode in
+          check Alcotest.string (what ^ ": encoding") md5
+            (Digest.to_hex (Digest.string (Dp_trace.Bin.encode t)));
+          let t' = Pipeline.columns warm ~procs:4 mode in
+          check Alcotest.bool (what ^ ": warm = cold, column for column") true
+            (marshal t = marshal t'))
+        modes md5s;
+      check Alcotest.int (app ^ ": the warm context decodes every trace") 0
+        (Pipeline.stats warm).Pipeline.trace_builds;
+      Dp_util.Fsx.remove_tree dir)
+    [
+      ( "FFT",
+        [
+          "8a23e158cd391dedd9834c1d41ea5d54";
+          "67f654c1201dcef14fecf15f9185a501";
+          "f21e20460b8e1f6c7e1c6c66b672194f";
+        ] );
+      ( "Cholesky",
+        [
+          "aee0ac59156ad1d4cb4053f4d9fb42ff";
+          "970a50339b7294d2f3f384d3a423bf4a";
+          "0c6a2cc3f7e8dc3de6a395b775074cbf";
+        ] );
+    ]
 
 let test_disk_cache_warm () =
   let dir = fresh_cache_dir () in
@@ -458,6 +499,8 @@ let suites =
         Alcotest.test_case "mode names round-trip" `Quick test_mode_names;
         Alcotest.test_case "multi mode needs procs > 1" `Quick test_multi_needs_procs;
         Alcotest.test_case "golden: CLI trace = Runner trace" `Slow test_cli_matches_runner;
+        Alcotest.test_case "columns encode as records; warm = cold" `Slow
+          test_columns_encode_as_records;
         QCheck_alcotest.to_alcotest test_jobs_deterministic;
       ] );
   ]

@@ -11,6 +11,7 @@ module Cost_model = Dp_trace.Cost_model
 module Generate = Dp_trace.Generate
 module Parallelize = Dp_restructure.Parallelize
 module Bin = Dp_trace.Bin
+module Trace = Dp_trace.Trace
 
 let check = Alcotest.check
 let c = A.const
@@ -36,8 +37,9 @@ let graph = Concrete.build program
 let cost = Cost_model.default (* 750 MHz: 750_000 cycles = 1 ms *)
 
 let single_trace () =
-  Generate.trace ~cost layout program graph.Concrete.instances
-    (Generate.single_stream ~order:(Concrete.original_order graph))
+  Trace.to_list
+    (Generate.trace ~cost layout program graph.Concrete.instances
+       (Generate.single_stream ~order:(Concrete.original_order graph)))
 
 let test_cost_model () =
   check (Alcotest.float 1e-9) "compute 750k cycles = 1ms" 1.0
@@ -72,7 +74,7 @@ let test_trace_roundtrip () =
       Request.save path reqs;
       let back =
         match Bin.load_result path with
-        | Ok (back, [], None, `Text) -> back
+        | Ok (back, [], None, `Text) -> Trace.to_list back
         | Ok _ -> Alcotest.fail "a requests-only text file loaded hints or faults"
         | Error e -> Alcotest.fail (Request.load_error_to_string e)
       in
@@ -116,7 +118,7 @@ let test_hint_roundtrip () =
       Request.save ~hints:some_hints path reqs;
       let back_reqs, back_hints =
         match Bin.load_result path with
-        | Ok (reqs, hints, None, _) -> (reqs, hints)
+        | Ok (trace, hints, None, _) -> (Trace.to_list trace, hints)
         | Ok (_, _, Some _, _) -> Alcotest.fail "no fault line was saved"
         | Error e -> Alcotest.fail (Request.load_error_to_string e)
       in
@@ -229,7 +231,7 @@ let test_fault_line_roundtrip () =
       Request.save ~hints:some_hints ~faults path reqs;
       let back_reqs, back_hints, back_faults =
         match Bin.load_result path with
-        | Ok (reqs, hints, faults, _) -> (reqs, hints, faults)
+        | Ok (trace, hints, faults, _) -> (Trace.to_list trace, hints, faults)
         | Error e -> Alcotest.fail (Request.load_error_to_string e)
       in
       check Alcotest.int "requests preserved" (List.length reqs) (List.length back_reqs);
@@ -314,7 +316,7 @@ let test_segments_barrier () =
   let g = graph in
   let seg0_p0 = [| 0; 1; 2; 3 |] and seg1_p1 = [| 4; 5; 6; 7 |] in
   let per_proc = [| [ seg0_p0; [||] ]; [ [||]; seg1_p1 ] |] in
-  let reqs = Generate.trace ~cost layout program g.Concrete.instances per_proc in
+  let reqs = Trace.to_list (Generate.trace ~cost layout program g.Concrete.instances per_proc) in
   let p0_last =
     List.filter (fun r -> r.Request.proc = 0) reqs
     |> List.fold_left (fun acc r -> Float.max acc r.Request.arrival_ms) 0.0
@@ -373,7 +375,7 @@ let test_idle_stats () =
   in
   let svc = Cost_model.service_ms cost ~bytes:0 in
   let reqs = [ mk 0.0; mk (svc +. 500.0); mk (2.0 *. svc +. 500.0 +. 20_000.0) ] in
-  let h = Idle_stats.of_requests ~cost reqs in
+  let h = Idle_stats.of_trace ~cost (Trace.of_list reqs) in
   check Alcotest.int "two gaps" 2 (Idle_stats.total_gaps h);
   check Alcotest.int "short gap bucket" 1 h.Idle_stats.counts.(0);
   (* 20 s falls in the (15.2, 31.6] bucket. *)
@@ -405,8 +407,8 @@ let test_idle_stats_restructuring_helps () =
          g)
         .Dp_restructure.Reuse_scheduler.order
   in
-  let exploitable reqs =
-    Idle_stats.exploitable_mass_s (Idle_stats.of_requests reqs) ~threshold_s:15.2
+  let exploitable trace =
+    Idle_stats.exploitable_mass_s (Idle_stats.of_trace trace) ~threshold_s:15.2
   in
   check Alcotest.bool "restructured idle mass larger" true
     (exploitable reuse > exploitable base)
@@ -473,30 +475,32 @@ let check_reqs_equal what expected got =
     (fun a b -> check Alcotest.bool (what ^ ": request") true (same_bits a b))
     expected got
 
+let sample_trace () = Trace.of_list sample_reqs
+
 let test_bin_roundtrip () =
-  let s = Bin.encode ~rounds:5 ~hints:sample_hints ~faults:sample_faults sample_reqs in
+  let s = Bin.encode ~rounds:5 ~hints:sample_hints ~faults:sample_faults (sample_trace ()) in
   match Bin.decode s with
   | Error e -> Alcotest.failf "decode: %s" (Bin.error_to_string e)
-  | Ok (reqs, hints, faults, rounds) ->
-      check_reqs_equal "roundtrip" sample_reqs reqs;
+  | Ok (trace, hints, faults, rounds) ->
+      check_reqs_equal "roundtrip" sample_reqs (Trace.to_list trace);
       check Alcotest.bool "hints" true (hints = sample_hints);
       check Alcotest.(option string) "faults"
         (Some (Fault_model.to_spec sample_faults))
         (Option.map Fault_model.to_spec faults);
       check Alcotest.(option int) "rounds" (Some 5) rounds;
-      let s' = Bin.encode sample_reqs in
+      let s' = Bin.encode (sample_trace ()) in
       let _, _, f', r' = Result.get_ok (Bin.decode s') in
       check Alcotest.bool "no faults" true (f' = None);
       check Alcotest.(option int) "no rounds" None r'
 
 let test_bin_file_roundtrip () =
   let path = tmp_file "dpower-bin-roundtrip.dpt" in
-  Bin.save ~hints:sample_hints ~faults:sample_faults path sample_reqs;
+  Bin.save ~hints:sample_hints ~faults:sample_faults path (sample_trace ());
   let read p = In_channel.with_open_bin p In_channel.input_all in
   (match Bin.decode (read path) with
   | Error e -> Alcotest.failf "decode: %s" (Bin.error_to_string e)
-  | Ok (reqs, hints, faults, rounds) ->
-      check_reqs_equal "file" sample_reqs reqs;
+  | Ok (trace, hints, faults, rounds) ->
+      check_reqs_equal "file" sample_reqs (Trace.to_list trace);
       check Alcotest.bool "file hints" true (hints = sample_hints);
       check Alcotest.bool "file faults" true (faults <> None);
       check Alcotest.(option int) "file rounds" None rounds);
@@ -506,11 +510,11 @@ let test_bin_file_roundtrip () =
   Request.save ~hints:sample_hints ~faults:sample_faults text sample_reqs;
   let via_text = Result.get_ok (Request.of_string ~file:text (read text)) in
   let rt, ht, ft, text_as = Result.get_ok (Bin.load_result text) in
-  check Alcotest.bool "auto = text parser" true (via_text = (rt, ht, ft));
+  check Alcotest.bool "auto = text parser" true (via_text = (Trace.to_list rt, ht, ft));
   check Alcotest.bool "text read as text" true (text_as = `Text);
   let rb, hb, fb, bin_as = Result.get_ok (Bin.load_result path) in
   check Alcotest.bool "binary read as binary" true (bin_as = `Bin);
-  check_reqs_equal "auto bin" sample_reqs rb;
+  check_reqs_equal "auto bin" sample_reqs (Trace.to_list rb);
   check Alcotest.bool "auto bin hints" true (hb = sample_hints);
   check Alcotest.bool "auto bin faults" true (fb <> None);
   Sys.remove path;
@@ -527,7 +531,7 @@ let test_bin_text_identity () =
   let bin = Bin.encode ~hints:h1 ?faults:f1 r1 in
   let r2, h2, f2, _ = Result.get_ok (Bin.decode bin) in
   let text2 = tmp_file "dpower-bin-text2.trace" in
-  Request.save ~hints:h2 ?faults:f2 text2 r2;
+  Request.save ~hints:h2 ?faults:f2 text2 (Trace.to_list r2);
   let read p = In_channel.with_open_bin p In_channel.input_all in
   check Alcotest.string "text -> bin -> text bytes" (read text1) (read text2);
   Sys.remove text1;
@@ -535,7 +539,7 @@ let test_bin_text_identity () =
 
 let test_bin_quantize () =
   let r = List.nth sample_reqs 2 in
-  let q = Bin.quantize r in
+  let q = Trace.get (Bin.quantize (Trace.of_list [ r ])) 0 in
   check (Alcotest.float 1e-9) "quantize 3 decimals" 0.3 q.think_ms;
   (* A quantized value is exactly what the text format round-trips to. *)
   check Alcotest.bool "quantize = text parse" true
@@ -557,10 +561,11 @@ let test_bin_compression () =
       in
       let text =
         Format.asprintf "%a"
-          (fun ppf () -> List.iter (fun r -> Format.fprintf ppf "%a\n" Request.pp r) reqs)
+          (fun ppf () ->
+            List.iter (fun r -> Format.fprintf ppf "%a\n" Request.pp r) (Trace.to_list reqs))
           ()
       in
-      let bin = Bin.encode (List.map Bin.quantize reqs) in
+      let bin = Bin.encode (Bin.quantize reqs) in
       let ratio = float_of_int (String.length bin) /. float_of_int (String.length text) in
       if ratio > 0.25 then
         Alcotest.failf "app:%s: binary %d bytes vs text %d bytes (ratio %.2f > 0.25)"
@@ -574,7 +579,7 @@ let corrupt s pos c =
 
 
 let test_bin_corruption () =
-  let s = Bin.encode ~chunk_bytes:64 ~hints:sample_hints sample_reqs in
+  let s = Bin.encode ~chunk_bytes:64 ~hints:sample_hints (sample_trace ()) in
   (* Bad magic *)
   (match Bin.decode (corrupt s 0 'X') with
   | Ok _ -> Alcotest.fail "bad magic accepted"
@@ -615,10 +620,36 @@ let test_bin_corruption () =
       check Alcotest.bool "trailing msg" true
         (contains ~needle:"trailing" e.msg))
 
+(* One chunk holding [payload], framed and sealed as the encoder frames
+   it, with a trailer counting one record. *)
+let one_record_trace payload =
+  let b = Buffer.create 64 in
+  Buffer.add_string b Bin.magic;
+  Buffer.add_char b (Char.chr Bin.format_version);
+  Buffer.add_char b '\000';
+  Buffer.add_char b 'C';
+  Buffer.add_int32_le b (Int32.of_int (String.length payload));
+  Buffer.add_string b payload;
+  Buffer.add_string b (Digest.string payload);
+  Buffer.add_string b "E\001";
+  Buffer.contents b
+
 (* The decoder refuses a negative id at the offset of its record: a
-   nine-byte varint can decode below zero, and [seg] is delta-coded. *)
+   nine-byte varint can decode below zero, and [seg] is delta-coded.  A
+   trace holds no negative id, so the records are written by hand: the
+   first sample request's record, with one field replaced. *)
 let test_bin_negative_ids () =
-  let r = List.hd sample_reqs in
+  (* Tag, proc 0, disk 0, arrival and think deltas, seg delta 0, and
+     the address, lba and size deltas. *)
+  let record = "\x10\x00\x00\x01\x05\x00\x01\x01\x05" in
+  check Alcotest.string "the encoder writes this record"
+    (Bin.encode (Trace.of_list [ List.hd sample_reqs ]))
+    (one_record_trace record);
+  let minus_one = String.make 8 '\xff' ^ "\x7f" in
+  let with_field at width v =
+    one_record_trace
+      (String.sub record 0 at ^ v ^ String.sub record (at + width) (String.length record - at - width))
+  in
   (* The first record's tag follows the 6-byte header and the 5-byte
      chunk header. *)
   let first_record = 11 in
@@ -632,11 +663,13 @@ let test_bin_negative_ids () =
             (Printf.sprintf "bad %s -1 (expected a non-negative integer)" field)
             e.msg)
     [
-      ("proc", Bin.encode [ { r with proc = -1 } ]);
-      ("disk", Bin.encode [ { r with disk = -1 } ]);
-      ("seg", Bin.encode [ { r with seg = -1 } ]);
+      ("proc", with_field 1 1 minus_one);
+      ("disk", with_field 2 1 minus_one);
+      ("seg", with_field 5 1 "\x01");
       ( "hint disk",
-        Bin.encode ~hints:[ { Dp_trace.Hint.at_ms = 1.0; disk = -1; action = Spin_down } ] [] );
+        Bin.encode
+          ~hints:[ { Dp_trace.Hint.at_ms = 1.0; disk = -1; action = Spin_down } ]
+          Trace.empty );
     ]
 
 (* The [(offset, length)] of every chunk payload of a well-formed trace. *)
@@ -662,12 +695,13 @@ let chunk_payloads s =
    trace with rounds, hints and a fault window, on each single-byte xor
    of it, and on each single-byte xor of a chunk payload whose checksum
    is re-sealed, so the record decoders see the damage.  The digests were
-   recorded from the earlier streaming decoder: any moved offset or
-   reworded message fails here. *)
+   recorded from the earlier record-list decoder, on the same requests
+   in arrival order (the order a trace is encoded in): any moved offset
+   or reworded message fails here. *)
 let test_bin_diagnostics_pinned () =
   let s =
     Bin.encode ~chunk_bytes:48 ~rounds:3 ~hints:sample_hints ~faults:sample_faults
-      (sample_reqs @ single_trace ())
+      (Trace.of_list (sample_reqs @ single_trace ()))
   in
   let n = String.length s in
   let render s =
@@ -696,14 +730,14 @@ let test_bin_diagnostics_pinned () =
   in
   let md5 l = Digest.to_hex (Digest.string (String.concat "\n" l)) in
   check Alcotest.bool "several chunks" true (List.length chunks >= 3);
-  check Alcotest.string "framing diagnostics" "6ec7559515737b0ac8d2c485dff9238e"
+  check Alcotest.string "framing diagnostics" "583a4a3ff33bb6eeecf4e611bdb6f598"
     (md5 framing);
-  check Alcotest.string "record diagnostics" "aee981cf0eace7a06884d1186887dec6"
+  check Alcotest.string "record diagnostics" "084d92ad438e71f6bb15c3d9e74a9704"
     (md5 records)
 
 let test_bin_error_rendering () =
   let path = tmp_file "dpower-bin-truncated.dpt" in
-  Bin.save path sample_reqs;
+  Bin.save path (sample_trace ());
   let full = In_channel.with_open_bin path In_channel.input_all in
   Out_channel.with_open_bin path (fun oc ->
       Out_channel.output_string oc (String.sub full 0 (String.length full - 3)));
@@ -752,16 +786,88 @@ let test_bin_multichunk_roundtrip =
     (fun (rounds, reqs) ->
       (* Tiny chunks force many chunk boundaries mid-stream. *)
       let s =
-        Bin.encode ~chunk_bytes:48 ?rounds ~hints:sample_hints ~faults:sample_faults reqs
+        Bin.encode ~chunk_bytes:48 ?rounds ~hints:sample_hints ~faults:sample_faults
+          (Trace.of_list reqs)
       in
       match Bin.decode s with
       | Error e -> QCheck.Test.fail_report (Bin.error_to_string e)
-      | Ok (reqs', hints', faults', rounds') ->
-          List.equal same_bits reqs reqs'
+      | Ok (trace', hints', faults', rounds') ->
+          List.equal same_bits (Request.sort_arrival reqs) (Trace.to_list trace')
           && hints' = sample_hints
           && Option.map Fault_model.to_spec faults'
              = Some (Fault_model.to_spec sample_faults)
           && rounds' = rounds)
+
+(* Heavy ties, several segments and one to six processors: the trace of
+   a list is the list in arrival order, field for field and bit for
+   bit. *)
+let columnar_list =
+  let open QCheck in
+  map
+    (fun (procs, rows) ->
+      List.mapi
+        (fun i (t, seg, proc, address) : Request.t ->
+          {
+            arrival_ms = (if i mod 7 = 3 then float_of_int t +. 0.1 else float_of_int t);
+            think_ms = float_of_int i /. 3.0;
+            seg;
+            address;
+            lba = i;
+            size = 512 * (1 + (i mod 3));
+            mode = (if i mod 2 = 0 then Ir.Read else Ir.Write);
+            proc = proc mod procs;
+            disk = i mod 4;
+          })
+        rows)
+    (pair (int_range 1 6)
+       (list_of_size (Gen.int_range 0 80)
+          (quad (int_range 0 3) (int_range 0 3) (int_range 0 5) (int_range (-1) 1))))
+
+let marshal v = Marshal.to_string v [ Marshal.No_sharing ]
+
+let test_trace_of_list =
+  QCheck.Test.make ~count:300 ~name:"to_list (of_list l) = sort_arrival l" columnar_list
+    (fun reqs -> marshal (Trace.to_list (Trace.of_list reqs)) = marshal (Request.sort_arrival reqs))
+
+let test_bin_columns_roundtrip =
+  QCheck.Test.make ~count:100 ~name:"decode (encode t) = t, column for column"
+    QCheck.(pair arbitrary_trace bool)
+    (fun (reqs, with_hints) ->
+      let t = Trace.of_list reqs in
+      let hints = if with_hints then sample_hints else [] in
+      match Bin.decode (Bin.encode ~chunk_bytes:64 ~hints t) with
+      | Error e -> QCheck.Test.fail_report (Bin.error_to_string e)
+      | Ok (t', hints', _, _) -> marshal t' = marshal t && hints' = hints)
+
+(* Under a cost model with zero-cost steps, a statement that reads and
+   writes one element issues both at one instant: the read, generated
+   first, comes first. *)
+let test_tie_keeps_program_order () =
+  let prog =
+    Ir.program
+      [ Ir.array_decl ~elem_size:1024 "x" [ 4 ] ]
+      [
+        Ir.nest 0
+          [ Ir.loop "i" (c 0) (c 3) ]
+          [ Ir.stmt 0 ~work_cycles:0 [ Ir.read "x" [ i ]; Ir.write "x" [ i ] ] ];
+      ]
+  in
+  let lay = Layout.make ~default:(Striping.make ~unit_bytes:1024 ~factor:2 ~start_disk:0) prog in
+  let g = Concrete.build prog in
+  let zero =
+    { Cost_model.default with seek_ms = 0.0; rotation_ms = 0.0; transfer_mb_s = infinity }
+  in
+  let t =
+    Generate.trace ~cost:zero lay prog g.Concrete.instances
+      (Generate.single_stream ~order:(Concrete.original_order g))
+  in
+  check Alcotest.int "eight requests" 8 (Trace.length t);
+  for k = 0 to 3 do
+    check Alcotest.bool (Printf.sprintf "x[%d]: one instant" k) true
+      (Float.Array.get t.arrival (2 * k) = Float.Array.get t.arrival ((2 * k) + 1));
+    check Alcotest.bool (Printf.sprintf "x[%d]: read, then write" k) true
+      (Trace.mode t (2 * k) = Ir.Read && Trace.mode t ((2 * k) + 1) = Ir.Write)
+  done
 
 (* The three-pass summary [Generate.summarize] replaced, with the
    per-processor compute time summed in processor order. *)
@@ -805,7 +911,7 @@ let summarize_reference ?(cost = Cost_model.default) reqs : Generate.summary =
 let test_summarize_one_pass =
   QCheck.Test.make ~count:200 ~name:"summarize = the three-pass summary" arbitrary_trace
     (fun reqs ->
-      let s = Generate.summarize reqs and r = summarize_reference reqs in
+      let s = Generate.summarize reqs and r = summarize_reference (Request.sort_arrival reqs) in
       check Alcotest.int "requests" r.requests s.requests;
       check Alcotest.int "bytes" r.bytes s.bytes;
       check (Alcotest.float 0.0) "makespan_ms" r.makespan_ms s.makespan_ms;
@@ -839,6 +945,8 @@ let suites =
         QCheck_alcotest.to_alcotest test_compare_arrival_sign;
         Alcotest.test_case "negative ids" `Quick test_negative_ids;
         QCheck_alcotest.to_alcotest test_summarize_one_pass;
+        QCheck_alcotest.to_alcotest test_trace_of_list;
+        Alcotest.test_case "ties keep program order" `Quick test_tie_keeps_program_order;
       ] );
     ( "trace.bin",
       [
@@ -854,5 +962,6 @@ let suites =
         Alcotest.test_case "negative ids refused at their record" `Quick test_bin_negative_ids;
         QCheck_alcotest.to_alcotest test_bin_multichunk_roundtrip;
         Alcotest.test_case "diagnostics pinned" `Quick test_bin_diagnostics_pinned;
+        QCheck_alcotest.to_alcotest test_bin_columns_roundtrip;
       ] );
   ]

@@ -50,7 +50,7 @@ let request_count (app : App.t) =
     Generate.trace layout app.App.program g.Concrete.instances
       (Generate.single_stream ~order:(Concrete.original_order g))
   in
-  List.length reqs
+  Dp_trace.Trace.length reqs
 
 let test_request_counts () =
   List.iter
@@ -78,7 +78,7 @@ let test_io_fraction () =
         Generate.trace layout app.App.program g.Concrete.instances
           (Generate.single_stream ~order:(Concrete.original_order g))
       in
-      let f = Generate.io_fraction (Generate.summarize reqs) in
+      let f = Generate.io_fraction (Generate.summarize_trace reqs) in
       check Alcotest.bool
         (Printf.sprintf "%s io fraction %.2f in band" app.App.name f)
         true
@@ -172,7 +172,7 @@ let test_pipeline_deterministic () =
       Generate.trace layout app.App.program g.Concrete.instances
         (Generate.single_stream ~order)
     in
-    (Dp_disksim.Engine.simulate ~disks:8 Dp_disksim.Policy.default_drpm reqs)
+    (Dp_disksim.Engine.replay ~disks:8 Dp_disksim.Policy.default_drpm reqs)
       .Dp_disksim.Engine.energy_j
   in
   check (Alcotest.float 0.0) "identical energy" (run ()) (run ())
