@@ -160,7 +160,10 @@ let entry_key digest (k : key) stage extra =
       @ extra
       @ [ "bin"; string_of_int Bin.format_version ])
 
-let of_frame f payload = match Bin.decode payload with Ok v -> Some (f v) | Error _ -> None
+(* The store has checked the payload's checksum, which covers every
+   chunk's. *)
+let of_frame f payload =
+  match Bin.decode ~verified:true payload with Ok v -> Some (f v) | Error _ -> None
 let stage ?persist span = { span; tbl = Hashtbl.create 8; builds = 0; persist }
 
 let make ?cache ~app ~layout ~origin () =

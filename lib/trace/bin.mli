@@ -77,6 +77,7 @@ val save :
 
 val decode :
   ?file:string ->
+  ?verified:bool ->
   string ->
   (Trace.t * Hint.t list * Dp_faults.Fault_model.t option * int option, error) result
 (** The requests as a trace, hints in encoded order, the fault window and
@@ -87,7 +88,10 @@ val decode :
     version skew, truncated or checksum-failing chunk, trailing bytes,
     record-count mismatch — and any malformed record reports the byte
     offset of the offending structure, under [file] (default
-    ["<buffer>"]). *)
+    ["<buffer>"]).  [verified] (default [false]) says the caller has
+    already checked the whole input against a checksum of its own, as
+    the stage store checks its frames: the chunks' checksums are then
+    not computed again, and every other check still runs. *)
 
 val load_result :
   string ->

@@ -839,6 +839,24 @@ let test_bin_columns_roundtrip =
       | Error e -> QCheck.Test.fail_report (Bin.error_to_string e)
       | Ok (t', hints', _, _) -> marshal t' = marshal t && hints' = hints)
 
+(* A caller that checked the whole input (the stage store) skips the
+   chunk checksums, and only those: here the first chunk's is zeroed. *)
+let test_bin_verified () =
+  let s = Bin.encode ~chunk_bytes:64 ~hints:sample_hints (sample_trace ()) in
+  let len = Int32.to_int (String.get_int32_le s 7) in
+  let b = Bytes.of_string s in
+  Bytes.fill b (11 + len) 16 '\000';
+  let stale = Bytes.to_string b in
+  check Alcotest.bool "a plain decode refuses the chunk" true
+    (Result.is_error (Bin.decode stale));
+  (match Bin.decode ~verified:true stale with
+  | Ok (t, hints, _, _) ->
+      check Alcotest.bool "a verified decode reads it" true
+        (marshal t = marshal (sample_trace ()) && hints = sample_hints)
+  | Error e -> Alcotest.failf "verified decode: %s" (Bin.error_to_string e));
+  check Alcotest.bool "a verified decode still checks the framing" true
+    (Result.is_error (Bin.decode ~verified:true (String.sub s 0 (String.length s - 1))))
+
 (* Under a cost model with zero-cost steps, a statement that reads and
    writes one element issues both at one instant: the read, generated
    first, comes first. *)
@@ -963,5 +981,6 @@ let suites =
         QCheck_alcotest.to_alcotest test_bin_multichunk_roundtrip;
         Alcotest.test_case "diagnostics pinned" `Quick test_bin_diagnostics_pinned;
         QCheck_alcotest.to_alcotest test_bin_columns_roundtrip;
+        Alcotest.test_case "verified input skips chunk checksums" `Quick test_bin_verified;
       ] );
   ]
