@@ -1078,46 +1078,36 @@ let replay ?(model = Disk_model.ultrastar_36z15) ?(obs = Sink.null) ?(hints = []
      queue [k = seg * n_proc + p] at positions [first.(k)] up to
      [first.(k + 1) - 1].  The issue loop reads five columns, which are
      copied into that order once, so a processor's queue is contiguous
-     however the processors interleave in the trace; a trace already in
-     queue order (one processor, say) is read in place. *)
+     however the processors interleave in the trace. *)
   let n_queues = n_seg * n_proc in
   let first = Array.make (n_queues + 1) 0 in
-  let in_place = ref true in
   for i = 0 to n - 1 do
     let k = (t.seg.(i) * n_proc) + t.proc.(i) + 1 in
-    if i > 0 && k < (t.seg.(i - 1) * n_proc) + t.proc.(i - 1) + 1 then in_place := false;
     first.(k) <- first.(k) + 1
   done;
   for k = 1 to n_queues do
     first.(k) <- first.(k) + first.(k - 1)
   done;
   let q =
-    if !in_place then
-      { q_arrival = t.arrival; q_think = t.think; q_lba = t.lba; q_size = t.size; q_disk = t.disk }
-    else begin
-      let q =
-        {
-          q_arrival = Float.Array.create n;
-          q_think = Float.Array.create n;
-          q_lba = Array.make n 0;
-          q_size = Array.make n 0;
-          q_disk = Array.make n 0;
-        }
-      in
-      let next = Array.sub first 0 n_queues in
-      for i = 0 to n - 1 do
-        let k = (t.seg.(i) * n_proc) + t.proc.(i) in
-        let j = next.(k) in
-        next.(k) <- j + 1;
-        Float.Array.set q.q_arrival j (Float.Array.get t.arrival i);
-        Float.Array.set q.q_think j (Float.Array.get t.think i);
-        q.q_lba.(j) <- t.lba.(i);
-        q.q_size.(j) <- t.size.(i);
-        q.q_disk.(j) <- t.disk.(i)
-      done;
-      q
-    end
+    {
+      q_arrival = Float.Array.create n;
+      q_think = Float.Array.create n;
+      q_lba = Array.make n 0;
+      q_size = Array.make n 0;
+      q_disk = Array.make n 0;
+    }
   in
+  let next = Array.sub first 0 n_queues in
+  for i = 0 to n - 1 do
+    let k = (t.seg.(i) * n_proc) + t.proc.(i) in
+    let j = next.(k) in
+    next.(k) <- j + 1;
+    Float.Array.set q.q_arrival j (Float.Array.get t.arrival i);
+    Float.Array.set q.q_think j (Float.Array.get t.think i);
+    q.q_lba.(j) <- t.lba.(i);
+    q.q_size.(j) <- t.size.(i);
+    q.q_disk.(j) <- t.disk.(i)
+  done;
   let states = Array.init disks (make_state ~sink:obs model) in
   (match rctx with Some rx -> rx.peers <- states | None -> ());
   List.iter

@@ -89,9 +89,7 @@ val replay :
     permutes the five columns the issue loop reads (arrival, think, lba,
     size, disk) into queue order once per run, so the queues lie back to
     back, each in arrival order, and a cursor per processor walks its
-    range.  A trace whose requests are already in queue order — one
-    processor, say — is read in place.  The run allocates no
-    per-request record.  Segment ids may skip values: a segment no
+    range.  The run allocates no per-request record.  Segment ids may skip values: a segment no
     request names is an empty barrier, a no-op.
 
     Requests issue in (issue time, processor) order: the processor due
