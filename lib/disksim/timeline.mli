@@ -5,7 +5,7 @@
 
     The engine keeps no timeline of its own.  Every charge it makes is
     one [Power] span on the run's sink, so a {!recorder} passed as
-    [Engine.simulate ~obs] sees each disk's whole timeline. *)
+    [Engine.replay ~obs] sees each disk's whole timeline. *)
 
 type segment = {
   start_ms : float;
@@ -24,7 +24,7 @@ type t = segment list array
 (** One (chronologically ordered) segment list per disk. *)
 
 val recorder : disks:int -> unit -> Dp_obs.Sink.t * (unit -> t)
-(** The sink to pass as [Engine.simulate ~obs] and the finisher that
+(** The sink to pass as [Engine.replay ~obs] and the finisher that
     returns what it recorded.  Each [Power] span becomes one segment,
     except a span with neither duration nor energy.  To record a
     timeline alongside other recorders, {!Dp_obs.Sink.tee} them.

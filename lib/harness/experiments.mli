@@ -30,7 +30,7 @@ val build_matrix :
     byte-identical to a serial build.  [shards] additionally fans each
     simulation across domains {e inside} the engine (per-segment shard
     groups, also byte-identical — see
-    {!Dp_disksim.Engine.simulate}). *)
+    {!Dp_disksim.Engine.replay}). *)
 
 val table1 : Format.formatter -> unit
 (** Default simulation parameters (the Table 1 reproduction). *)

@@ -64,7 +64,7 @@ val run :
 
     [shards] caps the engine's intra-run domain fan-out (per-segment
     shard groups, byte-identical to serial — see
-    {!Dp_disksim.Engine.simulate}); it composes with the harness's
+    {!Dp_disksim.Engine.replay}); it composes with the harness's
     [jobs] row-level fan-out.  The oracle rows ignore it.
 
     [obs] (default false) streams the run into a

@@ -58,7 +58,7 @@ val feed : t -> Event.t -> unit
     chronological), as the engine produces them. *)
 
 val sink : t -> Sink.t
-(** [Sink.stream (feed t)] — what to pass as [Engine.simulate ~obs]. *)
+(** [Sink.stream (feed t)] — what to pass as [Engine.replay ~obs]. *)
 
 val disks : t -> disk_live array
 (** The rolling state, indexed by disk.  Read-only by convention. *)

@@ -128,7 +128,7 @@ val lower_bound :
 val standby_floor_j : ?model:Disk_model.t -> Engine.result -> float
 (** The analytic floor no schedule can beat: every disk draws at least
     standby power over the whole makespan.  Sandwiches the oracle:
-    [standby_floor_j base <= (lower_bound reqs).energy_j <= simulate p reqs]. *)
+    [standby_floor_j base <= (bound ~space r).energy_j <= (replay p trace).energy_j]. *)
 
 (** {1 Compiler-directed hints}
 

@@ -72,7 +72,7 @@ type summary = {
 
 val recorder :
   ?deadline_ms:float -> tenants:int -> disks:int -> unit -> Dp_obs.Sink.t * (unit -> summary)
-(** The sink to pass as [Engine.simulate ~obs] and the finisher to call
+(** The sink to pass as [Engine.replay ~obs] and the finisher to call
     once the run returns.  The finisher is not idempotent — call it
     exactly once.  [deadline_ms] arms SLO accounting.
     @raise Invalid_argument when [tenants < 1], [disks < 1], or

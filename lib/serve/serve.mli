@@ -8,8 +8,9 @@
     - [base]: no power management — the energy reference.
     - [offline-tpm] / [offline-drpm]: the paper's compiler-directed
       proactive policies, driven by hints each tenant's compiler planned
-      on its {e own} stream ({!Dp_oracle.Oracle.hints_of_trace} per
-      tenant, merged by nominal time).  Under multiplexing the planned
+      on its {e own} stream ({!Dp_oracle.Oracle.hints} [~by_proc:true]
+      over the merged trace, one plan per tenant, merged by nominal
+      time).  Under multiplexing the planned
       gaps are sliced up by other tenants' arrivals, so directives
       degrade gracefully ([tpm:hint-infeasible] and shallow dips) — this
       row measures exactly how much of the offline plan survives
@@ -17,7 +18,7 @@
     - [online]: the epoch-based adaptive policy
       ({!Dp_disksim.Policy.Adaptive}) learning per-disk thresholds from
       the merged stream it actually observes.
-    - [oracle]: {!Dp_oracle.Oracle.lower_bound} over the merged trace —
+    - [oracle]: {!Dp_oracle.Oracle.bound} over the merged trace —
       the offline-optimal energy floor, unchanged by who generated the
       requests.  An analytic bound, not a run: it carries no per-tenant
       accounting.
@@ -47,7 +48,7 @@ type config = {
   shards : int;
       (** engine-internal domain fan-out per simulated row (per-segment
           shard groups, byte-identical to serial — see
-          {!Dp_disksim.Engine.simulate}) *)
+          {!Dp_disksim.Engine.replay}) *)
   selection : selection;
   knobs : Dp_disksim.Knobs.t;
       (** reliability knobs of the simulated rows (the oracle bound
@@ -105,7 +106,10 @@ type report = {
 
 val run : config -> report
 (** Builds the population ({!Tenant.population}), merges it
-    ({!Mux.merge}) and computes the selected rows.  It reads and writes
+    ({!Mux.merge}), turns the merged list into a {!Dp_trace.Trace.t}
+    at once, and computes the selected rows from those columns alone:
+    the per-tenant hints, the simulated rows and the bound.  It reads
+    and writes
     no stage store: an app window is built from its program's first
     iterations, with no dependence graph and no whole trace, which
     costs less than fetching a stored trace would. *)

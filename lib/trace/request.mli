@@ -28,12 +28,12 @@ val compare_arrival : t -> t -> int
 (** Order by arrival time, ties by [proc], then by [address]. *)
 
 val sort_arrival : t list -> t list
-(** The one way to put a trace in {!compare_arrival} order: a stable
-    sort, so requests that compare equal keep their input order.  A
-    list already in order is returned as is — physically the argument,
-    after one allocation-free pass — which is the common case: the
-    generator emits its traces in order, and the trace codec and the
-    stage cache preserve it. *)
+(** Put a request list in {!compare_arrival} order: a stable sort, so
+    requests that compare equal keep their input order.  A list already
+    in order is returned as is — physically the argument, after one
+    allocation-free pass.  Inside the program a trace is a {!Trace.t},
+    built in this order; lists remain for the served array's tenant
+    streams and multiplexer. *)
 
 val pp : Format.formatter -> t -> unit
 
