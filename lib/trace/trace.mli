@@ -41,7 +41,8 @@ val mode : t -> int -> Ir.access_mode
 (** The access mode of request [i]. *)
 
 val get : t -> int -> Request.t
-(** Request [i] as a record: a view for printing and for tests. *)
+(** Request [i] as a record: a view for printing, for tests and for
+    the served array's list-typed tenant windows. *)
 
 val of_list : ?caller:string -> Request.t list -> t
 (** The trace of a request list, put in {!Request.compare_arrival}
