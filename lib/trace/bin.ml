@@ -605,9 +605,11 @@ let decode ?(file = "<buffer>") ?(verified = false) s =
   in
   match
     let rounds = header c in
-    (* Sized from the trailer, the trace is built without growing. *)
+    (* Sized from the trailer, the trace is built without growing; a
+       request record takes at least 4 bytes, which bounds a count that
+       lies. *)
     let capacity = Option.value ~default:1024 (trailer_count s ~from:c.pos) in
-    let b = Trace.Builder.create (Int.min capacity (String.length s)) in
+    let b = Trace.Builder.create (Int.min capacity (String.length s / 4)) in
     chunks b 0;
     (Trace.Builder.finish b, rounds)
   with
