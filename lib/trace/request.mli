@@ -1,8 +1,11 @@
 module Ir = Dp_ir.Ir
 
-(** Disk I/O requests — the record the paper's simulator consumes
+(** Disk I/O requests — the fields the paper's simulator consumes
     (Section 7.1): arrival time, start block, size, read/write, and the
-    issuing processor; plus the I/O node the striping resolves it to. *)
+    issuing processor; plus the I/O node the striping resolves it to.
+    Inside the program a trace holds them as columns ({!Trace.t}); this
+    record is the view of one request, for the text format, printing
+    and the served array's tenant streams. *)
 
 type t = {
   arrival_ms : float;
