@@ -1016,7 +1016,9 @@ let trace_codec_bench () =
   section "Trace codec — text vs binary";
   let module Bin = Dp_trace.Bin in
   let app = Option.get (Workloads.by_name "AST") in
-  let trace = Bin.quantize (Pipeline.columns (Runner.context app) ~procs:1 Pipeline.Original) in
+  let trace =
+    Bin.quantize (Pipeline.columns (Runner.context app) ~procs:1 Pipeline.Original)
+  in
   let n = Trace.length trace in
   let text =
     let b = Buffer.create (1 lsl 20) in

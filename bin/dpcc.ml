@@ -260,7 +260,8 @@ let simulate source procs restructured mode_name policy_name per_disk timeline f
          controllers. *)
       (match Oracle.space_of_name policy_name with
       | Some space ->
-          let bound = Oracle.bound ~space (Oracle.reference ~disks (Pipeline.columns ctx ~procs mode)) in
+          let trace = Pipeline.columns ctx ~procs mode in
+          let bound = Oracle.bound ~space (Oracle.reference ~disks trace) in
           Format.printf "%a@." Oracle.pp_bound bound;
           Format.printf "analytic standby floor: %.1f J@."
             (Oracle.standby_floor_j bound.Oracle.base)

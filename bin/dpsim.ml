@@ -79,7 +79,9 @@ let run trace_file out disks policy_name threshold proactive window downshift fa
     | Error e -> usage_error "%s" (Request.load_error_to_string e)
   in
   if disks < 1 then usage_error "--disks must be at least 1 (got %d)" disks;
-  let top_disk = List.fold_left (fun m (h : Hint.t) -> max m h.Hint.disk) (trace.disks - 1) hints in
+  let top_disk =
+    List.fold_left (fun m (h : Hint.t) -> max m h.Hint.disk) (trace.disks - 1) hints
+  in
   if top_disk >= disks then
     usage_error "%s touches disk %d: --disks %d is too few (pass --disks %d or more)"
       trace_file top_disk disks (top_disk + 1);

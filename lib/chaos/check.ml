@@ -101,7 +101,8 @@ let marshalled v = Marshal.to_string v [ Marshal.No_sharing ]
 (* Two traces equal column for column, floats bit for bit. *)
 let same_trace (a : Trace.t) (b : Trace.t) = String.equal (marshalled a) (marshalled b)
 
-let render t = String.concat "\n" (List.map (Format.asprintf "%a" Request.pp) (Trace.to_list t))
+let render t =
+  String.concat "\n" (List.map (Format.asprintf "%a" Request.pp) (Trace.to_list t))
 
 let result_divergence a b =
   if String.equal (marshalled a) (marshalled b) then None

@@ -867,7 +867,9 @@ let handle_request model policy ctrl fctx rctx st q i ~proc ~issue ~directed ~re
   (match ctrl with Some c -> Online.observe c ~disk:st.id ~now_ms:issue | None -> ());
   let prev_end = st.last_end in
   let lba = q.q_lba.(i) and bytes = q.q_size.(i) in
-  let response = serve model fctx rctx st ~proc ~arrival:issue ~lba ~bytes ~rpm:st.rpm ~recon in
+  let response =
+    serve model fctx rctx st ~proc ~arrival:issue ~lba ~bytes ~rpm:st.rpm ~recon
+  in
   (* A request served below full speed (after a DRPM or online dip)
      ramps back one level; at full speed this is a no-op. *)
   recover_one_level model fctx st;

@@ -33,7 +33,9 @@ let trace ?(cost = Cost_model.default) layout (prog : Ir.program)
   let accesses_of =
     Array.map
       (fun (n : Ir.Compiled.nest) ->
-        Array.fold_left (fun acc (s : Ir.Compiled.stmt) -> acc + Array.length s.accesses) 0 n.body)
+        Array.fold_left
+          (fun acc (s : Ir.Compiled.stmt) -> acc + Array.length s.accesses)
+          0 n.body)
       code
   in
   let runs =

@@ -57,8 +57,8 @@ let seal t =
     procs := Int.max !procs (t.proc.(i) + 1);
     segments := Int.max !segments (t.seg.(i) + 1);
     disks := Int.max !disks (t.disk.(i) + 1);
-    if not (Float.is_finite (Float.Array.get t.arrival i) && Float.is_finite (Float.Array.get t.think i))
-    then finite := false;
+    let arrival = Float.Array.get t.arrival i and think = Float.Array.get t.think i in
+    if not (Float.is_finite arrival && Float.is_finite think) then finite := false;
     if i > 0 && !sorted && compare_at t (i - 1) i > 0 then sorted := false
   done;
   let t = { t with procs = !procs; segments = !segments; disks = !disks; finite = !finite } in

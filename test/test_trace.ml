@@ -316,7 +316,9 @@ let test_segments_barrier () =
   let g = graph in
   let seg0_p0 = [| 0; 1; 2; 3 |] and seg1_p1 = [| 4; 5; 6; 7 |] in
   let per_proc = [| [ seg0_p0; [||] ]; [ [||]; seg1_p1 ] |] in
-  let reqs = Trace.to_list (Generate.trace ~cost layout program g.Concrete.instances per_proc) in
+  let reqs =
+    Trace.to_list (Generate.trace ~cost layout program g.Concrete.instances per_proc)
+  in
   let p0_last =
     List.filter (fun r -> r.Request.proc = 0) reqs
     |> List.fold_left (fun acc r -> Float.max acc r.Request.arrival_ms) 0.0
@@ -648,7 +650,8 @@ let test_bin_negative_ids () =
   let minus_one = String.make 8 '\xff' ^ "\x7f" in
   let with_field at width v =
     one_record_trace
-      (String.sub record 0 at ^ v ^ String.sub record (at + width) (String.length record - at - width))
+      (String.sub record 0 at ^ v
+      ^ String.sub record (at + width) (String.length record - at - width))
   in
   (* The first record's tag follows the 6-byte header and the 5-byte
      chunk header. *)
@@ -827,7 +830,8 @@ let marshal v = Marshal.to_string v [ Marshal.No_sharing ]
 
 let test_trace_of_list =
   QCheck.Test.make ~count:300 ~name:"to_list (of_list l) = sort_arrival l" columnar_list
-    (fun reqs -> marshal (Trace.to_list (Trace.of_list reqs)) = marshal (Request.sort_arrival reqs))
+    (fun reqs ->
+      marshal (Trace.to_list (Trace.of_list reqs)) = marshal (Request.sort_arrival reqs))
 
 let test_bin_columns_roundtrip =
   QCheck.Test.make ~count:100 ~name:"decode (encode t) = t, column for column"
@@ -870,7 +874,9 @@ let test_tie_keeps_program_order () =
           [ Ir.stmt 0 ~work_cycles:0 [ Ir.read "x" [ i ]; Ir.write "x" [ i ] ] ];
       ]
   in
-  let lay = Layout.make ~default:(Striping.make ~unit_bytes:1024 ~factor:2 ~start_disk:0) prog in
+  let lay =
+    Layout.make ~default:(Striping.make ~unit_bytes:1024 ~factor:2 ~start_disk:0) prog
+  in
   let g = Concrete.build prog in
   let zero =
     { Cost_model.default with seek_ms = 0.0; rotation_ms = 0.0; transfer_mb_s = infinity }
@@ -929,7 +935,8 @@ let summarize_reference ?(cost = Cost_model.default) reqs : Generate.summary =
 let test_summarize_one_pass =
   QCheck.Test.make ~count:200 ~name:"summarize = the three-pass summary" arbitrary_trace
     (fun reqs ->
-      let s = Generate.summarize reqs and r = summarize_reference (Request.sort_arrival reqs) in
+      let s = Generate.summarize reqs in
+      let r = summarize_reference (Request.sort_arrival reqs) in
       check Alcotest.int "requests" r.requests s.requests;
       check Alcotest.int "bytes" r.bytes s.bytes;
       check (Alcotest.float 0.0) "makespan_ms" r.makespan_ms s.makespan_ms;
