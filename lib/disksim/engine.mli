@@ -130,7 +130,10 @@ val replay :
     hot loop stays allocation-free and the results are byte-identical
     to a run without the parameter.
 
-    [hints] is the compiler's directive stream (see {!Dp_trace.Hint}).
+    [hints] is the compiler's directive stream (see {!Dp_trace.Hint}),
+    in any order: the validation pass also checks it against
+    {!Dp_trace.Hint.compare_at}, and only a stream out of that order is
+    stably sorted.  The oracle's emitter hands over a sorted one.
     With a non-empty stream, a [proactive] TPM policy spins a disk down
     exactly when a [Spin_down] directive says its cluster ended and hides
     the spin-up latency per the matching [Pre_spin_up] lead (no directive

@@ -4,6 +4,7 @@ module Request = Dp_trace.Request
 module Trace = Dp_trace.Trace
 module Hint = Dp_trace.Hint
 module Event = Dp_obs.Event
+module Minheap = Dp_util.Minheap
 
 type space = Tpm_space | Drpm_space | Full_space
 
@@ -49,7 +50,7 @@ let ramp_cost model ~rpm =
   go model.Disk_model.rpm_max (0.0, 0.0)
 
 (* The per-model constants of the gap DP, computed once per planning
-   call ([schedule], [bound], [hints_of_trace]) instead of once per gap:
+   call ([schedule], [bound], [hints]) instead of once per gap:
    the full-speed idle power, the lowest idle power of the ladder, and
    for every level below full speed its ramp cost and idle power. *)
 type dip = { rpm : int; ramp_ms : float; ramp_j : float; idle_w : float }
@@ -127,7 +128,8 @@ let best_in c space (g : gap) =
 
 let best_gap ?(model = Disk_model.ultrastar_36z15) space g = best_in (costs model) space g
 
-let schedule_in c space gaps =
+let schedule ?(model = Disk_model.ultrastar_36z15) space gaps =
+  let c = costs model in
   let steps =
     List.map
       (fun g ->
@@ -136,9 +138,6 @@ let schedule_in c space gaps =
       gaps
   in
   { steps; energy_j = List.fold_left (fun acc (s : step) -> acc +. s.energy_j) 0.0 steps }
-
-let schedule ?(model = Disk_model.ultrastar_36z15) space gaps =
-  schedule_in (costs model) space gaps
 
 (* --- the servicing floor --- *)
 
@@ -194,7 +193,6 @@ type bound = {
   energy_j : float;
   busy_j : float;
   gap_j : float;
-  per_disk : plan array;
   base : Engine.result;
 }
 
@@ -266,14 +264,13 @@ let reference ?(model = Disk_model.ultrastar_36z15) ~disks requests =
 let bound ~space (r : reference) =
   Dp_obs.Prof.span "oracle.bound" @@ fun () ->
   let c = costs r.model in
-  let per_disk = Array.map (fun gs -> schedule_in c space gs) r.gaps in
   let gap_j =
     Array.fold_left
       (fun acc gs -> List.fold_left (fun a g -> a +. gap_floor_j space c g) acc gs)
       0.0 r.gaps
   in
   let busy_j = busy_floor_j space r.model ~disks:r.disks r.requests in
-  { space; energy_j = busy_j +. gap_j; busy_j; gap_j; per_disk; base = r.base }
+  { space; energy_j = busy_j +. gap_j; busy_j; gap_j; base = r.base }
 
 let lower_bound ?model ?(space = Full_space) ~disks reqs =
   bound ~space (reference ?model ~disks (Trace.of_list reqs))
@@ -345,9 +342,35 @@ let hints ?(model = Disk_model.ultrastar_36z15) ?(space = Full_space) ?(by_proc 
             ~next_arrival:makespan ~terminal:true)
       completion
   done;
-  match Array.map (List.sort Hint.compare_at) hints with
-  | [| one |] -> one
-  | per_proc -> List.stable_sort Hint.compare_at (List.concat (Array.to_list per_proc))
+  let per_plan = Array.map (List.sort Hint.compare_at) hints in
+  if plans = 1 then per_plan.(0)
+  else begin
+    (* The plans' sorted runs merged as a stable sort of their
+       concatenation would order them: by time, then disk, then plan.
+       Each plan with hints left waits in the heap under its head's time
+       with id [disk * plans + plan], which orders the ties the same
+       way. *)
+    let heads = Minheap.create ~capacity:plans () in
+    let wait plan = function
+      | (h : Hint.t) :: _ -> Minheap.add heads ~key:h.at_ms ((h.disk * plans) + plan)
+      | [] -> ()
+    in
+    Array.iteri wait per_plan;
+    let out = ref [] in
+    while not (Minheap.is_empty heads) do
+      let plan = Minheap.top heads mod plans in
+      match per_plan.(plan) with
+      | h :: rest ->
+          out := h :: !out;
+          per_plan.(plan) <- rest;
+          (match rest with
+          | (next : Hint.t) :: _ ->
+              Minheap.replace_top heads ~key:next.at_ms ((next.disk * plans) + plan)
+          | [] -> Minheap.pop heads)
+      | [] -> assert false
+    done;
+    List.rev !out
+  end
 
 let hints_of_trace ?model ?space ~disks reqs =
   hints ?model ?space ~disks (Trace.of_list reqs)

@@ -78,11 +78,8 @@ type bound = {
           the floor drops the ramp charges and boundary pinning — a
           multi-speed disk can cross gap boundaries at reduced speed,
           and closed-loop drift can stretch the realized timeline — so
-          [gap_j <=] the sum of [per_disk] plan energies *)
-  per_disk : plan array;
-      (** the executable per-gap schedules from {!schedule} — what a
-          compiler-directed policy can actually run, with real ramp and
-          spin costs; their energy upper-bounds [gap_j] *)
+          [gap_j <=] the energy of the executable plans {!schedule}
+          gives the same gaps, which pay real ramp and spin costs *)
   base : Engine.result;
       (** the no-PM reference run whose [Active] spans define the gaps *)
 }
@@ -146,9 +143,11 @@ val hints :
     policy consumes the kind it understands and ignores the other).
     With [by_proc] (default [false]) each processor's requests are
     planned as a trace of their own, as each tenant's compiler would
-    plan its stream: its own disk timelines and its own makespan; the
-    per-processor streams are then merged by a stable sort in
-    processor order.
+    plan its stream: its own disk timelines and its own makespan.  Each
+    processor's hints are sorted, and the sorted runs are merged
+    through a {!Dp_util.Minheap} by time, then disk, then processor:
+    the order a stable sort of their concatenation in processor order
+    would give.
     The gap prediction reads the trace's arrivals, so the trace must
     carry nominal arrivals: the instants the engine issues each request
     under [No_pm], which generator traces carry.  A hand-built trace

@@ -43,15 +43,22 @@ let schedule_parts (table : Cluster.table) (g : Concrete.graph) ~part ~start_dis
      holds instances that became ready since the disk's visit started;
      [active] is the frozen visit set (refilled from [staged] when a new
      visit begins).  A part ends with every heap drained, so the parts
-     share one set of heaps. *)
+     share one set of heaps.  Every entry has the same key, so a heap
+     yields its instances in original execution order. *)
   let staged = Array.init (disk_count + 1) (fun _ -> Minheap.create ()) in
   let active = Array.init (disk_count + 1) (fun _ -> Minheap.create ()) in
+  let push h seq = Minheap.add h ~key:0.0 seq in
+  let take h =
+    let seq = Minheap.top h in
+    Minheap.pop h;
+    seq
+  in
   let bucket_of seq =
     let k = table.Cluster.key.(seq) in
     if k < 0 then 0 else k + 1
   in
   let schedule_part p =
-    List.iter (fun seq -> Minheap.add staged.(bucket_of seq) seq) sources.(p);
+    List.iter (fun seq -> push staged.(bucket_of seq) seq) sources.(p);
     let order = Array.make size.(p) (-1) in
     let scheduled = ref 0 in
     let visits = ref [] in
@@ -66,10 +73,9 @@ let schedule_parts (table : Cluster.table) (g : Concrete.graph) ~part ~start_dis
             if indegree.(dst) = 0 then begin
               let b = bucket_of dst in
               let same_nest = g.Concrete.instances.(dst).Concrete.nest_id = from_nest in
-              if b = 0 then Minheap.add staged.(0) dst
-              else if b - 1 = !current_visit_disk && same_nest then
-                Minheap.add active.(b) dst
-              else Minheap.add staged.(b) dst
+              if b = 0 then push staged.(0) dst
+              else if b - 1 = !current_visit_disk && same_nest then push active.(b) dst
+              else push staged.(b) dst
             end
           end)
         g.succs.(seq)
@@ -84,7 +90,7 @@ let schedule_parts (table : Cluster.table) (g : Concrete.graph) ~part ~start_dis
     let drain_compute_only () =
       let c = ref 0 in
       while not (Minheap.is_empty staged.(0)) do
-        emit (Minheap.pop_min staged.(0));
+        emit (take staged.(0));
         incr c
       done;
       !c
@@ -98,10 +104,10 @@ let schedule_parts (table : Cluster.table) (g : Concrete.graph) ~part ~start_dis
         let in_visit = ref (drain_compute_only ()) in
         (* Freeze the visit set: everything staged before the visit. *)
         while not (Minheap.is_empty staged.(d + 1)) do
-          Minheap.add active.(d + 1) (Minheap.pop_min staged.(d + 1))
+          push active.(d + 1) (take staged.(d + 1))
         done;
         while not (Minheap.is_empty active.(d + 1)) do
-          emit (Minheap.pop_min active.(d + 1));
+          emit (take active.(d + 1));
           incr in_visit;
           in_visit := !in_visit + drain_compute_only ()
         done;

@@ -15,11 +15,13 @@
     - {b response percentiles} are exact nearest-rank over the tenant's
       recorded responses, not histogram-bucket approximations: tenant
       streams are short enough to keep every sample.  The finisher
-      sorts each tenant's samples once ([Array.stable_sort]) and gets
-      the pooled order by merging those sorted runs through a heap of
-      run heads: O(n log k) for n responses over k tenants, and no
-      fixed cost beyond three k-entry arrays, so finishing a tiny
-      recorder stays cheap.  Every mean is summed in sorted order.
+      sorts each tenant's samples once, with a stable sort on unboxed
+      floats that orders them as [Array.stable_sort Float.compare]
+      would, and gets the pooled order by merging those sorted runs
+      through a {!Dp_util.Minheap} of run heads: O(n log k) for n
+      responses over k tenants, and no fixed cost beyond the heap and
+      one k-entry array, so finishing a tiny recorder stays cheap.
+      Every mean is summed in sorted order.
     - {b fairness} is Jain's index over per-tenant mean response times.
     - {b SLO accounting} (only under a deadline): a response past the
       deadline is a violation, one past four deadlines is counted
@@ -77,6 +79,11 @@ val recorder :
     exactly once.  [deadline_ms] arms SLO accounting.
     @raise Invalid_argument when [tenants < 1], [disks < 1], or
     [deadline_ms <= 0]. *)
+
+val sort_floats : float array -> unit
+(** Sort in place, ascending and stably, as
+    [Array.stable_sort Float.compare] does on arrays without NaN: the
+    finisher's per-tenant sort, exposed for the tests. *)
 
 val percentile : float array -> float -> float
 (** [percentile sorted q]: exact nearest-rank percentile of an

@@ -26,9 +26,10 @@ val draw : Dp_util.Splitmix.t -> params
     set of 1–2 disks receiving 60–90% of the traffic, 10–50% writes,
     a 16–64 MB region.  Consumes a fixed number of draws. *)
 
-val generate : Dp_util.Splitmix.t -> disks:int -> params -> Dp_trace.Request.t list
-(** The tenant's request stream: [proc = 0], [seg = 0], nominal
-    [arrival_ms] strictly increasing from the first gap, [think_ms] the
-    inter-request gap (closed-loop semantics).  [disks] clamps the hot
-    set and the cool remainder to the array.
+val generate : Dp_util.Splitmix.t -> disks:int -> params -> Dp_trace.Trace.t
+(** The tenant's request stream, a one-processor trace written as
+    columns: [proc = 0], [seg = 0], nominal arrivals strictly
+    increasing from the first gap, think times the inter-request gaps
+    (closed-loop semantics).  [disks] clamps the hot set and the cool
+    remainder to the array.
     @raise Invalid_argument when [disks < 1] or [params.requests < 0]. *)

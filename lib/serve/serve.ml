@@ -108,9 +108,7 @@ let run cfg =
   let kinds =
     Array.of_list (List.map (fun (t : Tenant.t) -> Tenant.kind_name t.kind) tenants)
   in
-  (* The merged list becomes columns at once, and only the columns are
-     read after this. *)
-  let merged = Trace.of_list (Mux.merge ~rng:mux_rng ~jitter_ms:cfg.jitter_ms tenants) in
+  let merged = Mux.trace ~rng:mux_rng ~jitter_ms:cfg.jitter_ms tenants in
   (* Each tenant's hints are planned on its own shifted stream, as its
      compiler would have planned them. *)
   let offline_hints space = Oracle.hints ~space ~by_proc:true ~disks:cfg.disks merged in

@@ -105,14 +105,14 @@ type report = {
 }
 
 val run : config -> report
-(** Builds the population ({!Tenant.population}), merges it
-    ({!Mux.merge}), turns the merged list into a {!Dp_trace.Trace.t}
-    at once, and computes the selected rows from those columns alone:
-    the per-tenant hints, the simulated rows and the bound.  It reads
-    and writes
-    no stage store: an app window is built from its program's first
-    iterations, with no dependence graph and no whole trace, which
-    costs less than fetching a stored trace would. *)
+(** Builds the population ({!Tenant.population}) as column streams,
+    merges it into one trace ({!Mux.trace}) and computes the selected
+    rows from those columns alone: the per-tenant hints, the simulated
+    rows and the bound.  No request record is built and nothing is
+    sorted that is already in order.  It reads and writes no stage
+    store: an app window is built from its program's first iterations,
+    with no dependence graph and no whole trace, which costs less than
+    fetching a stored trace would. *)
 
 val pp_report : Format.formatter -> report -> unit
 (** The human table: one line per row (energy, makespan, pooled

@@ -1,12 +1,12 @@
 module Splitmix = Dp_util.Splitmix
-module Request = Dp_trace.Request
+module Trace = Dp_trace.Trace
 module Generate = Dp_trace.Generate
 module Concrete = Dp_dependence.Concrete
 module Pipeline = Dp_pipeline.Pipeline
 
 type kind = Oltp of Oltp.params | App of string
 
-type t = { index : int; kind : kind; stream : Request.t list }
+type t = { index : int; kind : kind; stream : Trace.t }
 
 let kind_name = function Oltp _ -> "oltp" | App name -> "app:" ^ name
 
@@ -16,28 +16,23 @@ let app_names = [| "AST"; "FFT"; "Cholesky"; "Visuo"; "SCF 3.0"; "RSense 2.0" |]
 
 (* Normalize a raw stream to the tenant shape: single proc, single
    segment, disks folded into the array, arrivals rebased to 0 and made
-   strictly increasing (a 10 µs bump breaks exact ties so the merged
-   sort can never reorder a tenant's requests), think chained to the
-   arrival deltas. *)
-let normalize ~disks reqs =
-  let reqs = Request.sort_arrival reqs in
-  let base = match reqs with [] -> 0.0 | r :: _ -> r.Request.arrival_ms in
+   strictly increasing (a 10 µs bump breaks exact ties so the merge can
+   never reorder a tenant's requests), think chained to the arrival
+   deltas.  The trace is already in arrival order. *)
+let normalize ?first ~disks (t : Trace.t) =
+  let n = match first with Some k -> Int.min k (Trace.length t) | None -> Trace.length t in
+  let b = Trace.Builder.create n in
+  let base = if n = 0 then 0.0 else Float.Array.get t.arrival 0 in
   let prev = ref neg_infinity in
-  List.map
-    (fun (r : Request.t) ->
-      let at = r.Request.arrival_ms -. base in
-      let at = if at <= !prev then !prev +. 0.01 else at in
-      let think = if !prev = neg_infinity then at else at -. !prev in
-      prev := at;
-      {
-        r with
-        Request.arrival_ms = at;
-        think_ms = think;
-        seg = 0;
-        proc = 0;
-        disk = r.Request.disk mod disks;
-      })
-    reqs
+  for i = 0 to n - 1 do
+    let at = Float.Array.get t.arrival i -. base in
+    let at = if at <= !prev then !prev +. 0.01 else at in
+    let think = if !prev = neg_infinity then at else at -. !prev in
+    prev := at;
+    Trace.Builder.add b ~arrival:at ~think ~seg:0 ~address:t.address.(i) ~lba:t.lba.(i)
+      ~size:t.size.(i) ~mode:(Trace.mode t i) ~proc:0 ~disk:(t.disk.(i) mod disks)
+  done;
+  Trace.Builder.finish b
 
 (* The window is the head of the 1-processor Original trace.  That
    trace issues one request per access, in original order, each after
@@ -49,16 +44,13 @@ let app_stream ~disks name =
   let prog = Pipeline.program ctx in
   let prefix = Concrete.instances ~accesses:app_window prog in
   let order = Array.init (Array.length prefix) Fun.id in
-  let trace =
-    Generate.trace (Pipeline.layout ctx) prog prefix (Generate.single_stream ~order)
-  in
-  normalize ~disks
-    (List.init (Int.min app_window (Dp_trace.Trace.length trace)) (Dp_trace.Trace.get trace))
+  normalize ~first:app_window ~disks
+    (Generate.trace (Pipeline.layout ctx) prog prefix (Generate.single_stream ~order))
 
 let population ~rng ~tenants ~disks () =
   if tenants < 1 then invalid_arg "Tenant.population: tenants must be >= 1";
   if disks < 1 then invalid_arg "Tenant.population: disks must be >= 1";
-  let windows : (string, Request.t list) Hashtbl.t = Hashtbl.create 8 in
+  let windows : (string, Trace.t) Hashtbl.t = Hashtbl.create 8 in
   let window name =
     match Hashtbl.find_opt windows name with
     | Some w -> w

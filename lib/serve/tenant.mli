@@ -2,10 +2,11 @@
 
     A tenant is one request stream destined for the shared array: either
     a synthetic OLTP stream ({!Oltp}) or a bounded window of one of the
-    six paper applications.  Streams are normalized ({!normalize}) to a
-    common shape the multiplexer relies on: [proc = 0], [seg = 0],
-    arrivals strictly increasing from 0, [think_ms] equal to the arrival
-    delta (closed-loop), disks folded into the array ([disk mod disks]). *)
+    six paper applications.  A stream is a one-processor
+    {!Dp_trace.Trace.t}, normalized ({!normalize}) to a common shape the
+    multiplexer relies on: [proc = 0], [seg = 0], arrivals strictly
+    increasing from 0, think times equal to the arrival deltas
+    (closed-loop), disks folded into the array ([disk mod disks]). *)
 
 type kind =
   | Oltp of Oltp.params
@@ -14,7 +15,7 @@ type kind =
 type t = {
   index : int;  (** tenant id — becomes [Request.proc] after multiplexing *)
   kind : kind;
-  stream : Dp_trace.Request.t list;  (** normalized, see above *)
+  stream : Dp_trace.Trace.t;  (** normalized, see above *)
 }
 
 val kind_name : kind -> string
@@ -26,11 +27,12 @@ val app_window : int
     array, so each app tenant replays this prefix of the 1-processor
     Original trace. *)
 
-val normalize : disks:int -> Dp_trace.Request.t list -> Dp_trace.Request.t list
-(** The tenant shape above: a stable arrival sort, arrivals rebased to
-    0 with exact ties bumped 10 µs apart, think times chained to the
-    arrival deltas, [seg] and [proc] zeroed and disks folded into the
-    array. *)
+val normalize : ?first:int -> disks:int -> Dp_trace.Trace.t -> Dp_trace.Trace.t
+(** The tenant shape above, written as columns from the trace's first
+    [first] requests (default: all of them), which are already in
+    arrival order: arrivals rebased to 0 with exact ties bumped 10 µs
+    apart, think times chained to the arrival deltas, [seg] and [proc]
+    zeroed and disks folded into the array. *)
 
 val population : rng:Dp_util.Splitmix.t -> tenants:int -> disks:int -> unit -> t list
 (** The deterministic population for a served-array run: every fourth
@@ -42,7 +44,7 @@ val population : rng:Dp_util.Splitmix.t -> tenants:int -> disks:int -> unit -> t
 
     An app window is built once per application and shared.  It is the
     normalized first {!app_window} requests of the application's
-    1-processor Original trace, bit for bit, but built from the
+    1-processor Original trace, column for column, but built from the
     program's first iterations alone: {!Dp_dependence.Concrete.instances}
     walks them in original order only until their accesses cover the
     window, and {!Dp_trace.Generate.trace} runs on just those.  No

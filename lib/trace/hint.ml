@@ -3,7 +3,7 @@ type action = Spin_down | Pre_spin_up of float | Set_rpm of int
 type t = { at_ms : float; disk : int; action : action }
 
 let compare_at a b =
-  match Float.compare a.at_ms b.at_ms with 0 -> compare a.disk b.disk | c -> c
+  match Float.compare a.at_ms b.at_ms with 0 -> Int.compare a.disk b.disk | c -> c
 
 let action_name = function
   | Spin_down -> "spin-down"

@@ -95,4 +95,9 @@ val merge : t array -> t
 (** The runs interleaved into one trace, where run [p] holds the
     requests of processor [p] alone: each run is already in order and
     the processor breaks every tie between runs, so each step takes the
-    earliest head, the lower run on equal arrivals. *)
+    earliest head, the lower run on equal arrivals.  The heads wait in
+    a {!Dp_util.Minheap}, so merging n requests from k runs costs
+    O(n log k).  The result is checked like any trace, so runs that
+    break the contract (a run out of order, a processor in the wrong
+    run, a NaN arrival) still give a trace in order, at the cost of a
+    stable sort of the merged requests. *)

@@ -5,9 +5,9 @@
     {!of_string}.
 
     Two layouts:
-    - {b pretty} ({!pp}, {!to_string}): [Format] boxes with ["k": v]
-      spacing, breaking at the default margin — the [--json] reports
-      (matrix, sweep, serve, chaos, cache stat);
+    - {b pretty} ({!pp}, {!to_string}): hv boxes with ["k": v]
+      spacing, breaking at [Format]'s default margin — the [--json]
+      reports (matrix, sweep, serve, chaos, cache stat);
     - {b compact} ({!to_compact}): no whitespace at all — one record per
       line in the JSONL artifacts (obs events, gap histograms), the
       [obs diff --json] object and each Chrome trace event.
@@ -34,10 +34,16 @@ type t =
 type floats = Readable | Exact
 
 val pp : ?floats:floats -> Format.formatter -> t -> unit
-(** The pretty layout; [floats] defaults to [Readable]. *)
+(** The pretty layout through [Format] boxes, for printing into a
+    formatter; [floats] defaults to [Readable]. *)
 
 val to_string : ?floats:floats -> t -> string
-(** {!pp} into a string (no trailing newline). *)
+(** The text [Format.asprintf "%a" (pp ?floats)] gives (margin 78,
+    maximum indentation 68, no trailing newline), written into one
+    [Buffer] without [Format]: one pass writes the one-line text and
+    notes where each box and break is, a second lays the boxes out by
+    the rules [Format] applies to them.  A property in the test suite
+    checks the two against each other. *)
 
 val to_compact : ?floats:floats -> t -> string
 (** The compact layout (no whitespace, no trailing newline). *)

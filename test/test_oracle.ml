@@ -309,7 +309,6 @@ let same_bound (a : Oracle.bound) (b : Oracle.bound) =
   && bits a.Oracle.energy_j = bits b.Oracle.energy_j
   && bits a.Oracle.busy_j = bits b.Oracle.busy_j
   && bits a.Oracle.gap_j = bits b.Oracle.gap_j
-  && a.Oracle.per_disk = b.Oracle.per_disk
   && a.Oracle.base = b.Oracle.base
 
 let prop_reference_shared =

@@ -833,6 +833,52 @@ let test_trace_of_list =
     (fun reqs ->
       marshal (Trace.to_list (Trace.of_list reqs)) = marshal (Request.sort_arrival reqs))
 
+(* Runs as [Trace.merge] takes them: run [p] holds processor [p]'s
+   requests.  Arrivals come from a few values, so heads often tie
+   across runs, and a third of the runs are empty.  The merge must give
+   the trace of the concatenation, column for column. *)
+let merge_runs =
+  let open QCheck in
+  let run p =
+    map
+      (fun rows ->
+        Trace.of_list
+          (List.mapi
+             (fun i (t, address, disk) : Request.t ->
+               {
+                 arrival_ms = float_of_int t /. 2.0;
+                 think_ms = float_of_int i;
+                 seg = 0;
+                 address;
+                 lba = i;
+                 size = 512;
+                 mode = (if (p + i) mod 3 = 0 then Ir.Write else Ir.Read);
+                 proc = p;
+                 disk;
+               })
+             rows))
+      (list_of_size
+         (Gen.frequency [ (1, Gen.pure 0); (2, Gen.int_range 1 6) ])
+         (triple (int_range 0 12) (int_range 0 3) (int_range 0 3)))
+  in
+  let runs k =
+    let rec go p acc =
+      if p < 0 then Gen.pure acc else Gen.(gen (run p) >>= fun r -> go (p - 1) (r :: acc))
+    in
+    go (k - 1) []
+  in
+  make
+    ~print:(fun rs -> Printf.sprintf "%d runs" (Array.length rs))
+    Gen.(
+      frequency [ (3, int_range 1 8); (2, int_range 9 200); (1, int_range 900 1000) ]
+      >>= fun k -> map Array.of_list (runs k))
+
+let test_trace_merge =
+  QCheck.Test.make ~count:60 ~name:"merge runs = of_list of their concatenation" merge_runs
+    (fun runs ->
+      marshal (Trace.merge runs)
+      = marshal (Trace.of_list (List.concat_map Trace.to_list (Array.to_list runs))))
+
 let test_bin_columns_roundtrip =
   QCheck.Test.make ~count:100 ~name:"decode (encode t) = t, column for column"
     QCheck.(pair arbitrary_trace bool)
@@ -971,6 +1017,7 @@ let suites =
         Alcotest.test_case "negative ids" `Quick test_negative_ids;
         QCheck_alcotest.to_alcotest test_summarize_one_pass;
         QCheck_alcotest.to_alcotest test_trace_of_list;
+        QCheck_alcotest.to_alcotest test_trace_merge;
         Alcotest.test_case "ties keep program order" `Quick test_tie_keeps_program_order;
       ] );
     ( "trace.bin",
