@@ -6,10 +6,11 @@
    microbenchmarks of the compiler passes.
 
    Usage: dune exec bench/main.exe [-- SECTION...]
-   Sections: table1 table2 fig9a fig9b fig10a fig10b ablate-cluster
+   Sections: table1 table2 fig9a fig10a fig9b fig10b ablate-cluster
              ablate-tpm ablate-drpm ablate-stripes layout-opt
-             proactive-drpm fusion pipeline serve shard trace-codec
-             micro all
+             proactive-drpm fusion caching transform prefetch two-speed
+             breakdown obs-overhead pipeline cache serve repair chaos
+             trace-codec micro all
    (default: all). *)
 
 module App = Dp_workloads.App
@@ -854,92 +855,6 @@ let repair_bench () =
     ~rows
 
 (* ------------------------------------------------------------------ *)
-(* Engine sharding: events/sec serial vs sharded on a trace whose
-   segments split into independent components (proc p owns disk p) —
-   the shape the per-segment shard groups parallelize.  Identity with
-   the serial run is asserted on every cell, and the 10x/4-shard cell
-   gates on beating serial wall-clock. *)
-
-let shard_bench () =
-  section "Engine sharding — serial vs domains";
-  let mk_trace scale =
-    List.concat
-      (List.init 8 (fun p ->
-           List.init (500 * scale) (fun i ->
-               {
-                 Request.arrival_ms = 0.0;
-                 think_ms = float_of_int (1 + ((p + i) mod 37));
-                 seg = 0;
-                 address = i * 4096;
-                 lba = i * 4096;
-                 size = 64 * 1024;
-                 mode = Ir.Read;
-                 proc = p;
-                 disk = p;
-               })))
-  in
-  let wall f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let best n f =
-    let br = ref None and bt = ref infinity in
-    for _ = 1 to n do
-      let r, t = wall f in
-      if t < !bt then begin
-        bt := t;
-        br := Some r
-      end
-    done;
-    (Option.get !br, !bt)
-  in
-  let speedup_10x = ref 0.0 in
-  let rows =
-    List.concat_map
-      (fun scale ->
-        let reqs = mk_trace scale in
-        let n = List.length reqs in
-        let serial, t1 =
-          best 3 (fun () -> Engine.simulate ~disks:8 Policy.default_tpm reqs)
-        in
-        List.map
-          (fun shards ->
-            let r, t =
-              if shards = 1 then (serial, t1)
-              else
-                best 3 (fun () ->
-                    Engine.simulate ~shards ~disks:8 Policy.default_tpm reqs)
-            in
-            if r <> serial then begin
-              Format.printf "shard identity check: FAILED (shards %d, scale %dx)@."
-                shards scale;
-              exit 1
-            end;
-            if scale = 10 && shards = 4 then speedup_10x := t1 /. t;
-            [
-              Printf.sprintf "%dx" scale;
-              string_of_int n;
-              (if shards = 1 then "serial" else Printf.sprintf "%d shards" shards);
-              Printf.sprintf "%.3f" t;
-              Printf.sprintf "%.0f" (float_of_int n /. t);
-              Printf.sprintf "x%.2f" (t1 /. t);
-            ])
-          [ 1; 2; 4; 8 ])
-      [ 1; 10; 100 ]
-  in
-  Tabulate.render ppf
-    ~header:[ "trace"; "requests"; "mode"; "wall s"; "events/s"; "speedup" ]
-    ~rows;
-  if !speedup_10x >= 1.0 then
-    Format.printf "shard speedup check: OK (x%.2f at 10x, 4 shards)@." !speedup_10x
-  else begin
-    Format.printf "shard speedup check: FAILED (x%.2f < 1.0 at 10x, 4 shards)@."
-      !speedup_10x;
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Chaos harness: what the differential oracle costs on top of running
    the same paired configurations directly, and what shrinking adds on
    a failing scenario.  CI gates on the oracle staying within 2x of the
@@ -1091,7 +1006,6 @@ let sections =
     ("cache", cache_bench);
     ("serve", serve_bench);
     ("repair", repair_bench);
-    ("shard", shard_bench);
     ("chaos", chaos_bench);
     ("trace-codec", trace_codec_bench);
     ("micro", micro);

@@ -85,9 +85,6 @@ let resolve_mode ~procs ~restructured = function
 let check_jobs jobs = if jobs < 1 then fail "--jobs must be at least 1 (got %d)" jobs
 let check_procs procs = if procs < 1 then fail "--procs must be at least 1 (got %d)" procs
 
-let check_shards shards =
-  if shards < 1 then fail "--shards must be at least 1 (got %d)" shards
-
 (* Trace output format: the human text format or the binary codec.
    Binary output quantizes timestamps to the text format's 3-decimal
    precision first, so text <-> bin conversion round-trips
@@ -247,11 +244,10 @@ let policy_of_string name =
 (* --- simulate --- *)
 
 let simulate source procs restructured mode_name policy_name per_disk timeline faults_spec
-    shards cache_dir no_cache profile =
+    cache_dir no_cache profile =
   with_profile profile @@ fun () ->
   with_errors ~source (fun () ->
       check_procs procs;
-      check_shards shards;
       let cache = open_cache ~no_cache ~dir:cache_dir () in
       let ctx = Pipeline.load ?cache source in
       let mode = resolve_mode ~procs ~restructured mode_name in
@@ -271,8 +267,7 @@ let simulate source procs restructured mode_name policy_name per_disk timeline f
           let knobs = { Dp_disksim.Knobs.none with faults } in
           let recorder = if timeline then Some (Timeline.recorder ~disks ()) else None in
           let r =
-            Pipeline.simulate ~knobs ?obs:(Option.map fst recorder) ~shards ctx ~procs
-              ~policy mode
+            Pipeline.simulate ~knobs ?obs:(Option.map fst recorder) ctx ~procs ~policy mode
           in
           (match faults with
           | Some f -> Format.printf "%a@." Fault_model.pp f
@@ -290,9 +285,7 @@ let simulate source procs restructured mode_name policy_name per_disk timeline f
           | None -> ());
           (* Also report against the no-PM baseline on the same trace. *)
           if policy <> Policy.No_pm then begin
-            let base =
-              Pipeline.simulate ~knobs ~shards ctx ~procs ~policy:Policy.No_pm mode
-            in
+            let base = Pipeline.simulate ~knobs ctx ~procs ~policy:Policy.No_pm mode in
             Format.printf "normalized energy vs no-PM on this trace: %.3f@."
               (r.Engine.energy_j /. base.Engine.energy_j)
           end);
@@ -301,12 +294,11 @@ let simulate source procs restructured mode_name policy_name per_disk timeline f
 
 (* --- report: the version matrix for one program --- *)
 
-let report source procs jobs shards json_path obs cache_dir no_cache profile =
+let report source procs jobs json_path obs cache_dir no_cache profile =
   with_profile profile @@ fun () ->
   with_errors ~source (fun () ->
       check_jobs jobs;
       check_procs procs;
-      check_shards shards;
       let cache = open_cache ~no_cache ~dir:cache_dir () in
       let app = Pipeline.app (Pipeline.load source) in
       let versions =
@@ -314,8 +306,7 @@ let report source procs jobs shards json_path obs cache_dir no_cache profile =
         @ Dp_harness.Version.oracle
       in
       let matrix =
-        Dp_harness.Experiments.build_matrix ~apps:[ app ] ?cache ~obs ~jobs ~shards ~procs
-          ~versions ()
+        Dp_harness.Experiments.build_matrix ~apps:[ app ] ?cache ~obs ~jobs ~procs ~versions ()
       in
       Dp_harness.Experiments.fig_energy matrix Format.std_formatter;
       Dp_harness.Experiments.fig_perf matrix Format.std_formatter;
@@ -329,13 +320,12 @@ let report source procs jobs shards json_path obs cache_dir no_cache profile =
 
 (* --- fault-sweep: degradation under increasing fault rates --- *)
 
-let fault_sweep source procs jobs shards seed rates classes json_path obs_jsonl cache_dir
+let fault_sweep source procs jobs seed rates classes json_path obs_jsonl cache_dir
     no_cache profile =
   with_profile profile @@ fun () ->
   with_errors ~source (fun () ->
       check_jobs jobs;
       check_procs procs;
-      check_shards shards;
       let cache = open_cache ~no_cache ~dir:cache_dir () in
       let app = Pipeline.app (Pipeline.load source) in
       let classes =
@@ -357,7 +347,7 @@ let fault_sweep source procs jobs shards seed rates classes json_path obs_jsonl 
       in
       let sweep =
         Dp_harness.Experiments.fault_sweep ~seed ?rates ?cache ?classes
-          ~obs:(obs_jsonl <> None) ~jobs ~shards ~procs ~versions app
+          ~obs:(obs_jsonl <> None) ~jobs ~procs ~versions app
       in
       Dp_harness.Experiments.fig_sweep sweep Format.std_formatter;
       (match json_path with
@@ -388,12 +378,11 @@ let fault_sweep source procs jobs shards seed rates classes json_path obs_jsonl 
 
 (* --- serve: the multi-tenant server-array experiment --- *)
 
-let serve tenants seed disks jitter_ms policy_name jobs shards faults_spec decay_spec
+let serve tenants seed disks jitter_ms policy_name jobs faults_spec decay_spec
     scrub_ms spare deadline json obs_jsonl live _cache_dir _no_cache profile =
   with_profile profile @@ fun () ->
   with_errors (fun () ->
       check_jobs jobs;
-      check_shards shards;
       if tenants < 1 then fail "--tenants must be at least 1 (got %d)" tenants;
       if disks < 1 then fail "--disks must be at least 1 (got %d)" disks;
       if not (jitter_ms >= 0.0) then
@@ -426,7 +415,7 @@ let serve tenants seed disks jitter_ms policy_name jobs shards faults_spec decay
         | Error msg -> fail "%s" msg
       in
       let cfg =
-        Dp_serve.Serve.config ~disks ~jitter_ms ~jobs ~shards ~selection ~knobs
+        Dp_serve.Serve.config ~disks ~jitter_ms ~jobs ~selection ~knobs
           ~obs:(obs_jsonl <> None) ~live ~tenants ~seed ()
       in
       let report = Dp_serve.Serve.run cfg in
@@ -788,18 +777,6 @@ let jobs_arg =
            recommended domain count; results are deterministic — output is \
            byte-identical to --jobs 1")
 
-let shards_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "shards" ] ~docv:"N"
-        ~doc:
-          "Fan each simulation across up to N domains, never more than the host's \
-           recommended domain count: every trace segment splits into \
-           the connected components of its processor-disk interaction graph and the \
-           components run in parallel, rejoining at the segment barrier.  Results are \
-           byte-identical to --shards 1.  Composes with --jobs (rows x intra-run \
-           shards).")
-
 let profile_arg =
   Arg.(
     value & flag
@@ -910,8 +887,7 @@ let simulate_cmd =
     (Cmd.info "simulate" ~doc:"Run the trace-driven disk power simulation")
     Term.(
       const simulate $ source_arg $ procs_arg $ restructured_arg $ mode_arg $ policy
-      $ per_disk $ timeline $ faults $ shards_arg $ cache_dir_arg $ no_cache_arg
-      $ profile_arg)
+      $ per_disk $ timeline $ faults $ cache_dir_arg $ no_cache_arg $ profile_arg)
 
 let report_cmd =
   let json =
@@ -929,8 +905,8 @@ let report_cmd =
   Cmd.v
     (Cmd.info "report" ~doc:"Run the full version matrix for a program and print figures")
     Term.(
-      const report $ source_arg $ procs_arg $ jobs_arg $ shards_arg $ json $ obs
-      $ cache_dir_arg $ no_cache_arg $ profile_arg)
+      const report $ source_arg $ procs_arg $ jobs_arg $ json $ obs $ cache_dir_arg
+      $ no_cache_arg $ profile_arg)
 
 let fault_sweep_cmd =
   let seed =
@@ -972,8 +948,8 @@ let fault_sweep_cmd =
          "Re-simulate the version matrix of a program across a fault-rate ramp (same seed \
           at every point) and report energy and degraded time per version")
     Term.(
-      const fault_sweep $ source_arg $ procs_arg $ jobs_arg $ shards_arg $ seed $ rates
-      $ classes $ json $ obs_jsonl $ cache_dir_arg $ no_cache_arg $ profile_arg)
+      const fault_sweep $ source_arg $ procs_arg $ jobs_arg $ seed $ rates $ classes
+      $ json $ obs_jsonl $ cache_dir_arg $ no_cache_arg $ profile_arg)
 
 let emit_cmd =
   let output =
@@ -1141,9 +1117,9 @@ let serve_cmd =
          "Multiplex N tenant workloads onto one disk array and compare offline compiler \
           hints, online adaptation and the oracle bound")
     Term.(
-      const serve $ tenants $ seed $ disks $ jitter $ policy $ jobs_arg $ shards_arg
-      $ faults $ decay $ scrub $ spare $ deadline $ json $ obs_jsonl $ live $ cache_dir
-      $ no_cache $ profile_arg)
+      const serve $ tenants $ seed $ disks $ jitter $ policy $ jobs_arg $ faults $ decay
+      $ scrub $ spare $ deadline $ json $ obs_jsonl $ live $ cache_dir $ no_cache
+      $ profile_arg)
 
 let chaos_cmd =
   let seed =

@@ -69,7 +69,7 @@ let obs_recorder mode out disks =
   | Some m -> usage_error "unknown --obs mode %s (expected gaps | trace | events)" m
 
 let run trace_file out disks policy_name threshold proactive window downshift faults_spec
-    scrub_ms spare deadline shards per_disk obs_mode live =
+    scrub_ms spare deadline per_disk obs_mode live =
   (* The one loader: the file is read once; binary traces (by
      magic) decode, anything else parses as text.  Binary framing errors
      carry the byte offset in the line field. *)
@@ -85,12 +85,6 @@ let run trace_file out disks policy_name threshold proactive window downshift fa
   if top_disk >= disks then
     usage_error "%s touches disk %d: --disks %d is too few (pass --disks %d or more)"
       trace_file top_disk disks (top_disk + 1);
-  if shards < 1 then usage_error "--shards must be at least 1 (got %d)" shards;
-  if live && shards > 1 then
-    usage_error
-      "--live needs the event stream as it happens; --shards %d would deliver it in \
-       per-segment batches"
-      shards;
   let faults =
     match faults_spec with
     | None -> trace_faults
@@ -146,8 +140,8 @@ let run trace_file out disks policy_name threshold proactive window downshift fa
             Dp_obs.Tty.driver ~mode ~out:print_string (Dp_obs.Live.create ~disks ())
         in
         let r =
-          Engine.replay ~obs:(Dp_obs.Sink.tee [ obs_sink; live_sink ]) ~hints ~knobs ~shards
-            ~disks policy trace
+          Engine.replay ~obs:(Dp_obs.Sink.tee [ obs_sink; live_sink ]) ~hints ~knobs ~disks
+            policy trace
         in
         live_finish ();
         Format.printf "trace: %s (%d requests, %d hints)@." trace_file (Trace.length trace)
@@ -249,16 +243,6 @@ let () =
             "Per-request deadline: media-error retry storms that blow it fail over to \
              the disk's mirror; misses are reported as deadline events")
   in
-  let shards =
-    Arg.(
-      value & opt int 1
-      & info [ "shards" ] ~docv:"N"
-          ~doc:
-            "Fan the run across up to N domains, never more than the host's recommended \
-             domain count (per-segment connected components of the \
-             processor-disk interaction graph, rejoining at each segment barrier); \
-             results are byte-identical to --shards 1.  Refuses --live.")
-  in
   let per_disk = Arg.(value & flag & info [ "per-disk" ] ~doc:"Print per-disk statistics") in
   let obs =
     Arg.(
@@ -285,6 +269,6 @@ let () =
       (Cmd.info "dpsim" ~version:"1.0.0" ~doc:"Trace-driven multi-disk power simulator")
       Term.(
         const run $ trace_file $ out_file $ disks $ policy $ threshold $ proactive $ window
-        $ downshift $ faults $ scrub $ spare $ deadline $ shards $ per_disk $ obs $ live)
+        $ downshift $ faults $ scrub $ spare $ deadline $ per_disk $ obs $ live)
   in
   exit (Cmd.eval ~term_err:2 cmd)

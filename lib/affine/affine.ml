@@ -32,7 +32,6 @@ let terms a = a.terms
 let vars a = List.map fst a.terms
 let is_const a = a.terms = []
 let equal a b = a.const = b.const && a.terms = b.terms
-let compare = Stdlib.compare
 
 let subst v e a =
   let c = coeff a v in

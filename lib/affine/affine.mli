@@ -33,7 +33,6 @@ val terms : t -> (string * int) list
 val vars : t -> string list
 val is_const : t -> bool
 val equal : t -> t -> bool
-val compare : t -> t -> int
 
 val subst : string -> t -> t -> t
 (** [subst v e t] replaces every occurrence of [v] in [t] by [e]. *)

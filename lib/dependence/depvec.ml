@@ -67,5 +67,3 @@ let pp ppf v =
          | Dist d -> Format.pp_print_int ppf d
          | Any -> Format.pp_print_char ppf '*'))
     v
-
-let to_string v = Format.asprintf "%a" pp v

@@ -43,4 +43,3 @@ val outermost_parallel : t list -> depth:int -> int option
 (** Outermost parallelizable loop under {!loop_parallelizable}, if any. *)
 
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string

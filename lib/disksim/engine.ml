@@ -1313,41 +1313,82 @@ let pp_disk_stats ppf s =
       s.remaps s.remap_penalty_hits s.scrub_found s.scrub_chunks s.reconstructions
       s.failovers s.disk_failures s.rebuilds_completed
 
+(* The per-disk counters summed over the array, and the worst disk's
+   wear: the one fold behind every reliability printer. *)
+type totals = {
+  spin_downs : int;
+  wear : float;
+  spin_up_retries : int;
+  media_retries : int;
+  latency_spikes : int;
+  degraded_ms : float;
+  remaps : int;
+  remap_penalty_hits : int;
+  scrub_chunks : int;
+  scrub_found : int;
+  reconstructions : int;
+  rebuild_chunks : int;
+  failovers : int;
+  disk_failures : int;
+  rebuilds_completed : int;
+}
+
+let totals ?(model = Disk_model.ultrastar_36z15) r =
+  Array.fold_left
+    (fun t (d : disk_stats) ->
+      {
+        spin_downs = t.spin_downs + d.spin_downs;
+        wear = Float.max t.wear (wear_fraction model d);
+        spin_up_retries = t.spin_up_retries + d.spin_up_retries;
+        media_retries = t.media_retries + d.media_retries;
+        latency_spikes = t.latency_spikes + d.latency_spikes;
+        degraded_ms = t.degraded_ms +. d.degraded_ms;
+        remaps = t.remaps + d.remaps;
+        remap_penalty_hits = t.remap_penalty_hits + d.remap_penalty_hits;
+        scrub_chunks = t.scrub_chunks + d.scrub_chunks;
+        scrub_found = t.scrub_found + d.scrub_found;
+        reconstructions = t.reconstructions + d.reconstructions;
+        rebuild_chunks = t.rebuild_chunks + d.rebuild_chunks;
+        failovers = t.failovers + d.failovers;
+        disk_failures = t.disk_failures + d.disk_failures;
+        rebuilds_completed = t.rebuilds_completed + d.rebuilds_completed;
+      })
+    {
+      spin_downs = 0;
+      wear = 0.0;
+      spin_up_retries = 0;
+      media_retries = 0;
+      latency_spikes = 0;
+      degraded_ms = 0.0;
+      remaps = 0;
+      remap_penalty_hits = 0;
+      scrub_chunks = 0;
+      scrub_found = 0;
+      reconstructions = 0;
+      rebuild_chunks = 0;
+      failovers = 0;
+      disk_failures = 0;
+      rebuilds_completed = 0;
+    }
+    r.per_disk
+
 (* The one-line wear/retry summary both CLIs print after a simulated
    run (formerly duplicated between dpcc and dpsim). *)
-let pp_reliability ?(model = Disk_model.ultrastar_36z15) ppf r =
-  let wear, su, media, spikes, degraded =
-    Array.fold_left
-      (fun (w, s, m, l, d) ds ->
-        ( Float.max w (wear_fraction model ds),
-          s + ds.spin_up_retries,
-          m + ds.media_retries,
-          l + ds.latency_spikes,
-          d +. ds.degraded_ms ))
-      (0.0, 0, 0, 0, 0.0) r.per_disk
-  in
+let pp_reliability ?model ppf r =
+  let t = totals ?model r in
   Format.fprintf ppf
     "reliability: wear %.4f%% of start-stop budget (worst disk), %d spin-up retries, %d \
      media retries, %d latency spikes, degraded %.1f ms"
-    (100.0 *. wear) su media spikes degraded;
-  let remaps, hits, found, chunks, recon, fo, fails, rebuilt =
-    Array.fold_left
-      (fun (a, b, c, d, e, f, g, h) ds ->
-        ( a + ds.remaps,
-          b + ds.remap_penalty_hits,
-          c + ds.scrub_found,
-          d + ds.scrub_chunks,
-          e + ds.reconstructions,
-          f + ds.failovers,
-          g + ds.disk_failures,
-          h + ds.rebuilds_completed ))
-      (0, 0, 0, 0, 0, 0, 0, 0) r.per_disk
-  in
-  if remaps > 0 || hits > 0 || chunks > 0 || recon > 0 || fo > 0 || fails > 0 then
+    (100.0 *. t.wear) t.spin_up_retries t.media_retries t.latency_spikes t.degraded_ms;
+  if
+    t.remaps > 0 || t.remap_penalty_hits > 0 || t.scrub_chunks > 0 || t.reconstructions > 0
+    || t.failovers > 0 || t.disk_failures > 0
+  then
     Format.fprintf ppf
       "@\nrepair: %d remaps, %d remap hits, scrub found %d in %d chunks, %d \
        reconstructions, %d failovers, %d disk failures (%d rebuilt)"
-      remaps hits found chunks recon fo fails rebuilt
+      t.remaps t.remap_penalty_hits t.scrub_found t.scrub_chunks t.reconstructions
+      t.failovers t.disk_failures t.rebuilds_completed
 
 let pp_result ppf r =
   Format.fprintf ppf "policy %s: energy %.1f J, disk I/O time %.1f s, makespan %.1f s@\n"

@@ -97,26 +97,28 @@ val replay :
     the lowest index goes first.  The waiting processors sit in a heap
     on that key, so picking the next request costs O(log procs).
 
-    [shards] (default 1) caps how many domains the engine may fan the
-    run across; {!Dp_util.Domain_pool} never runs more than the
-    hardware's recommended domain count.  Each segment is split into
-    the connected components of its processor–disk interaction graph
-    (requests as edges, closed under mirror pairing when the repair
-    domain is armed); components share no mutable state, run in
-    parallel, and rejoin at the segment's fork-join barrier — the epoch
-    boundary.  The result is
-    {e byte-identical} to [shards = 1] for every shard count: per-disk
-    stats and repair digests are reproduced exactly, and observability
-    events, the Power spans included, are re-merged into the serial
-    emission order
-    (each parallel step's events are tagged with its issue instant and
-    processor, the key the serial scheduler executes in).  A trace
-    whose segments form a single component — every processor touching
-    every disk — simply runs serially whatever [shards] says, and so
-    does a run with the repair domain armed and a live [obs] sink (a
-    {!Timeline.recorder} included): a failed slot's rebuild events
-    belong to whichever step first covers them, which the merge key
-    cannot attribute across groups.
+    [shards] (default 1) is the engine's component split, kept for one
+    check: the chaos oracle's shard pairs compare runs split into 2, 4
+    and 8 shard groups against the serial run.  No CLI or library layer
+    above the engine sets it, and it goes once the benchmark's golden
+    chaos counts are next re-recorded without those pairs.  With
+    [shards > 1] each segment is split into the connected components of
+    its processor–disk interaction graph (requests as edges, closed
+    under mirror pairing when the repair domain is armed); components
+    share no mutable state, run on up to [shards] domains (never more
+    than {!Dp_util.Domain_pool} allows on the host), and rejoin at the
+    segment's fork-join barrier.  The result is {e byte-identical} to
+    the serial run: per-disk stats and repair digests are reproduced
+    exactly, and observability events, the Power spans included, are
+    re-merged into the serial emission order (each parallel step's
+    events are tagged with its issue instant and processor, the key the
+    serial scheduler executes in).  A trace whose segments form a
+    single component — every processor touching every disk — runs
+    serially whatever [shards] says, and so does a run with the repair
+    domain armed and a live [obs] sink (a {!Timeline.recorder}
+    included): a failed slot's rebuild events belong to whichever step
+    first covers them, which the merge key cannot attribute across
+    groups.
 
     [obs] (default {!Dp_obs.Sink.null}) receives typed observability
     events as the run unfolds: every power-state span, every request
@@ -176,6 +178,34 @@ val wear_fraction : Disk_model.t -> disk_stats -> float
     {!Disk_model.rated_start_stop_cycles}.  An aggressive spin-down
     policy trading energy for wear shows up here. *)
 
+type totals = {
+  spin_downs : int;
+  wear : float;
+      (** worst per-disk {!wear_fraction}: the share of the rated
+          start-stop budget the most-cycled disk consumed *)
+  spin_up_retries : int;
+  media_retries : int;
+  latency_spikes : int;
+  degraded_ms : float;
+  remaps : int;
+  remap_penalty_hits : int;
+  scrub_chunks : int;
+  scrub_found : int;
+  reconstructions : int;
+  rebuild_chunks : int;
+  failovers : int;
+  disk_failures : int;
+  rebuilds_completed : int;
+}
+(** A run's reliability counters across its disks: every count and
+    [degraded_ms] summed, [wear] the worst disk's. *)
+
+val totals : ?model:Disk_model.t -> result -> totals
+(** Folds [per_disk] once, in disk order ([model] defaults to
+    {!Disk_model.ultrastar_36z15}, the model {!wear_fraction} reads).
+    The one aggregate behind {!pp_reliability} and the harness's JSON
+    and fault-sweep columns. *)
+
 val pp_result : Format.formatter -> result -> unit
 (** The summary both CLIs print after a simulation: the policy line
     (energy, disk I/O time and makespan, in seconds) followed by
@@ -184,9 +214,8 @@ val pp_result : Format.formatter -> result -> unit
 val pp_disk_stats : Format.formatter -> disk_stats -> unit
 
 val pp_reliability : ?model:Disk_model.t -> Format.formatter -> result -> unit
-(** The one-line wear/retry/degraded-time summary of a run: worst-disk
-    {!wear_fraction} plus retry/spike counts and degraded time summed
-    across disks, and a repair line when the repair domain acted. *)
+(** The one-line wear/retry/degraded-time summary of a run's
+    {!totals}, and a repair line when the repair domain acted. *)
 
 (** {1 Conservation accessors}
 

@@ -33,8 +33,6 @@ let make cfg ~disks =
   let decay = per_class () in
   { cfg; spin; media; spike; stuck; decay; stuck_until = Array.make disks neg_infinity }
 
-let config t = t.cfg
-
 let enabled t c = List.mem c t.cfg.Fault_model.classes
 
 (* Failures before the first success of a Bernoulli(1 - rate) trial,

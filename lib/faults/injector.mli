@@ -10,7 +10,6 @@
 type t
 
 val make : Fault_model.t -> disks:int -> t
-val config : t -> Fault_model.t
 
 val spin_up_failures : t -> disk:int -> max_failures:int -> int
 (** Number of spin-up attempts that fail (each costs a full spin-up)

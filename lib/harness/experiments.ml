@@ -19,7 +19,7 @@ let rec chunks size = function
       let chunk, rest = take size [] xs in
       chunk :: chunks size rest
 
-let build_matrix ?apps ?cache ?knobs ?obs ?(jobs = 1) ?shards ~procs ~versions () =
+let build_matrix ?apps ?cache ?knobs ?obs ?(jobs = 1) ~procs ~versions () =
   let apps = match apps with Some a -> a | None -> Workloads.all () in
   (* One shared context per app: rows fan out over the domain pool and
      meet again in the context's stage memo tables, so the dependence
@@ -29,9 +29,7 @@ let build_matrix ?apps ?cache ?knobs ?obs ?(jobs = 1) ?shards ~procs ~versions (
     List.concat_map (fun (_, ctx) -> List.map (fun v -> (ctx, v)) versions) ctxs
   in
   let runs =
-    Domain_pool.map ~jobs
-      (fun (ctx, v) -> (v, Runner.run ctx ?knobs ?obs ?shards ~procs v))
-      cells
+    Domain_pool.map ~jobs (fun (ctx, v) -> (v, Runner.run ctx ?knobs ?obs ~procs v)) cells
   in
   List.map2
     (fun (app, _) runs -> (app, runs))
@@ -158,7 +156,7 @@ type sweep_point = { rate : float; runs : (Version.t * Runner.run) list }
 type sweep = { app : App.t; procs : int; seed : int; points : sweep_point list }
 
 let fault_sweep ?(seed = 42) ?(rates = [ 0.0; 0.001; 0.01; 0.05; 0.1 ]) ?cache ?classes
-    ?obs ?(jobs = 1) ?shards ~procs ~versions app =
+    ?obs ?(jobs = 1) ~procs ~versions app =
   let ctx = Runner.context ?cache app in
   (* rate x version cells share one context: the injector perturbs only
      the simulation, so every point reuses the same memoized traces. *)
@@ -170,7 +168,7 @@ let fault_sweep ?(seed = 42) ?(rates = [ 0.0; 0.001; 0.01; 0.05; 0.1 ]) ?cache ?
       (fun (rate, v) ->
         let faults = Dp_faults.Fault_model.make ?classes ~seed ~rate () in
         let knobs = { Dp_disksim.Knobs.none with faults = Some faults } in
-        (v, Runner.run ctx ~knobs ?obs ?shards ~procs v))
+        (v, Runner.run ctx ~knobs ?obs ~procs v))
       cells
   in
   let points =
@@ -190,10 +188,9 @@ let fig_sweep sweep ppf =
         :: List.concat_map
              (fun v ->
                let r = List.assoc v p.runs in
-               let rel = Runner.reliability r in
                [
                  Printf.sprintf "%.1f" r.Runner.result.Engine.energy_j;
-                 Printf.sprintf "%.1f" rel.Runner.degraded_ms;
+                 Printf.sprintf "%.1f" (Engine.totals r.Runner.result).Engine.degraded_ms;
                ])
              versions)
       sweep.points

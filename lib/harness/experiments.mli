@@ -12,7 +12,6 @@ val build_matrix :
   ?knobs:Dp_disksim.Knobs.t ->
   ?obs:bool ->
   ?jobs:int ->
-  ?shards:int ->
   procs:int ->
   versions:Version.t list ->
   unit ->
@@ -27,10 +26,7 @@ val build_matrix :
     fans the (app, version) rows out over that many domains
     ({!Dp_util.Domain_pool}); results are returned in the same
     deterministic order regardless of [jobs] — the matrix is
-    byte-identical to a serial build.  [shards] additionally fans each
-    simulation across domains {e inside} the engine (per-segment shard
-    groups, also byte-identical — see
-    {!Dp_disksim.Engine.replay}). *)
+    byte-identical to a serial build. *)
 
 val table1 : Format.formatter -> unit
 (** Default simulation parameters (the Table 1 reproduction). *)
@@ -65,16 +61,14 @@ val fault_sweep :
   ?classes:Dp_faults.Fault_model.class_ list ->
   ?obs:bool ->
   ?jobs:int ->
-  ?shards:int ->
   procs:int ->
   versions:Version.t list ->
   App.t ->
   sweep
 (** Defaults: seed 42, rates [0, 0.001, 0.01, 0.05, 0.1] (each must pass
     {!Dp_faults.Fault_model.check_rate}), all fault classes.  [cache],
-    [obs], [jobs] and [shards] as in {!build_matrix} — the (rate,
-    version) points fan out over the domain pool with deterministic
-    ordering. *)
+    [obs] and [jobs] as in {!build_matrix} — the (rate, version) points
+    fan out over the domain pool with deterministic ordering. *)
 
 val fig_sweep : sweep -> Format.formatter -> unit
 (** Energy and degraded time per version at each rate of the ramp. *)

@@ -12,50 +12,37 @@ type t = Json.t =
   | List of t list
   | Obj of (string * t) list
 
-let pp ppf t = Json.pp ppf t
 let to_string t = Dp_obs.Prof.span "harness.json" (fun () -> Json.to_string t)
 let pp_precise ppf t = Json.pp ~floats:Json.Exact ppf t
 
 let to_string_precise t =
   Dp_obs.Prof.span "harness.json" (fun () -> Json.to_string ~floats:Json.Exact t)
 
-let repair_of_result (res : Engine.result) =
-  let remaps, hits, chunks, found, recon, rebuild, fo, fails, rebuilt =
-    Array.fold_left
-      (fun (a, b, c, d, e, f, g, h, i) (s : Engine.disk_stats) ->
-        ( a + s.Engine.remaps,
-          b + s.Engine.remap_penalty_hits,
-          c + s.Engine.scrub_chunks,
-          d + s.Engine.scrub_found,
-          e + s.Engine.reconstructions,
-          f + s.Engine.rebuild_chunks,
-          g + s.Engine.failovers,
-          h + s.Engine.disk_failures,
-          i + s.Engine.rebuilds_completed ))
-      (0, 0, 0, 0, 0, 0, 0, 0, 0) res.Engine.per_disk
-  in
+(* The ["repair"] block, present only when the repair domain acted. *)
+let repair_of_totals (t : Engine.totals) =
   if
-    remaps = 0 && hits = 0 && chunks = 0 && recon = 0 && rebuild = 0 && fo = 0 && fails = 0
+    t.remaps = 0 && t.remap_penalty_hits = 0 && t.scrub_chunks = 0 && t.reconstructions = 0
+    && t.rebuild_chunks = 0 && t.failovers = 0 && t.disk_failures = 0
   then []
   else
     [
       ( "repair",
         Obj
           [
-            ("remaps", Int remaps);
-            ("remap_penalty_hits", Int hits);
-            ("scrub_chunks", Int chunks);
-            ("scrub_found", Int found);
-            ("reconstructions", Int recon);
-            ("rebuild_chunks", Int rebuild);
-            ("failovers", Int fo);
-            ("disk_failures", Int fails);
-            ("rebuilds_completed", Int rebuilt);
+            ("remaps", Int t.remaps);
+            ("remap_penalty_hits", Int t.remap_penalty_hits);
+            ("scrub_chunks", Int t.scrub_chunks);
+            ("scrub_found", Int t.scrub_found);
+            ("reconstructions", Int t.reconstructions);
+            ("rebuild_chunks", Int t.rebuild_chunks);
+            ("failovers", Int t.failovers);
+            ("disk_failures", Int t.disk_failures);
+            ("rebuilds_completed", Int t.rebuilds_completed);
           ] );
     ]
 
 let of_run (r : Runner.run) =
-  let rel = Runner.reliability r in
+  let t = Engine.totals r.Runner.result in
   Obj
     ([
        ("version", String (Version.name r.Runner.version));
@@ -68,15 +55,15 @@ let of_run (r : Runner.run) =
        ( "reliability",
          Obj
            [
-             ("spin_downs", Int rel.Runner.spin_downs);
-             ("wear", Float rel.Runner.wear);
-             ("spin_up_retries", Int rel.Runner.spin_up_retries);
-             ("media_retries", Int rel.Runner.media_retries);
-             ("latency_spikes", Int rel.Runner.latency_spikes);
-             ("degraded_ms", Float rel.Runner.degraded_ms);
+             ("spin_downs", Int t.spin_downs);
+             ("wear", Float t.wear);
+             ("spin_up_retries", Int t.spin_up_retries);
+             ("media_retries", Int t.media_retries);
+             ("latency_spikes", Int t.latency_spikes);
+             ("degraded_ms", Float t.degraded_ms);
            ] );
      ]
-    @ repair_of_result r.Runner.result
+    @ repair_of_totals t
     @
     match r.Runner.obs with
     | None -> []

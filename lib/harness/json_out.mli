@@ -10,11 +10,9 @@ type t = Dp_util.Json.t =
   | List of t list
   | Obj of (string * t) list
 
-val pp : Format.formatter -> t -> unit
+val to_string : t -> string
 (** The pretty layout with readable ([%.6g]) floats: valid JSON,
     strings escaped, non-finite floats as null. *)
-
-val to_string : t -> string
 
 val of_matrix : Experiments.matrix -> t
 (** One object per application: name, paper reference values, and per
@@ -38,9 +36,9 @@ val of_sweep : Experiments.sweep -> t
     (with their reliability aggregates). *)
 
 val pp_precise : Format.formatter -> t -> unit
-(** Like {!pp} but floats render exactly ([%.17g]), so byte-equal
-    output means bit-equal floats.  The rendering for differential
-    artifacts (the chaos oracle's pair comparisons); non-finite floats
-    still become null. *)
+(** The layout of {!to_string}, but floats render exactly ([%.17g]), so
+    byte-equal output means bit-equal floats.  The rendering for
+    differential artifacts (the chaos oracle's pair comparisons);
+    non-finite floats still become null. *)
 
 val to_string_precise : t -> string

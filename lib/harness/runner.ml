@@ -17,7 +17,7 @@ type run = {
   obs : Dp_obs.Report.disk_report array option;
 }
 
-let run ctx ?knobs ?(obs = false) ?shards ~procs version =
+let run ctx ?knobs ?(obs = false) ~procs version =
   match Version.oracle_space version with
   | Some space ->
       (* Offline-optimal bound on the unmodified code: same trace as the
@@ -55,7 +55,7 @@ let run ctx ?knobs ?(obs = false) ?shards ~procs version =
            each trace under No-PM once. *)
         if version = Version.Base && knobs = None && not obs then
           (Pipeline.reference ctx ~procs Pipeline.Original).Oracle.base
-        else Pipeline.simulate ~obs:sink ?knobs ?shards ctx ~procs ~policy mode
+        else Pipeline.simulate ~obs:sink ?knobs ctx ~procs ~policy mode
       in
       {
         version;
@@ -65,38 +65,6 @@ let run ctx ?knobs ?(obs = false) ?shards ~procs version =
         scheduler_rounds = Pipeline.rounds ctx ~procs mode;
         obs = report ();
       }
-
-(* Reliability aggregates over the disks of one run — the wear/retry
-   columns of the fault figures. *)
-type reliability = {
-  spin_downs : int;
-  wear : float;  (** worst per-disk start-stop budget fraction consumed *)
-  spin_up_retries : int;
-  media_retries : int;
-  latency_spikes : int;
-  degraded_ms : float;
-}
-
-let reliability ?(model = Dp_disksim.Disk_model.ultrastar_36z15) (r : run) =
-  Array.fold_left
-    (fun acc (d : Engine.disk_stats) ->
-      {
-        spin_downs = acc.spin_downs + d.Engine.spin_downs;
-        wear = Float.max acc.wear (Engine.wear_fraction model d);
-        spin_up_retries = acc.spin_up_retries + d.Engine.spin_up_retries;
-        media_retries = acc.media_retries + d.Engine.media_retries;
-        latency_spikes = acc.latency_spikes + d.Engine.latency_spikes;
-        degraded_ms = acc.degraded_ms +. d.Engine.degraded_ms;
-      })
-    {
-      spin_downs = 0;
-      wear = 0.0;
-      spin_up_retries = 0;
-      media_retries = 0;
-      latency_spikes = 0;
-      degraded_ms = 0.0;
-    }
-    r.result.Engine.per_disk
 
 let normalized_energy ~base r =
   r.result.Engine.energy_j /. base.result.Engine.energy_j

@@ -37,7 +37,6 @@ val run :
   ctx ->
   ?knobs:Dp_disksim.Knobs.t ->
   ?obs:bool ->
-  ?shards:int ->
   procs:int ->
   Version.t ->
   run
@@ -62,11 +61,6 @@ val run :
     The oracle rows ignore them: they are an idealized offline bound,
     so perturbing them would conflate the bound with injector noise.
 
-    [shards] caps the engine's intra-run domain fan-out (per-segment
-    shard groups, byte-identical to serial — see
-    {!Dp_disksim.Engine.replay}); it composes with the harness's
-    [jobs] row-level fan-out.  The oracle rows ignore it.
-
     [obs] (default false) streams the run into a
     {!Dp_obs.Report.recorder}, which folds every event into the run's
     per-disk {!Dp_obs.Report.disk_report}s (idle-gap / response-time /
@@ -76,21 +70,6 @@ val run :
     unobserved), so their [obs] is [None] regardless.
     @raise Invalid_argument for a [T_*_m] version with [procs = 1] (the
     layout-aware scheme is only meaningful with several processors). *)
-
-type reliability = {
-  spin_downs : int;
-  wear : float;
-      (** worst per-disk fraction of the rated start-stop budget
-          ({!Dp_disksim.Disk_model.rated_start_stop_cycles}) consumed *)
-  spin_up_retries : int;
-  media_retries : int;
-  latency_spikes : int;
-  degraded_ms : float;
-}
-
-val reliability : ?model:Dp_disksim.Disk_model.t -> run -> reliability
-(** Wear/retry/degraded-time aggregates across the run's disks (counts
-    summed, wear the worst disk). *)
 
 val normalized_energy : base:run -> run -> float
 (** Energy relative to the Base run of the same processor count. *)

@@ -6,7 +6,6 @@ let make ~unit_bytes ~disks =
   { unit_bytes; disks }
 
 let single_disk = make ~unit_bytes:max_int ~disks:1
-let default = make ~unit_bytes:(32 * 1024) ~disks:4
 
 let place t lba =
   if lba < 0 then invalid_arg "Raid.place: negative position";
@@ -32,7 +31,3 @@ let members_of_span t ~offset ~size =
     done;
     List.sort compare !members
   end
-
-let pp ppf t =
-  if t.disks = 1 then Format.pp_print_string ppf "raid(single disk)"
-  else Format.fprintf ppf "raid(unit=%dB, disks=%d)" t.unit_bytes t.disks

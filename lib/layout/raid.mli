@@ -18,9 +18,6 @@ val single_disk : t
 (** The paper's experimental configuration: "each I/O node has one disk
     and no further striping is applied". *)
 
-val default : t
-(** A 4-disk RAID-0 with the Table-1 32 KB unit. *)
-
 val place : t -> int -> int * int
 (** [place raid node_lba] maps a node-local byte position to
     [(member_disk, member_lba)]. *)
@@ -28,5 +25,3 @@ val place : t -> int -> int * int
 val member_of_lba : t -> int -> int
 val members_of_span : t -> offset:int -> size:int -> int list
 (** Distinct member disks a node-local byte range touches, ascending. *)
-
-val pp : Format.formatter -> t -> unit

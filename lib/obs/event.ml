@@ -84,5 +84,3 @@ let to_json e : Dp_util.Json.t =
         (head "deadline" disk
         @ [ ("proc", Int proc); ("at_ms", Float at_ms); ("response_ms", Float response_ms);
             ("deadline_ms", Float deadline_ms) ])
-
-let pp ppf e = Format.pp_print_string ppf (Dp_util.Json.to_compact (to_json e))

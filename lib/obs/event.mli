@@ -79,6 +79,3 @@ val track_name : power_state -> string
 val to_json : t -> Dp_util.Json.t
 (** One JSON object per event; {!Dp_util.Json.to_compact} of it is one
     line of the JSONL wire format. *)
-
-val pp : Format.formatter -> t -> unit
-(** The compact rendering of {!to_json}. *)

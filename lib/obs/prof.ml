@@ -15,7 +15,6 @@ let lock = Mutex.create ()
 
 let enable () = on := true
 let disable () = on := false
-let enabled () = !on
 let reset () = Mutex.protect lock (fun () -> Hashtbl.reset table)
 
 let entry name =

@@ -17,7 +17,6 @@ type entry = {
 
 val enable : unit -> unit
 val disable : unit -> unit
-val enabled : unit -> bool
 
 val reset : unit -> unit
 (** Drop all entries (keeps the enabled flag). *)

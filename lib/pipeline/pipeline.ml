@@ -393,8 +393,8 @@ let hints_for ?cluster t ~procs ~policy mode =
   | None -> []
   | Some space -> hints ?cluster t ~procs ~space mode
 
-let simulate ?cluster ?knobs ?obs ?shards t ~procs ~policy mode =
+let simulate ?cluster ?knobs ?obs t ~procs ~policy mode =
   let trace = columns ?cluster t ~procs mode in
   let hints = hints_for ?cluster t ~procs ~policy mode in
   Prof.span "pipeline.simulate" (fun () ->
-      Engine.replay ?obs ?knobs ?shards ~hints ~disks:(disks t) policy trace)
+      Engine.replay ?obs ?knobs ~hints ~disks:(disks t) policy trace)

@@ -200,7 +200,6 @@ val simulate :
   ?cluster:Cluster.policy ->
   ?knobs:Dp_disksim.Knobs.t ->
   ?obs:Dp_obs.Sink.t ->
-  ?shards:int ->
   t ->
   procs:int ->
   policy:Policy.t ->
@@ -212,10 +211,7 @@ val simulate :
     the run's events; pass a {!Dp_disksim.Timeline.recorder} to chart
     it.  Simulation results are not memoized — knobs and sinks make
     runs observationally distinct; the expensive upstream stages
-    are.
-    [shards] fans the engine's per-segment shard groups across that
-    many domains ({!Engine.replay}); the result stays byte-identical
-    to a serial run. *)
+    are. *)
 
 (** {1 Stage accounting} *)
 

@@ -272,11 +272,3 @@ let cardinal t =
   let c = ref 0 in
   iter_points t (fun _ -> incr c);
   !c
-
-let pp ppf t =
-  Format.fprintf ppf "{ [%s] : %a }"
-    (String.concat ", " t.vars)
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " and ")
-       Lincons.pp)
-    t.cons

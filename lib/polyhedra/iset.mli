@@ -57,5 +57,3 @@ val is_empty_exact : t -> bool
 
 val cardinal : t -> int
 (** Number of points. @raise Unbounded on unbounded sets. *)
-
-val pp : Format.formatter -> t -> unit

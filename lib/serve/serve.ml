@@ -29,19 +29,17 @@ type config = {
   disks : int;
   jitter_ms : float;
   jobs : int;
-  shards : int;
   selection : selection;
   knobs : Knobs.t;
   obs : bool;
   live : bool;
 }
 
-let config ?(disks = 8) ?(jitter_ms = 30_000.0) ?(jobs = 1) ?(shards = 1) ?(selection = All)
+let config ?(disks = 8) ?(jitter_ms = 30_000.0) ?(jobs = 1) ?(selection = All)
     ?(knobs = Knobs.none) ?(obs = false) ?(live = false) ~tenants ~seed () =
   if tenants < 1 then invalid_arg "Serve.config: tenants must be >= 1";
   if disks < 1 then invalid_arg "Serve.config: disks must be >= 1";
   if jobs < 1 then invalid_arg "Serve.config: jobs must be >= 1";
-  if shards < 1 then invalid_arg "Serve.config: shards must be >= 1";
   if not (jitter_ms >= 0.0) then invalid_arg "Serve.config: jitter_ms must be >= 0";
   (match Knobs.check knobs with Ok _ -> () | Error msg -> invalid_arg ("Serve.config: " ^ msg));
   (* Decay without a deadline serves under a 500 ms SLO, so a decay run
@@ -55,7 +53,7 @@ let config ?(disks = 8) ?(jitter_ms = 30_000.0) ?(jobs = 1) ?(shards = 1) ?(sele
         { knobs with Knobs.deadline_ms = Some 500.0 }
     | _ -> knobs
   in
-  { tenants; seed; disks; jitter_ms; jobs; shards; selection; knobs; obs; live }
+  { tenants; seed; disks; jitter_ms; jobs; selection; knobs; obs; live }
 
 type row = {
   label : string;
@@ -137,8 +135,7 @@ let run cfg =
         let rider r = Option.fold ~none:Dp_obs.Sink.null ~some:fst r in
         let sink = Dp_obs.Sink.tee [ acct_sink; rider report; rider live ] in
         let res =
-          Engine.replay ~obs:sink ~hints ~knobs:cfg.knobs ~shards:cfg.shards ~disks:cfg.disks
-            policy merged
+          Engine.replay ~obs:sink ~hints ~knobs:cfg.knobs ~disks:cfg.disks policy merged
         in
         {
           label;

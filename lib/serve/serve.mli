@@ -45,10 +45,6 @@ type config = {
       (** tenant start offsets are uniform in [\[0, jitter_ms)]
           (default 30 000) *)
   jobs : int;  (** domain-pool width for the row fan-out *)
-  shards : int;
-      (** engine-internal domain fan-out per simulated row (per-segment
-          shard groups, byte-identical to serial — see
-          {!Dp_disksim.Engine.replay}) *)
   selection : selection;
   knobs : Dp_disksim.Knobs.t;
       (** reliability knobs of the simulated rows (the oracle bound
@@ -68,7 +64,6 @@ val config :
   ?disks:int ->
   ?jitter_ms:float ->
   ?jobs:int ->
-  ?shards:int ->
   ?selection:selection ->
   ?knobs:Dp_disksim.Knobs.t ->
   ?obs:bool ->
@@ -81,8 +76,8 @@ val config :
     rate above 0 with no deadline serves under a 500 ms SLO deadline, so
     a decay run reports availability next to energy.
     @raise Invalid_argument when [tenants < 1], [disks < 1], [jobs < 1],
-    [shards < 1], [jitter_ms] is negative or NaN, or
-    {!Dp_disksim.Knobs.check} refuses [knobs]. *)
+    [jitter_ms] is negative or NaN, or {!Dp_disksim.Knobs.check}
+    refuses [knobs]. *)
 
 type row = {
   label : string;  (** [base] | [offline-tpm] | [offline-drpm] | [online] | [oracle] *)

@@ -3,9 +3,10 @@ module Ir = Dp_ir.Ir
 (** Disk I/O requests — the fields the paper's simulator consumes
     (Section 7.1): arrival time, start block, size, read/write, and the
     issuing processor; plus the I/O node the striping resolves it to.
-    Inside the program a trace holds them as columns ({!Trace.t}); this
-    record is the view of one request, for the text format, printing
-    and the served array's tenant streams. *)
+    Inside the program a trace holds them as columns ({!Trace.t}), the
+    served array's tenant streams included; this record is the view of
+    one request, for the text format, printing and the list adapters
+    the benchmark's traced pass still calls. *)
 
 type t = {
   arrival_ms : float;
@@ -34,9 +35,10 @@ val sort_arrival : t list -> t list
 (** Put a request list in {!compare_arrival} order: a stable sort, so
     requests that compare equal keep their input order.  A list already
     in order is returned as is — physically the argument, after one
-    allocation-free pass.  Inside the program a trace is a {!Trace.t},
-    built in this order; lists remain for the served array's tenant
-    streams and multiplexer. *)
+    allocation-free pass.  No program path calls it: a trace, the served
+    array's tenant streams and multiplexer included, is a {!Trace.t}
+    built in this order.  Tests call it as the reference order for
+    {!Trace.of_list}. *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -1,16 +1,11 @@
 type t = int array
 
-let zero n = Array.make n 0
-let of_list = Array.of_list
-let to_list = Array.to_list
-
 let check_dim a b =
   if Array.length a <> Array.length b then
     invalid_arg "Ivec: dimension mismatch"
 
 let add a b = check_dim a b; Array.mapi (fun i x -> x + b.(i)) a
 let sub a b = check_dim a b; Array.mapi (fun i x -> x - b.(i)) a
-let scale k = Array.map (fun x -> k * x)
 let neg = Array.map (fun x -> -x)
 
 let dot a b =
@@ -44,12 +39,3 @@ let is_lex_negative a =
   match first_nonzero a with Some i -> a.(i) < 0 | None -> false
 
 let is_zero a = first_nonzero a = None
-
-let pp ppf a =
-  Format.fprintf ppf "(%a)"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-       Format.pp_print_int)
-    (Array.to_list a)
-
-let to_string a = Format.asprintf "%a" pp a

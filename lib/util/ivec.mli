@@ -4,15 +4,10 @@
 
 type t = int array
 
-val zero : int -> t
-val of_list : int list -> t
-val to_list : t -> int list
-
 val add : t -> t -> t
 (** @raise Invalid_argument on dimension mismatch. *)
 
 val sub : t -> t -> t
-val scale : int -> t -> t
 val neg : t -> t
 val dot : t -> t -> int
 val equal : t -> t -> bool
@@ -29,6 +24,3 @@ val is_zero : t -> bool
 
 val first_nonzero : t -> int option
 (** Index of the first nonzero entry, if any. *)
-
-val pp : Format.formatter -> t -> unit
-val to_string : t -> string

@@ -23,8 +23,6 @@ let add a b = make ((a.num * b.den) + (b.num * a.den)) (a.den * b.den)
 let sub a b = make ((a.num * b.den) - (b.num * a.den)) (a.den * b.den)
 let mul a b = make (a.num * b.num) (a.den * b.den)
 let div a b = if b.num = 0 then raise Division_by_zero else make (a.num * b.den) (a.den * b.num)
-let neg a = { a with num = -a.num }
-let abs a = { a with num = Stdlib.abs a.num }
 let inv a = if a.num = 0 then raise Division_by_zero else make a.den a.num
 
 let compare a b = Stdlib.compare (a.num * b.den) (b.num * a.den)
@@ -41,16 +39,9 @@ let ceil a =
   let q = a.num / a.den and r = a.num mod a.den in
   if r > 0 then q + 1 else q
 
-let to_float a = float_of_int a.num /. float_of_int a.den
-
 let pp ppf a =
   if a.den = 1 then Format.fprintf ppf "%d" a.num
   else Format.fprintf ppf "%d/%d" a.num a.den
-
-let to_string a = Format.asprintf "%a" pp a
-
-let min a b = if compare a b <= 0 then a else b
-let max a b = if compare a b >= 0 then a else b
 
 let ( + ) = add
 let ( - ) = sub

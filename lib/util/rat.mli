@@ -25,8 +25,6 @@ val mul : t -> t -> t
 val div : t -> t -> t
 (** @raise Division_by_zero if the divisor is zero. *)
 
-val neg : t -> t
-val abs : t -> t
 val inv : t -> t
 (** @raise Division_by_zero on zero. *)
 
@@ -41,12 +39,7 @@ val floor : t -> int
 val ceil : t -> int
 (** Smallest integer [>=] the rational. *)
 
-val to_float : t -> float
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string
-
-val min : t -> t -> t
-val max : t -> t -> t
 
 val ( + ) : t -> t -> t
 val ( - ) : t -> t -> t

@@ -933,49 +933,36 @@ let test_dpsim_truncated_bin () =
         (contains ~needle:(trunc ^ ":") err && contains ~needle:"truncated" err)
   | _ -> assert false
 
-(* --- intra-run sharding flags --- *)
+(* --- the removed --shards flag --- *)
 
 let test_cli_bad_shards () =
-  List.iter
-    (fun sub ->
-      let code, _, err = run [ dpcc; sub; "app:AST"; "--shards"; "0" ] in
-      check Alcotest.int (sub ^ " --shards 0 exit code") 2 code;
-      check Alcotest.bool
-        (Printf.sprintf "%s names --shards (got %S)" sub err)
-        true (contains ~needle:"--shards" err))
-    [ "simulate"; "report"; "fault-sweep" ];
-  let code, _, err = run [ dpcc; "serve"; "--tenants"; "1"; "--shards"; "0" ] in
-  check Alcotest.int "serve --shards 0 exit code" 2 code;
-  check Alcotest.bool "serve names --shards" true (contains ~needle:"--shards" err);
-  with_trace_file "1.0 2.0 0 0 0 65536 R 0 0\n" (fun path ->
-      let code, _, err = run [ dpsim; path; "--shards"; "0" ] in
-      check Alcotest.int "dpsim --shards 0 exit code" 2 code;
-      check Alcotest.bool "dpsim names --shards" true (contains ~needle:"--shards" err);
-      let code, _, err = run [ dpsim; path; "--shards"; "2"; "--live" ] in
-      check Alcotest.int "dpsim --live with shards exit code" 2 code;
-      check Alcotest.bool "names --live" true (contains ~needle:"--live" err))
-
-let test_dpcc_simulate_shards_identity () =
-  let simulate shards =
-    run
-      ([
-         dpcc; "simulate"; "app:cholesky"; "-p"; "4"; "--restructure"; "--mode"; "multi";
-         "--policy"; "drpm-proactive"; "--per-disk"; "--timeline"; "--no-cache";
-       ]
-      @ shards)
+  let unknown label argv =
+    let code, _, err = run argv in
+    check Alcotest.int (label ^ " --shards 2 exit code") 2 code;
+    check Alcotest.bool
+      (Printf.sprintf "%s: --shards is an unknown option (got %S)" label err)
+      true
+      (contains ~needle:"unknown option '--shards'" err)
   in
-  let code1, out1, _ = simulate [] in
-  check Alcotest.int "serial exits 0" 0 code1;
-  (* Pin the serial output itself, chart and per-disk stats, not only
-     its agreement across shard counts. *)
-  check Alcotest.string "serial output pinned" "2e8a60e1e5cc535e6e03f5cefffe6e95"
-    (Digest.to_hex (Digest.string out1));
   List.iter
-    (fun n ->
-      let code, out, _ = simulate [ "--shards"; n ] in
-      check Alcotest.int (Printf.sprintf "--shards %s exits 0" n) 0 code;
-      check Alcotest.string (Printf.sprintf "--shards %s byte-identical" n) out1 out)
-    [ "1"; "4" ]
+    (fun sub -> unknown sub [ dpcc; sub; "app:AST"; "--shards"; "2" ])
+    [ "simulate"; "report"; "fault-sweep" ];
+  unknown "serve" [ dpcc; "serve"; "--tenants"; "1"; "--shards"; "2" ];
+  with_trace_file "1.0 2.0 0 0 0 65536 R 0 0\n" (fun path ->
+      unknown "dpsim" [ dpsim; path; "--shards"; "2" ])
+
+let test_dpcc_simulate_cholesky_pin () =
+  let code, out, _ =
+    run
+      [
+        dpcc; "simulate"; "app:cholesky"; "-p"; "4"; "--restructure"; "--mode"; "multi";
+        "--policy"; "drpm-proactive"; "--per-disk"; "--timeline"; "--no-cache";
+      ]
+  in
+  check Alcotest.int "exits 0" 0 code;
+  (* The whole output: result, per-disk stats and the timeline chart. *)
+  check Alcotest.string "output pinned" "2e8a60e1e5cc535e6e03f5cefffe6e95"
+    (Digest.to_hex (Digest.string out))
 
 (* --- cache stat: every cached stage is one format --- *)
 
@@ -1342,8 +1329,7 @@ let suites =
         Alcotest.test_case "dpsim binary auto-detect" `Slow test_dpsim_bin_autodetect;
         Alcotest.test_case "dpsim truncated binary" `Slow test_dpsim_truncated_bin;
         Alcotest.test_case "bad --shards" `Quick test_cli_bad_shards;
-        Alcotest.test_case "dpcc simulate --shards identity" `Slow
-          test_dpcc_simulate_shards_identity;
+        Alcotest.test_case "Cholesky simulate pin" `Slow test_dpcc_simulate_cholesky_pin;
         Alcotest.test_case "dpcc cache stat formats" `Slow test_dpcc_cache_stat_formats;
         Alcotest.test_case "dpcc cache warm binary identity" `Slow
           test_dpcc_cache_warm_bin_identity;

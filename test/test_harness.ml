@@ -202,6 +202,7 @@ let test_headline_orderings () =
 
 module Fault_model = Dp_faults.Fault_model
 module Knobs = Dp_disksim.Knobs
+module Engine = Dp_disksim.Engine
 
 let mentions out frags =
   List.iter
@@ -239,17 +240,16 @@ let test_reliability_aggregate () =
   let ctx = Runner.context (mini_app ()) in
   let knobs = { Knobs.none with faults = Some (Fault_model.make ~seed:11 ~rate:0.2 ()) } in
   let r = Runner.run ctx ~knobs ~procs:1 Version.Tpm in
-  let rel = Runner.reliability r in
-  check Alcotest.bool "wear in [0,1]" true
-    (rel.Runner.wear >= 0.0 && rel.Runner.wear <= 1.0);
+  let rel = Engine.totals r.Runner.result in
+  check Alcotest.bool "wear in [0,1]" true (rel.Engine.wear >= 0.0 && rel.Engine.wear <= 1.0);
   check Alcotest.bool "some recovery effort at rate 0.2" true
-    (rel.Runner.spin_up_retries + rel.Runner.media_retries + rel.Runner.latency_spikes > 0);
-  check Alcotest.bool "degraded time non-negative" true (rel.Runner.degraded_ms >= 0.0);
+    (rel.Engine.spin_up_retries + rel.Engine.media_retries + rel.Engine.latency_spikes > 0);
+  check Alcotest.bool "degraded time non-negative" true (rel.Engine.degraded_ms >= 0.0);
   (* Fault-free runs have a clean reliability block. *)
-  let clean = Runner.reliability (Runner.run ctx ~procs:1 Version.Tpm) in
+  let clean = Engine.totals (Runner.run ctx ~procs:1 Version.Tpm).Runner.result in
   check Alcotest.int "no retries without faults" 0
-    (clean.Runner.spin_up_retries + clean.Runner.media_retries + clean.Runner.latency_spikes);
-  check (Alcotest.float 0.0) "no degraded time without faults" 0.0 clean.Runner.degraded_ms
+    (clean.Engine.spin_up_retries + clean.Engine.media_retries + clean.Engine.latency_spikes);
+  check (Alcotest.float 0.0) "no degraded time without faults" 0.0 clean.Engine.degraded_ms
 
 let test_fault_sweep_deterministic () =
   let app = mini_app () in
