@@ -79,15 +79,10 @@ let seek_class distance =
 let seek_ms_of_distance t distance =
   match seek_class distance with 0 -> 0.0 | 1 -> 0.4 *. t.seek_ms | _ -> t.seek_ms
 
-let service_ms ?seek_distance t ~rpm ~bytes =
+let service_ms ~seek_distance t ~rpm ~bytes =
   check_rpm t rpm;
   let slowdown = float_of_int t.rpm_max /. float_of_int rpm in
-  let seek =
-    match seek_distance with
-    | None -> t.seek_ms
-    | Some d -> seek_ms_of_distance t d
-  in
-  seek
+  seek_ms_of_distance t seek_distance
   +. (t.rotation_ms *. slowdown)
   +. (float_of_int bytes /. (t.transfer_mb_s *. 1024.0 *. 1024.0) *. 1000.0 *. slowdown)
 

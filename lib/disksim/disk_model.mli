@@ -61,11 +61,11 @@ val seek_ms_of_distance : t -> int -> float
 (** Seek time by {!seek_class}: 0 for a sequential access, 40% of the
     average seek for a short hop, the full average seek beyond. *)
 
-val service_ms : ?seek_distance:int -> t -> rpm:int -> bytes:int -> float
+val service_ms : seek_distance:int -> t -> rpm:int -> bytes:int -> float
 (** Service time of one request at a rotation speed: rotational latency
     and transfer time scale inversely with RPM, plus
-    [seek_ms_of_distance] for the given distance (default: a full
-    average seek). *)
+    [seek_ms_of_distance] for the given distance.  [max_int] prices a
+    full average seek: a cold head, or one whose position is unknown. *)
 
 val remap_ms : t -> rpm:int -> block_bytes:int -> float
 (** Cost of remapping one grown bad sector on first touch: a full seek

@@ -110,6 +110,29 @@ let run cfg =
   (* Each tenant's hints are planned on its own shifted stream, as its
      compiler would have planned them. *)
   let offline_hints space = Oracle.hints ~space ~by_proc:true ~disks:cfg.disks merged in
+  let specs = specs cfg.selection in
+  (* Under clean knobs the base row is the fault-free No-PM run of the
+     merged trace that the bound's reference makes, so one replay feeds
+     the row's sinks and the reference's gap fold, and the base job
+     computes the bound too.  Armed knobs perturb the base row, which
+     then runs apart from the fault-free reference. *)
+  let shared =
+    cfg.knobs = Knobs.none
+    && List.mem Bound specs
+    && List.exists (function Sim (_, Policy.No_pm, None) -> true | _ -> false) specs
+  in
+  let bound_row (b : Oracle.bound) =
+    {
+      label = "oracle";
+      detail = "offline-optimal lower bound (full space)";
+      energy_j = b.Oracle.energy_j;
+      makespan_ms = b.Oracle.base.Engine.makespan_ms;
+      summary = None;
+      obs = None;
+      frames = None;
+    }
+  in
+  (* A job's row, and the bound's row when the job computed it along. *)
   let run_spec = function
     | Sim (label, policy, hint_space) ->
         let hints =
@@ -134,38 +157,44 @@ let run cfg =
         in
         let rider r = Option.fold ~none:Dp_obs.Sink.null ~some:fst r in
         let sink = Dp_obs.Sink.tee [ acct_sink; rider report; rider live ] in
-        let res =
-          Engine.replay ~obs:sink ~hints ~knobs:cfg.knobs ~disks:cfg.disks policy merged
+        let res, bound =
+          match policy with
+          | Policy.No_pm when shared ->
+              let r = Oracle.reference ~obs:sink ~disks:cfg.disks merged in
+              (r.Oracle.base, Some (bound_row (Oracle.bound ~space:Oracle.Full_space r)))
+          | _ ->
+              let res =
+                Engine.replay ~obs:sink ~hints ~knobs:cfg.knobs ~disks:cfg.disks policy
+                  merged
+              in
+              (res, None)
         in
-        {
-          label;
-          detail = Policy.describe policy;
-          energy_j = res.Engine.energy_j;
-          makespan_ms = res.Engine.makespan_ms;
-          summary = Some (finish ());
-          obs = Option.map (fun (_, fin) -> fin ()) report;
-          frames =
-            Option.map
-              (fun (_, fin) ->
-                fin ();
-                Buffer.contents frame_buf)
-              live;
-        }
+        ( {
+            label;
+            detail = Policy.describe policy;
+            energy_j = res.Engine.energy_j;
+            makespan_ms = res.Engine.makespan_ms;
+            summary = Some (finish ());
+            obs = Option.map (fun (_, fin) -> fin ()) report;
+            frames =
+              Option.map
+                (fun (_, fin) ->
+                  fin ();
+                  Buffer.contents frame_buf)
+                live;
+          },
+          bound )
     | Bound ->
-        let b =
-          Oracle.bound ~space:Oracle.Full_space (Oracle.reference ~disks:cfg.disks merged)
-        in
-        {
-          label = "oracle";
-          detail = "offline-optimal lower bound (full space)";
-          energy_j = b.Oracle.energy_j;
-          makespan_ms = b.Oracle.base.Engine.makespan_ms;
-          summary = None;
-          obs = None;
-          frames = None;
-        }
+        let r = Oracle.reference ~disks:cfg.disks merged in
+        (bound_row (Oracle.bound ~space:Oracle.Full_space r), None)
   in
-  let rows = Domain_pool.map ~jobs:cfg.jobs run_spec (specs cfg.selection) in
+  let jobs =
+    if shared then List.filter (function Bound -> false | Sim _ -> true) specs else specs
+  in
+  let outs = Domain_pool.map ~jobs:cfg.jobs run_spec jobs in
+  (* [Bound] is the last spec of every selection, so a bound computed
+     along the base row goes last too. *)
+  let rows = List.map fst outs @ List.filter_map snd outs in
   { config = cfg; requests = Trace.length merged; kinds; rows }
 
 let pp_row ppf r =

@@ -97,9 +97,16 @@ type ctx = {
 
 type slot = { mutable front : ctx; mutable back : ctx } (* MRU order *)
 
-(* The slots are keyed by (proc, disk) with a monomorphic hash and
-   equality.  Lookups probe with one reused mutable key, so a record
-   that finds its slot allocates nothing; a new slot stores a copy. *)
+(* The slots are found by (proc, disk).  Ids below [dense_ids] index a
+   dense table: a row of slots per proc, each grown to the largest disk
+   seen.  Other ids (huge ones in a corrupt file, or the negative ones a
+   nine-byte varint decodes to, which the record then refuses) fall back
+   to a table keyed with a monomorphic hash and equality, probed with one
+   reused mutable key.  Either way a record that finds its slot
+   allocates nothing, and a pair always lands in the same place, so the
+   encoder and the decoder see the same contexts. *)
+let dense_ids = 1024
+
 type pair = { mutable proc : int; mutable disk : int }
 
 module Slots = Hashtbl.Make (struct
@@ -109,9 +116,12 @@ module Slots = Hashtbl.Make (struct
   let hash k = ((k.proc * 65599) + k.disk) land max_int
 end)
 
-type predictors = { mutable prev_hint_at : int; probe : pair; slots : slot Slots.t }
-
-let predictors () = { prev_hint_at = 0; probe = { proc = 0; disk = 0 }; slots = Slots.create 64 }
+type predictors = {
+  mutable prev_hint_at : int;
+  mutable dense : slot array array;  (* by proc, then disk; [vacant] until seen *)
+  probe : pair;
+  slots : slot Slots.t;
+}
 
 let fresh_ctx () =
   {
@@ -128,15 +138,56 @@ let fresh_ctx () =
     fresh = true;
   }
 
-let slot_of p proc disk =
-  p.probe.proc <- proc;
-  p.probe.disk <- disk;
-  match Slots.find p.slots p.probe with
-  | s -> s
-  | exception Not_found ->
-      let s = { front = fresh_ctx (); back = fresh_ctx () } in
-      Slots.add p.slots { proc; disk } s;
-      s
+let fresh_slot () = { front = fresh_ctx (); back = fresh_ctx () }
+
+(* The empty cell of a dense row: compared by address, never coded against. *)
+let vacant = fresh_slot ()
+
+let predictors () =
+  {
+    prev_hint_at = 0;
+    dense = [||];
+    probe = { proc = 0; disk = 0 };
+    slots = Slots.create 64;
+  }
+
+(* [a] with at least [n] cells (capped at [dense_ids]), new ones [x]. *)
+let grown a n x =
+  let m = Int.min dense_ids (Int.max n (2 * Array.length a)) in
+  let a' = Array.make m x in
+  Array.blit a 0 a' 0 (Array.length a);
+  a'
+
+let new_slot p proc disk =
+  if proc >= 0 && proc < dense_ids && disk >= 0 && disk < dense_ids then begin
+    if proc >= Array.length p.dense then p.dense <- grown p.dense (proc + 1) [||];
+    if disk >= Array.length p.dense.(proc) then
+      p.dense.(proc) <- grown p.dense.(proc) (disk + 1) vacant;
+    let s = fresh_slot () in
+    p.dense.(proc).(disk) <- s;
+    s
+  end
+  else begin
+    p.probe.proc <- proc;
+    p.probe.disk <- disk;
+    match Slots.find p.slots p.probe with
+    | s -> s
+    | exception Not_found ->
+        let s = fresh_slot () in
+        Slots.add p.slots { proc; disk } s;
+        s
+  end
+
+let[@inline] slot_of p proc disk =
+  if proc >= 0 && proc < Array.length p.dense then begin
+    let row = p.dense.(proc) in
+    if disk >= 0 && disk < Array.length row then begin
+      let s = row.(disk) in
+      if s != vacant then s else new_slot p proc disk
+    end
+    else new_slot p proc disk
+  end
+  else new_slot p proc disk
 
 let pick slot index = if index = 0 then slot.front else slot.back
 
@@ -366,7 +417,7 @@ type cur = { s : string; file : string; mutable pos : int; mutable lim : int }
 let fail c offset fmt =
   Printf.ksprintf (fun msg -> raise (Fail { file = c.file; offset; msg })) fmt
 
-let get_byte c what =
+let[@inline] get_byte c what =
   if c.pos >= c.lim then fail c c.pos "truncated record: %s runs past chunk end" what;
   let v = Char.code c.s.[c.pos] in
   c.pos <- c.pos + 1;
@@ -379,15 +430,27 @@ let rec get_u_from c what shift acc =
   let acc = acc lor ((b land 0x7f) lsl shift) in
   if b land 0x80 <> 0 then get_u_from c what (shift + 7) acc else acc
 
-let get_u c what = get_u_from c what 0 0
+(* A one-byte varint, the common case, is read here; anything else,
+   errors included, by the loop. *)
+let[@inline] get_u c what =
+  let pos = c.pos in
+  if pos < c.lim then begin
+    let b = Char.code c.s.[pos] in
+    if b < 0x80 then begin
+      c.pos <- pos + 1;
+      b
+    end
+    else get_u_from c what 0 0
+  end
+  else get_u_from c what 0 0
 
-let get_s c what = unzigzag (get_u c what)
+let[@inline] get_s c what = unzigzag (get_u c what)
 
-let get_scaled c ~scale what =
+let[@inline] get_scaled c ~scale what =
   let u = get_u c what in
   if u land 1 = 1 then unzigzag (u lsr 1) * scale else unzigzag (u lsr 1)
 
-let get_raw_float c what =
+let[@inline] get_raw_float c what =
   if c.pos + 8 > c.lim then fail c c.pos "truncated record: %s runs past chunk end" what;
   let v = Int64.float_of_bits (String.get_int64_le c.s c.pos) in
   c.pos <- c.pos + 8;
@@ -395,16 +458,19 @@ let get_raw_float c what =
 
 (* Ids are non-negative.  A nine-byte varint, or a segment delta, can
    decode below zero: the record is refused at its tag's offset. *)
-let check_id c ~at what v =
+let[@inline] check_id c ~at what v =
   if v < 0 then fail c at "bad %s %d (expected a non-negative integer)" what v
 
 (* A decoded request: its ids checked at the record's offset [at], then
-   appended to the trace being built. *)
-let append_request c b ~at ~arrival ~think ~seg ~address ~lba ~size ~mode ~proc ~disk =
+   appended to the trace being built, the times stored unboxed. *)
+let[@inline] append_request c b ~at ~arrival ~think ~seg ~address ~lba ~size ~mode ~proc
+    ~disk =
   check_id c ~at "proc" proc;
   check_id c ~at "disk" disk;
   check_id c ~at "seg" seg;
-  Trace.Builder.add b ~arrival ~think ~seg ~address ~lba ~size ~mode ~proc ~disk
+  let i = Trace.Builder.push b ~seg ~address ~lba ~size ~mode ~proc ~disk in
+  Float.Array.set b.Trace.Builder.arrival i arrival;
+  Float.Array.set b.Trace.Builder.think i think
 
 let decode_request cu p b ~at ~flags =
   let proc = get_u cu "request proc" in

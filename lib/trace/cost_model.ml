@@ -16,7 +16,7 @@ let seek_ms_of_distance t distance =
   let d = abs distance in
   if d = 0 then 0.0 else if d <= short_seek_bytes then 0.4 *. t.seek_ms else t.seek_ms
 
-let service_ms ?seek_distance t ~bytes =
-  (match seek_distance with None -> t.seek_ms | Some d -> seek_ms_of_distance t d)
+let service_ms ~seek_distance t ~bytes =
+  seek_ms_of_distance t seek_distance
   +. t.rotation_ms
   +. (float_of_int bytes /. (t.transfer_mb_s *. 1024.0 *. 1024.0) *. 1000.0)

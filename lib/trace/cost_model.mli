@@ -19,7 +19,8 @@ val default : t
 
 val compute_ms : t -> cycles:int -> float
 
-val service_ms : ?seek_distance:int -> t -> bytes:int -> float
+val service_ms : seek_distance:int -> t -> bytes:int -> float
 (** Full-speed service time; the seek cost depends on the byte distance
     from the previous request on the same disk (0 = sequential, short
-    hops 40% of the average seek, default a full seek). *)
+    hops 40% of the average seek, [max_int] a full seek: the first
+    request on a disk). *)

@@ -162,11 +162,9 @@ module Builder = struct
     Bytes.blit b.mode 0 m 0 b.n;
     b.mode <- m
 
-  let[@inline] add b ~arrival ~think ~seg ~address ~lba ~size ~mode ~proc ~disk =
+  let[@inline] push b ~seg ~address ~lba ~size ~mode ~proc ~disk =
     if b.n = Array.length b.proc then resize b (2 * b.n);
     let i = b.n in
-    Float.Array.set b.arrival i arrival;
-    Float.Array.set b.think i think;
     b.seg.(i) <- seg;
     b.address.(i) <- address;
     b.lba.(i) <- lba;
@@ -174,7 +172,13 @@ module Builder = struct
     b.proc.(i) <- proc;
     b.disk.(i) <- disk;
     Bytes.set b.mode i (mode_char mode);
-    b.n <- i + 1
+    b.n <- i + 1;
+    i
+
+  let[@inline] add b ~arrival ~think ~seg ~address ~lba ~size ~mode ~proc ~disk =
+    let i = push b ~seg ~address ~lba ~size ~mode ~proc ~disk in
+    Float.Array.set b.arrival i arrival;
+    Float.Array.set b.think i think
 
   let finish b : trace =
     if b.n < Array.length b.proc then resize b b.n;

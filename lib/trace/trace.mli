@@ -63,8 +63,22 @@ val map_times : (float -> float) -> t -> t
 module Builder : sig
   type trace := t
 
-  type t
-  (** Growable columns. *)
+  type t = private {
+    mutable n : int;  (** requests added so far *)
+    mutable arrival : Float.Array.t;
+    mutable think : Float.Array.t;
+    mutable seg : int array;
+    mutable address : int array;
+    mutable lba : int array;
+    mutable size : int array;
+    mutable proc : int array;
+    mutable disk : int array;
+    mutable mode : Bytes.t;
+  }
+  (** Growable columns, each with room for at least [n] requests.  The
+      record is private so that {!push}'s caller can store the two
+      times straight into their columns: passed to a function, a float
+      is boxed. *)
 
   val create : int -> t
   (** An empty builder with room for this many requests; it grows as
@@ -84,6 +98,21 @@ module Builder : sig
     unit
   (** Append one request.  The ids must be non-negative: a builder
       trusts its caller, who has checked them against its own input. *)
+
+  val push :
+    t ->
+    seg:int ->
+    address:int ->
+    lba:int ->
+    size:int ->
+    mode:Ir.access_mode ->
+    proc:int ->
+    disk:int ->
+    int
+  (** {!add} without the times: appends a request and returns its row
+      [i], whose [arrival] and [think] the caller sets next, with
+      [Float.Array.set b.arrival i] and [Float.Array.set b.think i],
+      before anything else touches the builder. *)
 
   val finish : t -> trace
   (** The requests added so far, in {!Request.compare_arrival} order:

@@ -35,7 +35,7 @@ let test_model_service () =
   let at rpm = Disk_model.service_ms ~seek_distance:0 m ~rpm ~bytes:(64 * 1024) in
   (* Rotation and transfer scale with 15000/rpm. *)
   check (Alcotest.float 1e-9) "5x slower at 3000" (5.0 *. at 15000) (at 3000);
-  let full = Disk_model.service_ms m ~rpm:15000 ~bytes:0 in
+  let full = Disk_model.service_ms ~seek_distance:max_int m ~rpm:15000 ~bytes:0 in
   check (Alcotest.float 1e-9) "full seek + rotation" (3.4 +. 2.0) full;
   check (Alcotest.float 1e-9) "short seek" (0.4 *. 3.4) (Disk_model.seek_ms_of_distance m 4096);
   check (Alcotest.float 1e-9) "long seek" 3.4
@@ -81,7 +81,8 @@ let req ?(proc = 0) ?(seg = 0) ?(disk = 0) ?(lba = 0) ~think () =
     disk;
   }
 
-let service_full = Disk_model.service_ms m ~rpm:15000 ~bytes:(64 * 1024)
+let service_full =
+  Disk_model.service_ms ~seek_distance:max_int m ~rpm:15000 ~bytes:(64 * 1024)
 
 let test_engine_base_two_requests () =
   (* Two requests separated by 100 ms of think time, one disk. *)
@@ -896,8 +897,134 @@ let prop_shards_identity =
             [ 2; 8 ])
         all_policies)
 
+(* --- per-request kernels --- *)
+
+(* A drive whose speed ladder from [rpm_min] (2,000 .. 9,500) misses
+   both [rpm_max] and every speed the engine shifts through from the top
+   (10,000, 8,500, .. 2,500), so its prices come from both the tables
+   and the spare slot. *)
+let odd_model =
+  {
+    m with
+    Disk_model.name = "odd ladder";
+    rpm_max = 10_000;
+    rpm_min = 2_000;
+    rpm_step = 1_500;
+    seek_ms = 4.7;
+    rotation_ms = 3.0;
+    transfer_mb_s = 37.5;
+    power_active_w = 11.1;
+    power_idle_w = 8.3;
+    power_standby_w = 1.9;
+  }
+
+let raised f = match f () with _ -> None | exception Invalid_argument msg -> Some msg
+
+(* The engine's per-run prices are [Disk_model]'s figures bit for bit, at
+   every speed either ladder reaches, for every seek class and a sweep
+   of sizes; a speed the model refuses raises its message. *)
+let test_prices_bitwise () =
+  let bits = Int64.bits_of_float in
+  List.iter
+    (fun (model : Disk_model.t) ->
+      let px = Engine.prices model in
+      let engine_ladder =
+        List.init 8 (fun k -> model.rpm_max - (k * model.rpm_step))
+        |> List.filter (fun r -> r >= model.rpm_min)
+      in
+      let same what a b =
+        check Alcotest.int64 (Printf.sprintf "%s: %s" model.name what) (bits a) (bits b)
+      in
+      List.iter
+        (fun rpm ->
+          same (Printf.sprintf "idle at %d" rpm) (Disk_model.idle_power_w model ~rpm)
+            (Engine.idle_w px rpm);
+          same (Printf.sprintf "active at %d" rpm) (Disk_model.active_power_w model ~rpm)
+            (Engine.active_w px rpm);
+          List.iter
+            (fun rpm_to ->
+              same
+                (Printf.sprintf "transition %d -> %d" rpm rpm_to)
+                (Disk_model.drpm_transition_j model ~rpm_from:rpm ~rpm_to)
+                (Engine.transition_j px ~rpm_from:rpm ~rpm_to))
+            engine_ladder;
+          List.iter
+            (fun seek_distance ->
+              List.iter
+                (fun bytes ->
+                  same
+                    (Printf.sprintf "service at %d, seek %d, %d bytes" rpm seek_distance
+                       bytes)
+                    (Disk_model.service_ms ~seek_distance model ~rpm ~bytes)
+                    (Engine.service_price px ~seek_distance ~rpm ~bytes))
+                [ 0; 1; 512; 4096; 65_536; 1_000_000; 3 * 1024 * 1024; 64 * 1024 * 1024 ])
+            [
+              0; 1; -1; 4096; 32 * 1024 * 1024; (32 * 1024 * 1024) + 1; -(64 * 1024 * 1024);
+              max_int;
+            ])
+        (Disk_model.rpm_levels model @ engine_ladder);
+      List.iter
+        (fun rpm ->
+          let want = raised (fun () -> Disk_model.idle_power_w model ~rpm) in
+          check Alcotest.bool "the model refuses it" true (want <> None);
+          check Alcotest.(option string) "idle: the model's message" want
+            (raised (fun () -> Engine.idle_w px rpm));
+          check Alcotest.(option string) "active: the model's message" want
+            (raised (fun () -> Engine.active_w px rpm));
+          check Alcotest.(option string) "service: the model's message" want
+            (raised (fun () -> Engine.service_price px ~seek_distance:0 ~rpm ~bytes:4096)))
+        [ model.rpm_max + model.rpm_step; model.rpm_min - 1; 0 ])
+    [ m; odd_model ]
+
+(* A trace of 12,000 requests from 4 processors over 8 disks: runs of
+   sequential accesses with short think times, and every 40th request
+   of a processor after a long one, so TPM spins disks down and DRPM
+   shifts their speed. *)
+let kernel_trace () =
+  let b = Dp_trace.Trace.Builder.create 12_000 in
+  let clocks = Array.make 4 0.0 in
+  for i = 0 to 11_999 do
+    let proc = i mod 4 and k = i / 4 in
+    let think = if k mod 40 = 39 then 25_000.0 else 0.5 +. float_of_int (k mod 3) in
+    clocks.(proc) <- clocks.(proc) +. think;
+    let disk = ((k / 10) + proc) mod 8 in
+    let lba = if k mod 17 = 0 then k * 1_048_576 else k * 65_536 in
+    Dp_trace.Trace.Builder.add b ~arrival:clocks.(proc) ~think ~seg:(k / 1000) ~address:lba
+      ~lba ~size:65_536
+      ~mode:(if k mod 5 = 0 then Ir.Write else Ir.Read)
+      ~proc ~disk
+  done;
+  Dp_trace.Trace.Builder.finish b
+
+(* Under the null sink a fault-free replay boxes nothing per request:
+   its per-request path reads the run's price tables and keeps its
+   times unboxed.  The minor-word count of a run in one domain is
+   deterministic: about 2.1 words a request, the issue heap's boxed key
+   and the per-run setup.  A boxed float coming back on the per-request
+   path adds 2 words a request and fails the bound of 3. *)
+let test_null_sink_alloc () =
+  let t = kernel_trace () in
+  let n = float_of_int (Dp_trace.Trace.length t) in
+  List.iter
+    (fun policy ->
+      let run () = ignore (Sys.opaque_identity (Engine.replay ~disks:8 policy t)) in
+      run ();
+      let w0 = Gc.minor_words () in
+      run ();
+      let per_request = (Gc.minor_words () -. w0) /. n in
+      if per_request > 3.0 then
+        Alcotest.failf "%s: %.2f minor words per request (bound 3)" (Policy.name policy)
+          per_request)
+    [ Policy.No_pm; Policy.default_tpm; Policy.default_drpm ]
+
 let suites =
   [
+    ( "disksim.kernels",
+      [
+        Alcotest.test_case "prices are the model's, bit for bit" `Quick test_prices_bitwise;
+        Alcotest.test_case "null-sink replay allocates nothing per request" `Quick
+          test_null_sink_alloc;
+      ] );
     ( "disksim.model",
       [
         Alcotest.test_case "levels" `Quick test_model_levels;

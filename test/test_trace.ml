@@ -44,7 +44,7 @@ let single_trace () =
 let test_cost_model () =
   check (Alcotest.float 1e-9) "compute 750k cycles = 1ms" 1.0
     (Cost_model.compute_ms cost ~cycles:750_000);
-  let full = Cost_model.service_ms cost ~bytes:0 in
+  let full = Cost_model.service_ms ~seek_distance:max_int cost ~bytes:0 in
   check (Alcotest.float 1e-9) "0-byte full-seek service" (3.4 +. 2.0) full;
   let seq = Cost_model.service_ms ~seek_distance:0 cost ~bytes:0 in
   check (Alcotest.float 1e-9) "sequential service skips seek" 2.0 seq;
@@ -375,7 +375,7 @@ let test_idle_stats () =
       disk = 0;
     }
   in
-  let svc = Cost_model.service_ms cost ~bytes:0 in
+  let svc = Cost_model.service_ms ~seek_distance:max_int cost ~bytes:0 in
   let reqs = [ mk 0.0; mk (svc +. 500.0); mk (2.0 *. svc +. 500.0 +. 20_000.0) ] in
   let h = Idle_stats.of_trace ~cost (Trace.of_list reqs) in
   check Alcotest.int "two gaps" 2 (Idle_stats.total_gaps h);
@@ -673,6 +673,81 @@ let test_bin_negative_ids () =
         Bin.encode
           ~hints:[ { Dp_trace.Hint.at_ms = 1.0; disk = -1; action = Spin_down } ]
           Trace.empty );
+    ]
+
+(* Ids on both sides of the codec's dense slot range (ids below 1024)
+   and far past it, interleaved so that each (proc, disk) pair codes
+   against its own contexts. *)
+let wide_id_reqs : Request.t list =
+  let ids =
+    [|
+      (0, 0); (1023, 7); (1024, 3); (5, 1024); (70_000, 70_000); (1 lsl 40, 2);
+      (3, 1 lsl 33);
+    |]
+  in
+  List.init 120 (fun i ->
+      let proc, disk = ids.(i mod Array.length ids) in
+      let k = i / Array.length ids in
+      {
+        Request.arrival_ms = float_of_int i *. 0.5;
+        think_ms = 0.25;
+        seg = k / 8;
+        address = (k * 4096) + disk;
+        lba = k * 4096;
+        size = 4096;
+        mode = (if i mod 3 = 0 then Ir.Write else Ir.Read);
+        proc;
+        disk;
+      })
+
+(* A pair in the dense range and a pair outside it find their contexts
+   alike: the encoding is the one recorded when every pair was hashed,
+   and it decodes back to the same requests. *)
+let test_bin_wide_ids () =
+  let s = Bin.encode ~chunk_bytes:64 (Trace.of_list wide_id_reqs) in
+  check Alcotest.string "encoding as recorded with hashed slots"
+    "01753caf0bd3c7bb95bdbcbc9390d803" (Digest.to_hex (Digest.string s));
+  match Bin.decode s with
+  | Ok (t, _, _, _) -> check_reqs_equal "wide ids" wide_id_reqs (Trace.to_list t)
+  | Error e -> Alcotest.fail (Bin.error_to_string e)
+
+(* After a record whose ids sit in the dense range, a record with a
+   negative id is still refused at its own offset, and one with a huge
+   id still decodes. *)
+let test_bin_ids_past_dense () =
+  let record = "\x10\x00\x00\x01\x05\x00\x01\x01\x05" in
+  let two second =
+    let s = one_record_trace (record ^ second) in
+    (* The trailer counts two records. *)
+    String.sub s 0 (String.length s - 1) ^ "\002"
+  in
+  let minus_one = String.make 8 '\xff' ^ "\x7f" in
+  let two_pow_56 = String.make 8 '\x80' ^ "\x01" in
+  let rest = "\x01\x05\x00\x01\x01\x05" in
+  List.iter
+    (fun (field, s) ->
+      match Bin.decode s with
+      | Ok _ -> Alcotest.failf "negative %s decoded" field
+      | Error e ->
+          check Alcotest.int (field ^ ": offset of the second record") 20 e.offset;
+          check Alcotest.string (field ^ ": message")
+            (Printf.sprintf "bad %s -1 (expected a non-negative integer)" field)
+            e.msg)
+    [
+      ("proc", two ("\x10" ^ minus_one ^ "\x00" ^ rest));
+      ("disk", two ("\x10\x00" ^ minus_one ^ rest));
+    ];
+  List.iter
+    (fun (what, s, procs, disks) ->
+      match Bin.decode s with
+      | Ok (t, _, _, _) ->
+          check Alcotest.int (what ^ ": requests") 2 (Trace.length t);
+          check Alcotest.int (what ^ ": procs") procs t.procs;
+          check Alcotest.int (what ^ ": disks") disks t.disks
+      | Error e -> Alcotest.fail (Bin.error_to_string e))
+    [
+      ("huge proc", two ("\x10" ^ two_pow_56 ^ "\x00" ^ rest), (1 lsl 56) + 1, 1);
+      ("huge disk", two ("\x10\x00" ^ two_pow_56 ^ rest), 1, (1 lsl 56) + 1);
     ]
 
 (* The [(offset, length)] of every chunk payload of a well-formed trace. *)
@@ -1032,6 +1107,9 @@ let suites =
         Alcotest.test_case "corruption diagnostics" `Quick test_bin_corruption;
         Alcotest.test_case "file:offset error rendering" `Quick test_bin_error_rendering;
         Alcotest.test_case "negative ids refused at their record" `Quick test_bin_negative_ids;
+        Alcotest.test_case "ids outside the dense slot range" `Quick test_bin_wide_ids;
+        Alcotest.test_case "ids past the dense range after dense ones" `Quick
+          test_bin_ids_past_dense;
         QCheck_alcotest.to_alcotest test_bin_multichunk_roundtrip;
         Alcotest.test_case "diagnostics pinned" `Quick test_bin_diagnostics_pinned;
         QCheck_alcotest.to_alcotest test_bin_columns_roundtrip;
