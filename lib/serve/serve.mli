@@ -21,7 +21,10 @@
     - [oracle]: {!Dp_oracle.Oracle.bound} over the merged trace —
       the offline-optimal energy floor, unchanged by who generated the
       requests.  An analytic bound, not a run: it carries no per-tenant
-      accounting.
+      accounting.  Its reference is the fault-free No-PM run, so under
+      {!Dp_disksim.Knobs.none} the [base] row is that same run: the
+      base job feeds the row's sinks from the reference's one replay
+      and computes the bound.
 
     Rows are independent simulations of the same immutable trace, so
     [jobs = 1] and [jobs = 4] produce byte-identical reports. *)
