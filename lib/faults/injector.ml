@@ -1,7 +1,14 @@
 module Splitmix = Dp_util.Splitmix
 
+(* The five class flags are fixed at [make]: every fault query of every
+   faulted request reads one field instead of scanning the class list. *)
 type t = {
   cfg : Fault_model.t;
+  spin_on : bool;
+  media_on : bool;
+  spike_on : bool;
+  stuck_on : bool;
+  decay_on : bool;
   spin : Splitmix.t array;
   media : Splitmix.t array;
   spike : Splitmix.t array;
@@ -31,9 +38,21 @@ let make cfg ~disks =
      keeps every pre-existing stream family byte-identical for a given
      seed. *)
   let decay = per_class () in
-  { cfg; spin; media; spike; stuck; decay; stuck_until = Array.make disks neg_infinity }
-
-let enabled t c = List.mem c t.cfg.Fault_model.classes
+  let on c = List.mem c cfg.Fault_model.classes in
+  {
+    cfg;
+    spin_on = on Fault_model.Spin_up_failure;
+    media_on = on Fault_model.Media_error;
+    spike_on = on Fault_model.Latency_spike;
+    stuck_on = on Fault_model.Stuck_rpm;
+    decay_on = on Fault_model.Media_decay;
+    spin;
+    media;
+    spike;
+    stuck;
+    decay;
+    stuck_until = Array.make disks neg_infinity;
+  }
 
 (* Failures before the first success of a Bernoulli(1 - rate) trial,
    truncated at [max]. *)
@@ -42,31 +61,29 @@ let geometric rng ~p ~max =
   go 0
 
 let spin_up_failures t ~disk ~max_failures =
-  if not (enabled t Fault_model.Spin_up_failure) then 0
+  if not t.spin_on then 0
   else geometric t.spin.(disk) ~p:t.cfg.Fault_model.rate ~max:(Stdlib.max 0 max_failures)
 
 let media_retries t ~disk ~max_retries =
-  if not (enabled t Fault_model.Media_error) then 0
+  if not t.media_on then 0
   else geometric t.media.(disk) ~p:t.cfg.Fault_model.rate ~max:(Stdlib.max 0 max_retries)
 
 let latency_spike_ms t ~disk =
-  if enabled t Fault_model.Latency_spike && Splitmix.bool t.spike.(disk) ~p:t.cfg.Fault_model.rate
-  then t.cfg.Fault_model.spike_ms
+  if t.spike_on && Splitmix.bool t.spike.(disk) ~p:t.cfg.Fault_model.rate then
+    t.cfg.Fault_model.spike_ms
   else 0.0
 
 let decay_defect t ~disk ~surface =
   if surface < 1 then invalid_arg "Injector.decay_defect: surface must be >= 1";
-  if
-    enabled t Fault_model.Media_decay
-    && Splitmix.bool t.decay.(disk) ~p:t.cfg.Fault_model.rate
-  then Some (Splitmix.int t.decay.(disk) ~bound:surface)
+  if t.decay_on && Splitmix.bool t.decay.(disk) ~p:t.cfg.Fault_model.rate then
+    Some (Splitmix.int t.decay.(disk) ~bound:surface)
   else None
 
 let is_locked t ~disk ~now_ms =
-  enabled t Fault_model.Stuck_rpm && now_ms < t.stuck_until.(disk)
+  t.stuck_on && now_ms < t.stuck_until.(disk)
 
 let rpm_locked t ~disk ~now_ms =
-  if not (enabled t Fault_model.Stuck_rpm) then false
+  if not t.stuck_on then false
   else if now_ms < t.stuck_until.(disk) then true
   else if Splitmix.bool t.stuck.(disk) ~p:t.cfg.Fault_model.rate then begin
     t.stuck_until.(disk) <- now_ms +. t.cfg.Fault_model.stuck_window_ms;

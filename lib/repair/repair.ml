@@ -132,30 +132,48 @@ let remap m =
 
 type touch = { remapped : int; penalty_hits : int }
 
-(* Foreground access over [lba, lba + bytes): remap every bad block on
-   first touch (while spares last), count the detour penalty for every
-   already-remapped block. *)
-let touch t ~disk ~spare ~lba ~bytes =
-  let m = t.media.(disk) in
-  let bb = t.cfg.block_bytes in
-  let lo = lba / bb and hi = (lba + max bytes 1 - 1) / bb in
-  let count = min (hi - lo + 1) t.cfg.surface_blocks in
-  let remapped = ref 0 and hits = ref 0 in
-  for k = 0 to count - 1 do
-    let i = (lo + k) mod t.cfg.surface_blocks in
+let no_touch = { remapped = 0; penalty_hits = 0 }
+
+(* Remap or count every defect in blocks [[i, upto)], in block order,
+   on top of [remapped] and [hits] already found.  A range without a
+   defect returns the shared [no_touch] and allocates nothing. *)
+let rec touch_range m ~spare ~upto i remapped hits =
+  let i = Badmap.next_defect m.map i ~hi:upto in
+  if i >= upto then
+    if remapped = 0 && hits = 0 then no_touch else { remapped; penalty_hits = hits }
+  else
     match Badmap.status m.map i with
-    | Badmap.Good -> ()
-    | Badmap.Remapped -> incr hits
+    | Badmap.Good -> touch_range m ~spare ~upto (i + 1) remapped hits
+    | Badmap.Remapped -> touch_range m ~spare ~upto (i + 1) remapped (hits + 1)
     | Badmap.Bad ->
         if m.spare_used < spare then begin
           Badmap.set_remapped m.map i;
           remap m;
-          incr remapped
+          touch_range m ~spare ~upto (i + 1) (remapped + 1) hits
         end
-        else m.exhausted <- true
-  done;
-  m.c <- { m.c with penalty_hits = m.c.penalty_hits + !hits };
-  { remapped = !remapped; penalty_hits = !hits }
+        else begin
+          m.exhausted <- true;
+          touch_range m ~spare ~upto (i + 1) remapped hits
+        end
+
+(* Foreground access over [lba, lba + bytes): remap every bad block on
+   first touch (while spares last), count the detour penalty for every
+   already-remapped block.  The block range wraps past the end of the
+   surface at most once. *)
+let touch t ~disk ~spare ~lba ~bytes =
+  let m = t.media.(disk) in
+  let bb = t.cfg.block_bytes and surface = t.cfg.surface_blocks in
+  let lo = lba / bb and hi = (lba + max bytes 1 - 1) / bb in
+  let start = lo mod surface in
+  let stop = start + min (hi - lo + 1) surface in
+  let r = touch_range m ~spare ~upto:(min stop surface) start 0 0 in
+  let r =
+    if stop <= surface then r
+    else touch_range m ~spare ~upto:(stop - surface) 0 r.remapped r.penalty_hits
+  in
+  if r.penalty_hits > 0 then
+    m.c <- { m.c with penalty_hits = m.c.penalty_hits + r.penalty_hits };
+  r
 
 (* Failure policy: a slot is retired when its platters have grown past
    the defect threshold or a bad block could not be remapped any more —
@@ -187,29 +205,34 @@ let mark_failed t ~disk =
 let scrub_peek t ~disk ~spare =
   let m = t.media.(disk) in
   let chunk = min t.cfg.scrub_chunk_blocks (t.cfg.surface_blocks - m.cursor) in
+  let hi = m.cursor + chunk in
   let found = ref 0 in
   let left = ref (max 0 (spare - m.spare_used)) in
-  for k = 0 to chunk - 1 do
-    if Badmap.status m.map (m.cursor + k) = Badmap.Bad && !left > 0 then begin
+  let i = ref (Badmap.next_defect m.map m.cursor ~hi) in
+  while !i < hi && !left > 0 do
+    if Badmap.status m.map !i = Badmap.Bad then begin
       incr found;
       decr left
-    end
+    end;
+    i := Badmap.next_defect m.map (!i + 1) ~hi
   done;
   (chunk, !found)
 
 let scrub_commit t ~disk ~spare =
   let m = t.media.(disk) in
   let chunk = min t.cfg.scrub_chunk_blocks (t.cfg.surface_blocks - m.cursor) in
+  let hi = m.cursor + chunk in
   let found = ref 0 in
-  for k = 0 to chunk - 1 do
-    let i = m.cursor + k in
-    if Badmap.status m.map i = Badmap.Bad && m.spare_used < spare then begin
-      Badmap.set_remapped m.map i;
+  let i = ref (Badmap.next_defect m.map m.cursor ~hi) in
+  while !i < hi && m.spare_used < spare do
+    if Badmap.status m.map !i = Badmap.Bad then begin
+      Badmap.set_remapped m.map !i;
       remap m;
       incr found
-    end
+    end;
+    i := Badmap.next_defect m.map (!i + 1) ~hi
   done;
-  m.cursor <- m.cursor + chunk;
+  m.cursor <- hi;
   let pass_done = m.cursor >= t.cfg.surface_blocks in
   if pass_done then m.cursor <- 0;
   m.c <-

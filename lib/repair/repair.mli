@@ -73,7 +73,9 @@ val zero_counters : counters
 type t
 
 val make : config -> disks:int -> t
-(** @raise Invalid_argument when [disks < 1]. *)
+(** One clean {!Badmap} per disk.  A clean map holds no page, so the
+    default 8-disk state is about 650 words on the minor heap.
+    @raise Invalid_argument when [disks < 1]. *)
 
 val cfg : t -> config
 val counters : t -> int -> counters
@@ -101,7 +103,9 @@ val touch : t -> disk:int -> spare:int -> lba:int -> bytes:int -> touch
     in range on first touch while the [spare] pool lasts (marking the
     pool exhausted otherwise), and counts the accesses to
     already-remapped blocks.  The engine charges [remapped] remap writes
-    and [penalty_hits] detour penalties. *)
+    and [penalty_hits] detour penalties.  A range that holds no defect
+    costs one check per map page and allocates nothing: it returns a
+    shared zero result and leaves the counters record as it is. *)
 
 val should_fail : t -> disk:int -> bool
 (** The slot must be retired now: defects past the threshold or spares
@@ -116,7 +120,8 @@ val scrub_peek : t -> disk:int -> spare:int -> int * int
 (** [(chunk_blocks, bad_found)] for the next scrub chunk at the cursor —
     pure, so the engine can price the chunk read plus [bad_found] remaps
     and only commit when they fit the gap's scrub budget.  [bad_found]
-    is capped by the remaining spare pool. *)
+    is capped by the remaining spare pool.  Map pages that hold no
+    defect are skipped whole, here and in {!scrub_commit}. *)
 
 val scrub_commit : t -> disk:int -> spare:int -> int * bool
 (** Perform the peeked chunk: remap what was found, advance the cursor.

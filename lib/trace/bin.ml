@@ -61,7 +61,21 @@ let thousandths x =
   end
   else None
 
-let q3 x = float_of_string (Printf.sprintf "%.3f" x)
+(* The float [%.3f] prints and reads back.  [y = x *. 1000.] is within
+   [|y| *. epsilon_float] of the exact product, so unless that product
+   sits near a half, rounding [y] picks the integer [%.3f] rounds the
+   exact [x] to, and [r /. 1000.] is the correctly rounded image of that
+   decimal, exactly what [float_of_string] returns.  Near-halves (where
+   [%.3f] rounds the exact binary value), products too large for [r] to
+   be exact and non-finite values keep the printf round trip. *)
+let q3 x =
+  let y = x *. 1000.0 in
+  let r = Float.round y in
+  if
+    Float.abs y < 4.5e15
+    && Float.abs (Float.abs (y -. r) -. 0.5) > 2.0 *. Float.abs y *. epsilon_float
+  then Float.copy_sign (r /. 1000.0) x
+  else float_of_string (Printf.sprintf "%.3f" x)
 
 let quantize t = Trace.map_times q3 t
 

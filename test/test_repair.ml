@@ -89,6 +89,93 @@ let test_badmap_digest () =
   check Alcotest.bool "clear restores the fresh digest" true
     (Badmap.digest a = Badmap.digest fresh)
 
+(* Pinned at the flat byte map the paged one replaced: a fresh default
+   surface, then defects on both sides of the first page edge and on the
+   last block. *)
+let test_badmap_digest_pinned () =
+  let map = Badmap.make ~blocks:65_536 in
+  check Alcotest.int64 "fresh 64 Ki-block map" 0xeb05052ea5b62325L (Badmap.digest map);
+  List.iter (fun b -> ignore (Badmap.set_bad map b)) [ 0; 1023; 1024; 65535 ];
+  Badmap.set_remapped map 1024;
+  check Alcotest.int64 "four defects, one remapped" 0x29517af4a3571322L (Badmap.digest map)
+
+type map_op = Set_bad of int | Set_remapped of int | Clear | Next of int * int
+
+(* Blocks cluster at page edges (multiples of 1,024, give or take two)
+   as often as they land anywhere. *)
+let map_case_gen =
+  let open QCheck2.Gen in
+  let block =
+    oneof
+      [ int_range 0 3_000; map2 (fun p d -> (1024 * p) + d) (int_range 1 2) (int_range (-2) 2) ]
+  in
+  let op =
+    frequency
+      [
+        (5, map (fun b -> Set_bad b) block);
+        (3, map (fun b -> Set_remapped b) block);
+        (1, return Clear);
+        (2, map2 (fun a b -> Next (a, b)) block block);
+      ]
+  in
+  pair
+    (oneof [ int_range 1 3_000; oneofl [ 1; 1023; 1024; 1025; 2047; 2048; 2049 ] ])
+    (list_size (int_range 1 200) op)
+
+(* The paged map against a one-byte-per-block reference kept here: every
+   answer, every count and the digest after every step. *)
+let prop_badmap_model =
+  qtest ~count:300 "Badmap: paged map = one byte per block" map_case_gen (fun (blocks, ops) ->
+      let map = Badmap.make ~blocks and cells = Bytes.make blocks '\000' in
+      let code = function
+        | Badmap.Good -> '\000'
+        | Badmap.Bad -> '\001'
+        | Badmap.Remapped -> '\002'
+      in
+      let count c = Seq.fold_left (fun n x -> if x = c then n + 1 else n) 0 (Bytes.to_seq cells) in
+      let digest () =
+        Bytes.fold_left
+          (fun h c -> Int64.mul (Int64.logxor h (Int64.of_int (Char.code c))) 0x100000001b3L)
+          0xcbf29ce484222325L cells
+      in
+      let raises f = match f () with _ -> false | exception Invalid_argument _ -> true in
+      let step op =
+        match op with
+        | Set_bad b when b < blocks ->
+            let fresh = Bytes.get cells b = '\000' in
+            if fresh then Bytes.set cells b '\001';
+            Badmap.set_bad map b = fresh
+        | Set_remapped b when b < blocks ->
+            if Bytes.get cells b = '\001' then begin
+              Bytes.set cells b '\002';
+              Badmap.set_remapped map b;
+              true
+            end
+            else raises (fun () -> Badmap.set_remapped map b)
+        | Set_bad b -> raises (fun () -> Badmap.set_bad map b)
+        | Set_remapped b -> raises (fun () -> Badmap.set_remapped map b)
+        | Clear ->
+            Bytes.fill cells 0 blocks '\000';
+            Badmap.clear map;
+            true
+        | Next (a, b) ->
+            let lo = min a blocks and hi = min (max a b) blocks in
+            let rec first i = if i < hi && Bytes.get cells i = '\000' then first (i + 1) else i in
+            Badmap.next_defect map lo ~hi = first lo
+      in
+      List.for_all
+        (fun op ->
+          step op
+          && Badmap.bad_count map = count '\001'
+          && Badmap.remapped_count map = count '\002'
+          && Badmap.digest map = digest ()
+          && List.for_all
+               (fun b -> b >= blocks || code (Badmap.status map b) = Bytes.get cells b)
+               [ 0; 1; 1022; 1023; 1024; 1025; 2047; 2048; blocks - 1 ])
+        ops
+      && List.for_all (fun b -> code (Badmap.status map b) = Bytes.get cells b)
+           (List.init blocks Fun.id))
+
 (* --- the repair state machine --- *)
 
 let test_repair_config_validation () =
@@ -427,6 +514,88 @@ let test_knobs_rules () =
     (Knobs.model { Knobs.none with spare = Some 7 } m).Disk_model.spare_blocks;
   check Alcotest.bool "no override, same drive" true (Knobs.model Knobs.none m == m)
 
+(* --- a clean surface costs nothing --- *)
+
+(* Words [f ()] allocates: minor words, and words allocated straight on
+   the major heap (major words that were not promoted). *)
+let words_of f =
+  let _, pro0, maj0 = Gc.counters () in
+  let min0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  let min1 = Gc.minor_words () in
+  let _, pro1, maj1 = Gc.counters () in
+  (min1 -. min0, maj1 -. maj0 -. (pro1 -. pro0))
+
+(* A map page is allocated by the first defect that grows on it, so a
+   decay-free surface never holds one.  The flat byte map that pages
+   replaced cost 65,536 bytes per disk on the major heap: Repair.make on
+   8 disks allocated 121 minor and 65,552 major words, and 2,000 calls
+   ran about 2,190 major collections.  With pages the same call
+   allocates 649 minor words, the page arrays and records, and no major
+   word. *)
+let test_clean_make_allocates_no_page () =
+  let minor, major = words_of (fun () -> Repair.make Repair.default ~disks:8) in
+  if minor +. major >= 1_000.0 then
+    Alcotest.failf "Repair.make on 8 disks: %.0f minor + %.0f major words (bound 1,000)" minor
+      major
+
+(* A touch of a clean range returns the shared zero result and leaves
+   the counters record alone.  Before pages, every touch copied that
+   record and built a result: 14 words a call, 140,000 over these
+   10,000.  The bound leaves room for the measurement's own boxed
+   float, not for one word a call. *)
+let test_clean_touch_allocates_nothing () =
+  let t = Repair.make Repair.default ~disks:8 in
+  let touches () =
+    for i = 0 to 9_999 do
+      ignore
+        (Sys.opaque_identity
+           (Repair.touch t ~disk:(i land 7) ~spare:256 ~lba:(i * 65_536) ~bytes:65_536))
+    done
+  in
+  let minor, major = words_of touches in
+  if minor +. major >= 16.0 then
+    Alcotest.failf "10,000 clean touches: %.0f minor + %.0f major words" minor major
+
+(* A decay-free replay armed by a deadline or a scrub budget grows no
+   defect, so it allocates no map page.  Beyond the clean run and
+   Repair.make, the deadline run on this 2,000-request trace allocates
+   20,014 minor words, 10 a request (the issue loop's rebuild scan), and
+   the scrub run 108,236, about 30 more for each of its 2,967 chunks (the
+   chunk's prices and its counters); neither allocates on the major heap
+   beyond the clean run.  With flat maps the two runs allocated 48,014
+   and 136,236 minor words (a touch copied the counters record and built
+   its result) and 65,552 major words, the 8 maps. *)
+let test_clean_armed_replay_allocates_no_page () =
+  let trace =
+    Dp_trace.Trace.of_list
+      (List.init 2_000 (fun i ->
+           req ~proc:(i mod 2) ~disk:(i mod 8) ~lba:(i * 65_536)
+             ~think:(if i mod 25 = 24 then 2_000.0 else 1.0)
+             ()))
+  in
+  let n = float_of_int (Dp_trace.Trace.length trace) in
+  let run knobs () = Engine.replay ~knobs ~disks:8 Policy.default_tpm trace in
+  ignore (run Knobs.none ());
+  let clean_minor, clean_major = words_of (run Knobs.none) in
+  let make_minor, _ = words_of (fun () -> Repair.make Repair.default ~disks:8) in
+  List.iter
+    (fun (name, knobs) ->
+      let r = run knobs () in
+      let chunks =
+        Array.fold_left (fun c (d : Engine.disk_stats) -> c + d.scrub_chunks) 0 r.Engine.per_disk
+      in
+      let minor, major = words_of (run knobs) in
+      let extra = minor -. clean_minor -. make_minor and extra_major = major -. clean_major in
+      let bound = (12.0 *. n) +. (32.0 *. float_of_int chunks) in
+      if extra_major > 0.0 || extra > bound then
+        Alcotest.failf "%s: %.0f minor words (bound %.0f) and %.0f major words beyond clean"
+          name extra bound extra_major)
+    [
+      ("deadline", knobs ~deadline_ms:1_000.0 ());
+      ("scrub", knobs ~repair:(Repair.config ~scrub_budget_ms:40.0 ()) ());
+    ]
+
 (* --- cross-domain determinism (satellite S3) --- *)
 
 let decay_spec_gen =
@@ -479,6 +648,8 @@ let suites =
       [
         Alcotest.test_case "status transitions" `Quick test_badmap_statuses;
         Alcotest.test_case "digest" `Quick test_badmap_digest;
+        Alcotest.test_case "digest pinned" `Quick test_badmap_digest_pinned;
+        prop_badmap_model;
       ] );
     ( "repair.state",
       [
@@ -499,6 +670,14 @@ let suites =
         Alcotest.test_case "degraded, rebuild, restored" `Quick
           test_engine_degraded_rebuild_restored;
         Alcotest.test_case "knobs: one validator, one arming rule" `Quick test_knobs_rules;
+      ] );
+    ( "repair.alloc",
+      [
+        Alcotest.test_case "Repair.make allocates no page" `Quick test_clean_make_allocates_no_page;
+        Alcotest.test_case "a clean touch allocates nothing" `Quick
+          test_clean_touch_allocates_nothing;
+        Alcotest.test_case "a decay-free armed replay allocates no page" `Quick
+          test_clean_armed_replay_allocates_no_page;
       ] );
     ( "repair.domains",
       [ prop_decay_maps_domain_independent; prop_simulate_domain_independent ] );

@@ -550,6 +550,41 @@ let test_bin_quantize () =
   check Alcotest.bool "hint quantized" true
     (h.at_ms = 0.333 && h.action = Dp_trace.Hint.Pre_spin_up 0.667)
 
+(* [Bin.quantize] rounds every time through one function, reached here
+   through a hint's [at_ms].  It takes a fast path off printf and must
+   return the float that the [%.3f] text round trip returns, bit for bit:
+   on the named edges (signed zeros, halves that are not exact in binary,
+   large and non-finite values), near thousandths and their halves, and
+   on random bit patterns. *)
+let test_bin_q3_reference =
+  let open QCheck in
+  let q3 x = (Bin.quantize_hint { at_ms = x; disk = 0; action = Dp_trace.Hint.Spin_down }).at_ms in
+  let reference x = float_of_string (Printf.sprintf "%.3f" x) in
+  let rec step x n =
+    if n > 0 then step (Float.succ x) (n - 1) else if n < 0 then step (Float.pred x) (n + 1) else x
+  in
+  let near_thousandths =
+    map
+      (fun (k, half, ulps) -> step ((float_of_int k +. if half then 0.5 else 0.0) /. 1000.0) ulps)
+      (triple (int_range (-4_000_000_000) 4_000_000_000) bool (int_range (-3) 3))
+  in
+  let edges =
+    [ 0.0; -0.0; 0.0005; -0.0005; 0.0004999; -0.0004; 1.0005; 123.4565; 4.5e12; 1e300;
+      Float.infinity; Float.neg_infinity; Float.nan ]
+  in
+  let value =
+    oneof
+      [
+        oneofl edges;
+        near_thousandths;
+        map Int64.float_of_bits int64;
+        float;
+        map (fun x -> x *. 1e-3) float;
+      ]
+  in
+  QCheck.Test.make ~count:20_000 ~name:"quantize = the %.3f text round trip, bit for bit" value
+    (fun x -> bits (q3 x) = bits (reference x))
+
 let test_bin_compression () =
   (* Acceptance: binary <= 25% of text across the Table-2 workloads (fixed
      header/chunk overhead is ~30 bytes, so toy traces are excluded). *)
@@ -1103,6 +1138,7 @@ let suites =
         Alcotest.test_case "text -> bin -> text byte-identity" `Quick
           test_bin_text_identity;
         Alcotest.test_case "quantize = text precision" `Quick test_bin_quantize;
+        QCheck_alcotest.to_alcotest test_bin_q3_reference;
         Alcotest.test_case "binary <= 25% of text" `Quick test_bin_compression;
         Alcotest.test_case "corruption diagnostics" `Quick test_bin_corruption;
         Alcotest.test_case "file:offset error rendering" `Quick test_bin_error_rendering;
