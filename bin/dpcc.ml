@@ -1172,9 +1172,10 @@ let chaos_cmd =
       & opt (some string) None
       & info [ "sabotage" ] ~docv:"KIND"
           ~doc:
-            "Deliberately break an invariant (test hook): 'energy' skews the observed \
-             power-span sum so the conservation check must fire — exercises the \
-             catch-shrink-replay path end to end")
+            "Deliberately break an invariant (test hook): 'energy' feeds each invariant \
+             leg's conservation recorder a phantom 1 mJ power span so the \
+             energy-conservation check must fire — exercises the catch-shrink-replay \
+             path end to end")
   in
   let out_dir =
     Arg.(

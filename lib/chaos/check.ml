@@ -4,7 +4,6 @@ module Hint = Dp_trace.Hint
 module Bin = Dp_trace.Bin
 module Engine = Dp_disksim.Engine
 module Policy = Dp_disksim.Policy
-module Timeline = Dp_disksim.Timeline
 module Fault_model = Dp_faults.Fault_model
 module Pipeline = Dp_pipeline.Pipeline
 module Cachefs = Dp_cachefs.Cachefs
@@ -138,77 +137,6 @@ let compare_observed ~add label (base_r, base_events) (r, events) =
 
 let close ?(eps = 1e-9) a b = Float.abs (a -. b) <= eps *. Float.max 1.0 (Float.abs b)
 
-let obs_invariants ?sabotage ~label ~add (r : Engine.result) events =
-  let n = Array.length r.Engine.per_disk in
-  let e_sum = Array.make n 0.0 in
-  let state_ms = Array.make_matrix n 4 0.0 in
-  (* Events are emitted when they resolve but timestamped at their
-     start (a power span closes long after it began), so global
-     per-disk time is not monotone — but within one disk and one event
-     category, emission order must follow the clock. *)
-  let category = function
-    | Event.Power _ -> 0
-    | Event.Service _ -> 1
-    | Event.Hint_exec _ -> 2
-    | Event.Fault _ -> 3
-    | Event.Decision _ -> 4
-    | Event.Repair _ -> 5
-    | Event.Deadline _ -> 6
-  in
-  let last_t = Array.make_matrix n 7 Float.neg_infinity in
-  List.iter
-    (fun ev ->
-      let d = Event.disk ev in
-      let tm = Event.time_ms ev in
-      let c = category ev in
-      if tm +. 1e-6 < last_t.(d).(c) then
-        add
-          (Printf.sprintf "monotone-time:%s" label)
-          (Printf.sprintf "disk %d: category-%d event at %.6f ms after one at %.6f ms" d c tm
-             last_t.(d).(c));
-      if tm > last_t.(d).(c) then last_t.(d).(c) <- tm;
-      match ev with
-      | Event.Power { disk; state; charge_ms; energy_j; _ } ->
-          e_sum.(disk) <- e_sum.(disk) +. energy_j;
-          let slot =
-            match state with
-            | Event.Active -> 0
-            | Event.Idle _ -> 1
-            | Event.Standby -> 2
-            | Event.Transition -> 3
-          in
-          state_ms.(disk).(slot) <- state_ms.(disk).(slot) +. charge_ms
-      | _ -> ())
-    events;
-  (match sabotage with
-  | Some Energy_skew when n > 0 ->
-      (* Test-only hook: skew the observed sum so the conservation
-         check must fire — the shrinker's acceptance scenario. *)
-      e_sum.(0) <- e_sum.(0) +. 1e-3
-  | _ -> ());
-  Array.iteri
-    (fun d (s : Engine.disk_stats) ->
-      if not (close e_sum.(d) s.Engine.energy_j) then
-        add
-          (Printf.sprintf "energy-conservation:%s" label)
-          (Printf.sprintf "disk %d: obs power spans sum to %.9f J, engine accounted %.9f J"
-             d e_sum.(d) s.Engine.energy_j);
-      List.iteri
-        (fun slot (name, accounted) ->
-          ignore slot;
-          if not (close state_ms.(d).(slot) accounted) then
-            add
-              (Printf.sprintf "charge-accounting:%s" label)
-              (Printf.sprintf "disk %d: obs %s spans sum to %.6f ms, stats say %.6f ms" d
-                 name state_ms.(d).(slot) accounted))
-        [
-          ("busy", s.Engine.busy_ms);
-          ("idle", s.Engine.idle_ms);
-          ("standby", s.Engine.standby_ms);
-          ("transition", s.Engine.transition_ms);
-        ])
-    r.Engine.per_disk
-
 let slo_invariants ~label ~add (r : Engine.result) (summary : Account.summary) =
   if not (close summary.Account.energy_j r.Engine.energy_j) then
     add
@@ -327,9 +255,9 @@ let run ?sabotage (s : Scenario.t) =
     Engine.replay ?obs ?shards ~hints ~knobs ~disks policy trace
   in
   (* One observed run: every event collected (in the engine's re-merged
-     serial order), with the SLO accounting and, on the base leg, the
-     timeline recorder teed in. *)
-  let observed ?knobs ?shards ?(invariants = true) ?(timeline = false) label =
+     serial order), with the conservation recorder and the SLO
+     accounting teed in on an invariant leg. *)
+  let observed ?knobs ?shards ?(invariants = true) label =
     Prof.span "chaos.observed" @@ fun () ->
     let collector, collected = Sink.collect () in
     let account =
@@ -338,28 +266,42 @@ let run ?sabotage (s : Scenario.t) =
           Some (Account.recorder ~deadline_ms:d ~tenants:(max 1 s.Scenario.procs) ~disks ())
       | _ -> None
     in
-    (* Without a timeline the conservation check still folds the
-       per-disk energies; the segment-contiguity half needs the
-       timeline and runs on the base leg only. *)
-    let recorder = if invariants && timeline then Some (Timeline.recorder ~disks ()) else None in
+    let conservation = if invariants then Some (Engine.recorder ~disks ()) else None in
     let rider r = Option.fold ~none:Sink.null ~some:fst r in
     let r =
-      simulate ?knobs ?shards ~obs:(Sink.tee [ collector; rider account; rider recorder ]) policy
+      simulate ?knobs ?shards
+        ~obs:(Sink.tee [ collector; rider account; rider conservation ])
+        policy
     in
-    let events = collected () in
-    if invariants then begin
-      let timeline = Option.map (fun (_, finish) -> finish ()) recorder in
-      (match Engine.check_conservation ?timeline r with
-      | Ok () -> ()
-      | Error detail -> add (Printf.sprintf "conservation:%s" label) detail);
-      obs_invariants ?sabotage ~label ~add r events;
-      match account with
-      | Some (_, finish) -> slo_invariants ~label ~add r (finish ())
-      | None -> ()
-    end;
-    (r, events)
+    (match conservation with
+    | Some (sink, finish) ->
+        (match sabotage with
+        | Some Energy_skew ->
+            (* Test-only hook: a phantom millijoule on disk 0 that no
+               statistic accounts, so energy conservation must fire —
+               the shrinker's acceptance scenario. *)
+            Sink.emit sink
+              (Event.Power
+                 {
+                   disk = 0;
+                   state = Event.Transition;
+                   start_ms = r.Engine.makespan_ms;
+                   stop_ms = r.Engine.makespan_ms;
+                   charge_ms = 0.0;
+                   energy_j = 1e-3;
+                 })
+        | None -> ());
+        List.iter
+          (fun (f : Engine.finding) ->
+            add (Printf.sprintf "%s:%s" f.Engine.identity label) f.Engine.detail)
+          (finish r)
+    | None -> ());
+    (match account with
+    | Some (_, finish) -> slo_invariants ~label ~add r (finish ())
+    | None -> ());
+    (r, collected ())
   in
-  let base = observed ~timeline:true "base" in
+  let base = observed "base" in
   (* Pair: serial vs sharded {2, 4, 8}.  Invariants run on every
      variant too — a shard-only conservation break should be caught
      even if the artifacts happen to agree. *)

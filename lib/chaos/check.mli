@@ -1,16 +1,22 @@
 (** The differential oracle: run one scenario under paired
     configurations that must agree — serial vs sharded, jobs 1 vs N,
     text vs binary trace, cold vs warm cache, a rate-0 fault window vs
-    the clean engine — and check structural invariants on every run
-    (energy conservation, per-state charge accounting, monotone event
-    time per disk, SLO/availability consistency), plus the compile-side
-    legality of the streams the scenario's trace was generated from. *)
+    the clean engine — and check structural invariants on the invariant
+    legs, plus the compile-side legality of the streams the scenario's
+    trace was generated from.  The invariant legs are the base run and
+    its shards-2, shards-4 and shards-8 variants: each tees
+    {!Dp_disksim.Engine.recorder} into the run, so each checks all four
+    of its identities (conservation with span contiguity,
+    energy-conservation, charge-accounting, monotone-time), and under a
+    deadline the SLO/availability consistency of its accounting. *)
 
 type sabotage = Energy_skew
 (** Test-only invariant breakers, injected from the CLI so the
     shrinker's catch-and-minimize path can be exercised end to end.
-    [Energy_skew] perturbs the observed power-span sum of disk 0 so the
-    energy-conservation check must fire. *)
+    [Energy_skew] feeds each invariant leg's conservation recorder a
+    phantom [Power] span before it finishes — zero length, 1 mJ, on
+    disk 0 at the makespan — so the energy-conservation check must
+    fire. *)
 
 val sabotage_name : sabotage -> string
 val sabotage_of_name : string -> sabotage option

@@ -192,6 +192,17 @@ type disk_state = {
   mutable su_retries : int;  (* failed spin-up attempts (fault-injected) *)
   mutable m_retries : int;  (* media-error request re-services *)
   mutable spikes : int;  (* servo recalibration stalls *)
+  (* The repair domain's actions on this disk: [Repair] keeps the media
+     state, the engine counts what it charges. *)
+  mutable remapped : int;  (* bad blocks remapped to spares, foreground and scrub *)
+  mutable detours : int;  (* accesses that paid the remapped-block detour *)
+  mutable scrubbed : int;  (* scrub chunks read *)
+  mutable found : int;  (* bad blocks the scrubber found and remapped *)
+  mutable recons : int;  (* reads served for a failed mirror *)
+  mutable slices : int;  (* rebuild slices copied onto the hot spare *)
+  mutable failed_over : int;  (* deadline-abandoned requests read from the mirror *)
+  mutable failures : int;  (* times the slot was retired *)
+  mutable rebuilt : int;  (* rebuilds completed *)
   mutable win_count : int;  (* requests in the current DRPM window *)
   mutable last_end : int;  (* address right after the previous request; -1 initially *)
   mutable hints : Hint.t list;  (* pending compiler directives, by nominal time *)
@@ -233,6 +244,15 @@ let make_state ?(sink = Sink.null) ~gap_room px id =
     su_retries = 0;
     m_retries = 0;
     spikes = 0;
+    remapped = 0;
+    detours = 0;
+    scrubbed = 0;
+    found = 0;
+    recons = 0;
+    slices = 0;
+    failed_over = 0;
+    failures = 0;
+    rebuilt = 0;
     win_count = 0;
     last_end = -1;
     hints = [];
@@ -426,7 +446,12 @@ let scrub_gap model rx st ~until =
            *. Disk_model.remap_ms model ~rpm:st.rpm ~block_bytes:cfg.Repair.block_bytes
       in
       if !spent +. cost <= budget && st.f.now +. cost <= until then begin
-        let _found, pass_done = Repair.scrub_commit rx.rc ~disk:st.id ~spare:model.Disk_model.spare_blocks in
+        let found, pass_done =
+          Repair.scrub_commit rx.rc ~disk:st.id ~spare:model.Disk_model.spare_blocks
+        in
+        st.scrubbed <- st.scrubbed + 1;
+        st.found <- st.found + found;
+        st.remapped <- st.remapped + found;
         repair_event st ~at:st.f.now ~op:"scrub" ~blocks:chunk ~cost;
         charge_busy st ~rpm:st.rpm ~degraded:false cost;
         if pass_done then
@@ -459,8 +484,10 @@ let advance_rebuild rx st ~until =
       repair_event st ~at:st.f.now ~op:"rebuild" ~blocks:cfg.Repair.rebuild_chunk_blocks
         ~cost:slice;
       charge_busy st ~rpm:st.rpm ~degraded:true slice;
+      st.slices <- st.slices + 1;
       if Repair.rebuild_step rx.rc ~disk:st.id ~blocks:cfg.Repair.rebuild_chunk_blocks
       then begin
+        st.rebuilt <- st.rebuilt + 1;
         repair_event st ~at:st.f.now ~op:"rebuild-complete" ~blocks:cfg.Repair.rebuild_blocks
           ~cost:0.0;
         decision st "repair:rebuild-complete"
@@ -474,6 +501,7 @@ let advance_rebuild rx st ~until =
    over at full speed with an unknown head position. *)
 let fail_disk model rx st =
   Repair.mark_failed rx.rc ~disk:st.id;
+  st.failures <- st.failures + 1;
   let su_ms = ms_of_s model.Disk_model.spin_up_s in
   repair_event st ~at:st.f.now ~op:"disk-failed" ~blocks:0 ~cost:su_ms;
   decision st "repair:hot-spare-activate";
@@ -493,7 +521,7 @@ let failover_read rx origin ~bytes =
       let ms = service_price peer.px ~seek_distance:max_int ~rpm:peer.rpm ~bytes in
       repair_event origin ~at:origin.f.now ~op:"failover" ~blocks:0 ~cost:ms;
       charge_busy peer ~rpm:peer.rpm ~degraded:true ms;
-      Repair.note_failover rx.rc ~disk:origin.id;
+      origin.failed_over <- origin.failed_over + 1;
       Some ms
   | _ -> None
 
@@ -861,6 +889,7 @@ let[@inline] serve model fctx rctx st ~proc ~arrival ~lba ~bytes ~rpm ~recon =
         Repair.touch rx.rc ~disk:st.id ~spare:model.Disk_model.spare_blocks ~lba ~bytes
       in
       if touch.Repair.remapped > 0 then begin
+        st.remapped <- st.remapped + touch.Repair.remapped;
         let ms =
           float_of_int touch.Repair.remapped
           *. Disk_model.remap_ms model ~rpm ~block_bytes:cfg.Repair.block_bytes
@@ -868,13 +897,15 @@ let[@inline] serve model fctx rctx st ~proc ~arrival ~lba ~bytes ~rpm ~recon =
         repair_event st ~at:st.f.now ~op:"remap" ~blocks:touch.Repair.remapped ~cost:ms;
         charge_busy st ~rpm ~degraded:true ms
       end;
-      if touch.Repair.penalty_hits > 0 then
+      if touch.Repair.penalty_hits > 0 then begin
+        st.detours <- st.detours + touch.Repair.penalty_hits;
         charge_busy st ~rpm ~degraded:true
-          (float_of_int touch.Repair.penalty_hits *. model.Disk_model.remap_penalty_ms);
+          (float_of_int touch.Repair.penalty_hits *. model.Disk_model.remap_penalty_ms)
+      end;
       if recon then begin
         (* Degraded read: routed here because the home disk failed; the
            mirrored copy costs an extra head detour. *)
-        Repair.note_reconstruction rx.rc ~disk:st.id;
+        st.recons <- st.recons + 1;
         repair_event st ~at:st.f.now ~op:"reconstruct"
           ~blocks:((bytes + cfg.Repair.block_bytes - 1) / cfg.Repair.block_bytes)
           ~cost:model.Disk_model.remap_penalty_ms;
@@ -1034,12 +1065,7 @@ let handle_trailing model policy ctrl fctx st ~until ~directed =
   (* A TPM spin-down may overshoot [until]; clamp for reporting. *)
   if st.f.now > until then st.f.now <- until
 
-let stats_of_state rctx st ~last_completion =
-  let c =
-    match rctx with
-    | Some rx -> Repair.counters rx.rc st.id
-    | None -> Repair.zero_counters
-  in
+let stats_of_state st ~last_completion =
   {
     disk = st.id;
     requests = st.reqs;
@@ -1055,15 +1081,15 @@ let stats_of_state rctx st ~last_completion =
     media_retries = st.m_retries;
     latency_spikes = st.spikes;
     degraded_ms = st.f.degraded;
-    remaps = c.Repair.remaps;
-    remap_penalty_hits = c.Repair.penalty_hits;
-    scrub_chunks = c.Repair.scrub_chunks;
-    scrub_found = c.Repair.scrub_found;
-    reconstructions = c.Repair.reconstructions;
-    rebuild_chunks = c.Repair.rebuild_chunks;
-    failovers = c.Repair.failovers;
-    disk_failures = c.Repair.failures;
-    rebuilds_completed = c.Repair.rebuilds;
+    remaps = st.remapped;
+    remap_penalty_hits = st.detours;
+    scrub_chunks = st.scrubbed;
+    scrub_found = st.found;
+    reconstructions = st.recons;
+    rebuild_chunks = st.slices;
+    failovers = st.failed_over;
+    disk_failures = st.failures;
+    rebuilds_completed = st.rebuilt;
     response_ms_total = st.f.resp_total;
     response_ms_max = st.f.resp_max;
     last_completion_ms = last_completion;
@@ -1082,7 +1108,7 @@ let wear_fraction model stats =
    and repair slots — so groups run on separate domains and the result
    is the serial result bit for bit.  Both lists ascend, the order the
    serial engine visits processors and disks in. *)
-type shard_group = { g_procs : int list; g_disks : int list }
+type shard_group = { g_procs : int list; g_disks : int array }
 
 let shard_groups ~n_proc ~disks ~mirror ~order ~disk ~cursor ~stop =
   let n = n_proc + disks in
@@ -1130,7 +1156,7 @@ let shard_groups ~n_proc ~disks ~mirror ~order ~disk ~cursor ~stop =
   done;
   Hashtbl.fold (fun root g acc -> (root, g) :: acc) groups []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-  |> List.map (fun (_, (ps, ds)) -> { g_procs = ps; g_disks = ds })
+  |> List.map (fun (_, (ps, ds)) -> { g_procs = ps; g_disks = Array.of_list ds })
 
 (* Closed-loop simulation: each processor replays its request stream in
    order, issuing a request [think_ms] after its previous completion.
@@ -1285,7 +1311,7 @@ let run ~fold ~model ~obs ~hints ~knobs ~shards ~disks policy (t : Trace.t) =
     let cur = ref [] in
     if batch then begin
       let buffer = Sink.stream (fun e -> cur := e :: !cur) in
-      List.iter (fun d -> set_sink states.(d) buffer) g_disks
+      Array.iter (fun d -> set_sink states.(d) buffer) g_disks
     end;
     let ready = Minheap.create ~capacity:(List.length g_procs) () in
     List.iter
@@ -1309,15 +1335,15 @@ let run ~fold ~model ~obs ~hints ~knobs ~shards ~disks policy (t : Trace.t) =
            slots: a foreign failed slot is advanced by its own
            group's clock, and the rebuild stream's whole-slice
            greedy advance reaches the same state through any
-           refinement of intermediate instants. *)
+           refinement of intermediate instants.  A loop, not a closure
+           over [issue]: the scan allocates nothing for a healthy
+           slot. *)
         (match rctx with
         | Some rx ->
-            List.iter
-              (fun d ->
-                let st = states.(d) in
-                if Repair.is_failed rx.rc st.id then
-                  advance_rebuild rx st ~until:issue)
-              g_disks
+            for k = 0 to Array.length g_disks - 1 do
+              let d = g_disks.(k) in
+              if Repair.is_failed rx.rc d then advance_rebuild rx states.(d) ~until:issue
+            done
         | None -> ());
         let home = t.disk.(i) in
         let target =
@@ -1358,11 +1384,11 @@ let run ~fold ~model ~obs ~hints ~knobs ~shards ~disks policy (t : Trace.t) =
       end
     in
     step ();
-    if batch then List.iter (fun d -> set_sink states.(d) obs) g_disks;
+    if batch then Array.iter (fun d -> set_sink states.(d) obs) g_disks;
     List.rev !batches
   in
   let all_group =
-    { g_procs = List.init n_proc Fun.id; g_disks = List.init disks Fun.id }
+    { g_procs = List.init n_proc Fun.id; g_disks = Array.init disks Fun.id }
   in
   let mirror_edges =
     match rctx with Some rx -> Some (fun d -> Repair.mirror_of rx.rc d) | None -> None
@@ -1415,7 +1441,7 @@ let run ~fold ~model ~obs ~hints ~knobs ~shards ~disks policy (t : Trace.t) =
     states;
   let per_disk =
     Array.mapi
-      (fun d st -> stats_of_state rctx st ~last_completion:last_completion.(d))
+      (fun d st -> stats_of_state st ~last_completion:last_completion.(d))
       states
   in
   ( {
@@ -1557,52 +1583,114 @@ let pp_result ppf r =
     r.policy r.energy_j (r.io_time_ms /. 1000.) (r.makespan_ms /. 1000.);
   pp_reliability ppf r
 
-(* --- conservation accessors ---
+(* --- the conservation recorder ---
 
-   The identities every run must satisfy, factored out of the tests so
-   external checkers (the chaos oracle) probe the same definitions the
-   engine promises instead of re-deriving their own. *)
+   One streaming check of the identities every run satisfies, fed the
+   run's events as they happen and handed its result at the end.  Per
+   disk it keeps the span energy, the charge per power state, the summed
+   span lengths, where the last span stopped and the latest time of each
+   event category; it stores no event. *)
 
-let accounted_ms s = s.busy_ms +. s.idle_ms +. s.standby_ms +. s.transition_ms
+type finding = { identity : string; detail : string }
 
-let check_conservation ?(eps = 1e-6) ?timeline r =
-  let errors = ref [] in
-  let err fmt = Format.kasprintf (fun s -> errors := s :: !errors) fmt in
-  let close a b = Float.abs (a -. b) <= eps *. Float.max 1.0 (Float.abs b) in
-  (* The per-disk energies fold to the array total. *)
-  let folded = Array.fold_left (fun acc (s : disk_stats) -> acc +. s.energy_j) 0.0 r.per_disk in
-  if not (close folded r.energy_j) then
-    err "per-disk energies sum to %.9f J, result says %.9f J" folded r.energy_j;
-  (match timeline with
-  | None -> ()
-  | Some (t : Timeline.t) ->
-      Array.iter
-        (fun (s : disk_stats) ->
-          let d = s.disk in
-          (* Every accounted joule lands in exactly one segment. *)
-          let seg_j = Timeline.total_energy_j t ~disk:d in
-          if not (close seg_j s.energy_j) then
-            err "disk %d: timeline energy %.9f J, stats say %.9f J" d seg_j s.energy_j;
-          (* Segment spans cover the accounted state time exactly. *)
-          let span =
-            List.fold_left (fun acc (g : Timeline.segment) -> acc +. (g.stop_ms -. g.start_ms))
-              0.0 t.(d)
-          in
-          if not (close span (accounted_ms s)) then
-            err "disk %d: timeline spans %.6f ms, state times sum to %.6f ms" d span
-              (accounted_ms s);
-          (* Chronological, gap-free, non-negative segments. *)
-          ignore
-            (List.fold_left
-               (fun prev (g : Timeline.segment) ->
-                 if g.stop_ms -. g.start_ms < -.eps then
-                   err "disk %d: segment [%.6f, %.6f] runs backwards" d g.start_ms g.stop_ms;
-                 (match prev with
-                 | Some stop when Float.abs (g.start_ms -. stop) > eps ->
-                     err "disk %d: segment gap at %.6f ms (previous stopped %.6f)" d
-                       g.start_ms stop
-                 | _ -> ());
-                 Some g.stop_ms)
-               None t.(d)))
-        r.per_disk);
-  match !errors with [] -> Ok () | es -> Error (String.concat "; " (List.rev es))
+let category = function
+  | Obs_event.Power _ -> 0
+  | Obs_event.Service _ -> 1
+  | Obs_event.Hint_exec _ -> 2
+  | Obs_event.Fault _ -> 3
+  | Obs_event.Decision _ -> 4
+  | Obs_event.Repair _ -> 5
+  | Obs_event.Deadline _ -> 6
+
+let categories = 7
+
+let state_slot = function
+  | Obs_event.Active -> 0
+  | Obs_event.Idle _ -> 1
+  | Obs_event.Standby -> 2
+  | Obs_event.Transition -> 3
+
+let recorder ~disks () =
+  if disks < 1 then invalid_arg "Engine.recorder: disks must be >= 1";
+  let energy = Float.Array.make disks 0.0 in
+  let charged = Float.Array.make (4 * disks) 0.0 in
+  let spanned = Float.Array.make disks 0.0 in
+  (* Where each disk's last span stopped: NaN before its first, which no
+     gap test flags. *)
+  let frontier = Float.Array.make disks Float.nan in
+  let latest = Float.Array.make (categories * disks) Float.neg_infinity in
+  let findings = ref [] in
+  let add identity fmt =
+    Printf.ksprintf (fun detail -> findings := { identity; detail } :: !findings) fmt
+  in
+  let bump a i x = Float.Array.set a i (Float.Array.get a i +. x) in
+  (* Events are emitted when they resolve but stamped at their start (a
+     power span closes long after it began), so one disk's events are
+     not monotone across categories: within one category they are. *)
+  let observe ev =
+    let d = Obs_event.disk ev and c = category ev in
+    let at = Obs_event.time_ms ev and k = (d * categories) + c in
+    let prev = Float.Array.get latest k in
+    if at +. 1e-6 < prev then
+      add "monotone-time" "disk %d: category-%d event at %.6f ms after one at %.6f ms" d c
+        at prev;
+    if at > prev then Float.Array.set latest k at;
+    match ev with
+    | Obs_event.Power { disk; state; start_ms; stop_ms; charge_ms; energy_j } ->
+        bump energy disk energy_j;
+        bump charged ((4 * disk) + state_slot state) charge_ms;
+        (* A span with neither duration nor energy covers nothing. *)
+        if stop_ms <> start_ms || energy_j <> 0.0 then begin
+          if stop_ms -. start_ms < -1e-6 then
+            add "conservation" "disk %d: span [%.6f, %.6f] runs backwards" disk start_ms
+              stop_ms;
+          let last = Float.Array.get frontier disk in
+          if Float.abs (start_ms -. last) > 1e-6 then
+            add "conservation" "disk %d: span gap at %.6f ms (previous stopped %.6f)" disk
+              start_ms last;
+          Float.Array.set frontier disk stop_ms;
+          bump spanned disk (stop_ms -. start_ms)
+        end
+    | _ -> ()
+  in
+  let finish (r : result) =
+    if Array.length r.per_disk <> disks then
+      invalid_arg
+        (Printf.sprintf "Engine.recorder: a result of %d disks, recorded %d"
+           (Array.length r.per_disk) disks);
+    let close ~eps a b = Float.abs (a -. b) <= eps *. Float.max 1.0 (Float.abs b) in
+    let folded =
+      Array.fold_left (fun acc (s : disk_stats) -> acc +. s.energy_j) 0.0 r.per_disk
+    in
+    if not (close ~eps:1e-9 folded r.energy_j) then
+      add "conservation" "per-disk energies sum to %.9f J, result says %.9f J" folded
+        r.energy_j;
+    Array.iter
+      (fun (s : disk_stats) ->
+        let d = s.disk in
+        let spans_j = Float.Array.get energy d in
+        if not (close ~eps:1e-9 spans_j s.energy_j) then
+          add "energy-conservation"
+            "disk %d: obs power spans sum to %.9f J, engine accounted %.9f J" d spans_j
+            s.energy_j;
+        List.iteri
+          (fun slot (name, stat) ->
+            let ms = Float.Array.get charged ((4 * d) + slot) in
+            if not (close ~eps:1e-9 ms stat) then
+              add "charge-accounting" "disk %d: obs %s spans sum to %.6f ms, stats say %.6f ms"
+                d name ms stat)
+          [
+            ("busy", s.busy_ms);
+            ("idle", s.idle_ms);
+            ("standby", s.standby_ms);
+            ("transition", s.transition_ms);
+          ];
+        let states = s.busy_ms +. s.idle_ms +. s.standby_ms +. s.transition_ms in
+        let spans = Float.Array.get spanned d in
+        if not (close ~eps:1e-6 spans states) then
+          add "conservation" "disk %d: timeline spans %.6f ms, state times sum to %.6f ms" d
+            spans states)
+      r.per_disk;
+    List.rev !findings
+  in
+  (Sink.stream observe, finish)

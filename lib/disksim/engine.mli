@@ -126,7 +126,7 @@ val replay :
     serial scheduler executes in).  A trace whose segments form a
     single component — every processor touching every disk — runs
     serially whatever [shards] says, and so does a run with the repair
-    domain armed and a live [obs] sink (a {!Timeline.recorder}
+    domain armed and a live [obs] sink (a conservation {!recorder}
     included): a failed slot's rebuild events belong to whichever step
     first covers them, which the merge key cannot attribute across
     groups.
@@ -138,8 +138,10 @@ val replay :
     record: the engine keeps no timeline, and each charge it makes to a
     disk is exactly one [Power] span carrying the milliseconds added to
     the per-state statistic, so summing spans reproduces {!disk_stats}
-    bit for bit and a {!Timeline.recorder} sees each disk's whole
-    timeline.  With the null sink no event is ever constructed, nor the
+    bit for bit and the conservation {!recorder} sees each disk's whole
+    timeline.  The repair counts of {!disk_stats} are the engine's too:
+    {!Dp_repair.Repair} keeps the media state, and the engine counts
+    each action it charges.  With the null sink no event is ever constructed, nor the
     state an event would carry, and the results are byte-identical to
     a run without the parameter.
 
@@ -290,23 +292,39 @@ val pp_reliability : ?model:Disk_model.t -> Format.formatter -> result -> unit
 (** The one-line wear/retry/degraded-time summary of a run's
     {!totals}, and a repair line when the repair domain acted. *)
 
-(** {1 Conservation accessors}
+(** {1 The conservation recorder} *)
 
-    The structural identities every simulation result satisfies,
-    factored out so external checkers (tests, the chaos oracle) probe
-    the engine's own definitions. *)
+type finding = {
+  identity : string;
+      (** ["conservation"], ["energy-conservation"], ["charge-accounting"]
+          or ["monotone-time"] *)
+  detail : string;  (** the disk, and the two sides that disagree *)
+}
 
-val accounted_ms : disk_stats -> float
-(** [busy_ms + idle_ms + standby_ms + transition_ms] — the four power
-    states partition a disk's timeline, so over a recorded timeline
-    this equals the sum of its segment spans. *)
+val recorder : disks:int -> unit -> Dp_obs.Sink.t * (result -> finding list)
+(** The one check that a run's [Power] spans add up to its stats: the
+    sink to pass as [replay ~obs] (through {!Dp_obs.Sink.tee} beside
+    other recorders) and the finisher to call once with the run's
+    result.  It makes one pass over the events, keeps a few floats per
+    disk and stores no event.  The finisher returns every broken
+    identity, in the order found, each named by its identity:
 
-val check_conservation :
-  ?eps:float -> ?timeline:Timeline.t -> result -> (unit, string) Stdlib.result
-(** Verify the conservation identities of a result: per-disk energies
-    fold to the array total, and — given the run's [timeline] (from a
-    {!Timeline.recorder}) — each disk's segment energies sum to its
-    [energy_j], its segment spans sum to {!accounted_ms}, and its
-    segments are chronological and gap-free.  [eps] (default [1e-6]) is
-    the relative tolerance.  [Error] carries every violated identity,
-    semicolon-separated. *)
+    - [conservation]: the per-disk energies fold to [energy_j]
+      (relative 1e-9); each disk's spans run forward, each starts
+      within 1e-6 ms of where the disk's last one stopped, and their
+      lengths sum to [busy_ms + idle_ms + standby_ms + transition_ms]
+      (relative 1e-6).  A span with neither duration nor energy is
+      skipped here;
+    - [energy-conservation]: each disk's span energies sum to its
+      [energy_j] (relative 1e-9);
+    - [charge-accounting]: each disk's span [charge_ms] per power state
+      sums to [busy_ms], [idle_ms], [standby_ms] and [transition_ms]
+      (relative 1e-9);
+    - [monotone-time]: within one disk and one event category (power
+      spans, services, hints, faults, decisions, repairs, deadline
+      misses) no event is stamped more than 1e-6 ms before an earlier
+      one.
+
+    A relative tolerance [eps] holds when [|a - b| <= eps * max 1 |b|].
+    @raise Invalid_argument when [disks < 1], or when the finisher gets
+    a result of another disk count. *)

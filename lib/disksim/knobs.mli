@@ -1,4 +1,4 @@
-(** The reliability knobs of one simulated run, after Kim & Kim's
+(** The reliability knobs of one simulated run, after Dash, Sahu & Kewal's
     bad-sector cost shape (arXiv 1908.01167): a seeded fault window, the
     persistent-failure domain ({!Dp_repair.Repair}) with its scrub
     budget and spare pool, and a per-request deadline.  Both CLIs, the

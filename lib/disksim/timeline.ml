@@ -86,6 +86,3 @@ let state_time_ms t ~disk state =
     (fun acc (s : segment) ->
       if matches_state state s.state then acc +. (s.stop_ms -. s.start_ms) else acc)
     0.0 t.(disk)
-
-let total_energy_j t ~disk =
-  List.fold_left (fun acc (s : segment) -> acc +. s.energy_j) 0.0 t.(disk)

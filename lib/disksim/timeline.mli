@@ -5,19 +5,18 @@
 
     The engine keeps no timeline of its own.  Every charge it makes is
     one [Power] span on the run's sink, so a {!recorder} passed as
-    [Engine.replay ~obs] sees each disk's whole timeline. *)
+    [Engine.replay ~obs] sees each disk's whole timeline.  That the
+    spans add up to the run's stats is checked by [Engine.recorder],
+    which stores no span; this view is for the chart. *)
 
 type segment = {
   start_ms : float;
   stop_ms : float;
   state : Dp_obs.Event.power_state;
   energy_j : float;
-      (** energy charged to this span.  The engine charges every joule
-          it accounts to exactly one span, so per-disk segment energies
-          sum to the per-disk energy total — the conservation invariant
-          the fault-injection tests lean on.  Lump charges with no
-          duration (a speed change overlapped with servicing) appear as
-          zero-length segments. *)
+      (** energy charged to this span.  Lump charges with no duration (a
+          speed change overlapped with servicing) appear as zero-length
+          segments. *)
 }
 
 type t = segment list array
@@ -43,7 +42,3 @@ val render : ?width:int -> model:Disk_model.t -> until_ms:float -> t -> string
 val state_time_ms : t -> disk:int -> Dp_obs.Event.power_state -> float
 (** Total time a disk spent in a state (idle states match on any RPM
     when queried with [Idle (-1)]). *)
-
-val total_energy_j : t -> disk:int -> float
-(** Sum of all segment energies of a disk; equals the disk's
-    [energy_j] statistic for a timeline recorded over the whole run. *)

@@ -13,8 +13,8 @@
     - Every consumer of a run is a {e recorder}: a sink to pass as the
       run's [obs] plus a finisher that closes the fold and returns its
       result, called once after the run.  {!collect},
-      {!Report.recorder}, {!Tty.driver}, [Timeline.recorder] and
-      [Account.recorder] all have this shape.
+      {!Report.recorder}, {!Tty.driver}, [Timeline.recorder],
+      [Engine.recorder] and [Account.recorder] all have this shape.
     - {!tee} composes recorders: one run feeds every consumer, in list
       order, without a hand-written fan-out.
 

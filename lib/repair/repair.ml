@@ -41,33 +41,6 @@ let config ?(surface_blocks = 65_536) ?(block_bytes = 4096) ?(scrub_budget_ms = 
 
 let default = config ()
 
-type counters = {
-  remaps : int;
-  penalty_hits : int;
-  scrub_chunks : int;
-  scrub_found : int;
-  scrub_passes : int;
-  reconstructions : int;
-  rebuild_chunks : int;
-  failovers : int;
-  failures : int;
-  rebuilds : int;
-}
-
-let zero_counters =
-  {
-    remaps = 0;
-    penalty_hits = 0;
-    scrub_chunks = 0;
-    scrub_found = 0;
-    scrub_passes = 0;
-    reconstructions = 0;
-    rebuild_chunks = 0;
-    failovers = 0;
-    failures = 0;
-    rebuilds = 0;
-  }
-
 (* The mutable per-disk repair state: the bad-sector map of the current
    platters, spare-pool consumption, the scrub cursor, and — once the
    slot has failed — rebuild progress onto the hot spare. *)
@@ -79,7 +52,6 @@ type media = {
   mutable failed : bool;
   mutable rebuilt : int;  (* blocks copied onto the hot spare so far *)
   mutable cursor : int;  (* next scrub position *)
-  mutable c : counters;
 }
 
 type t = { cfg : config; disks : int; media : media array }
@@ -100,12 +72,10 @@ let make cfg ~disks =
             failed = false;
             rebuilt = 0;
             cursor = 0;
-            c = zero_counters;
           });
   }
 
 let cfg t = t.cfg
-let counters t d = t.media.(d).c
 let is_failed t d = t.media.(d).failed
 let grown t d = t.media.(d).grown
 let spare_used t d = t.media.(d).spare_used
@@ -126,9 +96,9 @@ let grow t ~disk ~block =
   let m = t.media.(disk) in
   if (not m.failed) && Badmap.set_bad m.map block then m.grown <- m.grown + 1
 
-let remap m =
-  m.spare_used <- m.spare_used + 1;
-  m.c <- { m.c with remaps = m.c.remaps + 1 }
+let remap m i =
+  Badmap.set_remapped m.map i;
+  m.spare_used <- m.spare_used + 1
 
 type touch = { remapped : int; penalty_hits : int }
 
@@ -147,8 +117,7 @@ let rec touch_range m ~spare ~upto i remapped hits =
     | Badmap.Remapped -> touch_range m ~spare ~upto (i + 1) remapped (hits + 1)
     | Badmap.Bad ->
         if m.spare_used < spare then begin
-          Badmap.set_remapped m.map i;
-          remap m;
+          remap m i;
           touch_range m ~spare ~upto (i + 1) (remapped + 1) hits
         end
         else begin
@@ -167,13 +136,8 @@ let touch t ~disk ~spare ~lba ~bytes =
   let start = lo mod surface in
   let stop = start + min (hi - lo + 1) surface in
   let r = touch_range m ~spare ~upto:(min stop surface) start 0 0 in
-  let r =
-    if stop <= surface then r
-    else touch_range m ~spare ~upto:(stop - surface) 0 r.remapped r.penalty_hits
-  in
-  if r.penalty_hits > 0 then
-    m.c <- { m.c with penalty_hits = m.c.penalty_hits + r.penalty_hits };
-  r
+  if stop <= surface then r
+  else touch_range m ~spare ~upto:(stop - surface) 0 r.remapped r.penalty_hits
 
 (* Failure policy: a slot is retired when its platters have grown past
    the defect threshold or a bad block could not be remapped any more —
@@ -195,8 +159,7 @@ let mark_failed t ~disk =
   m.grown <- 0;
   m.spare_used <- 0;
   m.exhausted <- false;
-  m.cursor <- 0;
-  m.c <- { m.c with failures = m.c.failures + 1 }
+  m.cursor <- 0
 
 (* One scrub chunk, split into a pure peek (so the engine can price the
    verification read plus any remaps before committing) and the commit
@@ -226,8 +189,7 @@ let scrub_commit t ~disk ~spare =
   let i = ref (Badmap.next_defect m.map m.cursor ~hi) in
   while !i < hi && m.spare_used < spare do
     if Badmap.status m.map !i = Badmap.Bad then begin
-      Badmap.set_remapped m.map !i;
-      remap m;
+      remap m !i;
       incr found
     end;
     i := Badmap.next_defect m.map (!i + 1) ~hi
@@ -235,22 +197,7 @@ let scrub_commit t ~disk ~spare =
   m.cursor <- hi;
   let pass_done = m.cursor >= t.cfg.surface_blocks in
   if pass_done then m.cursor <- 0;
-  m.c <-
-    {
-      m.c with
-      scrub_chunks = m.c.scrub_chunks + 1;
-      scrub_found = m.c.scrub_found + !found;
-      scrub_passes = (m.c.scrub_passes + if pass_done then 1 else 0);
-    };
   (!found, pass_done)
-
-let note_reconstruction t ~disk =
-  let m = t.media.(disk) in
-  m.c <- { m.c with reconstructions = m.c.reconstructions + 1 }
-
-let note_failover t ~disk =
-  let m = t.media.(disk) in
-  m.c <- { m.c with failovers = m.c.failovers + 1 }
 
 (* One rebuild slice: [blocks] more blocks copied mirror -> hot spare.
    Completing the copy restores the slot to healthy service. *)
@@ -258,10 +205,6 @@ let rebuild_step t ~disk ~blocks =
   let m = t.media.(disk) in
   if not m.failed then invalid_arg "Repair.rebuild_step: disk is not failed";
   m.rebuilt <- m.rebuilt + blocks;
-  m.c <- { m.c with rebuild_chunks = m.c.rebuild_chunks + 1 };
   let done_ = m.rebuilt >= t.cfg.rebuild_blocks in
-  if done_ then begin
-    m.failed <- false;
-    m.c <- { m.c with rebuilds = m.c.rebuilds + 1 }
-  end;
+  if done_ then m.failed <- false;
   done_

@@ -2,12 +2,13 @@
     remapping, background scrubbing, whole-disk failure and hot-spare
     rebuild.
 
-    This module holds the {e state machine} only — which blocks are bad,
-    how much spare pool is left, where the scrub cursor stands, whether
-    a slot is failed and how far its rebuild has progressed.  All
-    charging (time, energy, timeline spans) stays in
-    {!Dp_disksim.Engine}, which consults this state and prices each
-    recovery action on the owning disk's own timeline:
+    This module holds the media state only — which blocks are bad, how
+    much spare pool is left, where the scrub cursor stands, whether a
+    slot is failed and how far its rebuild has progressed.  It counts
+    nothing: {!touch}, {!scrub_commit} and {!rebuild_step} return what
+    each action did, and {!Dp_disksim.Engine}, which consults this state
+    and prices each recovery action on the owning disk's own timeline,
+    counts the actions in its per-disk state along with every charge:
 
     - {b remap} (first touch of a bad block): an extra seek + one spare
       block write, after which the block is [Remapped] — the cost shape
@@ -55,21 +56,6 @@ val default : config
     a fault spec enables media decay.  Scrub is off by default, so a
     rate-0 decay run stays byte-identical to a clean one. *)
 
-type counters = {
-  remaps : int;  (** bad blocks remapped to spares (foreground + scrub) *)
-  penalty_hits : int;  (** accesses that paid the remapped-block detour *)
-  scrub_chunks : int;
-  scrub_found : int;  (** bad blocks found (and remapped) by the scrubber *)
-  scrub_passes : int;  (** full-surface scrub sweeps completed *)
-  reconstructions : int;  (** reads served from this disk for a failed peer *)
-  rebuild_chunks : int;
-  failovers : int;  (** deadline-abandoned requests failed over to the mirror *)
-  failures : int;  (** times this slot was retired *)
-  rebuilds : int;  (** rebuilds completed (slot restored) *)
-}
-
-val zero_counters : counters
-
 type t
 
 val make : config -> disks:int -> t
@@ -78,7 +64,6 @@ val make : config -> disks:int -> t
     @raise Invalid_argument when [disks < 1]. *)
 
 val cfg : t -> config
-val counters : t -> int -> counters
 val is_failed : t -> int -> bool
 val grown : t -> int -> int
 val spare_used : t -> int -> int
@@ -105,7 +90,7 @@ val touch : t -> disk:int -> spare:int -> lba:int -> bytes:int -> touch
     already-remapped blocks.  The engine charges [remapped] remap writes
     and [penalty_hits] detour penalties.  A range that holds no defect
     costs one check per map page and allocates nothing: it returns a
-    shared zero result and leaves the counters record as it is. *)
+    shared zero result. *)
 
 val should_fail : t -> disk:int -> bool
 (** The slot must be retired now: defects past the threshold or spares
@@ -125,10 +110,7 @@ val scrub_peek : t -> disk:int -> spare:int -> int * int
 
 val scrub_commit : t -> disk:int -> spare:int -> int * bool
 (** Perform the peeked chunk: remap what was found, advance the cursor.
-    [(found, pass_completed)]. *)
-
-val note_reconstruction : t -> disk:int -> unit
-val note_failover : t -> disk:int -> unit
+    [(found, pass_completed)]: [found] is the peek's [bad_found]. *)
 
 val rebuild_step : t -> disk:int -> blocks:int -> bool
 (** Account one rebuild slice; [true] when the copy is complete and the

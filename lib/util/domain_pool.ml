@@ -9,38 +9,20 @@
    failure in input order, with the backtrace captured at the original
    raise site. *)
 
-exception Transient of exn
-
-(* One task, with bounded retry for failures the caller classified as
-   transient.  Never raises: every outcome is a value, so nothing can
-   escape a worker domain and poison its siblings. *)
-let attempt ~retries f x =
-  let rec go remaining =
-    match f x with
-    | v -> Ok v
-    | exception Transient inner when remaining > 0 ->
-        ignore inner;
-        go (remaining - 1)
-    | exception exn ->
-        let bt = Printexc.get_raw_backtrace () in
-        let exn = match exn with Transient inner -> inner | e -> e in
-        Error (exn, bt)
-  in
-  go retries
-
-let map ?(retries = 2) ~jobs f xs =
+let map ~jobs f xs =
   if jobs < 1 then invalid_arg "Domain_pool.map: jobs must be >= 1";
-  if retries < 0 then invalid_arg "Domain_pool.map: retries must be >= 0";
   let n = List.length xs in
   let input = Array.of_list xs in
   let out = Array.make n None in
   (* Per-slot failures — never shared, so no synchronization beyond the
      claim counter and the joins is needed. *)
   let errs = Array.make n None in
+  (* Never raises: every outcome is a value, so nothing can escape a
+     worker domain and poison its siblings. *)
   let run i =
-    match attempt ~retries f input.(i) with
-    | Ok v -> out.(i) <- Some v
-    | Error e -> errs.(i) <- Some e
+    match f input.(i) with
+    | v -> out.(i) <- Some v
+    | exception exn -> errs.(i) <- Some (exn, Printexc.get_raw_backtrace ())
   in
   (* The clamp: a domain beyond the cores buys no parallelism, yet every
      minor collection must still stop it with the others. *)

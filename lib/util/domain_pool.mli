@@ -24,22 +24,14 @@
     singleton or empty input, or a one-core host — the tasks run inline
     on the calling domain and no domain is spawned. *)
 
-exception Transient of exn
-(** Wrap an exception in [Transient] to ask the pool to retry the task
-    (up to [retries] times) before giving up.  When retries are
-    exhausted the {e inner} exception is what the pool records and
-    re-raises. *)
-
-val map : ?retries:int -> jobs:int -> ('a -> 'b) -> 'a list -> 'b list
+val map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ~jobs f xs] applies [f] to every element of [xs] on up to
     [jobs] domains, never more than the clamp above allows (the calling
     domain counts as one), and returns the results in input order.
 
     Tasks are claimed from a shared atomic counter, so an imbalanced
-    workload still keeps every domain busy.  A task raising
-    {!Transient} is retried up to [retries] times (default 2) before
-    its inner exception counts as the task's failure; any other
-    exception fails the task immediately.  All cells are attempted
+    workload still keeps every domain busy.  A task that raises fails
+    its own cell only, and is never retried.  All cells are attempted
     before the first input-order failure is re-raised — see the
     supervision contract above.
-    @raise Invalid_argument if [jobs < 1] or [retries < 0]. *)
+    @raise Invalid_argument if [jobs < 1]. *)

@@ -20,6 +20,13 @@ let simulate_tl ?hints ?faults ?shards ~disks policy reqs =
   let r = Engine.simulate ~obs ?hints ~knobs:{ Knobs.none with faults } ?shards ~disks policy reqs in
   (r, finish ())
 
+(* A run and what the conservation recorder found in it, each finding
+   rendered [IDENTITY: detail]. *)
+let simulate_checked ?hints ?(knobs = Knobs.none) ?shards ~disks policy reqs =
+  let obs, finish = Engine.recorder ~disks () in
+  let r = Engine.simulate ~obs ?hints ~knobs ?shards ~disks policy reqs in
+  (r, List.map (fun (f : Engine.finding) -> f.identity ^ ": " ^ f.detail) (finish r))
+
 let faulty ?(retry = Policy.default_retry) faults = { Knobs.none with faults = Some faults; retry }
 
 (* --- model --- *)
@@ -163,14 +170,12 @@ let test_engine_tpm_mid_spin_down () =
      15.2 s into the gap.  The spin-down still runs its full 1.5 s, so
      the whole of it is charged and the state times cover the timeline. *)
   let reqs = [ req ~think:10.0 (); req ~think:16_000.0 ~lba:(1 lsl 30) () ] in
-  let r, timeline = simulate_tl ~disks:1 Policy.default_tpm reqs in
+  let r, findings = simulate_checked ~disks:1 Policy.default_tpm reqs in
   let d = r.Engine.per_disk.(0) in
   check Alcotest.int "one spin down" 1 d.Engine.spin_downs;
   check (Alcotest.float 1e-6) "full spin-down and spin-up charged" (1_500.0 +. 10_900.0)
     d.Engine.transition_ms;
-  check
-    Alcotest.(result unit string)
-    "conservation" (Ok ()) (Engine.check_conservation ~timeline r)
+  check Alcotest.(list string) "conservation" [] findings
 
 let test_engine_tpm_short_gap () =
   (* Gap below threshold: no transitions at all. *)
@@ -543,19 +548,17 @@ let prop_timeline_contiguous =
           Array.for_all contiguous t)
         all_policies)
 
+(* The conservation recorder finds nothing: span energies within 1e-9 of
+   the per-disk totals, and every other identity it checks. *)
 let prop_energy_conserved =
   qtest ~count:40 "Engine: segment energies sum to the per-disk totals under faults"
     faulted_gen (fun (reqs, seed, rate) ->
       let faults = Fault_model.make ~seed ~rate () in
       List.for_all
         (fun policy ->
-          let r, t = simulate_tl ~faults ~disks:3 policy reqs in
-          Array.for_all
-            (fun (d : Engine.disk_stats) ->
-              let tl = Timeline.total_energy_j t ~disk:d.Engine.disk in
-              Float.abs (tl -. d.Engine.energy_j)
-              <= 1e-6 *. Float.max 1.0 d.Engine.energy_j)
-            r.Engine.per_disk)
+          match simulate_checked ~knobs:(faulty faults) ~disks:3 policy reqs with
+          | _, [] -> true
+          | _, f :: _ -> QCheck2.Test.fail_reportf "%s: %s" (Policy.name policy) f)
         all_policies)
 
 let prop_faults_terminate =
@@ -1001,21 +1004,206 @@ let kernel_trace () =
    times unboxed.  The minor-word count of a run in one domain is
    deterministic: about 2.1 words a request, the issue heap's boxed key
    and the per-run setup.  A boxed float coming back on the per-request
-   path adds 2 words a request and fails the bound of 3. *)
+   path adds 2 words a request and fails the bound of 3.  Nine runs: the
+   kernel trace, and FFT's original columns at 1 and 4 processors (the
+   trace dpcc replays), under each policy. *)
 let test_null_sink_alloc () =
-  let t = kernel_trace () in
-  let n = float_of_int (Dp_trace.Trace.length t) in
+  let module Pipeline = Dp_pipeline.Pipeline in
+  let ctx = Pipeline.load "app:FFT" in
+  let fft procs = (Pipeline.columns ctx ~procs Pipeline.Original, Pipeline.disks ctx) in
+  List.iter
+    (fun (name, (t, disks)) ->
+      let n = float_of_int (Dp_trace.Trace.length t) in
+      List.iter
+        (fun policy ->
+          let run () = ignore (Sys.opaque_identity (Engine.replay ~disks policy t)) in
+          run ();
+          let w0 = Gc.minor_words () in
+          run ();
+          let per_request = (Gc.minor_words () -. w0) /. n in
+          if per_request > 3.0 then
+            Alcotest.failf "%s, %s: %.2f minor words per request (bound 3)" name
+              (Policy.name policy) per_request)
+        [ Policy.No_pm; Policy.default_tpm; Policy.default_drpm ])
+    [
+      ("kernel trace", (kernel_trace (), 8));
+      ("FFT, 1 processor", fft 1);
+      ("FFT, 4 processors", fft 4);
+    ]
+
+(* --- the conservation recorder --- *)
+
+let power ?charge state start stop energy =
+  Obs_event.Power
+    {
+      disk = 0;
+      state;
+      start_ms = start;
+      stop_ms = stop;
+      charge_ms = Option.value charge ~default:(stop -. start);
+      energy_j = energy;
+    }
+
+let decision at = Obs_event.Decision { disk = 0; at_ms = at; decision = "test" }
+
+(* One disk's hand-built timeline: 10 ms busy, 20 ms idle, 10 ms standby
+   and a 1 ms transition, with a decision at each end of the idle
+   window; and a result whose stats say exactly that. *)
+let hand_stream =
+  [
+    power Obs_event.Active 0.0 10.0 0.135;
+    decision 10.0;
+    power (Obs_event.Idle 15000) 10.0 30.0 0.204;
+    decision 30.0;
+    power Obs_event.Standby 30.0 40.0 0.025;
+    power Obs_event.Transition 40.0 41.0 0.0135;
+  ]
+
+let hand_result =
+  let r = Engine.simulate ~disks:1 Policy.No_pm [ req ~think:1.0 () ] in
+  let energy_j = 0.135 +. 0.204 +. 0.025 +. 0.0135 in
+  let d =
+    {
+      r.Engine.per_disk.(0) with
+      Engine.energy_j;
+      busy_ms = 10.0;
+      idle_ms = 20.0;
+      standby_ms = 10.0;
+      transition_ms = 1.0;
+    }
+  in
+  { r with Engine.per_disk = [| d |]; energy_j }
+
+(* The findings of a hand-built stream against a result. *)
+let recorded ?(result = hand_result) stream =
+  let sink, finish = Engine.recorder ~disks:1 () in
+  List.iter (Sink.emit sink) stream;
+  finish result
+
+let identities findings =
+  List.sort_uniq String.compare (List.map (fun (f : Engine.finding) -> f.identity) findings)
+
+let contains ~needle hay =
+  let n = String.length needle in
+  let rec go i = i + n <= String.length hay && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
+
+let test_recorder_defects () =
+  let fires name ?result want ~mentions stream =
+    let found = recorded ?result stream in
+    check Alcotest.(list string) name want (identities found);
+    check Alcotest.bool (name ^ ": the detail says what broke") true
+      (List.exists (fun (f : Engine.finding) -> contains ~needle:mentions f.detail) found)
+  in
+  let green name stream =
+    check Alcotest.(list string) name [] (identities (recorded stream))
+  in
+  green "a clean stream" hand_stream;
+  let with_idle ?charge ?(energy = 0.204) () =
+    List.map
+      (function
+        | Obs_event.Power { state = Obs_event.Idle _; _ } ->
+            power ?charge (Obs_event.Idle 15000) 10.0 30.0 energy
+        | ev -> ev)
+      hand_stream
+  in
+  (* A skew of 1e-12 relative is rounding, not a defect. *)
+  green "a skew inside the tolerance"
+    (with_idle ~energy:(0.204 +. 1e-12) ~charge:(20.0 +. 1e-12) ());
+  (* A span with neither duration nor energy covers nothing: out of
+     place, it breaks no contiguity. *)
+  green "an empty span is skipped"
+    (List.hd hand_stream
+    :: power ~charge:0.0 Obs_event.Active 5.0 5.0 0.0
+    :: List.tl hand_stream);
+  fires "a gap between spans" [ "conservation" ] ~mentions:"gap"
+    (List.map
+       (function
+         | Obs_event.Power { state; start_ms; stop_ms; energy_j; _ } when start_ms >= 10.0 ->
+             power state (start_ms +. 2.0) (stop_ms +. 2.0) energy_j
+         | ev -> ev)
+       hand_stream);
+  fires "a span that runs backwards" [ "conservation" ] ~mentions:"backwards"
+    (List.map
+       (function
+         | Obs_event.Power { state = Obs_event.Transition; _ } ->
+             power ~charge:1.0 Obs_event.Transition 40.0 39.5 0.0135
+         | ev -> ev)
+       hand_stream);
+  fires "a skewed span energy" [ "energy-conservation" ] ~mentions:"power spans"
+    (with_idle ~energy:(0.204 +. 1e-3) ());
+  fires "a skewed per-state charge" [ "charge-accounting" ] ~mentions:"idle spans"
+    (with_idle ~charge:(20.0 +. 1e-3) ());
+  fires "an out-of-order event within one category" [ "monotone-time" ]
+    ~mentions:"category-4"
+    (List.map
+       (function
+         | Obs_event.Decision { at_ms = 10.0; _ } -> decision 30.0
+         | Obs_event.Decision _ -> decision 10.0
+         | ev -> ev)
+       hand_stream);
+  (* Categories keep their own clocks: a decision stamped before the
+     span that precedes it in the stream is no defect. *)
+  green "an earlier stamp in another category"
+    (List.concat_map
+       (function
+         | Obs_event.Power { state = Obs_event.Standby; _ } as ev -> [ ev; decision 20.0 ]
+         | Obs_event.Decision { at_ms = 30.0; _ } -> []
+         | ev -> [ ev ])
+       hand_stream);
+  fires "a result whose disks do not fold to its total" [ "conservation" ]
+    ~mentions:"per-disk"
+    ~result:{ hand_result with Engine.energy_j = hand_result.Engine.energy_j +. 1.0 }
+    hand_stream;
+  match Engine.recorder ~disks:0 () with
+  | _ -> Alcotest.fail "a recorder of no disk"
+  | exception Invalid_argument _ -> ()
+
+(* Real runs are green under every policy, with faults of every class, a
+   scrub budget, a spare override and a deadline, so rebuilds, failovers
+   and reconstructions all charge spans; and split into shard groups
+   when the repair domain is off. *)
+let test_recorder_green_on_runs () =
+  let reqs =
+    List.init 240 (fun i ->
+        req ~proc:(i mod 3) ~seg:(i / 120) ~disk:(i * 7 mod 4) ~lba:(i * 7919 * 4096)
+          ~think:(if i mod 9 = 8 then 30_000.0 else float_of_int (1 + (i mod 5)))
+          ())
+  in
+  let faults = Fault_model.make ~seed:5 ~rate:0.4 () in
+  let repair =
+    Dp_repair.Repair.config ~scrub_budget_ms:40.0 ~fail_threshold:4 ~surface_blocks:512 ()
+  in
+  let armed =
+    { (faulty faults) with repair = Some repair; spare = Some 3; deadline_ms = Some 50.0 }
+  in
+  let runs = ref 0 and failovers = ref 0 and failures = ref 0 and scrubbed = ref 0 in
   List.iter
     (fun policy ->
-      let run () = ignore (Sys.opaque_identity (Engine.replay ~disks:8 policy t)) in
-      run ();
-      let w0 = Gc.minor_words () in
-      run ();
-      let per_request = (Gc.minor_words () -. w0) /. n in
-      if per_request > 3.0 then
-        Alcotest.failf "%s: %.2f minor words per request (bound 3)" (Policy.name policy)
-          per_request)
-    [ Policy.No_pm; Policy.default_tpm; Policy.default_drpm ]
+      List.iter
+        (fun (what, knobs, shards) ->
+          let r, findings = simulate_checked ~knobs ?shards ~disks:4 policy reqs in
+          incr runs;
+          Array.iter
+            (fun (d : Engine.disk_stats) ->
+              failovers := !failovers + d.failovers;
+              failures := !failures + d.disk_failures;
+              scrubbed := !scrubbed + d.scrub_chunks)
+            r.Engine.per_disk;
+          check
+            Alcotest.(list string)
+            (Printf.sprintf "%s, %s" (Policy.name policy) what)
+            [] findings)
+        [
+          ("clean", Knobs.none, None);
+          ("clean, 4 shards", Knobs.none, Some 4);
+          ("faulted", faulty faults, None);
+          ("armed", armed, None);
+        ])
+    (Policy.default_adaptive :: all_policies);
+  check Alcotest.int "every policy and knob set ran" 24 !runs;
+  check Alcotest.bool "the armed runs failed over, retired disks and scrubbed" true
+    (!failovers > 0 && !failures > 0 && !scrubbed > 0)
 
 let suites =
   [
@@ -1092,6 +1280,12 @@ let suites =
         Alcotest.test_case "obs event order" `Quick test_shards_obs_order;
         Alcotest.test_case "validation" `Quick test_shards_validation;
         prop_shards_identity;
+      ] );
+    ( "disksim.conservation",
+      [
+        Alcotest.test_case "the recorder names each defect" `Quick test_recorder_defects;
+        Alcotest.test_case "the recorder is green on real runs" `Quick
+          test_recorder_green_on_runs;
       ] );
     ( "disksim.obs",
       [

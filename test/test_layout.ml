@@ -121,36 +121,6 @@ let prop_lba_injective_per_disk =
       let d2 = Layout.disk_of_element layout "u" [ i2; j2 ] in
       (not (l1 = l2 && d1 = d2)) || (i1 = i2 && j1 = j2))
 
-(* --- RAID sublayer (hidden second-level striping, Section 2) --- *)
-
-module Raid = Dp_layout.Raid
-
-let test_raid_mapping () =
-  let r = Raid.make ~unit_bytes:100 ~disks:4 in
-  check Alcotest.(pair int int) "first unit" (0, 50) (Raid.place r 50);
-  check Alcotest.(pair int int) "second unit" (1, 10) (Raid.place r 110);
-  check Alcotest.(pair int int) "wraps" (0, 105) (Raid.place r 405);
-  check Alcotest.int "member" 2 (Raid.member_of_lba r 250);
-  check Alcotest.(list int) "span members" [ 0; 1; 2 ] (Raid.members_of_span r ~offset:0 ~size:250);
-  check Alcotest.(list int) "full wrap" [ 0; 1; 2; 3 ]
-    (Raid.members_of_span r ~offset:50 ~size:1000);
-  check Alcotest.(list int) "empty span" [] (Raid.members_of_span r ~offset:0 ~size:0)
-
-let test_raid_single_disk () =
-  (* The paper's experimental configuration: one disk per node, identity
-     mapping. *)
-  let r = Raid.single_disk in
-  check Alcotest.(pair int int) "identity" (0, 123456) (Raid.place r 123456);
-  check Alcotest.(list int) "one member" [ 0 ]
-    (Raid.members_of_span r ~offset:0 ~size:(1 lsl 40))
-
-let prop_raid_bijective =
-  qtest "Raid: place is injective"
-    QCheck2.Gen.(pair (int_range 0 5000) (int_range 0 5000))
-    (fun (a, b) ->
-      let r = Raid.make ~unit_bytes:64 ~disks:3 in
-      a = b || Raid.place r a <> Raid.place r b)
-
 let suites =
   [
     ( "layout.striping",
@@ -166,11 +136,5 @@ let suites =
         Alcotest.test_case "errors" `Quick test_layout_errors;
         prop_disk_in_range;
         prop_lba_injective_per_disk;
-      ] );
-    ( "layout.raid",
-      [
-        Alcotest.test_case "mapping" `Quick test_raid_mapping;
-        Alcotest.test_case "single disk" `Quick test_raid_single_disk;
-        prop_raid_bijective;
       ] );
   ]

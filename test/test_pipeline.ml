@@ -110,31 +110,6 @@ let test_pool_multi_failure =
                filled;
              true))
 
-let test_pool_transient_retry () =
-  (* Two transient failures per task are absorbed by the default retry
-     budget... *)
-  let attempts = Array.make 5 0 in
-  let f i =
-    attempts.(i) <- attempts.(i) + 1;
-    if attempts.(i) <= 2 then raise (Domain_pool.Transient (Boom i)) else i
-  in
-  check
-    Alcotest.(list int)
-    "transient failures retried to success" [ 0; 1; 2; 3; 4 ]
-    (Domain_pool.map ~jobs:2 f (List.init 5 Fun.id));
-  (* ...but an exhausted budget surfaces the inner exception, not the
-     Transient wrapper. *)
-  check Alcotest.int "exhausted retries re-raise the inner exception" 42
-    (match
-       Domain_pool.map ~retries:1 ~jobs:2 (fun _ -> raise (Domain_pool.Transient (Boom 42))) [ 0 ]
-     with
-    | _ -> Alcotest.fail "expected Boom"
-    | exception Boom n -> n);
-  check Alcotest.bool "negative retries rejected" true
-    (match Domain_pool.map ~retries:(-1) ~jobs:1 Fun.id [ 1 ] with
-    | _ -> false
-    | exception Invalid_argument _ -> true)
-
 (* --- stage memoization --- *)
 
 let test_memo_sharing () =
@@ -484,7 +459,6 @@ let suites =
         Alcotest.test_case "pool clamps to the hardware" `Quick test_pool_clamp;
         Alcotest.test_case "pool first error wins" `Quick test_pool_first_error_wins;
         test_pool_multi_failure;
-        Alcotest.test_case "pool transient retry" `Quick test_pool_transient_retry;
         Alcotest.test_case "stage memo sharing" `Quick test_memo_sharing;
         Alcotest.test_case "memoized trace is shared" `Quick test_memo_same_result;
         Alcotest.test_case "derive shares the graph" `Quick test_derive_shares_graph;
